@@ -244,6 +244,8 @@ def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
 
     rows = []
     failures = []
+    nodes = []
+    remainder_max = 0.0
     for t in ts:
         try:
             rep = cauchy_identity_report(prob.bv, ext, growth, float(t), radius,
@@ -254,6 +256,8 @@ def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
             _input_error(str(exc))
         except (ValueError, ArithmeticError) as exc:
             _input_error(f"t = {t:g}: {exc}")
+        nodes.append([float(t), rep.total_nodes])
+        remainder_max = max(remainder_max, rep.remainder_bound)
         rows.append((float(t), radius, rep.residual,
                      bounds[0].measured, bounds[0].bound_displayed,
                      bounds[1].measured, bounds[1].bound_displayed,
@@ -278,7 +282,8 @@ def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
     meta = {"command": "contour", "problem": prob.source, "problem_name": prob.name,
             "norm": prob.norm_kind, "t_grid": t_grid_spec, "radius": radius,
             "density": density, "quad_tol": quad_tol, "residual_tol": residual_tol,
-            "seed": seed, "extension_agreement_gap": gap, "failures": failures}
+            "seed": seed, "extension_agreement_gap": gap, "failures": failures,
+            "total_nodes": nodes, "jump_sum_remainder_max": remainder_max}
     _emit(out, body, meta)
     if dump_path is not None:
         dump_rows = contour_dump(prob.bv, ext, growth, float(ts[0]), radius,

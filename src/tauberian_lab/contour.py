@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .bv import BVFunction, exp_partial_integral, exp_tail_integral
+from .bv import BVFunction, exp_partial_integral, exp_tail_integral, jump_sum_remainder
 from .growth import GrowthBound
 from .oracles import eta
 from .transform import TauberianCertificate, improper_laplace
@@ -224,6 +224,7 @@ class CauchyReport:
     abs_error: float
     residual: float
     total_nodes: int
+    remainder_bound: float  # jump-sum truncation bound per node, tail plus partial
 
 
 def cauchy_identity_report(bv: BVFunction, f_ext, M: GrowthBound, t: float, R: float,
@@ -266,7 +267,8 @@ def cauchy_identity_report(bv: BVFunction, f_ext, M: GrowthBound, t: float, R: f
     residual = abs_error / max(1e-30, float(vector_norm(reference, bv.norm_kind)))
     return CauchyReport(t=t, R=R, lhs=lhs, reference=reference,
                         abs_error=abs_error, residual=residual,
-                        total_nodes=spec.total_nodes)
+                        total_nodes=spec.total_nodes,
+                        remainder_bound=jump_sum_remainder(bv.jump_sizes))
 
 
 def cauchy_residual(bv: BVFunction, f_ext, M: GrowthBound, t: float, R: float,

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tauberian_lab import (
@@ -12,13 +12,15 @@ from tauberian_lab import (
     DensityPiece,
     Integrand,
     NonFiniteIntegrandError,
+    bounded_density_instance,
     stieltjes_integral,
     vector_norm,
     weighted_partial,
     weighted_partial_grid,
     weighted_tail_grid,
 )
-from tauberian_lab.bv import _exp_segment, exp_partial_integral, exp_tail_integral
+from tauberian_lab.bv import (_exp_segment, _jump_exp_sum, exp_partial_integral,
+                              exp_tail_integral)
 
 
 def jump_oracle(jumps, z, t):
@@ -113,6 +115,17 @@ class TestValueAndVariation:
         bv = BVFunction.from_jumps([(0.5, -3.0)], pieces=(piece,))
         # |jump| + int_0^2 1 ds, evaluated past both
         assert bv.total_variation(5.0) == pytest.approx(3.0 + 2.0, rel=1e-10)
+
+    def test_total_variation_of_complex_densities(self):
+        # |e^{(-0.1+3i)s}| = e^{-0.1 s}, whose integral over [0, 5) is 10 (1 - e^{-1/2})
+        bv = BVFunction.from_density("exponential", rate=-0.1 + 3.0j)
+        assert bv.total_variation(5.0) == pytest.approx(10.0 * (1.0 - math.exp(-0.5)), rel=1e-10)
+        # the two unit-modulus halves of the cosine density add up piece by
+        # piece, an upper bound on int_0^10 |cos s| ds
+        cosine = bounded_density_instance("cosine").bv
+        tv = cosine.total_variation(10.0)
+        assert tv == pytest.approx(10.0, rel=1e-10)
+        assert tv >= 6.0 + math.sin(10.0 - 3.0 * math.pi)
 
     def test_validation_rejects_bad_jumps(self):
         with pytest.raises(ValueError):
@@ -263,6 +276,121 @@ class TestContourKernels:
         for i, d in enumerate(deltas):
             want = length if d == 0 else (np.exp(d * length) - 1.0) / d
             assert got[i] == pytest.approx(want, rel=1e-11)
+
+
+def dense_jump_sum(tau, sizes, z, t):
+    """Reference for the jump-sum kernel: the dense node x jump sum."""
+    return np.exp(-z[:, None] * (tau[None, :] - t)) @ sizes
+
+
+def assert_matches_dense(tau, sizes, z, t):
+    """Kernel vs dense reference within its remainder plus 64 eps sum |s|."""
+    got, bound = _jump_exp_sum(tau, sizes, z, t)
+    # one node at a time keeps the 1e6-jump reference small
+    want = np.zeros_like(got)
+    for i in range(z.size):
+        want[i] = dense_jump_sum(tau, sizes, z[i:i + 1], t)[0]
+    allowed = bound + 64.0 * np.finfo(float).eps * float(np.sum(np.abs(sizes)))
+    assert got.shape == (z.size, sizes.shape[1])
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= allowed
+    return got, want
+
+
+def arc(R, th0, th1, n):
+    return R * np.exp(1j * np.linspace(th0, th1, n))
+
+
+def alternating_jumps(n_max):
+    n = np.arange(1, n_max + 1)
+    sizes = (np.where(n % 2 == 1, 1.0, -1.0) / n).astype(complex).reshape(-1, 1)
+    return np.log(n.astype(float)), sizes
+
+
+class TestJumpExpSum:
+    """The block-Taylor kernel against the dense node x jump sum."""
+
+    @pytest.mark.parametrize("n_max, nodes", [(50_000, 124), (1_000_000, 9)])
+    def test_alternating_series_tail_and_partial(self, n_max, nodes):
+        tau, sizes = alternating_jumps(n_max)
+        t, R = 3.0, 1.5
+        k = int(np.searchsorted(tau, t))
+        for sl, z in ((slice(k, None), arc(R, -math.pi / 2, math.pi / 2, nodes)),
+                      (slice(0, k), arc(R, math.pi / 2, 3 * math.pi / 2, nodes))):
+            got, want = assert_matches_dense(tau[sl], sizes[sl], z, t)
+            assert float(np.max(np.abs(got - want))) <= 1e-13
+
+    def test_random_complex_vector_sizes(self, rng):
+        tau = np.sort(rng.uniform(0.0, 12.0, 400))
+        sizes = rng.normal(size=(400, 2)) + 1j * rng.normal(size=(400, 2))
+        t = 5.0
+        k = int(np.searchsorted(tau, t))
+        z = rng.uniform(0.0, 4.0, 60) + 1j * rng.uniform(-6.0, 6.0, 60)
+        assert_matches_dense(tau[k:], sizes[k:], z, t)
+        assert_matches_dense(tau[:k], sizes[:k], -z, t)
+
+    def test_clusters_with_long_gaps(self, rng):
+        # clusters 0.01 wide, 10 apart: most width-2/|z| blocks are empty
+        tau = np.sort(np.concatenate([10.0 * c + rng.uniform(0.0, 0.01, 50) for c in range(10)]))
+        sizes = rng.normal(size=(tau.size, 1)).astype(complex)
+        z = arc(3.0, -math.pi / 2, math.pi / 2, 101)
+        assert_matches_dense(tau, sizes, z, 0.0)
+
+    def test_large_modulus_nodes(self, rng):
+        tau = np.sort(rng.uniform(2.0, 8.0, 3000))
+        sizes = (rng.normal(size=3000) + 1j * rng.normal(size=3000)).reshape(-1, 1)
+        assert_matches_dense(tau, sizes, arc(50.0, -math.pi / 2, math.pi / 2, 200), 2.0)
+
+    def test_junction_nodes_with_tiny_real_part(self):
+        tau, sizes = alternating_jumps(2000)
+        t, R = 3.0, 1.5
+        k = int(np.searchsorted(tau, t))
+        junction = np.asarray([1e-17 + 1j * R, 1e-17 - 1j * R])
+        assert_matches_dense(tau[k:], sizes[k:], junction, t)
+        assert_matches_dense(tau[:k], sizes[:k], -junction, t)
+
+    def test_empty_nodes(self):
+        tau, sizes = alternating_jumps(100)
+        got, _ = assert_matches_dense(tau, sizes, np.zeros(0, dtype=complex), 0.0)
+        assert got.shape == (0, 1)
+
+    def test_zero_node_sums_the_sizes(self):
+        tau, sizes = alternating_jumps(5000)
+        got, _ = assert_matches_dense(tau, sizes, np.zeros(3, dtype=complex), 1.0)
+        np.testing.assert_allclose(got, np.broadcast_to(sizes.sum(axis=0), got.shape),
+                                   rtol=0, atol=1e-14)
+
+    def test_single_jump_is_exact(self):
+        z = np.asarray([0.0j, 0.7 + 0.2j, 40.0 - 30.0j, 1e-17 + 2.0j])
+        got, _ = _jump_exp_sum(np.asarray([3.0]), np.asarray([[2.0 - 1.0j]]), z, 1.0)
+        want = (2.0 - 1.0j) * np.exp(-z * 2.0)
+        np.testing.assert_allclose(got[:, 0], want, rtol=1e-15, atol=0)
+
+    def test_nonfinite_node_is_rejected(self):
+        bv = BVFunction.from_jumps([(1.0, 1.0), (2.0, -0.5)])
+        with pytest.raises(ValueError, match="jump-sum"):
+            exp_tail_integral(bv, np.asarray([1.0 + 0j, complex(math.nan, 0.0)]), 0.5)
+
+    def test_remainder_bound_meets_its_target(self):
+        tau, sizes = alternating_jumps(1000)
+        _, bound = _jump_exp_sum(tau, sizes, np.asarray([1.0 + 1.0j]), 0.0)
+        assert 0.0 < bound <= 2.0 ** -60 * float(np.sum(np.abs(sizes)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    taus=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=40, unique=True),
+    t=st.floats(0.0, 30.0),
+    rho=st.floats(0.0, 60.0),
+    angles=st.lists(st.floats(-math.pi / 2, math.pi / 2), min_size=1, max_size=8),
+)
+@example(taus=[0.0], t=0.0, rho=2.2250738585e-313, angles=[0.0])  # subnormal |z|
+def test_jump_sum_matches_dense_in_both_directions(taus, t, rho, angles):
+    tau = np.asarray(sorted(taus))
+    sizes = np.cos(np.arange(tau.size) + 0.5).astype(complex).reshape(-1, 1)
+    z = rho * np.exp(1j * np.asarray(angles))
+    k = int(np.searchsorted(tau, t))
+    assert_matches_dense(tau[k:], sizes[k:], z, t)   # tail: tau >= t, Re z >= 0
+    assert_matches_dense(tau[:k], sizes[:k], -z, t)  # partial: tau < t, Re z <= 0
 
 
 def test_nonfinite_integrand_error_names_location():

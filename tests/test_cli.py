@@ -118,6 +118,9 @@ class TestContour:
         assert float(rows[0][3]) <= float(rows[0][4])
         meta = json.loads((tmp_path / "contour.csv.meta.json").read_text())
         assert meta["extension_agreement_gap"] <= 1e-6
+        [(t, nodes)] = meta["total_nodes"]
+        assert t == 5.0 and nodes > 0
+        assert meta["jump_sum_remainder_max"] == 0.0
 
     def test_dump_writes_node_table(self, tmp_path):
         dump = tmp_path / "nodes.csv"

@@ -104,6 +104,7 @@ class TestCauchyIdentity:
         assert rep.reference[0] == pytest.approx(-math.exp(-5.0), rel=1e-12)
         assert rep.abs_error <= 1e-12
         assert rep.total_nodes > 0
+        assert rep.remainder_bound == 0.0  # no jumps, nothing truncated
 
     def test_zero_instance_numerator(self):
         # A = 0 with extension 0: both sides vanish; the guarded residual
@@ -158,6 +159,22 @@ class TestCauchyIdentity:
         M = GrowthBound.affine(1.25)
         res = cauchy_residual(bv, EtaShiftExtension(), M, 3.0, 1.5)
         assert res <= 1e-5
+
+    def test_report_carries_jump_sum_remainder(self):
+        # tail and partial kernel calls split the jumps at t; their bounds add
+        from tauberian_lab.bv import _jump_exp_sum
+
+        n = np.arange(1, 2001)
+        sizes = (np.where(n % 2 == 1, 1.0, -1.0) / n).astype(complex).reshape(-1, 1)
+        bv = BVFunction(dimension=1, jump_times=np.log(n.astype(float)), jump_sizes=sizes)
+        t, R = 3.0, 1.5
+        rep = cauchy_identity_report(bv, EtaShiftExtension(), GrowthBound.affine(1.25), t, R)
+        k = int(np.searchsorted(bv.jump_times, t))
+        z = np.asarray([R + 0j])
+        tail = _jump_exp_sum(bv.jump_times[k:], sizes[k:], z, t)[1]
+        partial = _jump_exp_sum(bv.jump_times[:k], sizes[:k], -z, t)[1]
+        assert rep.remainder_bound == pytest.approx(tail + partial, rel=1e-12)
+        assert rep.remainder_bound > 0.0
 
 
 class TestTermBounds:
