@@ -11,17 +11,18 @@ __version__ = "0.1.0"
 from .bv import (BVFunction, DensityPiece, Integrand, NonFiniteIntegrandError,
                  stieltjes_integral, weighted_partial, weighted_partial_grid,
                  weighted_tail_grid)
-from .contour import (CauchyReport, ContourBudgetError, ContourSpec,
-                      EtaShiftExtension, RationalExtension, build_contour,
-                      cauchy_identity_report, cauchy_residual, contour_dump,
-                      extension_agreement, fudge_factor, term_bounds)
-from .dirichlet import (BoundedDensityInstance, CoefficientSequence, DecayRow,
-                        DirichletInstance, bounded_density_instance,
+from .contour import (CauchyReport, ContourBudgetError, ContourEvaluation,
+                      ContourSpec, EtaShiftExtension, RationalExtension,
+                      build_contour, cauchy_identity_report, cauchy_residual,
+                      contour_dump, evaluate_contour, extension_agreement,
+                      fudge_factor, term_bounds)
+from .dirichlet import (CoefficientSequence, DecayRow, DirichletInstance,
                         build_instance, calibrate_affine_growth,
                         check_admissibility, partial_sum_decay)
 from .growth import (CutoffRule, GrowthBound, GrowthDomainError, branch_start,
                      m_log, m_log_inverse)
-from .problems import Problem, ProblemFormatError, load_problem
+from .problems import (BoundedDensityInstance, Problem, ProblemFormatError,
+                       bounded_density_instance, load_problem)
 from .rates import (RateInputs, RateResult, bound_B, decay_rate, k_prime,
                     r_opt, t_prime, t_prime_second_term_clamped)
 from .transform import (TauberianCertificate, TransformPoint,
@@ -30,17 +31,17 @@ from .vectors import VectorValue, vector_norm
 from .verify import (GridSpec, SupReport, check_line_bound, check_small_x_bound,
                      check_tail_bound, check_tauberian, delayed_step,
                      delayed_step_ratio, delayed_step_restart, make_t_grid,
-                     make_x_grid, thread_cap)
+                     make_x_grid)
 
 __all__ = [
     "__version__",
     "BVFunction", "DensityPiece", "Integrand", "NonFiniteIntegrandError",
     "stieltjes_integral", "weighted_partial", "weighted_partial_grid",
     "weighted_tail_grid",
-    "CauchyReport", "ContourBudgetError", "ContourSpec", "EtaShiftExtension",
-    "RationalExtension", "build_contour", "cauchy_identity_report",
-    "cauchy_residual", "contour_dump", "extension_agreement", "fudge_factor",
-    "term_bounds",
+    "CauchyReport", "ContourBudgetError", "ContourEvaluation", "ContourSpec",
+    "EtaShiftExtension", "RationalExtension", "build_contour",
+    "cauchy_identity_report", "cauchy_residual", "contour_dump",
+    "evaluate_contour", "extension_agreement", "fudge_factor", "term_bounds",
     "BoundedDensityInstance", "CoefficientSequence", "DecayRow",
     "DirichletInstance", "bounded_density_instance", "build_instance",
     "calibrate_affine_growth", "check_admissibility", "partial_sum_decay",
@@ -54,5 +55,5 @@ __all__ = [
     "VectorValue", "vector_norm",
     "GridSpec", "SupReport", "check_line_bound", "check_small_x_bound",
     "check_tail_bound", "check_tauberian", "delayed_step", "delayed_step_ratio",
-    "delayed_step_restart", "make_t_grid", "make_x_grid", "thread_cap",
+    "delayed_step_restart", "make_t_grid", "make_x_grid",
 ]

@@ -21,9 +21,11 @@ forms per-block Taylor moments of order P = 20 about each block's centre
 c_b, and evaluates sum_b e^{-z(c_b - t)} sum_p (-z h/2)^p m_{b,p}, where
 every factor has modulus <= 1.  Truncation adds at most
 sum_k ||s_k|| e / 21! (<= 2^-60 sum_k ||s_k||) to each entry, a bound the
-kernel returns and ``CauchyReport.remainder_bound`` carries.  The cost is
-O(N P + nodes * blocks * P) instead of the dense O(nodes * N) exponentials,
-and blocks <= min(N, 1 + span(tau) max|z| / 2).
+kernel returns and ``CauchyReport.remainder_bound`` carries.  The block
+factors carry their phase's rounding error (``_block_factors``), so a phase
+of hundreds of radians still leaves each factor accurate to about eps.  The
+cost is O(N P + nodes * blocks * P) instead of the dense O(nodes * N)
+exponentials, and blocks <= min(N, 1 + span(tau) max|z| / 2).
 """
 
 from __future__ import annotations
@@ -104,10 +106,6 @@ class Integrand:
     def exp_poly(cls, rate: complex, poly: tuple[complex, ...]) -> "Integrand":
         return cls(rate=rate, poly=tuple(poly))
 
-    @property
-    def is_pure_exponential(self) -> bool:
-        return self.poly == (1.0 + 0j,)
-
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -148,10 +146,6 @@ class DensityPiece:
     @property
     def dimension(self) -> int:
         return len(self.scale)
-
-    @property
-    def uses_rate(self) -> bool:
-        return self.kind in ("exponential", "damped_power")
 
     @property
     def smooth_exponential(self) -> bool:
@@ -295,26 +289,46 @@ class BVFunction:
 # -- scalar smooth-piece integration ------------------------------------------
 
 
-def _gl_exp_poly(a: float, b: float, crate: complex, poly_fn, tol_scale: float) -> complex | None:
-    """int_a^b poly(s) e^{crate s} ds by composite 16-point Gauss-Legendre.
-
-    Returns None when the oscillation/decay scale would need too many panels;
-    callers then fall back to adaptive quadrature.
-    """
-    length = b - a
-    k = max(1.0, abs(crate.real), abs(crate.imag))
-    panels = int(math.ceil(length * k / 1.5))
-    panels = max(panels, 1)
-    if panels > _MAX_GL_PANELS:
-        return None
+def gauss_legendre_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of composite 16-point Gauss-Legendre on equal panels of [a, b]."""
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     s = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    vals = poly_fn(s) * np.exp(crate * s)
+    return s, w
+
+
+def _gl_smooth(a: float, b: float, crate: complex, integrand) -> complex | None:
+    """int_a^b integrand(s) ds by composite Gauss-Legendre, for e^{crate s}-like integrands.
+
+    One panel per 1.5 units of growth or phase of e^{crate s}.  Returns None
+    when that needs more than _MAX_GL_PANELS panels; callers then fall back
+    to adaptive quadrature.
+    """
+    k = max(1.0, abs(crate.real), abs(crate.imag))
+    panels = max(int(math.ceil((b - a) * k / 1.5)), 1)
+    if panels > _MAX_GL_PANELS:
+        return None
+    s, w = gauss_legendre_panels(a, b, panels)
+    vals = integrand(s)
     _guard_finite(vals, s, "smooth piece")
     return complex(np.sum(w * vals))
+
+
+def _piece_quad(piece: DensityPiece, weight, lo: float, hi: float,
+                quad_tol: float) -> complex:
+    """int_lo^hi weight(s) base(s) ds by adaptive quadrature, the smooth pieces' fallback."""
+
+    def integrand(s):
+        v = weight(s) * piece.base(s)
+        if not np.all(np.isfinite(np.atleast_1d(v))):
+            raise NonFiniteIntegrandError(float(s), f"density kind {piece.kind!r}")
+        return complex(v)
+
+    val, _err = quad(integrand, lo, hi, epsabs=quad_tol, epsrel=1e-12,
+                     limit=400, complex_func=True)
+    return complex(val)
 
 
 def _piece_phi_integral(piece: DensityPiece, phi: Integrand, lo: float, hi: float,
@@ -325,23 +339,11 @@ def _piece_phi_integral(piece: DensityPiece, phi: Integrand, lo: float, hi: floa
     if piece.smooth_exponential and math.isfinite(hi):
         crate = phi.rate + piece.rate
         poly_arr = np.asarray(phi.poly)
-
-        def poly_fn(s):
-            return npoly.polyval(s, poly_arr)
-
-        val = _gl_exp_poly(lo, hi, crate, poly_fn, quad_tol)
+        val = _gl_smooth(lo, hi, crate,
+                         lambda s: npoly.polyval(s, poly_arr) * np.exp(crate * s))
         if val is not None:
             return val
-
-    def integrand(s):
-        v = phi(s) * piece.base(s)
-        if not np.all(np.isfinite(np.atleast_1d(v))):
-            raise NonFiniteIntegrandError(float(s), f"density kind {piece.kind!r}")
-        return complex(v)
-
-    val, _err = quad(integrand, lo, hi, epsabs=quad_tol, epsrel=1e-12,
-                     limit=400, complex_func=True)
-    return complex(val)
+    return _piece_quad(piece, phi, lo, hi, quad_tol)
 
 
 def stieltjes_integral(bv: BVFunction, phi: Integrand, t: float,
@@ -379,28 +381,10 @@ def _piece_shifted_exp(piece: DensityPiece, c: complex, shift: float, lo: float,
         crate = c + piece.rate
         # e^{c s - shift} = e^{crate s} * e^{-shift} with base folded in; keep
         # the shift inside the node weights to dodge overflow for large shift
-        length = hi - lo
-        k = max(1.0, abs(crate.real), abs(crate.imag))
-        panels = int(math.ceil(length * k / 1.5))
-        if panels <= _MAX_GL_PANELS:
-            edges = np.linspace(lo, hi, max(panels, 1) + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            s = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-            w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-            vals = np.exp(crate * s - shift)
-            _guard_finite(vals, s, "smooth piece")
-            return complex(np.sum(w * vals))
-
-    def integrand(s):
-        v = np.exp(c * s - shift) * piece.base(s)
-        if not np.all(np.isfinite(np.atleast_1d(v))):
-            raise NonFiniteIntegrandError(float(s), f"density kind {piece.kind!r}")
-        return complex(v)
-
-    val, _err = quad(integrand, lo, hi, epsabs=quad_tol, epsrel=1e-12,
-                     limit=400, complex_func=True)
-    return complex(val)
+        val = _gl_smooth(lo, hi, crate, lambda s: np.exp(crate * s - shift))
+        if val is not None:
+            return val
+    return _piece_quad(piece, lambda s: np.exp(c * s - shift), lo, hi, quad_tol)
 
 
 def _density_segment(bv: BVFunction, c: complex, shift: float, a: float, b: float,
@@ -545,11 +529,13 @@ def _jump_exp_sum(tau: np.ndarray, sizes: np.ndarray, z: np.ndarray,
         moments[:, p] = np.add.reduceat(term, starts, axis=0)
         term = term * (u / (p + 1))[:, None]
     moments = moments.reshape(starts.size, -1)
+    gap = centres - t  # c_b - t = gap + gap_err exactly (Knuth's two-sum)
+    gap_err = (centres - (gap - (gap - centres))) + (-t - (gap - centres))
     chunk = max(1, _MAX_BLOCK_ELEMENTS // max(moments.shape))
     for i0 in range(0, z.size, chunk):
         zc = z[i0:i0 + chunk]
         # near[i, p] = sum_b e^{-z_i(c_b - t)} moments[b, p]; Horner in -z_i h/2
-        near = (np.exp(-zc[:, None] * (centres[None, :] - t)) @ moments).reshape(
+        near = (_block_factors(zc, gap, gap_err) @ moments).reshape(
             zc.size, _TAYLOR_ORDER + 1, -1)
         w = (-zc * half)[:, None]
         acc = near[:, _TAYLOR_ORDER]
@@ -557,6 +543,38 @@ def _jump_exp_sum(tau: np.ndarray, sizes: np.ndarray, z: np.ndarray,
             acc = acc * w + near[:, p]
         values[i0:i0 + chunk] = acc
     return values, jump_sum_remainder(sizes)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo with hi and lo of at most 26 significant bits each (Dekker)."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _block_factors(zc: np.ndarray, gap: np.ndarray, gap_err: np.ndarray) -> np.ndarray:
+    """e^{-z_i (gap_b + gap_err_b)} for every node and block, phase accurate to ~eps.
+
+    Rounding the phase Im(z) gap (up to thousands of radians) alone costs
+    eps |Im(z) gap|, so its rounding error err (Dekker's exact product error
+    plus gap_err) is applied as the rotation 1 + i err; the dropped err^2/2
+    stays below eps up to phases of about 1e8 radians.  The modulus
+    e^{-Re(z) gap} <= 1 needs no such care: its error is at most eps.
+    """
+    arg = -zc[:, None] * gap[None, :]
+    y = -zc.imag
+    if max(float(np.max(np.abs(y))), float(np.max(np.abs(gap)))) > 2.0 ** 500:
+        return np.exp(arg)  # the split would overflow
+    yh, yl = _split(y)
+    gh, gl = _split(gap)
+    err = np.multiply.outer(yh, gh) - arg.imag  # arg.imag is fl(y gap)
+    err += np.multiply.outer(yh, gl)
+    err += np.multiply.outer(yl, gh)
+    err += np.multiply.outer(yl, gl)
+    err += np.multiply.outer(y, gap_err)
+    factors = np.exp(arg)
+    factors *= 1 + 1j * err
+    return factors
 
 
 def jump_sum_remainder(sizes: np.ndarray) -> float:

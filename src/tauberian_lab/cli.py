@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .contour import (ContourBudgetError, cauchy_identity_report, contour_dump,
-                      extension_agreement, term_bounds)
+                      evaluate_contour, extension_agreement, term_bounds)
 from .dirichlet import partial_sum_decay
 from .growth import GrowthDomainError
 from .problems import Problem, ProblemFormatError, load_problem
@@ -29,7 +29,7 @@ from .rates import (RateInputs, decay_rate, k_prime, t_prime,
                     t_prime_second_term_clamped)
 from .transform import TruncationCapError
 from .verify import (check_line_bound, check_small_x_bound, check_tail_bound,
-                     check_tauberian, make_t_grid, thread_cap)
+                     check_tauberian, make_t_grid)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -57,7 +57,6 @@ def _emit(out: str | None, body: str, meta: dict) -> None:
     meta = dict(meta)
     meta["tool"] = "tauberian-lab"
     meta["version"] = __version__
-    meta["threads"] = thread_cap()
     meta["generated_at"] = datetime.now(timezone.utc).isoformat()
     if out:
         Path(out).write_text(body)
@@ -248,10 +247,10 @@ def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
     remainder_max = 0.0
     for t in ts:
         try:
-            rep = cauchy_identity_report(prob.bv, ext, growth, float(t), radius,
-                                         density, quad_tol, f0=prob.f0)
-            bounds = term_bounds(prob.bv, prob.certificate, growth, float(t), radius,
-                                 ext, density, quad_tol)
+            ev = evaluate_contour(prob.bv, ext, growth, float(t), radius,
+                                  density, quad_tol)
+            rep = cauchy_identity_report(ev, f0=prob.f0)
+            bounds = term_bounds(ev, prob.certificate)
         except ContourBudgetError as exc:
             _input_error(str(exc))
         except (ValueError, ArithmeticError) as exc:
@@ -286,8 +285,7 @@ def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
             "total_nodes": nodes, "jump_sum_remainder_max": remainder_max}
     _emit(out, body, meta)
     if dump_path is not None:
-        dump_rows = contour_dump(prob.bv, ext, growth, float(ts[0]), radius,
-                                 density, quad_tol)
+        dump_rows = contour_dump(ev)  # the single t's evaluation
         Path(dump_path).write_text(_csv_text(
             ("piece", "s_param", "re z", "im z", "|integrand|"),
             [(p, float(s), float(re), float(im), float(v))

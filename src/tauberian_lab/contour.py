@@ -17,6 +17,12 @@ transforms (which would lose every significant digit by t R ~ 40); the two
 expressions are equal by definition of the improper transform.  Likewise
 f_t(z) e^{tz} on the reflected arc is int_0^t e^{z(t-s)} dA(s), whose
 integrand never exceeds 1 in modulus there.
+
+Each (t, R) is evaluated once: ``evaluate_contour`` builds the contour and
+stores, per piece, the analytic weight g and the node values F of the
+integrand g F.  Three reductions read that one ``ContourEvaluation``:
+``cauchy_identity_report`` sums (dz g) @ F, ``term_bounds`` sums
+|dz| |g| ||F|| per term, and ``contour_dump`` lists ||F|| |g| per node.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .bv import BVFunction, exp_partial_integral, exp_tail_integral, jump_sum_remainder
+from .bv import (BVFunction, exp_partial_integral, exp_tail_integral,
+                 gauss_legendre_panels, jump_sum_remainder)
 from .growth import GrowthBound
 from .oracles import eta
 from .transform import TauberianCertificate, improper_laplace
@@ -52,9 +59,6 @@ def fudge_factor(z, R: float):
     return w if w.ndim else complex(w)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
 @dataclass(frozen=True)
 class QuadPiece:
     """One smooth piece with Gauss-Legendre nodes baked in."""
@@ -66,21 +70,12 @@ class QuadPiece:
     abs_weights: np.ndarray  # weight * |z'(u)|: arc-length element
 
 
-def _panel_nodes(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return u, w
-
-
 def _arc_piece(name: str, R: float, th0: float, th1: float, rate: float,
                density: float) -> QuadPiece:
     # rate = phase change of the integrand per unit arc length
     length = abs(th1 - th0) * R
     panels = max(4, int(math.ceil(length * rate * density / _PHASE_PER_PANEL)))
-    th, w = _panel_nodes(th0, th1, panels)
+    th, w = gauss_legendre_panels(th0, th1, panels)
     z = R * np.exp(1j * th)
     dz = 1j * z  # dz/dtheta
     return QuadPiece(name, th, z, w * dz, w * np.abs(dz))
@@ -90,7 +85,7 @@ def _segment_piece(name: str, za: complex, zb: complex, rate: float,
                    density: float) -> QuadPiece:
     length = abs(zb - za)
     panels = max(2, int(math.ceil(length * rate * density / _PHASE_PER_PANEL)))
-    u, w = _panel_nodes(0.0, 1.0, panels)
+    u, w = gauss_legendre_panels(0.0, 1.0, panels)
     z = za + u * (zb - za)
     dz = zb - za
     return QuadPiece(name, u * length, z, w * dz, w * np.full_like(u, abs(dz)))
@@ -103,7 +98,6 @@ class ContourSpec:
     gamma1: QuadPiece
     gamma1_reflected: QuadPiece
     gamma2: tuple[QuadPiece, ...]
-    points_per_unit: float
 
     @property
     def total_nodes(self) -> int:
@@ -150,7 +144,7 @@ def build_contour(M: GrowthBound, R: float, t: float, density: float = 1.0,
     pieces.append(_segment_piece("gamma2_bottom", a - 1j * R, -1j * R, seg_rate_h, density))
 
     spec = ContourSpec(R=R, left_abscissa=a, gamma1=g1, gamma1_reflected=g1r,
-                       gamma2=tuple(pieces), points_per_unit=16.0 * arc_rate * density / _PHASE_PER_PANEL)
+                       gamma2=tuple(pieces))
     if spec.total_nodes > max_nodes:
         raise ContourBudgetError(spec.total_nodes, max_nodes)
     return spec
@@ -208,11 +202,57 @@ def _eval_extension(f_ext, z: np.ndarray, dimension: int) -> np.ndarray:
     return vals
 
 
-def _extension_at_zero(f_ext, dimension: int) -> np.ndarray:
-    return _eval_extension(f_ext, np.asarray([0j]), dimension)[0]
+# -- one evaluation, three reductions -------------------------------------------
 
 
-# -- the identity ----------------------------------------------------------------
+@dataclass(frozen=True)
+class PieceValues:
+    """One contour piece with its integrand split as g(z) F(z) at the nodes."""
+
+    piece: QuadPiece
+    g: np.ndarray  # analytic weight, signed as the piece enters the identity
+    F: np.ndarray  # (n, d) values of the integrator side
+
+
+@dataclass(frozen=True)
+class ContourEvaluation:
+    """The integrand of the residue identity on one contour at (t, R).
+
+    terms holds the pieces of term I (gamma1: g = -fudge/z, F the tail
+    integral), term II (gamma1_reflected: g = fudge/z, F the shifted
+    partial transform) and term III (the gamma2 pieces: g = -e^{tz} fudge/z,
+    F the extension).
+    """
+
+    bv: BVFunction
+    f_ext: object
+    t: float
+    R: float
+    MR: float  # M(R)
+    quad_tol: float
+    terms: tuple[tuple[PieceValues, ...], ...]
+
+    @property
+    def total_nodes(self) -> int:
+        return int(sum(p.piece.nodes.size for term in self.terms for p in term))
+
+
+def evaluate_contour(bv: BVFunction, f_ext, M: GrowthBound, t: float, R: float,
+                     density: float = 1.0, quad_tol: float = 1e-12,
+                     max_nodes: int = 400_000) -> ContourEvaluation:
+    """Build the contour and evaluate the integrand on every node, once."""
+    spec = build_contour(M, R, t, density, max_nodes)
+    g1, g1r = spec.gamma1, spec.gamma1_reflected
+    term1 = PieceValues(g1, -(fudge_factor(g1.nodes, R) / g1.nodes),
+                        exp_tail_integral(bv, g1.nodes, t, quad_tol))
+    term2 = PieceValues(g1r, fudge_factor(g1r.nodes, R) / g1r.nodes,
+                        exp_partial_integral(bv, g1r.nodes, t, quad_tol))
+    term3 = tuple(
+        PieceValues(p, -(np.exp(t * p.nodes) * fudge_factor(p.nodes, R) / p.nodes),
+                    _eval_extension(f_ext, p.nodes, bv.dimension))
+        for p in spec.gamma2)
+    return ContourEvaluation(bv=bv, f_ext=f_ext, t=t, R=R, MR=float(M(R)),
+                             quad_tol=quad_tol, terms=((term1,), (term2,), term3))
 
 
 @dataclass(frozen=True)
@@ -227,47 +267,33 @@ class CauchyReport:
     remainder_bound: float  # jump-sum truncation bound per node, tail plus partial
 
 
-def cauchy_identity_report(bv: BVFunction, f_ext, M: GrowthBound, t: float, R: float,
-                           density: float = 1.0, quad_tol: float = 1e-12,
-                           f0=None, max_nodes: int = 400_000) -> CauchyReport:
-    """Evaluate both sides of the residue identity and their relative gap.
+def cauchy_identity_report(ev: ContourEvaluation, f0=None) -> CauchyReport:
+    """Both sides of the residue identity and their relative gap.
 
-    The right-hand side combines the tail integral on the right arc, the
-    shifted partial transform on the reflected arc, and the extension on the
-    left path.  The reference is A(t) - f(0), with f(0) from the extension
-    unless an explicit f0 array/VectorValue is supplied.
+    The left side is (1/2 pi i) sum (dz g) @ F over all pieces.  The
+    reference is A(t) - f(0), with f(0) from the extension unless an
+    explicit f0 array/VectorValue is supplied.
     """
-    spec = build_contour(M, R, t, density, max_nodes)
-
-    g1 = spec.gamma1
-    tail = exp_tail_integral(bv, g1.nodes, t, quad_tol)          # (n, d)
-    gt1 = fudge_factor(g1.nodes, R) / g1.nodes
-    term1 = -(g1.dz_weights * gt1) @ tail
-
-    g1r = spec.gamma1_reflected
-    part = exp_partial_integral(bv, g1r.nodes, t, quad_tol)
-    gt2 = fudge_factor(g1r.nodes, R) / g1r.nodes
-    term2 = (g1r.dz_weights * gt2) @ part
-
-    term3 = np.zeros(bv.dimension, dtype=complex)
-    for piece in spec.gamma2:
-        fv = _eval_extension(f_ext, piece.nodes, bv.dimension)
-        g = np.exp(t * piece.nodes) * fudge_factor(piece.nodes, R) / piece.nodes
-        term3 -= (piece.dz_weights * g) @ fv
-
-    lhs = (term1 + term2 + term3) / (2j * math.pi)
+    bv = ev.bv
+    sums = []
+    for term in ev.terms:
+        acc = np.zeros(bv.dimension, dtype=complex)
+        for p in term:
+            acc += (p.piece.dz_weights * p.g) @ p.F
+        sums.append(acc)
+    lhs = (sums[0] + sums[1] + sums[2]) / (2j * math.pi)
 
     if f0 is None:
-        f0_arr = _extension_at_zero(f_ext, bv.dimension)
+        f0_arr = _eval_extension(ev.f_ext, np.asarray([0j]), bv.dimension)[0]
     else:
         f0_arr = np.atleast_1d(np.asarray(
             f0.as_array() if hasattr(f0, "as_array") else f0, dtype=complex))
-    reference = bv.value_at(t, quad_tol).as_array() - f0_arr
+    reference = bv.value_at(ev.t, ev.quad_tol).as_array() - f0_arr
     abs_error = float(vector_norm(lhs - reference, bv.norm_kind))
     residual = abs_error / max(1e-30, float(vector_norm(reference, bv.norm_kind)))
-    return CauchyReport(t=t, R=R, lhs=lhs, reference=reference,
+    return CauchyReport(t=ev.t, R=ev.R, lhs=lhs, reference=reference,
                         abs_error=abs_error, residual=residual,
-                        total_nodes=spec.total_nodes,
+                        total_nodes=ev.total_nodes,
                         remainder_bound=jump_sum_remainder(bv.jump_sizes))
 
 
@@ -275,10 +301,8 @@ def cauchy_residual(bv: BVFunction, f_ext, M: GrowthBound, t: float, R: float,
                     density: float = 1.0, quad_tol: float = 1e-12,
                     f0=None) -> float:
     """Relative residual of the identity (denominator guarded at 1e-30)."""
-    return cauchy_identity_report(bv, f_ext, M, t, R, density, quad_tol, f0).residual
-
-
-# -- per-term norm bounds ---------------------------------------------------------
+    ev = evaluate_contour(bv, f_ext, M, t, R, density, quad_tol)
+    return cauchy_identity_report(ev, f0).residual
 
 
 @dataclass(frozen=True)
@@ -297,69 +321,39 @@ class TermBound:
         return self.bound_derived - self.measured
 
 
-def term_bounds(bv: BVFunction, cert: TauberianCertificate, M: GrowthBound,
-                t: float, R: float, f_ext, density: float = 1.0,
-                quad_tol: float = 1e-12) -> tuple[TermBound, TermBound, TermBound]:
+def term_bounds(ev: ContourEvaluation,
+                cert: TauberianCertificate) -> tuple[TermBound, TermBound, TermBound]:
     """Norm integrals of the three contour terms against their asserted bounds.
 
+    Each term's measured value is (1/2 pi) sum |g| ||F|| ds over its pieces.
     Each term reports two reference constants: the displayed (rounded-up) one
     and the sharper one the derivation actually produces; both margins should
     be nonnegative on instances whose certificate holds.
     """
-    spec = build_contour(M, R, t, density)
-    C = cert.C
+    measured = []
+    for term in ev.terms:
+        total = 0.0
+        for p in term:
+            normf = np.asarray(vector_norm(p.F, ev.bv.norm_kind), dtype=float)
+            total += float(np.sum(p.piece.abs_weights * np.abs(p.g) * normf)) / (2 * math.pi)
+        measured.append(total)
 
-    g1 = spec.gamma1
-    tail = exp_tail_integral(bv, g1.nodes, t, quad_tol)
-    mag1 = np.abs(fudge_factor(g1.nodes, R) / g1.nodes)
-    norm1 = np.asarray(vector_norm(tail, bv.norm_kind), dtype=float)
-    I_measured = float(np.sum(g1.abs_weights * mag1 * norm1)) / (2 * math.pi)
-
-    g1r = spec.gamma1_reflected
-    part = exp_partial_integral(bv, g1r.nodes, t, quad_tol)
-    mag2 = np.abs(fudge_factor(g1r.nodes, R) / g1r.nodes)
-    norm2 = np.asarray(vector_norm(part, bv.norm_kind), dtype=float)
-    II_measured = float(np.sum(g1r.abs_weights * mag2 * norm2)) / (2 * math.pi)
-
-    III_measured = 0.0
-    for piece in spec.gamma2:
-        fv = _eval_extension(f_ext, piece.nodes, bv.dimension)
-        mag = np.abs(np.exp(t * piece.nodes) * fudge_factor(piece.nodes, R) / piece.nodes)
-        normf = np.asarray(vector_norm(fv, bv.norm_kind), dtype=float)
-        III_measured += float(np.sum(piece.abs_weights * mag * normf)) / (2 * math.pi)
-
-    MR = float(M(R))
+    C, t, R, MR = cert.C, ev.t, ev.R, ev.MR
     III_bound = MR / (t * R ** 3) + 2.0 * R * MR * MR * math.exp(-t / (2.0 * MR))
-    term_I = TermBound("I", I_measured, 6.0 * C / R, 12.0 * C / (math.pi * R) + 2.0 * C / R)
-    term_II = TermBound("II", II_measured, 4.0 * C / R, 4.0 * C / (math.pi * R) + 2.0 * C / R)
-    term_III = TermBound("III", III_measured, III_bound, III_bound)
+    term_I = TermBound("I", measured[0], 6.0 * C / R, 12.0 * C / (math.pi * R) + 2.0 * C / R)
+    term_II = TermBound("II", measured[1], 4.0 * C / R, 4.0 * C / (math.pi * R) + 2.0 * C / R)
+    term_III = TermBound("III", measured[2], III_bound, III_bound)
     return term_I, term_II, term_III
 
 
-def contour_dump(bv: BVFunction, f_ext, M: GrowthBound, t: float, R: float,
-                 density: float = 1.0, quad_tol: float = 1e-12) -> list[tuple]:
+def contour_dump(ev: ContourEvaluation) -> list[tuple]:
     """Rows (piece, s_param, re z, im z, |integrand|) for plotting."""
-    spec = build_contour(M, R, t, density)
     rows: list[tuple] = []
-
-    g1 = spec.gamma1
-    tail = exp_tail_integral(bv, g1.nodes, t, quad_tol)
-    vals = np.asarray(vector_norm(tail, bv.norm_kind), dtype=float) * np.abs(
-        fudge_factor(g1.nodes, R) / g1.nodes)
-    rows.extend(zip([g1.name] * g1.nodes.size, g1.params, g1.nodes.real, g1.nodes.imag, vals))
-
-    g1r = spec.gamma1_reflected
-    part = exp_partial_integral(bv, g1r.nodes, t, quad_tol)
-    vals = np.asarray(vector_norm(part, bv.norm_kind), dtype=float) * np.abs(
-        fudge_factor(g1r.nodes, R) / g1r.nodes)
-    rows.extend(zip([g1r.name] * g1r.nodes.size, g1r.params, g1r.nodes.real, g1r.nodes.imag, vals))
-
-    for piece in spec.gamma2:
-        fv = _eval_extension(f_ext, piece.nodes, bv.dimension)
-        vals = np.asarray(vector_norm(fv, bv.norm_kind), dtype=float) * np.abs(
-            np.exp(t * piece.nodes) * fudge_factor(piece.nodes, R) / piece.nodes)
-        rows.extend(zip([piece.name] * piece.nodes.size, piece.params,
-                        piece.nodes.real, piece.nodes.imag, vals))
+    for term in ev.terms:
+        for p in term:
+            q = p.piece
+            vals = np.asarray(vector_norm(p.F, ev.bv.norm_kind), dtype=float) * np.abs(p.g)
+            rows.extend(zip([q.name] * q.nodes.size, q.params, q.nodes.real, q.nodes.imag, vals))
     return rows
 
 

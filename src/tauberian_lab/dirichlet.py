@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bv import BVFunction, DensityPiece
+from .bv import BVFunction
 from .growth import CutoffRule, GrowthBound
 from .oracles import log_two
 from .rates import RateInputs, decay_rate, t_prime
@@ -222,53 +222,6 @@ def partial_sum_decay(instance: DirichletInstance, M: GrowthBound,
         else:
             rows.append(DecayRow(float(t), float(d), math.nan, math.nan, "below_t_prime"))
     return rows
-
-
-# -- bounded-density instances ----------------------------------------------------
-
-DENSITY_INSTANCE_KINDS = ("cosine", "decaying_exp", "constant")
-
-
-@dataclass(frozen=True)
-class BoundedDensityInstance:
-    bv: BVFunction
-    certificate: TauberianCertificate
-    extension: object       # callable z -> f(z), valid off the density's poles
-    kind: str
-
-
-def bounded_density_instance(kind: str, c0: float = 1.0,
-                             norm_kind: str = "euclidean") -> BoundedDensityInstance:
-    """dA = a(s) ds with ||a|| <= c0: the certificate holds with C = c0, any x0.
-
-    The weighted partials are x e^{-xt} int_0^t e^{xs} a(s) ds, bounded by
-    c0 (1 - e^{-xt}) <= c0 uniformly in x > 0, so no cutoff is needed.
-    """
-    from .contour import RationalExtension  # local import avoids a cycle
-
-    if c0 <= 0:
-        raise ValueError("density amplitude must be positive")
-    if kind == "cosine":
-        piece = DensityPiece(start=0.0, end=math.inf, kind="exponential",
-                             scale=(0.5 * c0,), rate=1j)
-        piece2 = DensityPiece(start=0.0, end=math.inf, kind="exponential",
-                              scale=(0.5 * c0,), rate=-1j)
-        bv = BVFunction(dimension=1, pieces=(piece, piece2), norm_kind=norm_kind)
-        ext = RationalExtension(numerator=(0.0, c0), denominator=(1.0, 0.0, 1.0))
-    elif kind == "decaying_exp":
-        piece = DensityPiece(start=0.0, end=math.inf, kind="exponential",
-                             scale=(c0,), rate=-1.0)
-        bv = BVFunction(dimension=1, pieces=(piece,), norm_kind=norm_kind)
-        ext = RationalExtension(numerator=(c0,), denominator=(1.0, 1.0))
-    elif kind == "constant":
-        piece = DensityPiece(start=0.0, end=math.inf, kind="constant", scale=(c0,))
-        bv = BVFunction(dimension=1, pieces=(piece,), norm_kind=norm_kind)
-        ext = RationalExtension(numerator=(c0,), denominator=(0.0, 1.0))
-    else:
-        raise ValueError(f"unknown bounded-density kind {kind!r}; "
-                         f"choose from {DENSITY_INSTANCE_KINDS}")
-    cert = TauberianCertificate(C=c0, x0=1.0, T=0.0, R_rule=CutoffRule.infinite())
-    return BoundedDensityInstance(bv=bv, certificate=cert, extension=ext, kind=kind)
 
 
 # -- growth-bound admissibility on the left strip ----------------------------------

@@ -4,6 +4,10 @@ Complex numbers are written as a plain number (real) or a two-element
 [re, im] list; vectors are lists of those.  Unknown keys anywhere are an
 error that names the offending path, so typos fail loudly instead of being
 silently ignored.
+
+The bounded-density instances at the end are the same kind of verification
+instance built in code: a density with ||a|| <= c0 and its rational
+extension.
 """
 
 from __future__ import annotations
@@ -316,3 +320,48 @@ def load_problem(path) -> Problem:
     return Problem(name=name, dimension=dimension, norm_kind=norm_kind, bv=bv,
                    certificate=cert, growth=growth, extension=extension, f0=f0,
                    dirichlet=None, source=str(path))
+
+
+# -- bounded-density instances ----------------------------------------------------
+
+DENSITY_INSTANCE_KINDS = ("cosine", "decaying_exp", "constant")
+
+
+@dataclass(frozen=True)
+class BoundedDensityInstance:
+    bv: BVFunction
+    certificate: TauberianCertificate
+    extension: object       # callable z -> f(z), valid off the density's poles
+    kind: str
+
+
+def bounded_density_instance(kind: str, c0: float = 1.0,
+                             norm_kind: str = "euclidean") -> BoundedDensityInstance:
+    """dA = a(s) ds with ||a|| <= c0: the certificate holds with C = c0, any x0.
+
+    The weighted partials are x e^{-xt} int_0^t e^{xs} a(s) ds, bounded by
+    c0 (1 - e^{-xt}) <= c0 uniformly in x > 0, so no cutoff is needed.
+    """
+    if c0 <= 0:
+        raise ValueError("density amplitude must be positive")
+    if kind == "cosine":
+        piece = DensityPiece(start=0.0, end=math.inf, kind="exponential",
+                             scale=(0.5 * c0,), rate=1j)
+        piece2 = DensityPiece(start=0.0, end=math.inf, kind="exponential",
+                              scale=(0.5 * c0,), rate=-1j)
+        bv = BVFunction(dimension=1, pieces=(piece, piece2), norm_kind=norm_kind)
+        ext = RationalExtension(numerator=(0.0, c0), denominator=(1.0, 0.0, 1.0))
+    elif kind == "decaying_exp":
+        piece = DensityPiece(start=0.0, end=math.inf, kind="exponential",
+                             scale=(c0,), rate=-1.0)
+        bv = BVFunction(dimension=1, pieces=(piece,), norm_kind=norm_kind)
+        ext = RationalExtension(numerator=(c0,), denominator=(1.0, 1.0))
+    elif kind == "constant":
+        piece = DensityPiece(start=0.0, end=math.inf, kind="constant", scale=(c0,))
+        bv = BVFunction(dimension=1, pieces=(piece,), norm_kind=norm_kind)
+        ext = RationalExtension(numerator=(c0,), denominator=(0.0, 1.0))
+    else:
+        raise ValueError(f"unknown bounded-density kind {kind!r}; "
+                         f"choose from {DENSITY_INSTANCE_KINDS}")
+    cert = TauberianCertificate(C=c0, x0=1.0, T=0.0, R_rule=CutoffRule.infinite())
+    return BoundedDensityInstance(bv=bv, certificate=cert, extension=ext, kind=kind)

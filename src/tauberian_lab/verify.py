@@ -14,8 +14,6 @@ as hypothesis_failed instead of silently checking a vacuous claim.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,20 +23,6 @@ from .transform import TauberianCertificate
 from .vectors import vector_norm
 
 HYPOTHESIS_SLACK = 1e-9  # relative slack when pre-checking a hypothesis on a grid
-
-
-def thread_cap() -> int:
-    """Worker cap from TAUBERIAN_LAB_THREADS (default 1)."""
-    raw = os.environ.get("TAUBERIAN_LAB_THREADS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"TAUBERIAN_LAB_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"TAUBERIAN_LAB_THREADS must be >= 1, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -137,12 +121,7 @@ def check_tauberian(bv: BVFunction, cert: TauberianCertificate,
         j = int(np.argmax(norms))
         return float(norms[j]), float(t_grid[j])
 
-    workers = thread_cap()
-    if workers > 1 and x_grid.size > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(sup_for_x, x_grid))
-    else:
-        results = [sup_for_x(float(x)) for x in x_grid]
+    results = [sup_for_x(float(x)) for x in x_grid]
 
     best = max(range(len(results)), key=lambda i: results[i][0])
     sup, wt = results[best]

@@ -18,7 +18,8 @@ from tauberian_lab import (BVFunction, CoefficientSequence, CutoffRule,
                            check_line_bound, check_small_x_bound,
                            check_tail_bound, check_tauberian, decay_rate,
                            delayed_step, delayed_step_ratio,
-                           delayed_step_restart, m_log, m_log_inverse,
+                           delayed_step_restart, evaluate_contour, m_log,
+                           m_log_inverse,
                            make_t_grid, partial_sum_decay, r_opt,
                            stieltjes_integral, t_prime, term_bounds,
                            weighted_partial_grid)
@@ -213,11 +214,11 @@ def test_07_contour_term_bounds():
     cases.append((inst.bv, TauberianCertificate(C=math.e, x0=1.0),
                   GrowthBound.affine(1.25), EtaShiftExtension(), 3.0, 1.5))
     for fbv, fcert, fM, fext, t, R in cases:
-        for b in term_bounds(fbv, fcert, fM, t, R, fext):
+        for b in term_bounds(evaluate_contour(fbv, fext, fM, t, R), fcert):
             worst = min(worst, b.margin_displayed / b.bound_displayed,
                         b.margin_derived / b.bound_derived)
 
-    one, two, three = term_bounds(bv, cert, M2, 10.0, 1.0, ext)
+    one, two, three = term_bounds(evaluate_contour(bv, ext, M2, 10.0, 1.0), cert)
     formulas_ok = (
         one.bound_displayed == 6.0 * cert.C / 1.0
         and two.bound_displayed == 4.0 * cert.C / 1.0

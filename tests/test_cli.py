@@ -65,6 +65,17 @@ class TestRate:
         assert res.exit_code == 2
         assert "--t-grid" in stderr_of(res)
 
+    def test_thread_variable_is_ignored(self, monkeypatch):
+        # a malformed TAUBERIAN_LAB_THREADS once crashed _emit with exit code 1
+        args = ("rate", "--problem", "problems/rate_constant_growth.json",
+                "--t-grid", "10:10:1")
+        monkeypatch.delenv("TAUBERIAN_LAB_THREADS", raising=False)
+        plain = run(*args)
+        monkeypatch.setenv("TAUBERIAN_LAB_THREADS", "zero")
+        res = run(*args)
+        assert res.exit_code == 0, res.output
+        assert res.stdout == plain.stdout
+
     def test_missing_growth_block(self, tmp_path):
         p = tmp_path / "no_growth.json"
         p.write_text(json.dumps({
@@ -131,6 +142,23 @@ class TestContour:
         assert header == ["piece", "s_param", "re z", "im z", "|integrand|"]
         pieces = {r[0] for r in rows}
         assert "gamma1" in pieces and "gamma2_top" in pieces
+
+    def test_dump_reuses_the_evaluation(self, tmp_path, monkeypatch):
+        # one contour build and one tail kernel call feed the identity, the
+        # term bounds and the dump
+        import tauberian_lab.contour as contour_mod
+
+        calls = {"build_contour": 0, "exp_tail_integral": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(contour_mod, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(contour_mod, name, counted)
+        res = run("contour", "--problem", "problems/exp_density.json",
+                  "--t-grid", "5:5:1", "--dump", str(tmp_path / "nodes.csv"))
+        assert res.exit_code == 0, res.output
+        assert calls == {"build_contour": 1, "exp_tail_integral": 1}
 
     def test_dump_requires_single_time(self):
         res = run("contour", "--problem", "problems/exp_density.json",

@@ -16,6 +16,7 @@ from tauberian_lab import (
     cauchy_identity_report,
     cauchy_residual,
     contour_dump,
+    evaluate_contour,
     extension_agreement,
     fudge_factor,
     term_bounds,
@@ -99,7 +100,7 @@ class TestCauchyIdentity:
 
     def test_report_fields(self):
         bv, ext = exp_density_pair()
-        rep = cauchy_identity_report(bv, ext, M2, 5.0, 2.0)
+        rep = cauchy_identity_report(evaluate_contour(bv, ext, M2, 5.0, 2.0))
         # reference A(t) - f(0) = (1 - e^{-t}) - 1 = -e^{-t}
         assert rep.reference[0] == pytest.approx(-math.exp(-5.0), rel=1e-12)
         assert rep.abs_error <= 1e-12
@@ -111,13 +112,14 @@ class TestCauchyIdentity:
         # denominator must not blow the numerator up
         bv = BVFunction.zero()
         ext = RationalExtension((0.0,), (1.0,))
-        rep = cauchy_identity_report(bv, ext, M2, 4.0, 2.0)
+        rep = cauchy_identity_report(evaluate_contour(bv, ext, M2, 4.0, 2.0))
         assert rep.abs_error <= 1e-12
 
     def test_explicit_f0_override(self):
         bv, ext = exp_density_pair()
-        honest = cauchy_identity_report(bv, ext, M2, 5.0, 2.0)
-        shifted = cauchy_identity_report(bv, ext, M2, 5.0, 2.0, f0=[0.5])
+        ev = evaluate_contour(bv, ext, M2, 5.0, 2.0)
+        honest = cauchy_identity_report(ev)
+        shifted = cauchy_identity_report(ev, f0=[0.5])
         assert honest.abs_error < 1e-12
         assert shifted.abs_error == pytest.approx(0.5, abs=1e-6)
 
@@ -128,7 +130,7 @@ class TestCauchyIdentity:
 
         bv, ext = exp_density_pair()
         t, R = 5.0, 2.0
-        rows = contour_dump(bv, ext, M2, t, R)
+        rows = contour_dump(evaluate_contour(bv, ext, M2, t, R))
         g1 = [r for r in rows if r[0] == "gamma1"]
         peak = max(r[4] for r in g1)
         # literal integrand value at the junctions
@@ -168,7 +170,8 @@ class TestCauchyIdentity:
         sizes = (np.where(n % 2 == 1, 1.0, -1.0) / n).astype(complex).reshape(-1, 1)
         bv = BVFunction(dimension=1, jump_times=np.log(n.astype(float)), jump_sizes=sizes)
         t, R = 3.0, 1.5
-        rep = cauchy_identity_report(bv, EtaShiftExtension(), GrowthBound.affine(1.25), t, R)
+        rep = cauchy_identity_report(
+            evaluate_contour(bv, EtaShiftExtension(), GrowthBound.affine(1.25), t, R))
         k = int(np.searchsorted(bv.jump_times, t))
         z = np.asarray([R + 0j])
         tail = _jump_exp_sum(bv.jump_times[k:], sizes[k:], z, t)[1]
@@ -184,14 +187,14 @@ class TestTermBounds:
     def test_margins_nonnegative(self):
         bv, ext = exp_density_pair()
         for t, R in ((5.0, 1.0), (10.0, 2.0)):
-            I, II, III = term_bounds(bv, self.cert(), M2, t, R, ext)
+            I, II, III = term_bounds(evaluate_contour(bv, ext, M2, t, R), self.cert())
             for tb in (I, II, III):
                 assert tb.margin_displayed >= -1e-9 * tb.bound_displayed, (t, R, tb.name)
                 assert tb.margin_derived >= -1e-9 * tb.bound_derived, (t, R, tb.name)
 
     def test_displayed_constants(self):
         bv, ext = exp_density_pair()
-        I, II, III = term_bounds(bv, self.cert(), M2, 10.0, 2.0, ext)
+        I, II, III = term_bounds(evaluate_contour(bv, ext, M2, 10.0, 2.0), self.cert())
         assert I.bound_displayed == pytest.approx(6.0 / 2.0)
         assert II.bound_displayed == pytest.approx(4.0 / 2.0)
         # the derivation's sharper constants sit strictly inside the display
@@ -201,7 +204,7 @@ class TestTermBounds:
     def test_third_term_formula(self):
         bv, ext = exp_density_pair()
         t, R = 10.0, 1.0
-        _, _, III = term_bounds(bv, self.cert(), M2, t, R, ext)
+        _, _, III = term_bounds(evaluate_contour(bv, ext, M2, t, R), self.cert())
         want = 2.0 / (t * R ** 3) + 2.0 * R * 4.0 * math.exp(-t / 4.0)
         assert III.bound_displayed == pytest.approx(want, rel=1e-12)
         assert III.bound_derived == III.bound_displayed
@@ -210,7 +213,7 @@ class TestTermBounds:
         bv, ext = exp_density_pair()
         vals = []
         for t in (10.0, 20.0, 40.0):
-            _, _, III = term_bounds(bv, self.cert(), M2, t, 2.0, ext)
+            _, _, III = term_bounds(evaluate_contour(bv, ext, M2, t, 2.0), self.cert())
             vals.append((III.measured, III.bound_displayed))
         assert vals[0][0] > vals[1][0] > vals[2][0]
         assert vals[0][1] > vals[1][1] > vals[2][1]
@@ -238,7 +241,7 @@ class TestExtensions:
         bv = BVFunction.zero()
         ext = RationalExtension((1.0,), (0.0, 1.0))  # 1/z, singular at 0
         with pytest.raises(ValueError, match="singular"):
-            cauchy_identity_report(bv, ext, M2, 4.0, 2.0)
+            cauchy_identity_report(evaluate_contour(bv, ext, M2, 4.0, 2.0))
 
     def test_agreement_with_truncated_transform(self, rng):
         bv, ext = exp_density_pair()
@@ -250,7 +253,7 @@ class TestExtensions:
 class TestContourDump:
     def test_row_schema_and_coverage(self):
         bv, ext = exp_density_pair()
-        rows = contour_dump(bv, ext, M2, 5.0, 2.0)
+        rows = contour_dump(evaluate_contour(bv, ext, M2, 5.0, 2.0))
         names = {r[0] for r in rows}
         assert "gamma1" in names and "gamma1_reflected" in names
         assert any(n.startswith("gamma2") for n in names)
@@ -260,6 +263,31 @@ class TestContourDump:
             assert math.isfinite(float(s_param))
             assert math.isfinite(float(re_z)) and math.isfinite(float(im_z))
             assert float(mag) >= 0.0
-        spec = build_contour(M2, 5.0, 2.0)
-        assert len(contour_dump(bv, ext, M2, 2.0, 5.0)) == build_contour(
+        assert len(contour_dump(evaluate_contour(bv, ext, M2, 2.0, 5.0))) == build_contour(
             M2, 5.0, 2.0).total_nodes
+
+    @pytest.mark.parametrize("instance", ["exp_density", "alternating_jumps"])
+    def test_dump_rows_integrate_to_the_measured_terms(self, instance):
+        # the dump and the term bounds reduce one evaluation: weighting each
+        # term's dump rows by arc length gives that term's measured norm
+        if instance == "exp_density":
+            bv, ext = exp_density_pair()
+            ev = evaluate_contour(bv, ext, M2, 5.0, 2.0)
+        else:
+            n = np.arange(1, 2001)
+            sizes = (np.where(n % 2 == 1, 1.0, -1.0) / n).astype(complex).reshape(-1, 1)
+            bv = BVFunction(dimension=1, jump_times=np.log(n.astype(float)), jump_sizes=sizes)
+            ev = evaluate_contour(bv, EtaShiftExtension(), GrowthBound.affine(1.25), 3.0, 1.5)
+        rows = contour_dump(ev)
+        bounds = term_bounds(ev, TauberianCertificate(C=1.0, x0=1.0))
+        start = 0
+        for term, bound in zip(ev.terms, bounds):
+            weights = np.concatenate([p.piece.abs_weights for p in term])
+            term_rows = rows[start:start + weights.size]
+            start += weights.size
+            assert {r[0] for r in term_rows} == {p.piece.name for p in term}
+            mags = np.asarray([r[4] for r in term_rows])
+            # the two reductions multiply |dz|, |g| and ||F|| in different orders
+            assert np.sum(weights * mags) / (2 * math.pi) == pytest.approx(
+                bound.measured, rel=1e-13, abs=0.0)
+        assert start == len(rows) == ev.total_nodes

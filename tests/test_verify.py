@@ -17,7 +17,6 @@ from tauberian_lab import (
     delayed_step_restart,
     make_t_grid,
     make_x_grid,
-    thread_cap,
 )
 
 
@@ -181,33 +180,3 @@ class TestLineTailSmallX:
         with pytest.raises(ValueError):
             check_small_x_bound(delayed_step(1.0), 1.0, 1.0,
                                 x_grid=np.asarray([2.0]))
-
-
-class TestThreadCap:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("TAUBERIAN_LAB_THREADS", raising=False)
-        assert thread_cap() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("TAUBERIAN_LAB_THREADS", "4")
-        assert thread_cap() == 4
-
-    def test_invalid_values_fail(self, monkeypatch):
-        monkeypatch.setenv("TAUBERIAN_LAB_THREADS", "zero")
-        with pytest.raises(ValueError):
-            thread_cap()
-        monkeypatch.setenv("TAUBERIAN_LAB_THREADS", "0")
-        with pytest.raises(ValueError):
-            thread_cap()
-
-    def test_parallel_result_matches_serial(self, monkeypatch):
-        bv = exp_density()
-        cert = TauberianCertificate(C=1.0, x0=1.0)
-        xs = np.geomspace(1.0, 20.0, 8)
-        ts = np.linspace(0.0, 20.0, 200)
-        monkeypatch.setenv("TAUBERIAN_LAB_THREADS", "1")
-        serial = check_tauberian(bv, cert, t_grid=ts, x_grid=xs)
-        monkeypatch.setenv("TAUBERIAN_LAB_THREADS", "3")
-        parallel = check_tauberian(bv, cert, t_grid=ts, x_grid=xs)
-        assert serial.grid_sup == parallel.grid_sup
-        assert serial.witness_t == parallel.witness_t
