@@ -27,7 +27,7 @@ from .rates import (RateInputs, RateResult, bound_B, decay_rate, k_prime,
                     r_opt, t_prime, t_prime_second_term_clamped)
 from .transform import (TauberianCertificate, TransformPoint,
                         TruncationCapError, finite_laplace, improper_laplace)
-from .vectors import VectorValue, vector_norm
+from .vectors import vector_norm
 from .verify import (GridSpec, SupReport, check_line_bound, check_small_x_bound,
                      check_tail_bound, check_tauberian, delayed_step,
                      delayed_step_ratio, delayed_step_restart, make_t_grid,
@@ -52,7 +52,7 @@ __all__ = [
     "t_prime", "t_prime_second_term_clamped",
     "TauberianCertificate", "TransformPoint", "TruncationCapError",
     "finite_laplace", "improper_laplace",
-    "VectorValue", "vector_norm",
+    "vector_norm",
     "GridSpec", "SupReport", "check_line_bound", "check_small_x_bound",
     "check_tail_bound", "check_tauberian", "delayed_step", "delayed_step_ratio",
     "delayed_step_restart", "make_t_grid", "make_x_grid",

@@ -14,6 +14,18 @@ Two evaluation surfaces coexist on purpose:
   quantities like x e^{-xt} int_0^t e^{xs} dA(s) survive x*t in the hundreds
   without overflowing float64.  They are algebraically identical rewrites.
 
+Splitting one integral at t gives the partial transform over [0, t) and the
+tail over [t, inf), so each pair of evaluators has one body.
+``_exp_range_integral`` integrates e^{-z(s-t)} dA(s) over a half-open range
+[lo, hi): ``exp_tail_integral`` passes [t, inf) and ``exp_partial_integral``
+passes [0, t).  ``_weighted_sweep`` runs one recurrence for
+e^{c s - Re(c) t_j} dA(s): ``weighted_partial_grid`` walks its grid upward
+from 0 with c = z, ``weighted_tail_grid`` walks it downward from v_max with
+c = -z.  The sweep needs no direction flag: each row covers the range
+between the start and its point, [start, t_j) or [t_j, start), so the order
+of the points it is handed is the direction.  The four public evaluators
+check their input and call these bodies.
+
 The contour evaluators ``exp_tail_integral`` and ``exp_partial_integral``
 share one jump-sum kernel for sum_k s_k e^{-z(tau_k - t)} over N jumps and
 many nodes z.  It groups the sorted jumps into blocks of width h = 2/max|z|,
@@ -37,7 +49,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
-from .vectors import NORM_KINDS, VectorValue, vector_norm
+from .vectors import NORM_KINDS, vector_norm
 
 DENSITY_KINDS = ("constant", "exponential", "power", "damped_power")
 
@@ -168,10 +180,7 @@ class DensityPiece:
 
 
 def _as_size_array(value, dimension: int | None) -> np.ndarray:
-    if isinstance(value, VectorValue):
-        arr = value.as_array()
-    else:
-        arr = np.atleast_1d(np.asarray(value, dtype=complex))
+    arr = np.atleast_1d(np.asarray(value, dtype=complex))
     if dimension is not None and arr.shape != (dimension,):
         raise ValueError(f"value of dimension {arr.shape} where ({dimension},) expected")
     return arr
@@ -257,8 +266,8 @@ class BVFunction:
     def _jumps_before(self, t: float) -> int:
         return int(np.searchsorted(self.jump_times, t, side="left"))
 
-    def value_at(self, t: float, quad_tol: float = 1e-12) -> VectorValue:
-        """Cumulative value at t (left-continuous; value_at(0) == 0)."""
+    def value_at(self, t: float, quad_tol: float = 1e-12) -> np.ndarray:
+        """Cumulative (d,) value at t (left-continuous; value_at(0) == 0)."""
         return stieltjes_integral(self, Integrand.constant(1.0), t, quad_tol)
 
     def total_variation(self, t: float, quad_tol: float = 1e-12) -> float:
@@ -347,8 +356,8 @@ def _piece_phi_integral(piece: DensityPiece, phi: Integrand, lo: float, hi: floa
 
 
 def stieltjes_integral(bv: BVFunction, phi: Integrand, t: float,
-                       quad_tol: float = 1e-10) -> VectorValue:
-    """int_0^t phi(s) dA(s): jump part (tau < t, strict) plus smooth pieces.
+                       quad_tol: float = 1e-10) -> np.ndarray:
+    """int_0^t phi(s) dA(s) as a (d,) array: jumps at tau < t (strict) plus smooth pieces.
 
     Smooth pieces are integrated to absolute accuracy ~quad_tol each.
     """
@@ -356,7 +365,7 @@ def stieltjes_integral(bv: BVFunction, phi: Integrand, t: float,
         raise TypeError("phi must be an Integrand preset")
     total = np.zeros(bv.dimension, dtype=complex)
     if t <= 0:
-        return VectorValue.from_array(total, bv.norm_kind)
+        return total
     idx = bv._jumps_before(t)
     if idx:
         w = np.asarray(phi(bv.jump_times[:idx]), dtype=complex)
@@ -366,7 +375,7 @@ def stieltjes_integral(bv: BVFunction, phi: Integrand, t: float,
         lo, hi = piece.start, min(piece.end, t)
         if hi > lo:
             total += piece.scale_array() * _piece_phi_integral(piece, phi, lo, hi, quad_tol)
-    return VectorValue.from_array(total, bv.norm_kind)
+    return total
 
 
 # -- overflow-safe grid evaluators ---------------------------------------------
@@ -398,43 +407,58 @@ def _density_segment(bv: BVFunction, c: complex, shift: float, a: float, b: floa
     return out
 
 
+def _weighted_sweep(bv: BVFunction, c: complex, points: np.ndarray, start: float,
+                    quad_tol: float) -> np.ndarray:
+    """Rows int e^{c s - Re(c) t_j} dA(s) over the s between start and each t_j.
+
+    The range is [start, t_j) while the points ascend from start and
+    [t_j, start) while they descend to it.  The weights have modulus <= 1
+    when Re(c) (s - t_j) <= 0 on the range.  Each row rescales the previous one
+    by e^{Re(c) (t_prev - t_j)} and adds the jumps and density between the
+    two points, leaving out what lies over _NEGLIGIBLE_LOG / |Re c| (jumps)
+    or that plus 10 (density) from t_j.
+    """
+    xr = c.real
+    reach = _NEGLIGIBLE_LOG / abs(xr) if xr else math.inf
+    density_reach = (_NEGLIGIBLE_LOG + 10.0) / abs(xr) if xr else math.inf
+    times, sizes = bv.jump_times, bv.jump_sizes
+    # row j takes the jumps between t_{j-1} and t_j (t_{-1} = start) with
+    # |tau - t_j| <= reach, those from lo[j] to hi[j]
+    k = np.searchsorted(times, points, side="left")
+    k_prev = np.concatenate(([np.searchsorted(times, start, side="left")], k[:-1]))
+    lo = np.maximum(np.minimum(k_prev, k), np.searchsorted(times, points - reach, side="left"))
+    hi = np.minimum(np.maximum(k_prev, k), np.searchsorted(times, points + reach, side="right"))
+    out = np.empty((points.size, bv.dimension), dtype=complex)
+    acc = np.zeros(bv.dimension, dtype=complex)
+    prev = start
+    for j, (tj, i0, i1) in enumerate(zip(points, lo, hi)):
+        acc = acc * math.exp(xr * (prev - tj))
+        if i1 > i0:
+            w = np.exp(c * times[i0:i1] - xr * tj)
+            acc = acc + w @ sizes[i0:i1]
+        if bv.pieces and tj != prev:
+            end = min(max(prev, tj - density_reach), tj + density_reach)
+            acc = acc + _density_segment(bv, c, xr * tj, min(end, tj), max(end, tj), quad_tol)
+        out[j] = acc
+        prev = tj
+    return out
+
+
 def weighted_partial_grid(bv: BVFunction, z: complex, t_grid: np.ndarray,
                           quad_tol: float = 1e-10) -> np.ndarray:
     """G_j = int_0^{t_j} e^{z s - Re(z) t_j} dA(s) on an ascending grid.
 
     Equals e^{-Re(z) t_j} int_0^{t_j} e^{zs} dA(s); every term has modulus
     <= its jump/density mass, so the result is finite for any Re(z) >= 0.
+    The sweep walks the grid upward from 0 with c = z.
     """
     z = complex(z)
-    x = z.real
-    if x < 0:
+    if z.real < 0:
         raise ValueError("weighted_partial_grid requires Re(z) >= 0")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or (t_grid.size and (np.any(np.diff(t_grid) < 0) or t_grid[0] < 0)):
         raise ValueError("t_grid must be ascending and nonnegative")
-    out = np.empty((t_grid.size, bv.dimension), dtype=complex)
-    acc = np.zeros(bv.dimension, dtype=complex)
-    times, sizes = bv.jump_times, bv.jump_sizes
-    prev = 0.0
-    for j, tj in enumerate(t_grid):
-        acc = acc * math.exp(x * (prev - tj))
-        lo = int(np.searchsorted(times, prev, side="left"))
-        hi = int(np.searchsorted(times, tj, side="left"))
-        if hi > lo and x > 0:
-            # drop terms whose weight underflows anyway
-            cutoff = tj - _NEGLIGIBLE_LOG / x
-            lo = max(lo, int(np.searchsorted(times, cutoff, side="left")))
-        if hi > lo:
-            w = np.exp(z * times[lo:hi] - x * tj)
-            acc = acc + w @ sizes[lo:hi]
-        if bv.pieces and tj > prev:
-            a = prev
-            if x > 0:
-                a = max(a, tj - (_NEGLIGIBLE_LOG + 10.0) / x)
-            acc = acc + _density_segment(bv, z, x * tj, a, tj, quad_tol)
-        out[j] = acc
-        prev = tj
-    return out
+    return _weighted_sweep(bv, z, t_grid, 0.0, quad_tol)
 
 
 def weighted_tail_grid(bv: BVFunction, z: complex, t_grid: np.ndarray, v_max: float,
@@ -442,39 +466,18 @@ def weighted_tail_grid(bv: BVFunction, z: complex, t_grid: np.ndarray, v_max: fl
     """H_j = e^{Re(z) t_j} int_{t_j}^{v_max} e^{-z s} dA(s) on an ascending grid.
 
     Computed as int e^{-z s + Re(z) t_j} dA(s); all weights have modulus <= 1
-    when Re(z) >= 0.  Jumps with tau in [t_j, v_max) contribute.
+    when Re(z) >= 0.  Jumps with tau in [t_j, v_max) contribute.  The sweep
+    walks the grid downward from v_max with c = -z.
     """
     z = complex(z)
-    x = z.real
-    if x < 0:
+    if z.real < 0:
         raise ValueError("weighted_tail_grid requires Re(z) >= 0")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or (t_grid.size and np.any(np.diff(t_grid) < 0)):
         raise ValueError("t_grid must be ascending")
     if t_grid.size and v_max < t_grid[-1]:
         raise ValueError("v_max must dominate the largest grid point")
-    out = np.empty((t_grid.size, bv.dimension), dtype=complex)
-    acc = np.zeros(bv.dimension, dtype=complex)
-    times, sizes = bv.jump_times, bv.jump_sizes
-    prev = float(v_max)
-    for j in range(t_grid.size - 1, -1, -1):
-        tj = t_grid[j]
-        acc = acc * math.exp(x * (tj - prev))
-        lo = int(np.searchsorted(times, tj, side="left"))
-        hi = int(np.searchsorted(times, prev, side="left"))
-        if hi > lo and x > 0:
-            hi = min(hi, int(np.searchsorted(times, tj + _NEGLIGIBLE_LOG / x, side="right")))
-        if hi > lo:
-            w = np.exp(-z * times[lo:hi] + x * tj)
-            acc = acc + w @ sizes[lo:hi]
-        if bv.pieces and prev > tj:
-            b = prev
-            if x > 0:
-                b = min(b, tj + (_NEGLIGIBLE_LOG + 10.0) / x)
-            acc = acc + _density_segment(bv, -z, -x * tj, tj, b, quad_tol)
-        out[j] = acc
-        prev = tj
-    return out
+    return _weighted_sweep(bv, -z, t_grid[::-1], float(v_max), quad_tol)[::-1]
 
 
 def weighted_partial(bv: BVFunction, z: complex, t: float,
@@ -586,6 +589,44 @@ def jump_sum_remainder(sizes: np.ndarray) -> float:
     return _TAYLOR_REMAINDER * float(np.sum(np.linalg.norm(sizes, axis=1)))
 
 
+def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi: float,
+                        quad_tol: float) -> np.ndarray:
+    """int_[lo, hi) e^{-z(s-t)} dA(s) for an (n,) array of z; hi = inf allowed.
+
+    Needs Re(z (s - t)) >= 0 on the range, the jump kernel's precondition:
+    [t, inf) takes Re z >= 0 and [0, t) takes Re z <= 0.  Constant and
+    exponential pieces on [a, b) take the closed form
+    e^{z(t-a) + ra} int_0^{b-a} e^{(r-z)u} du, which is
+    e^{z(t-a) + ra} / (z - r) when b = inf; the other kinds take adaptive
+    quadrature node by node.  An unbounded piece whose rate reaches min Re z
+    diverges and is refused.
+    """
+    i0, i1 = np.searchsorted(bv.jump_times, (lo, hi), side="left")
+    out, _ = _jump_exp_sum(bv.jump_times[i0:i1], bv.jump_sizes[i0:i1], z, t)
+    for piece in bv.pieces:
+        a, b = max(piece.start, lo), min(piece.end, hi)
+        if b <= a:
+            continue
+        r = complex(piece.rate) if piece.kind in ("exponential", "damped_power") else 0j
+        if not math.isfinite(b) and float(np.min(z.real)) <= r.real:
+            raise ValueError(f"integral over [{a:g}, inf) diverges: density rate {r.real:g} "
+                             f">= min Re(z) = {float(np.min(z.real)):g}")
+        scale = piece.scale_array()
+        if piece.smooth_exponential:
+            prefactor = np.exp(z * (t - a) + r * a)
+            if math.isfinite(b):
+                vals = prefactor * _exp_segment(r - z, b - a)
+            else:
+                vals = prefactor / (z - r)
+            _guard_finite(vals, a, f"density kind {piece.kind!r} on [{a:g}, {b:g})")
+            out += vals[:, None] * scale[None, :]
+            continue
+        for i, zi in enumerate(z):
+            out[i] += scale * _piece_quad(piece, lambda s, zi=zi: np.exp(zi * (t - s)), a, b,
+                                          quad_tol)
+    return out
+
+
 def exp_tail_integral(bv: BVFunction, z_nodes: np.ndarray, t: float,
                       quad_tol: float = 1e-10) -> np.ndarray:
     """T(z) = int_t^inf e^{-z(s-t)} dA(s) for an (n,) array of z, Re z >= 0.
@@ -597,44 +638,7 @@ def exp_tail_integral(bv: BVFunction, z_nodes: np.ndarray, t: float,
     z = np.asarray(z_nodes, dtype=complex).ravel()
     if np.any(z.real < -1e-12):
         raise ValueError("exp_tail_integral requires Re(z) >= 0")
-    idx = bv._jumps_before(t)
-    out, _ = _jump_exp_sum(bv.jump_times[idx:], bv.jump_sizes[idx:], z, t)
-    for piece in bv.pieces:
-        lo = max(piece.start, t)
-        if piece.end <= lo:
-            continue
-        scale = piece.scale_array()
-        if piece.smooth_exponential:
-            # exact: int_lo^hi e^{-z(s-t)} e^{rs} ds in shifted form, all
-            # exponents kept <= 0 in real part for decaying pieces
-            r = complex(piece.rate) if piece.kind == "exponential" else 0j
-            prefactor = np.exp(r * t + (r - z) * (lo - t))
-            if math.isfinite(piece.end):
-                vals = prefactor * _exp_segment(r - z, piece.end - lo)
-            else:
-                if np.any((z - r).real <= 0):
-                    raise ValueError(
-                        f"tail integral diverges: density rate Re {r.real:g} >= a node abscissa")
-                vals = prefactor / (z - r)
-            _guard_finite(vals, lo, f"tail of density kind {piece.kind!r}")
-            out += vals[:, None] * scale[None, :]
-            continue
-        if not math.isfinite(piece.end):
-            min_x = float(np.min(z.real))
-            if float(np.real(piece.rate)) >= min_x:
-                raise ValueError(
-                    f"tail integral diverges: density rate {piece.rate} >= min Re(z) = {min_x}")
-        for i, zi in enumerate(z):
-            def integrand(s, zi=zi):
-                v = np.exp(-zi * (s - t)) * piece.base(s)
-                if not np.all(np.isfinite(np.atleast_1d(v))):
-                    raise NonFiniteIntegrandError(float(s), f"density kind {piece.kind!r}")
-                return complex(v)
-
-            val, _ = quad(integrand, lo, piece.end, epsabs=quad_tol, epsrel=1e-12,
-                          limit=400, complex_func=True)
-            out[i] += scale * val
-    return out
+    return _exp_range_integral(bv, z, t, t, math.inf, quad_tol)
 
 
 def exp_partial_integral(bv: BVFunction, z_nodes: np.ndarray, t: float,
@@ -643,29 +647,4 @@ def exp_partial_integral(bv: BVFunction, z_nodes: np.ndarray, t: float,
     z = np.asarray(z_nodes, dtype=complex).ravel()
     if np.any(z.real > 1e-12):
         raise ValueError("exp_partial_integral requires Re(z) <= 0")
-    idx = bv._jumps_before(t)
-    out, _ = _jump_exp_sum(bv.jump_times[:idx], bv.jump_sizes[:idx], z, t)
-    for piece in bv.pieces:
-        lo, hi = piece.start, min(piece.end, t)
-        if hi <= lo:
-            continue
-        scale = piece.scale_array()
-        if piece.smooth_exponential:
-            # exact: int_lo^hi e^{z(t-s)} e^{rs} ds; Re(z (t-lo)) <= 0 here
-            r = complex(piece.rate) if piece.kind == "exponential" else 0j
-            prefactor = np.exp(z * (t - lo) + r * lo)
-            vals = prefactor * _exp_segment(r - z, hi - lo)
-            _guard_finite(vals, lo, f"partial of density kind {piece.kind!r}")
-            out += vals[:, None] * scale[None, :]
-            continue
-        for i, zi in enumerate(z):
-            def integrand(s, zi=zi):
-                v = np.exp(zi * (t - s)) * piece.base(s)
-                if not np.all(np.isfinite(np.atleast_1d(v))):
-                    raise NonFiniteIntegrandError(float(s), f"density kind {piece.kind!r}")
-                return complex(v)
-
-            val, _ = quad(integrand, lo, hi, epsabs=quad_tol, epsrel=1e-12,
-                          limit=400, complex_func=True)
-            out[i] += scale * val
-    return out
+    return _exp_range_integral(bv, z, t, 0.0, t, quad_tol)

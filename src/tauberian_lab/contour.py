@@ -16,7 +16,10 @@ Numerical note: (f_t - f)(z) e^{tz} is evaluated as the tail integral
 transforms (which would lose every significant digit by t R ~ 40); the two
 expressions are equal by definition of the improper transform.  Likewise
 f_t(z) e^{tz} on the reflected arc is int_0^t e^{z(t-s)} dA(s), whose
-integrand never exceeds 1 in modulus there.
+integrand never exceeds 1 in modulus there.  Both are the same integral of
+e^{-z(s-t)} dA(s) split at t, so one routine in ``bv`` computes them: over
+[t, inf) on gamma1 (Re z >= 0, ``exp_tail_integral``) and over [0, t) on
+the reflected arc (Re z <= 0, ``exp_partial_integral``).
 
 Each (t, R) is evaluated once: ``evaluate_contour`` builds the contour and
 stores, per piece, the analytic weight g and the node values F of the
@@ -272,7 +275,7 @@ def cauchy_identity_report(ev: ContourEvaluation, f0=None) -> CauchyReport:
 
     The left side is (1/2 pi i) sum (dz g) @ F over all pieces.  The
     reference is A(t) - f(0), with f(0) from the extension unless an
-    explicit f0 array/VectorValue is supplied.
+    explicit f0 array is supplied.
     """
     bv = ev.bv
     sums = []
@@ -286,9 +289,8 @@ def cauchy_identity_report(ev: ContourEvaluation, f0=None) -> CauchyReport:
     if f0 is None:
         f0_arr = _eval_extension(ev.f_ext, np.asarray([0j]), bv.dimension)[0]
     else:
-        f0_arr = np.atleast_1d(np.asarray(
-            f0.as_array() if hasattr(f0, "as_array") else f0, dtype=complex))
-    reference = bv.value_at(ev.t, ev.quad_tol).as_array() - f0_arr
+        f0_arr = np.atleast_1d(np.asarray(f0, dtype=complex))
+    reference = bv.value_at(ev.t, ev.quad_tol) - f0_arr
     abs_error = float(vector_norm(lhs - reference, bv.norm_kind))
     residual = abs_error / max(1e-30, float(vector_norm(reference, bv.norm_kind)))
     return CauchyReport(t=ev.t, R=ev.R, lhs=lhs, reference=reference,
@@ -372,6 +374,6 @@ def extension_agreement(bv: BVFunction, f_ext, cert: TauberianCertificate,
         z = complex(x, y)
         point = improper_laplace(bv, z, cert, target_err=target_err, quad_tol=quad_tol)
         ext = _eval_extension(f_ext, np.asarray([z]), bv.dimension)[0]
-        gap = float(vector_norm(point.value.as_array() - ext, bv.norm_kind))
+        gap = float(vector_norm(point.value - ext, bv.norm_kind))
         worst = max(worst, gap)
     return worst

@@ -40,15 +40,7 @@ def eta(s, n: int = 96):
     accuracy degrades like e^{pi |Im s| / 2}, which the default n = 96 leaves
     with dozens of spare digits for |Im s| up to ~50.
     """
-    s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
-
-    def terms(k):
-        # (k+1)^{-s} for all s at once: shape (n, len(s))
-        base = (k[:, None] + 1.0).astype(complex)
-        return np.exp(-s_arr[None, :] * np.log(base))
-
-    out = alternating_sum(terms, n=n)
-    return out if np.ndim(s) else complex(out[0])
+    return eta_tail(s, 1, n)
 
 
 def eta_tail(s, first: int, n: int = 96):

@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bv import BVFunction, Integrand, stieltjes_integral
 from .growth import CutoffRule
-from .vectors import VectorValue
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class TauberianCertificate:
 @dataclass(frozen=True)
 class TransformPoint:
     z: complex
-    value: VectorValue
+    value: np.ndarray  # (d,)
     truncation_bound: float
     t_star: float
 
@@ -69,8 +70,8 @@ class TruncationCapError(ValueError):
 
 
 def finite_laplace(bv: BVFunction, z: complex, t: float,
-                   quad_tol: float = 1e-10) -> VectorValue:
-    """int_0^t e^{-zs} dA(s); entire in z for each fixed t."""
+                   quad_tol: float = 1e-10) -> np.ndarray:
+    """int_0^t e^{-zs} dA(s) as a (d,) array; entire in z for each fixed t."""
     return stieltjes_integral(bv, Integrand.exponential(-complex(z)), t, quad_tol)
 
 

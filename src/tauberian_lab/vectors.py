@@ -1,12 +1,12 @@
-"""Finite-dimensional complex vector values and the norms used throughout.
+"""The norms used throughout on values in C^d.
 
-Integrators take values in C^d.  Everything downstream only needs addition,
-scalar multiplication, and a norm, so this module is deliberately tiny.
+Integrators take values in C^d, held as (d,) complex numpy arrays; rows of
+an (m, d) array are m such values.  Everything downstream only needs
+addition, scalar multiplication and a norm, so this module is deliberately
+tiny.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,71 +21,3 @@ def vector_norm(values: np.ndarray, norm_kind: str = "euclidean") -> np.ndarray 
     if norm_kind == "sup":
         return np.max(np.abs(a), axis=-1)
     raise ValueError(f"unknown norm kind {norm_kind!r}; expected one of {NORM_KINDS}")
-
-
-@dataclass(frozen=True)
-class VectorValue:
-    """Value in C^d with an attached norm choice.
-
-    components is stored as a tuple of complex numbers so instances are
-    hashable and safe to freeze into expected-value tables.
-    """
-
-    components: tuple[complex, ...]
-    norm_kind: str = "euclidean"
-
-    def __post_init__(self) -> None:
-        if len(self.components) == 0:
-            raise ValueError("VectorValue needs at least one component")
-        if self.norm_kind not in NORM_KINDS:
-            raise ValueError(f"unknown norm kind {self.norm_kind!r}; expected one of {NORM_KINDS}")
-        object.__setattr__(self, "components", tuple(complex(c) for c in self.components))
-
-    @classmethod
-    def of(cls, *components: complex, norm_kind: str = "euclidean") -> "VectorValue":
-        return cls(tuple(components), norm_kind)
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray, norm_kind: str = "euclidean") -> "VectorValue":
-        return cls(tuple(np.asarray(arr, dtype=complex).ravel()), norm_kind)
-
-    @classmethod
-    def zero(cls, dimension: int = 1, norm_kind: str = "euclidean") -> "VectorValue":
-        return cls((0j,) * dimension, norm_kind)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.components)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.components, dtype=complex)
-
-    def as_scalar(self) -> complex:
-        if self.dimension != 1:
-            raise ValueError(f"as_scalar on a dimension-{self.dimension} value")
-        return self.components[0]
-
-    def norm(self) -> float:
-        return float(vector_norm(self.as_array(), self.norm_kind))
-
-    def _check_compatible(self, other: "VectorValue") -> None:
-        if self.dimension != other.dimension:
-            raise ValueError(f"dimension mismatch: {self.dimension} vs {other.dimension}")
-        if self.norm_kind != other.norm_kind:
-            raise ValueError(f"norm mismatch: {self.norm_kind} vs {other.norm_kind}")
-
-    def __add__(self, other: "VectorValue") -> "VectorValue":
-        self._check_compatible(other)
-        return VectorValue(tuple(a + b for a, b in zip(self.components, other.components)), self.norm_kind)
-
-    def __sub__(self, other: "VectorValue") -> "VectorValue":
-        self._check_compatible(other)
-        return VectorValue(tuple(a - b for a, b in zip(self.components, other.components)), self.norm_kind)
-
-    def __mul__(self, scalar: complex) -> "VectorValue":
-        return VectorValue(tuple(complex(scalar) * c for c in self.components), self.norm_kind)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "VectorValue":
-        return self * (-1.0)

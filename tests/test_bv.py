@@ -40,10 +40,10 @@ class TestStieltjesClosedForms:
     def test_single_jump(self):
         bv = BVFunction.single_jump(3.0, 2.0)
         z = 1.5 + 0.7j
-        got = stieltjes_integral(bv, Integrand.exponential(-z), 5.0).as_scalar()
+        got = stieltjes_integral(bv, Integrand.exponential(-z), 5.0)[0]
         assert got == pytest.approx(2.0 * np.exp(-z * 3.0), rel=1e-14)
         # strictly-before convention: the jump at t itself is excluded
-        at_tau = stieltjes_integral(bv, Integrand.exponential(-z), 3.0).as_scalar()
+        at_tau = stieltjes_integral(bv, Integrand.exponential(-z), 3.0)[0]
         assert at_tau == 0.0
 
     def test_random_jump_sets(self, rng):
@@ -56,7 +56,7 @@ class TestStieltjesClosedForms:
             bv = BVFunction.from_jumps(jumps)
             z = complex(rng.uniform(0.1, 3.0), rng.uniform(-5.0, 5.0))
             t = rng.uniform(0.5, 12.0)
-            got = stieltjes_integral(bv, Integrand.exponential(-z), t).as_scalar()
+            got = stieltjes_integral(bv, Integrand.exponential(-z), t)[0]
             want = jump_oracle(jumps, z, t)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -67,14 +67,14 @@ class TestStieltjesClosedForms:
             bv = BVFunction.from_density("exponential", scale=scale, rate=rate)
             z = complex(rng.uniform(0.1, 2.0), rng.uniform(-4.0, 4.0))
             t = rng.uniform(0.5, 8.0)
-            got = stieltjes_integral(bv, Integrand.exponential(-z), t, 1e-12).as_scalar()
+            got = stieltjes_integral(bv, Integrand.exponential(-z), t, 1e-12)[0]
             want = exp_density_oracle(scale, rate, z, t)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     def test_power_density(self):
         # dA = s^2 ds, phi = 1: integral is t^3 / 3
         bv = BVFunction.from_density("power", exponent=2.0)
-        got = stieltjes_integral(bv, Integrand.constant(1.0), 2.0, 1e-12).as_scalar()
+        got = stieltjes_integral(bv, Integrand.constant(1.0), 2.0, 1e-12)[0]
         assert got == pytest.approx(8.0 / 3.0, rel=1e-10)
 
     def test_finite_dirichlet_block(self):
@@ -82,7 +82,7 @@ class TestStieltjesClosedForms:
         n = np.arange(1, 51)
         bv = BVFunction.from_jumps([(math.log(k), 1.0 / k) for k in n])
         z = 0.8 + 1.3j
-        got = stieltjes_integral(bv, Integrand.exponential(-z), 100.0).as_scalar()
+        got = stieltjes_integral(bv, Integrand.exponential(-z), 100.0)[0]
         want = np.sum(n ** (-z - 1.0))
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -91,7 +91,7 @@ class TestStieltjesClosedForms:
         bv = BVFunction.from_jumps([(1.0, 0.5)], pieces=(piece,))
         z = 1.0 + 0.0j
         t = 4.0
-        got = stieltjes_integral(bv, Integrand.exponential(-z), t, 1e-12).as_scalar()
+        got = stieltjes_integral(bv, Integrand.exponential(-z), t, 1e-12)[0]
         want = 0.5 * math.exp(-1.0) + exp_density_oracle(1.0, -1.0, z, t)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -99,16 +99,16 @@ class TestStieltjesClosedForms:
 class TestValueAndVariation:
     def test_value_at_zero_is_zero(self):
         bv = BVFunction.from_jumps([(0.0, 1.0), (1.0, -0.5)])
-        assert bv.value_at(0.0).norm() == 0.0
+        assert vector_norm(bv.value_at(0.0), bv.norm_kind) == 0.0
 
     def test_value_left_continuity(self):
         bv = BVFunction.single_jump(2.0, 1.0)
-        assert bv.value_at(2.0).as_scalar() == 0.0
-        assert bv.value_at(2.0 + 1e-9).as_scalar() == 1.0
+        assert bv.value_at(2.0)[0] == 0.0
+        assert bv.value_at(2.0 + 1e-9)[0] == 1.0
 
     def test_exp_density_value(self):
         bv = BVFunction.from_density("exponential", rate=-1.0)
-        assert bv.value_at(1.0).as_scalar() == pytest.approx(1.0 - math.exp(-1.0), rel=1e-10)
+        assert bv.value_at(1.0)[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-10)
 
     def test_total_variation_mixes_parts(self):
         piece = DensityPiece(0.0, 2.0, "constant", (1.0,))
@@ -137,7 +137,7 @@ class TestValueAndVariation:
 
     def test_jump_at_zero_allowed(self):
         bv = BVFunction.from_jumps([(0.0, 1.0)])
-        assert bv.value_at(0.5).as_scalar() == 1.0
+        assert bv.value_at(0.5)[0] == 1.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -151,10 +151,10 @@ def test_linearity_in_the_integrator(taus, sizes1, sizes2):
     s1, s2 = sizes1[: len(taus)], sizes2[: len(taus)]
     phi = Integrand.exponential(-0.7 + 0.3j)
     t = 10.0
-    a = stieltjes_integral(BVFunction.from_jumps(list(zip(taus, s1))), phi, t).as_scalar()
-    b = stieltjes_integral(BVFunction.from_jumps(list(zip(taus, s2))), phi, t).as_scalar()
+    a = stieltjes_integral(BVFunction.from_jumps(list(zip(taus, s1))), phi, t)[0]
+    b = stieltjes_integral(BVFunction.from_jumps(list(zip(taus, s2))), phi, t)[0]
     combined = BVFunction.from_jumps([(tau, u + v) for tau, u, v in zip(taus, s1, s2)])
-    both = stieltjes_integral(combined, phi, t).as_scalar()
+    both = stieltjes_integral(combined, phi, t)[0]
     assert both == pytest.approx(a + b, rel=1e-12, abs=1e-12)
 
 
@@ -164,7 +164,7 @@ def test_integral_dominated_by_total_variation(rng):
     sizes = rng.normal(size=12)
     bv = BVFunction.from_jumps(list(zip(taus, sizes)))
     phi = Integrand.exponential(5.0j)
-    val = float(stieltjes_integral(bv, phi, 10.0).norm())
+    val = float(vector_norm(stieltjes_integral(bv, phi, 10.0), bv.norm_kind))
     assert val <= bv.total_variation(10.0) + 1e-12
 
 
@@ -175,7 +175,7 @@ def test_narrow_bump_converges_to_jump():
     errs = []
     for w in (0.1, 0.01, 0.001):
         bv = BVFunction.from_density("constant", start=1.0, end=1.0 + w, scale=1.0 / w)
-        got = stieltjes_integral(bv, Integrand.exponential(-z), 3.0, 1e-13).as_scalar()
+        got = stieltjes_integral(bv, Integrand.exponential(-z), 3.0, 1e-13)[0]
         errs.append(abs(got - target))
     assert errs[0] > errs[1] > errs[2]
     # first-order convergence: each tenfold narrowing gains ~10x
@@ -276,6 +276,66 @@ class TestContourKernels:
         for i, d in enumerate(deltas):
             want = length if d == 0 else (np.exp(d * length) - 1.0) / d
             assert got[i] == pytest.approx(want, rel=1e-11)
+
+
+def mixed_integrator():
+    """2-vector integrator: jumps (one at 2.0) plus all four density kinds on finite pieces."""
+    pieces = (
+        DensityPiece(0.0, 3.0, "constant", (0.5, -0.2j)),
+        DensityPiece(3.5, 4.5, "exponential", (1.0, 0.3), rate=-0.4),
+        DensityPiece(0.5, 5.0, "power", (0.2, 0.1 + 0.1j), exponent=1.5),
+        DensityPiece(2.0, 6.0, "damped_power", (-0.3j, 0.4), rate=-0.2, exponent=0.5),
+    )
+    jumps = [(0.0, (1.0, 0.5)), (1.5, (-0.5j, 0.25)), (2.0, (0.7, -0.1 + 0.2j)),
+             (4.0, (-0.2, 1.0j)), (5.5, (0.3 + 0.3j, -0.6))]
+    return BVFunction.from_jumps(jumps, pieces=pieces)
+
+
+class TestRangeAndSweepAgainstStieltjes:
+    """The contour pair and the grid pair against literal Stieltjes integrals."""
+
+    def test_tail_plus_partial_is_the_whole_transform(self):
+        # on Re z = 0 both contour evaluators are defined, and together they
+        # cover [0, inf): T(iy) + P(iy) = e^{iyt} int_0^inf e^{-iys} dA(s)
+        bv = mixed_integrator()
+        z = 1j * np.linspace(-3.0, 3.0, 7)
+        for t in (1.0, 2.0, 3.0, 5.0):
+            both = exp_tail_integral(bv, z, t, 1e-13) + exp_partial_integral(bv, z, t, 1e-13)
+            for i, zi in enumerate(z):
+                want = np.exp(zi * t) * stieltjes_integral(
+                    bv, Integrand.exponential(-zi), 10.0, 1e-13)
+                assert float(np.max(np.abs(both[i] - want))) <= 1e-12
+
+    def test_grids_match_literal_integrals(self):
+        bv = mixed_integrator()
+        t_grid = np.asarray([0.0, 0.25, 1.0, 1.5, 2.0, 2.7, 3.5, 4.0, 5.0, 6.5])
+        v_max = 7.0
+        for z in (0.3 + 1.1j, 0.7j, 1.0 - 2.0j):
+            x = z.real
+            partial = weighted_partial_grid(bv, z, t_grid, 1e-13)
+            tail = weighted_tail_grid(bv, z, t_grid, v_max, 1e-13)
+            whole = stieltjes_integral(bv, Integrand.exponential(-z), v_max, 1e-13)
+            for j, tj in enumerate(t_grid):
+                want_partial = math.exp(-x * tj) * stieltjes_integral(
+                    bv, Integrand.exponential(z), tj, 1e-13)
+                want_tail = math.exp(x * tj) * (whole - stieltjes_integral(
+                    bv, Integrand.exponential(-z), tj, 1e-13))
+                assert float(np.max(np.abs(partial[j] - want_partial))) <= 1e-12
+                assert float(np.max(np.abs(tail[j] - want_tail))) <= 1e-12
+
+    def test_jump_at_a_grid_point_belongs_to_the_tail(self):
+        bv = BVFunction.single_jump(2.0, 1.0)
+        z = complex(0.5, 1.0)
+        t_grid = np.asarray([1.0, 2.0, 3.0])
+        partial = weighted_partial_grid(bv, z, t_grid, 1e-12)[:, 0]
+        tail = weighted_tail_grid(bv, z, t_grid, v_max=4.0, quad_tol=1e-12)[:, 0]
+        # upward: the jump enters after t = 2, not at it
+        assert partial[0] == 0 and partial[1] == 0
+        assert partial[2] == pytest.approx(np.exp(2.0 * z - 3.0 * z.real), rel=1e-14)
+        # downward: the jump enters at t = 2, and not above it
+        assert tail[2] == 0
+        assert tail[1] == pytest.approx(np.exp(2.0 * z.real - 2.0 * z), rel=1e-14)
+        assert tail[0] == pytest.approx(np.exp(z.real - 2.0 * z), rel=1e-14)
 
 
 def dense_jump_sum(tau, sizes, z, t):
