@@ -9,7 +9,7 @@ numerically on grids rather than assumed.
 __version__ = "0.1.0"
 
 from .bv import (BVFunction, DensityPiece, Integrand, NonFiniteIntegrandError,
-                 stieltjes_integral, weighted_partial, weighted_partial_grid,
+                 QuadratureError, stieltjes_integral, weighted_partial, weighted_partial_grid,
                  weighted_tail_grid)
 from .contour import (CauchyReport, ContourBudgetError, ContourEvaluation,
                       ContourSpec, EtaShiftExtension, RationalExtension,
@@ -36,7 +36,7 @@ from .verify import (GridSpec, SupReport, check_line_bound, check_small_x_bound,
 __all__ = [
     "__version__",
     "BVFunction", "DensityPiece", "Integrand", "NonFiniteIntegrandError",
-    "stieltjes_integral", "weighted_partial", "weighted_partial_grid",
+    "QuadratureError", "stieltjes_integral", "weighted_partial", "weighted_partial_grid",
     "weighted_tail_grid",
     "CauchyReport", "ContourBudgetError", "ContourEvaluation", "ContourSpec",
     "EtaShiftExtension", "RationalExtension", "build_contour",

@@ -38,16 +38,30 @@ factors carry their phase's rounding error (``_block_factors``), so a phase
 of hundreds of radians still leaves each factor accurate to about eps.  The
 cost is O(N P + nodes * blocks * P) instead of the dense O(nodes * N)
 exponentials, and blocks <= min(N, 1 + span(tau) max|z| / 2).
+
+Density pieces integrate in closed form (constant and exponential pieces on
+the contour), by composite Gauss-Legendre (``_gl_smooth``, constant and
+exponential pieces otherwise) or by ``quad``, one vectorised adaptive
+Gauss-Kronrod (7/15) routine that integrates many intervals per call: all the
+contour nodes of a piece, or all the rows of a weighted sweep.  Each interval
+converges on its own, when the sum of |K15 - G7| over its subintervals is at
+most max(quad_tol, 1e-12 |I|); each round bisects the subintervals whose
+estimate is at least their interval's mean.  A power s^a with -1 < a < 0 is
+integrated in u = s^{a+1}, which removes the endpoint singularity, and
+[lo, inf) is mapped onto [0, 1).  An interval that has used 400 subintervals
+without converging raises ``QuadratureError``, an ArithmeticError that names
+the interval and the density kind; no unconverged value is ever returned.
+A call takes its intervals in slices of _MAX_BLOCK_ELEMENTS / (15 * 400), so
+that its node arrays stay bounded however many intervals it is given.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad
 
 from .vectors import NORM_KINDS, vector_norm
 
@@ -70,6 +84,30 @@ _TAYLOR_REMAINDER = (_TAYLOR_RADIUS ** (_TAYLOR_ORDER + 1) * math.exp(_TAYLOR_RA
 # largest temporary of one node chunk, in array elements
 _MAX_BLOCK_ELEMENTS = 2_000_000
 
+# Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK's qk15), nodes ascending; the seven
+# Gauss nodes are the odd-indexed ones.
+_GK_NODES = np.asarray([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245])
+_GK_NODES = np.concatenate((-_GK_NODES, [0.0], _GK_NODES[::-1]))
+_GK_KRONROD = np.asarray([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_GK_KRONROD = np.concatenate((_GK_KRONROD, _GK_KRONROD[-2::-1]))
+_GK_GAUSS = np.zeros(15)
+_GK_GAUSS[1::2] = [0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+                   0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+                   0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
+                   0.129484966168869693270611432679082]
+# subintervals one adaptive integral may use, as QUADPACK's limit
+_QUAD_LEAVES = 400
+# relative tolerance of every adaptive integral, beside its absolute quad_tol
+_QUAD_REL_TOL = 1e-12
+
 
 class NonFiniteIntegrandError(ValueError):
     """An evaluator produced inf or nan on the integration range."""
@@ -87,6 +125,17 @@ def _guard_finite(values: np.ndarray, locations: np.ndarray, detail: str = "") -
     if np.any(bad):
         where = np.broadcast_to(locations, values.shape)[bad]
         raise NonFiniteIntegrandError(float(np.atleast_1d(where)[0]), detail)
+
+
+class QuadratureError(ArithmeticError):
+    """Adaptive quadrature used its subinterval budget without meeting the tolerance."""
+
+    def __init__(self, index: int, lo: float, hi: float, err: float, tol: float,
+                 what: str = "the integrand"):
+        self.index, self.err, self.tol = index, float(err), float(tol)
+        super().__init__(f"adaptive quadrature of {what} on [{lo:g}, {hi:g}) did not converge: "
+                         f"error estimate {err:.3g} > tolerance {tol:.3g} "
+                         f"with {_QUAD_LEAVES} subintervals")
 
 
 @dataclass(frozen=True)
@@ -131,7 +180,8 @@ class DensityPiece:
     """Density scale * base(s) on [start, end), end = inf allowed.
 
     base by kind: constant 1, exponential e^{rate s}, power s^exponent,
-    damped_power s^exponent e^{rate s}.  base is nonnegative on s >= 0.
+    damped_power s^exponent e^{rate s}; constant and power take no rate.
+    base is nonnegative on s >= 0 when rate is real.
     """
 
     start: float
@@ -149,6 +199,8 @@ class DensityPiece:
         if not math.isfinite(self.start):
             raise ValueError("density interval must start at a finite point")
         object.__setattr__(self, "scale", tuple(complex(c) for c in self.scale))
+        if self.kind in ("constant", "power") and self.rate != 0:
+            raise ValueError(f"density kind {self.kind!r} takes no rate")
         if self.kind in ("power", "damped_power"):
             if self.start == 0.0 and self.exponent <= -1.0:
                 raise ValueError("power density with exponent <= -1 is not integrable at 0")
@@ -289,9 +341,10 @@ class BVFunction:
                 continue
             if not math.isfinite(hi):
                 raise ValueError("total_variation over an unbounded range; pass a finite t")
-            val, _ = quad(lambda s: float(abs(piece.base(s))), lo, hi,
-                          epsabs=quad_tol, epsrel=1e-12, limit=400)
-            tv += amp * val
+            # |base| is the base of the same piece with the real part of its rate
+            modulus = replace(piece, rate=complex(piece.rate).real)
+            tv += amp * float(_density_integrals(modulus, lambda s, owner: 1.0, [lo], [hi],
+                                                 quad_tol)[0].real)
         return tv
 
 
@@ -325,19 +378,119 @@ def _gl_smooth(a: float, b: float, crate: complex, integrand) -> complex | None:
     return complex(np.sum(w * vals))
 
 
-def _piece_quad(piece: DensityPiece, weight, lo: float, hi: float,
-                quad_tol: float) -> complex:
-    """int_lo^hi weight(s) base(s) ds by adaptive quadrature, the smooth pieces' fallback."""
+def quad(f, lo, hi, abs_tol: float) -> np.ndarray:
+    """int_lo[i]^hi[i] f(s) ds for n intervals at once, by adaptive Gauss-Kronrod (7/15).
 
-    def integrand(s):
-        v = weight(s) * piece.base(s)
-        if not np.all(np.isfinite(np.atleast_1d(v))):
-            raise NonFiniteIntegrandError(float(s), f"density kind {piece.kind!r}")
-        return complex(v)
+    f(s, owner) gets an (m, 15) array of nodes and the (m,) indices of the
+    intervals its rows belong to, and returns the (m, 15) values; a nonfinite
+    value raises NonFiniteIntegrandError.  An interval with hi[i] = inf is integrated in u on
+    [0, 1), with s = lo[i] + u / (1 - u).  Each subinterval (leaf) carries
+    the estimate |K15 - G7|, and interval i is done once the sum over its
+    leaves is at most max(abs_tol, _QUAD_REL_TOL |I_i|).  Each round bisects,
+    in the intervals not yet done, the leaves whose estimate is at least their
+    interval's mean (and always the worst one), up to _QUAD_LEAVES leaves per
+    interval.  Intervals are taken in slices small enough that a full budget
+    of leaves holds at most _MAX_BLOCK_ELEMENTS nodes.  Returns the (n,)
+    Kronrod values; an interval that runs out of leaves raises QuadratureError.
+    """
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    step = max(1, _MAX_BLOCK_ELEMENTS // (15 * _QUAD_LEAVES))
+    parts = [_quad_slice(f, lo[i:i + step], hi[i:i + step], i, abs_tol)
+             for i in range(0, lo.size, step)]
+    return np.concatenate(parts) if parts else np.zeros(0)
 
-    val, _err = quad(integrand, lo, hi, epsabs=quad_tol, epsrel=1e-12,
-                     limit=400, complex_func=True)
-    return complex(val)
+
+def _quad_slice(f, lo: np.ndarray, hi: np.ndarray, first: int, abs_tol: float) -> np.ndarray:
+    """quad on the intervals first, first + 1, ... of the call, which f and errors see."""
+    n = lo.size
+    infinite = np.isinf(hi)
+
+    def kronrod(a, b, owner):
+        half = 0.5 * (b - a)
+        x = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
+        jac = np.repeat(half[:, None], 15, axis=1)
+        rows = infinite[owner]
+        if rows.any():
+            u = x[rows]
+            x[rows] = lo[owner[rows], None] + u / (1.0 - u)
+            jac[rows] /= (1.0 - u) ** 2
+        y = f(x, owner + first)
+        _guard_finite(y, x)
+        y = y * jac
+        value = y @ _GK_KRONROD
+        return value, np.abs(value - y @ _GK_GAUSS)
+
+    a, b, owner = np.where(infinite, 0.0, lo), np.where(infinite, 1.0, hi), np.arange(n)
+    value, err = kronrod(a, b, owner)
+    while True:
+        total = np.bincount(owner, value.real, n)
+        if np.iscomplexobj(value):
+            total = total + 1j * np.bincount(owner, value.imag, n)
+        err_sum = np.bincount(owner, err, n)
+        tol = np.maximum(abs_tol, _QUAD_REL_TOL * np.abs(total))
+        open_ = err_sum > tol
+        if not open_.any():
+            return total
+        leaves = np.bincount(owner, minlength=n)
+        room = _QUAD_LEAVES - leaves
+        stuck = np.flatnonzero(open_ & (room <= 0))
+        if stuck.size:
+            i = int(stuck[0])
+            raise QuadratureError(first + i, lo[i], hi[i], err_sum[i], tol[i])
+        worst = np.zeros(n)
+        np.maximum.at(worst, owner, err)
+        split = open_[owner] & ((err * leaves[owner] >= err_sum[owner]) | (err == worst[owner]))
+        if np.any(np.bincount(owner[split], minlength=n) > room):
+            # bisect only each interval's `room` worst leaves
+            idx = np.flatnonzero(split)
+            idx = idx[np.lexsort((-err[idx], owner[idx]))]
+            group = owner[idx]
+            rank = np.arange(idx.size) - np.searchsorted(group, group)
+            split[idx[rank >= room[group]]] = False
+        mid = 0.5 * (a[split] + b[split])
+        new_a = np.concatenate((a[split], mid))
+        new_b = np.concatenate((mid, b[split]))
+        new_owner = np.tile(owner[split], 2)
+        new_value, new_err = kronrod(new_a, new_b, new_owner)
+        keep = ~split
+        a, b = np.concatenate((a[keep], new_a)), np.concatenate((b[keep], new_b))
+        owner = np.concatenate((owner[keep], new_owner))
+        value = np.concatenate((value[keep], new_value))
+        err = np.concatenate((err[keep], new_err))
+
+
+def _density_integrals(piece: DensityPiece, weight, lo, hi, quad_tol: float) -> np.ndarray:
+    """int_lo[i]^hi[i] weight(s, i) base(s) ds for every i, in one call of quad.
+
+    A singular power s^a, -1 < a < 0, is integrated in u = s^{a+1}, where
+    s^a ds = du / (a + 1) leaves no singularity.  Failures name the piece's
+    kind and the interval in s.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    a = piece.exponent
+    singular = piece.kind in ("power", "damped_power") and -1.0 < a < 0.0
+    detail = f"density kind {piece.kind!r}"
+
+    def integrand(x, owner):
+        if singular:
+            s = x ** (1.0 / (a + 1.0))
+            # base(s) / s^a = e^{rate s}; a power piece has rate 0
+            v = weight(s, owner) * np.exp(piece.rate * s) / (a + 1.0)
+        else:
+            s = x
+            v = weight(s, owner) * piece.base(s)
+        _guard_finite(v, s, detail)
+        return v
+
+    u_lo, u_hi = (lo ** (a + 1.0), hi ** (a + 1.0)) if singular else (lo, hi)
+    try:
+        values = quad(integrand, u_lo, u_hi, quad_tol)
+    except QuadratureError as exc:
+        i = exc.index
+        raise QuadratureError(i, lo[i], hi[i], exc.err, exc.tol, detail) from None
+    return values
 
 
 def _piece_phi_integral(piece: DensityPiece, phi: Integrand, lo: float, hi: float,
@@ -352,7 +505,7 @@ def _piece_phi_integral(piece: DensityPiece, phi: Integrand, lo: float, hi: floa
                          lambda s: npoly.polyval(s, poly_arr) * np.exp(crate * s))
         if val is not None:
             return val
-    return _piece_quad(piece, phi, lo, hi, quad_tol)
+    return complex(_density_integrals(piece, lambda s, owner: phi(s), [lo], [hi], quad_tol)[0])
 
 
 def stieltjes_integral(bv: BVFunction, phi: Integrand, t: float,
@@ -381,30 +534,45 @@ def stieltjes_integral(bv: BVFunction, phi: Integrand, t: float,
 # -- overflow-safe grid evaluators ---------------------------------------------
 
 
-def _piece_shifted_exp(piece: DensityPiece, c: complex, shift: float, lo: float, hi: float,
-                       quad_tol: float) -> complex:
-    """int_lo^hi e^{c s - shift} base(s) ds with shift chosen so Re stays <= 0."""
-    if hi <= lo:
-        return 0j
-    if piece.smooth_exponential and math.isfinite(hi):
-        crate = c + piece.rate
-        # e^{c s - shift} = e^{crate s} * e^{-shift} with base folded in; keep
-        # the shift inside the node weights to dodge overflow for large shift
-        val = _gl_smooth(lo, hi, crate, lambda s: np.exp(crate * s - shift))
-        if val is not None:
-            return val
-    return _piece_quad(piece, lambda s: np.exp(c * s - shift), lo, hi, quad_tol)
+def _density_segments(bv: BVFunction, c: complex, points: np.ndarray, start: float,
+                      quad_tol: float) -> np.ndarray:
+    """Row j: int e^{c s - Re(c) t_j} a(s) ds over the density part of row j's step.
 
-
-def _density_segment(bv: BVFunction, c: complex, shift: float, a: float, b: float,
-                     quad_tol: float) -> np.ndarray:
-    out = np.zeros(bv.dimension, dtype=complex)
+    Row j steps from the previous point (start for j = 0) to t_j, clipped to
+    within (_NEGLIGIBLE_LOG + 10) / |Re c| of t_j.  Constant and exponential
+    pieces take Gauss-Legendre row by row; the other pieces, and the rows
+    Gauss-Legendre would need too many panels for, take one quad call per
+    piece.  Pieces are summed in order.
+    """
+    xr = c.real
+    reach = (_NEGLIGIBLE_LOG + 10.0) / abs(xr) if xr else math.inf
+    prev = np.concatenate(([start], points[:-1]))
+    end = np.minimum(np.maximum(prev, points - reach), points + reach)
+    step_lo, step_hi = np.minimum(end, points), np.maximum(end, points)
+    shift = xr * points
+    segs = np.zeros((points.size, bv.dimension), dtype=complex)
     for piece in bv.pieces:
-        lo = max(piece.start, a)
-        hi = min(piece.end, b)
-        if hi > lo:
-            out += piece.scale_array() * _piece_shifted_exp(piece, c, shift, lo, hi, quad_tol)
-    return out
+        scale = piece.scale_array()
+        lo, hi = np.maximum(piece.start, step_lo), np.minimum(piece.end, step_hi)
+        rows = np.flatnonzero(hi > lo)
+        if piece.smooth_exponential:
+            crate = c + piece.rate
+            adaptive = []
+            for j in rows:
+                # e^{c s - shift} base(s) = e^{crate s - shift}; keeping the
+                # shift inside the node weights dodges overflow for large shift
+                val = _gl_smooth(lo[j], hi[j], crate, lambda s: np.exp(crate * s - shift[j]))
+                if val is None:
+                    adaptive.append(j)
+                else:
+                    segs[j] += scale * val
+            rows = np.asarray(adaptive, dtype=int)
+        if rows.size:
+            vals = _density_integrals(
+                piece, lambda s, owner: np.exp(c * s - shift[rows[owner], None]),
+                lo[rows], hi[rows], quad_tol)
+            segs[rows] += vals[:, None] * scale[None, :]
+    return segs
 
 
 def _weighted_sweep(bv: BVFunction, c: complex, points: np.ndarray, start: float,
@@ -420,7 +588,6 @@ def _weighted_sweep(bv: BVFunction, c: complex, points: np.ndarray, start: float
     """
     xr = c.real
     reach = _NEGLIGIBLE_LOG / abs(xr) if xr else math.inf
-    density_reach = (_NEGLIGIBLE_LOG + 10.0) / abs(xr) if xr else math.inf
     times, sizes = bv.jump_times, bv.jump_sizes
     # row j takes the jumps between t_{j-1} and t_j (t_{-1} = start) with
     # |tau - t_j| <= reach, those from lo[j] to hi[j]
@@ -428,6 +595,7 @@ def _weighted_sweep(bv: BVFunction, c: complex, points: np.ndarray, start: float
     k_prev = np.concatenate(([np.searchsorted(times, start, side="left")], k[:-1]))
     lo = np.maximum(np.minimum(k_prev, k), np.searchsorted(times, points - reach, side="left"))
     hi = np.minimum(np.maximum(k_prev, k), np.searchsorted(times, points + reach, side="right"))
+    segs = _density_segments(bv, c, points, start, quad_tol) if bv.pieces else None
     out = np.empty((points.size, bv.dimension), dtype=complex)
     acc = np.zeros(bv.dimension, dtype=complex)
     prev = start
@@ -436,9 +604,8 @@ def _weighted_sweep(bv: BVFunction, c: complex, points: np.ndarray, start: float
         if i1 > i0:
             w = np.exp(c * times[i0:i1] - xr * tj)
             acc = acc + w @ sizes[i0:i1]
-        if bv.pieces and tj != prev:
-            end = min(max(prev, tj - density_reach), tj + density_reach)
-            acc = acc + _density_segment(bv, c, xr * tj, min(end, tj), max(end, tj), quad_tol)
+        if segs is not None and tj != prev:
+            acc = acc + segs[j]
         out[j] = acc
         prev = tj
     return out
@@ -597,8 +764,8 @@ def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi: 
     [t, inf) takes Re z >= 0 and [0, t) takes Re z <= 0.  Constant and
     exponential pieces on [a, b) take the closed form
     e^{z(t-a) + ra} int_0^{b-a} e^{(r-z)u} du, which is
-    e^{z(t-a) + ra} / (z - r) when b = inf; the other kinds take adaptive
-    quadrature node by node.  An unbounded piece whose rate reaches min Re z
+    e^{z(t-a) + ra} / (z - r) when b = inf; the other kinds take one
+    adaptive quad call per piece over all nodes.  An unbounded piece whose rate reaches min Re z
     diverges and is refused.
     """
     i0, i1 = np.searchsorted(bv.jump_times, (lo, hi), side="left")
@@ -607,7 +774,7 @@ def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi: 
         a, b = max(piece.start, lo), min(piece.end, hi)
         if b <= a:
             continue
-        r = complex(piece.rate) if piece.kind in ("exponential", "damped_power") else 0j
+        r = complex(piece.rate)
         if not math.isfinite(b) and float(np.min(z.real)) <= r.real:
             raise ValueError(f"integral over [{a:g}, inf) diverges: density rate {r.real:g} "
                              f">= min Re(z) = {float(np.min(z.real)):g}")
@@ -621,9 +788,9 @@ def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi: 
             _guard_finite(vals, a, f"density kind {piece.kind!r} on [{a:g}, {b:g})")
             out += vals[:, None] * scale[None, :]
             continue
-        for i, zi in enumerate(z):
-            out[i] += scale * _piece_quad(piece, lambda s, zi=zi: np.exp(zi * (t - s)), a, b,
-                                          quad_tol)
+        vals = _density_integrals(piece, lambda s, owner: np.exp(z[owner, None] * (t - s)),
+                                  np.full(z.size, a), np.full(z.size, b), quad_tol)
+        out += vals[:, None] * scale[None, :]
     return out
 
 

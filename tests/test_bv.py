@@ -19,8 +19,9 @@ from tauberian_lab import (
     weighted_partial_grid,
     weighted_tail_grid,
 )
-from tauberian_lab.bv import (_exp_segment, _jump_exp_sum, exp_partial_integral,
-                              exp_tail_integral)
+from tauberian_lab import bv as bv_module
+from tauberian_lab.bv import (_QUAD_LEAVES, QuadratureError, _exp_segment, _jump_exp_sum,
+                              exp_partial_integral, exp_tail_integral, quad)
 
 
 def jump_oracle(jumps, z, t):
@@ -476,3 +477,140 @@ def test_norm_kinds_agree_on_scalars():
     for kind in ("euclidean", "sup"):
         bv = BVFunction.single_jump(1.0, -2.0, norm_kind=kind)
         assert float(vector_norm(bv.jump_sizes[0], kind)) == 2.0
+
+
+def test_density_rate_only_where_the_base_uses_it():
+    # constant and power bases ignore rate; a rate there once leaked into some
+    # evaluators and not others (value_at(1) = 1.297 but total_variation(1) = 1)
+    for kind in ("constant", "power"):
+        with pytest.raises(ValueError, match="takes no rate"):
+            DensityPiece(0.0, 1.0, kind, (1.0,), rate=0.5)
+    for kind in ("exponential", "damped_power"):
+        assert DensityPiece(0.0, 1.0, kind, (1.0,), rate=0.5).rate == 0.5
+
+
+SINGULAR_EXPONENTS = (-0.5, -0.9, -0.99)
+
+
+class TestSingularExponents:
+    """Densities s^a with -1 < a < 0, singular at 0, against closed forms."""
+
+    @pytest.mark.parametrize("a", SINGULAR_EXPONENTS)
+    def test_power_on_the_unit_interval(self, a):
+        bv = BVFunction.from_density("power", exponent=a, end=1.0)
+        got = stieltjes_integral(bv, Integrand.constant(1.0), 1.0, 1e-12)[0]
+        assert abs(got - 1.0 / (a + 1.0)) <= 1e-10 / (a + 1.0)
+        assert abs(bv.total_variation(1.0) - 1.0 / (a + 1.0)) <= 1e-10 / (a + 1.0)
+
+    @pytest.mark.parametrize("a", SINGULAR_EXPONENTS)
+    def test_damped_power_laplace_transform(self, a):
+        # int_0^inf s^a e^{-s} e^{-zs} ds = Gamma(a+1) / (z+1)^{a+1}; the part
+        # past 60 is below e^-90
+        z = 0.5 + 2.0j
+        bv = BVFunction.from_density("damped_power", exponent=a, rate=-1.0)
+        got = stieltjes_integral(bv, Integrand.exponential(-z), 60.0, 1e-12)[0]
+        want = math.gamma(a + 1.0) / (z + 1.0) ** (a + 1.0)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_grids_against_literal_integrals(self):
+        bv = BVFunction.from_density("power", exponent=-0.5, end=5.0, scale=(1.0, 0.5j))
+        t_grid = np.asarray([0.0, 0.25, 1.0, 2.5, 4.0, 6.0])
+        z = 0.3 + 1.1j
+        partial = weighted_partial_grid(bv, z, t_grid, 1e-13)
+        tail = weighted_tail_grid(bv, z, t_grid, 6.0, 1e-13)
+        whole = stieltjes_integral(bv, Integrand.exponential(-z), 6.0, 1e-13)
+
+        def gap(got, want):
+            return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+        for j, tj in enumerate(t_grid):
+            want_partial = math.exp(-z.real * tj) * stieltjes_integral(
+                bv, Integrand.exponential(z), tj, 1e-13)
+            want_tail = math.exp(z.real * tj) * (whole - stieltjes_integral(
+                bv, Integrand.exponential(-z), tj, 1e-13))
+            if tj > 0:
+                assert gap(partial[j], want_partial) <= 1e-10
+            if tj < 5.0:
+                assert gap(tail[j], want_tail) <= 1e-10
+        # [0, 0) and [6, 6) are empty, and the density ends at 5
+        assert np.all(partial[0] == 0) and np.all(tail[-1] == 0)
+
+    @pytest.mark.parametrize("a", SINGULAR_EXPONENTS)
+    def test_contour_tail_over_an_unbounded_piece(self, a):
+        # [0, inf) in u = s^{a+1}, then mapped onto [0, 1): both substitutions at once
+        z = np.asarray([0.5 + 2.0j, 1.0, 3.0j, 0.01 - 40.0j])
+        bv = BVFunction.from_density("damped_power", exponent=a, rate=-1.0)
+        got = exp_tail_integral(bv, z, 0.0, 1e-12)[:, 0]
+        want = np.asarray([math.gamma(a + 1.0) / (zi + 1.0) ** (a + 1.0) for zi in z])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
+
+class TestAdaptiveQuadrature:
+    def test_many_intervals_at_once(self, rng):
+        # int e^{k_i s} over [lo_i, hi_i), a different k and range per interval
+        n = 300
+        k = rng.uniform(-30.0, 5.0, n) + 1j * rng.uniform(-200.0, 200.0, n)
+        lo = rng.uniform(0.0, 2.0, n)
+        hi = lo + rng.uniform(1e-3, 3.0, n)
+        values = quad(lambda s, owner: np.exp(k[owner, None] * s), lo, hi, 1e-13)
+        want = (np.exp(k * hi) - np.exp(k * lo)) / k
+        assert values.shape == (n,)
+        assert np.max(np.abs(values - want) / np.maximum(np.abs(want), 1.0)) <= 1e-12
+
+    def test_unbounded_interval(self):
+        values = quad(lambda s, owner: np.exp(-s) * np.cos(s), [0.0, 2.0], [math.inf] * 2, 1e-14)
+        want = [0.5, math.exp(-2.0) * (math.cos(2.0) - math.sin(2.0)) / 2.0]
+        assert values == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+    def test_nonfinite_values_are_refused(self):
+        # a nan estimate would never compare above the tolerance
+        with pytest.raises(NonFiniteIntegrandError) as info:
+            quad(lambda s, owner: np.where(s > 0.7, np.nan, 1.0), [0.0], [1.0], 1e-10)
+        assert info.value.s > 0.7
+
+    def test_no_intervals(self):
+        values = quad(lambda s, owner: s, np.empty(0), np.empty(0), 1e-10)
+        assert values.shape == (0,)
+
+    def test_budget_exhaustion_names_the_interval(self):
+        # the first interval is smooth; the second holds about 240k periods,
+        # more than 400 subintervals can resolve
+        with pytest.raises(QuadratureError, match=r"on \[0\.5, 2\)") as info:
+            quad(lambda s, owner: np.where(owner[:, None] == 1, np.sin(1e6 * s), s),
+                 [0.0, 0.5], [1.0, 2.0], 1e-12)
+        assert info.value.index == 1
+
+    def test_many_intervals_are_taken_in_bounded_slices(self, monkeypatch):
+        # 60 oscillating intervals of up to ~130 periods each; with room for 5
+        # full-budget intervals per slice no call of f may see more nodes, and
+        # the values, owners and budget errors must match one unsliced call
+        n = 60
+        k = np.linspace(50.0, 400.0, n)
+        lo, hi = np.linspace(0.0, 1.0, n), np.linspace(1.0, 3.0, n)
+        seen = []
+
+        def f(s, owner):
+            seen.append(s.size)
+            return np.exp(1j * k[owner, None] * s) * np.sqrt(s + 1.0)
+
+        whole = quad(f, lo, hi, 1e-12)
+        assert max(seen) > 15 * _QUAD_LEAVES * 5
+        seen.clear()
+        monkeypatch.setattr(bv_module, "_MAX_BLOCK_ELEMENTS", 15 * _QUAD_LEAVES * 5)
+        sliced = quad(f, lo, hi, 1e-12)
+        assert max(seen) <= 15 * _QUAD_LEAVES * 5
+        np.testing.assert_allclose(sliced, whole, rtol=1e-14, atol=0)
+        with pytest.raises(QuadratureError) as info:
+            quad(lambda s, owner: np.sin(np.where(owner[:, None] == 40, 1e6, 1.0) * s), lo, hi,
+                 1e-12)
+        assert info.value.index == 40
+        assert f"on [{lo[40]:g}, {hi[40]:g})" in str(info.value)
+
+
+def test_unresolved_oscillation_raises_instead_of_returning_a_number():
+    # e^{2000 i s} s^{1/2} on [0, 200) has about 64k periods: no 400-leaf
+    # quadrature resolves it, so it must fail and say where
+    bv = BVFunction.from_density("power", exponent=0.5, end=200.0)
+    with pytest.raises(ArithmeticError) as info:
+        stieltjes_integral(bv, Integrand.exponential(2e3j), 200.0)
+    assert "[0, 200)" in str(info.value) and "'power'" in str(info.value)

@@ -8,6 +8,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from tauberian_lab import bv as bv_module
 from tauberian_lab.cli import main
 
 ALT_PROBLEM = """
@@ -114,6 +115,21 @@ class TestVerify:
         res = run("verify", "--problem", "problems/exp_density.json",
                   "--t-grid", "0:20:200", "--x-grid", "1:10:8")
         assert res.exit_code == 0, res.output
+
+    def test_quadrature_failure_is_input_error(self, tmp_path, monkeypatch):
+        # with one subinterval per integral no power segment converges; the run
+        # must stop with exit 2 and name the piece instead of printing a number
+        monkeypatch.setattr(bv_module, "_QUAD_LEAVES", 1)
+        p = tmp_path / "power.json"
+        p.write_text(json.dumps({
+            "name": "power", "dimension": 1,
+            "densities": [{"from": 0.0, "to": 3.0, "kind": "power", "scale": [1.0],
+                           "exponent": 1.5}],
+            "cutoff": {"kind": "constant", "value": 1.0},
+            "certificate": {"C": 10.0, "x0": 1.0}}))
+        res = run("verify", "--problem", str(p))
+        assert res.exit_code == 2
+        assert "error: adaptive quadrature of density kind 'power' on [" in stderr_of(res)
 
 
 class TestContour:
@@ -251,3 +267,11 @@ def test_console_script_wiring():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "tauberian-lab" in proc.stdout
+
+
+def test_cli_imports_without_scipy():
+    # a fresh interpreter, so no other test's imports count
+    code = "import sys, tauberian_lab.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
