@@ -18,13 +18,26 @@ Splitting one integral at t gives the partial transform over [0, t) and the
 tail over [t, inf), so each pair of evaluators has one body.
 ``_exp_range_integral`` integrates e^{-z(s-t)} dA(s) over a half-open range
 [lo, hi): ``exp_tail_integral`` passes [t, inf) and ``exp_partial_integral``
-passes [0, t).  ``_weighted_sweep`` runs one recurrence for
-e^{c s - Re(c) t_j} dA(s): ``weighted_partial_grid`` walks its grid upward
-from 0 with c = z, ``weighted_tail_grid`` walks it downward from v_max with
-c = -z.  The sweep needs no direction flag: each row covers the range
-between the start and its point, [start, t_j) or [t_j, start), so the order
-of the points it is handed is the direction.  The four public evaluators
-check their input and call these bodies.
+passes [0, t).  ``_weighted_sweep`` integrates e^{c s - Re(c) t_j} dA(s)
+for every grid point: ``weighted_partial_grid`` walks its grid upward from 0
+with c = z, ``weighted_tail_grid`` walks it downward from v_max with c = -z.
+The sweep needs no direction flag: each row covers the range between the
+start and its point, [start, t_j) or [t_j, start), so the order of the
+points it is handed is the direction.  The four public evaluators check
+their input and call these bodies.
+
+The sweep has no loop over its rows.  Each row first gets its own step, the
+jumps and density between the previous point and its own: every jump is
+weighted once and the weights are summed per row, and constant and
+exponential pieces take their closed form for all rows at once.  A blocked
+prefix scan (Blelloch 1990) then adds up the steps with the decay
+e^{Re(c) (t_i - t_j)}.  A block spans at most _SCAN_SPAN = 256 in Re(c) t;
+inside it the steps are scaled by e^{Re(c) (t_i - t_block)} <= e^256,
+summed by np.cumsum and scaled back, and a carry passes from one block to
+the next, so there are about |Re c| span(t) / 256 blocks.  The two rounded
+exponents cost each term at most about 2 eps 256 relative (under 6e-14).
+The steps are divided by a power of two near their largest entry first, so
+no scaled sum overflows, and a result that is still not finite raises.
 
 The contour evaluators ``exp_tail_integral`` and ``exp_partial_integral``
 share one jump-sum kernel for sum_k s_k e^{-z(tau_k - t)} over N jumps and
@@ -40,13 +53,14 @@ cost is O(N P + nodes * blocks * P) instead of the dense O(nodes * N)
 exponentials, and blocks <= min(N, 1 + span(tau) max|z| / 2).
 
 Density pieces integrate in closed form (constant and exponential pieces on
-the contour), by composite Gauss-Legendre (``_gl_smooth``, constant and
-exponential pieces otherwise) or by ``quad``, one vectorised adaptive
-Gauss-Kronrod (7/15) routine that integrates many intervals per call: all the
-contour nodes of a piece, or all the rows of a weighted sweep.  Each interval
-converges on its own, when the sum of |K15 - G7| over its subintervals is at
-most max(quad_tol, 1e-12 |I|); each round bisects the subintervals whose
-estimate is at least their interval's mean.  A power s^a with -1 < a < 0 is
+the contour and in the weighted sweeps, through the complex expm1 of
+``_exp_segment``), by composite Gauss-Legendre (``_gl_smooth``, constant and
+exponential pieces in ``stieltjes_integral``) or by ``quad``, one vectorised
+adaptive Gauss-Kronrod (7/15) routine that integrates many intervals per
+call: all the contour nodes of a piece, or all the rows of a weighted sweep.
+Each interval converges on its own, when the sum of |K15 - G7| over its
+subintervals is at most max(quad_tol, 1e-12 |I|); each round bisects the
+subintervals whose estimate is at least their interval's mean.  A power s^a with -1 < a < 0 is
 integrated in u = s^{a+1}, which removes the endpoint singularity, and
 [lo, inf) is mapped onto [0, 1).  An interval that has used 400 subintervals
 without converging raises ``QuadratureError``, an ArithmeticError that names
@@ -83,6 +97,10 @@ _TAYLOR_REMAINDER = (_TAYLOR_RADIUS ** (_TAYLOR_ORDER + 1) * math.exp(_TAYLOR_RA
                      / math.factorial(_TAYLOR_ORDER + 1))
 # largest temporary of one node chunk, in array elements
 _MAX_BLOCK_ELEMENTS = 2_000_000
+# width in Re(c) t of one block of the weighted sweep's scan: it bounds the
+# scaled rows by e^256, far inside float64, and the rounding of a term's two
+# exponents by about 2 eps 256 relative; a wider block saves few block steps
+_SCAN_SPAN = 256.0
 
 # Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK's qk15), nodes ascending; the seven
 # Gauss nodes are the odd-indexed ones.
@@ -213,8 +231,9 @@ class DensityPiece:
 
     @property
     def smooth_exponential(self) -> bool:
-        # kinds whose base folds into a single exponential; eligible for the
-        # fixed Gauss-Legendre fast path
+        # kinds whose base folds into a single exponential: closed form on the
+        # contour and in the weighted sweeps, fixed Gauss-Legendre in
+        # stieltjes_integral
         return self.kind in ("constant", "exponential")
 
     def base(self, s):
@@ -539,40 +558,121 @@ def _density_segments(bv: BVFunction, c: complex, points: np.ndarray, start: flo
     """Row j: int e^{c s - Re(c) t_j} a(s) ds over the density part of row j's step.
 
     Row j steps from the previous point (start for j = 0) to t_j, clipped to
-    within (_NEGLIGIBLE_LOG + 10) / |Re c| of t_j.  Constant and exponential
-    pieces take Gauss-Legendre row by row; the other pieces, and the rows
-    Gauss-Legendre would need too many panels for, take one quad call per
-    piece.  Pieces are summed in order.
+    within (_NEGLIGIBLE_LOG + 10) / |Re c| of t_j.  The weight is formed as
+    e^{Re(c) (s - t_j) + i Im(c) s}, so that a large Re(c) t_j adds no
+    rounding.  Constant and exponential pieces (rate r) take the closed form
+    for every row at once: e^{Re(c) (a - t_j) + (i Im(c) + r) a} (e^{d L} - 1) / d
+    on a row of length L, anchored at the end a where Re((c + r) s) is larger,
+    so that d = +-(c + r) has Re(d) <= 0 and the segment factor stays bounded.
+    The other pieces take one quad call each.  Pieces are summed in order.
     """
     xr = c.real
+    phase = 1j * c.imag
     reach = (_NEGLIGIBLE_LOG + 10.0) / abs(xr) if xr else math.inf
     prev = np.concatenate(([start], points[:-1]))
     end = np.minimum(np.maximum(prev, points - reach), points + reach)
     step_lo, step_hi = np.minimum(end, points), np.maximum(end, points)
-    shift = xr * points
     segs = np.zeros((points.size, bv.dimension), dtype=complex)
     for piece in bv.pieces:
-        scale = piece.scale_array()
         lo, hi = np.maximum(piece.start, step_lo), np.minimum(piece.end, step_hi)
         rows = np.flatnonzero(hi > lo)
+        if rows.size == 0:
+            continue
+        lo, hi, t = lo[rows], hi[rows], points[rows]
         if piece.smooth_exponential:
             crate = c + piece.rate
-            adaptive = []
-            for j in rows:
-                # e^{c s - shift} base(s) = e^{crate s - shift}; keeping the
-                # shift inside the node weights dodges overflow for large shift
-                val = _gl_smooth(lo[j], hi[j], crate, lambda s: np.exp(crate * s - shift[j]))
-                if val is None:
-                    adaptive.append(j)
-                else:
-                    segs[j] += scale * val
-            rows = np.asarray(adaptive, dtype=int)
-        if rows.size:
+            rising = crate.real > 0
+            a = hi if rising else lo
+            vals = (np.exp(xr * (a - t) + (phase + piece.rate) * a)
+                    * _exp_segment(-crate if rising else crate, hi - lo))
+            _guard_finite(vals, a, f"density kind {piece.kind!r}")
+        else:
             vals = _density_integrals(
-                piece, lambda s, owner: np.exp(c * s - shift[rows[owner], None]),
-                lo[rows], hi[rows], quad_tol)
-            segs[rows] += vals[:, None] * scale[None, :]
+                piece, lambda s, owner: np.exp(xr * (s - t[owner, None]) + phase * s),
+                lo, hi, quad_tol)
+        segs[rows] += vals[:, None] * piece.scale_array()[None, :]
     return segs
+
+
+def _jump_rows(bv: BVFunction, c: complex, points: np.ndarray, start: float) -> np.ndarray:
+    """Row j: sum of s_k e^{Re(c) (tau_k - t_j) + i Im(c) tau_k} over the jumps of row j's step.
+
+    Row j takes the jumps between t_{j-1} and t_j (t_{-1} = start), as
+    [t_{j-1}, t_j) upward or [t_j, t_{j-1}) downward, and leaves out those
+    whose weight is below e^-_NEGLIGIBLE_LOG, over _NEGLIGIBLE_LOG / |Re c|
+    from t_j.  The rows' jumps together are one run of consecutive jumps, in
+    row order upward and in reverse row order downward.  Each jump of the run
+    is weighted once and the terms are summed per row (np.add.reduceat), in
+    contiguous chunks of the run so that the temporaries of a chunk, about
+    eight arrays of its length, together hold at most _MAX_BLOCK_ELEMENTS
+    entries.
+    """
+    xr, y = c.real, c.imag
+    times, sizes = bv.jump_times, bv.jump_sizes
+    out = np.zeros((points.size, bv.dimension), dtype=complex)
+    # row j holds the jumps between bounds[j] and bounds[j + 1]
+    bounds = np.searchsorted(times, np.concatenate(([start], points)), side="left")
+    rows = np.arange(points.size)
+    if bounds[-1] < bounds[0]:
+        rows = rows[::-1]
+    count = np.abs(np.diff(bounds))[rows]
+    # position p of the run is jump first + p, and row rows[i] holds the
+    # positions last[i] - count[i] to last[i] - 1
+    first = int(min(bounds[0], bounds[-1]))
+    last = np.cumsum(count)
+    total = int(last[-1]) if last.size else 0
+    chunk = max(1, _MAX_BLOCK_ELEMENTS // (8 * bv.dimension))
+    for p0 in range(0, total, chunk):
+        p1 = min(p0 + chunk, total)
+        r0 = int(np.searchsorted(last, p0, side="right"))
+        r1 = int(np.searchsorted(last, p1 - 1, side="right")) + 1
+        taken = np.minimum(last[r0:r1], p1) - np.maximum(last[r0:r1] - count[r0:r1], p0)
+        tau = times[first + p0:first + p1]
+        arg = xr * (tau - points[np.repeat(rows[r0:r1], taken)])
+        w = np.exp(arg + 1j * (y * tau)) if y else np.exp(arg)
+        w[arg < -_NEGLIGIBLE_LOG] = 0.0
+        terms = w[:, None] * sizes[first + p0:first + p1]
+        held = taken > 0
+        out[rows[r0:r1][held]] += np.add.reduceat(terms, (np.cumsum(taken) - taken)[held],
+                                                  axis=0)
+    return out
+
+
+def _decay_scan(rows: np.ndarray, xr: float, points: np.ndarray) -> np.ndarray:
+    """out_j = sum_{i <= j} e^{xr (t_i - t_j)} rows_i, for xr (t_j - t_i) >= 0.
+
+    This is the recurrence out_j = e^{xr (t_{j-1} - t_j)} out_{j-1} + rows_j
+    as a blocked prefix scan (Blelloch 1990).  A block holds the rows whose
+    xr (t - t_0) falls in one cell of width _SCAN_SPAN.  Inside a block
+    anchored at row a the rows are scaled by e^{xr (t_i - t_a)} <= e^_SCAN_SPAN,
+    summed by np.cumsum and scaled back; the last row of a block carries into
+    the next.  The rows are first divided by a power of two within a factor 2
+    of their largest entry (1 if that is below 1), so that the scaled sums
+    cannot overflow however large the rows are.  Anchoring rounds the two
+    exponents xr (t - t_a) once each, which costs at most about
+    2 eps _SCAN_SPAN relative per term.
+    """
+    peak = float(np.max(np.abs(rows.view(float)), initial=0.0))
+    if peak == 0.0:
+        return np.zeros_like(rows)
+    # not below 1: complex division by a subnormal power of two gives inf
+    unit = math.ldexp(1.0, max(math.frexp(peak)[1] - 1, 0))
+    cell = np.floor(xr * (points - points[0]) / _SCAN_SPAN)
+    starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
+    ends = np.append(starts[1:], points.size)
+    grow = np.exp(xr * (points - np.repeat(points[starts], ends - starts)))[:, None]
+    acc = grow * (rows / unit)
+    # the carry into the block at a is out_{a-1} e^{xr (t_{a-1} - t_a)}, and
+    # out_{a-1} = acc_{a-1} / grow_{a-1}
+    before = np.maximum(starts - 1, 0)
+    link = np.exp(xr * (points[before] - points[starts])) / grow[before, 0]
+    for a, b, f in zip(starts, ends, link):
+        np.cumsum(acc[a:b], axis=0, out=acc[a:b])
+        if a:
+            acc[a:b] += f * acc[a - 1]
+    acc /= grow
+    acc *= unit
+    return acc
 
 
 def _weighted_sweep(bv: BVFunction, c: complex, points: np.ndarray, start: float,
@@ -581,33 +681,20 @@ def _weighted_sweep(bv: BVFunction, c: complex, points: np.ndarray, start: float
 
     The range is [start, t_j) while the points ascend from start and
     [t_j, start) while they descend to it.  The weights have modulus <= 1
-    when Re(c) (s - t_j) <= 0 on the range.  Each row rescales the previous one
-    by e^{Re(c) (t_prev - t_j)} and adds the jumps and density between the
-    two points, leaving out what lies over _NEGLIGIBLE_LOG / |Re c| (jumps)
-    or that plus 10 (density) from t_j.
+    when Re(c) (s - t_j) <= 0 on the range.  The jumps and the density
+    between consecutive points give each row's own sum (_jump_rows,
+    _density_segments), leaving out what lies over _NEGLIGIBLE_LOG / |Re c|
+    (jumps) or that plus 10 (density) from t_j; the blocked scan _decay_scan
+    then adds each row to the previous one rescaled by e^{Re(c) (t_prev - t_j)}.
+    A nonfinite result raises NonFiniteIntegrandError.
     """
-    xr = c.real
-    reach = _NEGLIGIBLE_LOG / abs(xr) if xr else math.inf
-    times, sizes = bv.jump_times, bv.jump_sizes
-    # row j takes the jumps between t_{j-1} and t_j (t_{-1} = start) with
-    # |tau - t_j| <= reach, those from lo[j] to hi[j]
-    k = np.searchsorted(times, points, side="left")
-    k_prev = np.concatenate(([np.searchsorted(times, start, side="left")], k[:-1]))
-    lo = np.maximum(np.minimum(k_prev, k), np.searchsorted(times, points - reach, side="left"))
-    hi = np.minimum(np.maximum(k_prev, k), np.searchsorted(times, points + reach, side="right"))
-    segs = _density_segments(bv, c, points, start, quad_tol) if bv.pieces else None
-    out = np.empty((points.size, bv.dimension), dtype=complex)
-    acc = np.zeros(bv.dimension, dtype=complex)
-    prev = start
-    for j, (tj, i0, i1) in enumerate(zip(points, lo, hi)):
-        acc = acc * math.exp(xr * (prev - tj))
-        if i1 > i0:
-            w = np.exp(c * times[i0:i1] - xr * tj)
-            acc = acc + w @ sizes[i0:i1]
-        if segs is not None and tj != prev:
-            acc = acc + segs[j]
-        out[j] = acc
-        prev = tj
+    rows = _jump_rows(bv, c, points, start)
+    if bv.pieces:
+        rows += _density_segments(bv, c, points, start, quad_tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # overflow is caught by the finiteness guard
+        out = _decay_scan(rows, c.real, points)
+    _guard_finite(out, points[:, None], "weighted sweep")
     return out
 
 
@@ -658,16 +745,18 @@ def weighted_partial(bv: BVFunction, z: complex, t: float,
 # -- contour-facing evaluators ---------------------------------------------------
 
 
-def _exp_segment(delta: np.ndarray, length: float) -> np.ndarray:
-    """(e^{delta L} - 1) / delta, stable as delta -> 0 (complex expm1 stand-in)."""
+def _exp_segment(delta, length) -> np.ndarray:
+    """(e^{delta L} - 1) / delta, accurate for every delta L, and L where delta L = 0.
+
+    e^{a+ib} - 1 = expm1(a) cos b - 2 sin^2(b/2) + i e^a sin b is a complex
+    expm1 with no cancellation as a + ib -> 0 (Higham 2002).
+    """
     delta = np.asarray(delta, dtype=complex)
     x = delta * length
-    out = np.empty_like(delta)
-    small = np.abs(x) < 1e-4
-    xs = x[small]
-    out[small] = length * (1.0 + xs / 2.0 + xs * xs / 6.0 + xs * xs * xs / 24.0)
-    out[~small] = (np.exp(x[~small]) - 1.0) / delta[~small]
-    return out
+    a, b = x.real, x.imag
+    em1 = np.expm1(a) * np.cos(b) - 2.0 * np.sin(0.5 * b) ** 2 + 1j * (np.exp(a) * np.sin(b))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(x == 0, length, em1 / delta)
 
 
 def _jump_exp_sum(tau: np.ndarray, sizes: np.ndarray, z: np.ndarray,

@@ -15,6 +15,7 @@ from tauberian_lab import (
     delayed_step,
     delayed_step_ratio,
     delayed_step_restart,
+    load_problem,
     make_t_grid,
     make_x_grid,
 )
@@ -167,6 +168,16 @@ class TestLineTailSmallX:
     def test_tail_bound_exp_density(self):
         rep = check_tail_bound(exp_density(), 1.0, 1.0, 2.0, quad_tol=1e-11)
         assert rep.passed()
+
+    def test_line_bound_at_a_tie_is_not_rounded_up(self):
+        # jumps 1/n at log n: at x = 1, y = 0 the value on [log k, log(k + 1)) is
+        # k e^{-t}, so each refined point log k + 1e-7 (k <= 128) attains the sup
+        # e^{-1e-7}; the row-by-row sweep reported it 3.2e-14 too high
+        prob = load_problem("problems/dirichlet_ones.json")
+        rep = check_line_bound(prob.bv, prob.certificate.C, 1.0, 0.0)
+        assert abs(rep.grid_sup - math.exp(-1e-7)) <= 2e-15 * math.exp(-1e-7)
+        ties = np.log(np.arange(1.0, 129.0)) + 1e-7
+        assert np.min(np.abs(ties - rep.witness_t)) <= 1e-12
 
     def test_small_x_bound(self):
         bv = delayed_step(1.0)
