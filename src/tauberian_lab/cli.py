@@ -80,7 +80,7 @@ def _load(problem_path: str) -> Problem:
 
 
 def _parse_grid(spec: str, flag: str, spacing: str) -> np.ndarray:
-    """Either a:b:n (n points, spacing per command) or a comma list of values."""
+    """Either a:b:n (n points, spacing per command) or a comma list of finite values."""
     try:
         if ":" in spec:
             parts = spec.split(":")
@@ -92,19 +92,23 @@ def _parse_grid(spec: str, flag: str, spacing: str) -> np.ndarray:
             if n == 1:
                 if a != b:
                     raise ValueError("a single-point grid needs a == b")
-                return np.asarray([a])
-            if not a < b:
+                vals = np.asarray([a])
+            elif not a < b:
                 raise ValueError("grid needs a < b")
-            if spacing == "log":
-                if a <= 0:
-                    raise ValueError("log-spaced grid needs a > 0")
-                return np.geomspace(a, b, n)
-            return np.linspace(a, b, n)
-        vals = np.asarray([float(v) for v in spec.split(",") if v.strip()])
-        if vals.size == 0:
-            raise ValueError("no grid values given")
-        if np.any(np.diff(vals) <= 0):
-            raise ValueError("comma-list values must be strictly increasing")
+            elif spacing == "log" and a <= 0:
+                raise ValueError("log-spaced grid needs a > 0")
+            else:
+                space = np.geomspace if spacing == "log" else np.linspace
+                with np.errstate(invalid="ignore", over="ignore"):
+                    vals = space(a, b, n)  # an infinite end is refused below
+        else:
+            vals = np.asarray([float(v) for v in spec.split(",") if v.strip()])
+            if vals.size == 0:
+                raise ValueError("no grid values given")
+            if np.any(np.diff(vals) <= 0):
+                raise ValueError("comma-list values must be strictly increasing")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("grid values must be finite")
         return vals
     except ValueError as exc:
         _input_error(f"{flag} {spec!r}: {exc}")
@@ -136,17 +140,15 @@ def rate(problem_path, t_grid_spec, out):
     inputs = RateInputs(C=prob.certificate.C, M=growth, T=prob.certificate.T,
                         R_rule=prob.certificate.R_rule)
     threshold = t_prime(inputs)
-    rows = []
-    skipped = 0
-    for t in grid:
-        if not t > threshold:
-            skipped += 1
-            continue
-        try:
-            res = decay_rate(inputs, float(t))
-        except (GrowthDomainError, ArithmeticError, ValueError) as exc:
-            _input_error(f"t = {t:g}: {exc}")
-        rows.append((res.t, res.R_opt, res.R_rule_t, res.branch, res.bound, res.rate_shape))
+    above = grid[grid > threshold]
+    try:
+        results = decay_rate(inputs, above)
+    except (GrowthDomainError, ArithmeticError, ValueError) as exc:
+        where = f"t = {above[exc.index]:g}: " if hasattr(exc, "index") else ""
+        _input_error(f"{where}{exc}")
+    rows = [(res.t, res.R_opt, res.R_rule_t, res.branch, res.bound, res.rate_shape)
+            for res in results]
+    skipped = grid.size - above.size
     body = _csv_text(("t", "R_opt", "R_rule_t", "branch", "bound_B", "rate_shape"), rows)
     meta = {"command": "rate", "problem": prob.source, "problem_name": prob.name,
             "norm": prob.norm_kind, "t_grid": t_grid_spec, "t_prime": threshold,

@@ -212,15 +212,15 @@ def partial_sum_decay(instance: DirichletInstance, M: GrowthBound,
 
     inputs = RateInputs(C=instance.certificate.C, M=M, T=instance.certificate.T,
                         R_rule=instance.certificate.R_rule)
-    threshold = t_prime(inputs)
+    above = t_grid > t_prime(inputs)
+    results = iter(decay_rate(inputs, t_grid[above]))
     rows = []
-    for t, d in zip(t_grid, decay):
-        if t > threshold:
-            res = decay_rate(inputs, float(t))
-            rows.append(DecayRow(float(t), float(d), res.bound, res.bound - float(d),
-                                 res.branch))
+    for t, d, up in zip(t_grid.tolist(), decay.tolist(), above.tolist()):
+        if up:
+            res = next(results)
+            rows.append(DecayRow(t, d, res.bound, res.bound - d, res.branch))
         else:
-            rows.append(DecayRow(float(t), float(d), math.nan, math.nan, "below_t_prime"))
+            rows.append(DecayRow(t, d, math.nan, math.nan, "below_t_prime"))
     return rows
 
 

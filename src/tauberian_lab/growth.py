@@ -7,7 +7,9 @@ from a preset family.  The decay machinery needs the reweighted function
 
 and its inverse on the branch where it increases.  m_log may be negative near
 a = 1 when 5C > M(1)^2; it crosses zero at the unique a with a M(a) = sqrt(5C)
-and increases from there, which is the branch the inverse uses.
+and increases from there, which is the branch the inverse uses.  Both work
+elementwise on arrays: the inverse finds the branch start once per call and
+bisects every target of a grid together.
 """
 
 from __future__ import annotations
@@ -198,50 +200,80 @@ def branch_start(M: GrowthBound, C: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def m_log_inverse(M: GrowthBound, C: float, y: float,
-                  residual_tol: float = 1e-10) -> float:
-    """Inverse of m_log on its increasing branch.
+def at_index(exc: Exception, index) -> Exception:
+    """Tag an error about one element of an array argument with its flat position."""
+    exc.index = int(index)
+    return exc
 
-    Bisection with geometric upper-bracket expansion.  Postcondition:
-    |m_log(a) - y| <= residual_tol * max(1, |y|).
+
+def m_log_inverse(M: GrowthBound, C: float, y,
+                  residual_tol: float = 1e-10) -> float | np.ndarray:
+    """Inverse of m_log on its increasing branch, elementwise over the targets y.
+
+    One branch_start serves the whole call.  Every target shares the upper
+    brackets max(2 bs, 2) * 2^k (never past 8.9e307) and takes the first one
+    where m_log reaches it; bisection then narrows all brackets at once, each
+    until its midpoint meets an end (at most 200 steps).
+    A scalar target gives a float.  Postcondition on every element:
+    |m_log(a) - y| <= residual_tol * max(1, |y|).  An error names the first
+    failing target in flat order, and its `index` attribute is that position.
     """
+    targets = np.asarray(y, dtype=float)
+    flat = targets.ravel()
     bs = branch_start(M, C)
     m_min = float(m_log(M, C, bs))
-    tol = residual_tol * max(1.0, abs(y))
-    if y < m_min - tol:
-        raise GrowthDomainError(
-            f"target {y!r} is below the branch minimum m_log({bs!r}) = {m_min!r}")
-    if y <= m_min:
-        return bs
+    tol = residual_tol * np.maximum(1.0, np.abs(flat))
+    failures = {}  # flat position -> error, for the first target of each kind
 
-    def f(a: float) -> float:
-        return float(m_log(M, C, a))
+    below = np.flatnonzero(flat < m_min - tol)
+    if below.size:
+        failures[below[0]] = GrowthDomainError(
+            f"target {float(flat[below[0]])!r} is below the branch minimum "
+            f"m_log({bs!r}) = {m_min!r}")
+    a = np.full_like(flat, bs)  # targets at or below m_min take the branch start
 
-    lo, hi = bs, max(2.0 * bs, 2.0)
-    for _ in range(1100):
-        fh = f(hi)
-        if fh >= y or math.isinf(fh):
-            break
-        if hi >= 8.9e307:
-            # doubling once more would overflow: no representable radius works
-            raise GrowthDomainError(
-                f"no radius in float range reaches m_log = {y!r}; "
-                f"m_log({hi:.4g}) = {fh:.4g}")
-        lo = hi
-        hi *= 2.0
-    else:
-        raise GrowthDomainError(f"could not bracket m_log = {y!r} from above")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if f(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    a = 0.5 * (lo + hi)
-    if abs(f(a) - y) > tol:
-        raise ArithmeticError(
-            f"m_log inversion stalled: residual {abs(f(a) - y):.3e} at a = {a!r} "
-            f"exceeds tolerance {tol:.3e}")
-    return a
+    with np.errstate(over="ignore"):
+        ladder = np.ldexp(max(2.0 * bs, 2.0), np.arange(1100))
+    # the start is >= 2, so the ladder always overflows; it ends at its first
+    # rung >= 8.9e307, since doubling once more would leave float range
+    ladder = ladder[:np.argmax(ladder >= 8.9e307) + 1]
+    f_ladder = m_log(M, C, ladder)
+    # first rung where m_log reaches the target (a nan target reaches none)
+    rung = np.searchsorted(np.maximum.accumulate(f_ladder), flat, side="left")
+
+    above = ~(flat <= m_min)  # nan counts as above, so that it fails loudly
+    unbracketed = np.flatnonzero(above & (rung == ladder.size))
+    if unbracketed.size:
+        i = unbracketed[0]
+        failures[i] = GrowthDomainError(
+            f"no radius in float range reaches m_log = {float(flat[i])!r}; "
+            f"m_log({ladder[-1]:.4g}) = {f_ladder[-1]:.4g}")
+
+    todo = np.flatnonzero(above & (rung < ladder.size))
+    k = rung[todo]
+    lo = np.where(k > 0, ladder[k - 1], bs)
+    hi = ladder[k]
+    want = flat[todo]
+    live = np.arange(todo.size)
+    with np.errstate(over="ignore"):
+        for _ in range(200):
+            mid = 0.5 * (lo[live] + hi[live])
+            moves = (mid > lo[live]) & (mid < hi[live])
+            live, mid = live[moves], mid[moves]
+            if not live.size:
+                break
+            low = m_log(M, C, mid) < want[live]
+            lo[live[low]] = mid[low]
+            hi[live[~low]] = mid[~low]
+        a[todo] = 0.5 * (lo + hi)
+    residual = np.abs(m_log(M, C, a[todo]) - want)
+    stalled = np.flatnonzero(residual > tol[todo])
+    if stalled.size:
+        j = stalled[0]
+        failures[todo[j]] = ArithmeticError(
+            f"m_log inversion stalled: residual {residual[j]:.3e} at a = {float(a[todo[j]])!r} "
+            f"exceeds tolerance {tol[todo[j]]:.3e}")
+    if failures:
+        i = min(failures)
+        raise at_index(failures[i], i)
+    return a.reshape(targets.shape) if targets.ndim else float(a[0])

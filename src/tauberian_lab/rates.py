@@ -6,6 +6,8 @@ For radius R >= 1 and time t > 0, the contour machinery yields
 
 The first and third terms balance exactly at R_opt = m_log_inverse(t / 4),
 which is where the bound is used unless the cutoff rule caps the radius first.
+r_opt and decay_rate take a time or a 1-d grid of times: a grid is inverted in
+one m_log_inverse call and gives one result per time, in order.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .growth import CutoffRule, GrowthBound, m_log_inverse
+import numpy as np
+
+from .growth import CutoffRule, GrowthBound, at_index, m_log_inverse
 
 BRANCH_OPT_INSIDE = "opt_inside"
 BRANCH_CUTOFF_LIMITED = "cutoff_limited"
@@ -58,25 +62,34 @@ def bound_B(inputs: RateInputs, t: float, R: float) -> float:
             + 2.0 * R * MR * MR * math.exp(-t / (2.0 * MR)))
 
 
-def r_opt(inputs: RateInputs, t: float, balance_tol: float = 1e-6) -> float:
-    """Radius balancing the first and third terms: m_log_inverse(t / 4).
+def r_opt(inputs: RateInputs, t, balance_tol: float = 1e-6) -> float | np.ndarray:
+    """Radius balancing the first and third terms: m_log_inverse(t / 4), elementwise.
 
-    The balance 10 C / R = 2 R M(R)^2 e^{-t/(2M(R))} is re-verified as a
-    postcondition (in log space, so huge/tiny terms don't poison the check).
+    The balance 10 C / R = 2 R M(R)^2 e^{-t/(2M(R))} is re-verified on every
+    element as a postcondition (in log space, so huge/tiny terms don't poison
+    the check).  An error about one time carries its position as `index`.
     """
-    if not t > 0:
-        raise ValueError("r_opt needs t > 0")
-    a = m_log_inverse(inputs.M, inputs.C, t / 4.0)
-    if not math.isfinite(a):
-        raise ArithmeticError(f"optimal radius exceeds float range at t = {t!r}")
-    Ma = float(inputs.M(a))
-    log_first = math.log(10.0 * inputs.C) - math.log(a)
-    log_third = math.log(2.0) + math.log(a) + 2.0 * math.log(Ma) - t / (2.0 * Ma)
-    if abs(log_first - log_third) > balance_tol:
-        raise ArithmeticError(
-            f"balance postcondition failed at t = {t!r}: |log-gap| = "
-            f"{abs(log_first - log_third):.3e}")
-    return a
+    ts = np.asarray(t, dtype=float)
+    flat = ts.ravel()
+    bad = np.flatnonzero(~(flat > 0))
+    if bad.size:
+        raise at_index(ValueError("r_opt needs t > 0"), bad[0])
+    a = m_log_inverse(inputs.M, inputs.C, flat / 4.0)
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise at_index(ArithmeticError(
+            f"optimal radius exceeds float range at t = {float(flat[bad[0]])!r}"), bad[0])
+    Ma = inputs.M(a)
+    log_first = math.log(10.0 * inputs.C) - np.log(a)
+    log_third = math.log(2.0) + np.log(a) + 2.0 * np.log(Ma) - flat / (2.0 * Ma)
+    gap = np.abs(log_first - log_third)
+    bad = np.flatnonzero(gap > balance_tol)
+    if bad.size:
+        i = bad[0]
+        raise at_index(ArithmeticError(
+            f"balance postcondition failed at t = {float(flat[i])!r}: |log-gap| = "
+            f"{gap[i]:.3e}"), i)
+    return a.reshape(ts.shape) if ts.ndim else float(a[0])
 
 
 def t_prime(inputs: RateInputs) -> float:
@@ -107,25 +120,36 @@ def k_prime(inputs: RateInputs) -> float | None:
     return 1.0 / gap
 
 
-def decay_rate(inputs: RateInputs, t: float) -> RateResult:
-    """Evaluate the decay bound at time t > T'.
+def decay_rate(inputs: RateInputs, t) -> RateResult | list[RateResult]:
+    """Evaluate the decay bound at each time t > T'.
 
-    branch is cutoff_limited exactly when R_opt exceeds the cutoff R_rule(t);
-    the bound is then evaluated at the cutoff radius instead.
+    t is a time, which gives one RateResult, or a 1-d array of times, which
+    gives one RateResult per time, in order; T', K' and R_opt are computed
+    once for the grid.  branch is cutoff_limited exactly when R_opt exceeds
+    the cutoff R_rule(t); the bound is then evaluated at the cutoff radius
+    instead.  An error about one time carries its position as `index`.
     """
+    ts = np.asarray(t, dtype=float)
+    flat = ts.ravel()
     threshold = t_prime(inputs)
-    if not t > threshold:
-        raise ValueError(f"decay_rate needs t > T' = {threshold!r}, got t = {t!r}")
-    R_o = r_opt(inputs, t)
-    R_r = float(inputs.R_rule(t))
-    if R_o > R_r:
-        branch = BRANCH_CUTOFF_LIMITED
-        R_used = R_r
-    else:
-        branch = BRANCH_OPT_INSIDE
-        R_used = R_o
-    bound = bound_B(inputs, t, R_used)
-    rate_shape = max(1.0 / R_o, 1.0 / R_r if math.isfinite(R_r) else 0.0)
-    return RateResult(t=t, R_opt=R_o, R_rule_t=R_r, R_used=R_used, bound=bound,
-                      branch=branch, rate_shape=rate_shape,
-                      T_prime=threshold, K_prime=k_prime(inputs))
+    bad = np.flatnonzero(~(flat > threshold))
+    if bad.size:
+        raise at_index(ValueError(
+            f"decay_rate needs t > T' = {threshold!r}, got t = {float(flat[bad[0]])!r}"),
+            bad[0])
+    K = k_prime(inputs)
+    results = []
+    for tk, R_o, R_r in zip(flat.tolist(), r_opt(inputs, flat).tolist(),
+                            inputs.R_rule(flat).tolist()):
+        if R_o > R_r:
+            branch = BRANCH_CUTOFF_LIMITED
+            R_used = R_r
+        else:
+            branch = BRANCH_OPT_INSIDE
+            R_used = R_o
+        bound = bound_B(inputs, tk, R_used)
+        rate_shape = max(1.0 / R_o, 1.0 / R_r if math.isfinite(R_r) else 0.0)
+        results.append(RateResult(t=tk, R_opt=R_o, R_rule_t=R_r, R_used=R_used, bound=bound,
+                                  branch=branch, rate_shape=rate_shape,
+                                  T_prime=threshold, K_prime=K))
+    return results if ts.ndim else results[0]

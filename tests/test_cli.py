@@ -66,6 +66,64 @@ class TestRate:
         assert res.exit_code == 2
         assert "--t-grid" in stderr_of(res)
 
+    def test_unreachable_radius_names_its_time(self):
+        # the middle time 1000000.5 needs m_log = 250000.125, far past float range
+        # for M = 2: the error names that time and that target
+        res = run("rate", "--problem", "problems/rate_constant_growth.json",
+                  "--t-grid", "1:2000000:3")
+        assert res.exit_code == 2
+        assert ("error: t = 1e+06: no radius in float range reaches m_log = 250000.125"
+                in stderr_of(res))
+
+    @pytest.fixture
+    def const10_problem(self, tmp_path):
+        # M = 10, C = 1: T' = 40 (log 10 - 0.5 log 5) ~ 59.91
+        p = tmp_path / "const10.json"
+        p.write_text(json.dumps({
+            "name": "const10", "densities": [
+                {"from": 0, "to": "inf", "kind": "exponential", "scale": [1.0],
+                 "rate": -1.0}],
+            "certificate": {"C": 1.0, "x0": 1.0, "T": 0.0},
+            "growth": {"kind": "constant", "params": {"c": 10.0}}}))
+        return p
+
+    def test_rows_start_above_t_prime(self, tmp_path, const10_problem):
+        out = tmp_path / "rate.csv"
+        res = run("rate", "--problem", str(const10_problem), "--t-grid", "30,60,90",
+                  "--out", str(out))
+        assert res.exit_code == 0, res.output
+        header, rows = parse_csv(out.read_text())
+        assert [float(r[0]) for r in rows] == [60.0, 90.0]
+        meta = json.loads((tmp_path / "rate.csv.meta.json").read_text())
+        assert meta["t_prime"] == pytest.approx(59.91, abs=5e-3)
+        assert meta["skipped_at_or_below_t_prime"] == 1
+
+    def test_grid_below_t_prime_gives_header_only(self, const10_problem):
+        res = run("rate", "--problem", str(const10_problem), "--t-grid", "10,20")
+        assert res.exit_code == 0, res.output
+        assert res.stdout == "t,R_opt,R_rule_t,branch,bound_B,rate_shape\n"
+
+    def test_grid_is_inverted_in_one_pass(self, monkeypatch):
+        # one branch_start and a few dozen array m_log calls serve the whole
+        # grid; inverting one time at a time made about 9300 m_log calls here
+        import tauberian_lab.growth as growth_module
+
+        counts = {"branch_start": 0, "m_log": 0}
+        for name in counts:
+            inner = getattr(growth_module, name)
+
+            def counted(*args, _inner=inner, _name=name, **kwargs):
+                counts[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(growth_module, name, counted)
+        res = run("rate", "--problem", "problems/rate_constant_growth.json",
+                  "--t-grid", "0.5:300:160")
+        assert res.exit_code == 0, res.output
+        assert len(parse_csv(res.stdout)[1]) == 160
+        assert counts["branch_start"] == 1
+        assert counts["m_log"] <= 300
+
     def test_thread_variable_is_ignored(self, monkeypatch):
         # a malformed TAUBERIAN_LAB_THREADS once crashed _emit with exit code 1
         args = ("rate", "--problem", "problems/rate_constant_growth.json",
@@ -85,6 +143,28 @@ class TestRate:
         res = run("rate", "--problem", str(p))
         assert res.exit_code == 2
         assert "growth" in stderr_of(res)
+
+
+@pytest.mark.parametrize("command, problem, grid", [
+    ("rate", "problems/rate_constant_growth.json", "1,nan,3"),
+    ("dirichlet", "problems/dirichlet_alternating.json", "1,nan,3"),
+    ("verify", "problems/exp_density.json", "0,nan,5"),
+])
+def test_nonfinite_grid_value_is_input_error(command, problem, grid):
+    # nan slipped through the increasing-order check: dirichlet printed a nan
+    # row, rate counted it as skipped, verify failed deep inside a sweep
+    res = run(command, "--problem", problem, "--t-grid", grid)
+    assert res.exit_code == 2
+    assert f"--t-grid '{grid}': grid values must be finite" in stderr_of(res)
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("flag, grid", [("--t-grid", "1:inf:3"), ("--x-grid", "1:inf:3"),
+                                        ("--t-grid", "inf,nan")])
+def test_nonfinite_grid_end_is_input_error(flag, grid):
+    res = run("verify", "--problem", "problems/exp_density.json", flag, grid)
+    assert res.exit_code == 2
+    assert f"{flag} '{grid}': grid values must be finite" in stderr_of(res)
 
 
 class TestVerify:

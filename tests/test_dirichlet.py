@@ -142,6 +142,14 @@ class TestPartialSumDecay:
         assert all(math.isnan(r.bound_B) for r in rows)
         assert all(math.isfinite(r.decay_norm) for r in rows)
 
+    def test_one_inversion_per_grid(self, inversion_sizes):
+        inst = build_instance(CoefficientSequence.alternating(), n_max=200_000)
+        # M = 5, C = e puts T' ~ 6.09 inside the grid: 12 of the 24 rows are above it
+        rows = partial_sum_decay(inst, GrowthBound.constant(5.0), np.linspace(0.5, 12.0, 24))
+        assert inversion_sizes == [12]
+        assert [r.branch for r in rows[:12]] == ["below_t_prime"] * 12
+        assert all(r.branch == "opt_inside" for r in rows[12:])
+
     def test_missing_f0_is_refused(self):
         inst = build_instance(CoefficientSequence.ones(), n_max=100)
         with pytest.raises(ValueError, match="f0"):

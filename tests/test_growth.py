@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauberian_lab import (
     CutoffRule,
@@ -166,3 +168,110 @@ class TestMLogInverse:
         a = m_log_inverse(M, 1.0, 1e5)
         assert math.isfinite(a) and a > 1.0
         assert m_log(M, 1.0, a) == pytest.approx(1e5, rel=1e-10)
+
+
+def scalar_m_log_inverse(M, C, y, residual_tol=1e-10):
+    """One target at a time, with scalar m_log calls: the inversion the array
+    routine replaced, kept as its reference."""
+    bs = branch_start(M, C)
+    m_min = float(m_log(M, C, bs))
+    tol = residual_tol * max(1.0, abs(y))
+    if y < m_min - tol:
+        raise GrowthDomainError(
+            f"target {y!r} is below the branch minimum m_log({bs!r}) = {m_min!r}")
+    if y <= m_min:
+        return bs
+
+    def f(a):
+        return float(m_log(M, C, a))
+
+    lo, hi = bs, max(2.0 * bs, 2.0)
+    for _ in range(1100):
+        fh = f(hi)
+        if fh >= y or math.isinf(fh):
+            break
+        if hi >= 8.9e307:
+            raise GrowthDomainError(
+                f"no radius in float range reaches m_log = {y!r}; "
+                f"m_log({hi:.4g}) = {fh:.4g}")
+        lo = hi
+        hi *= 2.0
+    else:
+        raise GrowthDomainError(f"could not bracket m_log = {y!r} from above")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if f(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    a = 0.5 * (lo + hi)
+    if abs(f(a) - y) > tol:
+        raise ArithmeticError(
+            f"m_log inversion stalled: residual {abs(f(a) - y):.3e} at a = {a!r} "
+            f"exceeds tolerance {tol:.3e}")
+    return a
+
+
+@st.composite
+def inversion_targets(draw):
+    """A preset, a C, and targets just below (within tolerance), at and just
+    above the branch minimum mixed with targets further up the branch."""
+    M = draw(st.sampled_from(PRESETS))
+    C = draw(st.sampled_from([0.2, 1.0, 7.5]))
+    m_min = float(m_log(M, C, branch_start(M, C)))
+    scale = max(1.0, abs(m_min))
+    near = st.sampled_from([-5e-11, -1e-13, 0.0, 1e-15, 1e-12, 1e-8, 1e-3])
+    far = st.floats(1e-2, 1e3)
+    ys = draw(st.lists(st.one_of(near.map(lambda d: m_min + d * scale),
+                                 far.map(lambda d: m_min + d)), min_size=1, max_size=40))
+    return M, C, m_min, ys
+
+
+class TestArrayInversion:
+    @settings(max_examples=80, deadline=None)
+    @given(inversion_targets())
+    def test_equals_scalar_loop(self, case):
+        M, C, _, ys = case
+        want = np.asarray([scalar_m_log_inverse(M, C, y) for y in ys])
+        got = m_log_inverse(M, C, np.asarray(ys))
+        assert np.array_equal(got, want), M.describe()
+
+    @settings(max_examples=40, deadline=None)
+    @given(inversion_targets(), st.data())
+    def test_below_branch_target_is_named(self, case, data):
+        M, C, m_min, ys = case
+        pos = data.draw(st.integers(0, len(ys)))
+        bad = m_min - data.draw(st.floats(1e-6, 10.0))
+        ys = ys[:pos] + [bad] + ys[pos:]
+        with pytest.raises(GrowthDomainError, match="below the branch minimum") as info:
+            m_log_inverse(M, C, np.asarray(ys))
+        assert f"target {bad!r} " in str(info.value)
+        assert info.value.index == pos
+
+    def test_first_failure_in_order_wins(self):
+        # float range runs out at m_log ~ 1418 for M = 2: of two such targets
+        # the error names the first, whatever comes after it
+        M = GrowthBound.constant(2.0)
+        with pytest.raises(GrowthDomainError) as info:
+            m_log_inverse(M, 1.0, np.asarray([3.0, 5e3, 2e3, -9.0]))
+        assert str(info.value).startswith("no radius in float range reaches m_log = 5000.0;")
+        assert info.value.index == 1
+
+    def test_nan_target_fails_loudly(self):
+        # one scalar call at a time, a nan target under exponential growth
+        # stopped at the first infinite m_log and came back as a finite radius
+        for M in (GrowthBound.exponential(1.0, 0.1), GrowthBound.constant(2.0)):
+            with pytest.raises(GrowthDomainError, match="m_log = nan") as info:
+                m_log_inverse(M, 1.0, np.asarray([1.0, math.nan]))
+            assert info.value.index == 1
+
+    def test_scalar_gives_float(self):
+        got = m_log_inverse(GrowthBound.constant(2.0), 1.0, 2.0)
+        assert type(got) is float
+        assert got == scalar_m_log_inverse(GrowthBound.constant(2.0), 1.0, 2.0)
+
+    def test_empty_gives_empty(self):
+        got = m_log_inverse(GrowthBound.affine(1.2), 1.0, np.asarray([]))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)

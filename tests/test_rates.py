@@ -163,6 +163,35 @@ class TestDecayRate:
         assert res_large.branch == "opt_inside"
 
 
+class TestRateGrid:
+    """A grid of times goes through one inversion and gives one result per time."""
+
+    def test_grid_equals_one_call_per_time(self):
+        for rule in (CutoffRule.infinite(), CutoffRule.constant(5.0), CutoffRule.exp_of_t()):
+            ins = RateInputs(C=1.0, M=GrowthBound.affine(1.2), R_rule=rule)
+            ts = np.linspace(1.0, 60.0, 40)
+            assert decay_rate(ins, ts) == [decay_rate(ins, float(t)) for t in ts]
+            np.testing.assert_array_equal(r_opt(ins, ts), [r_opt(ins, float(t)) for t in ts])
+
+    def test_scalar_and_empty(self):
+        assert isinstance(decay_rate(inputs_const2(), 8.0).t, float)
+        assert decay_rate(inputs_const2(), np.asarray([])) == []
+        assert type(r_opt(inputs_const2(), 8.0)) is float
+
+    def test_error_carries_position(self):
+        ins = RateInputs(C=1.0, M=GrowthBound.constant(10.0))  # T' ~ 59.91
+        with pytest.raises(ValueError, match="got t = 30.0") as info:
+            decay_rate(ins, np.asarray([70.0, 30.0, 20.0]))
+        assert info.value.index == 1
+        with pytest.raises(ValueError, match="t > 0") as info:
+            r_opt(inputs_const2(), np.asarray([1.0, 2.0, 0.0]))
+        assert info.value.index == 2
+
+    def test_one_inversion_per_grid(self, inversion_sizes):
+        decay_rate(inputs_const2(), np.linspace(1.0, 50.0, 50))
+        assert inversion_sizes == [50]
+
+
 def test_rate_inputs_validation():
     with pytest.raises(ValueError):
         RateInputs(C=-1.0, M=GrowthBound.constant(2.0))
