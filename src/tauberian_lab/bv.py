@@ -52,12 +52,13 @@ of hundreds of radians still leaves each factor accurate to about eps.  The
 cost is O(N P + nodes * blocks * P) instead of the dense O(nodes * N)
 exponentials, and blocks <= min(N, 1 + span(tau) max|z| / 2).
 
-Density pieces integrate in closed form (constant and exponential pieces on
-the contour and in the weighted sweeps, through the complex expm1 of
-``_exp_segment``), by composite Gauss-Legendre (``_gl_smooth``, constant and
-exponential pieces in ``stieltjes_integral``) or by ``quad``, one vectorised
-adaptive Gauss-Kronrod (7/15) routine that integrates many intervals per
-call: all the contour nodes of a piece, or all the rows of a weighted sweep.
+Density pieces integrate in closed form or by ``quad``.  Constant and
+exponential pieces take the closed form everywhere (``stieltjes_integral`` and
+``total_variation`` through ``_piece_phi_integral``, the contour and the
+weighted sweeps), through the complex expm1 of ``_exp_segment``.  The other
+kinds take ``quad``, one vectorised adaptive Gauss-Kronrod (7/15) routine that
+integrates many intervals per call: all the contour nodes of a piece, or all
+the rows of a weighted sweep.
 Each interval converges on its own, when the sum of |K15 - G7| over its
 subintervals is at most max(quad_tol, 1e-12 |I|); each round bisects the
 subintervals whose estimate is at least their interval's mean.  A power s^a with -1 < a < 0 is
@@ -75,7 +76,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .vectors import NORM_KINDS, vector_norm
 
@@ -86,7 +86,6 @@ DENSITY_KINDS = ("constant", "exponential", "power", "damped_power")
 _NEGLIGIBLE_LOG = 60.0
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_MAX_GL_PANELS = 4096
 
 # Block-Taylor jump sums: blocks of width 2 rho / max|z|, Taylor order P.
 # The remainder rho^{P+1} e^rho / (P+1)! is 5.3e-20 <= 2^-60 for rho = 1,
@@ -158,20 +157,14 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Integrand:
-    """Continuous integrand of the form poly(s) * exp(rate * s).
-
-    Covers the preset family: pure exponentials (poly = (1,)), constants
-    (rate = 0, poly = (v,)), and exponential-times-polynomial products.
-    """
+    """Continuous integrand coefficient * e^{rate s}: exponentials and constants."""
 
     rate: complex = 0j
-    poly: tuple[complex, ...] = (1.0 + 0j,)
+    coefficient: complex = 1.0 + 0j
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rate", complex(self.rate))
-        object.__setattr__(self, "poly", tuple(complex(c) for c in self.poly))
-        if len(self.poly) == 0:
-            raise ValueError("polynomial part needs at least one coefficient")
+        object.__setattr__(self, "coefficient", complex(self.coefficient))
 
     @classmethod
     def exponential(cls, rate: complex) -> "Integrand":
@@ -179,18 +172,13 @@ class Integrand:
 
     @classmethod
     def constant(cls, value: complex = 1.0) -> "Integrand":
-        return cls(rate=0j, poly=(value,))
-
-    @classmethod
-    def exp_poly(cls, rate: complex, poly: tuple[complex, ...]) -> "Integrand":
-        return cls(rate=rate, poly=tuple(poly))
+        return cls(coefficient=value)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             # overflow is handled by the callers' finiteness guards
-            vals = npoly.polyval(s, np.asarray(self.poly)) * np.exp(self.rate * s)
-        return vals
+            return self.coefficient * np.exp(self.rate * s)
 
 
 @dataclass(frozen=True)
@@ -231,9 +219,8 @@ class DensityPiece:
 
     @property
     def smooth_exponential(self) -> bool:
-        # kinds whose base folds into a single exponential: closed form on the
-        # contour and in the weighted sweeps, fixed Gauss-Legendre in
-        # stieltjes_integral
+        # kinds whose base folds into a single exponential: closed form in
+        # every evaluator
         return self.kind in ("constant", "exponential")
 
     def base(self, s):
@@ -347,6 +334,8 @@ class BVFunction:
         Density pieces count piece by piece, so where pieces overlap the
         result is an upper bound (triangle inequality).
         """
+        if math.isnan(t):
+            raise ValueError("t = nan is not a time")
         if t <= 0:
             return 0.0
         idx = self._jumps_before(t)
@@ -362,12 +351,11 @@ class BVFunction:
                 raise ValueError("total_variation over an unbounded range; pass a finite t")
             # |base| is the base of the same piece with the real part of its rate
             modulus = replace(piece, rate=complex(piece.rate).real)
-            tv += amp * float(_density_integrals(modulus, lambda s, owner: 1.0, [lo], [hi],
-                                                 quad_tol)[0].real)
+            tv += amp * _piece_phi_integral(modulus, Integrand.constant(), lo, hi, quad_tol).real
         return tv
 
 
-# -- scalar smooth-piece integration ------------------------------------------
+# -- density-piece integration ---------------------------------------------------
 
 
 def gauss_legendre_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -378,23 +366,6 @@ def gauss_legendre_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, 
     s = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return s, w
-
-
-def _gl_smooth(a: float, b: float, crate: complex, integrand) -> complex | None:
-    """int_a^b integrand(s) ds by composite Gauss-Legendre, for e^{crate s}-like integrands.
-
-    One panel per 1.5 units of growth or phase of e^{crate s}.  Returns None
-    when that needs more than _MAX_GL_PANELS panels; callers then fall back
-    to adaptive quadrature.
-    """
-    k = max(1.0, abs(crate.real), abs(crate.imag))
-    panels = max(int(math.ceil((b - a) * k / 1.5)), 1)
-    if panels > _MAX_GL_PANELS:
-        return None
-    s, w = gauss_legendre_panels(a, b, panels)
-    vals = integrand(s)
-    _guard_finite(vals, s, "smooth piece")
-    return complex(np.sum(w * vals))
 
 
 def quad(f, lo, hi, abs_tol: float) -> np.ndarray:
@@ -514,27 +485,47 @@ def _density_integrals(piece: DensityPiece, weight, lo, hi, quad_tol: float) -> 
 
 def _piece_phi_integral(piece: DensityPiece, phi: Integrand, lo: float, hi: float,
                         quad_tol: float) -> complex:
-    """int_lo^hi phi(s) base(s) ds as a complex scalar."""
+    """int_lo^hi phi(s) base(s) ds as a complex scalar; hi = inf allowed.
+
+    Constant and exponential pieces take the closed form, with q = phi.rate +
+    piece.rate and c = phi.coefficient: c e^{q a} (e^{d L} - 1) / d on a
+    range of length L, anchored at the end a where Re(q s) is larger, so that
+    d = +-q has Re(d) <= 0; and c e^{q lo} / (-q) on [lo, inf), which
+    diverges unless Re q < 0.  The other kinds take quad.
+    """
     if hi <= lo:
         return 0j
-    if piece.smooth_exponential and math.isfinite(hi):
-        crate = phi.rate + piece.rate
-        poly_arr = np.asarray(phi.poly)
-        val = _gl_smooth(lo, hi, crate,
-                         lambda s: npoly.polyval(s, poly_arr) * np.exp(crate * s))
-        if val is not None:
-            return val
-    return complex(_density_integrals(piece, lambda s, owner: phi(s), [lo], [hi], quad_tol)[0])
+    if not piece.smooth_exponential:
+        return complex(_density_integrals(piece, lambda s, owner: phi(s), [lo], [hi],
+                                          quad_tol)[0])
+    q = phi.rate + piece.rate
+    if not math.isfinite(hi):
+        if q.real >= 0:
+            raise ValueError(f"integral over [{lo:g}, inf) diverges: integrand times density "
+                             f"grows like e^{{{q.real:g} s}}")
+        a, segment = lo, -1.0 / q
+    else:
+        rising = q.real > 0
+        a = hi if rising else lo
+        segment = _exp_segment(-q if rising else q, hi - lo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # overflow is caught by the finiteness guard
+        val = phi.coefficient * np.exp(q * a) * segment
+    _guard_finite(val, a, f"density kind {piece.kind!r}")
+    return complex(val)
 
 
 def stieltjes_integral(bv: BVFunction, phi: Integrand, t: float,
                        quad_tol: float = 1e-10) -> np.ndarray:
-    """int_0^t phi(s) dA(s) as a (d,) array: jumps at tau < t (strict) plus smooth pieces.
+    """int_0^t phi(s) dA(s) as a (d,) array: jumps at tau < t (strict) plus density pieces.
 
-    Smooth pieces are integrated to absolute accuracy ~quad_tol each.
+    Constant and exponential pieces take their closed form; the others are
+    integrated to absolute accuracy ~quad_tol each.
     """
     if not isinstance(phi, Integrand):
         raise TypeError("phi must be an Integrand preset")
+    if math.isnan(t):
+        raise ValueError("t = nan is not a time")
     total = np.zeros(bv.dimension, dtype=complex)
     if t <= 0:
         return total
@@ -746,17 +737,19 @@ def weighted_partial(bv: BVFunction, z: complex, t: float,
 
 
 def _exp_segment(delta, length) -> np.ndarray:
-    """(e^{delta L} - 1) / delta, accurate for every delta L, and L where delta L = 0.
+    """(e^{delta L} - 1) / delta, accurate for every delta L, and L where |delta L| < 2^-60.
 
     e^{a+ib} - 1 = expm1(a) cos b - 2 sin^2(b/2) + i e^a sin b is a complex
-    expm1 with no cancellation as a + ib -> 0 (Higham 2002).
+    expm1 with no cancellation as a + ib -> 0 (Higham 2002).  Below 2^-60 the
+    quotient is L (1 + delta L / 2 + ...) = L to within eps, and dividing by
+    a subnormal complex delta would overflow.
     """
     delta = np.asarray(delta, dtype=complex)
     x = delta * length
     a, b = x.real, x.imag
     em1 = np.expm1(a) * np.cos(b) - 2.0 * np.sin(0.5 * b) ** 2 + 1j * (np.exp(a) * np.sin(b))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(x == 0, length, em1 / delta)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.where(np.abs(x) < 2.0 ** -60, length, em1 / delta)
 
 
 def _jump_exp_sum(tau: np.ndarray, sizes: np.ndarray, z: np.ndarray,

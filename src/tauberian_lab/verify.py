@@ -129,10 +129,9 @@ def check_tauberian(bv: BVFunction, cert: TauberianCertificate,
                      witness_t=wt, grid=grid_spec, witness_x=float(x_grid[best]))
 
 
-def _hypothesis_holds(bv: BVFunction, C: float, x: float, t_grid: np.ndarray,
-                      quad_tol: float) -> bool:
-    sup = float(np.max(_grid_norms(bv, complex(x), t_grid, quad_tol)))
-    return sup <= C * (1.0 + HYPOTHESIS_SLACK)
+def _hypothesis_holds(norms: np.ndarray, C: float) -> bool:
+    """The ratio hypothesis sup_t ||G(x, t)|| <= C, given the norms of the sweep at x."""
+    return float(np.max(norms)) <= C * (1.0 + HYPOTHESIS_SLACK)
 
 
 def check_line_bound(bv: BVFunction, C: float, x: float, y: float,
@@ -140,7 +139,8 @@ def check_line_bound(bv: BVFunction, C: float, x: float, y: float,
                      grid_spec: GridSpec | None = None) -> SupReport:
     """|| e^{-xt} int_0^t e^{(x+iy)s} dA || against C (1 + |y|/x).
 
-    Pre-checks the ratio hypothesis at abscissa x on the same grid.
+    Pre-checks the ratio hypothesis at abscissa x on the same grid; at y = 0
+    that sweep is the one the bound reads.
     """
     if not x > 0:
         raise ValueError("line bound needs x > 0")
@@ -148,8 +148,9 @@ def check_line_bound(bv: BVFunction, C: float, x: float, y: float,
         t_grid, grid_spec = make_t_grid(bv)
     t_grid = np.asarray(t_grid, dtype=float)
     case = f"line_bound_x{x:g}_y{y:g}"
-    hyp_ok = _hypothesis_holds(bv, C, x, t_grid, quad_tol)
-    norms = _grid_norms(bv, complex(x, y), t_grid, quad_tol)
+    hyp_norms = _grid_norms(bv, complex(x), t_grid, quad_tol)
+    hyp_ok = _hypothesis_holds(hyp_norms, C)
+    norms = hyp_norms if y == 0 else _grid_norms(bv, complex(x, y), t_grid, quad_tol)
     j = int(np.argmax(norms))
     return SupReport(case_id=case, grid_sup=float(norms[j]), bound=C * (1.0 + abs(y) / x),
                      witness_t=float(t_grid[j]), grid=grid_spec, witness_x=x,
@@ -181,7 +182,7 @@ def check_tail_bound(bv: BVFunction, C: float, x: float, y: float,
     t_grid = np.asarray(t_grid, dtype=float)
     if v_max is None:
         v_max = tail_truncation_point(C, x, y, float(t_grid[-1]), remainder_tol)
-    hyp_ok = _hypothesis_holds(bv, C, x, t_grid, quad_tol)
+    hyp_ok = _hypothesis_holds(_grid_norms(bv, complex(x), t_grid, quad_tol), C)
     vals = weighted_tail_grid(bv, complex(x, y), t_grid, v_max, quad_tol)
     norms = np.asarray(vector_norm(vals, bv.norm_kind), dtype=float)
     j = int(np.argmax(norms))
@@ -199,7 +200,8 @@ def check_small_x_bound(bv: BVFunction, C: float, x0: float,
                         grid_spec: GridSpec | None = None) -> SupReport:
     """Rescaled ratio bound C x0 / x for 0 < x <= x0; reports the worst x.
 
-    Pre-checks the hypothesis at x0 itself.
+    Pre-checks the hypothesis at x0 itself, and reads that sweep again for
+    any x == x0 of the grid (the default grid ends there).
     """
     if not x0 > 0:
         raise ValueError("small-x check needs x0 > 0")
@@ -211,10 +213,11 @@ def check_small_x_bound(bv: BVFunction, C: float, x0: float,
     x_grid = np.asarray(x_grid, dtype=float)
     if np.any(x_grid <= 0) or np.any(x_grid > x0 * (1 + 1e-12)):
         raise ValueError("small-x grid must lie in (0, x0]")
-    hyp_ok = _hypothesis_holds(bv, C, x0, t_grid, quad_tol)
+    hyp_norms = _grid_norms(bv, complex(x0), t_grid, quad_tol)
+    hyp_ok = _hypothesis_holds(hyp_norms, C)
     worst: SupReport | None = None
     for x in x_grid:
-        norms = _grid_norms(bv, complex(float(x)), t_grid, quad_tol)
+        norms = hyp_norms if x == x0 else _grid_norms(bv, complex(float(x)), t_grid, quad_tol)
         j = int(np.argmax(norms))
         rep = SupReport(case_id="small_x_bound", grid_sup=float(norms[j]),
                         bound=C * x0 / float(x), witness_t=float(t_grid[j]),

@@ -1,6 +1,7 @@
 """Stieltjes integration against closed forms and structural invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tauberian_lab import (
     Integrand,
     NonFiniteIntegrandError,
     bounded_density_instance,
+    finite_laplace,
     stieltjes_integral,
     vector_norm,
     weighted_partial,
@@ -21,7 +23,8 @@ from tauberian_lab import (
 )
 from tauberian_lab import bv as bv_module
 from tauberian_lab.bv import (_QUAD_LEAVES, QuadratureError, _exp_segment, _jump_exp_sum,
-                              exp_partial_integral, exp_tail_integral, quad)
+                              exp_partial_integral, exp_tail_integral,
+                              gauss_legendre_panels, quad)
 
 
 def jump_oracle(jumps, z, t):
@@ -139,6 +142,17 @@ class TestValueAndVariation:
     def test_jump_at_zero_allowed(self):
         bv = BVFunction.from_jumps([(0.0, 1.0)])
         assert bv.value_at(0.5)[0] == 1.0
+
+    def test_nan_time_is_refused(self):
+        # a nan t once passed every range test and gave the whole integrator:
+        # value_at(nan) = [9], total_variation(nan) = 9
+        piece = DensityPiece(0.0, 3.0, "constant", (1.0,))
+        bv = BVFunction.from_jumps([(1.0, 1.0), (2.0, 5.0)], pieces=(piece,))
+        for evaluate in (bv.value_at, bv.total_variation,
+                         lambda t: stieltjes_integral(bv, Integrand.exponential(-1.0), t),
+                         lambda t: finite_laplace(bv, 1.0, t)):
+            with pytest.raises(ValueError, match="t = nan"):
+                evaluate(math.nan)
 
 
 @settings(max_examples=40, deadline=None)
@@ -287,6 +301,17 @@ class TestContourKernels:
             want = complex(mpmath.expm1(dm * length) / dm)
             assert abs(got[i] - want) <= 1e-14 * abs(want)
 
+    def test_exp_segment_at_subnormal_rates(self):
+        # dividing by a subnormal complex delta overflows to inf + nan j; a
+        # sweep at z = 1e-310 i over a constant piece raised NonFiniteIntegrandError
+        deltas = np.asarray([1e-310j, 2.2250738585e-313 + 0j, 1e-320 + 1e-320j, 1e-300j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(_exp_segment(deltas, 3.0) == 3.0)
+            bv = BVFunction.from_density("constant", end=2.0)
+            got = weighted_partial_grid(bv, 1e-310j, [1.0, 3.0])[:, 0]
+        assert got == pytest.approx([1.0, 2.0], rel=1e-15)
+
 
 def mixed_integrator():
     """2-vector integrator: jumps (one at 2.0) plus all four density kinds on finite pieces."""
@@ -348,6 +373,20 @@ class TestRangeAndSweepAgainstStieltjes:
         assert tail[0] == pytest.approx(np.exp(z.real - 2.0 * z), rel=1e-14)
 
 
+def gauss_legendre(a, b, crate, integrand, max_panels=4096):
+    """int_a^b integrand(s) ds by composite 16-point Gauss-Legendre, for e^{crate s}-like integrands.
+
+    One panel per 1.5 units of growth or phase of e^{crate s}; None when that
+    needs more than max_panels panels.
+    """
+    k = max(1.0, abs(crate.real), abs(crate.imag))
+    panels = max(math.ceil((b - a) * k / 1.5), 1)
+    if panels > max_panels:
+        return None
+    s, w = gauss_legendre_panels(a, b, panels)
+    return complex(np.sum(w * integrand(s)))
+
+
 def loop_sweep(bv, c, points, start, quad_tol):
     """Reference for the weighted sweep: the row-by-row recurrence.
 
@@ -381,8 +420,8 @@ def loop_sweep(bv, c, points, start, quad_tol):
             val = None
             if piece.smooth_exponential:
                 rest = 1j * y + piece.rate
-                val = bv_module._gl_smooth(lo, hi, c + piece.rate,
-                                           lambda s: np.exp(xr * (s - tj) + rest * s))
+                val = gauss_legendre(lo, hi, c + piece.rate,
+                                     lambda s: np.exp(xr * (s - tj) + rest * s))
             if val is None:
                 val = bv_module._density_integrals(
                     piece, lambda s, owner: np.exp(xr * (s - tj) + 1j * y * s),
@@ -596,6 +635,64 @@ def test_jump_sum_matches_dense_in_both_directions(taus, t, rho, angles):
     k = int(np.searchsorted(tau, t))
     assert_matches_dense(tau[k:], sizes[k:], z, t)   # tail: tau >= t, Re z >= 0
     assert_matches_dense(tau[:k], sizes[:k], -z, t)  # partial: tau < t, Re z <= 0
+
+
+# quad loses its accuracy where the value nears the subnormal range
+_coefficient_part = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(-1.0, -1e-6))
+
+
+@st.composite
+def smooth_piece_cases(draw):
+    """A constant or exponential piece, a complex Integrand and a range of it, maybe unbounded."""
+    kind = draw(st.sampled_from(("constant", "exponential")))
+    rate = (complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-5.0, 5.0)))
+            if kind == "exponential" else 0j)
+    start = draw(st.floats(0.0, 4.0))
+    phi = Integrand(rate=complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-5.0, 5.0))),
+                    coefficient=complex(draw(_coefficient_part), draw(_coefficient_part)))
+    end = start + draw(st.floats(0.01, 5.0))
+    # quad forms phi and base apart, so on [lo, inf) neither may grow
+    decays = max(phi.rate.real, rate.real) <= 0 and (phi.rate + rate).real < -0.1
+    if decays and draw(st.booleans()):
+        end = math.inf
+    # quad loses its accuracy on subnormal lengths
+    fraction = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+    lo = start + draw(fraction) * min(end - start, 2.0)
+    hi = end if math.isinf(end) else lo + draw(fraction) * (end - lo)
+    return DensityPiece(start, end, kind, (1.0,), rate), phi, lo, hi
+
+
+@settings(max_examples=80, deadline=None)
+@given(smooth_piece_cases())
+def test_smooth_pieces_take_the_closed_form(case):
+    piece, phi, lo, hi = case
+    got = bv_module._piece_phi_integral(piece, phi, lo, hi, 1e-12)
+    want = complex(bv_module._density_integrals(piece, lambda s, owner: phi(s), [lo], [hi],
+                                                0.0)[0]) if hi > lo else 0j
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_long_oscillating_piece_takes_the_closed_form():
+    # e^{(-0.01 + 3i) s} on [0, 1e5) has about 48k periods: the fixed Gauss-Legendre
+    # path needed 2e5 panels and its quad fallback gave up with a QuadratureError
+    length = 1e5
+    bv = BVFunction.from_density("exponential", rate=-0.01, end=length)
+    q = -0.01 + 3j
+    got = stieltjes_integral(bv, Integrand.exponential(3j), length)[0]
+    assert got == pytest.approx((np.exp(q * length) - 1.0) / q, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, rate, phi_rate", [("constant", 0.0, 0.0),
+                                                  ("constant", 0.0, 2j),
+                                                  ("exponential", 0.5, -0.5 + 1j),
+                                                  ("exponential", 0.25, 0.0)])
+def test_unbounded_smooth_piece_that_does_not_decay_diverges(kind, rate, phi_rate):
+    bv = BVFunction.from_density(kind, start=1.0, rate=rate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"integral over \[1, inf\) diverges") as info:
+            stieltjes_integral(bv, Integrand.exponential(phi_rate), math.inf)
+    assert not isinstance(info.value, NonFiniteIntegrandError)
 
 
 def test_nonfinite_integrand_error_names_location():

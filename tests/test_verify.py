@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from tauberian_lab import (
     BVFunction,
@@ -19,6 +20,8 @@ from tauberian_lab import (
     make_t_grid,
     make_x_grid,
 )
+from tauberian_lab import verify as verify_module
+from tauberian_lab.cli import main
 
 
 def exp_density() -> BVFunction:
@@ -191,3 +194,38 @@ class TestLineTailSmallX:
         with pytest.raises(ValueError):
             check_small_x_bound(delayed_step(1.0), 1.0, 1.0,
                                 x_grid=np.asarray([2.0]))
+
+
+class TestSweepReuse:
+    """A check runs each weighted sweep once, however many of its claims read it."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch) -> list[tuple[str, complex]]:
+        calls = []
+        for name in ("weighted_partial_grid", "weighted_tail_grid"):
+            def counted(bv, z, *args, _name=name, _sweep=getattr(verify_module, name), **kw):
+                calls.append((_name, complex(z)))
+                return _sweep(bv, z, *args, **kw)
+
+            monkeypatch.setattr(verify_module, name, counted)
+        return calls
+
+    def test_line_bound_on_the_real_axis_is_its_own_hypothesis(self, sweeps):
+        rep = check_line_bound(delayed_step(1.0), 1.0, 2.0, 0.0)
+        assert sweeps == [("weighted_partial_grid", 2.0)]
+        assert not rep.hypothesis_failed
+
+    def test_small_x_bound_reuses_the_hypothesis_at_x0(self, sweeps):
+        rep = check_small_x_bound(delayed_step(1.0), 1.0, x0=2.0)
+        assert make_x_grid(2e-2, 2.0, 16)[-1] == 2.0
+        assert len(sweeps) == 16 and len(set(sweeps)) == 16
+        assert rep.witness_x == 2.0
+
+    def test_verify_command_sweep_count(self, sweeps):
+        # ratio condition 8, line bounds 1 + 2, tail bound 1 + 1 tail, small x 16
+        res = CliRunner().invoke(main, ["verify", "--problem", "problems/dirichlet_ones.json",
+                                        "--x-grid", "1:1000:8"])
+        assert res.exit_code == 0, res.output
+        names = [name for name, _ in sweeps]
+        assert names.count("weighted_partial_grid") == 28
+        assert names.count("weighted_tail_grid") == 1
