@@ -19,23 +19,29 @@ tail over [t, inf), so each pair of evaluators has one body.
 ``_exp_range_integral`` integrates e^{-z(s-t)} dA(s) over a half-open range
 [lo, hi): ``exp_tail_integral`` passes [t, inf) and ``exp_partial_integral``
 passes [0, t).  ``_weighted_sweep`` integrates e^{c s - Re(c) t_j} dA(s)
-for every grid point: ``weighted_partial_grid`` walks its grid upward from 0
-with c = z, ``weighted_tail_grid`` walks it downward from v_max with c = -z.
+for every grid point and every rate of an (m,) array c, one call for all of
+them: ``weighted_partial_grid`` walks its grid upward from 0 with c = z,
+``weighted_tail_grid`` walks it downward from v_max with c = -z, and both
+take a scalar z, giving (n, d), or an (m,) array of z, giving (m, n, d).
 The sweep needs no direction flag: each row covers the range between the
 start and its point, [start, t_j) or [t_j, start), so the order of the
 points it is handed is the direction.  The four public evaluators check
 their input and call these bodies.
 
 The sweep has no loop over its rows.  Each row first gets its own step, the
-jumps and density between the previous point and its own: every jump is
-weighted once and the weights are summed per row, and constant and
-exponential pieces take their closed form for all rows at once.  A blocked
+jumps and density between the previous point and its own.  The layout of
+the jumps (which row each jump belongs to, and its tau - t_j) is built once
+per call; then, for each abscissa, every jump is weighted once and the
+weights are summed per row.  Constant and exponential pieces take their
+closed form for every abscissa and row at once, and every other piece takes
+one quad call per sweep call, over the rows of all its abscissas.  A blocked
 prefix scan (Blelloch 1990) then adds up the steps with the decay
 e^{Re(c) (t_i - t_j)}.  A block spans at most _SCAN_SPAN = 256 in Re(c) t;
 inside it the steps are scaled by e^{Re(c) (t_i - t_block)} <= e^256,
 summed by np.cumsum and scaled back, and a carry passes from one block to
-the next, so there are about |Re c| span(t) / 256 blocks.  The two rounded
-exponents cost each term at most about 2 eps 256 relative (under 6e-14).
+the next, so there are about |Re c| span(t) / 256 blocks; the scan runs once
+per abscissa, back into the rows array.  The two rounded exponents cost
+each term at most about 2 eps 256 relative (under 6e-14).
 The steps are divided by a power of two near their largest entry first, so
 no scaled sum overflows, and a result that is still not finite raises.
 
@@ -58,7 +64,9 @@ exponential pieces take the closed form everywhere (``stieltjes_integral`` and
 weighted sweeps), through the complex expm1 of ``_exp_segment``.  The other
 kinds take ``quad``, one vectorised adaptive Gauss-Kronrod (7/15) routine that
 integrates many intervals per call: all the contour nodes of a piece, or all
-the rows of a weighted sweep.
+the (abscissa, row) intervals of a weighted sweep call.  The integrand is
+formed as s^a e^{log weight + rate s}, so a growing base under a faster
+decaying weight does not overflow.
 Each interval converges on its own, when the sum of |K15 - G7| over its
 subintervals is at most max(quad_tol, 1e-12 |I|); each round bisects the
 subintervals whose estimate is at least their interval's mean.  A power s^a with -1 < a < 0 is
@@ -222,16 +230,6 @@ class DensityPiece:
         # kinds whose base folds into a single exponential: closed form in
         # every evaluator
         return self.kind in ("constant", "exponential")
-
-    def base(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.kind == "constant":
-            return np.ones_like(s)
-        if self.kind == "exponential":
-            return np.exp(self.rate * s)
-        if self.kind == "power":
-            return np.power(s, self.exponent)
-        return np.power(s, self.exponent) * np.exp(self.rate * s)
 
     def scale_array(self) -> np.ndarray:
         return np.asarray(self.scale, dtype=complex)
@@ -450,27 +448,29 @@ def _quad_slice(f, lo: np.ndarray, hi: np.ndarray, first: int, abs_tol: float) -
         err = np.concatenate((err[keep], new_err))
 
 
-def _density_integrals(piece: DensityPiece, weight, lo, hi, quad_tol: float) -> np.ndarray:
-    """int_lo[i]^hi[i] weight(s, i) base(s) ds for every i, in one call of quad.
+def _density_integrals(piece: DensityPiece, log_weight, lo, hi, quad_tol: float) -> np.ndarray:
+    """int_lo[i]^hi[i] e^{log_weight(s, i)} base(s) ds for every i, in one call of quad.
 
-    A singular power s^a, -1 < a < 0, is integrated in u = s^{a+1}, where
-    s^a ds = du / (a + 1) leaves no singularity.  Failures name the piece's
-    kind and the interval in s.
+    The weight enters by its exponent, and base(s) = s^a e^{rate s} (a = 0
+    for constant and exponential pieces) is formed as s^a e^{log_weight + rate s},
+    so that a base that grows under a weight that decays faster never
+    overflows.  A singular power s^a, -1 < a < 0, is integrated in
+    u = s^{a+1}, where s^a ds = du / (a + 1) leaves no singularity.  Failures
+    name the piece's kind and the interval in s.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    a = piece.exponent
-    singular = piece.kind in ("power", "damped_power") and -1.0 < a < 0.0
+    a = piece.exponent if piece.kind in ("power", "damped_power") else 0.0
+    singular = -1.0 < a < 0.0
     detail = f"density kind {piece.kind!r}"
 
     def integrand(x, owner):
+        s = x ** (1.0 / (a + 1.0)) if singular else x
+        v = np.exp(log_weight(s, owner) + piece.rate * s)
         if singular:
-            s = x ** (1.0 / (a + 1.0))
-            # base(s) / s^a = e^{rate s}; a power piece has rate 0
-            v = weight(s, owner) * np.exp(piece.rate * s) / (a + 1.0)
-        else:
-            s = x
-            v = weight(s, owner) * piece.base(s)
+            v /= a + 1.0
+        elif a:
+            v *= np.power(s, a)
         _guard_finite(v, s, detail)
         return v
 
@@ -496,8 +496,11 @@ def _piece_phi_integral(piece: DensityPiece, phi: Integrand, lo: float, hi: floa
     if hi <= lo:
         return 0j
     if not piece.smooth_exponential:
-        return complex(_density_integrals(piece, lambda s, owner: phi(s), [lo], [hi],
-                                          quad_tol)[0])
+        c = phi.coefficient
+        if c == 0:
+            return 0j
+        return c * complex(_density_integrals(piece, lambda s, owner: phi.rate * s, [lo], [hi],
+                                              quad_tol / abs(c))[0])
     q = phi.rate + piece.rate
     if not math.isfinite(hi):
         if q.real >= 0:
@@ -544,63 +547,67 @@ def stieltjes_integral(bv: BVFunction, phi: Integrand, t: float,
 # -- overflow-safe grid evaluators ---------------------------------------------
 
 
-def _density_segments(bv: BVFunction, c: complex, points: np.ndarray, start: float,
-                      quad_tol: float) -> np.ndarray:
-    """Row j: int e^{c s - Re(c) t_j} a(s) ds over the density part of row j's step.
+def _density_segments(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
+                      quad_tol: float, rows: np.ndarray) -> None:
+    """Add to rows[k, j] int e^{c_k s - Re(c_k) t_j} a(s) ds over the density of row j's step.
 
     Row j steps from the previous point (start for j = 0) to t_j, clipped to
-    within (_NEGLIGIBLE_LOG + 10) / |Re c| of t_j.  The weight is formed as
-    e^{Re(c) (s - t_j) + i Im(c) s}, so that a large Re(c) t_j adds no
+    within (_NEGLIGIBLE_LOG + 10) / |Re c_k| of t_j.  The weight is formed as
+    e^{Re(c_k) (s - t_j) + i Im(c_k) s}, so that a large Re(c_k) t_j adds no
     rounding.  Constant and exponential pieces (rate r) take the closed form
-    for every row at once: e^{Re(c) (a - t_j) + (i Im(c) + r) a} (e^{d L} - 1) / d
-    on a row of length L, anchored at the end a where Re((c + r) s) is larger,
-    so that d = +-(c + r) has Re(d) <= 0 and the segment factor stays bounded.
-    The other pieces take one quad call each.  Pieces are summed in order.
+    for every abscissa and row at once: e^{Re(c) (a - t_j) + (i Im(c) + r) a}
+    (e^{d L} - 1) / d on a row of length L, anchored at the end a where
+    Re((c + r) s) is larger, so that d = +-(c + r) has Re(d) <= 0 and the
+    segment factor stays bounded.  The other pieces take one quad call each,
+    over the intervals of every abscissa and row.  Pieces are added in order.
     """
     xr = c.real
     phase = 1j * c.imag
-    reach = (_NEGLIGIBLE_LOG + 10.0) / abs(xr) if xr else math.inf
+    with np.errstate(divide="ignore", over="ignore"):
+        # Re(c) = 0, or subnormal, reaches everywhere
+        reach = (_NEGLIGIBLE_LOG + 10.0) / np.abs(xr)
     prev = np.concatenate(([start], points[:-1]))
-    end = np.minimum(np.maximum(prev, points - reach), points + reach)
+    end = np.minimum(np.maximum(prev, points - reach[:, None]), points + reach[:, None])
     step_lo, step_hi = np.minimum(end, points), np.maximum(end, points)
-    segs = np.zeros((points.size, bv.dimension), dtype=complex)
     for piece in bv.pieces:
         lo, hi = np.maximum(piece.start, step_lo), np.minimum(piece.end, step_hi)
-        rows = np.flatnonzero(hi > lo)
-        if rows.size == 0:
+        k, j = np.nonzero(hi > lo)
+        if k.size == 0:
             continue
-        lo, hi, t = lo[rows], hi[rows], points[rows]
+        lo, hi, t = lo[k, j], hi[k, j], points[j]
         if piece.smooth_exponential:
-            crate = c + piece.rate
+            crate = c[k] + piece.rate
             rising = crate.real > 0
-            a = hi if rising else lo
-            vals = (np.exp(xr * (a - t) + (phase + piece.rate) * a)
-                    * _exp_segment(-crate if rising else crate, hi - lo))
+            a = np.where(rising, hi, lo)
+            vals = (np.exp(xr[k] * (a - t) + (phase[k] + piece.rate) * a)
+                    * _exp_segment(np.where(rising, -crate, crate), hi - lo))
             _guard_finite(vals, a, f"density kind {piece.kind!r}")
         else:
+            xk, pk = xr[k], phase[k]
             vals = _density_integrals(
-                piece, lambda s, owner: np.exp(xr * (s - t[owner, None]) + phase * s),
+                piece, lambda s, owner: (xk[owner, None] * (s - t[owner, None])
+                                         + pk[owner, None] * s),
                 lo, hi, quad_tol)
-        segs[rows] += vals[:, None] * piece.scale_array()[None, :]
-    return segs
+        rows[k, j] += vals[:, None] * piece.scale_array()[None, :]
 
 
-def _jump_rows(bv: BVFunction, c: complex, points: np.ndarray, start: float) -> np.ndarray:
-    """Row j: sum of s_k e^{Re(c) (tau_k - t_j) + i Im(c) tau_k} over the jumps of row j's step.
+def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float) -> np.ndarray:
+    """Row (k, j): sum of s_i e^{Re(c_k) (tau_i - t_j) + i Im(c_k) tau_i} over row j's jumps.
 
     Row j takes the jumps between t_{j-1} and t_j (t_{-1} = start), as
     [t_{j-1}, t_j) upward or [t_j, t_{j-1}) downward, and leaves out those
-    whose weight is below e^-_NEGLIGIBLE_LOG, over _NEGLIGIBLE_LOG / |Re c|
+    whose weight is below e^-_NEGLIGIBLE_LOG, over _NEGLIGIBLE_LOG / |Re c_k|
     from t_j.  The rows' jumps together are one run of consecutive jumps, in
-    row order upward and in reverse row order downward.  Each jump of the run
-    is weighted once and the terms are summed per row (np.add.reduceat), in
-    contiguous chunks of the run so that the temporaries of a chunk, about
-    eight arrays of its length, together hold at most _MAX_BLOCK_ELEMENTS
-    entries.
+    row order upward and in reverse row order downward.  The run is cut into
+    contiguous chunks whose temporaries, about eight arrays of the chunk's
+    length, together hold at most _MAX_BLOCK_ELEMENTS entries.  Each chunk's
+    layout (its rows and every tau_i - t_j) is formed once; then, for each
+    abscissa in turn, each jump is weighted once and the terms are summed per
+    row (np.add.reduceat).
     """
     xr, y = c.real, c.imag
     times, sizes = bv.jump_times, bv.jump_sizes
-    out = np.zeros((points.size, bv.dimension), dtype=complex)
+    out = np.zeros((c.size, points.size, bv.dimension), dtype=complex)
     # row j holds the jumps between bounds[j] and bounds[j + 1]
     bounds = np.searchsorted(times, np.concatenate(([start], points)), side="left")
     rows = np.arange(points.size)
@@ -619,13 +626,16 @@ def _jump_rows(bv: BVFunction, c: complex, points: np.ndarray, start: float) -> 
         r1 = int(np.searchsorted(last, p1 - 1, side="right")) + 1
         taken = np.minimum(last[r0:r1], p1) - np.maximum(last[r0:r1] - count[r0:r1], p0)
         tau = times[first + p0:first + p1]
-        arg = xr * (tau - points[np.repeat(rows[r0:r1], taken)])
-        w = np.exp(arg + 1j * (y * tau)) if y else np.exp(arg)
-        w[arg < -_NEGLIGIBLE_LOG] = 0.0
-        terms = w[:, None] * sizes[first + p0:first + p1]
+        gap = tau - points[np.repeat(rows[r0:r1], taken)]
+        part = sizes[first + p0:first + p1]
         held = taken > 0
-        out[rows[r0:r1][held]] += np.add.reduceat(terms, (np.cumsum(taken) - taken)[held],
-                                                  axis=0)
+        into = rows[r0:r1][held]
+        heads = (np.cumsum(taken) - taken)[held]
+        for k in range(c.size):
+            arg = xr[k] * gap
+            w = np.exp(arg + 1j * (y[k] * tau)) if y[k] else np.exp(arg)
+            w[arg < -_NEGLIGIBLE_LOG] = 0.0
+            out[k, into] += np.add.reduceat(w[:, None] * part, heads, axis=0)
     return out
 
 
@@ -666,63 +676,76 @@ def _decay_scan(rows: np.ndarray, xr: float, points: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _weighted_sweep(bv: BVFunction, c: complex, points: np.ndarray, start: float,
+def _weighted_sweep(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
                     quad_tol: float) -> np.ndarray:
-    """Rows int e^{c s - Re(c) t_j} dA(s) over the s between start and each t_j.
+    """Rows (k, j): int e^{c_k s - Re(c_k) t_j} dA(s) over the s between start and t_j.
 
-    The range is [start, t_j) while the points ascend from start and
-    [t_j, start) while they descend to it.  The weights have modulus <= 1
-    when Re(c) (s - t_j) <= 0 on the range.  The jumps and the density
-    between consecutive points give each row's own sum (_jump_rows,
-    _density_segments), leaving out what lies over _NEGLIGIBLE_LOG / |Re c|
+    One call sweeps the (m,) rates c over the (n,) points and returns the
+    (m, n, d) rows.  The range is [start, t_j) while the points ascend from
+    start and [t_j, start) while they descend to it.  The weights have
+    modulus <= 1 when Re(c_k) (s - t_j) <= 0 on the range.  The jumps and the
+    density between consecutive points give each row's own sum (_jump_rows,
+    _density_segments), leaving out what lies over _NEGLIGIBLE_LOG / |Re c_k|
     (jumps) or that plus 10 (density) from t_j; the blocked scan _decay_scan
-    then adds each row to the previous one rescaled by e^{Re(c) (t_prev - t_j)}.
-    A nonfinite result raises NonFiniteIntegrandError.
+    then adds each row to the previous one rescaled by
+    e^{Re(c_k) (t_prev - t_j)}, one abscissa at a time, back into the same
+    array.  A nonfinite result raises NonFiniteIntegrandError.
     """
     rows = _jump_rows(bv, c, points, start)
     if bv.pieces:
-        rows += _density_segments(bv, c, points, start, quad_tol)
+        _density_segments(bv, c, points, start, quad_tol, rows)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow is caught by the finiteness guard
-        out = _decay_scan(rows, c.real, points)
-    _guard_finite(out, points[:, None], "weighted sweep")
-    return out
+        for k in range(c.size):
+            rows[k] = _decay_scan(rows[k], c[k].real, points)
+    _guard_finite(rows, points[:, None], "weighted sweep")
+    return rows
 
 
-def weighted_partial_grid(bv: BVFunction, z: complex, t_grid: np.ndarray,
+def _abscissas(z, caller: str) -> np.ndarray:
+    """z as a 0-d or 1-d complex array with Re(z) >= 0."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim > 1:
+        raise ValueError(f"{caller} takes a scalar z or a 1-d array of them")
+    if np.any(z.real < 0):
+        raise ValueError(f"{caller} requires Re(z) >= 0")
+    return z
+
+
+def weighted_partial_grid(bv: BVFunction, z, t_grid: np.ndarray,
                           quad_tol: float = 1e-10) -> np.ndarray:
     """G_j = int_0^{t_j} e^{z s - Re(z) t_j} dA(s) on an ascending grid.
 
     Equals e^{-Re(z) t_j} int_0^{t_j} e^{zs} dA(s); every term has modulus
     <= its jump/density mass, so the result is finite for any Re(z) >= 0.
-    The sweep walks the grid upward from 0 with c = z.
+    The sweep walks the grid upward from 0 with c = z.  A scalar z gives the
+    (n, d) rows; an (m,) array of z gives (m, n, d), all from one sweep.
     """
-    z = complex(z)
-    if z.real < 0:
-        raise ValueError("weighted_partial_grid requires Re(z) >= 0")
+    zs = _abscissas(z, "weighted_partial_grid")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or (t_grid.size and (np.any(np.diff(t_grid) < 0) or t_grid[0] < 0)):
         raise ValueError("t_grid must be ascending and nonnegative")
-    return _weighted_sweep(bv, z, t_grid, 0.0, quad_tol)
+    out = _weighted_sweep(bv, zs.ravel(), t_grid, 0.0, quad_tol)
+    return out if zs.ndim else out[0]
 
 
-def weighted_tail_grid(bv: BVFunction, z: complex, t_grid: np.ndarray, v_max: float,
+def weighted_tail_grid(bv: BVFunction, z, t_grid: np.ndarray, v_max: float,
                        quad_tol: float = 1e-10) -> np.ndarray:
     """H_j = e^{Re(z) t_j} int_{t_j}^{v_max} e^{-z s} dA(s) on an ascending grid.
 
     Computed as int e^{-z s + Re(z) t_j} dA(s); all weights have modulus <= 1
     when Re(z) >= 0.  Jumps with tau in [t_j, v_max) contribute.  The sweep
-    walks the grid downward from v_max with c = -z.
+    walks the grid downward from v_max with c = -z.  A scalar z gives the
+    (n, d) rows; an (m,) array of z gives (m, n, d), all from one sweep.
     """
-    z = complex(z)
-    if z.real < 0:
-        raise ValueError("weighted_tail_grid requires Re(z) >= 0")
+    zs = _abscissas(z, "weighted_tail_grid")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or (t_grid.size and np.any(np.diff(t_grid) < 0)):
         raise ValueError("t_grid must be ascending")
     if t_grid.size and v_max < t_grid[-1]:
         raise ValueError("v_max must dominate the largest grid point")
-    return _weighted_sweep(bv, -z, t_grid[::-1], float(v_max), quad_tol)[::-1]
+    out = _weighted_sweep(bv, -zs.ravel(), t_grid[::-1], float(v_max), quad_tol)[:, ::-1]
+    return out if zs.ndim else out[0]
 
 
 def weighted_partial(bv: BVFunction, z: complex, t: float,
@@ -870,7 +893,7 @@ def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi: 
             _guard_finite(vals, a, f"density kind {piece.kind!r} on [{a:g}, {b:g})")
             out += vals[:, None] * scale[None, :]
             continue
-        vals = _density_integrals(piece, lambda s, owner: np.exp(z[owner, None] * (t - s)),
+        vals = _density_integrals(piece, lambda s, owner: z[owner, None] * (t - s),
                                   np.full(z.size, a), np.full(z.size, b), quad_tol)
         out += vals[:, None] * scale[None, :]
     return out

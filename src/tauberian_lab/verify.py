@@ -84,9 +84,22 @@ def make_x_grid(x_min: float, x_max: float, points: int = 64) -> np.ndarray:
     return np.geomspace(x_min, x_max, points)
 
 
-def _grid_norms(bv: BVFunction, z: complex, t_grid: np.ndarray, quad_tol: float) -> np.ndarray:
-    vals = weighted_partial_grid(bv, z, t_grid, quad_tol)
-    return np.asarray(vector_norm(vals, bv.norm_kind), dtype=float)
+def _grid_norms(bv: BVFunction, zs: np.ndarray, t_grid: np.ndarray,
+                quad_tol: float) -> np.ndarray:
+    """(m, n) norms of the sweep at an (m,) array of abscissas, from one sweep call.
+
+    The norms are taken one abscissa at a time, so that no temporary as large
+    as the (m, n, d) sweep joins it.
+    """
+    vals = weighted_partial_grid(bv, zs, t_grid, quad_tol)
+    norms = np.empty(vals.shape[:2])
+    for row, v in zip(norms, vals):
+        row[:] = vector_norm(v, bv.norm_kind)
+    return norms
+
+
+def _span(grid: np.ndarray) -> str:
+    return f"[{np.min(grid):g}, {np.max(grid):g}]" if grid.size else "[] (empty)"
 
 
 def check_tauberian(bv: BVFunction, cert: TauberianCertificate,
@@ -94,7 +107,9 @@ def check_tauberian(bv: BVFunction, cert: TauberianCertificate,
                     quad_tol: float = 1e-10, grid_spec: GridSpec | None = None) -> SupReport:
     """sup over the grid of || x e^{-xt} int_0^t e^{xs} dA || against C.
 
-    Only pairs with t > cert.T and cert.x0 <= x <= R_rule(t) participate.
+    Only pairs with t > cert.T and cert.x0 <= x <= R_rule(t) participate, and
+    every x with at least one such t is swept in one call.  A grid with no
+    such pair raises ValueError: a check of nothing proves nothing.
     """
     if t_grid is None:
         t_grid, grid_spec = make_t_grid(bv)
@@ -110,23 +125,22 @@ def check_tauberian(bv: BVFunction, cert: TauberianCertificate,
     if x_grid.size == 0:
         raise ValueError("x grid is empty after applying the certificate abscissa x0")
     rule_vals = np.asarray(cert.R_rule(t_grid), dtype=float)
-    t_open = t_grid > cert.T
-
-    def sup_for_x(x: float) -> tuple[float, float]:
-        mask = t_open & (rule_vals >= x)
-        if not np.any(mask):
-            return -math.inf, math.nan
-        norms = _grid_norms(bv, complex(x), t_grid, quad_tol) * x
-        norms = np.where(mask, norms, -math.inf)
-        j = int(np.argmax(norms))
-        return float(norms[j]), float(t_grid[j])
-
-    results = [sup_for_x(float(x)) for x in x_grid]
-
-    best = max(range(len(results)), key=lambda i: results[i][0])
-    sup, wt = results[best]
-    return SupReport(case_id="tauberian_condition", grid_sup=sup, bound=cert.C,
-                     witness_t=wt, grid=grid_spec, witness_x=float(x_grid[best]))
+    masks = (t_grid > cert.T) & (rule_vals >= x_grid[:, None])
+    live = np.flatnonzero(masks.any(axis=1))
+    if live.size == 0:
+        raise ValueError(f"ratio condition has nothing to check: no grid point has t > T = "
+                         f"{cert.T:g} and x0 = {cert.x0:g} <= x <= R(t); the grids hold t in "
+                         f"{_span(t_grid)} and x in {_span(x_grid)}")
+    xs = x_grid[live]
+    norms = _grid_norms(bv, xs.astype(complex), t_grid, quad_tol)
+    norms *= xs[:, None]
+    norms[~masks[live]] = -math.inf
+    witness = np.argmax(norms, axis=1)
+    sups = norms[np.arange(xs.size), witness]
+    best = int(np.argmax(sups))
+    return SupReport(case_id="tauberian_condition", grid_sup=float(sups[best]), bound=cert.C,
+                     witness_t=float(t_grid[witness[best]]), grid=grid_spec,
+                     witness_x=float(xs[best]))
 
 
 def _hypothesis_holds(norms: np.ndarray, C: float) -> bool:
@@ -139,8 +153,9 @@ def check_line_bound(bv: BVFunction, C: float, x: float, y: float,
                      grid_spec: GridSpec | None = None) -> SupReport:
     """|| e^{-xt} int_0^t e^{(x+iy)s} dA || against C (1 + |y|/x).
 
-    Pre-checks the ratio hypothesis at abscissa x on the same grid; at y = 0
-    that sweep is the one the bound reads.
+    Pre-checks the ratio hypothesis at abscissa x on the same grid, in the
+    same call as the sweep at x + iy; at y = 0 the hypothesis sweep is the
+    one the bound reads.
     """
     if not x > 0:
         raise ValueError("line bound needs x > 0")
@@ -148,9 +163,10 @@ def check_line_bound(bv: BVFunction, C: float, x: float, y: float,
         t_grid, grid_spec = make_t_grid(bv)
     t_grid = np.asarray(t_grid, dtype=float)
     case = f"line_bound_x{x:g}_y{y:g}"
-    hyp_norms = _grid_norms(bv, complex(x), t_grid, quad_tol)
-    hyp_ok = _hypothesis_holds(hyp_norms, C)
-    norms = hyp_norms if y == 0 else _grid_norms(bv, complex(x, y), t_grid, quad_tol)
+    zs = [complex(x)] if y == 0 else [complex(x), complex(x, y)]
+    sweeps = _grid_norms(bv, np.asarray(zs), t_grid, quad_tol)
+    hyp_ok = _hypothesis_holds(sweeps[0], C)
+    norms = sweeps[-1]
     j = int(np.argmax(norms))
     return SupReport(case_id=case, grid_sup=float(norms[j]), bound=C * (1.0 + abs(y) / x),
                      witness_t=float(t_grid[j]), grid=grid_spec, witness_x=x,
@@ -182,7 +198,7 @@ def check_tail_bound(bv: BVFunction, C: float, x: float, y: float,
     t_grid = np.asarray(t_grid, dtype=float)
     if v_max is None:
         v_max = tail_truncation_point(C, x, y, float(t_grid[-1]), remainder_tol)
-    hyp_ok = _hypothesis_holds(_grid_norms(bv, complex(x), t_grid, quad_tol), C)
+    hyp_ok = _hypothesis_holds(_grid_norms(bv, np.asarray([complex(x)]), t_grid, quad_tol)[0], C)
     vals = weighted_tail_grid(bv, complex(x, y), t_grid, v_max, quad_tol)
     norms = np.asarray(vector_norm(vals, bv.norm_kind), dtype=float)
     j = int(np.argmax(norms))
@@ -200,8 +216,8 @@ def check_small_x_bound(bv: BVFunction, C: float, x0: float,
                         grid_spec: GridSpec | None = None) -> SupReport:
     """Rescaled ratio bound C x0 / x for 0 < x <= x0; reports the worst x.
 
-    Pre-checks the hypothesis at x0 itself, and reads that sweep again for
-    any x == x0 of the grid (the default grid ends there).
+    Pre-checks the hypothesis at x0 itself.  One call sweeps the grid, plus
+    x0 when the grid misses it (the default grid ends there).
     """
     if not x0 > 0:
         raise ValueError("small-x check needs x0 > 0")
@@ -213,11 +229,11 @@ def check_small_x_bound(bv: BVFunction, C: float, x0: float,
     x_grid = np.asarray(x_grid, dtype=float)
     if np.any(x_grid <= 0) or np.any(x_grid > x0 * (1 + 1e-12)):
         raise ValueError("small-x grid must lie in (0, x0]")
-    hyp_norms = _grid_norms(bv, complex(x0), t_grid, quad_tol)
-    hyp_ok = _hypothesis_holds(hyp_norms, C)
+    xs = x_grid if np.any(x_grid == x0) else np.append(x_grid, x0)
+    sweeps = _grid_norms(bv, xs.astype(complex), t_grid, quad_tol)
+    hyp_ok = _hypothesis_holds(sweeps[int(np.flatnonzero(xs == x0)[0])], C)
     worst: SupReport | None = None
-    for x in x_grid:
-        norms = hyp_norms if x == x0 else _grid_norms(bv, complex(float(x)), t_grid, quad_tol)
+    for x, norms in zip(x_grid, sweeps):
         j = int(np.argmax(norms))
         rep = SupReport(case_id="small_x_bound", grid_sup=float(norms[j]),
                         bound=C * x0 / float(x), witness_t=float(t_grid[j]),

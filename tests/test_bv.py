@@ -270,6 +270,15 @@ class TestContourKernels:
         with pytest.raises(ValueError, match="diverge"):
             exp_tail_integral(bv, np.asarray([0.2 + 1.0j]), 1.0, 1e-12)
 
+    @pytest.mark.parametrize("exponent, want", [(1.0, 4.0), (-0.5, math.sqrt(2.0 * math.pi))])
+    def test_growing_base_under_a_decaying_weight(self, exponent, want):
+        # int_0^inf s^a e^{0.5 s} e^{-s} ds = Gamma(a + 1) / 0.5^{a + 1}: formed
+        # apart, e^{0.5 s} overflowed (at s = 1871.5 for a = 1) where the
+        # weight had already underflowed
+        bv = BVFunction.from_density("damped_power", rate=0.5, exponent=exponent)
+        got = exp_tail_integral(bv, np.asarray([1.0 + 0j]), 0.0, 1e-13)[0, 0]
+        assert abs(got - want) <= 1e-12 * want
+
     def test_exp_partial_closed_form(self):
         # density e^{-s}: int_0^t e^{z(t-s)} e^{-s} ds = (e^{zt} - e^{-t}) / (z+1)
         bv = BVFunction.from_density("exponential", rate=-1.0)
@@ -424,7 +433,7 @@ def loop_sweep(bv, c, points, start, quad_tol):
                                      lambda s: np.exp(xr * (s - tj) + rest * s))
             if val is None:
                 val = bv_module._density_integrals(
-                    piece, lambda s, owner: np.exp(xr * (s - tj) + 1j * y * s),
+                    piece, lambda s, owner: xr * (s - tj) + 1j * y * s,
                     [lo], [hi], quad_tol)[0]
             acc = acc + piece.scale_array() * val
         out[j] = acc
@@ -476,6 +485,65 @@ def test_sweep_matches_the_row_loop(case):
     tail = weighted_tail_grid(bv, c, grid, v_max, 1e-13)
     want = loop_sweep(bv, -c, grid[::-1], v_max, 1e-13)[::-1]
     assert np.max(np.abs(tail - want)) <= allowed
+
+
+@st.composite
+def batch_cases(draw):
+    """A 2-vector integrator of jumps, or of jumps and all four density kinds, a grid
+    (maybe empty, maybe before the first jump), a tail start (maybe past the last
+    jump) and 1-6 abscissas, real or complex."""
+    taus = np.unique(draw(st.lists(st.floats(0.5, 7.0), min_size=1, max_size=10)))
+    parts = draw(st.lists(_unit, min_size=4 * taus.size, max_size=4 * taus.size))
+    sizes = np.asarray(parts, dtype=float).reshape(-1, 2, 2) @ np.asarray([1.0, 1.0j])
+    pieces = []
+    if draw(st.booleans()):
+        for kind in bv_module.DENSITY_KINDS:
+            a = draw(st.floats(0.0, 5.0))
+            rate = 0.0
+            if kind in ("exponential", "damped_power"):
+                rate = complex(draw(st.floats(-1.5, 0.0 if kind == "damped_power" else 1.0)),
+                               draw(st.floats(-2.0, 2.0)))
+            exponent = draw(st.floats(-0.9 if a > 0 else -0.5, 2.0))
+            pieces.append(DensityPiece(a, a + draw(st.floats(0.05, 3.0)), kind,
+                                       tuple(complex(draw(_unit), draw(_unit)) for _ in range(2)),
+                                       rate, exponent))
+    grid = np.sort(draw(st.lists(st.floats(0.0, 8.0), max_size=20)))
+    if draw(st.booleans()):
+        grid = grid * (taus[0] / 8.0)  # every point at or before the first jump
+    v_max = max(float(grid[-1]) if grid.size else 0.0, draw(st.floats(0.0, 9.0)))
+    z = draw(st.lists(st.builds(complex, st.sampled_from(SWEEP_RATES) | st.floats(0.0, 50.0),
+                                st.sampled_from((0.0, -3.0)) | st.floats(-5.0, 5.0)),
+                      min_size=1, max_size=6))
+    return BVFunction(2, taus, sizes, tuple(pieces)), grid, v_max, np.asarray(z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch_cases())
+def test_one_call_sweeps_every_abscissa(case):
+    # row i of an array call is the scalar call at z[i]: bitwise for jumps, whose
+    # weights are formed by the same expressions, and to 1e-12 with densities
+    bv, grid, v_max, z = case
+    partial = weighted_partial_grid(bv, z, grid, 1e-12)
+    tail = weighted_tail_grid(bv, z, grid, v_max, 1e-12)
+    assert partial.shape == tail.shape == (z.size, grid.size, 2)
+    for i, zi in enumerate(z):
+        for got, want in ((partial[i], weighted_partial_grid(bv, zi, grid, 1e-12)),
+                          (tail[i], weighted_tail_grid(bv, zi, grid, v_max, 1e-12))):
+            if bv.pieces:
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+            else:
+                assert np.array_equal(got, want)
+
+
+def test_sweep_of_no_abscissas():
+    bv = mixed_integrator()
+    grid = np.linspace(0.0, 6.0, 7)
+    assert weighted_partial_grid(bv, np.zeros(0), grid).shape == (0, 7, 2)
+    assert weighted_tail_grid(bv, np.zeros(0), grid, 8.0).shape == (0, 7, 2)
+    with pytest.raises(ValueError, match="1-d array"):
+        weighted_partial_grid(bv, np.ones((2, 2)), grid)
+    with pytest.raises(ValueError, match=r"Re\(z\) >= 0"):
+        weighted_tail_grid(bv, np.asarray([1.0, -1.0]), grid, 8.0)
 
 
 class TestSweepRange:
@@ -667,8 +735,8 @@ def smooth_piece_cases(draw):
 def test_smooth_pieces_take_the_closed_form(case):
     piece, phi, lo, hi = case
     got = bv_module._piece_phi_integral(piece, phi, lo, hi, 1e-12)
-    want = complex(bv_module._density_integrals(piece, lambda s, owner: phi(s), [lo], [hi],
-                                                0.0)[0]) if hi > lo else 0j
+    want = phi.coefficient * complex(bv_module._density_integrals(
+        piece, lambda s, owner: phi.rate * s, [lo], [hi], 0.0)[0]) if hi > lo else 0j
     assert abs(got - want) <= 1e-12 * abs(want)
 
 

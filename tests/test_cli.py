@@ -191,6 +191,17 @@ class TestVerify:
         assert res.exit_code == 1
         assert "violation" in stderr_of(res)
 
+    def test_empty_ratio_check_exits_two(self, tmp_path):
+        # no grid time lies past T, so the ratio condition checks nothing
+        p = tmp_path / "late.json"
+        p.write_text(json.dumps({
+            "name": "late", "dimension": 1, "jumps": [{"t": 1.0, "value": [5.0]}],
+            "certificate": {"C": 1.0, "x0": 1.0, "T": 100.0}}))
+        res = run("verify", "--problem", str(p))
+        assert res.exit_code == 2
+        assert "T = 100" in stderr_of(res)
+        assert "tauberian_condition" not in res.stdout
+
     def test_explicit_grids(self):
         res = run("verify", "--problem", "problems/exp_density.json",
                   "--t-grid", "0:20:200", "--x-grid", "1:10:8")

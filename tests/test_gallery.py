@@ -34,6 +34,9 @@ def _commands() -> dict[str, list[str]]:
                                              "problems/rate_constant_growth.json"]
     commands["dirichlet dirichlet_alternating"] = ["dirichlet", "--problem",
                                                    "problems/dirichlet_alternating.json"]
+    # the only gallery problem with power and damped_power pieces, so with quad
+    commands["verify density_mix"] = ["verify", "--problem", "problems/density_mix.json",
+                                      "--t-grid", "0:40:120", "--x-grid", "1:100:16"]
     return commands
 
 

@@ -20,6 +20,7 @@ from tauberian_lab import (
     make_t_grid,
     make_x_grid,
 )
+from tauberian_lab import bv as bv_module
 from tauberian_lab import verify as verify_module
 from tauberian_lab.cli import main
 
@@ -94,6 +95,14 @@ class TestCheckTauberian:
         report = check_tauberian(bv, cert)
         assert report.grid_sup == 0.0
         assert report.passed()
+
+    def test_empty_ratio_check_is_refused(self):
+        # T = 100 lies past the default grid's t_max = 50, so no (t, x) pair is
+        # checked; the parent reported grid_sup -inf with margin inf, a PASS
+        bv = BVFunction.single_jump(1.0, 5.0)
+        cert = TauberianCertificate(C=1.0, x0=1.0, T=100.0)
+        with pytest.raises(ValueError, match=r"T = 100.*t in \[0, 50\].*x in \[1, 1000\]"):
+            check_tauberian(bv, cert)
 
     def test_exp_density_bounded_by_one(self):
         # x e^{-xt} int_0^t e^{(x-1)s} ds <= x/(x... stays below 1 for x >= 1
@@ -197,18 +206,24 @@ class TestLineTailSmallX:
 
 
 class TestSweepReuse:
-    """A check runs each weighted sweep once, however many of its claims read it."""
+    """A check sweeps each abscissa once, and all of its abscissas in one call."""
 
     @pytest.fixture
-    def sweeps(self, monkeypatch) -> list[tuple[str, complex]]:
-        calls = []
+    def spy(self, monkeypatch) -> tuple[list[tuple[str, complex]], list[str]]:
+        """Every abscissa swept, with its sweep's name, and the name of every sweep call."""
+        abscissas, calls = [], []
         for name in ("weighted_partial_grid", "weighted_tail_grid"):
             def counted(bv, z, *args, _name=name, _sweep=getattr(verify_module, name), **kw):
-                calls.append((_name, complex(z)))
+                calls.append(_name)
+                abscissas.extend((_name, complex(v)) for v in np.atleast_1d(z))
                 return _sweep(bv, z, *args, **kw)
 
             monkeypatch.setattr(verify_module, name, counted)
-        return calls
+        return abscissas, calls
+
+    @pytest.fixture
+    def sweeps(self, spy) -> list[tuple[str, complex]]:
+        return spy[0]
 
     def test_line_bound_on_the_real_axis_is_its_own_hypothesis(self, sweeps):
         rep = check_line_bound(delayed_step(1.0), 1.0, 2.0, 0.0)
@@ -229,3 +244,35 @@ class TestSweepReuse:
         names = [name for name, _ in sweeps]
         assert names.count("weighted_partial_grid") == 28
         assert names.count("weighted_tail_grid") == 1
+
+    def test_verify_command_makes_one_sweep_call_per_check(self, spy):
+        # ratio condition, two line bounds, the tail bound's hypothesis and the
+        # small-x bound: one partial call each; the tail bound's own tail sweep
+        res = CliRunner().invoke(main, ["verify", "--problem", "problems/dirichlet_ones.json",
+                                        "--x-grid", "1:1000:8"])
+        assert res.exit_code == 0, res.output
+        _, calls = spy
+        assert calls.count("weighted_partial_grid") == 5
+        assert calls.count("weighted_tail_grid") == 1
+
+    def test_ratio_condition_sweeps_only_abscissas_it_checks(self, spy):
+        # R(t) = 1 leaves x = 2 and x = 4 without a time to check
+        cert = TauberianCertificate(C=1.0, x0=1.0, R_rule=CutoffRuleConstantOne())
+        check_tauberian(delayed_step(1.0), cert, x_grid=np.asarray([1.0, 2.0, 4.0]))
+        assert spy == ([("weighted_partial_grid", 1.0)], ["weighted_partial_grid"])
+
+    def test_density_mix_verify_quad_calls(self, monkeypatch):
+        # power and damped_power pieces take quad: one call per piece per sweep
+        # call, 2 x 6 in all (one per abscissa and piece made 74)
+        calls = []
+        quad = bv_module.quad
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(bv_module, "quad", counted)
+        res = CliRunner().invoke(main, ["verify", "--problem", "problems/density_mix.json",
+                                        "--t-grid", "0:40:120", "--x-grid", "1:100:16"])
+        assert res.exit_code == 0, res.output
+        assert len(calls) <= 12
