@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .bv import (BVFunction, DensityPiece, Integrand, NonFiniteIntegrandError,
                  QuadratureError, stieltjes_integral, weighted_partial, weighted_partial_grid,
                  weighted_tail_grid)
-from .contour import (CauchyReport, ContourBudgetError, ContourEvaluation,
-                      ContourSpec, EtaShiftExtension, RationalExtension,
+from .contour import (AgreementReport, CauchyReport, ContourBudgetError,
+                      ContourEvaluation, ContourSpec, EtaShiftExtension, RationalExtension,
                       build_contour, cauchy_identity_report, cauchy_residual,
                       contour_dump, evaluate_contour, extension_agreement,
                       fudge_factor, term_bounds)
@@ -38,8 +38,8 @@ __all__ = [
     "BVFunction", "DensityPiece", "Integrand", "NonFiniteIntegrandError",
     "QuadratureError", "stieltjes_integral", "weighted_partial", "weighted_partial_grid",
     "weighted_tail_grid",
-    "CauchyReport", "ContourBudgetError", "ContourEvaluation", "ContourSpec",
-    "EtaShiftExtension", "RationalExtension", "build_contour",
+    "AgreementReport", "CauchyReport", "ContourBudgetError", "ContourEvaluation",
+    "ContourSpec", "EtaShiftExtension", "RationalExtension", "build_contour",
     "cauchy_identity_report", "cauchy_residual", "contour_dump",
     "evaluate_contour", "extension_agreement", "fudge_factor", "term_bounds",
     "BoundedDensityInstance", "CoefficientSequence", "DecayRow",

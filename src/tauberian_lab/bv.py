@@ -7,8 +7,10 @@ jump at location tau contributes to integrals over [0, t) exactly when tau < t.
 
 Two evaluation surfaces coexist on purpose:
 
-* ``stieltjes_integral`` integrates a literal integrand.  Fine for moderate
-  arguments, and the reference semantics everything else is tested against.
+* ``stieltjes_integral`` integrates a literal integrand, one exponential per
+  jump (none for a rate-0 integrand such as ``value_at``'s).  Fine for
+  moderate arguments, and the reference semantics everything else is tested
+  against.
 * the ``*_grid`` / ``exp_*`` evaluators keep exponential weights shifted
   inside the integral (all weights have modulus <= 1), which is the only way
   quantities like x e^{-xt} int_0^t e^{xs} dA(s) survive x*t in the hundreds
@@ -17,10 +19,12 @@ Two evaluation surfaces coexist on purpose:
 Splitting one integral at t gives the partial transform over [0, t) and the
 tail over [t, inf), so each pair of evaluators has one body.
 ``_exp_range_integral`` integrates e^{-z(s-t)} dA(s) over a half-open range
-[lo, hi): ``exp_tail_integral`` passes [t, inf) and ``exp_partial_integral``
-passes [0, t).  ``_weighted_sweep`` integrates e^{c s - Re(c) t_j} dA(s)
-for every grid point and every rate of an (m,) array c, one call for all of
-them: ``weighted_partial_grid`` walks its grid upward from 0 with c = z,
+[lo, hi): ``exp_tail_integral`` passes [t, inf), ``exp_partial_integral``
+passes [0, t), and ``transform.improper_laplace`` passes t = 0 and one end
+hi_i = t*_i per point, so all of its points take one call.
+``_weighted_sweep`` integrates e^{c s - Re(c) t_j} dA(s) for every grid
+point and every rate of an (m,) array c, one call for all of them:
+``weighted_partial_grid`` walks its grid upward from 0 with c = z,
 ``weighted_tail_grid`` walks it downward from v_max with c = -z, and both
 take a scalar z, giving (n, d), or an (m,) array of z, giving (m, n, d).
 The sweep needs no direction flag: each row covers the range between the
@@ -45,18 +49,24 @@ each term at most about 2 eps 256 relative (under 6e-14).
 The steps are divided by a power of two near their largest entry first, so
 no scaled sum overflows, and a result that is still not finite raises.
 
-The contour evaluators ``exp_tail_integral`` and ``exp_partial_integral``
-share one jump-sum kernel for sum_k s_k e^{-z(tau_k - t)} over N jumps and
-many nodes z.  It groups the sorted jumps into blocks of width h = 2/max|z|,
-forms per-block Taylor moments of order P = 20 about each block's centre
-c_b, and evaluates sum_b e^{-z(c_b - t)} sum_p (-z h/2)^p m_{b,p}, where
-every factor has modulus <= 1.  Truncation adds at most
+The contour evaluators ``exp_tail_integral`` and ``exp_partial_integral``,
+and the improper transform, share one jump-sum kernel for
+sum_k s_k e^{-z(tau_k - t)} over N jumps and many nodes z.  It groups the
+sorted jumps into blocks of width h = 2/max|z|, forms per-block Taylor
+moments of order P = 20 about each block's centre c_b, and evaluates
+sum_b e^{-z(c_b - t)} sum_p (-z h/2)^p m_{b,p}, where every factor has
+modulus <= 1.  Truncation adds at most
 sum_k ||s_k|| e / 21! (<= 2^-60 sum_k ||s_k||) to each entry, a bound the
 kernel returns and ``CauchyReport.remainder_bound`` carries.  The block
 factors carry their phase's rounding error (``_block_factors``), so a phase
 of hundreds of radians still leaves each factor accurate to about eps.  The
 cost is O(N P + nodes * blocks * P) instead of the dense O(nodes * N)
-exponentials, and blocks <= min(N, 1 + span(tau) max|z| / 2).
+exponentials, and blocks <= min(N, 1 + span(tau) max|z| / 2).  Where the
+nodes' ranges end at different jumps, the kernel runs once per run of jumps
+between two consecutive ends, over the nodes whose range covers it, so the
+moments still cost O(N P) in all.  Besides the moments, the kernel holds
+about three arrays of the jumps' length at once: the offsets u, one moment
+term updated in place, and u / (p + 1).
 
 Density pieces integrate in closed form or by ``quad``.  Constant and
 exponential pieces take the closed form everywhere (``stieltjes_integral`` and
@@ -534,7 +544,9 @@ def stieltjes_integral(bv: BVFunction, phi: Integrand, t: float,
         return total
     idx = bv._jumps_before(t)
     if idx:
-        w = np.asarray(phi(bv.jump_times[:idx]), dtype=complex)
+        # e^{0 s} = 1 exactly, so a rate-0 integrand needs no exponentials
+        w = (np.full(idx, phi.coefficient) if phi.rate == 0
+             else np.asarray(phi(bv.jump_times[:idx]), dtype=complex))
         _guard_finite(w, bv.jump_times[:idx], "jump weights")
         total += w @ bv.jump_sizes[:idx]
     for piece in bv.pieces:
@@ -787,22 +799,26 @@ def _jump_exp_sum(tau: np.ndarray, sizes: np.ndarray, z: np.ndarray,
     values = np.zeros((z.size, sizes.shape[1]), dtype=complex)
     if tau.size == 0 or z.size == 0:
         return values, 0.0
+    # first, so that its temporaries are gone before the moments' are made
+    remainder = jump_sum_remainder(sizes)
     z_max = float(np.max(np.abs(z)))
     half = _TAYLOR_RADIUS / max(z_max, np.finfo(float).tiny)
-    cell = np.floor((tau - tau[0]) / (2.0 * half))
-    if not np.all(np.isfinite(cell)):
+    # the cells ascend with tau, so the last one is the largest
+    if not math.isfinite((tau[-1] - tau[0]) / (2.0 * half)):
         raise ValueError(f"jump-sum blocks overflow: max |z| = {z_max:g}, "
                          f"jumps span [{tau[0]:g}, {tau[-1]:g}]")
-    starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
+    starts = np.flatnonzero(np.diff(np.floor((tau - tau[0]) / (2.0 * half)), prepend=-1.0))
     counts = np.diff(np.append(starts, tau.size))
     centres = 0.5 * (tau[starts] + tau[starts + counts - 1])
-    u = (tau - np.repeat(centres, counts)) / half  # in [-1, 1]
-    # moments[b, p] = sum over block b of s_k u_k^p / p!
+    u = tau - np.repeat(centres, counts)
+    u /= half  # in [-1, 1]
+    # moments[b, p] = sum over block b of s_k u_k^p / p!, with one jump-sized
+    # term array updated in place
     moments = np.empty((starts.size, _TAYLOR_ORDER + 1, sizes.shape[1]), dtype=complex)
-    term = sizes
+    term = sizes.copy()
     for p in range(_TAYLOR_ORDER + 1):
         moments[:, p] = np.add.reduceat(term, starts, axis=0)
-        term = term * (u / (p + 1))[:, None]
+        term *= (u / (p + 1))[:, None]
     moments = moments.reshape(starts.size, -1)
     gap = centres - t  # c_b - t = gap + gap_err exactly (Knuth's two-sum)
     gap_err = (centres - (gap - (gap - centres))) + (-t - (gap - centres))
@@ -817,7 +833,7 @@ def _jump_exp_sum(tau: np.ndarray, sizes: np.ndarray, z: np.ndarray,
         for p in range(_TAYLOR_ORDER - 1, -1, -1):
             acc = acc * w + near[:, p]
         values[i0:i0 + chunk] = acc
-    return values, jump_sum_remainder(sizes)
+    return values, remainder
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -861,41 +877,57 @@ def jump_sum_remainder(sizes: np.ndarray) -> float:
     return _TAYLOR_REMAINDER * float(np.sum(np.linalg.norm(sizes, axis=1)))
 
 
-def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi: float,
+def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi,
                         quad_tol: float) -> np.ndarray:
-    """int_[lo, hi) e^{-z(s-t)} dA(s) for an (n,) array of z; hi = inf allowed.
+    """int_[lo, hi_i) e^{-z_i(s-t)} dA(s) for an (n,) array of z; hi = inf allowed.
 
+    hi is one end for every node or an (n,) array of ends, one per node.
     Needs Re(z (s - t)) >= 0 on the range, the jump kernel's precondition:
-    [t, inf) takes Re z >= 0 and [0, t) takes Re z <= 0.  Constant and
-    exponential pieces on [a, b) take the closed form
-    e^{z(t-a) + ra} int_0^{b-a} e^{(r-z)u} du, which is
-    e^{z(t-a) + ra} / (z - r) when b = inf; the other kinds take one
+    [t, inf) takes Re z >= 0 and [0, t) takes Re z <= 0.  The jumps are cut
+    at each node's end; the kernel runs once on each run of jumps between two
+    consecutive distinct cuts, over the nodes whose range covers that run, so
+    the moments of every jump are formed once.  Constant and exponential
+    pieces on [a, b_i) take the closed form
+    e^{z(t-a) + ra} int_0^{b_i-a} e^{(r-z)u} du, which is
+    e^{z(t-a) + ra} / (z - r) when b_i = inf; the other kinds take one
     adaptive quad call per piece over all nodes.  An unbounded piece whose rate reaches min Re z
     diverges and is refused.
     """
-    i0, i1 = np.searchsorted(bv.jump_times, (lo, hi), side="left")
-    out, _ = _jump_exp_sum(bv.jump_times[i0:i1], bv.jump_sizes[i0:i1], z, t)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), z.shape)
+    times, sizes = bv.jump_times, bv.jump_sizes
+    i0 = int(np.searchsorted(times, lo, side="left"))
+    cuts = np.maximum(np.searchsorted(times, hi, side="left"), i0)
+    out = np.zeros((z.size, bv.dimension), dtype=complex)
+    start = i0
+    for cut in sorted(set(cuts.tolist())):
+        if cut > start:
+            reach = cuts >= cut
+            part, _ = _jump_exp_sum(times[start:cut], sizes[start:cut], z[reach], t)
+            out[reach] += part
+            start = cut
     for piece in bv.pieces:
-        a, b = max(piece.start, lo), min(piece.end, hi)
-        if b <= a:
+        a, b = max(piece.start, lo), np.minimum(piece.end, hi)
+        live = b > a
+        if not live.any():
             continue
+        zl, bl = z[live], b[live]
         r = complex(piece.rate)
-        if not math.isfinite(b) and float(np.min(z.real)) <= r.real:
+        unbounded = ~np.isfinite(bl)
+        x_min = float(np.min(zl[unbounded].real, initial=math.inf))
+        if x_min <= r.real:
             raise ValueError(f"integral over [{a:g}, inf) diverges: density rate {r.real:g} "
-                             f">= min Re(z) = {float(np.min(z.real)):g}")
-        scale = piece.scale_array()
+                             f">= min Re(z) = {x_min:g}")
         if piece.smooth_exponential:
-            prefactor = np.exp(z * (t - a) + r * a)
-            if math.isfinite(b):
-                vals = prefactor * _exp_segment(r - z, b - a)
-            else:
-                vals = prefactor / (z - r)
-            _guard_finite(vals, a, f"density kind {piece.kind!r} on [{a:g}, {b:g})")
-            out += vals[:, None] * scale[None, :]
-            continue
-        vals = _density_integrals(piece, lambda s, owner: z[owner, None] * (t - s),
-                                  np.full(z.size, a), np.full(z.size, b), quad_tol)
-        out += vals[:, None] * scale[None, :]
+            prefactor = np.exp(zl * (t - a) + r * a)
+            vals = np.empty_like(prefactor)
+            vals[~unbounded] = prefactor[~unbounded] * _exp_segment(
+                r - zl[~unbounded], bl[~unbounded] - a)
+            vals[unbounded] = prefactor[unbounded] / (zl[unbounded] - r)
+            _guard_finite(vals, a, f"density kind {piece.kind!r} on [{a:g}, {np.max(bl):g})")
+        else:
+            vals = _density_integrals(piece, lambda s, owner: zl[owner, None] * (t - s),
+                                      np.full(zl.size, a), bl, quad_tol)
+        out[live] += vals[:, None] * piece.scale_array()[None, :]
     return out
 
 

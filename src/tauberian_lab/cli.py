@@ -271,19 +271,23 @@ def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
 
     rng = np.random.default_rng(seed)
     try:
-        gap = extension_agreement(prob.bv, ext, prob.certificate, rng,
-                                  n_points=12, target_err=1e-9, quad_tol=quad_tol)
+        agreement = extension_agreement(prob.bv, ext, prob.certificate, rng,
+                                        n_points=12, target_err=1e-9, quad_tol=quad_tol)
     except (TruncationCapError, ValueError, ArithmeticError) as exc:
         _input_error(f"extension spot check: {exc}")
-    if not gap <= agreement_tol:
-        failures.append(f"extension disagrees with the transform by {gap:.3g}")
+    if not agreement.gap <= agreement_tol:
+        failures.append(f"extension disagrees with the transform by {agreement.gap:.3g}")
 
     body = _csv_text(("t", "R", "residual", "I_measured", "I_bound", "II_measured",
                       "II_bound", "III_measured", "III_bound"), rows)
     meta = {"command": "contour", "problem": prob.source, "problem_name": prob.name,
             "norm": prob.norm_kind, "t_grid": t_grid_spec, "radius": radius,
             "density": density, "quad_tol": quad_tol, "residual_tol": residual_tol,
-            "seed": seed, "extension_agreement_gap": gap, "failures": failures,
+            "seed": seed, "extension_agreement_gap": agreement.gap,
+            "extension_agreement_points": agreement.points,
+            "extension_agreement_t_star_max": agreement.t_star_max,
+            "extension_agreement_truncation_bound_max": agreement.truncation_bound_max,
+            "failures": failures,
             "total_nodes": nodes, "jump_sum_remainder_max": remainder_max}
     _emit(out, body, meta)
     if dump_path is not None:

@@ -1,6 +1,7 @@
 """Stieltjes integration against closed forms and structural invariants."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -138,6 +139,19 @@ class TestValueAndVariation:
             BVFunction.from_jumps([(-1.0, 1.0)])
         with pytest.raises(ValueError):
             BVFunction.from_jumps([(0.0, math.nan)])
+
+    def test_rate_zero_jump_sum_takes_no_exponentials(self, monkeypatch):
+        # value_at once took exp of N complex zeros; np.full(idx, c) @ sizes is
+        # the same sum, bit for bit
+        n = np.arange(1, 2001)
+        sizes = np.stack((np.cos(n), np.sin(n) * 1j), axis=1) / n[:, None]
+        bv = BVFunction(2, np.log(n.astype(float)), sizes)
+        monkeypatch.setattr(Integrand, "__call__", None)  # any exponential would raise
+        for t in (0.5, 3.0, 100.0):
+            idx = int(np.searchsorted(bv.jump_times, t))
+            assert np.array_equal(bv.value_at(t), np.full(idx, 1.0 + 0j) @ sizes[:idx])
+            got = stieltjes_integral(bv, Integrand.constant(2.0 - 1.0j), t)
+            assert np.array_equal(got, np.full(idx, 2.0 - 1.0j) @ sizes[:idx])
 
     def test_jump_at_zero_allowed(self):
         bv = BVFunction.from_jumps([(0.0, 1.0)])
@@ -677,6 +691,20 @@ class TestJumpExpSum:
         bv = BVFunction.from_jumps([(1.0, 1.0), (2.0, -0.5)])
         with pytest.raises(ValueError, match="jump-sum"):
             exp_tail_integral(bv, np.asarray([1.0 + 0j, complex(math.nan, 0.0)]), 0.5)
+
+    def test_temporaries_stay_near_three_jump_arrays(self):
+        # the moment pass once held the jumps' offsets, cells, two moment terms
+        # and the remainder's two complex temporaries at once: about 4.1 complex
+        # arrays of the jumps' length
+        tau, sizes = alternating_jumps(50_000)
+        z = 1.5 * np.exp(1j * np.linspace(-1.5, 1.5, 200))
+        tracemalloc.start()
+        try:
+            _jump_exp_sum(tau, sizes, z, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * sizes.nbytes
 
     def test_remainder_bound_meets_its_target(self):
         tau, sizes = alternating_jumps(1000)

@@ -236,6 +236,9 @@ class TestContour:
         assert float(rows[0][3]) <= float(rows[0][4])
         meta = json.loads((tmp_path / "contour.csv.meta.json").read_text())
         assert meta["extension_agreement_gap"] <= 1e-6
+        assert meta["extension_agreement_points"] == 12
+        assert meta["extension_agreement_t_star_max"] > 0.0
+        assert meta["extension_agreement_truncation_bound_max"] == pytest.approx(1e-9, rel=1e-12)
         [(t, nodes)] = meta["total_nodes"]
         assert t == 5.0 and nodes > 0
         assert meta["jump_sum_remainder_max"] == 0.0

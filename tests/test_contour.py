@@ -21,7 +21,11 @@ from tauberian_lab import (
     fudge_factor,
     term_bounds,
 )
+from tauberian_lab import contour as contour_module
+from tauberian_lab.contour import _eval_extension
 from tauberian_lab.oracles import eta
+from tauberian_lab.transform import improper_laplace
+from tauberian_lab.vectors import vector_norm
 
 M2 = GrowthBound.constant(2.0)
 
@@ -31,6 +35,14 @@ def exp_density_pair():
     bv = BVFunction.from_density("exponential", rate=-1.0)
     ext = RationalExtension((1.0,), (1.0, 1.0))
     return bv, ext
+
+
+def alternating_pair(n_max):
+    """Jumps (-1)^{n+1}/n at log n, n <= n_max, with the extension eta(z + 1)."""
+    n = np.arange(1, n_max + 1)
+    sizes = (np.where(n % 2 == 1, 1.0, -1.0) / n).astype(complex).reshape(-1, 1)
+    return (BVFunction(dimension=1, jump_times=np.log(n.astype(float)), jump_sizes=sizes),
+            EtaShiftExtension())
 
 
 class TestFudgeFactor:
@@ -154,28 +166,22 @@ class TestCauchyIdentity:
 
     def test_eta_extension_identity(self):
         # alternating Dirichlet jumps against the eta(z+1) extension
-        n = np.arange(1, 1_000_001)
-        sizes = (np.where(n % 2 == 1, 1.0, -1.0) / n).astype(complex)
-        bv = BVFunction(dimension=1, jump_times=np.log(n.astype(float)),
-                        jump_sizes=sizes.reshape(-1, 1))
+        bv, ext = alternating_pair(1_000_000)
         M = GrowthBound.affine(1.25)
-        res = cauchy_residual(bv, EtaShiftExtension(), M, 3.0, 1.5)
+        res = cauchy_residual(bv, ext, M, 3.0, 1.5)
         assert res <= 1e-5
 
     def test_report_carries_jump_sum_remainder(self):
         # tail and partial kernel calls split the jumps at t; their bounds add
         from tauberian_lab.bv import _jump_exp_sum
 
-        n = np.arange(1, 2001)
-        sizes = (np.where(n % 2 == 1, 1.0, -1.0) / n).astype(complex).reshape(-1, 1)
-        bv = BVFunction(dimension=1, jump_times=np.log(n.astype(float)), jump_sizes=sizes)
+        bv, ext = alternating_pair(2000)
         t, R = 3.0, 1.5
-        rep = cauchy_identity_report(
-            evaluate_contour(bv, EtaShiftExtension(), GrowthBound.affine(1.25), t, R))
+        rep = cauchy_identity_report(evaluate_contour(bv, ext, GrowthBound.affine(1.25), t, R))
         k = int(np.searchsorted(bv.jump_times, t))
         z = np.asarray([R + 0j])
-        tail = _jump_exp_sum(bv.jump_times[k:], sizes[k:], z, t)[1]
-        partial = _jump_exp_sum(bv.jump_times[:k], sizes[:k], -z, t)[1]
+        tail = _jump_exp_sum(bv.jump_times[k:], bv.jump_sizes[k:], z, t)[1]
+        partial = _jump_exp_sum(bv.jump_times[:k], bv.jump_sizes[:k], -z, t)[1]
         assert rep.remainder_bound == pytest.approx(tail + partial, rel=1e-12)
         assert rep.remainder_bound > 0.0
 
@@ -246,8 +252,59 @@ class TestExtensions:
     def test_agreement_with_truncated_transform(self, rng):
         bv, ext = exp_density_pair()
         cert = TauberianCertificate(C=1.0, x0=1.0)
-        gap = extension_agreement(bv, ext, cert, rng, n_points=12, target_err=1e-9)
-        assert gap <= 1e-6
+        report = extension_agreement(bv, ext, cert, rng, n_points=12, target_err=1e-9)
+        assert report.gap <= 1e-6
+        assert report.points == 12
+        assert report.truncation_bound_max == pytest.approx(1e-9, rel=1e-12)
+        assert report.t_star_max > 0.0
+
+
+def loop_agreement(bv, f_ext, cert, rng, n_points, target_err=1e-9, quad_tol=1e-12):
+    """Reference for extension_agreement: one transform and one extension call per point."""
+    worst = 0.0
+    for _ in range(n_points):
+        z = complex(rng.uniform(0.3, 2.5), rng.uniform(-2.5, 2.5))
+        point = improper_laplace(bv, z, cert, target_err=target_err, quad_tol=quad_tol)
+        ext = _eval_extension(f_ext, np.asarray([z]), bv.dimension)[0]
+        worst = max(worst, float(vector_norm(point.value - ext, bv.norm_kind)))
+    return worst
+
+
+class TestAgreementOneCall:
+    @pytest.mark.parametrize("pair", [exp_density_pair, lambda: alternating_pair(20_000)])
+    def test_matches_the_point_loop(self, pair):
+        bv, ext = pair()
+        cert = TauberianCertificate(C=math.e, x0=1.0)
+        for seed in (0, 7, 2026):
+            report = extension_agreement(bv, ext, cert, np.random.default_rng(seed), n_points=12)
+            want = loop_agreement(bv, ext, cert, np.random.default_rng(seed), 12)
+            assert abs(report.gap - want) <= 1e-12
+
+    def test_one_transform_and_one_extension_call(self, monkeypatch):
+        calls = {"transform": [], "extension": []}
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name].append(np.size(args[1]))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(contour_module, "improper_laplace",
+                            spy("transform", contour_module.improper_laplace))
+        monkeypatch.setattr(contour_module, "_eval_extension",
+                            spy("extension", contour_module._eval_extension))
+        bv, ext = alternating_pair(2000)
+        report = extension_agreement(bv, ext, TauberianCertificate(C=math.e, x0=1.0),
+                                     np.random.default_rng(1), n_points=12)
+        assert calls == {"transform": [12], "extension": [12]}
+        assert report.points == 12
+
+    def test_no_points(self):
+        bv, ext = exp_density_pair()
+        report = extension_agreement(bv, ext, TauberianCertificate(C=1.0, x0=1.0),
+                                     np.random.default_rng(1), n_points=0)
+        assert (report.gap, report.points, report.t_star_max, report.truncation_bound_max) == (
+            0.0, 0, 0.0, 0.0)
 
 
 class TestContourDump:
@@ -274,10 +331,8 @@ class TestContourDump:
             bv, ext = exp_density_pair()
             ev = evaluate_contour(bv, ext, M2, 5.0, 2.0)
         else:
-            n = np.arange(1, 2001)
-            sizes = (np.where(n % 2 == 1, 1.0, -1.0) / n).astype(complex).reshape(-1, 1)
-            bv = BVFunction(dimension=1, jump_times=np.log(n.astype(float)), jump_sizes=sizes)
-            ev = evaluate_contour(bv, EtaShiftExtension(), GrowthBound.affine(1.25), 3.0, 1.5)
+            bv, ext = alternating_pair(2000)
+            ev = evaluate_contour(bv, ext, GrowthBound.affine(1.25), 3.0, 1.5)
         rows = contour_dump(ev)
         bounds = term_bounds(ev, TauberianCertificate(C=1.0, x0=1.0))
         start = 0

@@ -3,7 +3,8 @@
 Each command runs in-process.  Exit codes, text cells (``case_id``,
 ``branch``, ...) and ``witness_t`` must match ``gallery_expected.json``
 exactly; every other numeric cell within 1e-12 relative, with an absolute
-floor of 1e-12 for residuals and near-zero margins.
+floor of 1e-12 for residuals and near-zero margins.  Each contour command's
+sidecar ``extension_agreement_gap`` must match within 1e-12 absolute.
 
 Regenerate the expectations, after a deliberate change of output, with
 
@@ -22,6 +23,7 @@ from tauberian_lab.cli import main
 EXPECTED = Path(__file__).with_name("gallery_expected.json")
 REL_TOL = ABS_TOL = 1e-12
 EXACT_COLUMNS = ("case_id", "witness_t")
+AGREEMENT_TOL = 1e-12  # absolute, on the contour sidecar's extension_agreement_gap
 
 
 def _commands() -> dict[str, list[str]]:
@@ -41,7 +43,10 @@ def _commands() -> dict[str, list[str]]:
 
 
 def run_gallery() -> dict[str, dict]:
-    """Exit code, CSV header and rows (as text) of every gallery command."""
+    """Exit code, CSV header and rows (as text) of every gallery command.
+
+    Contour commands also keep their sidecar's extension_agreement_gap.
+    """
     outputs = {}
     for name, args in _commands().items():
         result = CliRunner().invoke(main, args)
@@ -49,6 +54,9 @@ def run_gallery() -> dict[str, dict]:
         cells = [line.split(",") for line in lines]
         outputs[name] = {"exit_code": result.exit_code, "header": cells[0] if cells else [],
                          "rows": cells[1:]}
+        if args[0] == "contour":
+            meta = json.JSONDecoder().raw_decode(result.stderr[result.stderr.index("{"):])[0]
+            outputs[name]["extension_agreement_gap"] = meta["extension_agreement_gap"]
     return outputs
 
 
@@ -82,6 +90,9 @@ def test_gallery_command_matches_expectations(gallery, name):
         assert len(got_row) == len(want_row)
         for column, g, w in zip(want["header"], got_row, want_row):
             assert _cell_matches(column, g, w), f"{name}: {column} = {g}, expected {w}"
+    if "extension_agreement_gap" in want:
+        gap = got["extension_agreement_gap"]
+        assert abs(gap - want["extension_agreement_gap"]) <= AGREEMENT_TOL
 
 
 def test_cell_comparison():

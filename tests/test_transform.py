@@ -4,15 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauberian_lab import (
     BVFunction,
+    DensityPiece,
     TauberianCertificate,
     TruncationCapError,
     finite_laplace,
     improper_laplace,
 )
+from tauberian_lab.bv import DENSITY_KINDS
 from tauberian_lab.oracles import eta
+from tauberian_lab.vectors import vector_norm
 
 
 def test_finite_laplace_single_jump(rng):
@@ -119,6 +124,111 @@ class TestImproper:
         assert cert.effective_constant(0.25) == 8.0
         with pytest.raises(ValueError):
             cert.effective_constant(0.0)
+
+
+_unit = st.floats(-1.0, 1.0)
+_abscissa = st.builds(complex, st.floats(0.2, 3.0), st.floats(-5.0, 5.0))
+
+
+@st.composite
+def array_cases(draw):
+    """A 2-vector integrator of jumps, densities of all four kinds, or both; a certificate;
+    and 0-8 points, some repeated.  The jumps lie before every t*, among the t*
+    or past every t*; a large T makes every t* the same."""
+    z = draw(st.lists(_abscissa, max_size=6))
+    if z:
+        z += draw(st.lists(st.sampled_from(z), max_size=2))
+    cert = TauberianCertificate(C=draw(st.floats(0.5, 3.0)), x0=1.0,
+                                T=draw(st.sampled_from((0.0, 25.0)) | st.floats(0.0, 10.0)))
+    target = draw(st.sampled_from((1e-2, 1e-5, 1e-9)))
+    t_stars = [improper_laplace(BVFunction.zero(2), zi, cert, target).t_star for zi in z]
+    lo, hi = (min(t_stars), max(t_stars)) if t_stars else (0.0, 1.0)
+    kind = draw(st.sampled_from(("jumps", "densities", "mixture")))
+    taus = np.empty(0)
+    if kind != "densities":
+        where = draw(st.sampled_from(("before", "among", "past")))
+        # jumps before every t*, among them, or past every t*
+        a, b = {"before": (0.0, lo), "among": (0.0, 1.2 * hi),
+                "past": (hi, hi + 5.0)}[where]
+        fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
+        taus = np.unique(a + (b - a) * np.asarray(fractions))
+        taus = taus[taus < b] if where == "before" else taus
+    parts = draw(st.lists(_unit, min_size=4 * taus.size, max_size=4 * taus.size))
+    sizes = np.asarray(parts, dtype=float).reshape(-1, 2, 2) @ np.asarray([1.0, 1.0j])
+    pieces = []
+    if kind != "jumps":
+        for density in DENSITY_KINDS:
+            start = draw(st.floats(0.0, 1.2 * hi))
+            rate = 0.0
+            if density in ("exponential", "damped_power"):
+                rate = complex(draw(st.floats(-1.5, 0.0 if density == "damped_power" else 0.5)),
+                               draw(st.floats(-2.0, 2.0)))
+            exponent = draw(st.floats(-0.9 if start > 0 else -0.5, 2.0))
+            end = start + draw(st.floats(0.05, 10.0)) if draw(st.booleans()) else math.inf
+            pieces.append(DensityPiece(start, end, density,
+                                       tuple(complex(draw(_unit), draw(_unit)) for _ in range(2)),
+                                       rate, exponent))
+    return BVFunction(2, taus, sizes, tuple(pieces)), cert, target, np.asarray(z, dtype=complex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(array_cases())
+def test_array_transform_matches_the_dense_reference(case):
+    # point i of one array call is the dense finite_laplace at its own t*, within
+    # 1e-12 relative and an absolute floor of 1e-15 times the variation summed
+    bv, cert, target, z = case
+    got = improper_laplace(bv, z, cert, target)
+    assert got.value.shape == (z.size, 2)
+    assert got.t_star.shape == got.truncation_bound.shape == z.shape
+    for i, zi in enumerate(z):
+        scalar = improper_laplace(bv, complex(zi), cert, target)
+        assert got.t_star[i] == scalar.t_star
+        assert got.truncation_bound[i] == scalar.truncation_bound
+        want = finite_laplace(bv, zi, scalar.t_star, 1e-12)
+        floor = 1e-15 * bv.total_variation(scalar.t_star)
+        gap = float(vector_norm(got.value[i] - want))
+        assert gap <= 1e-12 * float(vector_norm(want)) + floor
+
+
+def test_scalar_point_keeps_its_shape():
+    bv = BVFunction.from_jumps([(0.5, [1.0, 2.0j]), (3.0, [-1.0, 0.5])])
+    cert = TauberianCertificate(C=1.0, x0=1.0)
+    point = improper_laplace(bv, 0.8 + 0.5j, cert)
+    assert isinstance(point.z, complex) and point.z == 0.8 + 0.5j
+    assert isinstance(point.t_star, float) and isinstance(point.truncation_bound, float)
+    assert point.value.shape == (2,)
+    row = improper_laplace(bv, np.asarray([2.0, 0.8 + 0.5j]), cert)
+    assert row.value[1] == pytest.approx(point.value, rel=1e-14)
+    assert row.t_star[1] == point.t_star
+
+
+def test_transform_of_no_points():
+    bv = BVFunction.from_jumps([(0.5, 1.0)])
+    point = improper_laplace(bv, np.zeros(0, dtype=complex), TauberianCertificate(C=1.0, x0=1.0))
+    assert point.value.shape == (0, 1)
+    assert point.t_star.shape == point.truncation_bound.shape == (0,)
+
+
+class TestArrayErrors:
+    """An array call raises the scalar call's error for its first bad point, at its index."""
+
+    bv = BVFunction.from_density("exponential", rate=-1.0)
+    cert = TauberianCertificate(C=1.0, x0=1.0)
+
+    @pytest.mark.parametrize("bad, error", [(-0.2 + 1.0j, ValueError), (0.0, ValueError),
+                                            (1e-6, TruncationCapError)])
+    def test_first_bad_point_is_named(self, bad, error):
+        with pytest.raises(error) as scalar:
+            improper_laplace(self.bv, bad, self.cert, target_err=1e-8)
+        z = np.asarray([1.0, 0.5 + 2.0j, bad, -1.0, 1e-7])
+        with pytest.raises(error) as info:
+            improper_laplace(self.bv, z, self.cert, target_err=1e-8)
+        assert info.value.index == 2
+        assert str(info.value) == str(scalar.value)
+
+    def test_two_dimensional_points_are_refused(self):
+        with pytest.raises(ValueError, match="1-d array"):
+            improper_laplace(self.bv, np.ones((2, 2)), self.cert)
 
 
 def test_certificate_validation():
