@@ -28,8 +28,8 @@ from .rates import (RateInputs, RateResult, bound_B, decay_rate, k_prime,
 from .transform import (TauberianCertificate, TransformPoint,
                         TruncationCapError, finite_laplace, improper_laplace)
 from .vectors import vector_norm
-from .verify import (GridSpec, SupReport, check_line_bound, check_small_x_bound,
-                     check_tail_bound, check_tauberian, delayed_step,
+from .verify import (GridSpec, SupReport, check_certificate, check_line_bound,
+                     check_small_x_bound, check_tail_bound, check_tauberian, delayed_step,
                      delayed_step_ratio, delayed_step_restart, make_t_grid,
                      make_x_grid)
 
@@ -53,7 +53,7 @@ __all__ = [
     "TauberianCertificate", "TransformPoint", "TruncationCapError",
     "finite_laplace", "improper_laplace",
     "vector_norm",
-    "GridSpec", "SupReport", "check_line_bound", "check_small_x_bound",
+    "GridSpec", "SupReport", "check_certificate", "check_line_bound", "check_small_x_bound",
     "check_tail_bound", "check_tauberian", "delayed_step", "delayed_step_ratio",
     "delayed_step_restart", "make_t_grid", "make_x_grid",
 ]

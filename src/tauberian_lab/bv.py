@@ -415,9 +415,9 @@ def _quad_slice(f, lo: np.ndarray, hi: np.ndarray, first: int, abs_tol: float) -
             jac[rows] /= (1.0 - u) ** 2
         y = f(x, owner + first)
         _guard_finite(y, x)
-        y = y * jac
-        value = y @ _GK_KRONROD
-        return value, np.abs(value - y @ _GK_GAUSS)
+        y = y * jac  # row sums, as a matmul may round a row by the product's size
+        value = (y * _GK_KRONROD).sum(axis=1)
+        return value, np.abs(value - (y * _GK_GAUSS).sum(axis=1))
 
     a, b, owner = np.where(infinite, 0.0, lo), np.where(infinite, 1.0, hi), np.arange(n)
     value, err = kronrod(a, b, owner)

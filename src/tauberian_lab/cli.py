@@ -28,8 +28,7 @@ from .problems import Problem, ProblemFormatError, load_problem
 from .rates import (RateInputs, decay_rate, k_prime, t_prime,
                     t_prime_second_term_clamped)
 from .transform import TruncationCapError
-from .verify import (check_line_bound, check_small_x_bound, check_tail_bound,
-                     check_tauberian, make_t_grid)
+from .verify import check_certificate
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -173,25 +172,10 @@ def verify(problem_path, t_grid_spec, x_grid_spec, quad_tol, out):
     """Sup checks: the ratio condition plus the line/tail/small-x bounds."""
     prob = _load(problem_path)
     cert = prob.certificate
-    if t_grid_spec is None:
-        t_grid, grid_spec = make_t_grid(prob.bv)
-        t_desc = grid_spec.describe()
-    else:
-        t_grid = _parse_grid(t_grid_spec, "--t-grid", "linear")
-        grid_spec, t_desc = None, t_grid_spec
+    t_grid = None if t_grid_spec is None else _parse_grid(t_grid_spec, "--t-grid", "linear")
     x_grid = None if x_grid_spec is None else _parse_grid(x_grid_spec, "--x-grid", "log")
-
-    line_c = cert.C / cert.x0  # the per-line constant the ratio condition yields at x0
-    reports = []
     try:
-        reports.append(check_tauberian(prob.bv, cert, t_grid, x_grid, quad_tol, grid_spec))
-        for y in (0.0, 2.0 * cert.x0):
-            reports.append(check_line_bound(prob.bv, line_c, cert.x0, y,
-                                            t_grid, quad_tol, grid_spec))
-        reports.append(check_tail_bound(prob.bv, line_c, cert.x0, 2.0 * cert.x0,
-                                        t_grid, quad_tol=quad_tol, grid_spec=grid_spec))
-        reports.append(check_small_x_bound(prob.bv, line_c, cert.x0, t_grid=t_grid,
-                                           quad_tol=quad_tol, grid_spec=grid_spec))
+        reports = check_certificate(prob.bv, cert, t_grid, x_grid, quad_tol)
     except (ValueError, ArithmeticError) as exc:
         _input_error(str(exc))
 
@@ -199,8 +183,9 @@ def verify(problem_path, t_grid_spec, x_grid_spec, quad_tol, out):
     body = _csv_text(("case_id", "grid_sup", "bound", "margin", "witness_t"), rows)
     failed = [r.case_id for r in reports if not r.passed(_MARGIN_REL_TOL)]
     meta = {"command": "verify", "problem": prob.source, "problem_name": prob.name,
-            "norm": prob.norm_kind, "t_grid": t_desc, "x_grid": x_grid_spec or "auto",
-            "quad_tol": quad_tol, "line_constant": line_c,
+            "norm": prob.norm_kind, "quad_tol": quad_tol, "line_constant": cert.C / cert.x0,
+            "t_grid": reports[0].grid.describe() if t_grid is None else t_grid_spec,
+            "x_grid": x_grid_spec or "auto",
             "notes": {r.case_id: r.note for r in reports if r.note},
             "failed_cases": failed}
     _emit(out, body, meta)

@@ -1,14 +1,13 @@
 """Grid verification of the Tauberian condition and its companion bounds.
 
-Every check sweeps the relevant weighted integral over a hybrid time grid
-(uniform base plus geometric refinement just after each jump, where suprema
-are attained as t decreases to the jump) and reports a SupReport: the grid
-supremum, the asserted bound, their margin, and the witnessing grid point.
-Negative margins are reported, never raised; callers decide what to do.
-
-Checks whose statement assumes a hypothesis (the ratio bound at a given
-abscissa) verify that hypothesis on the same grid first and mark the report
-as hypothesis_failed instead of silently checking a vacuous claim.
+Every check reads sups of ||G(z, t)||, G(z, t) = e^{-Re(z) t} int_0^t e^{zs} dA(s),
+over a hybrid time grid (uniform base plus geometric refinement just after each
+jump, where suprema are attained as t decreases to the jump) and reports a
+SupReport: the grid supremum, the asserted bound, their margin, and the
+witnessing grid point.  Negative margins are reported, never raised.  One
+batched sweep serves every check of a call, each abscissa once; a check that
+assumes the ratio hypothesis at x reads it there too, and marks the report
+hypothesis_failed instead of silently checking a vacuous claim.
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bv import BVFunction, weighted_partial, weighted_partial_grid, weighted_tail_grid
+from .bv import (_MAX_BLOCK_ELEMENTS, BVFunction, weighted_partial, weighted_partial_grid,
+                 weighted_tail_grid)
 from .transform import TauberianCertificate
 from .vectors import vector_norm
 
@@ -69,7 +69,8 @@ def make_t_grid(bv: BVFunction, t_max: float = 50.0, base_points: int = 512,
         offsets = jump_window * np.geomspace(1e-6, 1.0, jump_points)
         refined = (taus[:, None] + offsets[None, :]).ravel()
         parts.append(refined[refined <= t_max])
-    grid = np.unique(np.concatenate(parts))
+    grid = np.sort(np.concatenate(parts))
+    grid = grid[np.diff(grid, prepend=-math.inf) != 0]  # np.unique would import numpy.ma
     spec = GridSpec(t_max=t_max, base_points=base_points, jump_points=jump_points,
                     jump_window=jump_window, refined_jumps=int(taus.size),
                     total_points=int(grid.size))
@@ -84,36 +85,59 @@ def make_x_grid(x_min: float, x_max: float, points: int = 64) -> np.ndarray:
     return np.geomspace(x_min, x_max, points)
 
 
-def _grid_norms(bv: BVFunction, zs: np.ndarray, t_grid: np.ndarray,
-                quad_tol: float) -> np.ndarray:
-    """(m, n) norms of the sweep at an (m,) array of abscissas, from one sweep call.
-
-    The norms are taken one abscissa at a time, so that no temporary as large
-    as the (m, n, d) sweep joins it.
-    """
-    vals = weighted_partial_grid(bv, zs, t_grid, quad_tol)
-    norms = np.empty(vals.shape[:2])
-    for row, v in zip(norms, vals):
-        row[:] = vector_norm(v, bv.norm_kind)
-    return norms
-
-
 def _span(grid: np.ndarray) -> str:
     return f"[{np.min(grid):g}, {np.max(grid):g}]" if grid.size else "[] (empty)"
 
 
-def check_tauberian(bv: BVFunction, cert: TauberianCertificate,
-                    t_grid: np.ndarray | None = None, x_grid: np.ndarray | None = None,
-                    quad_tol: float = 1e-10, grid_spec: GridSpec | None = None) -> SupReport:
-    """sup over the grid of || x e^{-xt} int_0^t e^{xs} dA || against C.
+def _t_grid(bv: BVFunction, t_grid: np.ndarray | None, grid_spec: GridSpec | None):
+    """make_t_grid(bv) if t_grid is None, else t_grid as floats and grid_spec."""
+    return make_t_grid(bv) if t_grid is None else (np.asarray(t_grid, dtype=float), grid_spec)
 
-    Only pairs with t > cert.T and cert.x0 <= x <= R_rule(t) participate, and
-    every x with at least one such t is swept in one call.  A grid with no
-    such pair raises ValueError: a check of nothing proves nothing.
+
+def _sup(vals: np.ndarray, mask: np.ndarray | None = None) -> tuple[float, int]:
+    """Largest vals_j over the j in mask, and the first j that attains it."""
+    if mask is not None:
+        vals[~mask] = -math.inf
+    j = int(np.argmax(vals))
+    return float(vals[j]), j
+
+
+def _sweep_sups(bv: BVFunction, zs, t_grid: np.ndarray, quad_tol: float,
+                masks: dict | None = None) -> tuple[dict, dict]:
+    """_sup of ||G(z, t_grid)|| at each distinct z of zs, keyed by z, and of x ||G(x, t_grid)||
+    over the mask at each x of masks {complex(x): mask}.  The z are swept once each, in order,
+    by weighted_partial_grid calls on batches of at most _MAX_BLOCK_ELEMENTS // 8 entries (the
+    share _jump_rows gives its chunk); each batch is read and dropped before the next.
     """
-    if t_grid is None:
-        t_grid, grid_spec = make_t_grid(bv)
-    t_grid = np.asarray(t_grid, dtype=float)
+    zs, masks = list(dict.fromkeys(map(complex, zs))), masks or {}
+    step = max(1, _MAX_BLOCK_ELEMENTS // 8 // max(1, t_grid.size * bv.dimension))
+    sups, ratio = {}, {}
+    for b in range(0, len(zs), step):
+        rows = weighted_partial_grid(bv, np.asarray(zs[b:b + step]), t_grid, quad_tol)
+        for z, row in zip(zs[b:b + step], rows):
+            norms = vector_norm(row, bv.norm_kind)
+            sups[z] = _sup(norms)
+            if z in masks:
+                ratio[z] = _sup(norms * z.real, masks[z])
+        del rows, row, norms
+    return sups, ratio
+
+
+def _report(case_id: str, found: tuple[float, int], bound: float, x: float, t_grid: np.ndarray,
+            grid_spec: GridSpec | None, failed: str = "", note: str = "") -> SupReport:
+    """The report of a sup and its witness index, found = _sup(...)."""
+    return SupReport(case_id, found[0], bound, float(t_grid[found[1]]), grid_spec, x,
+                     bool(failed), "; ".join(filter(None, (failed, note))))
+
+
+def _hypothesis_fails(found: tuple[float, int], C: float, where: str) -> str:
+    """Why sup_t ||G(x, t)|| <= C, the ratio hypothesis, fails given its _sup; "" if not."""
+    return "" if found[0] <= C * (1.0 + HYPOTHESIS_SLACK) else f"ratio hypothesis fails at {where}"
+
+
+def _ratio_masks(cert: TauberianCertificate, t_grid: np.ndarray,
+                 x_grid: np.ndarray | None) -> dict:
+    """{complex(x): mask of the t to check} for each x of the grid with such a t."""
     if x_grid is None:
         x_hi = cert.x0 * 1e3
         rule_hi = float(cert.R_rule(t_grid[-1]))
@@ -131,21 +155,80 @@ def check_tauberian(bv: BVFunction, cert: TauberianCertificate,
         raise ValueError(f"ratio condition has nothing to check: no grid point has t > T = "
                          f"{cert.T:g} and x0 = {cert.x0:g} <= x <= R(t); the grids hold t in "
                          f"{_span(t_grid)} and x in {_span(x_grid)}")
-    xs = x_grid[live]
-    norms = _grid_norms(bv, xs.astype(complex), t_grid, quad_tol)
-    norms *= xs[:, None]
-    norms[~masks[live]] = -math.inf
-    witness = np.argmax(norms, axis=1)
-    sups = norms[np.arange(xs.size), witness]
-    best = int(np.argmax(sups))
-    return SupReport(case_id="tauberian_condition", grid_sup=float(sups[best]), bound=cert.C,
-                     witness_t=float(t_grid[witness[best]]), grid=grid_spec,
-                     witness_x=float(xs[best]))
+    return {complex(x): mask for x, mask in zip(x_grid[live], masks[live])}
 
 
-def _hypothesis_holds(norms: np.ndarray, C: float) -> bool:
-    """The ratio hypothesis sup_t ||G(x, t)|| <= C, given the norms of the sweep at x."""
-    return float(np.max(norms)) <= C * (1.0 + HYPOTHESIS_SLACK)
+def _ratio_report(cert: TauberianCertificate, ratio: dict, t_grid: np.ndarray,
+                  grid_spec: GridSpec | None) -> SupReport:
+    xs = list(ratio)
+    best = xs[int(np.argmax([ratio[x][0] for x in xs]))]
+    return _report("tauberian_condition", ratio[best], cert.C, best.real, t_grid, grid_spec)
+
+
+def _line_report(C: float, x: float, y: float, sups: dict, t_grid: np.ndarray,
+                 grid_spec: GridSpec | None) -> SupReport:
+    return _report(f"line_bound_x{x:g}_y{y:g}", sups[complex(x, y)], C * (1.0 + abs(y) / x),
+                   x, t_grid, grid_spec, _hypothesis_fails(sups[complex(x)], C, f"x = {x:g}"))
+
+
+def _tail_report(bv: BVFunction, C: float, x: float, y: float, v_max: float, quad_tol: float,
+                 sups: dict, t_grid: np.ndarray, grid_spec: GridSpec | None) -> SupReport:
+    vals = weighted_tail_grid(bv, complex(x, y), t_grid, v_max, quad_tol)
+    return _report(f"tail_bound_x{x:g}_y{y:g}", _sup(vector_norm(vals, bv.norm_kind)),
+                   C * (3.0 + abs(y) / x), x, t_grid, grid_spec,
+                   _hypothesis_fails(sups[complex(x)], C, f"x = {x:g}"), f"v_max={v_max:g}")
+
+
+def _small_x_grid(x0: float, x_grid: np.ndarray | None) -> np.ndarray:
+    x_grid = make_x_grid(x0 * 1e-2, x0, 16) if x_grid is None else np.asarray(x_grid, float)
+    if x_grid.size == 0 or not np.all((x_grid > 0) & (x_grid <= x0 * (1 + 1e-12))):
+        raise ValueError("small-x grid must be nonempty and lie in (0, x0]")
+    return x_grid
+
+
+def _small_x_report(C: float, x0: float, x_grid: np.ndarray, sups: dict,
+                    t_grid: np.ndarray, grid_spec: GridSpec | None) -> SupReport:
+    failed = _hypothesis_fails(sups[complex(x0)], C, f"x0 = {x0:g}")
+    return min((_report("small_x_bound", sups[complex(x)], C * x0 / float(x), float(x),
+                        t_grid, grid_spec, failed) for x in x_grid),
+               key=lambda rep: rep.margin)  # the first of least margin
+
+
+def check_certificate(bv: BVFunction, cert: TauberianCertificate,
+                      t_grid: np.ndarray | None = None, x_grid: np.ndarray | None = None,
+                      quad_tol: float = 1e-10) -> list[SupReport]:
+    """The ratio condition and the four bounds it yields at x0, from one sweep.
+
+    With the per-line constant C / x0: the line bounds at y = 0 and y = 2 x0,
+    the tail bound at y = 2 x0 and the small-x bound on the default grid.
+    The reports come in that order, each bitwise its own check_* call's.
+    """
+    t_grid, grid_spec = _t_grid(bv, t_grid, None)
+    x0, C, y = cert.x0, cert.C / cert.x0, 2.0 * cert.x0
+    masks = _ratio_masks(cert, t_grid, x_grid)
+    small = _small_x_grid(x0, None)
+    sups, ratio = _sweep_sups(bv, [*masks, x0, complex(x0, y), *small], t_grid, quad_tol, masks)
+    v_max = tail_truncation_point(C, x0, y, float(t_grid[-1]))
+    return [_ratio_report(cert, ratio, t_grid, grid_spec),
+            _line_report(C, x0, 0.0, sups, t_grid, grid_spec),
+            _line_report(C, x0, y, sups, t_grid, grid_spec),
+            _tail_report(bv, C, x0, y, v_max, quad_tol, sups, t_grid, grid_spec),
+            _small_x_report(C, x0, small, sups, t_grid, grid_spec)]
+
+
+def check_tauberian(bv: BVFunction, cert: TauberianCertificate,
+                    t_grid: np.ndarray | None = None, x_grid: np.ndarray | None = None,
+                    quad_tol: float = 1e-10, grid_spec: GridSpec | None = None) -> SupReport:
+    """sup over the grid of || x e^{-xt} int_0^t e^{xs} dA || against C.
+
+    Only pairs with t > cert.T and cert.x0 <= x <= R_rule(t) participate, and
+    only the x with at least one such t are swept.  A grid with no such pair
+    raises ValueError: a check of nothing proves nothing.
+    """
+    t_grid, grid_spec = _t_grid(bv, t_grid, grid_spec)
+    masks = _ratio_masks(cert, t_grid, x_grid)
+    _, ratio = _sweep_sups(bv, masks, t_grid, quad_tol, masks)
+    return _ratio_report(cert, ratio, t_grid, grid_spec)
 
 
 def check_line_bound(bv: BVFunction, C: float, x: float, y: float,
@@ -154,24 +237,13 @@ def check_line_bound(bv: BVFunction, C: float, x: float, y: float,
     """|| e^{-xt} int_0^t e^{(x+iy)s} dA || against C (1 + |y|/x).
 
     Pre-checks the ratio hypothesis at abscissa x on the same grid, in the
-    same call as the sweep at x + iy; at y = 0 the hypothesis sweep is the
-    one the bound reads.
+    same sweep as x + iy.
     """
-    if not x > 0:
-        raise ValueError("line bound needs x > 0")
-    if t_grid is None:
-        t_grid, grid_spec = make_t_grid(bv)
-    t_grid = np.asarray(t_grid, dtype=float)
-    case = f"line_bound_x{x:g}_y{y:g}"
-    zs = [complex(x)] if y == 0 else [complex(x), complex(x, y)]
-    sweeps = _grid_norms(bv, np.asarray(zs), t_grid, quad_tol)
-    hyp_ok = _hypothesis_holds(sweeps[0], C)
-    norms = sweeps[-1]
-    j = int(np.argmax(norms))
-    return SupReport(case_id=case, grid_sup=float(norms[j]), bound=C * (1.0 + abs(y) / x),
-                     witness_t=float(t_grid[j]), grid=grid_spec, witness_x=x,
-                     hypothesis_failed=not hyp_ok,
-                     note="" if hyp_ok else f"ratio hypothesis fails at x = {x:g}")
+    if not x > 0 or math.isnan(y):
+        raise ValueError("line bound needs x > 0 and a number y")
+    t_grid, grid_spec = _t_grid(bv, t_grid, grid_spec)
+    sups, _ = _sweep_sups(bv, [x, complex(x, y)], t_grid, quad_tol)
+    return _line_report(C, x, y, sups, t_grid, grid_spec)
 
 
 def tail_truncation_point(C: float, x: float, y: float, t_max: float,
@@ -191,23 +263,13 @@ def check_tail_bound(bv: BVFunction, C: float, x: float, y: float,
     v defaults to the point where the certified remainder beyond it is below
     remainder_tol for every grid t.
     """
-    if not x > 0:
-        raise ValueError("tail bound needs x > 0")
-    if t_grid is None:
-        t_grid, grid_spec = make_t_grid(bv)
-    t_grid = np.asarray(t_grid, dtype=float)
+    if not x > 0 or math.isnan(y):
+        raise ValueError("tail bound needs x > 0 and a number y")
+    t_grid, grid_spec = _t_grid(bv, t_grid, grid_spec)
     if v_max is None:
         v_max = tail_truncation_point(C, x, y, float(t_grid[-1]), remainder_tol)
-    hyp_ok = _hypothesis_holds(_grid_norms(bv, np.asarray([complex(x)]), t_grid, quad_tol)[0], C)
-    vals = weighted_tail_grid(bv, complex(x, y), t_grid, v_max, quad_tol)
-    norms = np.asarray(vector_norm(vals, bv.norm_kind), dtype=float)
-    j = int(np.argmax(norms))
-    case = f"tail_bound_x{x:g}_y{y:g}"
-    return SupReport(case_id=case, grid_sup=float(norms[j]), bound=C * (3.0 + abs(y) / x),
-                     witness_t=float(t_grid[j]), grid=grid_spec, witness_x=x,
-                     hypothesis_failed=not hyp_ok,
-                     note=f"v_max={v_max:g}" if hyp_ok
-                     else f"ratio hypothesis fails at x = {x:g}; v_max={v_max:g}")
+    sups, _ = _sweep_sups(bv, [x], t_grid, quad_tol)
+    return _tail_report(bv, C, x, y, v_max, quad_tol, sups, t_grid, grid_spec)
 
 
 def check_small_x_bound(bv: BVFunction, C: float, x0: float,
@@ -216,34 +278,14 @@ def check_small_x_bound(bv: BVFunction, C: float, x0: float,
                         grid_spec: GridSpec | None = None) -> SupReport:
     """Rescaled ratio bound C x0 / x for 0 < x <= x0; reports the worst x.
 
-    Pre-checks the hypothesis at x0 itself.  One call sweeps the grid, plus
-    x0 when the grid misses it (the default grid ends there).
+    Pre-checks the hypothesis at x0 itself, in the same sweep as the grid.
     """
     if not x0 > 0:
         raise ValueError("small-x check needs x0 > 0")
-    if t_grid is None:
-        t_grid, grid_spec = make_t_grid(bv)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if x_grid is None:
-        x_grid = make_x_grid(x0 * 1e-2, x0, 16)
-    x_grid = np.asarray(x_grid, dtype=float)
-    if np.any(x_grid <= 0) or np.any(x_grid > x0 * (1 + 1e-12)):
-        raise ValueError("small-x grid must lie in (0, x0]")
-    xs = x_grid if np.any(x_grid == x0) else np.append(x_grid, x0)
-    sweeps = _grid_norms(bv, xs.astype(complex), t_grid, quad_tol)
-    hyp_ok = _hypothesis_holds(sweeps[int(np.flatnonzero(xs == x0)[0])], C)
-    worst: SupReport | None = None
-    for x, norms in zip(x_grid, sweeps):
-        j = int(np.argmax(norms))
-        rep = SupReport(case_id="small_x_bound", grid_sup=float(norms[j]),
-                        bound=C * x0 / float(x), witness_t=float(t_grid[j]),
-                        grid=grid_spec, witness_x=float(x),
-                        hypothesis_failed=not hyp_ok,
-                        note="" if hyp_ok else f"ratio hypothesis fails at x0 = {x0:g}")
-        if worst is None or rep.margin < worst.margin:
-            worst = rep
-    assert worst is not None
-    return worst
+    t_grid, grid_spec = _t_grid(bv, t_grid, grid_spec)
+    x_grid = _small_x_grid(x0, x_grid)
+    sups, _ = _sweep_sups(bv, [*x_grid, x0], t_grid, quad_tol)
+    return _small_x_report(C, x0, x_grid, sups, t_grid, grid_spec)
 
 
 # -- the delayed-step counterexample ------------------------------------------

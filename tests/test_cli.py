@@ -187,9 +187,19 @@ class TestVerify:
             "jumps": [{"t": 1.0, "value": [1.0]}],
             "cutoff": {"kind": "constant", "value": 1.0},
             "certificate": {"C": 0.5, "x0": 1.0}}))
-        res = run("verify", "--problem", str(p), "--quad-tol", "1e-12")
+        out = tmp_path / "verify.csv"
+        res = run("verify", "--problem", str(p), "--quad-tol", "1e-12", "--out", str(out))
         assert res.exit_code == 1
         assert "violation" in stderr_of(res)
+        # the hypothesis fails at x0 = 1, so every bound that assumes it fails too
+        meta = json.loads((tmp_path / "verify.csv.meta.json").read_text())
+        assert meta["failed_cases"] == ["tauberian_condition", "line_bound_x1_y0",
+                                        "line_bound_x1_y2", "tail_bound_x1_y2", "small_x_bound"]
+        assert meta["notes"] == {"line_bound_x1_y0": "ratio hypothesis fails at x = 1",
+                                 "line_bound_x1_y2": "ratio hypothesis fails at x = 1",
+                                 "tail_bound_x1_y2": "ratio hypothesis fails at x = 1; "
+                                                     "v_max=64.7318",
+                                 "small_x_bound": "ratio hypothesis fails at x0 = 1"}
 
     def test_empty_ratio_check_exits_two(self, tmp_path):
         # no grid time lies past T, so the ratio condition checks nothing

@@ -1,14 +1,24 @@
 """Grid checks of the ratio condition, line/tail/small-x bounds, and the step example."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tauberian_lab
 from tauberian_lab import (
     BVFunction,
+    CutoffRule,
+    DensityPiece,
     TauberianCertificate,
+    check_certificate,
     check_line_bound,
     check_small_x_bound,
     check_tail_bound,
@@ -21,6 +31,7 @@ from tauberian_lab import (
     make_x_grid,
 )
 from tauberian_lab import bv as bv_module
+from tauberian_lab.bv import DENSITY_KINDS
 from tauberian_lab import verify as verify_module
 from tauberian_lab.cli import main
 
@@ -204,9 +215,20 @@ class TestLineTailSmallX:
             check_small_x_bound(delayed_step(1.0), 1.0, 1.0,
                                 x_grid=np.asarray([2.0]))
 
+    @pytest.mark.parametrize("x_grid", [[], [math.nan, 0.5]])
+    def test_small_x_rejects_an_empty_or_nan_grid(self, x_grid):
+        # an empty grid once failed an assert, and a NaN abscissa went to the sweep
+        with pytest.raises(ValueError, match="small-x grid"):
+            check_small_x_bound(delayed_step(1.0), 1.0, 1.0, x_grid=np.asarray(x_grid))
+
+    @pytest.mark.parametrize("check", [check_line_bound, check_tail_bound])
+    def test_line_and_tail_reject_a_nan_ordinate(self, check):
+        with pytest.raises(ValueError, match="a number y"):
+            check(delayed_step(1.0), 1.0, 1.0, math.nan)
+
 
 class TestSweepReuse:
-    """A check sweeps each abscissa once, and all of its abscissas in one call."""
+    """verify sweeps each abscissa once, and all of them in one call per batch."""
 
     @pytest.fixture
     def spy(self, monkeypatch) -> tuple[list[tuple[str, complex]], list[str]]:
@@ -237,23 +259,39 @@ class TestSweepReuse:
         assert rep.witness_x == 2.0
 
     def test_verify_command_sweep_count(self, sweeps):
-        # ratio condition 8, line bounds 1 + 2, tail bound 1 + 1 tail, small x 16
+        # ratio condition 8 (from x0 = 1), x0 + 2i x0, small x 16 (to x0): 24
+        # distinct abscissas, where five sweeps of their own swept 28
         res = CliRunner().invoke(main, ["verify", "--problem", "problems/dirichlet_ones.json",
                                         "--x-grid", "1:1000:8"])
         assert res.exit_code == 0, res.output
-        names = [name for name, _ in sweeps]
-        assert names.count("weighted_partial_grid") == 28
-        assert names.count("weighted_tail_grid") == 1
+        partial = [z for name, z in sweeps if name == "weighted_partial_grid"]
+        assert len(partial) == len(set(partial)) == 24
+        assert [z for name, z in sweeps if name == "weighted_tail_grid"] == [1.0 + 2.0j]
 
-    def test_verify_command_makes_one_sweep_call_per_check(self, spy):
-        # ratio condition, two line bounds, the tail bound's hypothesis and the
-        # small-x bound: one partial call each; the tail bound's own tail sweep
+    def test_verify_command_makes_one_partial_and_one_tail_sweep_call(self, spy):
+        # the 24 abscissas of 8704 points fit one batch; the tail bound's own
+        # tail sweep is the other call
         res = CliRunner().invoke(main, ["verify", "--problem", "problems/dirichlet_ones.json",
                                         "--x-grid", "1:1000:8"])
         assert res.exit_code == 0, res.output
         _, calls = spy
-        assert calls.count("weighted_partial_grid") == 5
-        assert calls.count("weighted_tail_grid") == 1
+        assert calls == ["weighted_partial_grid", "weighted_tail_grid"]
+
+    def test_batches_hold_at_most_the_jump_chunk_share(self, monkeypatch):
+        # 2 x 8704 entries per abscissa: 14 abscissas per batch of
+        # _MAX_BLOCK_ELEMENTS // 8, so the 24 take two calls
+        prob = load_problem("problems/dirichlet_ones.json")
+        bv = BVFunction(2, prob.bv.jump_times, np.repeat(prob.bv.jump_sizes, 2, axis=1))
+        sizes = []
+        partial = verify_module.weighted_partial_grid
+
+        def sized(bv, z, *args, **kw):
+            sizes.append(np.size(z))
+            return partial(bv, z, *args, **kw)
+
+        monkeypatch.setattr(verify_module, "weighted_partial_grid", sized)
+        check_certificate(bv, prob.certificate, x_grid=np.geomspace(1.0, 1000.0, 8))
+        assert sizes == [14, 10]
 
     def test_ratio_condition_sweeps_only_abscissas_it_checks(self, spy):
         # R(t) = 1 leaves x = 2 and x = 4 without a time to check
@@ -263,7 +301,8 @@ class TestSweepReuse:
 
     def test_density_mix_verify_quad_calls(self, monkeypatch):
         # power and damped_power pieces take quad: one call per piece per sweep
-        # call, 2 x 6 in all (one per abscissa and piece made 74)
+        # call, 2 x 2 in all (one per abscissa and piece made 74, one sweep
+        # call per check 12)
         calls = []
         quad = bv_module.quad
 
@@ -275,4 +314,98 @@ class TestSweepReuse:
         res = CliRunner().invoke(main, ["verify", "--problem", "problems/density_mix.json",
                                         "--t-grid", "0:40:120", "--x-grid", "1:100:16"])
         assert res.exit_code == 0, res.output
-        assert len(calls) <= 12
+        assert len(calls) <= 4
+
+
+def separate_checks(bv, cert, t_grid=None, x_grid=None, quad_tol=1e-10, grid_spec=None):
+    """Reference for check_certificate: the five check_* calls verify made one by one."""
+    if t_grid is None:
+        t_grid, grid_spec = make_t_grid(bv)
+    line_c = cert.C / cert.x0
+    reports = [check_tauberian(bv, cert, t_grid, x_grid, quad_tol, grid_spec)]
+    for y in (0.0, 2.0 * cert.x0):
+        reports.append(check_line_bound(bv, line_c, cert.x0, y, t_grid, quad_tol, grid_spec))
+    reports.append(check_tail_bound(bv, line_c, cert.x0, 2.0 * cert.x0, t_grid,
+                                    quad_tol=quad_tol, grid_spec=grid_spec))
+    reports.append(check_small_x_bound(bv, line_c, cert.x0, t_grid=t_grid, quad_tol=quad_tol,
+                                       grid_spec=grid_spec))
+    return reports
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def certificate_cases(draw):
+    """An integrator of jumps, of all four density kinds, or of both, in C^1 or C^2
+    under either norm; a certificate with T > 0, x0 != 1 and a finite or infinite
+    cutoff; a t grid (maybe the default one) and an x grid that holds x0 or misses it."""
+    d = draw(st.sampled_from((1, 2)))
+    kind = draw(st.sampled_from(("jumps", "densities", "mix")))
+    taus = np.zeros(0)
+    if kind != "densities":
+        taus = np.unique(draw(st.lists(st.floats(0.0, 9.0), min_size=1, max_size=6)))
+    parts = draw(st.lists(_unit, min_size=2 * d * taus.size, max_size=2 * d * taus.size))
+    sizes = np.asarray(parts, dtype=float).reshape(-1, d, 2) @ np.asarray([1.0, 1.0j])
+    pieces = []
+    if kind != "jumps":
+        for piece_kind in DENSITY_KINDS:
+            a = draw(st.floats(0.0, 5.0))
+            rate = 0.0
+            if piece_kind in ("exponential", "damped_power"):
+                rate = draw(st.floats(-1.5, 0.0 if piece_kind == "damped_power" else 0.5))
+            exponent = draw(st.floats(-0.9 if a > 0 else -0.5, 2.0))
+            pieces.append(DensityPiece(a, a + draw(st.floats(0.05, 3.0)), piece_kind,
+                                       tuple(complex(draw(_unit), draw(_unit))
+                                             for _ in range(d)), rate, exponent))
+    bv = BVFunction(d, taus, sizes, tuple(pieces), draw(st.sampled_from(("euclidean", "sup"))))
+    x0 = draw(st.floats(0.3, 3.0).filter(lambda v: v != 1.0))
+    cutoff = draw(st.sampled_from((CutoffRule.infinite(), CutoffRule.exp_of_t(),
+                                   CutoffRule.constant(max(1.0, 4.0 * x0)))))
+    # now and then T lies past every grid, and the ratio condition checks nothing
+    T = 60.0 if draw(st.integers(0, 7)) == 0 else draw(st.floats(0.01, 2.0))
+    cert = TauberianCertificate(C=draw(st.floats(0.05, 4.0)), x0=x0, T=T, R_rule=cutoff)
+    t_grid = None
+    if draw(st.booleans()):
+        t_grid = np.linspace(0.0, draw(st.floats(2.5, 12.0)), draw(st.integers(2, 60)))
+    x_grid = None
+    if draw(st.booleans()):
+        first = x0 * draw(st.sampled_from((1.0, 0.5, 1.3)))  # x0 itself, below it, past it
+        x_grid = np.geomspace(first, 60.0 * x0, draw(st.integers(1, 12)))
+    return bv, cert, t_grid, x_grid
+
+
+def _outcome(run):
+    try:
+        return [repr(rep) for rep in run()]
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("one_per_batch", [False, True])
+@settings(max_examples=30, deadline=None)
+@given(case=certificate_cases())
+def test_certificate_equals_separate_checks(case, one_per_batch):
+    # every SupReport field bitwise, or the same error; with every abscissa its
+    # own batch too, so batch boundaries move no bit
+    bv, cert, t_grid, x_grid = case
+    want = _outcome(lambda: separate_checks(bv, cert, t_grid, x_grid))
+    with mock.patch.object(verify_module, "_MAX_BLOCK_ELEMENTS",
+                           8 if one_per_batch else verify_module._MAX_BLOCK_ELEMENTS):
+        got = _outcome(lambda: check_certificate(bv, cert, t_grid, x_grid))
+    assert got == want
+
+
+def test_verify_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, 14 ms and about 1 MB at start-up
+    script = ("import sys\n"
+              "from tauberian_lab.cli import main\n"
+              "try:\n"
+              "    main(['verify', '--problem', 'problems/delayed_step.json'])\n"
+              "except SystemExit as exc:\n"
+              "    assert exc.code == 0, exc.code\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(tauberian_lab.__file__).resolve().parent.parent)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "PATH": ""}, check=True)
+    assert res.stdout.splitlines()[-1] == "False"
