@@ -68,13 +68,18 @@ moments still cost O(N P) in all.  Besides the moments, the kernel holds
 about three arrays of the jumps' length at once: the offsets u, one moment
 term updated in place, and u / (p + 1).
 
-Density pieces integrate in closed form or by ``quad``.  Constant and
-exponential pieces take the closed form everywhere (``stieltjes_integral`` and
-``total_variation`` through ``_piece_phi_integral``, the contour and the
-weighted sweeps), through the complex expm1 of ``_exp_segment``.  The other
-kinds take ``quad``, one vectorised adaptive Gauss-Kronrod (7/15) routine that
-integrates many intervals per call: all the contour nodes of a piece, or all
-the (abscissa, row) intervals of a weighted sweep call.  The integrand is
+Every evaluator integrates a density piece through one body,
+``_piece_integrals``: int e^{w(s)} base(s) ds over arrays of ranges, where
+w is affine in s with slope c (phi.rate in ``stieltjes_integral``, the rate
+c of a sweep, -z on the contour).  Constant and exponential pieces (rate r)
+take one closed form, with d = c + r: e^{w(a) + r a} times the complex expm1
+of ``_exp_segment`` on a bounded range, anchored at the end a where
+Re(d s) is larger, and e^{w(lo) + r lo} / (-d) on [lo, inf), which is
+refused unless Re d < 0.  The other kinds take ``quad`` (on [lo, inf) only
+where Re d < 0, or Re d = 0 and s^a decays faster than 1/s), one vectorised
+adaptive Gauss-Kronrod (7/15) routine that integrates many intervals per
+call: all the contour nodes of a piece, or all the (abscissa, row)
+intervals of a weighted sweep call.  The integrand is
 formed as s^a e^{log weight + rate s}, so a growing base under a faster
 decaying weight does not overflow.
 Each interval converges on its own, when the sum of |K15 - G7| over its
@@ -160,6 +165,12 @@ def _guard_finite(values: np.ndarray, locations: np.ndarray, detail: str = "") -
     if np.any(bad):
         where = np.broadcast_to(locations, values.shape)[bad]
         raise NonFiniteIntegrandError(float(np.atleast_1d(where)[0]), detail)
+
+
+def _refuse_nan(*times) -> None:
+    # a nan time passes every range test (each comparison is false)
+    if any(np.any(np.isnan(t)) for t in times):
+        raise ValueError("t = nan is not a time")
 
 
 class QuadratureError(ArithmeticError):
@@ -342,8 +353,7 @@ class BVFunction:
         Density pieces count piece by piece, so where pieces overlap the
         result is an upper bound (triangle inequality).
         """
-        if math.isnan(t):
-            raise ValueError("t = nan is not a time")
+        _refuse_nan(t)
         if t <= 0:
             return 0.0
         idx = self._jumps_before(t)
@@ -359,7 +369,8 @@ class BVFunction:
                 raise ValueError("total_variation over an unbounded range; pass a finite t")
             # |base| is the base of the same piece with the real part of its rate
             modulus = replace(piece, rate=complex(piece.rate).real)
-            tv += amp * _piece_phi_integral(modulus, Integrand.constant(), lo, hi, quad_tol).real
+            tv += amp * _piece_integrals(modulus, lambda s, owner: np.zeros_like(s), [0.0],
+                                         [lo], [hi], quad_tol)[0].real
         return tv
 
 
@@ -493,52 +504,55 @@ def _density_integrals(piece: DensityPiece, log_weight, lo, hi, quad_tol: float)
     return values
 
 
-def _piece_phi_integral(piece: DensityPiece, phi: Integrand, lo: float, hi: float,
-                        quad_tol: float) -> complex:
-    """int_lo^hi phi(s) base(s) ds as a complex scalar; hi = inf allowed.
+def _piece_integrals(piece: DensityPiece, log_weight, slope, lo, hi,
+                     quad_tol: float) -> np.ndarray:
+    """int_lo[i]^hi[i] e^{log_weight(s, i)} base(s) ds for every i; hi[i] = inf allowed.
 
-    Constant and exponential pieces take the closed form, with q = phi.rate +
-    piece.rate and c = phi.coefficient: c e^{q a} (e^{d L} - 1) / d on a
-    range of length L, anchored at the end a where Re(q s) is larger, so that
-    d = +-q has Re(d) <= 0; and c e^{q lo} / (-q) on [lo, inf), which
-    diverges unless Re q < 0.  The other kinds take quad.
+    log_weight(s, i) gets (m, q) points s and the ranges i of its rows, an
+    index array (from quad) or slice(None) (every range, in order).  It is
+    affine in s with slope slope[i], so with d = slope + rate the integrand
+    is e^{w(a) + rate a} e^{d (s - a)} about any point a.  Constant and
+    exponential pieces take that closed form: e^{w(a) + rate a}
+    (e^{+-d L} - 1) / (+-d) on a range of length L, anchored at the end a
+    where Re(d s) is larger, so that the segment factor stays bounded, and
+    e^{w(lo) + rate lo} / (-d) on [lo, inf).  The other kinds take
+    _density_integrals.  A range [lo, inf) is refused unless the integral
+    converges absolutely: Re d < 0, or Re d = 0 and s^exponent decays
+    faster than 1/s.
     """
-    if hi <= lo:
-        return 0j
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    d = np.asarray(slope, dtype=complex) + piece.rate
+    unbounded = np.isinf(hi)
+    power = piece.exponent if piece.kind in ("power", "damped_power") else 0.0
+    wild = unbounded & ((d.real > 0) | ((d.real == 0) & (power >= -1.0)))
+    if wild.any():
+        i = np.argmax(wild)
+        raise ValueError(f"integral over [{lo[i]:g}, inf) diverges in absolute value: "
+                         f"|weight times density| ~ e^{{{d[i].real:g} s}} s^{power:g}")
     if not piece.smooth_exponential:
-        c = phi.coefficient
-        if c == 0:
-            return 0j
-        return c * complex(_density_integrals(piece, lambda s, owner: phi.rate * s, [lo], [hi],
-                                              quad_tol / abs(c))[0])
-    q = phi.rate + piece.rate
-    if not math.isfinite(hi):
-        if q.real >= 0:
-            raise ValueError(f"integral over [{lo:g}, inf) diverges: integrand times density "
-                             f"grows like e^{{{q.real:g} s}}")
-        a, segment = lo, -1.0 / q
-    else:
-        rising = q.real > 0
-        a = hi if rising else lo
-        segment = _exp_segment(-q if rising else q, hi - lo)
+        return _density_integrals(piece, log_weight, lo, hi, quad_tol)
+    rising = d.real > 0
+    a = np.where(rising, hi, lo)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow is caught by the finiteness guard
-        val = phi.coefficient * np.exp(q * a) * segment
-    _guard_finite(val, a, f"density kind {piece.kind!r}")
-    return complex(val)
+        head = np.exp(log_weight(a[:, None], slice(None))[:, 0] + piece.rate * a)
+        vals = head * _exp_segment(np.where(rising, -d, d), np.where(unbounded, 0.0, hi - lo))
+        vals[unbounded] = head[unbounded] / -d[unbounded]
+    _guard_finite(vals, a, f"density kind {piece.kind!r}")
+    return vals
 
 
 def stieltjes_integral(bv: BVFunction, phi: Integrand, t: float,
                        quad_tol: float = 1e-10) -> np.ndarray:
     """int_0^t phi(s) dA(s) as a (d,) array: jumps at tau < t (strict) plus density pieces.
 
-    Constant and exponential pieces take their closed form; the others are
-    integrated to absolute accuracy ~quad_tol each.
+    Each piece takes _piece_integrals with slope phi.rate: constant and
+    exponential pieces their closed form, the others absolute accuracy
+    ~quad_tol each.
     """
     if not isinstance(phi, Integrand):
         raise TypeError("phi must be an Integrand preset")
-    if math.isnan(t):
-        raise ValueError("t = nan is not a time")
+    _refuse_nan(t)
     total = np.zeros(bv.dimension, dtype=complex)
     if t <= 0:
         return total
@@ -549,10 +563,13 @@ def stieltjes_integral(bv: BVFunction, phi: Integrand, t: float,
              else np.asarray(phi(bv.jump_times[:idx]), dtype=complex))
         _guard_finite(w, bv.jump_times[:idx], "jump weights")
         total += w @ bv.jump_sizes[:idx]
+    c = phi.coefficient
     for piece in bv.pieces:
         lo, hi = piece.start, min(piece.end, t)
-        if hi > lo:
-            total += piece.scale_array() * _piece_phi_integral(piece, phi, lo, hi, quad_tol)
+        if hi > lo and c:
+            val = _piece_integrals(piece, lambda s, owner: phi.rate * s, [phi.rate], [lo], [hi],
+                                   quad_tol / abs(c))[0]
+            total += piece.scale_array() * (c * val)
     return total
 
 
@@ -566,12 +583,8 @@ def _density_segments(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: 
     Row j steps from the previous point (start for j = 0) to t_j, clipped to
     within (_NEGLIGIBLE_LOG + 10) / |Re c_k| of t_j.  The weight is formed as
     e^{Re(c_k) (s - t_j) + i Im(c_k) s}, so that a large Re(c_k) t_j adds no
-    rounding.  Constant and exponential pieces (rate r) take the closed form
-    for every abscissa and row at once: e^{Re(c) (a - t_j) + (i Im(c) + r) a}
-    (e^{d L} - 1) / d on a row of length L, anchored at the end a where
-    Re((c + r) s) is larger, so that d = +-(c + r) has Re(d) <= 0 and the
-    segment factor stays bounded.  The other pieces take one quad call each,
-    over the intervals of every abscissa and row.  Pieces are added in order.
+    rounding.  Each piece takes one _piece_integrals call over the intervals
+    of every abscissa and row, with slope c_k.  Pieces are added in order.
     """
     xr = c.real
     phase = 1j * c.imag
@@ -587,19 +600,10 @@ def _density_segments(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: 
         if k.size == 0:
             continue
         lo, hi, t = lo[k, j], hi[k, j], points[j]
-        if piece.smooth_exponential:
-            crate = c[k] + piece.rate
-            rising = crate.real > 0
-            a = np.where(rising, hi, lo)
-            vals = (np.exp(xr[k] * (a - t) + (phase[k] + piece.rate) * a)
-                    * _exp_segment(np.where(rising, -crate, crate), hi - lo))
-            _guard_finite(vals, a, f"density kind {piece.kind!r}")
-        else:
-            xk, pk = xr[k], phase[k]
-            vals = _density_integrals(
-                piece, lambda s, owner: (xk[owner, None] * (s - t[owner, None])
-                                         + pk[owner, None] * s),
-                lo, hi, quad_tol)
+        xk, pk = xr[k], phase[k]
+        vals = _piece_integrals(
+            piece, lambda s, owner: xk[owner, None] * (s - t[owner, None]) + pk[owner, None] * s,
+            c[k], lo, hi, quad_tol)
         rows[k, j] += vals[:, None] * piece.scale_array()[None, :]
 
 
@@ -703,6 +707,7 @@ def _weighted_sweep(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: fl
     e^{Re(c_k) (t_prev - t_j)}, one abscissa at a time, back into the same
     array.  A nonfinite result raises NonFiniteIntegrandError.
     """
+    _refuse_nan(start, points)
     rows = _jump_rows(bv, c, points, start)
     if bv.pieces:
         _density_segments(bv, c, points, start, quad_tol, rows)
@@ -886,13 +891,10 @@ def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi,
     [t, inf) takes Re z >= 0 and [0, t) takes Re z <= 0.  The jumps are cut
     at each node's end; the kernel runs once on each run of jumps between two
     consecutive distinct cuts, over the nodes whose range covers that run, so
-    the moments of every jump are formed once.  Constant and exponential
-    pieces on [a, b_i) take the closed form
-    e^{z(t-a) + ra} int_0^{b_i-a} e^{(r-z)u} du, which is
-    e^{z(t-a) + ra} / (z - r) when b_i = inf; the other kinds take one
-    adaptive quad call per piece over all nodes.  An unbounded piece whose rate reaches min Re z
-    diverges and is refused.
+    the moments of every jump are formed once.  Each piece takes one
+    _piece_integrals call over all nodes, with slope -z.
     """
+    _refuse_nan(t)
     hi = np.broadcast_to(np.asarray(hi, dtype=float), z.shape)
     times, sizes = bv.jump_times, bv.jump_sizes
     i0 = int(np.searchsorted(times, lo, side="left"))
@@ -910,23 +912,9 @@ def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi,
         live = b > a
         if not live.any():
             continue
-        zl, bl = z[live], b[live]
-        r = complex(piece.rate)
-        unbounded = ~np.isfinite(bl)
-        x_min = float(np.min(zl[unbounded].real, initial=math.inf))
-        if x_min <= r.real:
-            raise ValueError(f"integral over [{a:g}, inf) diverges: density rate {r.real:g} "
-                             f">= min Re(z) = {x_min:g}")
-        if piece.smooth_exponential:
-            prefactor = np.exp(zl * (t - a) + r * a)
-            vals = np.empty_like(prefactor)
-            vals[~unbounded] = prefactor[~unbounded] * _exp_segment(
-                r - zl[~unbounded], bl[~unbounded] - a)
-            vals[unbounded] = prefactor[unbounded] / (zl[unbounded] - r)
-            _guard_finite(vals, a, f"density kind {piece.kind!r} on [{a:g}, {np.max(bl):g})")
-        else:
-            vals = _density_integrals(piece, lambda s, owner: zl[owner, None] * (t - s),
-                                      np.full(zl.size, a), bl, quad_tol)
+        zl = z[live]
+        vals = _piece_integrals(piece, lambda s, owner: zl[owner, None] * (t - s), -zl,
+                                np.full(zl.size, a), b[live], quad_tol)
         out[live] += vals[:, None] * piece.scale_array()[None, :]
     return out
 

@@ -159,13 +159,23 @@ class TestValueAndVariation:
 
     def test_nan_time_is_refused(self):
         # a nan t once passed every range test and gave the whole integrator:
-        # value_at(nan) = [9], total_variation(nan) = 9
+        # value_at(nan) = [9], total_variation(nan) = 9; the sweeps and the
+        # contour evaluators gave zeros, nan rows, no rows at all or, for
+        # v_max = nan, the tail to infinity
         piece = DensityPiece(0.0, 3.0, "constant", (1.0,))
         bv = BVFunction.from_jumps([(1.0, 1.0), (2.0, 5.0)], pieces=(piece,))
+        dens = BVFunction.from_density("exponential", rate=-1.0)
+        jumps = BVFunction.from_jumps([(0.5, 1.0), (1.0, -2.0)])
         for evaluate in (bv.value_at, bv.total_variation,
                          lambda t: stieltjes_integral(bv, Integrand.exponential(-1.0), t),
-                         lambda t: finite_laplace(bv, 1.0, t)):
-            with pytest.raises(ValueError, match="t = nan"):
+                         lambda t: finite_laplace(bv, 1.0, t),
+                         lambda t: weighted_partial(dens, 1.0, t),
+                         lambda t: weighted_partial_grid(dens, 1.0, np.asarray([0.0, t])),
+                         lambda t: weighted_tail_grid(dens, 1.0, np.asarray([0.0, t]), 5.0),
+                         lambda t: weighted_tail_grid(jumps, 1.0, np.asarray([0.0, 1.0]), t),
+                         lambda t: exp_tail_integral(jumps, np.asarray([1.0 + 0j]), t),
+                         lambda t: exp_partial_integral(jumps, np.asarray([-1.0 + 0j]), t)):
+            with pytest.raises(ValueError, match="t = nan is not a time"):
                 evaluate(math.nan)
 
 
@@ -301,6 +311,18 @@ class TestContourKernels:
         got = exp_partial_integral(bv, z, t, 1e-12)[:, 0]
         want = (np.exp(z * t) - np.exp(-t)) / (z + 1.0)
         np.testing.assert_allclose(got, want, rtol=1e-11)
+
+    def test_exp_partial_anchors_a_rising_piece_at_t(self):
+        # at Re(r - z) = 63 the closed form anchored at 0 formed e^{63 * 12},
+        # which overflowed, where the value itself is about e^{-12} / 63
+        bv = BVFunction.from_density("exponential", rate=-1.0)
+        t = 12.0
+        z = np.concatenate((-64.0 + 1j * np.linspace(-64.0, 64.0, 9), [-1.0, -0.5 + 3.0j, 2.0j]))
+        got = exp_partial_integral(bv, z, t, 1e-12)[:, 0]
+        want = bv_module._density_integrals(bv.pieces[0],
+                                            lambda s, owner: z[owner, None] * (t - s),
+                                            np.zeros(z.size), np.full(z.size, t), 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_exp_partial_domain(self):
         bv = BVFunction.from_density("exponential", rate=-1.0)
@@ -730,39 +752,63 @@ def test_jump_sum_matches_dense_in_both_directions(taus, t, rho, angles):
     assert_matches_dense(tau[:k], sizes[:k], -z, t)  # partial: tau < t, Re z <= 0
 
 
+_slope_part = st.tuples(st.floats(-3.0, 3.0), st.floats(-5.0, 5.0))
 # quad loses its accuracy where the value nears the subnormal range
 _coefficient_part = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(-1.0, -1e-6))
 
 
 @st.composite
 def smooth_piece_cases(draw):
-    """A constant or exponential piece, a complex Integrand and a range of it, maybe unbounded."""
+    """A constant or exponential piece, a log-weight of one of the three shapes the
+    callers pass, with its slope, ranges of it, some maybe unbounded, and for
+    phi.rate s an Integrand coefficient (None otherwise)."""
     kind = draw(st.sampled_from(("constant", "exponential")))
-    rate = (complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-5.0, 5.0)))
-            if kind == "exponential" else 0j)
-    start = draw(st.floats(0.0, 4.0))
-    phi = Integrand(rate=complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-5.0, 5.0))),
-                    coefficient=complex(draw(_coefficient_part), draw(_coefficient_part)))
-    end = start + draw(st.floats(0.01, 5.0))
-    # quad forms phi and base apart, so on [lo, inf) neither may grow
-    decays = max(phi.rate.real, rate.real) <= 0 and (phi.rate + rate).real < -0.1
-    if decays and draw(st.booleans()):
-        end = math.inf
-    # quad loses its accuracy on subnormal lengths
+    rate = complex(*draw(_slope_part)) if kind == "exponential" else 0.0
+    c = np.asarray([complex(*p) for p in draw(st.lists(_slope_part, min_size=1, max_size=4))])
+    t = draw(st.floats(0.0, 8.0))
+    shape = draw(st.sampled_from(("stieltjes", "sweep", "contour")))
+    coefficient = None
+    if shape == "stieltjes":  # phi.rate s, one rate for every range
+        c = slope = np.full(c.size, c[0])
+        coefficient = complex(draw(_coefficient_part), draw(_coefficient_part))
+
+        def log_weight(s, owner):
+            return c[0] * s
+    elif shape == "sweep":  # Re(c)(s - t) + i Im(c) s
+        slope = c
+
+        def log_weight(s, owner):
+            return c.real[owner, None] * (s - t) + 1j * c.imag[owner, None] * s
+    else:  # z (t - s)
+        slope = -c
+
+        def log_weight(s, owner):
+            return c[owner, None] * (t - s)
+    d = slope + rate
+    lo = np.asarray(draw(st.lists(st.floats(0.0, 4.0), min_size=c.size, max_size=c.size)))
+    # quad loses its accuracy on subnormal lengths, and on [lo, inf) gives up
+    # where |Im d| passes about 30 |Re d|
     fraction = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
-    lo = start + draw(fraction) * min(end - start, 2.0)
-    hi = end if math.isinf(end) else lo + draw(fraction) * (end - lo)
-    return DensityPiece(start, end, kind, (1.0,), rate), phi, lo, hi
+    decays = (d.real < -0.1) & (np.abs(d.imag) < -20.0 * d.real)
+    hi = np.asarray([math.inf if decays[i] and draw(st.booleans())
+                     else lo[i] + 5.0 * draw(fraction) for i in range(c.size)])
+    piece = DensityPiece(0.0, math.inf, kind, (1.0,), rate)
+    return piece, log_weight, slope, lo, hi, coefficient
 
 
 @settings(max_examples=80, deadline=None)
 @given(smooth_piece_cases())
 def test_smooth_pieces_take_the_closed_form(case):
-    piece, phi, lo, hi = case
-    got = bv_module._piece_phi_integral(piece, phi, lo, hi, 1e-12)
-    want = phi.coefficient * complex(bv_module._density_integrals(
-        piece, lambda s, owner: phi.rate * s, [lo], [hi], 0.0)[0]) if hi > lo else 0j
-    assert abs(got - want) <= 1e-12 * abs(want)
+    piece, log_weight, slope, lo, hi, coefficient = case
+    got = bv_module._piece_integrals(piece, log_weight, slope, lo, hi, 1e-12)
+    with pytest.MonkeyPatch.context() as patch:  # a reference ten times tighter than the check
+        patch.setattr(bv_module, "_QUAD_REL_TOL", 1e-13)
+        want = bv_module._density_integrals(piece, log_weight, lo, hi, 0.0)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    if coefficient is not None:  # the piece from lo[0] against the Integrand up to hi[0]
+        bv = BVFunction.from_density(piece.kind, start=lo[0], rate=piece.rate)
+        got = stieltjes_integral(bv, Integrand(slope[0], coefficient), hi[0], 1e-12)[0]
+        assert abs(got - coefficient * want[0]) <= 1e-12 * abs(coefficient * want[0])
 
 
 def test_long_oscillating_piece_takes_the_closed_form():
@@ -786,6 +832,17 @@ def test_unbounded_smooth_piece_that_does_not_decay_diverges(kind, rate, phi_rat
         with pytest.raises(ValueError, match=r"integral over \[1, inf\) diverges") as info:
             stieltjes_integral(bv, Integrand.exponential(phi_rate), math.inf)
     assert not isinstance(info.value, NonFiniteIntegrandError)
+
+
+@pytest.mark.parametrize("exponent, converges", [(-2.0, True), (-1.0, False), (-0.5, False)])
+def test_unbounded_power_piece_converges_only_below_one_over_s(exponent, converges):
+    # int_1^inf s^a ds = -1 / (a + 1) for a < -1: no exponential decay is needed
+    bv = BVFunction.from_density("power", start=1.0, exponent=exponent)
+    if converges:
+        assert bv.value_at(math.inf)[0] == pytest.approx(-1.0 / (exponent + 1.0), rel=1e-12)
+    else:
+        with pytest.raises(ValueError, match=r"integral over \[1, inf\) diverges"):
+            bv.value_at(math.inf)
 
 
 def test_nonfinite_integrand_error_names_location():

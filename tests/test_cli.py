@@ -2,8 +2,10 @@
 
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -253,6 +255,17 @@ class TestContour:
         assert t == 5.0 and nodes > 0
         assert meta["jump_sum_remainder_max"] == 0.0
 
+    def test_far_left_nodes_do_not_overflow(self):
+        # at t = 12 the nodes with Re(r - z) = 63 once overflowed the closed
+        # form of the partial integral: numpy warnings, then exit code 2
+        proc = subprocess.run([sys.executable, "-m", "tauberian_lab.cli", "contour", "--problem",
+                               "problems/exp_density.json", "--t-grid", "12:12:1",
+                               "--radius", "64"], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        header, rows = parse_csv(proc.stdout)
+        assert float(rows[0][header.index("residual")]) <= 1e-6
+
     def test_dump_writes_node_table(self, tmp_path):
         dump = tmp_path / "nodes.csv"
         res = run("contour", "--problem", "problems/exp_density.json",
@@ -379,3 +392,28 @@ def test_cli_imports_without_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def readme_examples() -> list[tuple[str, list[str]]]:
+    """Each `$ tauberian-lab ...` line of README.md with the output lines under it."""
+    examples, lines = [], (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("$ tauberian-lab "):
+            end = lines.index("```", i)
+            examples.append((line[len("$ tauberian-lab "):], lines[i + 1:end]))
+    return examples
+
+
+@pytest.mark.parametrize("command, expected", readme_examples(),
+                         ids=[c.split()[0] for c, _ in readme_examples()])
+def test_readme_examples_match_the_cli(command, expected):
+    # an expected line ending in "..." is a prefix of the printed line
+    res = run(*shlex.split(command))
+    assert res.exit_code == 0, stderr_of(res)
+    printed = res.stdout.splitlines()
+    assert len(printed) == len(expected)
+    for got, want in zip(printed, expected):
+        if want.endswith("..."):
+            assert got.startswith(want[:-3])
+        else:
+            assert got == want
