@@ -17,8 +17,7 @@ from .contour import (AgreementReport, CauchyReport, ContourBudgetError,
                       contour_dump, evaluate_contour, extension_agreement,
                       fudge_factor, term_bounds)
 from .dirichlet import (CoefficientSequence, DecayRow, DirichletInstance,
-                        build_instance, calibrate_affine_growth,
-                        check_admissibility, partial_sum_decay)
+                        build_instance, partial_sum_decay)
 from .growth import (CutoffRule, GrowthBound, GrowthDomainError, branch_start,
                      m_log, m_log_inverse)
 from .problems import (BoundedDensityInstance, Problem, ProblemFormatError,
@@ -28,10 +27,10 @@ from .rates import (RateInputs, RateResult, bound_B, decay_rate, k_prime,
 from .transform import (TauberianCertificate, TransformPoint,
                         TruncationCapError, finite_laplace, improper_laplace)
 from .vectors import vector_norm
-from .verify import (GridSpec, SupReport, check_certificate, check_line_bound,
-                     check_small_x_bound, check_tail_bound, check_tauberian, delayed_step,
-                     delayed_step_ratio, delayed_step_restart, make_t_grid,
-                     make_x_grid)
+from .verify import (GridSpec, SupReport, calibrate_affine_growth, check_admissibility,
+                     check_certificate, check_line_bound, check_small_x_bound,
+                     check_tail_bound, check_tauberian, delayed_step, delayed_step_ratio,
+                     delayed_step_restart, make_t_grid, make_x_grid)
 
 __all__ = [
     "__version__",
@@ -44,7 +43,7 @@ __all__ = [
     "evaluate_contour", "extension_agreement", "fudge_factor", "term_bounds",
     "BoundedDensityInstance", "CoefficientSequence", "DecayRow",
     "DirichletInstance", "bounded_density_instance", "build_instance",
-    "calibrate_affine_growth", "check_admissibility", "partial_sum_decay",
+    "partial_sum_decay",
     "CutoffRule", "GrowthBound", "GrowthDomainError", "branch_start",
     "m_log", "m_log_inverse",
     "Problem", "ProblemFormatError", "load_problem",
@@ -53,7 +52,8 @@ __all__ = [
     "TauberianCertificate", "TransformPoint", "TruncationCapError",
     "finite_laplace", "improper_laplace",
     "vector_norm",
-    "GridSpec", "SupReport", "check_certificate", "check_line_bound", "check_small_x_bound",
+    "GridSpec", "SupReport", "calibrate_affine_growth", "check_admissibility",
+    "check_certificate", "check_line_bound", "check_small_x_bound",
     "check_tail_bound", "check_tauberian", "delayed_step", "delayed_step_ratio",
     "delayed_step_restart", "make_t_grid", "make_x_grid",
 ]

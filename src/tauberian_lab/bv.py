@@ -792,20 +792,17 @@ def _exp_segment(delta, length) -> np.ndarray:
         return np.where(np.abs(x) < 2.0 ** -60, length, em1 / delta)
 
 
-def _jump_exp_sum(tau: np.ndarray, sizes: np.ndarray, z: np.ndarray,
-                  t: float) -> tuple[np.ndarray, float]:
+def _jump_exp_sum(tau: np.ndarray, sizes: np.ndarray, z: np.ndarray, t: float) -> np.ndarray:
     """sum_k s_k e^{-z(tau_k - t)} at every node z, by block-Taylor moments.
 
     Needs ascending tau and Re(z (tau_k - t)) >= 0 for every node and jump
     (up to the callers' 1e-12 slack), so each block factor e^{-z(c_b - t)}
-    has modulus <= 1.  Returns the (n, d) sums and a bound on the truncation
-    error of every entry, in any norm.
+    has modulus <= 1.  Returns the (n, d) sums; jump_sum_remainder(sizes)
+    bounds the truncation error of every entry, in any norm.
     """
     values = np.zeros((z.size, sizes.shape[1]), dtype=complex)
     if tau.size == 0 or z.size == 0:
-        return values, 0.0
-    # first, so that its temporaries are gone before the moments' are made
-    remainder = jump_sum_remainder(sizes)
+        return values
     z_max = float(np.max(np.abs(z)))
     half = _TAYLOR_RADIUS / max(z_max, np.finfo(float).tiny)
     # the cells ascend with tau, so the last one is the largest
@@ -838,7 +835,7 @@ def _jump_exp_sum(tau: np.ndarray, sizes: np.ndarray, z: np.ndarray,
         for p in range(_TAYLOR_ORDER - 1, -1, -1):
             acc = acc * w + near[:, p]
         values[i0:i0 + chunk] = acc
-    return values, remainder
+    return values
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -904,8 +901,7 @@ def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi,
     for cut in sorted(set(cuts.tolist())):
         if cut > start:
             reach = cuts >= cut
-            part, _ = _jump_exp_sum(times[start:cut], sizes[start:cut], z[reach], t)
-            out[reach] += part
+            out[reach] += _jump_exp_sum(times[start:cut], sizes[start:cut], z[reach], t)
             start = cut
     for piece in bv.pieces:
         a, b = max(piece.start, lo), np.minimum(piece.end, hi)

@@ -23,11 +23,9 @@ from . import __version__
 from .contour import (ContourBudgetError, cauchy_identity_report, contour_dump,
                       evaluate_contour, extension_agreement, term_bounds)
 from .dirichlet import partial_sum_decay
-from .growth import GrowthDomainError
 from .problems import Problem, ProblemFormatError, load_problem
 from .rates import (RateInputs, decay_rate, k_prime, t_prime,
                     t_prime_second_term_clamped)
-from .transform import TruncationCapError
 from .verify import check_certificate
 
 EXIT_OK = 0
@@ -142,7 +140,7 @@ def rate(problem_path, t_grid_spec, out):
     above = grid[grid > threshold]
     try:
         results = decay_rate(inputs, above)
-    except (GrowthDomainError, ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         where = f"t = {above[exc.index]:g}: " if hasattr(exc, "index") else ""
         _input_error(f"{where}{exc}")
     rows = [(res.t, res.R_opt, res.R_rule_t, res.branch, res.bound, res.rate_shape)
@@ -258,7 +256,7 @@ def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
     try:
         agreement = extension_agreement(prob.bv, ext, prob.certificate, rng,
                                         n_points=12, target_err=1e-9, quad_tol=quad_tol)
-    except (TruncationCapError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         _input_error(f"extension spot check: {exc}")
     if not agreement.gap <= agreement_tol:
         failures.append(f"extension disagrees with the transform by {agreement.gap:.3g}")
@@ -307,7 +305,7 @@ def dirichlet(problem_path, t_grid_spec, out):
     grid = _parse_grid(t_grid_spec, "--t-grid", "linear")
     try:
         decay_rows = partial_sum_decay(prob.dirichlet, growth, grid, f0=prob.f0)
-    except (ValueError, GrowthDomainError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         _input_error(str(exc))
     body = _csv_text(("t", "decay_norm", "bound_B", "margin"),
                      [(r.t, r.decay_norm, r.bound_B, r.margin) for r in decay_rows])

@@ -51,7 +51,7 @@ class ContourBudgetError(ValueError):
         self.required_nodes = required_nodes
         self.max_nodes = max_nodes
         super().__init__(
-            f"contour quadrature needs ~{required_nodes} nodes, over the budget of "
+            f"contour quadrature needs {required_nodes} nodes, over the budget of "
             f"{max_nodes}; lower t*R/density or raise max_nodes")
 
 
@@ -73,25 +73,23 @@ class QuadPiece:
     abs_weights: np.ndarray  # weight * |z'(u)|: arc-length element
 
 
-def _arc_piece(name: str, R: float, th0: float, th1: float, rate: float,
-               density: float) -> QuadPiece:
-    # rate = phase change of the integrand per unit arc length
-    length = abs(th1 - th0) * R
-    panels = max(4, int(math.ceil(length * rate * density / _PHASE_PER_PANEL)))
+def _panels(length: float, rate: float, density: float, least: int) -> int:
+    # rate = phase change of the integrand per unit length
+    return max(least, int(math.ceil(length * rate * density / _PHASE_PER_PANEL)))
+
+
+def _arc_piece(name: str, R: float, th0: float, th1: float, panels: int) -> QuadPiece:
     th, w = gauss_legendre_panels(th0, th1, panels)
     z = R * np.exp(1j * th)
     dz = 1j * z  # dz/dtheta
     return QuadPiece(name, th, z, w * dz, w * np.abs(dz))
 
 
-def _segment_piece(name: str, za: complex, zb: complex, rate: float,
-                   density: float) -> QuadPiece:
-    length = abs(zb - za)
-    panels = max(2, int(math.ceil(length * rate * density / _PHASE_PER_PANEL)))
+def _segment_piece(name: str, za: complex, zb: complex, panels: int) -> QuadPiece:
     u, w = gauss_legendre_panels(0.0, 1.0, panels)
     z = za + u * (zb - za)
     dz = zb - za
-    return QuadPiece(name, u * length, z, w * dz, w * np.full_like(u, abs(dz)))
+    return QuadPiece(name, u * abs(dz), z, w * dz, w * np.full_like(u, abs(dz)))
 
 
 @dataclass(frozen=True)
@@ -127,30 +125,24 @@ def build_contour(M: GrowthBound, R: float, t: float, density: float = 1.0,
     seg_rate_v = t + 2.0 * float(M(R)) + 2.0
     seg_rate_h = t + 2.0 + 1.0 / R
 
-    # rough node estimate before building (same formulas as the builders)
-    est = (math.pi * R * arc_rate * 2 + 2 * R * seg_rate_v + 2 * abs(a) * seg_rate_h)
-    est_nodes = int(est * density / _PHASE_PER_PANEL * 16)
-    if est_nodes > max_nodes:
-        raise ContourBudgetError(est_nodes, max_nodes)
-
-    g1 = _arc_piece("gamma1", R, -math.pi / 2, math.pi / 2, arc_rate, density)
-    g1r = _arc_piece("gamma1_reflected", R, math.pi / 2, 3 * math.pi / 2, arc_rate, density)
-
-    pieces: list[QuadPiece] = []
-    pieces.append(_segment_piece("gamma2_top", 1j * R, a + 1j * R, seg_rate_h, density))
+    arcs = [("gamma1", -math.pi / 2, math.pi / 2),
+            ("gamma1_reflected", math.pi / 2, 3 * math.pi / 2)]
+    segments = [("gamma2_top", 1j * R, a + 1j * R, seg_rate_h)]
     ys = [R] + [y for y in (min(1.0, R), 0.0, -min(1.0, R)) if abs(y) < R or y == 0.0] + [-R]
     ys = sorted(set(ys), reverse=True)
-    for i, (y_hi, y_lo) in enumerate(zip(ys[:-1], ys[1:])):
-        if y_hi > y_lo:
-            pieces.append(_segment_piece(f"gamma2_vertical_{i}",
-                                         a + 1j * y_hi, a + 1j * y_lo, seg_rate_v, density))
-    pieces.append(_segment_piece("gamma2_bottom", a - 1j * R, -1j * R, seg_rate_h, density))
+    segments += [(f"gamma2_vertical_{i}", a + 1j * y_hi, a + 1j * y_lo, seg_rate_v)
+                 for i, (y_hi, y_lo) in enumerate(zip(ys[:-1], ys[1:]))]
+    segments.append(("gamma2_bottom", a - 1j * R, -1j * R, seg_rate_h))
+    arc_panels = [_panels(abs(th1 - th0) * R, arc_rate, density, 4) for _, th0, th1 in arcs]
+    seg_panels = [_panels(abs(zb - za), rate, density, 2) for _, za, zb, rate in segments]
+    nodes = 16 * (sum(arc_panels) + sum(seg_panels))
+    if nodes > max_nodes:
+        raise ContourBudgetError(nodes, max_nodes)
 
-    spec = ContourSpec(R=R, left_abscissa=a, gamma1=g1, gamma1_reflected=g1r,
-                       gamma2=tuple(pieces))
-    if spec.total_nodes > max_nodes:
-        raise ContourBudgetError(spec.total_nodes, max_nodes)
-    return spec
+    g1, g1r = (_arc_piece(name, R, th0, th1, n) for (name, th0, th1), n in zip(arcs, arc_panels))
+    gamma2 = tuple(_segment_piece(name, za, zb, n)
+                   for (name, za, zb, _), n in zip(segments, seg_panels))
+    return ContourSpec(R=R, left_abscissa=a, gamma1=g1, gamma1_reflected=g1r, gamma2=gamma2)
 
 
 # -- extension evaluators ---------------------------------------------------------

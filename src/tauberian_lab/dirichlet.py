@@ -7,7 +7,9 @@ A coefficient sequence b_1, b_2, ... induces the pure-jump integrator
 whose transform is the Dirichlet series sum b_n n^{-(z+1)}.  Summation by
 parts gives the certificate constant C = e * max(sup ||b_n||, 1) with x0 = 1
 and cutoff R(t) = e^t, so the generic decay bound applies verbatim and can be
-measured against the true partial sums.
+measured against the true partial sums.  Every coefficient source is a table
+of rows b_n: the named rules and periodic sources repeat theirs, a file's is
+read once and must be long enough.
 """
 
 from __future__ import annotations
@@ -24,33 +26,31 @@ from .oracles import log_two
 from .rates import RateInputs, decay_rate, t_prime
 from .transform import TauberianCertificate
 from .vectors import vector_norm
-from .verify import SupReport
 
 COEFFICIENT_KINDS = ("alternating", "ones", "periodic", "file")
 
 
 @dataclass(frozen=True)
 class CoefficientSequence:
-    """b_n source: a named rule, a repeating table, or a file of values."""
+    """b_n source: a table of rows b_1, b_2, ..., repeated unless it came from a file."""
 
     kind: str
-    table: np.ndarray | None = None
+    table: np.ndarray
     source: str = ""
 
     def __post_init__(self):
         if self.kind not in COEFFICIENT_KINDS:
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
-        if self.kind in ("periodic", "file"):
-            if self.table is None or self.table.size == 0:
-                raise ValueError(f"{self.kind} coefficients need a nonempty table")
+        if self.table.size == 0:
+            raise ValueError(f"{self.kind} coefficients need a nonempty table")
 
     @staticmethod
     def alternating() -> "CoefficientSequence":
-        return CoefficientSequence("alternating")
+        return CoefficientSequence("alternating", np.asarray([[1], [-1]], dtype=complex))
 
     @staticmethod
     def ones() -> "CoefficientSequence":
-        return CoefficientSequence("ones")
+        return CoefficientSequence("ones", np.ones((1, 1), dtype=complex))
 
     @staticmethod
     def periodic(values) -> "CoefficientSequence":
@@ -94,7 +94,7 @@ class CoefficientSequence:
 
     @property
     def dimension(self) -> int:
-        return 1 if self.table is None else int(self.table.shape[1])
+        return int(self.table.shape[1])
 
     @property
     def max_n(self) -> int | None:
@@ -106,21 +106,13 @@ class CoefficientSequence:
         n = np.asarray(n, dtype=np.int64)
         if np.any(n < 1):
             raise ValueError("coefficient indices are 1-based")
-        if self.kind == "alternating":
-            return np.where(n % 2 == 1, 1.0, -1.0).astype(complex)[:, None]
-        if self.kind == "ones":
-            return np.ones((n.size, 1), dtype=complex)
-        if self.kind == "periodic":
-            return self.table[(n - 1) % self.table.shape[0]]
-        if np.any(n > self.table.shape[0]):
+        if self.kind == "file" and np.any(n > self.table.shape[0]):
             raise ValueError(
                 f"file source {self.source!r} has {self.table.shape[0]} coefficients, "
                 f"index {int(n.max())} requested")
-        return self.table[n - 1]
+        return self.table[(n - 1) % self.table.shape[0]]
 
     def sup_norm(self, norm_kind: str = "euclidean") -> float:
-        if self.kind in ("alternating", "ones"):
-            return 1.0
         return float(np.max(vector_norm(self.table, norm_kind)))
 
     def describe(self) -> str:
@@ -223,99 +215,3 @@ def partial_sum_decay(instance: DirichletInstance, M: GrowthBound,
             rows.append(DecayRow(t, d, math.nan, math.nan, "below_t_prime"))
     return rows
 
-
-# -- growth-bound admissibility on the left strip ----------------------------------
-
-
-def check_admissibility(f_ext, M: GrowthBound, y_grid=None,
-                        x_fracs=(0.0, 0.05, 0.25, 0.5, 0.75, 0.98),
-                        norm_kind: str = "euclidean") -> SupReport:
-    """Grid check of ||f(x+iy)|| <= M(|y|) on the strip -1/M(|y|) < x <= 0.
-
-    grid_sup is the worst excess ||f|| - M(|y|) (so admissible means <= 0);
-    singular sample points count as +inf excess.
-    """
-    if y_grid is None:
-        y_grid = np.linspace(-20.0, 20.0, 801)
-    y_grid = np.asarray(y_grid, dtype=float)
-    for frac in x_fracs:
-        if not 0.0 <= frac < 1.0:
-            raise ValueError("x_fracs are depth fractions in [0, 1)")
-
-    worst = -math.inf
-    witness_y = math.nan
-    witness_x = math.nan
-    singular = False
-    m_vals = np.asarray(M(np.abs(y_grid)), dtype=float)
-    for frac in x_fracs:
-        x = -frac / m_vals
-        z = x + 1j * y_grid
-        vals = np.asarray(f_ext(z), dtype=complex)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        norms = np.asarray(vector_norm(vals, norm_kind), dtype=float)
-        bad = ~np.isfinite(norms)
-        if np.any(bad):
-            norms = np.where(bad, math.inf, norms)
-            singular = True
-        excess = norms - m_vals
-        k = int(np.argmax(excess))
-        if excess[k] > worst:
-            worst = float(excess[k])
-            witness_y = float(y_grid[k])
-            witness_x = float(x[k])
-
-    note = (f"strip depths {tuple(x_fracs)} of 1/M(|y|), {y_grid.size} ordinates in "
-            f"[{y_grid.min():g}, {y_grid.max():g}]")
-    if singular:
-        note += "; singular sample encountered"
-    return SupReport(case_id="admissibility", grid_sup=worst, bound=0.0,
-                     witness_t=witness_y, witness_x=witness_x,
-                     hypothesis_failed=False, note=note)
-
-
-def calibrate_affine_growth(f_ext, y_max: float = 20.0, safety: float = 1.25,
-                            y_points: int = 481,
-                            norm_kind: str = "euclidean") -> GrowthBound:
-    """Fit M(s) = c (1 + s) so that f stays below M on its own left strip.
-
-    Fixed-point scan: start from the imaginary axis, re-scan the strip the
-    candidate defines, enlarge c until stable, then apply the safety factor.
-    The result is empirically admissible on the scanned window only; it is
-    not a proof of admissibility.
-    """
-    if safety < 1.0:
-        raise ValueError("safety factor must be >= 1")
-    y = np.linspace(-y_max, y_max, y_points)
-
-    def needed_c(candidate: float) -> float:
-        m_vals = candidate * (1.0 + np.abs(y))
-        c_req = 1.0
-        for frac in (0.0, 0.25, 0.5, 0.75, 0.98):
-            z = -frac / m_vals + 1j * y
-            vals = np.asarray(f_ext(z), dtype=complex)
-            if vals.ndim == 1:
-                vals = vals[:, None]
-            norms = np.asarray(vector_norm(vals, norm_kind), dtype=float)
-            if not np.all(np.isfinite(norms)):
-                raise ValueError(
-                    "extension is singular on the candidate strip; affine growth "
-                    "cannot be calibrated on this window")
-            c_req = max(c_req, float(np.max(norms / (1.0 + np.abs(y)))))
-        return c_req
-
-    c = needed_c(1.0)
-    for _ in range(8):
-        c_next = needed_c(c)
-        if c_next <= c * (1.0 + 1e-9):
-            break
-        c = c_next
-    c *= safety
-    M = GrowthBound.affine(c)
-    report = check_admissibility(f_ext, M, y_grid=np.linspace(-y_max, y_max, y_points),
-                                 norm_kind=norm_kind)
-    if not report.grid_sup <= 0.0:
-        raise ArithmeticError(
-            f"calibrated affine bound c = {c:.6g} still violated by "
-            f"{report.grid_sup:.3g} at y = {report.witness_t:g}")
-    return M

@@ -173,17 +173,19 @@ def _build_extension(node, path: str):
     _fail(f"{path}.kind", f"unknown extension kind {kind!r}; choose from ['eta_shift', 'rational']")
 
 
+_COEFFICIENT_RULES = {"alternating": CoefficientSequence.alternating,
+                      "ones": CoefficientSequence.ones}
+
+
 def _build_coefficients(node, base_dir: Path, path: str) -> CoefficientSequence:
     if isinstance(node, str):
-        if node == "alternating":
-            return CoefficientSequence.alternating()
-        if node == "ones":
-            return CoefficientSequence.ones()
-        _fail(path, f"unknown coefficient rule {node!r}; use 'alternating', 'ones', or an object")
+        if node not in _COEFFICIENT_RULES:
+            _fail(path, f"unknown coefficient rule {node!r}; use 'alternating', 'ones', or an object")
+        return _COEFFICIENT_RULES[node]()
     _check_keys(node, {"kind", "values", "path"}, path)
     kind = _require(node, "kind", path)
-    if kind in ("alternating", "ones"):
-        return CoefficientSequence.alternating() if kind == "alternating" else CoefficientSequence.ones()
+    if isinstance(kind, str) and kind in _COEFFICIENT_RULES:
+        return _COEFFICIENT_RULES[kind]()
     if kind == "periodic":
         values = _require(node, "values", path)
         if not isinstance(values, list) or not values:

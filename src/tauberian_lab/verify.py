@@ -8,6 +8,10 @@ witnessing grid point.  Negative margins are reported, never raised.  One
 batched sweep serves every check of a call, each abscissa once; a check that
 assumes the ratio hypothesis at x reads it there too, and marks the report
 hypothesis_failed instead of silently checking a vacuous claim.
+
+The growth hypothesis ||f(z)|| <= M(|Im z|) on the strip -1/M(|y|) < Re z <= 0
+is checked, and an affine M fitted to it, on one scan of the strip: every
+depth of _STRIP_DEPTHS times every ordinate, in one call of the extension.
 """
 
 from __future__ import annotations
@@ -19,10 +23,12 @@ import numpy as np
 
 from .bv import (_MAX_BLOCK_ELEMENTS, BVFunction, weighted_partial, weighted_partial_grid,
                  weighted_tail_grid)
+from .growth import GrowthBound
 from .transform import TauberianCertificate
 from .vectors import vector_norm
 
 HYPOTHESIS_SLACK = 1e-9  # relative slack when pre-checking a hypothesis on a grid
+_STRIP_DEPTHS = (0.0, 0.05, 0.25, 0.5, 0.75, 0.98)  # fractions of the strip width 1/M(|y|)
 
 
 @dataclass(frozen=True)
@@ -286,6 +292,78 @@ def check_small_x_bound(bv: BVFunction, C: float, x0: float,
     x_grid = _small_x_grid(x0, x_grid)
     sups, _ = _sweep_sups(bv, [*x_grid, x0], t_grid, quad_tol)
     return _small_x_report(C, x0, x_grid, sups, t_grid, grid_spec)
+
+
+# -- growth-bound admissibility on the left strip ----------------------------------
+
+
+def _strip_norms(f_ext, m_vals: np.ndarray, y: np.ndarray, depths,
+                 norm_kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """x = -depth / M(|y|) and ||f(x + iy)||, one row per depth, from one call of f_ext."""
+    x = -np.asarray(depths, dtype=float)[:, None] / m_vals
+    vals = np.asarray(f_ext((x + 1j * y).ravel()), dtype=complex).reshape(x.size, -1)
+    return x, np.asarray(vector_norm(vals, norm_kind), dtype=float).reshape(x.shape)
+
+
+def check_admissibility(f_ext, M: GrowthBound, y_grid=None, x_fracs=_STRIP_DEPTHS,
+                        norm_kind: str = "euclidean") -> SupReport:
+    """Grid check of ||f(x+iy)|| <= M(|y|) on the strip -1/M(|y|) < x <= 0.
+
+    grid_sup is the worst excess ||f|| - M(|y|) (so admissible means <= 0);
+    singular sample points count as +inf excess.
+    """
+    y_grid = np.linspace(-20.0, 20.0, 801) if y_grid is None else np.asarray(y_grid, float)
+    if len(x_fracs) == 0 or not all(0.0 <= frac < 1.0 for frac in x_fracs):
+        raise ValueError("x_fracs are one or more depth fractions in [0, 1)")
+    m_vals = np.asarray(M(np.abs(y_grid)), dtype=float)
+    x, norms = _strip_norms(f_ext, m_vals, y_grid, x_fracs, norm_kind)
+    finite = np.isfinite(norms)
+    worst, j = _sup((np.where(finite, norms, math.inf) - m_vals).ravel())
+    i, k = divmod(j, y_grid.size)  # the witness's depth row and ordinate
+    note = (f"strip depths {tuple(x_fracs)} of 1/M(|y|), {y_grid.size} ordinates in "
+            f"[{y_grid.min():g}, {y_grid.max():g}]")
+    if not finite.all():
+        note += "; singular sample encountered"
+    return _report("admissibility", (worst, k), 0.0, float(x[i, k]), y_grid, None, note=note)
+
+
+def calibrate_affine_growth(f_ext, y_max: float = 20.0, safety: float = 1.25,
+                            y_points: int = 481,
+                            norm_kind: str = "euclidean") -> GrowthBound:
+    """Fit M(s) = c (1 + s) so that f stays below M on its own left strip.
+
+    Fixed-point scan: start from the imaginary axis, re-scan the strip the
+    candidate defines, enlarge c until stable, then apply the safety factor.
+    The result is empirically admissible on the scanned window only; it is
+    not a proof of admissibility.
+    """
+    if safety < 1.0:
+        raise ValueError("safety factor must be >= 1")
+    y = np.linspace(-y_max, y_max, y_points)
+    scale = 1.0 + np.abs(y)
+
+    def needed_c(candidate: float) -> float:
+        _, norms = _strip_norms(f_ext, candidate * scale, y, _STRIP_DEPTHS, norm_kind)
+        if not np.all(np.isfinite(norms)):
+            raise ValueError(
+                "extension is singular on the candidate strip; affine growth "
+                "cannot be calibrated on this window")
+        return max(1.0, float(np.max(norms / scale)))
+
+    c = needed_c(1.0)
+    for _ in range(8):
+        c_next = needed_c(c)
+        if c_next <= c * (1.0 + 1e-9):
+            break
+        c = c_next
+    c *= safety
+    M = GrowthBound.affine(c)
+    report = check_admissibility(f_ext, M, y_grid=y, norm_kind=norm_kind)
+    if not report.grid_sup <= 0.0:
+        raise ArithmeticError(
+            f"calibrated affine bound c = {c:.6g} still violated by "
+            f"{report.grid_sup:.3g} at y = {report.witness_t:g}")
+    return M
 
 
 # -- the delayed-step counterexample ------------------------------------------

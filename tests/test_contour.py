@@ -92,6 +92,15 @@ class TestGeometry:
         assert info.value.required_nodes > info.value.max_nodes
         assert "density" in str(info.value)
 
+    @pytest.mark.parametrize("M, R, t", [(GrowthBound.affine(1.25), 2.0, 5.0), (M2, 1.0, 0.5),
+                                         (M2, 7.5, 12.0)], ids=["affine", "unit_R", "wide"])
+    def test_budget_error_reports_the_exact_node_count(self, M, R, t):
+        nodes = build_contour(M, R, t).total_nodes
+        with pytest.raises(ContourBudgetError, match=f"needs {nodes} nodes") as info:
+            build_contour(M, R, t, max_nodes=nodes - 1)
+        assert info.value.required_nodes == nodes
+        assert build_contour(M, R, t, max_nodes=nodes).total_nodes == nodes
+
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             build_contour(M2, 0.5, 5.0)
@@ -173,15 +182,14 @@ class TestCauchyIdentity:
 
     def test_report_carries_jump_sum_remainder(self):
         # tail and partial kernel calls split the jumps at t; their bounds add
-        from tauberian_lab.bv import _jump_exp_sum
+        from tauberian_lab.bv import jump_sum_remainder
 
         bv, ext = alternating_pair(2000)
         t, R = 3.0, 1.5
         rep = cauchy_identity_report(evaluate_contour(bv, ext, GrowthBound.affine(1.25), t, R))
         k = int(np.searchsorted(bv.jump_times, t))
-        z = np.asarray([R + 0j])
-        tail = _jump_exp_sum(bv.jump_times[k:], bv.jump_sizes[k:], z, t)[1]
-        partial = _jump_exp_sum(bv.jump_times[:k], bv.jump_sizes[:k], -z, t)[1]
+        tail = jump_sum_remainder(bv.jump_sizes[k:])
+        partial = jump_sum_remainder(bv.jump_sizes[:k])
         assert rep.remainder_bound == pytest.approx(tail + partial, rel=1e-12)
         assert rep.remainder_bound > 0.0
 

@@ -31,6 +31,24 @@ class TestCoefficientSequence:
         c = CoefficientSequence.ones()
         assert np.all(c.values(np.arange(1, 4)) == 1.0)
 
+    def test_named_rules_are_bitwise_their_closed_forms(self):
+        n = np.arange(1, 10**6 + 1)
+        for coeffs, want in (
+                (CoefficientSequence.alternating(),
+                 np.where(n % 2 == 1, 1.0, -1.0).astype(complex)[:, None]),
+                (CoefficientSequence.ones(), np.ones((n.size, 1), dtype=complex))):
+            got = coeffs.values(n)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+            assert coeffs.sup_norm() == coeffs.sup_norm("sup") == 1.0
+            assert coeffs.dimension == 1 and coeffs.max_n is None
+
+    def test_every_kind_needs_a_table(self):
+        with pytest.raises(TypeError):
+            CoefficientSequence("ones")
+        with pytest.raises(ValueError, match="nonempty table"):
+            CoefficientSequence("periodic", np.zeros((0, 1), dtype=complex))
+
     def test_periodic(self):
         c = CoefficientSequence.periodic([1.0, 0.0, -1.0])
         vals = c.values(np.arange(1, 8))[:, 0]
@@ -244,6 +262,22 @@ class TestAdmissibility:
         report = check_admissibility(ext, M)
         assert report.grid_sup <= 0.0
 
+    def test_calibration_scans_the_admissibility_depths(self):
+        # every depth fraction check_admissibility samples is sampled at the
+        # first candidate c = 1, where -Re z (1 + |Im z|) is the fraction itself
+        from tauberian_lab.verify import _STRIP_DEPTHS
+
+        ext, seen = EtaShiftExtension(), []
+
+        def recording(z):
+            seen.append(np.array(z, dtype=complex))
+            return ext(z)
+
+        assert calibrate_affine_growth(recording)(0.0) == calibrate_affine_growth(ext)(0.0)
+        z = np.concatenate([np.ravel(batch) for batch in seen])
+        depths = set(np.round(-z.real * (1.0 + np.abs(z.imag)), 12).tolist())
+        assert set(_STRIP_DEPTHS) <= depths
+
     def test_calibration_rejects_singular_window(self):
         from tauberian_lab import RationalExtension
 
@@ -252,9 +286,11 @@ class TestAdmissibility:
             calibrate_affine_growth(ext)
 
     def test_x_fracs_validated(self):
-        with pytest.raises(ValueError):
-            check_admissibility(EtaShiftExtension(), GrowthBound.affine(1.25),
-                                x_fracs=(1.5,))
+        # no depth at all would be a vacuous check, not an admissible strip
+        for x_fracs in ((1.5,), ()):
+            with pytest.raises(ValueError, match="depth fractions"):
+                check_admissibility(EtaShiftExtension(), GrowthBound.affine(1.25),
+                                    x_fracs=x_fracs)
 
 
 def test_f0_provenance_is_not_a_literal():
