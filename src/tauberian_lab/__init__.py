@@ -22,8 +22,8 @@ from .growth import (CutoffRule, GrowthBound, GrowthDomainError, branch_start,
                      m_log, m_log_inverse)
 from .problems import (BoundedDensityInstance, Problem, ProblemFormatError,
                        bounded_density_instance, load_problem)
-from .rates import (RateInputs, RateResult, bound_B, decay_rate, k_prime,
-                    r_opt, t_prime, t_prime_second_term_clamped)
+from .rates import (RateResult, bound_B, decay_rate, k_prime, r_opt, t_prime,
+                    t_prime_second_term_clamped)
 from .transform import (TauberianCertificate, TransformPoint,
                         TruncationCapError, finite_laplace, improper_laplace)
 from .vectors import vector_norm
@@ -47,7 +47,7 @@ __all__ = [
     "CutoffRule", "GrowthBound", "GrowthDomainError", "branch_start",
     "m_log", "m_log_inverse",
     "Problem", "ProblemFormatError", "load_problem",
-    "RateInputs", "RateResult", "bound_B", "decay_rate", "k_prime", "r_opt",
+    "RateResult", "bound_B", "decay_rate", "k_prime", "r_opt",
     "t_prime", "t_prime_second_term_clamped",
     "TauberianCertificate", "TransformPoint", "TruncationCapError",
     "finite_laplace", "improper_laplace",

@@ -24,8 +24,7 @@ from .contour import (ContourBudgetError, cauchy_identity_report, contour_dump,
                       evaluate_contour, extension_agreement, term_bounds)
 from .dirichlet import partial_sum_decay
 from .problems import Problem, ProblemFormatError, load_problem
-from .rates import (RateInputs, decay_rate, k_prime, t_prime,
-                    t_prime_second_term_clamped)
+from .rates import decay_rate, k_prime, t_prime, t_prime_second_term_clamped
 from .verify import check_certificate
 
 EXIT_OK = 0
@@ -134,12 +133,11 @@ def rate(problem_path, t_grid_spec, out):
     except ProblemFormatError as exc:
         _input_error(str(exc))
     grid = _parse_grid(t_grid_spec, "--t-grid", "linear")
-    inputs = RateInputs(C=prob.certificate.C, M=growth, T=prob.certificate.T,
-                        R_rule=prob.certificate.R_rule)
-    threshold = t_prime(inputs)
+    cert = prob.certificate
+    threshold = t_prime(cert, growth)
     above = grid[grid > threshold]
     try:
-        results = decay_rate(inputs, above)
+        results = decay_rate(cert, growth, above)
     except (ArithmeticError, ValueError) as exc:
         where = f"t = {above[exc.index]:g}: " if hasattr(exc, "index") else ""
         _input_error(f"{where}{exc}")
@@ -149,8 +147,8 @@ def rate(problem_path, t_grid_spec, out):
     body = _csv_text(("t", "R_opt", "R_rule_t", "branch", "bound_B", "rate_shape"), rows)
     meta = {"command": "rate", "problem": prob.source, "problem_name": prob.name,
             "norm": prob.norm_kind, "t_grid": t_grid_spec, "t_prime": threshold,
-            "t_prime_clamped": t_prime_second_term_clamped(inputs),
-            "k_prime": k_prime(inputs), "rows": len(rows),
+            "t_prime_clamped": t_prime_second_term_clamped(cert, growth),
+            "k_prime": k_prime(cert, growth), "rows": len(rows),
             "skipped_at_or_below_t_prime": skipped}
     _emit(out, body, meta)
     sys.exit(EXIT_OK)

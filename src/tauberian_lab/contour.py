@@ -40,6 +40,7 @@ from .bv import (BVFunction, exp_partial_integral, exp_tail_integral,
                  gauss_legendre_panels, jump_sum_remainder)
 from .growth import GrowthBound
 from .oracles import eta
+from .rates import bound_terms
 from .transform import TauberianCertificate, improper_laplace
 from .vectors import vector_norm
 
@@ -114,12 +115,12 @@ def build_contour(M: GrowthBound, R: float, t: float, density: float = 1.0,
     per radian); the long vertical segment is split at the axis and at
     |Im z| = 1 so refinement lands where 1/z varies fastest.
     """
-    if not R >= 1.0:
-        raise ValueError("contour radius must be >= 1")
+    if not (R >= 1.0 and math.isfinite(R)):
+        raise ValueError("contour radius must be finite and >= 1")
     if not t > 0:
         raise ValueError("contour verification needs t > 0")
-    if density <= 0:
-        raise ValueError("density multiplier must be positive")
+    if not (density > 0 and math.isfinite(density)):
+        raise ValueError("density multiplier must be positive and finite")
     a = -1.0 / (2.0 * float(M(R)))
     arc_rate = t + 4.0 / R + 2.0
     seg_rate_v = t + 2.0 * float(M(R)) + 2.0
@@ -332,8 +333,9 @@ def term_bounds(ev: ContourEvaluation,
             total += float(np.sum(p.piece.abs_weights * np.abs(p.g) * normf)) / (2 * math.pi)
         measured.append(total)
 
-    C, t, R, MR = cert.C, ev.t, ev.R, ev.MR
-    III_bound = MR / (t * R ** 3) + 2.0 * R * MR * MR * math.exp(-t / (2.0 * MR))
+    C, R = cert.C, ev.R
+    _, second, third = bound_terms(C, ev.MR, ev.t, R)
+    III_bound = second + third
     term_I = TermBound("I", measured[0], 6.0 * C / R, 12.0 * C / (math.pi * R) + 2.0 * C / R)
     term_II = TermBound("II", measured[1], 4.0 * C / R, 4.0 * C / (math.pi * R) + 2.0 * C / R)
     term_III = TermBound("III", measured[2], III_bound, III_bound)

@@ -23,7 +23,7 @@ import numpy as np
 from .bv import BVFunction
 from .growth import CutoffRule, GrowthBound
 from .oracles import log_two
-from .rates import RateInputs, decay_rate, t_prime
+from .rates import decay_rate, t_prime
 from .transform import TauberianCertificate
 from .vectors import vector_norm
 
@@ -202,10 +202,9 @@ def partial_sum_decay(instance: DirichletInstance, M: GrowthBound,
     idx = np.searchsorted(bv.jump_times, t_grid, side="left")
     decay = np.asarray(vector_norm(prefix[idx] - f0[None, :], bv.norm_kind), dtype=float)
 
-    inputs = RateInputs(C=instance.certificate.C, M=M, T=instance.certificate.T,
-                        R_rule=instance.certificate.R_rule)
-    above = t_grid > t_prime(inputs)
-    results = iter(decay_rate(inputs, t_grid[above]))
+    cert = instance.certificate
+    above = t_grid > t_prime(cert, M)
+    results = iter(decay_rate(cert, M, t_grid[above]))
     rows = []
     for t, d, up in zip(t_grid.tolist(), decay.tolist(), above.tolist()):
         if up:

@@ -8,8 +8,10 @@ from a preset family.  The decay machinery needs the reweighted function
 and its inverse on the branch where it increases.  m_log may be negative near
 a = 1 when 5C > M(1)^2; it crosses zero at the unique a with a M(a) = sqrt(5C)
 and increases from there, which is the branch the inverse uses.  Both work
-elementwise on arrays: the inverse finds the branch start once per call and
-bisects every target of a grid together.
+elementwise on arrays.  One climb (`_climb`) finds the branch start, the
+radius where m_log reaches max(m_log(1), 0), and every radius of a grid of
+targets together: the rungs 2^k bracket each target, and one bisection
+narrows every bracket at once.
 """
 
 from __future__ import annotations
@@ -173,31 +175,40 @@ def m_log(M: GrowthBound, C: float, a) -> float | np.ndarray:
     return out if np.ndim(a) else float(out)
 
 
+def _climb(M: GrowthBound, C: float, want: np.ndarray) -> np.ndarray:
+    """Smallest a >= 1 with m_log(a) >= want, elementwise, for targets want >= 0.
+
+    The rungs are 2^k, k = 1 .. 1023; each target takes the first rung where
+    the running max of m_log reaches it, and the rung below (a = 1 below the
+    first rung) closes its bracket.  All brackets are bisected together, each
+    until its midpoint meets an end.  m_log has the sign of
+    log a + log M(a) - 0.5 log(5C), which increases, so a target >= 0 is met
+    only on the increasing branch.  A target no rung reaches (or nan) gives nan.
+    """
+    rungs = np.ldexp(1.0, np.arange(1, 1024))
+    rung = np.searchsorted(np.maximum.accumulate(m_log(M, C, rungs)), want, side="left")
+    out = np.full(want.shape, math.nan)
+    live = np.flatnonzero(rung < rungs.size)
+    lo = np.where(rung[live] > 0, rungs[rung[live] - 1], 1.0)
+    hi = rungs[rung[live]]
+    target = want[live]
+    while live.size:
+        mid = 0.5 * (lo + hi)
+        moves = (mid > lo) & (mid < hi)
+        out[live[~moves]] = mid[~moves]
+        live, lo, hi, mid, target = live[moves], lo[moves], hi[moves], mid[moves], target[moves]
+        low = m_log(M, C, mid) < target
+        lo = np.where(low, mid, lo)
+        hi = np.where(low, hi, mid)
+    return out
+
+
 def branch_start(M: GrowthBound, C: float) -> float:
     """Left end of the increasing branch: a = 1, or the root of a M(a) = sqrt(5C)."""
-
-    def h(a: float) -> float:
-        return math.log(a) + math.log(float(M(a))) - 0.5 * math.log(5.0 * C)
-
-    if h(1.0) >= 0.0:
-        return 1.0
-    lo, hi = 1.0, 2.0
-    for _ in range(600):
-        if h(hi) >= 0.0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise GrowthDomainError("could not bracket the zero-crossing of m_log")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if h(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
+    a0 = float(_climb(M, C, np.asarray([max(m_log(M, C, 1.0), 0.0)]))[0])
+    if math.isnan(a0):
+        raise GrowthDomainError("m_log has no sign change in float range")
+    return a0
 
 
 def at_index(exc: Exception, index) -> Exception:
@@ -210,17 +221,18 @@ def m_log_inverse(M: GrowthBound, C: float, y,
                   residual_tol: float = 1e-10) -> float | np.ndarray:
     """Inverse of m_log on its increasing branch, elementwise over the targets y.
 
-    One branch_start serves the whole call.  Every target shares the upper
-    brackets max(2 bs, 2) * 2^k (never past 8.9e307) and takes the first one
-    where m_log reaches it; bisection then narrows all brackets at once, each
-    until its midpoint meets an end (at most 200 steps).
+    One climb serves the whole call: it takes every target, raised to the
+    floor max(m_log(1), 0), and the floor itself, whose radius is the branch
+    start; every target at or below m_log(branch start) takes the branch start.
     A scalar target gives a float.  Postcondition on every element:
     |m_log(a) - y| <= residual_tol * max(1, |y|).  An error names the first
     failing target in flat order, and its `index` attribute is that position.
     """
     targets = np.asarray(y, dtype=float)
     flat = targets.ravel()
-    bs = branch_start(M, C)
+    floor = max(m_log(M, C, 1.0), 0.0)
+    climbed = _climb(M, C, np.maximum(np.append(flat, floor), floor))
+    bs = float(climbed[-1])
     m_min = float(m_log(M, C, bs))
     tol = residual_tol * np.maximum(1.0, np.abs(flat))
     failures = {}  # flat position -> error, for the first target of each kind
@@ -230,43 +242,19 @@ def m_log_inverse(M: GrowthBound, C: float, y,
         failures[below[0]] = GrowthDomainError(
             f"target {float(flat[below[0]])!r} is below the branch minimum "
             f"m_log({bs!r}) = {m_min!r}")
-    a = np.full_like(flat, bs)  # targets at or below m_min take the branch start
-
-    with np.errstate(over="ignore"):
-        ladder = np.ldexp(max(2.0 * bs, 2.0), np.arange(1100))
-    # the start is >= 2, so the ladder always overflows; it ends at its first
-    # rung >= 8.9e307, since doubling once more would leave float range
-    ladder = ladder[:np.argmax(ladder >= 8.9e307) + 1]
-    f_ladder = m_log(M, C, ladder)
-    # first rung where m_log reaches the target (a nan target reaches none)
-    rung = np.searchsorted(np.maximum.accumulate(f_ladder), flat, side="left")
-
     above = ~(flat <= m_min)  # nan counts as above, so that it fails loudly
-    unbracketed = np.flatnonzero(above & (rung == ladder.size))
+    a = np.where(above, climbed[:-1], bs)
+
+    unbracketed = np.flatnonzero(above & np.isnan(a))
     if unbracketed.size:
         i = unbracketed[0]
+        last = 2.0 ** 1023
         failures[i] = GrowthDomainError(
             f"no radius in float range reaches m_log = {float(flat[i])!r}; "
-            f"m_log({ladder[-1]:.4g}) = {f_ladder[-1]:.4g}")
+            f"m_log({last:.4g}) = {m_log(M, C, last):.4g}")
 
-    todo = np.flatnonzero(above & (rung < ladder.size))
-    k = rung[todo]
-    lo = np.where(k > 0, ladder[k - 1], bs)
-    hi = ladder[k]
-    want = flat[todo]
-    live = np.arange(todo.size)
-    with np.errstate(over="ignore"):
-        for _ in range(200):
-            mid = 0.5 * (lo[live] + hi[live])
-            moves = (mid > lo[live]) & (mid < hi[live])
-            live, mid = live[moves], mid[moves]
-            if not live.size:
-                break
-            low = m_log(M, C, mid) < want[live]
-            lo[live[low]] = mid[low]
-            hi[live[~low]] = mid[~low]
-        a[todo] = 0.5 * (lo + hi)
-    residual = np.abs(m_log(M, C, a[todo]) - want)
+    todo = np.flatnonzero(above & ~np.isnan(a))
+    residual = np.abs(m_log(M, C, a[todo]) - flat[todo])
     stalled = np.flatnonzero(residual > tol[todo])
     if stalled.size:
         j = stalled[0]

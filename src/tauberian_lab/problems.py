@@ -114,7 +114,7 @@ _GROWTH_BUILDERS = {
 def _build_growth(node, path: str) -> GrowthBound:
     _check_keys(node, {"kind", "params"}, path)
     kind = _require(node, "kind", path)
-    if kind not in _GROWTH_BUILDERS:
+    if not isinstance(kind, str) or kind not in _GROWTH_BUILDERS:
         _fail(f"{path}.kind", f"unknown growth kind {kind!r}; choose from {sorted(_GROWTH_BUILDERS)}")
     names, builder = _GROWTH_BUILDERS[kind]
     params_node = _require(node, "params", path)

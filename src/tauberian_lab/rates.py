@@ -1,40 +1,30 @@
 """Decay-rate engine: the three-term radius bound and its optimizer.
 
+Every function takes the certificate (C, x0, T, R(t)) and the growth bound M.
 For radius R >= 1 and time t > 0, the contour machinery yields
 
-    bound_B(t, R) = 10 C / R + M(R) / (t R^3) + 2 R M(R)^2 e^{-t / (2 M(R))}.
+    bound_B(t, R) = 10 C / R + M(R) / (t R^3) + 2 R M(R)^2 e^{-t / (2 M(R))},
 
-The first and third terms balance exactly at R_opt = m_log_inverse(t / 4),
-which is where the bound is used unless the cutoff rule caps the radius first.
-r_opt and decay_rate take a time or a 1-d grid of times: a grid is inverted in
-one m_log_inverse call and gives one result per time, in order.
+whose three terms ``bound_terms`` writes once for both this module and the
+contour's term III.  The first and third terms balance exactly at
+R_opt = m_log_inverse(t / 4), which is where the bound is used unless the
+cutoff rule caps the radius first; the threshold T' and constant K' read
+m_log(1).  r_opt and decay_rate take a time or a 1-d grid of times: a grid
+is inverted in one m_log_inverse call and gives one result per time, in order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .growth import CutoffRule, GrowthBound, at_index, m_log_inverse
+from .growth import GrowthBound, at_index, m_log, m_log_inverse
+from .transform import TauberianCertificate
 
 BRANCH_OPT_INSIDE = "opt_inside"
 BRANCH_CUTOFF_LIMITED = "cutoff_limited"
-
-
-@dataclass(frozen=True)
-class RateInputs:
-    C: float
-    M: GrowthBound
-    T: float = 0.0
-    R_rule: CutoffRule = field(default_factory=CutoffRule.infinite)
-
-    def __post_init__(self) -> None:
-        if not (self.C > 0 and math.isfinite(self.C)):
-            raise ValueError("C must be positive and finite")
-        if not (self.T >= 0 and math.isfinite(self.T)):
-            raise ValueError("T must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -50,19 +40,23 @@ class RateResult:
     K_prime: float | None
 
 
-def bound_B(inputs: RateInputs, t: float, R: float) -> float:
+def bound_terms(C: float, MR: float, t: float, R: float) -> tuple[float, float, float]:
+    """The terms 10 C / R, M(R) / (t R^3) and 2 R M(R)^2 e^{-t/(2 M(R))}, with MR = M(R)."""
+    return (10.0 * C / R, MR / (t * R ** 3), 2.0 * R * MR * MR * math.exp(-t / (2.0 * MR)))
+
+
+def bound_B(cert: TauberianCertificate, M: GrowthBound, t: float, R: float) -> float:
     """The three-term bound at time t and radius R (requires t > 0, R >= 1)."""
     if not t > 0:
         raise ValueError("bound_B needs t > 0")
     if not R >= 1:
         raise ValueError("bound_B needs R >= 1")
-    MR = float(inputs.M(R))
-    return (10.0 * inputs.C / R
-            + MR / (t * R ** 3)
-            + 2.0 * R * MR * MR * math.exp(-t / (2.0 * MR)))
+    first, second, third = bound_terms(cert.C, float(M(R)), t, R)
+    return first + second + third
 
 
-def r_opt(inputs: RateInputs, t, balance_tol: float = 1e-6) -> float | np.ndarray:
+def r_opt(cert: TauberianCertificate, M: GrowthBound, t,
+          balance_tol: float = 1e-6) -> float | np.ndarray:
     """Radius balancing the first and third terms: m_log_inverse(t / 4), elementwise.
 
     The balance 10 C / R = 2 R M(R)^2 e^{-t/(2M(R))} is re-verified on every
@@ -74,13 +68,13 @@ def r_opt(inputs: RateInputs, t, balance_tol: float = 1e-6) -> float | np.ndarra
     bad = np.flatnonzero(~(flat > 0))
     if bad.size:
         raise at_index(ValueError("r_opt needs t > 0"), bad[0])
-    a = m_log_inverse(inputs.M, inputs.C, flat / 4.0)
+    a = m_log_inverse(M, cert.C, flat / 4.0)
     bad = np.flatnonzero(~np.isfinite(a))
     if bad.size:
         raise at_index(ArithmeticError(
             f"optimal radius exceeds float range at t = {float(flat[bad[0]])!r}"), bad[0])
-    Ma = inputs.M(a)
-    log_first = math.log(10.0 * inputs.C) - np.log(a)
+    Ma = M(a)
+    log_first = math.log(10.0 * cert.C) - np.log(a)
     log_third = math.log(2.0) + np.log(a) + 2.0 * np.log(Ma) - flat / (2.0 * Ma)
     gap = np.abs(log_first - log_third)
     bad = np.flatnonzero(gap > balance_tol)
@@ -92,35 +86,27 @@ def r_opt(inputs: RateInputs, t, balance_tol: float = 1e-6) -> float | np.ndarra
     return a.reshape(ts.shape) if ts.ndim else float(a[0])
 
 
-def t_prime(inputs: RateInputs) -> float:
-    """Threshold time max{T, 4 M(1) (log M(1) - 0.5 log(5C))}, clamped at 0."""
-    return max(inputs.T, max(0.0, _t_prime_second_term(inputs)))
+def t_prime(cert: TauberianCertificate, M: GrowthBound) -> float:
+    """Threshold time max{T, 4 m_log(1)}, the growth term clamped at 0."""
+    return max(cert.T, 4.0 * max(m_log(M, cert.C, 1.0), 0.0))
 
 
-def _t_prime_second_term(inputs: RateInputs) -> float:
-    M1 = float(inputs.M(1.0))
-    return 4.0 * M1 * (math.log(M1) - 0.5 * math.log(5.0 * inputs.C))
-
-
-def t_prime_second_term_clamped(inputs: RateInputs) -> bool:
+def t_prime_second_term_clamped(cert: TauberianCertificate, M: GrowthBound) -> bool:
     """True when the growth term of the threshold was negative and clamped."""
-    return _t_prime_second_term(inputs) < 0.0
+    return m_log(M, cert.C, 1.0) < 0.0
 
 
-def k_prime(inputs: RateInputs) -> float | None:
-    """Leading constant 1 / (log M(1) - log sqrt(5C)); None when undefined.
+def k_prime(cert: TauberianCertificate, M: GrowthBound) -> float | None:
+    """Leading constant M(1) / m_log(1) = 1 / (log M(1) - log sqrt(5C)); None when undefined.
 
     Only meaningful when M(1) > sqrt(5C); otherwise the constant from this
     recipe is not positive and no number is reported.
     """
-    M1 = float(inputs.M(1.0))
-    gap = math.log(M1) - 0.5 * math.log(5.0 * inputs.C)
-    if gap <= 0.0:
-        return None
-    return 1.0 / gap
+    m1 = m_log(M, cert.C, 1.0)
+    return float(M(1.0)) / m1 if m1 > 0.0 else None
 
 
-def decay_rate(inputs: RateInputs, t) -> RateResult | list[RateResult]:
+def decay_rate(cert: TauberianCertificate, M: GrowthBound, t) -> RateResult | list[RateResult]:
     """Evaluate the decay bound at each time t > T'.
 
     t is a time, which gives one RateResult, or a 1-d array of times, which
@@ -131,23 +117,23 @@ def decay_rate(inputs: RateInputs, t) -> RateResult | list[RateResult]:
     """
     ts = np.asarray(t, dtype=float)
     flat = ts.ravel()
-    threshold = t_prime(inputs)
+    threshold = t_prime(cert, M)
     bad = np.flatnonzero(~(flat > threshold))
     if bad.size:
         raise at_index(ValueError(
             f"decay_rate needs t > T' = {threshold!r}, got t = {float(flat[bad[0]])!r}"),
             bad[0])
-    K = k_prime(inputs)
+    K = k_prime(cert, M)
     results = []
-    for tk, R_o, R_r in zip(flat.tolist(), r_opt(inputs, flat).tolist(),
-                            inputs.R_rule(flat).tolist()):
+    for tk, R_o, R_r in zip(flat.tolist(), r_opt(cert, M, flat).tolist(),
+                            cert.R_rule(flat).tolist()):
         if R_o > R_r:
             branch = BRANCH_CUTOFF_LIMITED
             R_used = R_r
         else:
             branch = BRANCH_OPT_INSIDE
             R_used = R_o
-        bound = bound_B(inputs, tk, R_used)
+        bound = bound_B(cert, M, tk, R_used)
         rate_shape = max(1.0 / R_o, 1.0 / R_r if math.isfinite(R_r) else 0.0)
         results.append(RateResult(t=tk, R_opt=R_o, R_rule_t=R_r, R_used=R_used, bound=bound,
                                   branch=branch, rate_shape=rate_shape,

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from tauberian_lab import (BVFunction, CoefficientSequence, CutoffRule,
                            EtaShiftExtension, GrowthBound, Integrand,
-                           RateInputs, RationalExtension, TauberianCertificate,
+                           RationalExtension, TauberianCertificate,
                            branch_start, build_instance, cauchy_residual,
                            check_line_bound, check_small_x_bound,
                            check_tail_bound, check_tauberian, decay_rate,
@@ -168,7 +168,7 @@ def test_05_radius_inversion(rng):
     trips_ok = worst <= 1e-10
 
     want = math.sqrt(5.0) / 2.0 * math.e
-    got = r_opt(RateInputs(C=1.0, M=GrowthBound.constant(2.0)), 8.0)
+    got = r_opt(TauberianCertificate(C=1.0, x0=1.0), GrowthBound.constant(2.0), 8.0)
     closed_err = abs(got - want) / want
     _report(5, "radius inversion", trips_ok and closed_err <= 1e-6,
             f"worst round-trip residual {worst:.3e} over 250 points (tol 1e-10); "
@@ -233,9 +233,9 @@ def test_07_contour_term_bounds():
 
 def test_08_end_to_end_exponential_decay():
     """Measured decay under the guaranteed bound, with the e^{-t/8} shape."""
-    inputs = RateInputs(C=1.0, M=GrowthBound.constant(2.0), T=0.0,
-                        R_rule=CutoffRule.infinite())
-    tp = t_prime(inputs)
+    cert = TauberianCertificate(C=1.0, x0=1.0, T=0.0, R_rule=CutoffRule.infinite())
+    M = GrowthBound.constant(2.0)
+    tp = t_prime(cert, M)
     ts = np.linspace(tp + 0.5, 50.0, 100)
     bv = BVFunction.from_density("exponential", scale=1.0, rate=-1.0)
 
@@ -248,7 +248,7 @@ def test_08_end_to_end_exponential_decay():
             # past t ~ 16 the subtraction 1 - e^{-t} loses all relative
             # accuracy in doubles; the inequality check below still stands
             form_err = max(form_err, abs(measured - math.exp(-t)) / math.exp(-t))
-        res = decay_rate(inputs, float(t))
+        res = decay_rate(cert, M, float(t))
         bounds.append(res.bound)
         decay_ok = decay_ok and measured <= res.bound
     slope = float(np.polyfit(ts, np.log(bounds), 1)[0])
@@ -265,9 +265,7 @@ def test_09_end_to_end_alternating_series():
     """Partial sums approach log 2 no slower than the guaranteed bound."""
     inst = build_instance(CoefficientSequence.alternating(), n_max=10**6)
     growth = GrowthBound.affine(1.25)
-    inputs = RateInputs(C=inst.certificate.C, M=growth,
-                        R_rule=inst.certificate.R_rule)
-    tp = t_prime(inputs)
+    tp = t_prime(inst.certificate, growth)
     ts = np.linspace(tp + 0.2, 13.0, 64)
     rows = partial_sum_decay(inst, growth, ts, f0=inst.f0)
     worst = min(r.margin for r in rows)

@@ -106,8 +106,9 @@ class TestRate:
         assert res.stdout == "t,R_opt,R_rule_t,branch,bound_B,rate_shape\n"
 
     def test_grid_is_inverted_in_one_pass(self, monkeypatch):
-        # one branch_start and a few dozen array m_log calls serve the whole
-        # grid; inverting one time at a time made about 9300 m_log calls here
+        # one climb of a few dozen array m_log calls serves the whole grid,
+        # branch start included; inverting one time at a time made about 9300
+        # m_log calls here
         import tauberian_lab.growth as growth_module
 
         counts = {"branch_start": 0, "m_log": 0}
@@ -123,7 +124,7 @@ class TestRate:
                   "--t-grid", "0.5:300:160")
         assert res.exit_code == 0, res.output
         assert len(parse_csv(res.stdout)[1]) == 160
-        assert counts["branch_start"] == 1
+        assert counts["branch_start"] == 0
         assert counts["m_log"] <= 300
 
     def test_thread_variable_is_ignored(self, monkeypatch):
@@ -305,6 +306,17 @@ class TestContour:
         assert res.exit_code == 2
         assert "budget" in stderr_of(res) or "nodes" in stderr_of(res)
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--density", "nan", "density multiplier must be positive and finite"),
+        ("--density", "inf", "density multiplier must be positive and finite"),
+        ("--radius", "inf", "contour radius must be finite and >= 1"),
+    ])
+    def test_non_finite_radius_or_density_is_named(self, flag, value, message):
+        # these once reached the panel count as "cannot convert float ... to integer"
+        res = run("contour", "--problem", "problems/exp_density.json", flag, value)
+        assert res.exit_code == 2
+        assert message in stderr_of(res)
+
     def test_missing_extension_block(self, tmp_path):
         p = tmp_path / "no_ext.json"
         p.write_text(json.dumps({
@@ -392,6 +404,18 @@ def test_cli_imports_without_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_export_list_resolves():
+    # every exported name exists, once, and a star import brings them all in
+    import tauberian_lab
+
+    names = tauberian_lab.__all__
+    assert [n for n in names if not hasattr(tauberian_lab, n)] == []
+    assert len(set(names)) == len(names)
+    namespace = {}
+    exec("from tauberian_lab import *", namespace)
+    assert set(names) <= set(namespace)
 
 
 def readme_examples() -> list[tuple[str, list[str]]]:

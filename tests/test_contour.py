@@ -12,6 +12,7 @@ from tauberian_lab import (
     GrowthBound,
     RationalExtension,
     TauberianCertificate,
+    bound_B,
     build_contour,
     cauchy_identity_report,
     cauchy_residual,
@@ -214,6 +215,12 @@ class TestTermBounds:
         # the derivation's sharper constants sit strictly inside the display
         assert I.bound_derived < I.bound_displayed
         assert II.bound_derived < II.bound_displayed
+        # the three displayed bounds add up to the rate engine's bound_B
+        for t, R in ((10.0, 2.0), (3.0, 1.0), (7.5, 1.7), (20.0, 3.0)):
+            bounds = term_bounds(evaluate_contour(bv, ext, M2, t, R), self.cert())
+            total = sum(b.bound_displayed for b in bounds)
+            want = bound_B(self.cert(), M2, t, R)
+            assert abs(total - want) <= 4 * np.spacing(want), (t, R, total, want)
 
     def test_third_term_formula(self):
         bv, ext = exp_density_pair()

@@ -23,6 +23,13 @@ PRESETS = [
     GrowthBound.log_power(1.5, 2.0),
     GrowthBound.exponential(1.0, 0.1),
 ]
+MORE_PRESETS = [
+    GrowthBound.constant(1.0),
+    GrowthBound.affine(1.0),
+    GrowthBound.power(2.0, 0.5),
+    GrowthBound.log_power(1.0, 1.0),
+    GrowthBound.exponential(1.5, 0.5),
+]
 
 
 class TestGrowthBound:
@@ -97,6 +104,23 @@ class TestMLog:
             val = m_log(M, C, a0)
             # either the increasing branch starts at a = 1, or at the sign change
             assert a0 == 1.0 or abs(val) < 1e-9
+        # a start above 1 lies within one float of m_log's sign change
+        above_one = 0
+        for M in PRESETS + MORE_PRESETS:
+            for C in (0.05, 0.2, 1.0, 2.0, 7.5, 30.0, 1e3, 1e6):
+                a0 = branch_start(M, C)
+                if a0 == 1.0:
+                    assert m_log(M, C, 1.0) >= 0.0, (M.describe(), C)
+                    continue
+                above_one += 1
+                below, above = np.nextafter(a0, 0.0), np.nextafter(a0, math.inf)
+                assert m_log(M, C, below) < 0.0 <= m_log(M, C, above), (M.describe(), C, a0)
+        assert above_one >= 40
+
+    def test_branch_start_out_of_float_range_is_loud(self):
+        # 5C overflows, so m_log is -inf at every radius and has no root
+        with pytest.raises(GrowthDomainError, match="float range"):
+            branch_start(GrowthBound.constant(2.0), 1e308)
 
     def test_monotone_on_branch(self):
         for M in PRESETS:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -127,6 +128,31 @@ def test_growth_kinds(tmp_path):
                          "growth": {"kind": "quadratic", "params": {}}})
     with pytest.raises(ProblemFormatError, match="quadratic"):
         load_problem(p)
+
+
+def _with_kind(block: str, kind) -> tuple[dict, str]:
+    """A problem whose <block> has the given kind, and that block's JSON path."""
+    base = {"name": "k", "certificate": {"C": 1, "x0": 1}, "jumps": [{"t": 1, "value": [1.0]}]}
+    if block == "growth":
+        return dict(base, growth={"kind": kind, "params": {"c": 2.0}}), "growth"
+    if block == "cutoff":
+        return dict(base, cutoff={"kind": kind}), "cutoff"
+    if block == "extension":
+        return dict(base, extension={"kind": kind}), "extension"
+    if block == "density":
+        return dict(base, densities=[{"from": 0, "to": 1, "kind": kind, "scale": [1.0]}]), \
+            "densities[0]"
+    return ({"name": "k", "dirichlet": {"coefficients": {"kind": kind}, "n_max": 10}},
+            "dirichlet.coefficients")
+
+
+@pytest.mark.parametrize("kind", [["affine"], {"name": "affine"}], ids=["list", "object"])
+@pytest.mark.parametrize("block", ["growth", "cutoff", "extension", "density", "coefficients"])
+def test_unhashable_kind_is_a_format_error(tmp_path, block, kind):
+    # a list or object kind once raised TypeError in the growth lookup
+    payload, where = _with_kind(block, kind)
+    with pytest.raises(ProblemFormatError, match=re.escape(f"{where}.kind:")):
+        load_problem(write(tmp_path, payload))
 
 
 def test_cutoff_kinds(tmp_path):

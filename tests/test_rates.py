@@ -8,7 +8,7 @@ import pytest
 from tauberian_lab import (
     CutoffRule,
     GrowthBound,
-    RateInputs,
+    TauberianCertificate,
     bound_B,
     decay_rate,
     k_prime,
@@ -18,47 +18,49 @@ from tauberian_lab import (
 )
 
 
-def inputs_const2(C: float = 1.0, rule: CutoffRule | None = None) -> RateInputs:
-    return RateInputs(C=C, M=GrowthBound.constant(2.0),
-                      R_rule=rule or CutoffRule.infinite())
+CONST2 = GrowthBound.constant(2.0)
+CONST10 = GrowthBound.constant(10.0)
+
+
+def cert(C: float = 1.0, rule: CutoffRule | None = None, T: float = 0.0) -> TauberianCertificate:
+    return TauberianCertificate(C=C, x0=1.0, T=T, R_rule=rule or CutoffRule.infinite())
 
 
 class TestBoundB:
     def test_example_value(self):
         # t = 4, R = 1, M = 2, C = 1: 10 + 2/4 + 2*4*e^{-1}
         want = 10.0 + 0.5 + 8.0 * math.exp(-1.0)
-        assert bound_B(inputs_const2(), 4.0, 1.0) == pytest.approx(want, rel=1e-14)
+        assert bound_B(cert(), CONST2, 4.0, 1.0) == pytest.approx(want, rel=1e-14)
         assert want == pytest.approx(13.443035529371539, rel=1e-12)
 
     def test_large_time_limit(self):
         # at fixed R the second and third terms die; 10 C / R remains
-        val = bound_B(inputs_const2(), 1e6, 2.0)
+        val = bound_B(cert(), CONST2, 1e6, 2.0)
         assert val == pytest.approx(5.0, abs=1e-3)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            bound_B(inputs_const2(), 0.0, 2.0)
+            bound_B(cert(), CONST2, 0.0, 2.0)
         with pytest.raises(ValueError):
-            bound_B(inputs_const2(), 1.0, 0.5)
+            bound_B(cert(), CONST2, 1.0, 0.5)
 
 
 class TestROpt:
     def test_closed_form_constant_two(self):
-        got = r_opt(inputs_const2(), 8.0)
+        got = r_opt(cert(), CONST2, 8.0)
         assert got == pytest.approx(math.sqrt(5.0) / 2.0 * math.e, rel=1e-10)
 
     def test_closed_form_identity(self):
         # M = 1, C = 1/5: R_opt(t) = e^{t/4}
-        ins = RateInputs(C=0.2, M=GrowthBound.constant(1.0))
-        assert r_opt(ins, 4.0) == pytest.approx(math.e, rel=1e-10)
+        got = r_opt(cert(C=0.2), GrowthBound.constant(1.0), 4.0)
+        assert got == pytest.approx(math.e, rel=1e-10)
 
     def test_balance_postcondition(self):
         # first and third terms agree at the optimizer
         for t in (8.0, 20.0, 60.0):
-            ins = inputs_const2()
-            R = r_opt(ins, t)
-            first = 10.0 * ins.C / R
-            MR = float(ins.M(R))
+            R = r_opt(cert(), CONST2, t)
+            first = 10.0 / R
+            MR = float(CONST2(R))
             third = 2.0 * R * MR * MR * math.exp(-t / (2.0 * MR))
             assert abs(math.log(first) - math.log(third)) <= 1e-8
 
@@ -66,77 +68,70 @@ class TestROpt:
         # R_opt solves m_log(R) = t/4 by construction
         from tauberian_lab import m_log
 
-        ins = RateInputs(C=1.0, M=GrowthBound.affine(1.2))
+        M = GrowthBound.affine(1.2)
         for t in (10.0, 50.0, 200.0):
-            R = r_opt(ins, t)
-            assert m_log(ins.M, ins.C, R) == pytest.approx(t / 4.0, rel=1e-8)
+            R = r_opt(cert(), M, t)
+            assert m_log(M, 1.0, R) == pytest.approx(t / 4.0, rel=1e-8)
 
 
 class TestThreshold:
     def test_t_prime_example(self):
         # M = 10, C = 1: 40 (log 10 - 0.5 log 5)
-        ins = RateInputs(C=1.0, M=GrowthBound.constant(10.0))
         want = 40.0 * (math.log(10.0) - 0.5 * math.log(5.0))
-        assert t_prime(ins) == pytest.approx(want, rel=1e-12)
+        assert t_prime(cert(), CONST10) == pytest.approx(want, rel=1e-12)
         assert want == pytest.approx(59.91464547107982, rel=1e-12)
-        assert not t_prime_second_term_clamped(ins)
+        assert not t_prime_second_term_clamped(cert(), CONST10)
 
     def test_t_prime_clamps_to_zero(self):
         # M = 2, C = 1: 8 (log 2 - 0.5 log 5) < 0, clamped
-        ins = inputs_const2()
-        assert t_prime(ins) == 0.0
-        assert t_prime_second_term_clamped(ins)
+        assert t_prime(cert(), CONST2) == 0.0
+        assert t_prime_second_term_clamped(cert(), CONST2)
 
     def test_t_prime_respects_T(self):
-        ins = RateInputs(C=1.0, M=GrowthBound.constant(2.0), T=3.0)
-        assert t_prime(ins) == 3.0
+        assert t_prime(cert(T=3.0), CONST2) == 3.0
 
     def test_k_prime(self):
         # undefined when M(1) <= sqrt(5C)
-        assert k_prime(inputs_const2()) is None
-        ins = RateInputs(C=1.0, M=GrowthBound.constant(10.0))
+        assert k_prime(cert(), CONST2) is None
         want = 1.0 / (math.log(10.0) - 0.5 * math.log(5.0))
-        assert k_prime(ins) == pytest.approx(want, rel=1e-12)
+        assert k_prime(cert(), CONST10) == pytest.approx(want, rel=1e-12)
 
 
 class TestDecayRate:
     def test_requires_t_above_threshold(self):
-        ins = RateInputs(C=1.0, M=GrowthBound.constant(10.0))
         with pytest.raises(ValueError) as info:
-            decay_rate(ins, 10.0)
+            decay_rate(cert(), CONST10, 10.0)
         assert "59.91" in str(info.value)
 
     def test_opt_inside_branch(self):
-        res = decay_rate(inputs_const2(), 8.0)
+        res = decay_rate(cert(), CONST2, 8.0)
         assert res.branch == "opt_inside"
         assert res.R_used == res.R_opt
         assert math.isinf(res.R_rule_t)
-        assert res.bound == pytest.approx(bound_B(inputs_const2(), 8.0, res.R_opt), rel=1e-14)
+        assert res.bound == pytest.approx(bound_B(cert(), CONST2, 8.0, res.R_opt), rel=1e-14)
         assert res.rate_shape == pytest.approx(1.0 / res.R_opt, rel=1e-14)
 
     def test_cutoff_limited_branch(self):
-        rule = CutoffRule.constant(2.0)
-        ins = inputs_const2(rule=rule)
-        res = decay_rate(ins, 20.0)  # R_opt(20) ~ 13.6 > 2
+        ins = cert(rule=CutoffRule.constant(2.0))
+        res = decay_rate(ins, CONST2, 20.0)  # R_opt(20) ~ 13.6 > 2
         assert res.branch == "cutoff_limited"
         assert res.R_used == 2.0
-        assert res.bound == pytest.approx(bound_B(ins, 20.0, 2.0), rel=1e-14)
+        assert res.bound == pytest.approx(bound_B(ins, CONST2, 20.0, 2.0), rel=1e-14)
         assert res.rate_shape == pytest.approx(0.5, rel=1e-14)
 
     def test_branch_consistency_is_exact(self):
         # branch says cutoff_limited exactly when R_opt > R_rule(t)
-        rule = CutoffRule.constant(5.0)
-        ins = inputs_const2(rule=rule)
+        ins = cert(rule=CutoffRule.constant(5.0))
         for t in np.linspace(1.0, 40.0, 25):
-            res = decay_rate(ins, float(t))
+            res = decay_rate(ins, CONST2, float(t))
             assert (res.branch == "cutoff_limited") == (res.R_opt > res.R_rule_t)
 
     def test_bound_monotone_in_time(self):
         for M in (GrowthBound.constant(2.0), GrowthBound.affine(1.2),
                   GrowthBound.power(1.0, 0.8)):
-            ins = RateInputs(C=1.0, M=M)
-            ts = np.linspace(t_prime(ins) + 1.0, t_prime(ins) + 90.0, 60)
-            bounds = [decay_rate(ins, float(t)).bound for t in ts]
+            tp = t_prime(cert(), M)
+            ts = np.linspace(tp + 1.0, tp + 90.0, 60)
+            bounds = [decay_rate(cert(), M, float(t)).bound for t in ts]
             assert np.all(np.diff(bounds) < 0), M.describe()
 
     def test_near_optimality_factor_three(self):
@@ -144,22 +139,21 @@ class TestDecayRate:
         presets = [GrowthBound.constant(2.0), GrowthBound.affine(1.2),
                    GrowthBound.log_power(1.5, 2.0), GrowthBound.power(1.0, 0.8)]
         for M in presets:
-            ins = RateInputs(C=1.0, M=M)
             for t in (10.0, 50.0, 200.0):
-                if t <= t_prime(ins):
+                if t <= t_prime(cert(), M):
                     continue
-                res = decay_rate(ins, t)
+                res = decay_rate(cert(), M, t)
                 grid = np.geomspace(1.0, 10.0 * res.R_opt, 200)
-                best = min(bound_B(ins, t, float(R)) for R in grid)
+                best = min(bound_B(cert(), M, t, float(R)) for R in grid)
                 assert res.bound <= 3.0 * best, (M.describe(), t)
 
     def test_exp_cutoff_small_time(self):
         # with the e^t cap the optimizer loses at small t and the branch flips
-        ins = RateInputs(C=math.e, M=GrowthBound.affine(1.25),
-                         R_rule=CutoffRule.exp_of_t())
-        res_small = decay_rate(ins, 0.5)
+        ins = cert(C=math.e, rule=CutoffRule.exp_of_t())
+        M = GrowthBound.affine(1.25)
+        res_small = decay_rate(ins, M, 0.5)
         assert res_small.R_rule_t == pytest.approx(math.exp(0.5), rel=1e-14)
-        res_large = decay_rate(ins, 12.0)
+        res_large = decay_rate(ins, M, 12.0)
         assert res_large.branch == "opt_inside"
 
 
@@ -168,32 +162,25 @@ class TestRateGrid:
 
     def test_grid_equals_one_call_per_time(self):
         for rule in (CutoffRule.infinite(), CutoffRule.constant(5.0), CutoffRule.exp_of_t()):
-            ins = RateInputs(C=1.0, M=GrowthBound.affine(1.2), R_rule=rule)
+            ins, M = cert(rule=rule), GrowthBound.affine(1.2)
             ts = np.linspace(1.0, 60.0, 40)
-            assert decay_rate(ins, ts) == [decay_rate(ins, float(t)) for t in ts]
-            np.testing.assert_array_equal(r_opt(ins, ts), [r_opt(ins, float(t)) for t in ts])
+            assert decay_rate(ins, M, ts) == [decay_rate(ins, M, float(t)) for t in ts]
+            np.testing.assert_array_equal(r_opt(ins, M, ts),
+                                          [r_opt(ins, M, float(t)) for t in ts])
 
     def test_scalar_and_empty(self):
-        assert isinstance(decay_rate(inputs_const2(), 8.0).t, float)
-        assert decay_rate(inputs_const2(), np.asarray([])) == []
-        assert type(r_opt(inputs_const2(), 8.0)) is float
+        assert isinstance(decay_rate(cert(), CONST2, 8.0).t, float)
+        assert decay_rate(cert(), CONST2, np.asarray([])) == []
+        assert type(r_opt(cert(), CONST2, 8.0)) is float
 
     def test_error_carries_position(self):
-        ins = RateInputs(C=1.0, M=GrowthBound.constant(10.0))  # T' ~ 59.91
-        with pytest.raises(ValueError, match="got t = 30.0") as info:
-            decay_rate(ins, np.asarray([70.0, 30.0, 20.0]))
+        with pytest.raises(ValueError, match="got t = 30.0") as info:  # T' ~ 59.91
+            decay_rate(cert(), CONST10, np.asarray([70.0, 30.0, 20.0]))
         assert info.value.index == 1
         with pytest.raises(ValueError, match="t > 0") as info:
-            r_opt(inputs_const2(), np.asarray([1.0, 2.0, 0.0]))
+            r_opt(cert(), CONST2, np.asarray([1.0, 2.0, 0.0]))
         assert info.value.index == 2
 
     def test_one_inversion_per_grid(self, inversion_sizes):
-        decay_rate(inputs_const2(), np.linspace(1.0, 50.0, 50))
+        decay_rate(cert(), CONST2, np.linspace(1.0, 50.0, 50))
         assert inversion_sizes == [50]
-
-
-def test_rate_inputs_validation():
-    with pytest.raises(ValueError):
-        RateInputs(C=-1.0, M=GrowthBound.constant(2.0))
-    with pytest.raises(ValueError):
-        RateInputs(C=1.0, M=GrowthBound.constant(2.0), T=-1.0)

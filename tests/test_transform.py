@@ -235,6 +235,8 @@ def test_certificate_validation():
     with pytest.raises(ValueError):
         TauberianCertificate(C=0.0, x0=1.0)
     with pytest.raises(ValueError):
+        TauberianCertificate(C=-1.0, x0=1.0)
+    with pytest.raises(ValueError):
         TauberianCertificate(C=1.0, x0=-1.0)
     with pytest.raises(ValueError):
         TauberianCertificate(C=1.0, x0=1.0, T=-2.0)
