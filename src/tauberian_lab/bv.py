@@ -48,6 +48,16 @@ per abscissa, back into the rows array.  The two rounded exponents cost
 each term at most about 2 eps 256 relative (under 6e-14).
 The steps are divided by a power of two near their largest entry first, so
 no scaled sum overflows, and a result that is still not finite raises.
+A partial sweep can also return only some of its rows (``_partial_rows``):
+those that ``_rising_rows`` names, where ||G|| can rise (row 0, each row
+whose step takes a jump or meets a density piece, and any rows the caller
+adds), which is how ``verify`` reads its sups.  Every other row's step is
+zero, so the jump sums go into the held rows' slots and the scan sums only
+those; its blocks are still cut on the full grid, and the carry into a block
+comes from the last held row before it or from the previous carry alone.
+Each held row is bitwise the full sweep's, and no other row is larger in any
+norm than the last held row before it.  The public grid evaluators hold
+every row.
 
 The contour evaluators ``exp_tail_integral`` and ``exp_partial_integral``,
 and the improper transform, share one jump-sum kernel for
@@ -577,14 +587,15 @@ def stieltjes_integral(bv: BVFunction, phi: Integrand, t: float,
 
 
 def _density_segments(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
-                      quad_tol: float, rows: np.ndarray) -> None:
-    """Add to rows[k, j] int e^{c_k s - Re(c_k) t_j} a(s) ds over the density of row j's step.
+                      quad_tol: float, rows: np.ndarray, held: np.ndarray) -> None:
+    """Add to rows[k, i] int e^{c_k s - Re(c_k) t_j} a(s) ds over row j = held[i]'s step.
 
     Row j steps from the previous point (start for j = 0) to t_j, clipped to
     within (_NEGLIGIBLE_LOG + 10) / |Re c_k| of t_j.  The weight is formed as
     e^{Re(c_k) (s - t_j) + i Im(c_k) s}, so that a large Re(c_k) t_j adds no
     rounding.  Each piece takes one _piece_integrals call over the intervals
     of every abscissa and row, with slope c_k.  Pieces are added in order.
+    held, sorted, must hold every row whose step meets a piece.
     """
     xr = c.real
     phase = 1j * c.imag
@@ -604,26 +615,29 @@ def _density_segments(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: 
         vals = _piece_integrals(
             piece, lambda s, owner: xk[owner, None] * (s - t[owner, None]) + pk[owner, None] * s,
             c[k], lo, hi, quad_tol)
-        rows[k, j] += vals[:, None] * piece.scale_array()[None, :]
+        rows[k, np.searchsorted(held, j)] += vals[:, None] * piece.scale_array()[None, :]
 
 
-def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float) -> np.ndarray:
-    """Row (k, j): sum of s_i e^{Re(c_k) (tau_i - t_j) + i Im(c_k) tau_i} over row j's jumps.
+def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
+               held: np.ndarray) -> np.ndarray:
+    """Slot (k, i): sum of s_l e^{Re(c_k) (tau_l - t_j) + i Im(c_k) tau_l}, l in row j = held[i].
 
     Row j takes the jumps between t_{j-1} and t_j (t_{-1} = start), as
     [t_{j-1}, t_j) upward or [t_j, t_{j-1}) downward, and leaves out those
     whose weight is below e^-_NEGLIGIBLE_LOG, over _NEGLIGIBLE_LOG / |Re c_k|
-    from t_j.  The rows' jumps together are one run of consecutive jumps, in
-    row order upward and in reverse row order downward.  The run is cut into
-    contiguous chunks whose temporaries, about eight arrays of the chunk's
-    length, together hold at most _MAX_BLOCK_ELEMENTS entries.  Each chunk's
-    layout (its rows and every tau_i - t_j) is formed once; then, for each
-    abscissa in turn, each jump is weighted once and the terms are summed per
-    row (np.add.reduceat).
+    from t_j.  held, sorted, must hold every row that takes a jump; the
+    (m, held.size, d) result has a slot for each held row.  The rows' jumps
+    together are one run of consecutive jumps, in row order upward and in
+    reverse row order downward.  The run is cut into contiguous chunks whose
+    temporaries, about eight arrays of the chunk's length, together hold at
+    most _MAX_BLOCK_ELEMENTS entries.  Each chunk's layout (its slots, every
+    tau_l - t_j and its sizes as a (d, N) array) is formed once; then, for
+    each abscissa in turn, each jump is weighted once and the terms are summed
+    per row (np.add.reduceat along the jumps, which are the contiguous axis).
     """
     xr, y = c.real, c.imag
     times, sizes = bv.jump_times, bv.jump_sizes
-    out = np.zeros((c.size, points.size, bv.dimension), dtype=complex)
+    out = np.zeros((c.size, held.size, bv.dimension), dtype=complex)
     # row j holds the jumps between bounds[j] and bounds[j + 1]
     bounds = np.searchsorted(times, np.concatenate(([start], points)), side="left")
     rows = np.arange(points.size)
@@ -643,31 +657,48 @@ def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float) 
         taken = np.minimum(last[r0:r1], p1) - np.maximum(last[r0:r1] - count[r0:r1], p0)
         tau = times[first + p0:first + p1]
         gap = tau - points[np.repeat(rows[r0:r1], taken)]
-        part = sizes[first + p0:first + p1]
-        held = taken > 0
-        into = rows[r0:r1][held]
-        heads = (np.cumsum(taken) - taken)[held]
+        part = sizes[first + p0:first + p1].T.copy()
+        some = taken > 0
+        into = np.searchsorted(held, rows[r0:r1][some])
+        heads = (np.cumsum(taken) - taken)[some]
         for k in range(c.size):
             arg = xr[k] * gap
             w = np.exp(arg + 1j * (y[k] * tau)) if y[k] else np.exp(arg)
             w[arg < -_NEGLIGIBLE_LOG] = 0.0
-            out[k, into] += np.add.reduceat(w[:, None] * part, heads, axis=0)
+            out[k, into] += np.add.reduceat(w * part, heads, axis=1).T
     return out
 
 
-def _decay_scan(rows: np.ndarray, xr: float, points: np.ndarray) -> np.ndarray:
-    """out_j = sum_{i <= j} e^{xr (t_i - t_j)} rows_i, for xr (t_j - t_i) >= 0.
+def _decay_scan(rows: np.ndarray, xr: float, points: np.ndarray,
+                held: np.ndarray) -> np.ndarray:
+    """out_j = sum_{i <= j} e^{xr (t_i - t_j)} rows_i at each j of held, for xr (t_j - t_i) >= 0.
 
-    This is the recurrence out_j = e^{xr (t_{j-1} - t_j)} out_{j-1} + rows_j
-    as a blocked prefix scan (Blelloch 1990).  A block holds the rows whose
-    xr (t - t_0) falls in one cell of width _SCAN_SPAN.  Inside a block
-    anchored at row a the rows are scaled by e^{xr (t_i - t_a)} <= e^_SCAN_SPAN,
-    summed by np.cumsum and scaled back; the last row of a block carries into
-    the next.  The rows are first divided by a power of two within a factor 2
-    of their largest entry (1 if that is below 1), so that the scaled sums
-    cannot overflow however large the rows are.  Anchoring rounds the two
+    rows holds the rows at the sorted grid indices held, and every other row
+    is zero; the result is the (held.size, d) rows of out at held, bitwise
+    those of the scan over every row (held = arange(n)).  This is the
+    recurrence out_j = e^{xr (t_{j-1} - t_j)} out_{j-1} + rows_j as a blocked
+    prefix scan (Blelloch 1990).  A block holds the grid rows whose
+    xr (t - t_0) falls in one cell of width _SCAN_SPAN, cut on the full grid.
+    Inside a block anchored at row a the rows are scaled by
+    grow_i = e^{xr (t_i - t_a)} <= e^_SCAN_SPAN, summed by np.cumsum and
+    scaled back; the last row of a block carries into the next.  A zero row
+    would only add exact zeros to its block's cumsum, so only the held rows
+    are summed, and the carry into a block comes from the last held row
+    before it, if that lies in the block before, or else from the carry into
+    the block before alone.  The rows are first divided by a power of two within a
+    factor 2 of their largest entry (1 if that is below 1), so that the scaled
+    sums cannot overflow however large the rows are.  Anchoring rounds the two
     exponents xr (t - t_a) once each, which costs at most about
     2 eps _SCAN_SPAN relative per term.
+
+    So a zero row j after a row i, with only zero rows between, is never
+    larger in any norm than out_i.  In i's block, out_j = acc_i fl(1/grow_j)
+    unit (numpy divides a complex by a real as a product with the real's
+    reciprocal), and grow_j >= grow_i; a block start a takes the carry
+    fl(e'/grow_{a-1}) acc_{a-1} with e' = e^{xr (t_{a-1} - t_a)} <= 1 and
+    grow_a = 1.  Rounding is monotone and np.exp does not decrease, so each
+    component of out_j is at most that of out_i in modulus, and a sup over
+    the grid is first reached on a row that is not zero.
     """
     peak = float(np.max(np.abs(rows.view(float)), initial=0.0))
     if peak == 0.0:
@@ -676,31 +707,42 @@ def _decay_scan(rows: np.ndarray, xr: float, points: np.ndarray) -> np.ndarray:
     unit = math.ldexp(1.0, max(math.frexp(peak)[1] - 1, 0))
     cell = np.floor(xr * (points - points[0]) / _SCAN_SPAN)
     starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
-    ends = np.append(starts[1:], points.size)
-    grow = np.exp(xr * (points - np.repeat(points[starts], ends - starts)))[:, None]
+    block = np.searchsorted(starts, held, side="right") - 1
+    grow = np.exp(xr * (points[held] - points[starts[block]]))[:, None]
     acc = grow * (rows / unit)
     # the carry into the block at a is out_{a-1} e^{xr (t_{a-1} - t_a)}, and
-    # out_{a-1} = acc_{a-1} / grow_{a-1}
+    # out_{a-1} = acc_{a-1} / grow_{a-1}, grow_{a-1} anchored at the block before
     before = np.maximum(starts - 1, 0)
-    link = np.exp(xr * (points[before] - points[starts])) / grow[before, 0]
-    for a, b, f in zip(starts, ends, link):
-        np.cumsum(acc[a:b], axis=0, out=acc[a:b])
-        if a:
-            acc[a:b] += f * acc[a - 1]
+    anchor = starts[np.maximum(np.arange(starts.size) - 1, 0)]
+    link = (np.exp(xr * (points[before] - points[starts]))
+            / np.exp(xr * (points[before] - points[anchor])))
+    # the held slots [first_b, first_{b+1}) of each block b
+    first = np.searchsorted(held, starts).tolist() + [held.size]
+    carry = np.zeros(rows.shape[1:], dtype=rows.dtype)  # acc_{a-1}
+    for a, i, e, f in zip(starts.tolist(), first, first[1:], link):
+        if e > i:
+            np.cumsum(acc[i:e], axis=0, out=acc[i:e])
+            if a:
+                acc[i:e] += f * carry
+            carry = acc[e - 1]
+        elif a:
+            carry = 0.0 + f * carry  # as a zero cumsum adds it, to the sign of a zero
     acc /= grow
     acc *= unit
     return acc
 
 
 def _weighted_sweep(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
-                    quad_tol: float) -> np.ndarray:
-    """Rows (k, j): int e^{c_k s - Re(c_k) t_j} dA(s) over the s between start and t_j.
+                    quad_tol: float, held: np.ndarray) -> np.ndarray:
+    """Rows (k, i): int e^{c_k s - Re(c_k) t_j} dA(s) over the s between start and t_j, j = held[i].
 
     One call sweeps the (m,) rates c over the (n,) points and returns the
-    (m, n, d) rows.  The range is [start, t_j) while the points ascend from
-    start and [t_j, start) while they descend to it.  The weights have
-    modulus <= 1 when Re(c_k) (s - t_j) <= 0 on the range.  The jumps and the
-    density between consecutive points give each row's own sum (_jump_rows,
+    (m, held.size, d) rows at the sorted indices held, which must hold every
+    row whose step takes a jump or meets a density piece.  The range is
+    [start, t_j) while the points ascend from start and [t_j, start) while
+    they descend to it.  The weights have modulus <= 1 when
+    Re(c_k) (s - t_j) <= 0 on the range.  The jumps and the density between
+    consecutive points give each held row's own sum (_jump_rows,
     _density_segments), leaving out what lies over _NEGLIGIBLE_LOG / |Re c_k|
     (jumps) or that plus 10 (density) from t_j; the blocked scan _decay_scan
     then adds each row to the previous one rescaled by
@@ -708,14 +750,14 @@ def _weighted_sweep(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: fl
     array.  A nonfinite result raises NonFiniteIntegrandError.
     """
     _refuse_nan(start, points)
-    rows = _jump_rows(bv, c, points, start)
+    rows = _jump_rows(bv, c, points, start, held)
     if bv.pieces:
-        _density_segments(bv, c, points, start, quad_tol, rows)
+        _density_segments(bv, c, points, start, quad_tol, rows, held)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow is caught by the finiteness guard
         for k in range(c.size):
-            rows[k] = _decay_scan(rows[k], c[k].real, points)
-    _guard_finite(rows, points[:, None], "weighted sweep")
+            rows[k] = _decay_scan(rows[k], c[k].real, points, held)
+    _guard_finite(rows, points[held][:, None], "weighted sweep")
     return rows
 
 
@@ -738,11 +780,41 @@ def weighted_partial_grid(bv: BVFunction, z, t_grid: np.ndarray,
     The sweep walks the grid upward from 0 with c = z.  A scalar z gives the
     (n, d) rows; an (m,) array of z gives (m, n, d), all from one sweep.
     """
+    return _partial_rows(bv, z, t_grid, None, quad_tol)
+
+
+def _rising_rows(bv: BVFunction, t_grid: np.ndarray, heads=()) -> np.ndarray:
+    """The sorted grid indices where ||G_j|| of weighted_partial_grid can rise.
+
+    They are row 0, the rows heads, and each row j whose step [t_{j-1}, t_j)
+    (t_{-1} = 0) takes a jump or meets a density piece's support.  Between
+    two of them G only decays, and no row there is larger in any norm than
+    the last of them before it (see _decay_scan).
+    """
+    prev = np.concatenate(([0.0], t_grid[:-1]))
+    taken = np.searchsorted(bv.jump_times, np.concatenate(([0.0], t_grid)), side="left")
+    rising = np.diff(taken) > 0
+    for piece in bv.pieces:
+        rising |= np.maximum(prev, piece.start) < np.minimum(t_grid, piece.end)
+    rising[:1] = True
+    rising[np.asarray(heads, dtype=int)] = True
+    return np.flatnonzero(rising)
+
+
+def _partial_rows(bv: BVFunction, z, t_grid: np.ndarray, held: np.ndarray | None,
+                  quad_tol: float) -> np.ndarray:
+    """weighted_partial_grid's rows at the sorted grid indices held (every row if None).
+
+    held must hold every row of _rising_rows(bv, t_grid); the rows are
+    bitwise those of weighted_partial_grid there, and the last axis but one
+    runs over held.
+    """
     zs = _abscissas(z, "weighted_partial_grid")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or (t_grid.size and (np.any(np.diff(t_grid) < 0) or t_grid[0] < 0)):
         raise ValueError("t_grid must be ascending and nonnegative")
-    out = _weighted_sweep(bv, zs.ravel(), t_grid, 0.0, quad_tol)
+    held = np.arange(t_grid.size) if held is None else held
+    out = _weighted_sweep(bv, zs.ravel(), t_grid, 0.0, quad_tol, held)
     return out if zs.ndim else out[0]
 
 
@@ -761,7 +833,8 @@ def weighted_tail_grid(bv: BVFunction, z, t_grid: np.ndarray, v_max: float,
         raise ValueError("t_grid must be ascending")
     if t_grid.size and v_max < t_grid[-1]:
         raise ValueError("v_max must dominate the largest grid point")
-    out = _weighted_sweep(bv, -zs.ravel(), t_grid[::-1], float(v_max), quad_tol)[:, ::-1]
+    out = _weighted_sweep(bv, -zs.ravel(), t_grid[::-1], float(v_max), quad_tol,
+                          np.arange(t_grid.size))[:, ::-1]
     return out if zs.ndim else out[0]
 
 

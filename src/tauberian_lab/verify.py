@@ -7,7 +7,11 @@ SupReport: the grid supremum, the asserted bound, their margin, and the
 witnessing grid point.  Negative margins are reported, never raised.  One
 batched sweep serves every check of a call, each abscissa once; a check that
 assumes the ratio hypothesis at x reads it there too, and marks the report
-hypothesis_failed instead of silently checking a vacuous claim.
+hypothesis_failed instead of silently checking a vacuous claim.  The sweep
+computes and reads only the grid rows where ||G|| can rise: row 0, each row
+that takes a jump or meets a density piece, and each first point of a ratio
+mask.  Elsewhere G only decays, so each sup and its first witness are
+bitwise those of the full grid.
 
 The growth hypothesis ||f(z)|| <= M(|Im z|) on the strip -1/M(|y|) < Re z <= 0
 is checked, and an affine M fitted to it, on one scan of the strip: every
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bv import (_MAX_BLOCK_ELEMENTS, BVFunction, weighted_partial, weighted_partial_grid,
+from .bv import (_MAX_BLOCK_ELEMENTS, BVFunction, _partial_rows, _rising_rows, weighted_partial,
                  weighted_tail_grid)
 from .growth import GrowthBound
 from .transform import TauberianCertificate
@@ -111,22 +115,38 @@ def _sup(vals: np.ndarray, mask: np.ndarray | None = None) -> tuple[float, int]:
 def _sweep_sups(bv: BVFunction, zs, t_grid: np.ndarray, quad_tol: float,
                 masks: dict | None = None) -> tuple[dict, dict]:
     """_sup of ||G(z, t_grid)|| at each distinct z of zs, keyed by z, and of x ||G(x, t_grid)||
-    over the mask at each x of masks {complex(x): mask}.  The z are swept once each, in order,
-    by weighted_partial_grid calls on batches of at most _MAX_BLOCK_ELEMENTS // 8 entries (the
-    share _jump_rows gives its chunk); each batch is read and dropped before the next.
+    over the mask at each x of masks {complex(x): mask}.
+
+    Only the rows where ||G|| can rise are swept and read: row 0, each row whose step takes a
+    jump or meets a density piece (bv._rising_rows) and each first point of a run of a mask.
+    On every other row of a mask or of the grid, G is a decayed copy of the last such row
+    before it, never larger in norm after rounding (see bv._decay_scan), so each value and
+    first witness is bitwise that of the sweep of every row; witnesses are mapped back to their
+    grid index.  The z are swept once each, in order, by bv._partial_rows calls on batches of
+    at most _MAX_BLOCK_ELEMENTS // 8 entries of the held rows (the share _jump_rows gives its
+    chunk); each batch is read and dropped before the next.
     """
     zs, masks = list(dict.fromkeys(map(complex, zs))), masks or {}
-    step = max(1, _MAX_BLOCK_ELEMENTS // 8 // max(1, t_grid.size * bv.dimension))
+    heads = [j for mask in masks.values() for j in np.flatnonzero(mask[1:] & ~mask[:-1]) + 1]
+    held = _rising_rows(bv, t_grid, heads)
+    step = max(1, _MAX_BLOCK_ELEMENTS // 8 // max(1, held.size * bv.dimension))
     sups, ratio = {}, {}
     for b in range(0, len(zs), step):
-        rows = weighted_partial_grid(bv, np.asarray(zs[b:b + step]), t_grid, quad_tol)
+        rows = _partial_rows(bv, np.asarray(zs[b:b + step]), t_grid, held, quad_tol)
         for z, row in zip(zs[b:b + step], rows):
             norms = vector_norm(row, bv.norm_kind)
-            sups[z] = _sup(norms)
+            sups[z] = _held_sup(held, norms)
             if z in masks:
-                ratio[z] = _sup(norms * z.real, masks[z])
+                ratio[z] = _held_sup(held, norms * z.real, masks[z][held])
         del rows, row, norms
     return sups, ratio
+
+
+def _held_sup(held: np.ndarray, vals: np.ndarray,
+              mask: np.ndarray | None = None) -> tuple[float, int]:
+    """_sup of vals on the held grid rows, with its witness as a grid index."""
+    value, j = _sup(vals, mask)
+    return value, int(held[j])
 
 
 def _report(case_id: str, found: tuple[float, int], bound: float, x: float, t_grid: np.ndarray,
@@ -151,6 +171,9 @@ def _ratio_masks(cert: TauberianCertificate, t_grid: np.ndarray,
             x_hi = min(x_hi, rule_hi)
         x_grid = make_x_grid(cert.x0, max(cert.x0, x_hi))
     x_grid = np.asarray(x_grid, dtype=float)
+    if not np.all(np.isfinite(x_grid)):
+        raise ValueError(f"x grid must hold finite abscissas; it holds "
+                         f"{x_grid[~np.isfinite(x_grid)][0]:g}")
     x_grid = x_grid[x_grid >= cert.x0 * (1.0 - 1e-12)]
     if x_grid.size == 0:
         raise ValueError("x grid is empty after applying the certificate abscissa x0")

@@ -29,11 +29,13 @@ from tauberian_lab import (
     load_problem,
     make_t_grid,
     make_x_grid,
+    weighted_partial_grid,
 )
 from tauberian_lab import bv as bv_module
 from tauberian_lab.bv import DENSITY_KINDS
 from tauberian_lab import verify as verify_module
 from tauberian_lab.cli import main
+from tauberian_lab.vectors import vector_norm
 
 
 def exp_density() -> BVFunction:
@@ -114,6 +116,15 @@ class TestCheckTauberian:
         cert = TauberianCertificate(C=1.0, x0=1.0, T=100.0)
         with pytest.raises(ValueError, match=r"T = 100.*t in \[0, 50\].*x in \[1, 1000\]"):
             check_tauberian(bv, cert)
+
+    @pytest.mark.parametrize("check", [check_tauberian, check_certificate])
+    @pytest.mark.parametrize("x_grid", [[1.0, math.nan, 10.0], [1.0, math.inf], [-math.inf, 2.0]])
+    def test_non_finite_x_grid_is_refused(self, check, x_grid):
+        # a nan abscissa was dropped without a word, and an infinite one gave
+        # grid_sup nan with a RuntimeWarning
+        cert = TauberianCertificate(C=1.0, x0=1.0)
+        with pytest.raises(ValueError, match="x grid must hold finite abscissas"):
+            check(delayed_step(1.0), cert, x_grid=np.asarray(x_grid))
 
     def test_exp_density_bounded_by_one(self):
         # x e^{-xt} int_0^t e^{(x-1)s} ds <= x/(x... stays below 1 for x >= 1
@@ -234,7 +245,7 @@ class TestSweepReuse:
     def spy(self, monkeypatch) -> tuple[list[tuple[str, complex]], list[str]]:
         """Every abscissa swept, with its sweep's name, and the name of every sweep call."""
         abscissas, calls = [], []
-        for name in ("weighted_partial_grid", "weighted_tail_grid"):
+        for name in ("_partial_rows", "weighted_tail_grid"):
             def counted(bv, z, *args, _name=name, _sweep=getattr(verify_module, name), **kw):
                 calls.append(_name)
                 abscissas.extend((_name, complex(v)) for v in np.atleast_1d(z))
@@ -249,7 +260,7 @@ class TestSweepReuse:
 
     def test_line_bound_on_the_real_axis_is_its_own_hypothesis(self, sweeps):
         rep = check_line_bound(delayed_step(1.0), 1.0, 2.0, 0.0)
-        assert sweeps == [("weighted_partial_grid", 2.0)]
+        assert sweeps == [("_partial_rows", 2.0)]
         assert not rep.hypothesis_failed
 
     def test_small_x_bound_reuses_the_hypothesis_at_x0(self, sweeps):
@@ -264,40 +275,73 @@ class TestSweepReuse:
         res = CliRunner().invoke(main, ["verify", "--problem", "problems/dirichlet_ones.json",
                                         "--x-grid", "1:1000:8"])
         assert res.exit_code == 0, res.output
-        partial = [z for name, z in sweeps if name == "weighted_partial_grid"]
+        partial = [z for name, z in sweeps if name == "_partial_rows"]
         assert len(partial) == len(set(partial)) == 24
         assert [z for name, z in sweeps if name == "weighted_tail_grid"] == [1.0 + 2.0j]
 
     def test_verify_command_makes_one_partial_and_one_tail_sweep_call(self, spy):
-        # the 24 abscissas of 8704 points fit one batch; the tail bound's own
-        # tail sweep is the other call
+        # the 24 abscissas fit one batch; the tail bound's own tail sweep is
+        # the other call
         res = CliRunner().invoke(main, ["verify", "--problem", "problems/dirichlet_ones.json",
                                         "--x-grid", "1:1000:8"])
         assert res.exit_code == 0, res.output
         _, calls = spy
-        assert calls == ["weighted_partial_grid", "weighted_tail_grid"]
+        assert calls == ["_partial_rows", "weighted_tail_grid"]
+
+    def test_scans_see_only_the_rows_where_the_norm_can_rise(self, monkeypatch):
+        # each abscissa's partial scan holds at most the rows that take a jump,
+        # the first point of each ratio mask and row 0: not the 8704 grid rows
+        prob = load_problem("problems/dirichlet_ones.json")
+        t_grid, _ = make_t_grid(prob.bv)
+        x_grid = np.geomspace(1.0, 1000.0, 8)
+        masks = verify_module._ratio_masks(prob.certificate, t_grid, x_grid)
+        jump_rows = np.unique(np.searchsorted(
+            t_grid, prob.bv.jump_times[prob.bv.jump_times < t_grid[-1]], side="right"))
+        heads = sum(int(mask[0]) + int(np.sum(mask[1:] & ~mask[:-1])) for mask in masks.values())
+        rows = []
+        scan = bv_module._decay_scan
+
+        def counted(acc, xr, points, held):
+            if xr >= 0:  # the tail sweep scans with xr = -x
+                rows.append(len(acc))
+            return scan(acc, xr, points, held)
+
+        monkeypatch.setattr(bv_module, "_decay_scan", counted)
+        res = CliRunner().invoke(main, ["verify", "--problem", "problems/dirichlet_ones.json",
+                                        "--x-grid", "1:1000:8"])
+        assert res.exit_code == 0, res.output
+        assert len(rows) == 24
+        assert max(rows) <= jump_rows.size + heads + 1 < t_grid.size // 10
 
     def test_batches_hold_at_most_the_jump_chunk_share(self, monkeypatch):
-        # 2 x 8704 entries per abscissa: 14 abscissas per batch of
-        # _MAX_BLOCK_ELEMENTS // 8, so the 24 take two calls
+        # a batch holds at most _MAX_BLOCK_ELEMENTS // 8 entries of the held rows:
+        # with room for 10 abscissas of 2-vector rows per batch, the 24 take 10, 10, 4
         prob = load_problem("problems/dirichlet_ones.json")
         bv = BVFunction(2, prob.bv.jump_times, np.repeat(prob.bv.jump_sizes, 2, axis=1))
+        t_grid, _ = make_t_grid(bv)
+        x_grid = np.geomspace(1.0, 1000.0, 8)
+        masks = verify_module._ratio_masks(prob.certificate, t_grid, x_grid)
+        held = np.unique(np.concatenate(
+            [[0], np.searchsorted(t_grid, bv.jump_times[bv.jump_times < t_grid[-1]], "right"),
+             *(np.flatnonzero(mask[1:] & ~mask[:-1]) + 1 for mask in masks.values())]))
         sizes = []
-        partial = verify_module.weighted_partial_grid
+        partial = verify_module._partial_rows
 
-        def sized(bv, z, *args, **kw):
+        def sized(bv, z, t_grid, rows, *args, **kw):
             sizes.append(np.size(z))
-            return partial(bv, z, *args, **kw)
+            assert np.array_equal(rows, held)
+            return partial(bv, z, t_grid, rows, *args, **kw)
 
-        monkeypatch.setattr(verify_module, "weighted_partial_grid", sized)
-        check_certificate(bv, prob.certificate, x_grid=np.geomspace(1.0, 1000.0, 8))
-        assert sizes == [14, 10]
+        monkeypatch.setattr(verify_module, "_partial_rows", sized)
+        monkeypatch.setattr(verify_module, "_MAX_BLOCK_ELEMENTS", 8 * 10 * held.size * 2)
+        check_certificate(bv, prob.certificate, x_grid=x_grid)
+        assert sizes == [10, 10, 4]
 
     def test_ratio_condition_sweeps_only_abscissas_it_checks(self, spy):
         # R(t) = 1 leaves x = 2 and x = 4 without a time to check
         cert = TauberianCertificate(C=1.0, x0=1.0, R_rule=CutoffRuleConstantOne())
         check_tauberian(delayed_step(1.0), cert, x_grid=np.asarray([1.0, 2.0, 4.0]))
-        assert spy == ([("weighted_partial_grid", 1.0)], ["weighted_partial_grid"])
+        assert spy == ([("_partial_rows", 1.0)], ["_partial_rows"])
 
     def test_density_mix_verify_quad_calls(self, monkeypatch):
         # power and damped_power pieces take quad: one call per piece per sweep
@@ -315,6 +359,116 @@ class TestSweepReuse:
                                         "--t-grid", "0:40:120", "--x-grid", "1:100:16"])
         assert res.exit_code == 0, res.output
         assert len(calls) <= 4
+
+
+def full_sweep_sups(bv, zs, t_grid, masks):
+    """Reference for _sweep_sups: _sup over the norms of every row of weighted_partial_grid."""
+    sups, ratio = {}, {}
+    for z in dict.fromkeys(map(complex, zs)):
+        norms = vector_norm(weighted_partial_grid(bv, z, t_grid), bv.norm_kind)
+        sups[z] = verify_module._sup(norms)
+        if z in masks:
+            ratio[z] = verify_module._sup(norms * z.real, masks[z])
+    return sups, ratio
+
+
+@st.composite
+def held_sweep_cases(draw, densities: bool):
+    """A jump integrator (0 to 300 real, complex or 2-vector jumps, some on grid points), with
+    density pieces of every kind if densities; an ascending grid on [0, 50] with points a
+    few ulps apart (or equal); ratio masks of random runs; real and complex abscissas, with
+    |Im z| <= 50 where there are densities, and short power pieces, so that quad converges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.uniform(0.0, 50.0, draw(st.integers(1, 60)))
+    if draw(st.booleans()):
+        grid[0] = 0.0
+    clusters = [grid]
+    for anchor in rng.choice(grid, draw(st.integers(0, 4))):
+        steps = rng.integers(0, 4, draw(st.integers(1, 4)))  # 0 ulps repeats the point
+        clusters.append([anchor + np.spacing(anchor) * k for k in np.cumsum(steps)])
+    t_grid = np.sort(np.concatenate(clusters))
+    kind = draw(st.sampled_from(("real", "complex", "vector")))
+    d = 2 if kind == "vector" else 1
+    taus = rng.uniform(0.0, 55.0, draw(st.integers(0, 300)))
+    taus = np.unique(np.concatenate((taus, rng.choice(t_grid, draw(st.integers(0, 5))))))
+    sizes = rng.standard_normal((taus.size, d)) * 10.0 ** rng.uniform(-3, 3, (taus.size, 1))
+    if kind != "real":
+        sizes = sizes + 1j * rng.standard_normal((taus.size, d))
+    pieces = []
+    if densities:
+        for piece_kind in DENSITY_KINDS:
+            a = 0.0 if draw(st.booleans()) else float(rng.uniform(0.0, 40.0))
+            end = a + (0.5 if piece_kind in ("power", "damped_power") else 8.0)
+            if piece_kind == "constant" and draw(st.booleans()):
+                end = math.inf
+            rate = -float(rng.uniform(0.0, 1.5)) if piece_kind in ("exponential",
+                                                                  "damped_power") else 0.0
+            pieces.append(DensityPiece(a, end, piece_kind, tuple(rng.standard_normal(d)),
+                                       rate, float(rng.uniform(0.0, 2.0))))
+    bv = BVFunction(d, taus, sizes, tuple(pieces), draw(st.sampled_from(("euclidean", "sup"))))
+    scale = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+    xs = draw(st.lists(scale, min_size=1, max_size=3))
+    masks = {}
+    for x in xs:
+        if draw(st.booleans()):
+            masks[complex(x)] = (rng.random(t_grid.size) < rng.random()) | (t_grid > 45.0)
+    y_max = 50.0 if densities else 1e3  # past ~100 periods on a piece, quad may run out of leaves
+    zs = [*xs, *(complex(draw(scale), draw(st.floats(-y_max, y_max))) for _ in range(2))]
+    return bv, zs, t_grid, masks
+
+
+@pytest.mark.parametrize("densities", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_held_rows_give_the_full_sweep_sups(data, densities):
+    # every value and first witness bitwise as the sup over every grid row
+    bv, zs, t_grid, masks = data.draw(held_sweep_cases(densities))
+    got = verify_module._sweep_sups(bv, zs, t_grid, 1e-10, masks)
+    assert got == full_sweep_sups(bv, zs, t_grid, masks)
+
+
+class TestHeldRows:
+    """Edge cases of sweeping only the rows where ||G|| can rise."""
+
+    def test_no_jump_before_the_last_point(self):
+        # the only jump lies at the last grid point, past every row's step
+        bv = BVFunction.single_jump(5.0, 2.0)
+        t_grid = np.linspace(0.0, 5.0, 11)
+        mask = t_grid > 2.2
+        sups, ratio = verify_module._sweep_sups(bv, [1.0, 3 + 4j], t_grid, 1e-10,
+                                                {1.0 + 0j: mask})
+        assert sups == {1.0 + 0j: (0.0, 0), 3 + 4j: (0.0, 0)}
+        assert ratio == {1.0 + 0j: (0.0, 5)}
+        assert (sups, ratio) == full_sweep_sups(bv, [1.0, 3 + 4j], t_grid, {1.0 + 0j: mask})
+
+    def test_mask_head_inside_an_empty_run(self):
+        # the mask starts at t = 3.1, far from the jump at 1: its sup is the
+        # decayed value there, on a row that takes no jump
+        bv = BVFunction.single_jump(1.0, 1.0 + 1.0j)
+        t_grid = np.linspace(0.0, 10.0, 101)
+        masks = {2.0 + 0j: t_grid > 3.05}
+        sups, ratio = verify_module._sweep_sups(bv, [2.0], t_grid, 1e-10, masks)
+        assert (sups, ratio) == full_sweep_sups(bv, [2.0], t_grid, masks)
+        assert t_grid[ratio[2.0 + 0j][1]] == t_grid[31]
+        decayed = 2.0 * math.sqrt(2.0) * math.exp(-2.0 * (t_grid[31] - 1.0))
+        assert ratio[2.0 + 0j][0] == pytest.approx(decayed, rel=1e-13)
+
+    def test_scan_block_start_inside_an_empty_run(self):
+        # at x = 1000 a scan block spans 0.256 in t, so blocks start at 1.024 and
+        # 1.28 between the jumps at 1 and 1.3; the second jump is small enough
+        # that the term carried through both, e^{-310}, is a third of its row
+        bv = BVFunction.from_jumps([(1.0, 1.0), (1.3, 1e-130)])
+        t_grid = np.linspace(0.0, 50.0, 5001)
+        held = bv_module._rising_rows(bv, t_grid)
+        assert held.tolist() == [0, 101, 131]
+        got = bv_module._partial_rows(bv, 1000.0, t_grid, held, 1e-10)
+        full = weighted_partial_grid(bv, 1000.0, t_grid)
+        assert np.array_equal(got, full[held])
+        both = (math.exp(-1000.0 * (t_grid[131] - 1.0))
+                + 1e-130 * math.exp(-1000.0 * (t_grid[131] - 1.3)))
+        assert full[131, 0].real == pytest.approx(both, rel=1e-12)
+        assert (verify_module._sweep_sups(bv, [1000.0], t_grid, 1e-10)
+                == full_sweep_sups(bv, [1000.0], t_grid, {}))
 
 
 def separate_checks(bv, cert, t_grid=None, x_grid=None, quad_tol=1e-10, grid_spec=None):
