@@ -13,9 +13,8 @@ from .bv import (BVFunction, DensityPiece, Integrand, NonFiniteIntegrandError,
                  weighted_tail_grid)
 from .contour import (AgreementReport, CauchyReport, ContourBudgetError,
                       ContourEvaluation, ContourSpec, EtaShiftExtension, RationalExtension,
-                      build_contour, cauchy_identity_report, cauchy_residual,
-                      contour_dump, evaluate_contour, extension_agreement,
-                      fudge_factor, term_bounds)
+                      build_contour, cauchy_identity_report, contour_dump,
+                      evaluate_contour, extension_agreement, fudge_factor, term_bounds)
 from .dirichlet import (CoefficientSequence, DecayRow, DirichletInstance,
                         build_instance, partial_sum_decay)
 from .growth import (CutoffRule, GrowthBound, GrowthDomainError, branch_start,
@@ -28,8 +27,7 @@ from .transform import (TauberianCertificate, TransformPoint,
                         TruncationCapError, finite_laplace, improper_laplace)
 from .vectors import vector_norm
 from .verify import (GridSpec, SupReport, calibrate_affine_growth, check_admissibility,
-                     check_certificate, check_line_bound, check_small_x_bound,
-                     check_tail_bound, check_tauberian, delayed_step, delayed_step_ratio,
+                     check_certificate, delayed_step, delayed_step_ratio,
                      delayed_step_restart, make_t_grid, make_x_grid)
 
 __all__ = [
@@ -39,7 +37,7 @@ __all__ = [
     "weighted_tail_grid",
     "AgreementReport", "CauchyReport", "ContourBudgetError", "ContourEvaluation",
     "ContourSpec", "EtaShiftExtension", "RationalExtension", "build_contour",
-    "cauchy_identity_report", "cauchy_residual", "contour_dump",
+    "cauchy_identity_report", "contour_dump",
     "evaluate_contour", "extension_agreement", "fudge_factor", "term_bounds",
     "BoundedDensityInstance", "CoefficientSequence", "DecayRow",
     "DirichletInstance", "bounded_density_instance", "build_instance",
@@ -53,7 +51,6 @@ __all__ = [
     "finite_laplace", "improper_laplace",
     "vector_norm",
     "GridSpec", "SupReport", "calibrate_affine_growth", "check_admissibility",
-    "check_certificate", "check_line_bound", "check_small_x_bound",
-    "check_tail_bound", "check_tauberian", "delayed_step", "delayed_step_ratio",
+    "check_certificate", "delayed_step", "delayed_step_ratio",
     "delayed_step_restart", "make_t_grid", "make_x_grid",
 ]

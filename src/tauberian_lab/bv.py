@@ -106,6 +106,7 @@ that its node arrays stay bounded however many intervals it is given.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -410,8 +411,11 @@ def quad(f, lo, hi, abs_tol: float) -> np.ndarray:
     interval's mean (and always the worst one), up to _QUAD_LEAVES leaves per
     interval.  Intervals are taken in slices small enough that a full budget
     of leaves holds at most _MAX_BLOCK_ELEMENTS nodes.  Returns the (n,)
-    Kronrod values; an interval that runs out of leaves raises QuadratureError.
+    Kronrod values; an interval that runs out of leaves raises QuadratureError, and an
+    abs_tol that is not a finite number >= 0 raises ValueError.
     """
+    if not 0.0 <= abs_tol < math.inf:  # a nan tolerance would pass every interval at once
+        raise ValueError(f"quadrature tolerance must be finite and >= 0, not {abs_tol!r}")
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     step = max(1, _MAX_BLOCK_ELEMENTS // (15 * _QUAD_LEAVES))
@@ -574,11 +578,14 @@ def stieltjes_integral(bv: BVFunction, phi: Integrand, t: float,
         _guard_finite(w, bv.jump_times[:idx], "jump weights")
         total += w @ bv.jump_sizes[:idx]
     c = phi.coefficient
+    # a subnormal c overflows the rescaled tolerance: cap it, but leave a
+    # tolerance that is not finite for quad to refuse
+    tol = min(quad_tol / abs(c), sys.float_info.max) if c and math.isfinite(quad_tol) else quad_tol
     for piece in bv.pieces:
         lo, hi = piece.start, min(piece.end, t)
         if hi > lo and c:
             val = _piece_integrals(piece, lambda s, owner: phi.rate * s, [phi.rate], [lo], [hi],
-                                   quad_tol / abs(c))[0]
+                                   tol)[0]
             total += piece.scale_array() * (c * val)
     return total
 

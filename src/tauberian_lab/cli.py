@@ -23,9 +23,9 @@ from . import __version__
 from .contour import (ContourBudgetError, cauchy_identity_report, contour_dump,
                       evaluate_contour, extension_agreement, term_bounds)
 from .dirichlet import partial_sum_decay
-from .problems import Problem, ProblemFormatError, load_problem
+from .problems import ProblemFormatError, load_problem
 from .rates import decay_rate, k_prime, t_prime, t_prime_second_term_clamped
-from .verify import check_certificate
+from .verify import check_certificate, make_t_grid
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -68,11 +68,18 @@ def _input_error(message: str):
     sys.exit(EXIT_INPUT)
 
 
-def _load(problem_path: str) -> Problem:
+def _load(problem_path: str, *blocks: str) -> tuple:
+    """The problem and each named block of it; exit 2 if one is missing or the file is bad."""
     try:
-        return load_problem(problem_path)
+        prob = load_problem(problem_path)
     except ProblemFormatError as exc:
         _input_error(str(exc))
+    for block in blocks:
+        if getattr(prob, block) is None:
+            article = "an" if block[0] in "aeiou" else "a"
+            _input_error(f"{prob.source}: this command needs {article} '{block}' block "
+                         f"in the problem file")
+    return (prob, *(getattr(prob, block) for block in blocks))
 
 
 def _parse_grid(spec: str, flag: str, spacing: str) -> np.ndarray:
@@ -127,11 +134,7 @@ def main():
               help="CSV destination (stdout if omitted); metadata goes to <out>.meta.json.")
 def rate(problem_path, t_grid_spec, out):
     """Decay-rate table: optimal radius, branch, and bound along a t grid."""
-    prob = _load(problem_path)
-    try:
-        growth = prob.require_growth()
-    except ProblemFormatError as exc:
-        _input_error(str(exc))
+    prob, growth = _load(problem_path, "growth")
     grid = _parse_grid(t_grid_spec, "--t-grid", "linear")
     cert = prob.certificate
     threshold = t_prime(cert, growth)
@@ -166,9 +169,13 @@ def rate(problem_path, t_grid_spec, out):
               help="CSV destination (stdout if omitted).")
 def verify(problem_path, t_grid_spec, x_grid_spec, quad_tol, out):
     """Sup checks: the ratio condition plus the line/tail/small-x bounds."""
-    prob = _load(problem_path)
+    prob, = _load(problem_path)
     cert = prob.certificate
-    t_grid = None if t_grid_spec is None else _parse_grid(t_grid_spec, "--t-grid", "linear")
+    if t_grid_spec is None:
+        t_grid, spec = make_t_grid(prob.bv)
+        t_grid_spec = spec.describe()
+    else:
+        t_grid = _parse_grid(t_grid_spec, "--t-grid", "linear")
     x_grid = None if x_grid_spec is None else _parse_grid(x_grid_spec, "--x-grid", "log")
     try:
         reports = check_certificate(prob.bv, cert, t_grid, x_grid, quad_tol)
@@ -180,8 +187,7 @@ def verify(problem_path, t_grid_spec, x_grid_spec, quad_tol, out):
     failed = [r.case_id for r in reports if not r.passed(_MARGIN_REL_TOL)]
     meta = {"command": "verify", "problem": prob.source, "problem_name": prob.name,
             "norm": prob.norm_kind, "quad_tol": quad_tol, "line_constant": cert.C / cert.x0,
-            "t_grid": reports[0].grid.describe() if t_grid is None else t_grid_spec,
-            "x_grid": x_grid_spec or "auto",
+            "t_grid": t_grid_spec, "x_grid": x_grid_spec or "auto",
             "notes": {r.case_id: r.note for r in reports if r.note},
             "failed_cases": failed}
     _emit(out, body, meta)
@@ -214,12 +220,7 @@ def verify(problem_path, t_grid_spec, x_grid_spec, quad_tol, out):
 def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
             agreement_tol, seed, dump_path, out):
     """Residue-identity residual and per-term norm bounds on the contour."""
-    prob = _load(problem_path)
-    try:
-        ext = prob.require_extension()
-        growth = prob.require_growth()
-    except ProblemFormatError as exc:
-        _input_error(str(exc))
+    prob, ext, growth = _load(problem_path, "extension", "growth")
     ts = _parse_grid(t_grid_spec, "--t-grid", "linear")
     if dump_path is not None and ts.size != 1:
         _input_error("--dump needs a single-point --t-grid (one contour per dump)")
@@ -293,16 +294,10 @@ def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
               help="CSV destination (stdout if omitted).")
 def dirichlet(problem_path, t_grid_spec, out):
     """Partial-sum decay against the generic bound for a Dirichlet problem."""
-    prob = _load(problem_path)
-    if prob.dirichlet is None:
-        _input_error(f"{prob.source}: the dirichlet command needs a 'dirichlet' block")
-    try:
-        growth = prob.require_growth()
-    except ProblemFormatError as exc:
-        _input_error(str(exc))
+    prob, instance, growth = _load(problem_path, "dirichlet", "growth")
     grid = _parse_grid(t_grid_spec, "--t-grid", "linear")
     try:
-        decay_rows = partial_sum_decay(prob.dirichlet, growth, grid, f0=prob.f0)
+        decay_rows = partial_sum_decay(instance, growth, grid, f0=prob.f0)
     except (ValueError, ArithmeticError) as exc:
         _input_error(str(exc))
     body = _csv_text(("t", "decay_norm", "bound_B", "margin"),
@@ -311,9 +306,9 @@ def dirichlet(problem_path, t_grid_spec, out):
                 if math.isfinite(r.margin) and r.margin < -_MARGIN_REL_TOL * abs(r.bound_B)]
     meta = {"command": "dirichlet", "problem": prob.source, "problem_name": prob.name,
             "norm": prob.norm_kind, "t_grid": t_grid_spec,
-            "coefficients": prob.dirichlet.coefficients.describe(),
-            "n_max": prob.dirichlet.n_max,
-            "f0_provenance": prob.dirichlet.f0_provenance,
+            "coefficients": instance.coefficients.describe(),
+            "n_max": instance.n_max,
+            "f0_provenance": instance.f0_provenance,
             "rows": len(decay_rows), "negative_margin_at": negative}
     _emit(out, body, meta)
     if negative:

@@ -292,14 +292,6 @@ def cauchy_identity_report(ev: ContourEvaluation, f0=None) -> CauchyReport:
                         remainder_bound=jump_sum_remainder(bv.jump_sizes))
 
 
-def cauchy_residual(bv: BVFunction, f_ext, M: GrowthBound, t: float, R: float,
-                    density: float = 1.0, quad_tol: float = 1e-12,
-                    f0=None) -> float:
-    """Relative residual of the identity (denominator guarded at 1e-30)."""
-    ev = evaluate_contour(bv, f_ext, M, t, R, density, quad_tol)
-    return cauchy_identity_report(ev, f0).residual
-
-
 @dataclass(frozen=True)
 class TermBound:
     name: str

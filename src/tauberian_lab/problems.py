@@ -223,18 +223,6 @@ class Problem:
     dirichlet: DirichletInstance | None
     source: str
 
-    def require_growth(self) -> GrowthBound:
-        if self.growth is None:
-            raise ProblemFormatError(
-                f"{self.source}: this command needs a 'growth' block in the problem file")
-        return self.growth
-
-    def require_extension(self):
-        if self.extension is None:
-            raise ProblemFormatError(
-                f"{self.source}: this command needs an 'extension' block in the problem file")
-        return self.extension
-
 
 _TOP_KEYS = {"name", "dimension", "norm", "jumps", "densities", "growth",
              "cutoff", "certificate", "extension", "f0", "dirichlet"}

@@ -4,14 +4,16 @@ Every check reads sups of ||G(z, t)||, G(z, t) = e^{-Re(z) t} int_0^t e^{zs} dA(
 over a hybrid time grid (uniform base plus geometric refinement just after each
 jump, where suprema are attained as t decreases to the jump) and reports a
 SupReport: the grid supremum, the asserted bound, their margin, and the
-witnessing grid point.  Negative margins are reported, never raised.  One
-batched sweep serves every check of a call, each abscissa once; a check that
-assumes the ratio hypothesis at x reads it there too, and marks the report
-hypothesis_failed instead of silently checking a vacuous claim.  The sweep
-computes and reads only the grid rows where ||G|| can rise: row 0, each row
-that takes a jump or meets a density piece, and each first point of a ratio
-mask.  Elsewhere G only decays, so each sup and its first witness are
-bitwise those of the full grid.
+witnessing grid point.  Negative margins are reported, never raised.
+check_certificate is the one sup check: it takes a certificate (C, x0, T, R(t))
+and reports the ratio condition and the line, tail and small-x bounds it
+yields at x0, from one batched sweep that takes each abscissa once.  The
+bounds assume the ratio hypothesis at x0; each reads it from the same sweep
+and is marked hypothesis_failed when it fails, instead of silently checking a
+vacuous claim.  The sweep computes and reads only the grid rows where ||G||
+can rise: row 0, each row that takes a jump or meets a density piece, and
+each first point of a ratio mask.  Elsewhere G only decays, so each sup and
+its first witness are bitwise those of the full grid.
 
 The growth hypothesis ||f(z)|| <= M(|Im z|) on the strip -1/M(|y|) < Re z <= 0
 is checked, and an affine M fitted to it, on one scan of the strip: every
@@ -32,6 +34,7 @@ from .transform import TauberianCertificate
 from .vectors import vector_norm
 
 HYPOTHESIS_SLACK = 1e-9  # relative slack when pre-checking a hypothesis on a grid
+_TAIL_REMAINDER_TOL = 1e-6  # the tail bound's certified remainder past its truncation point
 _STRIP_DEPTHS = (0.0, 0.05, 0.25, 0.5, 0.75, 0.98)  # fractions of the strip width 1/M(|y|)
 
 
@@ -56,7 +59,6 @@ class SupReport:
     grid_sup: float
     bound: float
     witness_t: float
-    grid: GridSpec | None = None
     witness_x: float | None = None
     hypothesis_failed: bool = False
     note: str = ""
@@ -97,11 +99,6 @@ def make_x_grid(x_min: float, x_max: float, points: int = 64) -> np.ndarray:
 
 def _span(grid: np.ndarray) -> str:
     return f"[{np.min(grid):g}, {np.max(grid):g}]" if grid.size else "[] (empty)"
-
-
-def _t_grid(bv: BVFunction, t_grid: np.ndarray | None, grid_spec: GridSpec | None):
-    """make_t_grid(bv) if t_grid is None, else t_grid as floats and grid_spec."""
-    return make_t_grid(bv) if t_grid is None else (np.asarray(t_grid, dtype=float), grid_spec)
 
 
 def _sup(vals: np.ndarray, mask: np.ndarray | None = None) -> tuple[float, int]:
@@ -150,15 +147,10 @@ def _held_sup(held: np.ndarray, vals: np.ndarray,
 
 
 def _report(case_id: str, found: tuple[float, int], bound: float, x: float, t_grid: np.ndarray,
-            grid_spec: GridSpec | None, failed: str = "", note: str = "") -> SupReport:
+            failed: str = "", note: str = "") -> SupReport:
     """The report of a sup and its witness index, found = _sup(...)."""
-    return SupReport(case_id, found[0], bound, float(t_grid[found[1]]), grid_spec, x,
-                     bool(failed), "; ".join(filter(None, (failed, note))))
-
-
-def _hypothesis_fails(found: tuple[float, int], C: float, where: str) -> str:
-    """Why sup_t ||G(x, t)|| <= C, the ratio hypothesis, fails given its _sup; "" if not."""
-    return "" if found[0] <= C * (1.0 + HYPOTHESIS_SLACK) else f"ratio hypothesis fails at {where}"
+    return SupReport(case_id, found[0], bound, float(t_grid[found[1]]), x, bool(failed),
+                     "; ".join(filter(None, (failed, note))))
 
 
 def _ratio_masks(cert: TauberianCertificate, t_grid: np.ndarray,
@@ -187,40 +179,12 @@ def _ratio_masks(cert: TauberianCertificate, t_grid: np.ndarray,
     return {complex(x): mask for x, mask in zip(x_grid[live], masks[live])}
 
 
-def _ratio_report(cert: TauberianCertificate, ratio: dict, t_grid: np.ndarray,
-                  grid_spec: GridSpec | None) -> SupReport:
-    xs = list(ratio)
-    best = xs[int(np.argmax([ratio[x][0] for x in xs]))]
-    return _report("tauberian_condition", ratio[best], cert.C, best.real, t_grid, grid_spec)
-
-
-def _line_report(C: float, x: float, y: float, sups: dict, t_grid: np.ndarray,
-                 grid_spec: GridSpec | None) -> SupReport:
-    return _report(f"line_bound_x{x:g}_y{y:g}", sups[complex(x, y)], C * (1.0 + abs(y) / x),
-                   x, t_grid, grid_spec, _hypothesis_fails(sups[complex(x)], C, f"x = {x:g}"))
-
-
-def _tail_report(bv: BVFunction, C: float, x: float, y: float, v_max: float, quad_tol: float,
-                 sups: dict, t_grid: np.ndarray, grid_spec: GridSpec | None) -> SupReport:
-    vals = weighted_tail_grid(bv, complex(x, y), t_grid, v_max, quad_tol)
-    return _report(f"tail_bound_x{x:g}_y{y:g}", _sup(vector_norm(vals, bv.norm_kind)),
-                   C * (3.0 + abs(y) / x), x, t_grid, grid_spec,
-                   _hypothesis_fails(sups[complex(x)], C, f"x = {x:g}"), f"v_max={v_max:g}")
-
-
-def _small_x_grid(x0: float, x_grid: np.ndarray | None) -> np.ndarray:
-    x_grid = make_x_grid(x0 * 1e-2, x0, 16) if x_grid is None else np.asarray(x_grid, float)
-    if x_grid.size == 0 or not np.all((x_grid > 0) & (x_grid <= x0 * (1 + 1e-12))):
-        raise ValueError("small-x grid must be nonempty and lie in (0, x0]")
-    return x_grid
-
-
-def _small_x_report(C: float, x0: float, x_grid: np.ndarray, sups: dict,
-                    t_grid: np.ndarray, grid_spec: GridSpec | None) -> SupReport:
-    failed = _hypothesis_fails(sups[complex(x0)], C, f"x0 = {x0:g}")
-    return min((_report("small_x_bound", sups[complex(x)], C * x0 / float(x), float(x),
-                        t_grid, grid_spec, failed) for x in x_grid),
-               key=lambda rep: rep.margin)  # the first of least margin
+def tail_truncation_point(C: float, x: float, y: float, t_max: float) -> float:
+    """Smallest v with the certified remainder C (3 + |y|/x) e^{x(t-v)} below
+    _TAIL_REMAINDER_TOL for every grid t <= t_max."""
+    amp = C * (3.0 + abs(y) / x)
+    extra = math.log(amp / _TAIL_REMAINDER_TOL) / x if amp > _TAIL_REMAINDER_TOL else 0.0
+    return t_max + max(0.0, extra)
 
 
 def check_certificate(bv: BVFunction, cert: TauberianCertificate,
@@ -228,93 +192,38 @@ def check_certificate(bv: BVFunction, cert: TauberianCertificate,
                       quad_tol: float = 1e-10) -> list[SupReport]:
     """The ratio condition and the four bounds it yields at x0, from one sweep.
 
-    With the per-line constant C / x0: the line bounds at y = 0 and y = 2 x0,
-    the tail bound at y = 2 x0 and the small-x bound on the default grid.
-    The reports come in that order, each bitwise its own check_* call's.
+    In this order: sup x ||G(x, t)|| against C over the grid pairs with t > T
+    and x0 <= x <= R(t) (a grid with none raises ValueError: a check of
+    nothing proves nothing); then, with the per-line constant c = C / x0, the
+    line bounds c (1 + |y|/x0) at y = 0 and y = 2 x0, the tail bound
+    c (3 + |y|/x0) at y = 2 x0 up to tail_truncation_point, and the small-x
+    bound c x0 / x at the worst of 16 points in [x0/100, x0].  The bounds
+    assume the ratio hypothesis sup_t ||G(x0, t)|| <= c, read from the same
+    sweep, and are marked hypothesis_failed where it fails.  t_grid defaults
+    to make_t_grid(bv), x_grid to 64 points from x0 to min(1000 x0, R(t_max)).
     """
-    t_grid, grid_spec = _t_grid(bv, t_grid, None)
+    t_grid = make_t_grid(bv)[0] if t_grid is None else np.asarray(t_grid, dtype=float)
     x0, C, y = cert.x0, cert.C / cert.x0, 2.0 * cert.x0
     masks = _ratio_masks(cert, t_grid, x_grid)
-    small = _small_x_grid(x0, None)
+    small = make_x_grid(x0 * 1e-2, x0, 16)
     sups, ratio = _sweep_sups(bv, [*masks, x0, complex(x0, y), *small], t_grid, quad_tol, masks)
+    xs = list(ratio)
+    best = xs[int(np.argmax([ratio[x][0] for x in xs]))]
+    reports = [_report("tauberian_condition", ratio[best], cert.C, best.real, t_grid)]
+    holds = sups[complex(x0)][0] <= C * (1.0 + HYPOTHESIS_SLACK)
+    failed = "" if holds else f"ratio hypothesis fails at x = {x0:g}"
+    for v in (0.0, y):
+        reports.append(_report(f"line_bound_x{x0:g}_y{v:g}", sups[complex(x0, v)],
+                               C * (1.0 + abs(v) / x0), x0, t_grid, failed))
     v_max = tail_truncation_point(C, x0, y, float(t_grid[-1]))
-    return [_ratio_report(cert, ratio, t_grid, grid_spec),
-            _line_report(C, x0, 0.0, sups, t_grid, grid_spec),
-            _line_report(C, x0, y, sups, t_grid, grid_spec),
-            _tail_report(bv, C, x0, y, v_max, quad_tol, sups, t_grid, grid_spec),
-            _small_x_report(C, x0, small, sups, t_grid, grid_spec)]
-
-
-def check_tauberian(bv: BVFunction, cert: TauberianCertificate,
-                    t_grid: np.ndarray | None = None, x_grid: np.ndarray | None = None,
-                    quad_tol: float = 1e-10, grid_spec: GridSpec | None = None) -> SupReport:
-    """sup over the grid of || x e^{-xt} int_0^t e^{xs} dA || against C.
-
-    Only pairs with t > cert.T and cert.x0 <= x <= R_rule(t) participate, and
-    only the x with at least one such t are swept.  A grid with no such pair
-    raises ValueError: a check of nothing proves nothing.
-    """
-    t_grid, grid_spec = _t_grid(bv, t_grid, grid_spec)
-    masks = _ratio_masks(cert, t_grid, x_grid)
-    _, ratio = _sweep_sups(bv, masks, t_grid, quad_tol, masks)
-    return _ratio_report(cert, ratio, t_grid, grid_spec)
-
-
-def check_line_bound(bv: BVFunction, C: float, x: float, y: float,
-                     t_grid: np.ndarray | None = None, quad_tol: float = 1e-10,
-                     grid_spec: GridSpec | None = None) -> SupReport:
-    """|| e^{-xt} int_0^t e^{(x+iy)s} dA || against C (1 + |y|/x).
-
-    Pre-checks the ratio hypothesis at abscissa x on the same grid, in the
-    same sweep as x + iy.
-    """
-    if not x > 0 or math.isnan(y):
-        raise ValueError("line bound needs x > 0 and a number y")
-    t_grid, grid_spec = _t_grid(bv, t_grid, grid_spec)
-    sups, _ = _sweep_sups(bv, [x, complex(x, y)], t_grid, quad_tol)
-    return _line_report(C, x, y, sups, t_grid, grid_spec)
-
-
-def tail_truncation_point(C: float, x: float, y: float, t_max: float,
-                          remainder_tol: float = 1e-6) -> float:
-    """Smallest v with the certified remainder C (3 + |y|/x) e^{x(t-v)} <= tol."""
-    amp = C * (3.0 + abs(y) / x)
-    extra = math.log(amp / remainder_tol) / x if amp > remainder_tol else 0.0
-    return t_max + max(0.0, extra)
-
-
-def check_tail_bound(bv: BVFunction, C: float, x: float, y: float,
-                     t_grid: np.ndarray | None = None, v_max: float | None = None,
-                     remainder_tol: float = 1e-6, quad_tol: float = 1e-10,
-                     grid_spec: GridSpec | None = None) -> SupReport:
-    """|| e^{xt} int_t^{v} e^{-(x+iy)s} dA || against C (3 + |y|/x).
-
-    v defaults to the point where the certified remainder beyond it is below
-    remainder_tol for every grid t.
-    """
-    if not x > 0 or math.isnan(y):
-        raise ValueError("tail bound needs x > 0 and a number y")
-    t_grid, grid_spec = _t_grid(bv, t_grid, grid_spec)
-    if v_max is None:
-        v_max = tail_truncation_point(C, x, y, float(t_grid[-1]), remainder_tol)
-    sups, _ = _sweep_sups(bv, [x], t_grid, quad_tol)
-    return _tail_report(bv, C, x, y, v_max, quad_tol, sups, t_grid, grid_spec)
-
-
-def check_small_x_bound(bv: BVFunction, C: float, x0: float,
-                        x_grid: np.ndarray | None = None,
-                        t_grid: np.ndarray | None = None, quad_tol: float = 1e-10,
-                        grid_spec: GridSpec | None = None) -> SupReport:
-    """Rescaled ratio bound C x0 / x for 0 < x <= x0; reports the worst x.
-
-    Pre-checks the hypothesis at x0 itself, in the same sweep as the grid.
-    """
-    if not x0 > 0:
-        raise ValueError("small-x check needs x0 > 0")
-    t_grid, grid_spec = _t_grid(bv, t_grid, grid_spec)
-    x_grid = _small_x_grid(x0, x_grid)
-    sups, _ = _sweep_sups(bv, [*x_grid, x0], t_grid, quad_tol)
-    return _small_x_report(C, x0, x_grid, sups, t_grid, grid_spec)
+    tail = weighted_tail_grid(bv, complex(x0, y), t_grid, v_max, quad_tol)
+    reports.append(_report(f"tail_bound_x{x0:g}_y{y:g}", _sup(vector_norm(tail, bv.norm_kind)),
+                           C * (3.0 + abs(y) / x0), x0, t_grid, failed, f"v_max={v_max:g}"))
+    failed = "" if holds else f"ratio hypothesis fails at x0 = {x0:g}"
+    reports.append(min((_report("small_x_bound", sups[complex(x)], C * x0 / float(x), float(x),
+                                t_grid, failed) for x in small),
+                       key=lambda rep: rep.margin))  # the first of least margin
+    return reports
 
 
 # -- growth-bound admissibility on the left strip ----------------------------------
@@ -347,7 +256,7 @@ def check_admissibility(f_ext, M: GrowthBound, y_grid=None, x_fracs=_STRIP_DEPTH
             f"[{y_grid.min():g}, {y_grid.max():g}]")
     if not finite.all():
         note += "; singular sample encountered"
-    return _report("admissibility", (worst, k), 0.0, float(x[i, k]), y_grid, None, note=note)
+    return _report("admissibility", (worst, k), 0.0, float(x[i, k]), y_grid, note=note)
 
 
 def calibrate_affine_growth(f_ext, y_max: float = 20.0, safety: float = 1.25,

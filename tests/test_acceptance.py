@@ -14,16 +14,16 @@ from click.testing import CliRunner
 from tauberian_lab import (BVFunction, CoefficientSequence, CutoffRule,
                            EtaShiftExtension, GrowthBound, Integrand,
                            RationalExtension, TauberianCertificate,
-                           branch_start, build_instance, cauchy_residual,
-                           check_line_bound, check_small_x_bound,
-                           check_tail_bound, check_tauberian, decay_rate,
+                           branch_start, build_instance, cauchy_identity_report,
+                           check_certificate, decay_rate,
                            delayed_step, delayed_step_ratio,
                            delayed_step_restart, evaluate_contour, m_log,
                            m_log_inverse,
                            make_t_grid, partial_sum_decay, r_opt,
                            stieltjes_integral, t_prime, term_bounds,
-                           weighted_partial_grid)
+                           vector_norm, weighted_partial_grid, weighted_tail_grid)
 from tauberian_lab import oracles
+from tauberian_lab import verify
 from tauberian_lab.cli import main as cli_main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -126,18 +126,32 @@ def test_03_line_tail_smallx_bounds():
     worst = math.inf
     checked = 0
     for name, bv, c_of_x, c_small in families:
-        t_grid, spec = make_t_grid(bv)
+        t_grid, _ = make_t_grid(bv)
+
+        def sup(vals):
+            return float(np.max(vector_norm(vals, bv.norm_kind)))
+
         for x in (0.1, 0.5, 1.0):
-            for y in (0.0, 2.0, 10.0):
-                for rep in (check_line_bound(bv, c_of_x(x), x, y, t_grid, grid_spec=spec),
-                            check_tail_bound(bv, c_of_x(x), x, y, t_grid, grid_spec=spec)):
-                    assert not rep.hypothesis_failed, (name, rep.case_id, rep.note)
-                    worst = min(worst, rep.margin / rep.bound)
+            c = c_of_x(x)
+            # check_certificate reads the lines y = 0 and y = 2 x, the tail at
+            # y = 2 x (reports 1 to 3) and, at x = 1, where C = c_small, the
+            # small-x bound (report 4)
+            reports = check_certificate(bv, TauberianCertificate(C=c * x, x0=x), t_grid)
+            for rep in reports[1:] if x == 1.0 else reports[1:4]:
+                assert not rep.hypothesis_failed, (name, rep.case_id, rep.note)
+                worst = min(worst, rep.margin / rep.bound)
+                checked += 1
+            # the other lines and tails, straight from every row of the sweeps
+            for y in [y for y in (0.0, 2.0, 10.0) if y != 2.0 * x]:
+                v_max = verify.tail_truncation_point(c, x, y, float(t_grid[-1]))
+                sweeps = [(weighted_tail_grid(bv, complex(x, y), t_grid, v_max), 3.0)]
+                if y:  # the line y = 0 is report 1
+                    sweeps.append((weighted_partial_grid(bv, complex(x, y), t_grid), 1.0))
+                for vals, base in sweeps:
+                    bound = c * (base + abs(y) / x)
+                    worst = min(worst, (bound - sup(vals)) / bound)
                     checked += 1
-        rep = check_small_x_bound(bv, c_small, 1.0, t_grid=t_grid, grid_spec=spec)
-        assert not rep.hypothesis_failed, (name, rep.note)
-        worst = min(worst, rep.margin / rep.bound)
-        checked += 1
+        assert c_of_x(1.0) == c_small
     _report(3, "line/tail/small-x bounds", worst >= -1e-9,
             f"worst margin/bound {worst:.3e} over {checked} checks (floor -1e-9)")
 
@@ -147,7 +161,7 @@ def test_04_tauberian_condition_for_dirichlet():
     inst = build_instance(CoefficientSequence.alternating(), n_max=10**6)
     cert = dataclasses.replace(inst.certificate, x0=0.05)
     x_grid = np.geomspace(0.05, 400.0, 64)
-    rep = check_tauberian(inst.bv, cert, x_grid=x_grid)
+    rep = check_certificate(inst.bv, cert, x_grid=x_grid)[0]
     ok = rep.margin >= 0.0 and abs(cert.C - math.e) <= 1e-15
     _report(4, "Dirichlet scaled condition", ok,
             f"grid sup {rep.grid_sup:.6f} <= C = e = {cert.C:.6f} "
@@ -177,22 +191,24 @@ def test_05_radius_inversion(rng):
 
 def test_06_contour_identity():
     """Residuals for the rational and series instances, plus density scaling."""
+    def residual(*args, **kwargs):
+        return cauchy_identity_report(evaluate_contour(*args, **kwargs)).residual
+
     bv = BVFunction.from_density("exponential", scale=1.0, rate=-1.0)
     ext = RationalExtension((1.0,), (1.0, 1.0))
     M2 = GrowthBound.constant(2.0)
     worst = 0.0
     for t in (2.0, 5.0, 10.0):
         for R in (1.0, 2.0, 5.0):
-            worst = max(worst, cauchy_residual(bv, ext, M2, t, R))
+            worst = max(worst, residual(bv, ext, M2, t, R))
     rational_ok = worst <= 1e-6
 
     inst = build_instance(CoefficientSequence.alternating(), n_max=10**6)
-    eta_res = cauchy_residual(inst.bv, EtaShiftExtension(), GrowthBound.affine(1.25),
-                              3.0, 1.5)
+    eta_res = residual(inst.bv, EtaShiftExtension(), GrowthBound.affine(1.25), 3.0, 1.5)
     eta_ok = eta_res <= 1e-5
 
-    coarse = cauchy_residual(bv, ext, M2, 10.0, 5.0, density=0.1)
-    fine = cauchy_residual(bv, ext, M2, 10.0, 5.0, density=0.2)
+    coarse = residual(bv, ext, M2, 10.0, 5.0, density=0.1)
+    fine = residual(bv, ext, M2, 10.0, 5.0, density=0.2)
     doubling_ok = coarse > 1e-12 and coarse >= 4.0 * fine
 
     ok = rational_ok and eta_ok and doubling_ok

@@ -153,6 +153,16 @@ class TestValueAndVariation:
             got = stieltjes_integral(bv, Integrand.constant(2.0 - 1.0j), t)
             assert np.array_equal(got, np.full(idx, 2.0 - 1.0j) @ sizes[:idx])
 
+    def test_subnormal_coefficient_keeps_a_finite_tolerance(self):
+        # quad_tol / |c| overflows to inf for c = 1e-320; the rescaled
+        # tolerance is capped, while a quad_tol that is not finite is refused
+        bv = BVFunction.from_density("power", start=0.0, end=2.0, exponent=0.5)
+        got = stieltjes_integral(bv, Integrand.constant(1e-320), 1.5)[0]
+        assert got.imag == 0.0 and got.real == pytest.approx(1e-320 * 1.5, rel=1e-2)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="quadrature tolerance"):
+                stieltjes_integral(bv, Integrand.constant(1e-320), 1.5, tol)
+
     def test_jump_at_zero_allowed(self):
         bv = BVFunction.from_jumps([(0.0, 1.0)])
         assert bv.value_at(0.5)[0] == 1.0
@@ -947,6 +957,13 @@ class TestAdaptiveQuadrature:
         with pytest.raises(NonFiniteIntegrandError) as info:
             quad(lambda s, owner: np.where(s > 0.7, np.nan, 1.0), [0.0], [1.0], 1e-10)
         assert info.value.s > 0.7
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-10])
+    def test_a_tolerance_that_is_not_a_finite_number_at_least_0_is_refused(self, tol):
+        # max(nan, 1e-12 |I|) is nan, and err > nan is false: every interval
+        # counted as converged after one Kronrod pass
+        with pytest.raises(ValueError, match=f"quadrature tolerance .* not {tol!r}"):
+            quad(lambda s, owner: np.sin(30.0 * s), [0.0], [1.0], tol)
 
     def test_no_intervals(self):
         values = quad(lambda s, owner: s, np.empty(0), np.empty(0), 1e-10)

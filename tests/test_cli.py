@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from tauberian_lab import bv as bv_module
+from tauberian_lab import load_problem, make_t_grid
 from tauberian_lab.cli import main
 
 ALT_PROBLEM = """
@@ -219,6 +220,27 @@ class TestVerify:
         res = run("verify", "--problem", "problems/exp_density.json",
                   "--t-grid", "0:20:200", "--x-grid", "1:10:8")
         assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_quad_tol_is_input_error(self, tol):
+        # every interval counted as converged after one Kronrod pass: nan gave
+        # tauberian_condition 1.4792887383371252 with exit 0, against
+        # 1.479288719603549 at --quad-tol 1e-10
+        res = run("verify", "--problem", "problems/density_mix.json", "--t-grid", "0:40:120",
+                  "--x-grid", "1:100:16", "--quad-tol", tol)
+        assert res.exit_code == 2
+        assert f"quadrature tolerance must be finite and >= 0, not {tol}" in stderr_of(res)
+        assert res.stdout == ""
+
+    def test_sidecar_describes_the_default_t_grid(self, tmp_path):
+        out = tmp_path / "verify.csv"
+        res = run("verify", "--problem", "problems/delayed_step.json", "--out", str(out))
+        assert res.exit_code == 0, res.output
+        meta = json.loads((tmp_path / "verify.csv.meta.json").read_text())
+        _, spec = make_t_grid(load_problem("problems/delayed_step.json").bv)
+        assert meta["t_grid"] == spec.describe() == (
+            "t in [0, 50], 512 uniform + 64 geometric per jump (window 0.1, 1 jumps refined), "
+            "576 points")
 
     def test_quadrature_failure_is_input_error(self, tmp_path, monkeypatch):
         # with one subinterval per integral no power segment converges; the run

@@ -15,7 +15,6 @@ from tauberian_lab import (
     bound_B,
     build_contour,
     cauchy_identity_report,
-    cauchy_residual,
     contour_dump,
     evaluate_contour,
     extension_agreement,
@@ -116,7 +115,7 @@ class TestCauchyIdentity:
         bv, ext = exp_density_pair()
         for t in (2.0, 5.0, 10.0):
             for R in (1.0, 2.0, 5.0):
-                res = cauchy_residual(bv, ext, M2, t, R)
+                res = cauchy_identity_report(evaluate_contour(bv, ext, M2, t, R)).residual
                 assert res <= 1e-6, (t, R)
                 assert res <= 1e-9, (t, R)  # in practice it is machine-level
 
@@ -169,8 +168,8 @@ class TestCauchyIdentity:
         # (t, R) chosen where the left-path quadrature error is the floor
         bv, ext = exp_density_pair()
         t, R = 10.0, 5.0
-        coarse = cauchy_residual(bv, ext, M2, t, R, density=0.1)
-        fine = cauchy_residual(bv, ext, M2, t, R, density=0.2)
+        coarse = cauchy_identity_report(evaluate_contour(bv, ext, M2, t, R, 0.1)).residual
+        fine = cauchy_identity_report(evaluate_contour(bv, ext, M2, t, R, 0.2)).residual
         assert coarse > 1e-12  # meaningfully above the machine floor
         assert coarse >= 4.0 * fine
 
@@ -178,7 +177,7 @@ class TestCauchyIdentity:
         # alternating Dirichlet jumps against the eta(z+1) extension
         bv, ext = alternating_pair(1_000_000)
         M = GrowthBound.affine(1.25)
-        res = cauchy_residual(bv, ext, M, 3.0, 1.5)
+        res = cauchy_identity_report(evaluate_contour(bv, ext, M, 3.0, 1.5)).residual
         assert res <= 1e-5
 
     def test_report_carries_jump_sum_remainder(self):

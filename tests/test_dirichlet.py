@@ -13,7 +13,7 @@ from tauberian_lab import (
     build_instance,
     calibrate_affine_growth,
     check_admissibility,
-    check_tauberian,
+    check_certificate,
     partial_sum_decay,
     vector_norm,
 )
@@ -187,17 +187,16 @@ class TestPartialSumDecay:
 class TestTauberianConditionForInstances:
     def test_alternating_within_e(self):
         inst = build_instance(CoefficientSequence.alternating(), n_max=100_000)
-        report = check_tauberian(
-            inst.bv, inst.certificate,
-            x_grid=np.geomspace(1.0, 200.0, 32), quad_tol=1e-12)
+        report = check_certificate(inst.bv, inst.certificate,
+                                   x_grid=np.geomspace(1.0, 200.0, 32), quad_tol=1e-12)[0]
         assert report.passed()
         # the known sharp level: sup of x e^{-xt} sum_{log n < t} n^{x-1} b_n
         assert report.grid_sup <= math.e
 
     def test_bounded_density_sup_at_most_c0(self):
         inst = bounded_density_instance("decaying_exp", c0=1.0)
-        report = check_tauberian(inst.bv, inst.certificate,
-                                 x_grid=np.geomspace(1.0, 30.0, 12))
+        report = check_certificate(inst.bv, inst.certificate,
+                                   x_grid=np.geomspace(1.0, 30.0, 12))[0]
         assert report.passed()
         assert report.grid_sup <= 1.0 + 1e-9
 

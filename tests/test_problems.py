@@ -5,8 +5,10 @@ import math
 import re
 
 import pytest
+from click.testing import CliRunner
 
 from tauberian_lab import ProblemFormatError, load_problem
+from tauberian_lab.cli import main
 
 SHIPPED = [
     "problems/delayed_step.json",
@@ -197,7 +199,10 @@ def test_missing_growth_hint(tmp_path):
     p = write(tmp_path, {"name": "x", "certificate": {"C": 1, "x0": 1},
                          "jumps": [{"t": 1, "value": [1.0]}]})
     prob = load_problem(p)
-    with pytest.raises(ProblemFormatError, match="growth"):
-        prob.require_growth()
-    with pytest.raises(ProblemFormatError, match="extension"):
-        prob.require_extension()
+    assert prob.growth is None and prob.extension is None and prob.dirichlet is None
+    # a command names the first block it needs that the file lacks, and exits 2
+    for command, block in (("rate", "a 'growth'"), ("contour", "an 'extension'"),
+                           ("dirichlet", "a 'dirichlet'")):
+        res = CliRunner().invoke(main, [command, "--problem", str(p)])
+        assert res.exit_code == 2
+        assert res.stderr == f"error: {p}: this command needs {block} block in the problem file\n"

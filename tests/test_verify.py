@@ -17,12 +17,9 @@ from tauberian_lab import (
     BVFunction,
     CutoffRule,
     DensityPiece,
+    SupReport,
     TauberianCertificate,
     check_certificate,
-    check_line_bound,
-    check_small_x_bound,
-    check_tail_bound,
-    check_tauberian,
     delayed_step,
     delayed_step_ratio,
     delayed_step_restart,
@@ -30,6 +27,7 @@ from tauberian_lab import (
     make_t_grid,
     make_x_grid,
     weighted_partial_grid,
+    weighted_tail_grid,
 )
 from tauberian_lab import bv as bv_module
 from tauberian_lab.bv import DENSITY_KINDS
@@ -97,7 +95,7 @@ class TestCheckTauberian:
     def test_step_with_cutoff_passes(self):
         bv = delayed_step(1.0)
         cert = TauberianCertificate(C=1.0, x0=1.0, R_rule=CutoffRuleConstantOne())
-        report = check_tauberian(bv, cert, quad_tol=1e-12)
+        report = check_certificate(bv, cert, quad_tol=1e-12)[0]
         assert report.passed()
         assert report.grid_sup == pytest.approx(1.0, abs=1e-3)
         assert report.witness_t == pytest.approx(1.0, abs=2e-3)
@@ -105,7 +103,7 @@ class TestCheckTauberian:
     def test_zero_integrator(self):
         bv = BVFunction.zero()
         cert = TauberianCertificate(C=1.0, x0=1.0)
-        report = check_tauberian(bv, cert)
+        report = check_certificate(bv, cert)[0]
         assert report.grid_sup == 0.0
         assert report.passed()
 
@@ -115,9 +113,9 @@ class TestCheckTauberian:
         bv = BVFunction.single_jump(1.0, 5.0)
         cert = TauberianCertificate(C=1.0, x0=1.0, T=100.0)
         with pytest.raises(ValueError, match=r"T = 100.*t in \[0, 50\].*x in \[1, 1000\]"):
-            check_tauberian(bv, cert)
+            check_certificate(bv, cert)
 
-    @pytest.mark.parametrize("check", [check_tauberian, check_certificate])
+    @pytest.mark.parametrize("check", [check_certificate])
     @pytest.mark.parametrize("x_grid", [[1.0, math.nan, 10.0], [1.0, math.inf], [-math.inf, 2.0]])
     def test_non_finite_x_grid_is_refused(self, check, x_grid):
         # a nan abscissa was dropped without a word, and an infinite one gave
@@ -129,14 +127,13 @@ class TestCheckTauberian:
     def test_exp_density_bounded_by_one(self):
         # x e^{-xt} int_0^t e^{(x-1)s} ds <= x/(x... stays below 1 for x >= 1
         cert = TauberianCertificate(C=1.0, x0=1.0)
-        report = check_tauberian(exp_density(), cert,
-                                 x_grid=np.geomspace(1.0, 100.0, 16))
+        report = check_certificate(exp_density(), cert, x_grid=np.geomspace(1.0, 100.0, 16))[0]
         assert report.passed()
 
     def test_failing_certificate_reports_negative_margin(self):
         bv = delayed_step(1.0)
         cert = TauberianCertificate(C=0.5, x0=1.0, R_rule=CutoffRuleConstantOne())
-        report = check_tauberian(bv, cert, quad_tol=1e-12)
+        report = check_certificate(bv, cert, quad_tol=1e-12)[0]
         assert not report.passed()
         assert report.margin < 0
 
@@ -147,8 +144,8 @@ class TestCheckTauberian:
         coarse_t, _ = make_t_grid(bv, t_max=30.0)
         fine_t, _ = make_t_grid(bv, t_max=30.0, base_points=1024, jump_points=128)
         xs = np.geomspace(1.0, 8.0, 16)
-        a = check_tauberian(bv, cert, t_grid=coarse_t, x_grid=xs).grid_sup
-        b = check_tauberian(bv, cert, t_grid=fine_t, x_grid=xs).grid_sup
+        a = check_certificate(bv, cert, t_grid=coarse_t, x_grid=xs)[0].grid_sup
+        b = check_certificate(bv, cert, t_grid=fine_t, x_grid=xs)[0].grid_sup
         assert abs(a - b) <= 0.01 * max(a, b)
 
     def test_grid_refinement_stability_jump(self):
@@ -161,8 +158,8 @@ class TestCheckTauberian:
         coarse_t, _ = make_t_grid(bv, t_max=10.0)
         fine_t, _ = make_t_grid(bv, t_max=10.0, base_points=1024, jump_points=128)
         xs = np.geomspace(1.0, 50.0, 8)
-        a = check_tauberian(bv, cert, t_grid=coarse_t, x_grid=xs, quad_tol=1e-12).grid_sup
-        b = check_tauberian(bv, cert, t_grid=fine_t, x_grid=xs, quad_tol=1e-12).grid_sup
+        a = check_certificate(bv, cert, t_grid=coarse_t, x_grid=xs, quad_tol=1e-12)[0].grid_sup
+        b = check_certificate(bv, cert, t_grid=fine_t, x_grid=xs, quad_tol=1e-12)[0].grid_sup
         assert abs(a - b) <= 0.01 * max(a, b)
 
 
@@ -175,32 +172,55 @@ class CutoffRuleConstantOne:
         return CutoffRule.constant(1.0)
 
 
+def line_sup(bv, z, t_grid) -> float:
+    """sup over t_grid of ||G(z, t)||, from every row of the partial sweep."""
+    return float(np.max(vector_norm(weighted_partial_grid(bv, z, t_grid), bv.norm_kind)))
+
+
+def tail_sup(bv, C, x, y, t_grid) -> float:
+    """The tail bound's sup at x + iy, from every row of the tail sweep."""
+    v_max = verify_module.tail_truncation_point(C, x, y, float(t_grid[-1]))
+    tail = weighted_tail_grid(bv, complex(x, y), t_grid, v_max)
+    return float(np.max(vector_norm(tail, bv.norm_kind)))
+
+
 class TestLineTailSmallX:
+    """check_certificate reads the lines y = 0 and y = 2 x0; other lines read the sweeps."""
+
     def test_line_bound_step(self):
         # unscaled hypothesis sup_t |e^{-xt} int e^{xs} dA| <= 1 holds for the
         # step; the vertical-line value obeys C (1 + |y|/x)
         bv = delayed_step(1.0)
-        for x, y in ((0.5, 0.0), (1.0, 2.0), (1.0, 10.0)):
-            rep = check_line_bound(bv, 1.0, x, y, quad_tol=1e-12)
-            assert rep.passed(), (x, y)
-            assert rep.bound == pytest.approx(1.0 + abs(y) / x)
+        for x0 in (0.5, 1.0):
+            reports = check_certificate(bv, TauberianCertificate(C=x0, x0=x0), quad_tol=1e-12)
+            for rep, y in zip(reports[1:3], (0.0, 2.0 * x0)):
+                assert rep.passed(), rep
+                assert rep.bound == pytest.approx(1.0 + abs(y) / x0)
+        assert line_sup(bv, 1.0 + 10.0j, make_t_grid(bv)[0]) <= 11.0
 
     def test_line_bound_flags_broken_hypothesis(self):
-        rep = check_line_bound(delayed_step(1.0), 0.5, 1.0, 2.0, quad_tol=1e-12)
+        rep = check_certificate(delayed_step(1.0), TauberianCertificate(C=0.5, x0=1.0),
+                                quad_tol=1e-12)[2]
+        assert rep.case_id == "line_bound_x1_y2"
         assert rep.hypothesis_failed
         assert not rep.passed()
         assert "hypothesis" in rep.note
 
     def test_tail_bound_step(self):
         bv = delayed_step(1.0)
-        for x, y in ((0.5, 0.0), (1.0, 2.0), (1.0, 10.0)):
-            rep = check_tail_bound(bv, 1.0, x, y, quad_tol=1e-12)
-            assert rep.passed(), (x, y)
-            assert rep.bound == pytest.approx(3.0 + abs(y) / x)
+        for x0 in (0.5, 1.0):
+            rep = check_certificate(bv, TauberianCertificate(C=x0, x0=x0), quad_tol=1e-12)[3]
+            assert rep.passed(), rep
+            assert rep.bound == pytest.approx(3.0 + 2.0)
             assert "v_max" in rep.note
+        t_grid, _ = make_t_grid(bv)
+        for x, y in ((0.5, 0.0), (1.0, 10.0)):
+            assert tail_sup(bv, 1.0, x, y, t_grid) <= 3.0 + abs(y) / x, (x, y)
 
     def test_tail_bound_exp_density(self):
-        rep = check_tail_bound(exp_density(), 1.0, 1.0, 2.0, quad_tol=1e-11)
+        rep = check_certificate(exp_density(), TauberianCertificate(C=1.0, x0=1.0),
+                                quad_tol=1e-11)[3]
+        assert rep.case_id == "tail_bound_x1_y2"
         assert rep.passed()
 
     def test_line_bound_at_a_tie_is_not_rounded_up(self):
@@ -208,34 +228,21 @@ class TestLineTailSmallX:
         # k e^{-t}, so each refined point log k + 1e-7 (k <= 128) attains the sup
         # e^{-1e-7}; the row-by-row sweep reported it 3.2e-14 too high
         prob = load_problem("problems/dirichlet_ones.json")
-        rep = check_line_bound(prob.bv, prob.certificate.C, 1.0, 0.0)
+        assert prob.certificate.x0 == 1.0
+        rep = check_certificate(prob.bv, prob.certificate)[1]
+        assert rep.case_id == "line_bound_x1_y0"
         assert abs(rep.grid_sup - math.exp(-1e-7)) <= 2e-15 * math.exp(-1e-7)
         ties = np.log(np.arange(1.0, 129.0)) + 1e-7
         assert np.min(np.abs(ties - rep.witness_t)) <= 1e-12
 
     def test_small_x_bound(self):
         bv = delayed_step(1.0)
-        rep = check_small_x_bound(bv, 1.0, x0=1.0, quad_tol=1e-12)
+        rep = check_certificate(bv, TauberianCertificate(C=1.0, x0=1.0), quad_tol=1e-12)[4]
+        assert rep.case_id == "small_x_bound"
         assert rep.passed()
         assert rep.witness_x is not None and rep.witness_x <= 1.0
         # the reported case is the worst x: bound C x0 / x grows as x shrinks
         assert rep.bound >= 1.0
-
-    def test_small_x_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            check_small_x_bound(delayed_step(1.0), 1.0, 1.0,
-                                x_grid=np.asarray([2.0]))
-
-    @pytest.mark.parametrize("x_grid", [[], [math.nan, 0.5]])
-    def test_small_x_rejects_an_empty_or_nan_grid(self, x_grid):
-        # an empty grid once failed an assert, and a NaN abscissa went to the sweep
-        with pytest.raises(ValueError, match="small-x grid"):
-            check_small_x_bound(delayed_step(1.0), 1.0, 1.0, x_grid=np.asarray(x_grid))
-
-    @pytest.mark.parametrize("check", [check_line_bound, check_tail_bound])
-    def test_line_and_tail_reject_a_nan_ordinate(self, check):
-        with pytest.raises(ValueError, match="a number y"):
-            check(delayed_step(1.0), 1.0, 1.0, math.nan)
 
 
 class TestSweepReuse:
@@ -259,14 +266,20 @@ class TestSweepReuse:
         return spy[0]
 
     def test_line_bound_on_the_real_axis_is_its_own_hypothesis(self, sweeps):
-        rep = check_line_bound(delayed_step(1.0), 1.0, 2.0, 0.0)
-        assert sweeps == [("_partial_rows", 2.0)]
-        assert not rep.hypothesis_failed
+        # the line y = 0 and the ratio hypothesis read the one sweep of x0
+        reports = check_certificate(delayed_step(1.0), TauberianCertificate(C=2.0, x0=2.0))
+        assert [z for _, z in sweeps].count(2.0) == 1
+        assert reports[1].case_id == "line_bound_x2_y0"
+        assert not reports[1].hypothesis_failed
 
     def test_small_x_bound_reuses_the_hypothesis_at_x0(self, sweeps):
-        rep = check_small_x_bound(delayed_step(1.0), 1.0, x0=2.0)
+        # the ratio abscissa, x0 and the small-x grid's last point are one abscissa:
+        # 16 small-x points and x0 + 2i x0 take 17 partial sweeps
+        cert = TauberianCertificate(C=2.0, x0=2.0)
+        rep = check_certificate(delayed_step(1.0), cert, x_grid=np.asarray([2.0]))[4]
         assert make_x_grid(2e-2, 2.0, 16)[-1] == 2.0
-        assert len(sweeps) == 16 and len(set(sweeps)) == 16
+        partial = [z for name, z in sweeps if name == "_partial_rows"]
+        assert len(partial) == len(set(partial)) == 17
         assert rep.witness_x == 2.0
 
     def test_verify_command_sweep_count(self, sweeps):
@@ -340,8 +353,10 @@ class TestSweepReuse:
     def test_ratio_condition_sweeps_only_abscissas_it_checks(self, spy):
         # R(t) = 1 leaves x = 2 and x = 4 without a time to check
         cert = TauberianCertificate(C=1.0, x0=1.0, R_rule=CutoffRuleConstantOne())
-        check_tauberian(delayed_step(1.0), cert, x_grid=np.asarray([1.0, 2.0, 4.0]))
-        assert spy == ([("_partial_rows", 1.0)], ["_partial_rows"])
+        check_certificate(delayed_step(1.0), cert, x_grid=np.asarray([1.0, 2.0, 4.0]))
+        abscissas, calls = spy
+        assert 2.0 not in [z for _, z in abscissas] and 4.0 not in [z for _, z in abscissas]
+        assert calls == ["_partial_rows", "weighted_tail_grid"]
 
     def test_density_mix_verify_quad_calls(self, monkeypatch):
         # power and damped_power pieces take quad: one call per piece per sweep
@@ -471,18 +486,34 @@ class TestHeldRows:
                 == full_sweep_sups(bv, [1000.0], t_grid, {}))
 
 
-def separate_checks(bv, cert, t_grid=None, x_grid=None, quad_tol=1e-10, grid_spec=None):
-    """Reference for check_certificate: the five check_* calls verify made one by one."""
-    if t_grid is None:
-        t_grid, grid_spec = make_t_grid(bv)
-    line_c = cert.C / cert.x0
-    reports = [check_tauberian(bv, cert, t_grid, x_grid, quad_tol, grid_spec)]
-    for y in (0.0, 2.0 * cert.x0):
-        reports.append(check_line_bound(bv, line_c, cert.x0, y, t_grid, quad_tol, grid_spec))
-    reports.append(check_tail_bound(bv, line_c, cert.x0, 2.0 * cert.x0, t_grid,
-                                    quad_tol=quad_tol, grid_spec=grid_spec))
-    reports.append(check_small_x_bound(bv, line_c, cert.x0, t_grid=t_grid, quad_tol=quad_tol,
-                                       grid_spec=grid_spec))
+def full_sweep_certificate(bv, cert, t_grid, x_grid):
+    """Reference for check_certificate: every report read from all rows of the public sweeps,
+    one weighted_partial_grid call per abscissa (full_sweep_sups) and one weighted_tail_grid."""
+    t_grid = make_t_grid(bv)[0] if t_grid is None else t_grid
+    x0, c, y = cert.x0, cert.C / cert.x0, 2.0 * cert.x0
+    masks = verify_module._ratio_masks(cert, t_grid, x_grid)
+    small = make_x_grid(x0 * 1e-2, x0, 16)
+    sups, ratio = full_sweep_sups(bv, [*masks, x0, complex(x0, y), *small], t_grid, masks)
+
+    def report(case_id, found, bound, x, where, note=""):
+        failed = sups[complex(x0)][0] > c * (1.0 + verify_module.HYPOTHESIS_SLACK)
+        why = f"ratio hypothesis fails at {where}" if failed else ""
+        return SupReport(case_id, found[0], bound, float(t_grid[found[1]]), x, failed,
+                         "; ".join(filter(None, (why, note))))
+
+    best = max(ratio, key=lambda x: ratio[x][0])  # the first of the largest
+    reports = [SupReport("tauberian_condition", ratio[best][0], cert.C,
+                         float(t_grid[ratio[best][1]]), best.real)]
+    for v in (0.0, y):
+        reports.append(report(f"line_bound_x{x0:g}_y{v:g}", sups[complex(x0, v)],
+                              c * (1.0 + abs(v) / x0), x0, f"x = {x0:g}"))
+    v_max = verify_module.tail_truncation_point(c, x0, y, float(t_grid[-1]))
+    tail = vector_norm(weighted_tail_grid(bv, complex(x0, y), t_grid, v_max), bv.norm_kind)
+    reports.append(report(f"tail_bound_x{x0:g}_y{y:g}", verify_module._sup(tail),
+                          c * (3.0 + abs(y) / x0), x0, f"x = {x0:g}", f"v_max={v_max:g}"))
+    reports.append(min((report("small_x_bound", sups[complex(x)], c * x0 / float(x), float(x),
+                               f"x0 = {x0:g}") for x in small),
+                       key=lambda rep: rep.margin))
     return reports
 
 
@@ -540,14 +571,26 @@ def _outcome(run):
 @settings(max_examples=30, deadline=None)
 @given(case=certificate_cases())
 def test_certificate_equals_separate_checks(case, one_per_batch):
-    # every SupReport field bitwise, or the same error; with every abscissa its
-    # own batch too, so batch boundaries move no bit
+    # every SupReport field bitwise, or the same error, as read from every row of
+    # the public sweeps; with every abscissa its own batch too, so batch
+    # boundaries move no bit
     bv, cert, t_grid, x_grid = case
-    want = _outcome(lambda: separate_checks(bv, cert, t_grid, x_grid))
+    want = _outcome(lambda: full_sweep_certificate(bv, cert, t_grid, x_grid))
     with mock.patch.object(verify_module, "_MAX_BLOCK_ELEMENTS",
                            8 if one_per_batch else verify_module._MAX_BLOCK_ELEMENTS):
         got = _outcome(lambda: check_certificate(bv, cert, t_grid, x_grid))
     assert got == want
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the ratio condition reads a grid sup, not a certified sup")
+def test_ratio_condition_fails_where_the_grid_misses_the_sup():
+    # x ||G(x, t)|| for A' = e^{-t} is x (e^{-t} - e^{-xt}) / (x - 1), which tends
+    # to 1 as x grows: 0.9931 at x = 1000, t = 0.0069, so C = 0.95 fails.  The
+    # default grids reach only 0.9192, at x = 64.49, and report a PASS
+    reports = check_certificate(BVFunction.from_density("exponential", rate=-1),
+                                TauberianCertificate(C=0.95, x0=1))
+    assert not reports[0].passed()
 
 
 def test_verify_does_not_import_numpy_ma():
