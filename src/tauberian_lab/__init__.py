@@ -25,7 +25,7 @@ from .rates import (RateResult, bound_B, decay_rate, k_prime, r_opt, t_prime,
 from .transform import (TauberianCertificate, TransformPoint,
                         TruncationCapError, finite_laplace, improper_laplace)
 from .vectors import vector_norm
-from .verify import (GridSpec, SupReport, calibrate_affine_growth, check_admissibility,
+from .verify import (SupReport, calibrate_affine_growth, check_admissibility,
                      check_certificate, make_t_grid, make_x_grid)
 
 __all__ = [
@@ -47,6 +47,6 @@ __all__ = [
     "TauberianCertificate", "TransformPoint", "TruncationCapError",
     "finite_laplace", "improper_laplace",
     "vector_norm",
-    "GridSpec", "SupReport", "calibrate_affine_growth", "check_admissibility",
+    "SupReport", "calibrate_affine_growth", "check_admissibility",
     "check_certificate", "make_t_grid", "make_x_grid",
 ]

@@ -218,6 +218,8 @@ class DensityPiece:
         if not math.isfinite(self.start):
             raise ValueError("density interval must start at a finite point")
         object.__setattr__(self, "scale", tuple(complex(c) for c in self.scale))
+        if not np.all(np.isfinite(self.scale)):
+            raise ValueError("density scale must be finite")
         if self.kind in ("constant", "power") and self.rate != 0:
             raise ValueError(f"density kind {self.kind!r} takes no rate")
         if self.kind in ("power", "damped_power"):

@@ -25,12 +25,11 @@ from .contour import (ContourBudgetError, cauchy_identity_report, contour_dump,
 from .dirichlet import partial_sum_decay
 from .problems import ProblemFormatError, load_problem
 from .rates import decay_rate, k_prime, t_prime, t_prime_second_term_clamped
-from .verify import check_certificate, make_t_grid
+from .verify import REL_TOL, check_certificate, make_t_grid
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
-_MARGIN_REL_TOL = 1e-9
 
 
 def _fmt(value) -> str:
@@ -49,11 +48,13 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _emit(out: str | None, body: str, meta: dict) -> None:
-    meta = dict(meta)
-    meta["tool"] = "tauberian-lab"
-    meta["version"] = __version__
-    meta["generated_at"] = datetime.now(timezone.utc).isoformat()
+def _finish(command: str, prob, out: str | None, header, rows, meta: dict, failures) -> None:
+    """Write the CSV and its sidecar (to --out and <out>.meta.json, else stdout and stderr),
+    then name any failures on stderr and exit 1, or exit 0 if there are none."""
+    body = _csv_text(header, rows)
+    meta = {"command": command, "problem": prob.source, "problem_name": prob.name,
+            "norm": prob.bv.norm_kind, **meta, "tool": "tauberian-lab", "version": __version__,
+            "generated_at": datetime.now(timezone.utc).isoformat()}
     if out:
         Path(out).write_text(body)
         Path(f"{out}.meta.json").write_text(
@@ -61,11 +62,23 @@ def _emit(out: str | None, body: str, meta: dict) -> None:
     else:
         click.echo(body, nl=False)
         click.echo(json.dumps(meta, indent=2, sort_keys=True, default=str), err=True)
+    if failures:
+        click.echo("; ".join(failures), err=True)
+        sys.exit(EXIT_VIOLATION)
+    sys.exit(EXIT_OK)
 
 
 def _input_error(message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(EXIT_INPUT)
+
+
+def _tolerance(ctx, param, value: float) -> float:
+    """Click callback of a --*-tol option: its value if finite and >= 0, else exit 2."""
+    if not (value >= 0 and math.isfinite(value)):
+        kind = "quadrature" if param.name == "quad_tol" else param.name.removesuffix("_tol")
+        raise click.BadParameter(f"{kind} tolerance must be finite and >= 0, not {value!r}")
+    return value
 
 
 def _load(problem_path: str, *blocks: str) -> tuple:
@@ -146,15 +159,12 @@ def rate(problem_path, t_grid_spec, out):
         _input_error(f"{where}{exc}")
     rows = [(res.t, res.R_opt, res.R_rule_t, res.branch, res.bound, res.rate_shape)
             for res in results]
-    skipped = grid.size - above.size
-    body = _csv_text(("t", "R_opt", "R_rule_t", "branch", "bound_B", "rate_shape"), rows)
-    meta = {"command": "rate", "problem": prob.source, "problem_name": prob.name,
-            "norm": prob.norm_kind, "t_grid": t_grid_spec, "t_prime": threshold,
+    meta = {"t_grid": t_grid_spec, "t_prime": threshold,
             "t_prime_clamped": t_prime_second_term_clamped(cert, growth),
             "k_prime": k_prime(cert, growth), "rows": len(rows),
-            "skipped_at_or_below_t_prime": skipped}
-    _emit(out, body, meta)
-    sys.exit(EXIT_OK)
+            "skipped_at_or_below_t_prime": grid.size - above.size}
+    _finish("rate", prob, out, ("t", "R_opt", "R_rule_t", "branch", "bound_B", "rate_shape"),
+            rows, meta, [])
 
 
 @main.command()
@@ -164,7 +174,8 @@ def rate(problem_path, t_grid_spec, out):
               help="Times, a:b:n linear or comma list; default: hybrid grid refined near jumps.")
 @click.option("--x-grid", "x_grid_spec", default=None,
               help="Abscissas, a:b:n log-spaced or comma list; default from the certificate.")
-@click.option("--quad-tol", default=1e-10, show_default=True, help="Quadrature tolerance.")
+@click.option("--quad-tol", default=1e-10, show_default=True, callback=_tolerance,
+              help="Quadrature tolerance.")
 @click.option("--out", default=None, type=click.Path(dir_okay=False),
               help="CSV destination (stdout if omitted).")
 def verify(problem_path, t_grid_spec, x_grid_spec, quad_tol, out):
@@ -172,8 +183,7 @@ def verify(problem_path, t_grid_spec, x_grid_spec, quad_tol, out):
     prob, = _load(problem_path)
     cert = prob.certificate
     if t_grid_spec is None:
-        t_grid, spec = make_t_grid(prob.bv)
-        t_grid_spec = spec.describe()
+        t_grid, t_grid_spec = make_t_grid(prob.bv)
     else:
         t_grid = _parse_grid(t_grid_spec, "--t-grid", "linear")
     x_grid = None if x_grid_spec is None else _parse_grid(x_grid_spec, "--x-grid", "log")
@@ -183,18 +193,13 @@ def verify(problem_path, t_grid_spec, x_grid_spec, quad_tol, out):
         _input_error(str(exc))
 
     rows = [(r.case_id, r.grid_sup, r.bound, r.margin, r.witness_t) for r in reports]
-    body = _csv_text(("case_id", "grid_sup", "bound", "margin", "witness_t"), rows)
-    failed = [r.case_id for r in reports if not r.passed(_MARGIN_REL_TOL)]
-    meta = {"command": "verify", "problem": prob.source, "problem_name": prob.name,
-            "norm": prob.norm_kind, "quad_tol": quad_tol, "line_constant": cert.C / cert.x0,
+    failed = [r.case_id for r in reports if not r.passed()]
+    meta = {"quad_tol": quad_tol, "line_constant": cert.C / cert.x0,
             "t_grid": t_grid_spec, "x_grid": x_grid_spec or "auto",
             "notes": {r.case_id: r.note for r in reports if r.note},
             "failed_cases": failed}
-    _emit(out, body, meta)
-    if failed:
-        click.echo(f"bound violation in: {', '.join(failed)}", err=True)
-        sys.exit(EXIT_VIOLATION)
-    sys.exit(EXIT_OK)
+    _finish("verify", prob, out, ("case_id", "grid_sup", "bound", "margin", "witness_t"), rows,
+            meta, [f"bound violation in: {', '.join(failed)}"] if failed else [])
 
 
 @main.command()
@@ -206,12 +211,13 @@ def verify(problem_path, t_grid_spec, x_grid_spec, quad_tol, out):
 @click.option("--radius", default=2.0, show_default=True, help="Contour radius R >= 1.")
 @click.option("--density", default=1.0, show_default=True,
               help="Quadrature density multiplier.")
-@click.option("--quad-tol", default=1e-12, show_default=True, help="Quadrature tolerance.")
-@click.option("--residual-tol", default=1e-6, show_default=True,
+@click.option("--quad-tol", default=1e-12, show_default=True, callback=_tolerance,
+              help="Quadrature tolerance.")
+@click.option("--residual-tol", default=1e-6, show_default=True, callback=_tolerance,
               help="Identity residual threshold for exit status.")
-@click.option("--agreement-tol", default=1e-6, show_default=True,
+@click.option("--agreement-tol", default=1e-6, show_default=True, callback=_tolerance,
               help="Allowed extension-vs-transform gap in the seeded spot check.")
-@click.option("--seed", default=0, show_default=True,
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0),
               help="Seed for the extension-agreement sample points.")
 @click.option("--dump", "dump_path", default=None, type=click.Path(dir_okay=False),
               help="Write per-node plot CSV (needs a single-point t grid).")
@@ -225,21 +231,18 @@ def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
     if dump_path is not None and ts.size != 1:
         _input_error("--dump needs a single-point --t-grid (one contour per dump)")
 
-    rows = []
-    failures = []
-    nodes = []
+    rows, failures, nodes = [], [], []
     remainder_max = 0.0
     for t in ts:
         try:
-            ev = evaluate_contour(prob.bv, ext, growth, float(t), radius,
-                                  density, quad_tol)
+            ev = evaluate_contour(prob.bv, ext, growth, float(t), radius, density, quad_tol)
             rep = cauchy_identity_report(ev, f0=prob.f0)
             bounds = term_bounds(ev, prob.certificate)
         except ContourBudgetError as exc:
             _input_error(str(exc))
         except (ValueError, ArithmeticError) as exc:
             _input_error(f"t = {t:g}: {exc}")
-        nodes.append([float(t), rep.total_nodes])
+        nodes.append([float(t), ev.total_nodes])
         remainder_max = max(remainder_max, rep.remainder_bound)
         rows.append((float(t), radius, rep.residual,
                      bounds[0].measured, bounds[0].bound_displayed,
@@ -248,7 +251,7 @@ def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
         if not rep.residual <= residual_tol:
             failures.append(f"residual {rep.residual:.3g} at t = {t:g}")
         for b in bounds:
-            if b.margin_displayed < -_MARGIN_REL_TOL * abs(b.bound_displayed):
+            if b.margin_displayed < -REL_TOL * abs(b.bound_displayed):
                 failures.append(f"term {b.name} exceeds its bound at t = {t:g}")
 
     rng = np.random.default_rng(seed)
@@ -260,28 +263,21 @@ def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
     if not agreement.gap <= agreement_tol:
         failures.append(f"extension disagrees with the transform by {agreement.gap:.3g}")
 
-    body = _csv_text(("t", "R", "residual", "I_measured", "I_bound", "II_measured",
-                      "II_bound", "III_measured", "III_bound"), rows)
-    meta = {"command": "contour", "problem": prob.source, "problem_name": prob.name,
-            "norm": prob.norm_kind, "t_grid": t_grid_spec, "radius": radius,
-            "density": density, "quad_tol": quad_tol, "residual_tol": residual_tol,
-            "seed": seed, "extension_agreement_gap": agreement.gap,
-            "extension_agreement_points": agreement.points,
-            "extension_agreement_t_star_max": agreement.t_star_max,
-            "extension_agreement_truncation_bound_max": agreement.truncation_bound_max,
-            "failures": failures,
-            "total_nodes": nodes, "jump_sum_remainder_max": remainder_max}
-    _emit(out, body, meta)
     if dump_path is not None:
         dump_rows = contour_dump(ev)  # the single t's evaluation
         Path(dump_path).write_text(_csv_text(
             ("piece", "s_param", "re z", "im z", "|integrand|"),
             [(p, float(s), float(re), float(im), float(v))
              for p, s, re, im, v in dump_rows]))
-    if failures:
-        click.echo("; ".join(failures), err=True)
-        sys.exit(EXIT_VIOLATION)
-    sys.exit(EXIT_OK)
+    meta = {"t_grid": t_grid_spec, "radius": radius, "density": density, "quad_tol": quad_tol,
+            "residual_tol": residual_tol, "seed": seed,
+            "extension_agreement_gap": agreement.gap,
+            "extension_agreement_points": agreement.points,
+            "extension_agreement_t_star_max": agreement.t_star_max,
+            "extension_agreement_truncation_bound_max": agreement.truncation_bound_max,
+            "failures": failures, "total_nodes": nodes, "jump_sum_remainder_max": remainder_max}
+    _finish("contour", prob, out, ("t", "R", "residual", "I_measured", "I_bound", "II_measured",
+                                   "II_bound", "III_measured", "III_bound"), rows, meta, failures)
 
 
 @main.command()
@@ -300,21 +296,14 @@ def dirichlet(problem_path, t_grid_spec, out):
         decay_rows = partial_sum_decay(instance, growth, grid, f0=prob.f0)
     except (ValueError, ArithmeticError) as exc:
         _input_error(str(exc))
-    body = _csv_text(("t", "decay_norm", "bound_B", "margin"),
-                     [(r.t, r.decay_norm, r.bound_B, r.margin) for r in decay_rows])
     negative = [r.t for r in decay_rows
-                if math.isfinite(r.margin) and r.margin < -_MARGIN_REL_TOL * abs(r.bound_B)]
-    meta = {"command": "dirichlet", "problem": prob.source, "problem_name": prob.name,
-            "norm": prob.norm_kind, "t_grid": t_grid_spec,
-            "coefficients": instance.coefficients.describe(),
-            "n_max": instance.n_max,
-            "f0_provenance": instance.f0_provenance,
+                if math.isfinite(r.margin) and r.margin < -REL_TOL * abs(r.bound_B)]
+    meta = {"t_grid": t_grid_spec, "coefficients": instance.coefficients.describe(),
+            "n_max": instance.n_max, "f0_provenance": instance.f0_provenance,
             "rows": len(decay_rows), "negative_margin_at": negative}
-    _emit(out, body, meta)
-    if negative:
-        click.echo(f"bound violated at t = {', '.join(f'{t:g}' for t in negative)}", err=True)
-        sys.exit(EXIT_VIOLATION)
-    sys.exit(EXIT_OK)
+    _finish("dirichlet", prob, out, ("t", "decay_norm", "bound_B", "margin"),
+            [(r.t, r.decay_norm, r.bound_B, r.margin) for r in decay_rows], meta,
+            [f"bound violated at t = {', '.join(f'{t:g}' for t in negative)}"] if negative else [])
 
 
 if __name__ == "__main__":

@@ -26,6 +26,8 @@ stores, per piece, the analytic weight g and the node values F of the
 integrand g F.  Three reductions read that one ``ContourEvaluation``:
 ``cauchy_identity_report`` sums (dz g) @ F, ``term_bounds`` sums
 |dz| |g| ||F|| per term, and ``contour_dump`` lists ||F|| |g| per node.
+A contour needs 16 nodes per panel; one of more than _MAX_NODES nodes is refused
+with ContourBudgetError before any node is evaluated.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .transform import TauberianCertificate, improper_laplace
 from .vectors import vector_norm
 
 _PHASE_PER_PANEL = 1.2  # radians of integrand phase per 16-node panel
+_MAX_NODES = 400_000  # node budget of one contour
 
 
 class ContourBudgetError(ValueError):
@@ -53,7 +56,7 @@ class ContourBudgetError(ValueError):
         self.max_nodes = max_nodes
         super().__init__(
             f"contour quadrature needs {required_nodes} nodes, over the budget of "
-            f"{max_nodes}; lower t*R/density or raise max_nodes")
+            f"{max_nodes}; lower t, R or the density multiplier")
 
 
 def fudge_factor(z, R: float):
@@ -107,8 +110,7 @@ class ContourSpec:
         return int(n + sum(p.params.size for p in self.gamma2))
 
 
-def build_contour(M: GrowthBound, R: float, t: float, density: float = 1.0,
-                  max_nodes: int = 400_000) -> ContourSpec:
+def build_contour(M: GrowthBound, R: float, t: float, density: float = 1.0) -> ContourSpec:
     """Half-circle pair plus the three-segment left path at -1/(2 M(R)).
 
     Panel counts scale with the e^{tz} oscillation (t per unit length, t*R
@@ -137,8 +139,8 @@ def build_contour(M: GrowthBound, R: float, t: float, density: float = 1.0,
     arc_panels = [_panels(abs(th1 - th0) * R, arc_rate, density, 4) for _, th0, th1 in arcs]
     seg_panels = [_panels(abs(zb - za), rate, density, 2) for _, za, zb, rate in segments]
     nodes = 16 * (sum(arc_panels) + sum(seg_panels))
-    if nodes > max_nodes:
-        raise ContourBudgetError(nodes, max_nodes)
+    if nodes > _MAX_NODES:
+        raise ContourBudgetError(nodes, _MAX_NODES)
 
     g1, g1r = (_arc_piece(name, R, th0, th1, n) for (name, th0, th1), n in zip(arcs, arc_panels))
     gamma2 = tuple(_segment_piece(name, za, zb, n)
@@ -234,10 +236,9 @@ class ContourEvaluation:
 
 
 def evaluate_contour(bv: BVFunction, f_ext, M: GrowthBound, t: float, R: float,
-                     density: float = 1.0, quad_tol: float = 1e-12,
-                     max_nodes: int = 400_000) -> ContourEvaluation:
+                     density: float = 1.0, quad_tol: float = 1e-12) -> ContourEvaluation:
     """Build the contour and evaluate the integrand on every node, once."""
-    spec = build_contour(M, R, t, density, max_nodes)
+    spec = build_contour(M, R, t, density)
     g1, g1r = spec.gamma1, spec.gamma1_reflected
     term1 = PieceValues(g1, -(fudge_factor(g1.nodes, R) / g1.nodes),
                         exp_tail_integral(bv, g1.nodes, t, quad_tol))
@@ -253,13 +254,10 @@ def evaluate_contour(bv: BVFunction, f_ext, M: GrowthBound, t: float, R: float,
 
 @dataclass(frozen=True)
 class CauchyReport:
-    t: float
-    R: float
     lhs: np.ndarray
     reference: np.ndarray
     abs_error: float
     residual: float
-    total_nodes: int
     remainder_bound: float  # jump-sum truncation bound per node, tail plus partial
 
 
@@ -286,9 +284,7 @@ def cauchy_identity_report(ev: ContourEvaluation, f0=None) -> CauchyReport:
     reference = bv.value_at(ev.t, ev.quad_tol) - f0_arr
     abs_error = float(vector_norm(lhs - reference, bv.norm_kind))
     residual = abs_error / max(1e-30, float(vector_norm(reference, bv.norm_kind)))
-    return CauchyReport(t=ev.t, R=ev.R, lhs=lhs, reference=reference,
-                        abs_error=abs_error, residual=residual,
-                        total_nodes=ev.total_nodes,
+    return CauchyReport(lhs=lhs, reference=reference, abs_error=abs_error, residual=residual,
                         remainder_bound=jump_sum_remainder(bv.jump_sizes))
 
 

@@ -129,7 +129,6 @@ class DirichletInstance:
     n_max: int
     bv: BVFunction
     certificate: TauberianCertificate
-    d_constant: float
     f0: np.ndarray | None
     f0_provenance: str | None
 
@@ -152,8 +151,7 @@ def build_instance(coeffs: CoefficientSequence, n_max: int = 1_000_000,
     sizes = coeffs.values(n) / n[:, None]
     bv = BVFunction(dimension=coeffs.dimension, jump_times=np.log(n.astype(float)),
                     jump_sizes=sizes, pieces=(), norm_kind=norm_kind)
-    d_constant = max(coeffs.sup_norm(norm_kind), 1.0)
-    cert = TauberianCertificate(C=d_constant * math.e, x0=1.0, T=0.0,
+    cert = TauberianCertificate(C=max(coeffs.sup_norm(norm_kind), 1.0) * math.e, x0=1.0, T=0.0,
                                 R_rule=CutoffRule.exp_of_t())
     f0 = None
     provenance = None
@@ -163,8 +161,7 @@ def build_instance(coeffs: CoefficientSequence, n_max: int = 1_000_000,
         f0 = np.asarray([complex(log_two())])
         provenance = "accelerated alternating series (64+ digit-stable scheme)"
     return DirichletInstance(coefficients=coeffs, n_max=n_max, bv=bv,
-                             certificate=cert, d_constant=d_constant,
-                             f0=f0, f0_provenance=provenance)
+                             certificate=cert, f0=f0, f0_provenance=provenance)
 
 
 @dataclass(frozen=True)

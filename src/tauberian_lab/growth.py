@@ -27,6 +27,7 @@ GROWTH_PARAMS = {"constant": ("c",), "affine": ("c",), "power": ("c", "alpha"),
 CUTOFF_KINDS = ("exp_t", "constant", "infinite")
 
 _CERT_GRID = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 9_999)))
+_RESIDUAL_TOL = 1e-10  # relative residual of m_log_inverse's postcondition
 
 
 class GrowthDomainError(ValueError):
@@ -55,6 +56,10 @@ class GrowthBound:
             raise ValueError("log growth needs beta > 0")
         if self.kind == "exp" and not (self.kappa > 0):
             raise ValueError("exp growth needs kappa > 0")
+        for name in ("c", "alpha", "beta", "kappa"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"growth parameter {name} must be finite, got {value}")
         self._certify()
 
     # presets ------------------------------------------------------------------
@@ -213,15 +218,14 @@ def at_index(exc: Exception, index) -> Exception:
     return exc
 
 
-def m_log_inverse(M: GrowthBound, C: float, y,
-                  residual_tol: float = 1e-10) -> float | np.ndarray:
+def m_log_inverse(M: GrowthBound, C: float, y) -> float | np.ndarray:
     """Inverse of m_log on its increasing branch, elementwise over the targets y.
 
     One climb serves the whole call: it takes every target, raised to the
     floor max(m_log(1), 0), and the floor itself, whose radius is the branch
     start; every target at or below m_log(branch start) takes the branch start.
     A scalar target gives a float.  Postcondition on every element:
-    |m_log(a) - y| <= residual_tol * max(1, |y|).  An error names the first
+    |m_log(a) - y| <= _RESIDUAL_TOL * max(1, |y|).  An error names the first
     failing target in flat order, and its `index` attribute is that position.
     """
     targets = np.asarray(y, dtype=float)
@@ -230,7 +234,7 @@ def m_log_inverse(M: GrowthBound, C: float, y,
     climbed = _climb(M, C, np.maximum(np.append(flat, floor), floor))
     bs = float(climbed[-1])
     m_min = float(m_log(M, C, bs))
-    tol = residual_tol * np.maximum(1.0, np.abs(flat))
+    tol = _RESIDUAL_TOL * np.maximum(1.0, np.abs(flat))
     failures = {}  # flat position -> error, for the first target of each kind
 
     below = np.flatnonzero(flat < m_min - tol)

@@ -1,9 +1,10 @@
 """Problem files: a strict JSON schema describing one verification instance.
 
 Complex numbers are written as a plain number (real) or a two-element
-[re, im] list; vectors are lists of those.  Unknown keys anywhere are an
-error that names the offending path, so typos fail loudly instead of being
-silently ignored.
+[re, im] list; vectors are lists of those.  Unknown keys anywhere, and keys
+that the chosen kind does not read, are an error that names the offending
+path, so typos fail loudly instead of being silently ignored.  NaN, Infinity
+and -Infinity are not JSON and are refused as such.
 
 The bounded-density instances at the end are the same kind of verification
 instance built in code: a density with ||a|| <= c0 and its rational
@@ -21,7 +22,7 @@ import numpy as np
 
 from .bv import BVFunction, DENSITY_KINDS, DensityPiece
 from .contour import EtaShiftExtension, RationalExtension
-from .dirichlet import CoefficientSequence, DirichletInstance, build_instance
+from .dirichlet import COEFFICIENT_KINDS, CoefficientSequence, DirichletInstance, build_instance
 from .growth import GROWTH_PARAMS, CutoffRule, GrowthBound
 from .transform import TauberianCertificate
 from .vectors import NORM_KINDS
@@ -121,6 +122,8 @@ def _build_growth(node, path: str) -> GrowthBound:
 def _build_cutoff(node, path: str) -> CutoffRule:
     _check_keys(node, {"kind", "value"}, path)
     kind = _require(node, "kind", path)
+    if kind in ("exp_t", "infinite") and "value" in node:
+        _fail(f"{path}.value", f"cutoff kind {kind!r} takes no value")
     if kind == "exp_t":
         return CutoffRule.exp_of_t()
     if kind == "infinite":
@@ -175,7 +178,12 @@ def _build_coefficients(node, base_dir: Path, path: str) -> CoefficientSequence:
         return _COEFFICIENT_RULES[node]()
     _check_keys(node, {"kind", "values", "path"}, path)
     kind = _require(node, "kind", path)
-    if isinstance(kind, str) and kind in _COEFFICIENT_RULES:
+    if not (isinstance(kind, str) and kind in COEFFICIENT_KINDS):
+        _fail(f"{path}.kind", f"unknown coefficient kind {kind!r}")
+    for key, owner in (("values", "periodic"), ("path", "file")):
+        if key in node and kind != owner:
+            _fail(f"{path}.{key}", f"coefficient kind {kind!r} takes no {key}")
+    if kind in _COEFFICIENT_RULES:
         return _COEFFICIENT_RULES[kind]()
     if kind == "periodic":
         values = _require(node, "values", path)
@@ -190,22 +198,18 @@ def _build_coefficients(node, base_dir: Path, path: str) -> CoefficientSequence:
         table = [[_as_complex(c, f"{path}.values[{i}][{j}]") for j, c in enumerate(row)]
                  for i, row in enumerate(values)]
         return CoefficientSequence.periodic(np.asarray(table))
-    if kind == "file":
-        rel = _require(node, "path", path)
-        if not isinstance(rel, str):
-            _fail(f"{path}.path", "expected a file path string")
-        try:
-            return CoefficientSequence.from_file(base_dir / rel)
-        except (OSError, ValueError) as exc:
-            _fail(path, str(exc))
-    _fail(f"{path}.kind", f"unknown coefficient kind {kind!r}")
+    rel = _require(node, "path", path)
+    if not isinstance(rel, str):
+        _fail(f"{path}.path", "expected a file path string")
+    try:
+        return CoefficientSequence.from_file(base_dir / rel)
+    except (OSError, ValueError) as exc:
+        _fail(path, str(exc))
 
 
 @dataclass(frozen=True)
 class Problem:
     name: str
-    dimension: int
-    norm_kind: str
     bv: BVFunction
     certificate: TauberianCertificate
     growth: GrowthBound | None
@@ -223,7 +227,8 @@ def load_problem(path) -> Problem:
     """Parse and validate one problem file into package objects."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), parse_constant=lambda token: _fail(
+            str(path), f"invalid JSON ({token} is not a number in strict JSON)"))
     except OSError as exc:
         raise ProblemFormatError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -241,7 +246,7 @@ def load_problem(path) -> Problem:
     extension = _build_extension(raw["extension"], f"{path}.extension") if "extension" in raw else None
 
     if "dirichlet" in raw:
-        for key in ("dimension", "jumps", "densities", "certificate", "cutoff"):
+        for key in ("dimension", "jumps", "densities", "certificate", "cutoff", "f0"):
             if key in raw:
                 _fail(f"{path}.{key}", "not allowed alongside a 'dirichlet' block")
         node = raw["dirichlet"]
@@ -258,8 +263,7 @@ def load_problem(path) -> Problem:
         f0 = instance.f0
         if "f0" in node:
             f0 = _as_vector(node["f0"], instance.bv.dimension, f"{path}.dirichlet.f0")
-        return Problem(name=name, dimension=instance.bv.dimension, norm_kind=norm_kind,
-                       bv=instance.bv, certificate=instance.certificate, growth=growth,
+        return Problem(name=name, bv=instance.bv, certificate=instance.certificate, growth=growth,
                        extension=extension, f0=f0, dirichlet=instance, source=str(path))
 
     dimension = raw.get("dimension", 1)
@@ -298,8 +302,7 @@ def load_problem(path) -> Problem:
     cert = _build_certificate(_require(raw, "certificate", str(path)), cutoff, f"{path}.certificate")
 
     f0 = _as_vector(raw["f0"], dimension, f"{path}.f0") if "f0" in raw else None
-    return Problem(name=name, dimension=dimension, norm_kind=norm_kind, bv=bv,
-                   certificate=cert, growth=growth, extension=extension, f0=f0,
+    return Problem(name=name, bv=bv, certificate=cert, growth=growth, extension=extension, f0=f0,
                    dirichlet=None, source=str(path))
 
 

@@ -25,6 +25,7 @@ from .transform import TauberianCertificate
 
 BRANCH_OPT_INSIDE = "opt_inside"
 BRANCH_CUTOFF_LIMITED = "cutoff_limited"
+_BALANCE_TOL = 1e-6  # largest |log-gap| of r_opt's balanced terms
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,7 @@ def bound_B(cert: TauberianCertificate, M: GrowthBound, t: float, R: float) -> f
     return first + second + third
 
 
-def r_opt(cert: TauberianCertificate, M: GrowthBound, t,
-          balance_tol: float = 1e-6) -> float | np.ndarray:
+def r_opt(cert: TauberianCertificate, M: GrowthBound, t) -> float | np.ndarray:
     """Radius balancing the first and third terms: m_log_inverse(t / 4), elementwise.
 
     The balance 10 C / R = 2 R M(R)^2 e^{-t/(2M(R))} is re-verified on every
@@ -75,7 +75,7 @@ def r_opt(cert: TauberianCertificate, M: GrowthBound, t,
     log_first = math.log(10.0 * cert.C) - np.log(a)
     log_third = math.log(2.0) + np.log(a) + 2.0 * np.log(Ma) - flat / (2.0 * Ma)
     gap = np.abs(log_first - log_third)
-    bad = np.flatnonzero(gap > balance_tol)
+    bad = np.flatnonzero(gap > _BALANCE_TOL)
     if bad.size:
         i = bad[0]
         raise at_index(ArithmeticError(

@@ -19,7 +19,8 @@ one complex exponential per jump.  ``improper_laplace`` takes any number of
 points in one call: it sums int_[0, t*_i) e^{-z_i s} dA(s) with the
 block-Taylor jump kernel of ``bv`` (every weight has modulus <= 1 for
 Re z > 0 and s >= 0), so N jumps cost O(N P) moments once, not one
-exponential per jump and point.
+exponential per jump and point.  A truncation point past _T_CAP is refused
+with TruncationCapError, which reports the tail bound the cap achieves.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import numpy as np
 
 from .bv import BVFunction, _exp_range_integral, stieltjes_integral
 from .growth import CutoffRule, at_index
+
+_T_CAP = 1e4  # largest truncation point improper_laplace accepts
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,7 @@ def tail_bound(c: float, x: float, y: float) -> float:
     return c * (3.0 + abs(y) / x)
 
 
-def _truncation(cert: TauberianCertificate, z: complex, target_err: float,
-                t_cap: float) -> tuple[float, float]:
+def _truncation(cert: TauberianCertificate, z: complex, target_err: float) -> tuple[float, float]:
     """(t*, certified tail bound at t*) for one z with Re z > 0.
 
     Above x0 the line constant C / x needs x <= R(s) at every s >= t*.  R never
@@ -112,15 +114,14 @@ def _truncation(cert: TauberianCertificate, z: complex, target_err: float,
             c = cert.C / cert.x0 * (2.0 - cert.x0 / x)
     amplitude = tail_bound(c, x, y)
     t_star = max(t_from, math.log(amplitude / target_err) / x if amplitude > target_err else 0.0)
-    if t_star > t_cap:
-        achievable = amplitude * math.exp(-x * t_cap)
-        raise TruncationCapError(t_cap, achievable, target_err)
+    if t_star > _T_CAP:
+        achievable = amplitude * math.exp(-x * _T_CAP)
+        raise TruncationCapError(_T_CAP, achievable, target_err)
     return t_star, amplitude * math.exp(-x * t_star)
 
 
 def improper_laplace(bv: BVFunction, z, cert: TauberianCertificate,
-                     target_err: float = 1e-8, quad_tol: float = 1e-12,
-                     t_cap: float = 1e4) -> TransformPoint:
+                     target_err: float = 1e-8, quad_tol: float = 1e-12) -> TransformPoint:
     """int_0^inf e^{-zs} dA(s) for Re z > 0, truncated with a certified bound.
 
     z is a scalar or a 1-d array of them; an array gives one TransformPoint
@@ -137,7 +138,7 @@ def improper_laplace(bv: BVFunction, z, cert: TauberianCertificate,
     bound = np.empty(flat.size)
     for i, zi in enumerate(flat.tolist()):
         try:
-            t_star[i], bound[i] = _truncation(cert, zi, target_err, t_cap)
+            t_star[i], bound[i] = _truncation(cert, zi, target_err)
         except ValueError as exc:
             raise at_index(exc, i)
     value = _exp_range_integral(bv, flat, 0.0, 0.0, t_star, quad_tol)

@@ -4,7 +4,9 @@ Every check reads sups of ||G(z, t)||, G(z, t) = e^{-Re(z) t} int_0^t e^{zs} dA(
 over a hybrid time grid (uniform base plus geometric refinement just after each
 jump, where suprema are attained as t decreases to the jump) and reports a
 SupReport: the grid supremum, the asserted bound, their margin, and the
-witnessing grid point.  Negative margins are reported, never raised.
+witnessing grid point.  Negative margins are reported, never raised.  REL_TOL is
+the one relative slack of every verdict: SupReport.passed, the ratio hypothesis
+the bounds assume, and the contour and dirichlet verdicts of the CLI.
 check_certificate is the one sup check: it takes a certificate (C, x0, T, R(t))
 and reports the ratio condition and the line, tail and small-x bounds it
 yields at x0, from one batched sweep that takes each abscissa once.  The
@@ -32,24 +34,9 @@ from .growth import GrowthBound
 from .transform import TauberianCertificate, tail_bound
 from .vectors import vector_norm
 
-HYPOTHESIS_SLACK = 1e-9  # relative slack when pre-checking a hypothesis on a grid
+REL_TOL = 1e-9  # relative slack of a verdict: a margin >= -REL_TOL |bound| passes
 _TAIL_REMAINDER_TOL = 1e-6  # the tail bound's certified remainder past its truncation point
 _STRIP_DEPTHS = (0.0, 0.05, 0.25, 0.5, 0.75, 0.98)  # fractions of the strip width 1/M(|y|)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    t_max: float
-    base_points: int
-    jump_points: int
-    jump_window: float
-    refined_jumps: int
-    total_points: int
-
-    def describe(self) -> str:
-        return (f"t in [0, {self.t_max:g}], {self.base_points} uniform + "
-                f"{self.jump_points} geometric per jump (window {self.jump_window:g}, "
-                f"{self.refined_jumps} jumps refined), {self.total_points} points")
 
 
 @dataclass(frozen=True)
@@ -66,14 +53,14 @@ class SupReport:
     def margin(self) -> float:
         return self.bound - self.grid_sup
 
-    def passed(self, rel_tol: float = 1e-9) -> bool:
-        return (not self.hypothesis_failed) and self.margin >= -rel_tol * abs(self.bound)
+    def passed(self) -> bool:
+        return (not self.hypothesis_failed) and self.margin >= -REL_TOL * abs(self.bound)
 
 
 def make_t_grid(bv: BVFunction, t_max: float = 50.0, base_points: int = 512,
                 jump_points: int = 64, jump_window: float = 0.1,
-                max_refined_jumps: int = 128) -> tuple[np.ndarray, GridSpec]:
-    """Uniform grid on [0, t_max] plus geometric tails in (tau, tau + window]."""
+                max_refined_jumps: int = 128) -> tuple[np.ndarray, str]:
+    """(grid, description): uniform on [0, t_max] plus geometric tails in (tau, tau + window]."""
     parts = [np.linspace(0.0, t_max, base_points)]
     taus = bv.jump_times[bv.jump_times < t_max][:max_refined_jumps]
     if taus.size and jump_points > 0:
@@ -82,10 +69,8 @@ def make_t_grid(bv: BVFunction, t_max: float = 50.0, base_points: int = 512,
         parts.append(refined[refined <= t_max])
     grid = np.sort(np.concatenate(parts))
     grid = grid[np.diff(grid, prepend=-math.inf) != 0]  # np.unique would import numpy.ma
-    spec = GridSpec(t_max=t_max, base_points=base_points, jump_points=jump_points,
-                    jump_window=jump_window, refined_jumps=int(taus.size),
-                    total_points=int(grid.size))
-    return grid, spec
+    return grid, (f"t in [0, {t_max:g}], {base_points} uniform + {jump_points} geometric per "
+                  f"jump (window {jump_window:g}, {taus.size} jumps refined), {grid.size} points")
 
 
 def make_x_grid(x_min: float, x_max: float, points: int = 64) -> np.ndarray:
@@ -131,18 +116,13 @@ def _sweep_sups(bv: BVFunction, zs, t_grid: np.ndarray, quad_tol: float,
         rows = _partial_rows(bv, np.asarray(zs[b:b + step]), t_grid, held, quad_tol)
         for z, row in zip(zs[b:b + step], rows):
             norms = vector_norm(row, bv.norm_kind)
-            sups[z] = _held_sup(held, norms)
+            value, j = _sup(norms)
+            sups[z] = value, int(held[j])
             if z in masks:
-                ratio[z] = _held_sup(held, norms * z.real, masks[z][held])
+                value, j = _sup(norms * z.real, masks[z][held])
+                ratio[z] = value, int(held[j])
         del rows, row, norms
     return sups, ratio
-
-
-def _held_sup(held: np.ndarray, vals: np.ndarray,
-              mask: np.ndarray | None = None) -> tuple[float, int]:
-    """_sup of vals on the held grid rows, with its witness as a grid index."""
-    value, j = _sup(vals, mask)
-    return value, int(held[j])
 
 
 def _report(case_id: str, found: tuple[float, int], bound: float, x: float, t_grid: np.ndarray,
@@ -209,7 +189,7 @@ def check_certificate(bv: BVFunction, cert: TauberianCertificate,
     xs = list(ratio)
     best = xs[int(np.argmax([ratio[x][0] for x in xs]))]
     reports = [_report("tauberian_condition", ratio[best], cert.C, best.real, t_grid)]
-    holds = sups[complex(x0)][0] <= C * (1.0 + HYPOTHESIS_SLACK)
+    holds = sups[complex(x0)][0] <= C * (1.0 + REL_TOL)
     failed = "" if holds else f"ratio hypothesis fails at x = {x0:g}"
     for v in (0.0, y):
         reports.append(_report(f"line_bound_x{x0:g}_y{v:g}", sups[complex(x0, v)],
@@ -236,22 +216,20 @@ def _strip_norms(f_ext, m_vals: np.ndarray, y: np.ndarray, depths,
     return x, np.asarray(vector_norm(vals, norm_kind), dtype=float).reshape(x.shape)
 
 
-def check_admissibility(f_ext, M: GrowthBound, y_grid=None, x_fracs=_STRIP_DEPTHS,
+def check_admissibility(f_ext, M: GrowthBound, y_grid=None,
                         norm_kind: str = "euclidean") -> SupReport:
-    """Grid check of ||f(x+iy)|| <= M(|y|) on the strip -1/M(|y|) < x <= 0.
+    """Grid check of ||f(x+iy)|| <= M(|y|) on the strip -1/M(|y|) < x <= 0, at _STRIP_DEPTHS.
 
     grid_sup is the worst excess ||f|| - M(|y|) (so admissible means <= 0);
     singular sample points count as +inf excess.
     """
     y_grid = np.linspace(-20.0, 20.0, 801) if y_grid is None else np.asarray(y_grid, float)
-    if len(x_fracs) == 0 or not all(0.0 <= frac < 1.0 for frac in x_fracs):
-        raise ValueError("x_fracs are one or more depth fractions in [0, 1)")
     m_vals = np.asarray(M(np.abs(y_grid)), dtype=float)
-    x, norms = _strip_norms(f_ext, m_vals, y_grid, x_fracs, norm_kind)
+    x, norms = _strip_norms(f_ext, m_vals, y_grid, _STRIP_DEPTHS, norm_kind)
     finite = np.isfinite(norms)
     worst, j = _sup((np.where(finite, norms, math.inf) - m_vals).ravel())
     i, k = divmod(j, y_grid.size)  # the witness's depth row and ordinate
-    note = (f"strip depths {tuple(x_fracs)} of 1/M(|y|), {y_grid.size} ordinates in "
+    note = (f"strip depths {_STRIP_DEPTHS} of 1/M(|y|), {y_grid.size} ordinates in "
             f"[{y_grid.min():g}, {y_grid.max():g}]")
     if not finite.all():
         note += "; singular sample encountered"

@@ -138,6 +138,12 @@ class TestValueAndVariation:
         with pytest.raises(ValueError):
             BVFunction.from_jumps([(0.0, math.nan)])
 
+    @pytest.mark.parametrize("size", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_validation_rejects_a_non_finite_density_scale(self, size):
+        # a nan scale once loaded, and verify then failed inside the weighted sweep
+        with pytest.raises(ValueError, match="density scale must be finite"):
+            DensityPiece(0.0, 1.0, "constant", (1.0, size))
+
     def test_rate_zero_jump_sum_takes_no_exponentials(self, monkeypatch):
         # value_at once took exp of N complex zeros; np.full(idx, 1 + 0j) @ sizes is
         # the same sum, bit for bit

@@ -164,6 +164,30 @@ def test_nonfinite_grid_value_is_input_error(command, problem, grid):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("args, flag, value", [
+    (("contour", "--problem", "problems/exp_density.json", "--t-grid", "2:2:1"),
+     "--residual-tol", "nan"),
+    (("contour", "--problem", "problems/exp_density.json", "--t-grid", "2:2:1"),
+     "--residual-tol", "-1"),
+    (("contour", "--problem", "problems/exp_density.json", "--t-grid", "2:2:1"),
+     "--agreement-tol", "nan"),
+    (("verify", "--problem", "problems/delayed_step.json"), "--quad-tol", "nan"),
+    (("contour", "--problem", "problems/dirichlet_alternating.json", "--t-grid", "3:3:1",
+      "--radius", "1.5"), "--quad-tol", "-1"),
+    (("contour", "--problem", "problems/exp_density.json", "--t-grid", "2:2:1"),
+     "--seed", "-1"),
+], ids=["residual_nan", "residual_negative", "agreement_nan", "quad_nan_jumps_only",
+        "quad_negative_contour", "seed_negative"])
+def test_bad_option_value_is_input_error_naming_the_flag(args, flag, value):
+    # each was read only where something used it: a nan or negative tolerance
+    # failed a verdict (exit 1) or was never read (exit 0), and seed -1 crashed
+    # in default_rng with exit 1
+    res = run(*args, flag, value)
+    assert res.exit_code == 2
+    assert f"Invalid value for '{flag}'" in stderr_of(res)
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("flag, grid", [("--t-grid", "1:inf:3"), ("--x-grid", "1:inf:3"),
                                         ("--t-grid", "inf,nan")])
 def test_nonfinite_grid_end_is_input_error(flag, grid):
@@ -238,8 +262,8 @@ class TestVerify:
         res = run("verify", "--problem", "problems/delayed_step.json", "--out", str(out))
         assert res.exit_code == 0, res.output
         meta = json.loads((tmp_path / "verify.csv.meta.json").read_text())
-        _, spec = make_t_grid(load_problem("problems/delayed_step.json").bv)
-        assert meta["t_grid"] == spec.describe() == (
+        _, described = make_t_grid(load_problem("problems/delayed_step.json").bv)
+        assert meta["t_grid"] == described == (
             "t in [0, 50], 512 uniform + 64 geometric per jump (window 0.1, 1 jumps refined), "
             "576 points")
 

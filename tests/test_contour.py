@@ -94,12 +94,14 @@ class TestGeometry:
 
     @pytest.mark.parametrize("M, R, t", [(GrowthBound.affine(1.25), 2.0, 5.0), (M2, 1.0, 0.5),
                                          (M2, 7.5, 12.0)], ids=["affine", "unit_R", "wide"])
-    def test_budget_error_reports_the_exact_node_count(self, M, R, t):
+    def test_budget_error_reports_the_exact_node_count(self, M, R, t, monkeypatch):
         nodes = build_contour(M, R, t).total_nodes
+        monkeypatch.setattr(contour_module, "_MAX_NODES", nodes - 1)
         with pytest.raises(ContourBudgetError, match=f"needs {nodes} nodes") as info:
-            build_contour(M, R, t, max_nodes=nodes - 1)
+            build_contour(M, R, t)
         assert info.value.required_nodes == nodes
-        assert build_contour(M, R, t, max_nodes=nodes).total_nodes == nodes
+        monkeypatch.setattr(contour_module, "_MAX_NODES", nodes)
+        assert build_contour(M, R, t).total_nodes == nodes
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -121,11 +123,12 @@ class TestCauchyIdentity:
 
     def test_report_fields(self):
         bv, ext = exp_density_pair()
-        rep = cauchy_identity_report(evaluate_contour(bv, ext, M2, 5.0, 2.0))
+        ev = evaluate_contour(bv, ext, M2, 5.0, 2.0)
+        rep = cauchy_identity_report(ev)
         # reference A(t) - f(0) = (1 - e^{-t}) - 1 = -e^{-t}
         assert rep.reference[0] == pytest.approx(-math.exp(-5.0), rel=1e-12)
         assert rep.abs_error <= 1e-12
-        assert rep.total_nodes > 0
+        assert ev.total_nodes > 0
         assert rep.remainder_bound == 0.0  # no jumps, nothing truncated
 
     def test_zero_instance_numerator(self):

@@ -108,8 +108,7 @@ class TestBuildInstance:
 
     def test_certificate_fields(self):
         inst = build_instance(CoefficientSequence.alternating(), n_max=100)
-        assert inst.d_constant == 1.0
-        assert inst.certificate.C == pytest.approx(math.e)
+        assert inst.certificate.C == math.e  # max(sup ||b_n||, 1) e with sup ||b_n|| = 1
         assert inst.certificate.x0 == 1.0
         assert inst.certificate.R_rule(2.0) == pytest.approx(math.exp(2.0))
         assert inst.t_max == pytest.approx(math.log(100.0))
@@ -284,12 +283,6 @@ class TestAdmissibility:
         with pytest.raises(ValueError, match="singular"):
             calibrate_affine_growth(ext)
 
-    def test_x_fracs_validated(self):
-        # no depth at all would be a vacuous check, not an admissible strip
-        for x_fracs in ((1.5,), ()):
-            with pytest.raises(ValueError, match="depth fractions"):
-                check_admissibility(EtaShiftExtension(), GrowthBound.affine(1.25),
-                                    x_fracs=x_fracs)
 
 
 def test_f0_provenance_is_not_a_literal():

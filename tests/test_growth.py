@@ -54,6 +54,17 @@ class TestGrowthBound:
         with pytest.raises(ValueError):
             GrowthBound.power(1.0, -1.0)
 
+    @pytest.mark.parametrize("kind, params", [("constant", {"c": math.inf}),
+                                              ("power", {"c": 1.0, "alpha": math.inf}),
+                                              ("log", {"c": 1.0, "beta": math.inf}),
+                                              ("exp", {"c": 1.0, "kappa": math.inf})])
+    def test_non_finite_parameter_is_refused(self, kind, params):
+        # M = inf off s = 0 once passed the certification grid, and rate printed
+        # an empty table with T' = inf
+        name = list(params)[-1]
+        with pytest.raises(ValueError, match=f"growth parameter {name} must be finite"):
+            GrowthBound(kind, **params)
+
     def test_describe_mentions_kind(self):
         assert "affine" in GrowthBound.affine(2.0).describe()
         assert [M.describe() for M in (GrowthBound.constant(2.0), GrowthBound.power(1.0, 0.8),

@@ -29,7 +29,7 @@ def write(tmp_path, payload):
 def test_shipped_problems_load(path):
     prob = load_problem(path)
     assert prob.name
-    assert prob.dimension >= 1
+    assert prob.bv.dimension >= 1
 
 
 def test_delayed_step_contents():
@@ -175,6 +175,40 @@ def test_dirichlet_block_excludes_direct_data(tmp_path):
         "jumps": [{"t": 1, "value": [1.0]}],
     })
     with pytest.raises(ProblemFormatError):
+        load_problem(p)
+
+
+@pytest.mark.parametrize("payload, where", [
+    ({"name": "d", "dirichlet": {"coefficients": "alternating", "n_max": 100}, "f0": 5.0}, "f0"),
+    (dict(name="c", certificate={"C": 1, "x0": 1}, jumps=[{"t": 1, "value": [1.0]}],
+          cutoff={"kind": "exp_t", "value": 3}), "cutoff.value"),
+    (dict(name="c", certificate={"C": 1, "x0": 1}, jumps=[{"t": 1, "value": [1.0]}],
+          cutoff={"kind": "infinite", "value": 3}), "cutoff.value"),
+    ({"name": "d", "dirichlet": {"coefficients": {"kind": "alternating", "values": [5, 6]},
+                                 "n_max": 100}}, "dirichlet.coefficients.values"),
+    ({"name": "d", "dirichlet": {"coefficients": {"kind": "periodic", "values": [1.0, -1.0],
+                                                  "path": "c.txt"}, "n_max": 10}},
+     "dirichlet.coefficients.path"),
+], ids=["dirichlet_f0", "exp_t_value", "infinite_value", "rule_values", "periodic_path"])
+def test_keys_the_kind_does_not_read_are_refused(tmp_path, payload, where):
+    # each loaded once and was ignored: f0 stayed log 2, the table stayed [1, -1]
+    with pytest.raises(ProblemFormatError, match=re.escape(f"case.json.{where}:")):
+        load_problem(write(tmp_path, payload))
+
+
+@pytest.mark.parametrize("entry, token", [
+    ('"growth": {"kind": "constant", "params": {"c": Infinity}}', "Infinity"),
+    ('"growth": {"kind": "power", "params": {"c": 1.0, "alpha": Infinity}}', "Infinity"),
+    ('"densities": [{"from": 0, "to": 1, "kind": "constant", "scale": [NaN]}]', "NaN"),
+    ('"f0": [-Infinity]', "-Infinity"),
+], ids=["growth_c", "growth_alpha", "density_scale", "f0"])
+def test_non_json_number_tokens_are_refused(tmp_path, entry, token):
+    # Python's json reads these tokens: rate then printed an empty table, and
+    # its sidecar held the non-JSON values Infinity and NaN
+    p = tmp_path / "case.json"
+    p.write_text('{"name": "x", "certificate": {"C": 1, "x0": 1}, '
+                 '"jumps": [{"t": 1, "value": [1.0]}], ' + entry + "}")
+    with pytest.raises(ProblemFormatError, match=re.escape(f"({token} is not a number")):
         load_problem(p)
 
 
