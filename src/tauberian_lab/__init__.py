@@ -18,15 +18,13 @@ from .dirichlet import (CoefficientSequence, DecayRow, DirichletInstance,
                         build_instance, partial_sum_decay)
 from .growth import (CutoffRule, GrowthBound, GrowthDomainError, branch_start,
                      m_log, m_log_inverse)
-from .problems import (BoundedDensityInstance, Problem, ProblemFormatError,
-                       bounded_density_instance, load_problem)
+from .problems import Problem, ProblemFormatError, load_problem
 from .rates import (RateResult, bound_B, decay_rate, k_prime, r_opt, t_prime,
                     t_prime_second_term_clamped)
 from .transform import (TauberianCertificate, TransformPoint,
                         TruncationCapError, finite_laplace, improper_laplace)
 from .vectors import vector_norm
-from .verify import (SupReport, calibrate_affine_growth, check_admissibility,
-                     check_certificate, make_t_grid, make_x_grid)
+from .verify import SupReport, check_admissibility, check_certificate, make_t_grid, make_x_grid
 
 __all__ = [
     "__version__",
@@ -36,8 +34,7 @@ __all__ = [
     "ContourSpec", "EtaShiftExtension", "RationalExtension", "build_contour",
     "cauchy_identity_report", "contour_dump",
     "evaluate_contour", "extension_agreement", "fudge_factor", "term_bounds",
-    "BoundedDensityInstance", "CoefficientSequence", "DecayRow",
-    "DirichletInstance", "bounded_density_instance", "build_instance",
+    "CoefficientSequence", "DecayRow", "DirichletInstance", "build_instance",
     "partial_sum_decay",
     "CutoffRule", "GrowthBound", "GrowthDomainError", "branch_start",
     "m_log", "m_log_inverse",
@@ -47,6 +44,5 @@ __all__ = [
     "TauberianCertificate", "TransformPoint", "TruncationCapError",
     "finite_laplace", "improper_laplace",
     "vector_norm",
-    "SupReport", "calibrate_affine_growth", "check_admissibility",
-    "check_certificate", "make_t_grid", "make_x_grid",
+    "SupReport", "check_admissibility", "check_certificate", "make_t_grid", "make_x_grid",
 ]

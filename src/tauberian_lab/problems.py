@@ -4,18 +4,15 @@ Complex numbers are written as a plain number (real) or a two-element
 [re, im] list; vectors are lists of those.  Unknown keys anywhere, and keys
 that the chosen kind does not read, are an error that names the offending
 path, so typos fail loudly instead of being silently ignored.  NaN, Infinity
-and -Infinity are not JSON and are refused as such.
-
-The bounded-density instances at the end are the same kind of verification
-instance built in code: a density with ||a|| <= c0 and its rational
-extension.
+and -Infinity are not JSON and are refused as such, and so is a number that
+overflows to infinity (1e400).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,28 +47,35 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _is_number(node) -> bool:
+    return isinstance(node, (int, float)) and not isinstance(node, bool)
+
+
 def _as_float(node, path: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
+    if not _is_number(node):
         _fail(path, f"expected a number, got {node!r}")
-    return float(node)
+    try:
+        value = float(node)
+    except OverflowError:  # an integer literal past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        _fail(path, "expected a finite number, got one that overflows to infinity")
+    return value
 
 
 def _as_complex(node, path: str) -> complex:
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return complex(node)
-    if (isinstance(node, list) and len(node) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node)):
-        return complex(node[0], node[1])
+    if _is_number(node):
+        return complex(_as_float(node, path))
+    if isinstance(node, list) and len(node) == 2 and all(map(_is_number, node)):
+        return complex(_as_float(node[0], f"{path}[0]"), _as_float(node[1], f"{path}[1]"))
     _fail(path, f"expected a number or [re, im] pair, got {node!r}")
 
 
 def _as_vector(node, dimension: int, path: str) -> np.ndarray:
     if not isinstance(node, list):
         _fail(path, f"expected a list of {dimension} components")
-    if isinstance(node, list) and len(node) == 2 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in node) and dimension == 1:
-        # a bare [re, im] pair is a 1-vector
-        return np.asarray([complex(node[0], node[1])])
+    if dimension == 1 and len(node) == 2 and all(map(_is_number, node)):
+        return np.asarray([_as_complex(node, path)])  # a bare [re, im] pair is a 1-vector
     if len(node) != dimension:
         _fail(path, f"expected {dimension} components, got {len(node)}")
     return np.asarray([_as_complex(v, f"{path}[{i}]") for i, v in enumerate(node)])
@@ -260,11 +264,12 @@ def load_problem(path) -> Problem:
             instance = build_instance(coeffs, n_max=n_max, norm_kind=norm_kind)
         except ValueError as exc:
             _fail(f"{path}.dirichlet", str(exc))
-        f0 = instance.f0
         if "f0" in node:
-            f0 = _as_vector(node["f0"], instance.bv.dimension, f"{path}.dirichlet.f0")
+            where = f"{path}.dirichlet.f0"
+            instance = replace(instance, f0=_as_vector(node["f0"], instance.bv.dimension, where),
+                               f0_provenance=f"problem file: {where}")
         return Problem(name=name, bv=instance.bv, certificate=instance.certificate, growth=growth,
-                       extension=extension, f0=f0, dirichlet=instance, source=str(path))
+                       extension=extension, f0=instance.f0, dirichlet=instance, source=str(path))
 
     dimension = raw.get("dimension", 1)
     if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
@@ -304,48 +309,3 @@ def load_problem(path) -> Problem:
     f0 = _as_vector(raw["f0"], dimension, f"{path}.f0") if "f0" in raw else None
     return Problem(name=name, bv=bv, certificate=cert, growth=growth, extension=extension, f0=f0,
                    dirichlet=None, source=str(path))
-
-
-# -- bounded-density instances ----------------------------------------------------
-
-DENSITY_INSTANCE_KINDS = ("cosine", "decaying_exp", "constant")
-
-
-@dataclass(frozen=True)
-class BoundedDensityInstance:
-    bv: BVFunction
-    certificate: TauberianCertificate
-    extension: object       # callable z -> f(z), valid off the density's poles
-    kind: str
-
-
-def bounded_density_instance(kind: str, c0: float = 1.0,
-                             norm_kind: str = "euclidean") -> BoundedDensityInstance:
-    """dA = a(s) ds with ||a|| <= c0: the certificate holds with C = c0, any x0.
-
-    The weighted partials are x e^{-xt} int_0^t e^{xs} a(s) ds, bounded by
-    c0 (1 - e^{-xt}) <= c0 uniformly in x > 0, so no cutoff is needed.
-    """
-    if c0 <= 0:
-        raise ValueError("density amplitude must be positive")
-    if kind == "cosine":
-        piece = DensityPiece(start=0.0, end=math.inf, kind="exponential",
-                             scale=(0.5 * c0,), rate=1j)
-        piece2 = DensityPiece(start=0.0, end=math.inf, kind="exponential",
-                              scale=(0.5 * c0,), rate=-1j)
-        bv = BVFunction(dimension=1, pieces=(piece, piece2), norm_kind=norm_kind)
-        ext = RationalExtension(numerator=(0.0, c0), denominator=(1.0, 0.0, 1.0))
-    elif kind == "decaying_exp":
-        piece = DensityPiece(start=0.0, end=math.inf, kind="exponential",
-                             scale=(c0,), rate=-1.0)
-        bv = BVFunction(dimension=1, pieces=(piece,), norm_kind=norm_kind)
-        ext = RationalExtension(numerator=(c0,), denominator=(1.0, 1.0))
-    elif kind == "constant":
-        piece = DensityPiece(start=0.0, end=math.inf, kind="constant", scale=(c0,))
-        bv = BVFunction(dimension=1, pieces=(piece,), norm_kind=norm_kind)
-        ext = RationalExtension(numerator=(c0,), denominator=(0.0, 1.0))
-    else:
-        raise ValueError(f"unknown bounded-density kind {kind!r}; "
-                         f"choose from {DENSITY_INSTANCE_KINDS}")
-    cert = TauberianCertificate(C=c0, x0=1.0, T=0.0, R_rule=CutoffRule.infinite())
-    return BoundedDensityInstance(bv=bv, certificate=cert, extension=ext, kind=kind)

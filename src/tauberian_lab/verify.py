@@ -18,8 +18,8 @@ each first point of a ratio mask.  Elsewhere G only decays, so each sup and
 its first witness are bitwise those of the full grid.
 
 The growth hypothesis ||f(z)|| <= M(|Im z|) on the strip -1/M(|y|) < Re z <= 0
-is checked, and an affine M fitted to it, on one scan of the strip: every
-depth of _STRIP_DEPTHS times every ordinate, in one call of the extension.
+is checked on one scan of the strip: every depth of _STRIP_DEPTHS times every
+ordinate, in one call of the extension.
 """
 
 from __future__ import annotations
@@ -208,14 +208,6 @@ def check_certificate(bv: BVFunction, cert: TauberianCertificate,
 # -- growth-bound admissibility on the left strip ----------------------------------
 
 
-def _strip_norms(f_ext, m_vals: np.ndarray, y: np.ndarray, depths,
-                 norm_kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """x = -depth / M(|y|) and ||f(x + iy)||, one row per depth, from one call of f_ext."""
-    x = -np.asarray(depths, dtype=float)[:, None] / m_vals
-    vals = np.asarray(f_ext((x + 1j * y).ravel()), dtype=complex).reshape(x.size, -1)
-    return x, np.asarray(vector_norm(vals, norm_kind), dtype=float).reshape(x.shape)
-
-
 def check_admissibility(f_ext, M: GrowthBound, y_grid=None,
                         norm_kind: str = "euclidean") -> SupReport:
     """Grid check of ||f(x+iy)|| <= M(|y|) on the strip -1/M(|y|) < x <= 0, at _STRIP_DEPTHS.
@@ -225,7 +217,9 @@ def check_admissibility(f_ext, M: GrowthBound, y_grid=None,
     """
     y_grid = np.linspace(-20.0, 20.0, 801) if y_grid is None else np.asarray(y_grid, float)
     m_vals = np.asarray(M(np.abs(y_grid)), dtype=float)
-    x, norms = _strip_norms(f_ext, m_vals, y_grid, _STRIP_DEPTHS, norm_kind)
+    x = -np.asarray(_STRIP_DEPTHS, dtype=float)[:, None] / m_vals
+    vals = np.asarray(f_ext((x + 1j * y_grid).ravel()), dtype=complex).reshape(x.size, -1)
+    norms = np.asarray(vector_norm(vals, norm_kind), dtype=float).reshape(x.shape)
     finite = np.isfinite(norms)
     worst, j = _sup((np.where(finite, norms, math.inf) - m_vals).ravel())
     i, k = divmod(j, y_grid.size)  # the witness's depth row and ordinate
@@ -234,42 +228,3 @@ def check_admissibility(f_ext, M: GrowthBound, y_grid=None,
     if not finite.all():
         note += "; singular sample encountered"
     return _report("admissibility", (worst, k), 0.0, float(x[i, k]), y_grid, note=note)
-
-
-def calibrate_affine_growth(f_ext, y_max: float = 20.0, safety: float = 1.25,
-                            y_points: int = 481,
-                            norm_kind: str = "euclidean") -> GrowthBound:
-    """Fit M(s) = c (1 + s) so that f stays below M on its own left strip.
-
-    Fixed-point scan: start from the imaginary axis, re-scan the strip the
-    candidate defines, enlarge c until stable, then apply the safety factor.
-    The result is empirically admissible on the scanned window only; it is
-    not a proof of admissibility.
-    """
-    if safety < 1.0:
-        raise ValueError("safety factor must be >= 1")
-    y = np.linspace(-y_max, y_max, y_points)
-    scale = 1.0 + np.abs(y)
-
-    def needed_c(candidate: float) -> float:
-        _, norms = _strip_norms(f_ext, candidate * scale, y, _STRIP_DEPTHS, norm_kind)
-        if not np.all(np.isfinite(norms)):
-            raise ValueError(
-                "extension is singular on the candidate strip; affine growth "
-                "cannot be calibrated on this window")
-        return max(1.0, float(np.max(norms / scale)))
-
-    c = needed_c(1.0)
-    for _ in range(8):
-        c_next = needed_c(c)
-        if c_next <= c * (1.0 + 1e-9):
-            break
-        c = c_next
-    c *= safety
-    M = GrowthBound.affine(c)
-    report = check_admissibility(f_ext, M, y_grid=y, norm_kind=norm_kind)
-    if not report.grid_sup <= 0.0:
-        raise ArithmeticError(
-            f"calibrated affine bound c = {c:.6g} still violated by "
-            f"{report.grid_sup:.3g} at y = {report.witness_t:g}")
-    return M

@@ -397,6 +397,19 @@ class TestDirichlet:
         assert res.exit_code == 2
         assert "n_max" in stderr_of(res)
 
+    @pytest.mark.parametrize("coefficients", ["alternating", "ones"])
+    def test_sidecar_names_the_source_of_a_block_f0(self, tmp_path, coefficients):
+        # the sidecar said "accelerated alternating series ..." or null for a block f0
+        p = tmp_path / "f0.json"
+        p.write_text(json.dumps({"dirichlet": {"coefficients": coefficients, "n_max": 1000,
+                                               "f0": [0.5]},
+                                 "growth": {"kind": "affine", "params": {"c": 1.25}}}))
+        out = tmp_path / "d.csv"
+        res = run("dirichlet", "--problem", str(p), "--t-grid", "2:6:2", "--out", str(out))
+        assert res.exit_code == 0, stderr_of(res)
+        meta = json.loads((tmp_path / "d.csv.meta.json").read_text())
+        assert meta["f0_provenance"] == f"problem file: {p}.dirichlet.f0"
+
     def test_needs_dirichlet_block(self):
         res = run("dirichlet", "--problem", "problems/exp_density.json")
         assert res.exit_code == 2

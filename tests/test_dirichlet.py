@@ -1,4 +1,5 @@
-"""Dirichlet-series instances, bounded densities, and growth admissibility."""
+"""Dirichlet-series instances, the certificate on them and on a bounded density,
+and growth admissibility on the left strip."""
 
 import math
 
@@ -6,14 +7,17 @@ import numpy as np
 import pytest
 
 from tauberian_lab import (
+    BVFunction,
     CoefficientSequence,
+    DensityPiece,
     EtaShiftExtension,
     GrowthBound,
-    bounded_density_instance,
+    RationalExtension,
+    TauberianCertificate,
     build_instance,
-    calibrate_affine_growth,
     check_admissibility,
     check_certificate,
+    improper_laplace,
     partial_sum_decay,
     vector_norm,
 )
@@ -193,38 +197,21 @@ class TestTauberianConditionForInstances:
         assert report.grid_sup <= math.e
 
     def test_bounded_density_sup_at_most_c0(self):
-        inst = bounded_density_instance("decaying_exp", c0=1.0)
-        report = check_certificate(inst.bv, inst.certificate,
+        # dA = a(s) ds with |a| <= c0 = 1: x e^{-xt} int_0^t e^{xs} |a(s)| ds <= 1 - e^{-xt}
+        bv = BVFunction.from_density("exponential", rate=-1.0)
+        report = check_certificate(bv, TauberianCertificate(C=1.0, x0=1.0),
                                    x_grid=np.geomspace(1.0, 30.0, 12))[0]
         assert report.passed()
         assert report.grid_sup <= 1.0 + 1e-9
 
 
 class TestBoundedDensityInstances:
-    def test_kinds_and_extensions(self):
-        cos_inst = bounded_density_instance("cosine")
-        z = np.asarray([1.0 + 0.5j])
-        got = np.asarray(cos_inst.extension(z))[0]
-        assert got == pytest.approx(z[0] / (1.0 + z[0] ** 2), rel=1e-12)
-
-        dec = bounded_density_instance("decaying_exp", c0=2.0)
-        assert np.asarray(dec.extension(np.asarray([1.0 + 0j])))[0] == pytest.approx(1.0)
-
-        const = bounded_density_instance("constant")
-        assert np.asarray(const.extension(np.asarray([2.0 + 0j])))[0] == pytest.approx(0.5)
-
-        with pytest.raises(ValueError, match="kind"):
-            bounded_density_instance("sawtooth")
-        with pytest.raises(ValueError):
-            bounded_density_instance("cosine", c0=-1.0)
-
     def test_cosine_transform_matches_density(self):
-        # int_0^t e^{-zs} cos s ds approaches z/(1+z^2) as t grows
-        from tauberian_lab import TauberianCertificate, improper_laplace
-
-        inst = bounded_density_instance("cosine")
+        # int_0^t e^{-zs} cos s ds approaches z/(1+z^2) as t grows; cos s = (e^{is} + e^{-is})/2
+        cosine = BVFunction.from_jumps([], pieces=tuple(
+            DensityPiece(0.0, math.inf, "exponential", (0.5,), rate) for rate in (1j, -1j)))
         z = 1.3 + 0.0j
-        point = improper_laplace(inst.bv, z, inst.certificate, target_err=1e-9)
+        point = improper_laplace(cosine, z, TauberianCertificate(C=1.0, x0=1.0), target_err=1e-9)
         assert point.value[0] == pytest.approx(z / (1.0 + z * z), abs=1e-8)
 
 
@@ -232,56 +219,28 @@ class TestAdmissibility:
     def test_cosine_extension_violates_near_poles(self):
         # z/(1+z^2) blows up near z = +-i: inside the strip of M = 2 the
         # bound fails around |y| = 1
-        inst = bounded_density_instance("cosine")
-        report = check_admissibility(inst.extension, GrowthBound.constant(2.0))
+        ext = RationalExtension((0.0, 1.0), (1.0, 0.0, 1.0))
+        report = check_admissibility(ext, GrowthBound.constant(2.0))
         assert report.grid_sup > 0.0
         assert abs(abs(report.witness_t) - 1.0) <= 0.1
 
     def test_decaying_exp_extension_is_admissible(self):
         # 1/(1+z) is bounded by 2 on the whole strip of M = 2 away from -1
-        inst = bounded_density_instance("decaying_exp")
-        report = check_admissibility(inst.extension, GrowthBound.constant(2.0))
+        ext = RationalExtension((1.0,), (1.0, 1.0))
+        report = check_admissibility(ext, GrowthBound.constant(2.0))
         assert report.grid_sup <= 0.0
         assert "strip depths" in report.note
 
     def test_singular_sample_reported(self):
-        from tauberian_lab import RationalExtension
-
         ext = RationalExtension((1.0,), (0.0, 1.0))  # 1/z singular at 0
         report = check_admissibility(ext, GrowthBound.constant(2.0))
         assert math.isinf(report.grid_sup)
         assert "singular" in report.note
 
     def test_eta_shift_admissible_after_calibration(self):
-        ext = EtaShiftExtension()
-        M = calibrate_affine_growth(ext)
-        # deterministic fixed point: needed c = 1, times the 1.25 safety
-        assert M(0.0) == pytest.approx(1.25, rel=1e-9)
-        report = check_admissibility(ext, M)
+        # the affine c = 1.25 of dirichlet_alternating.json holds on the default window
+        report = check_admissibility(EtaShiftExtension(), GrowthBound.affine(1.25))
         assert report.grid_sup <= 0.0
-
-    def test_calibration_scans_the_admissibility_depths(self):
-        # every depth fraction check_admissibility samples is sampled at the
-        # first candidate c = 1, where -Re z (1 + |Im z|) is the fraction itself
-        from tauberian_lab.verify import _STRIP_DEPTHS
-
-        ext, seen = EtaShiftExtension(), []
-
-        def recording(z):
-            seen.append(np.array(z, dtype=complex))
-            return ext(z)
-
-        assert calibrate_affine_growth(recording)(0.0) == calibrate_affine_growth(ext)(0.0)
-        z = np.concatenate([np.ravel(batch) for batch in seen])
-        depths = set(np.round(-z.real * (1.0 + np.abs(z.imag)), 12).tolist())
-        assert set(_STRIP_DEPTHS) <= depths
-
-    def test_calibration_rejects_singular_window(self):
-        from tauberian_lab import RationalExtension
-
-        ext = RationalExtension((1.0,), (0.0, 1.0))
-        with pytest.raises(ValueError, match="singular"):
-            calibrate_affine_growth(ext)
 
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -10,13 +11,7 @@ from click.testing import CliRunner
 from tauberian_lab import ProblemFormatError, load_problem
 from tauberian_lab.cli import main
 
-SHIPPED = [
-    "problems/delayed_step.json",
-    "problems/exp_density.json",
-    "problems/rate_constant_growth.json",
-    "problems/dirichlet_alternating.json",
-    "problems/dirichlet_ones.json",
-]
+SHIPPED = [str(p) for p in sorted(Path("problems").glob("*.json"))]
 
 
 def write(tmp_path, payload):
@@ -209,6 +204,33 @@ def test_non_json_number_tokens_are_refused(tmp_path, entry, token):
     p.write_text('{"name": "x", "certificate": {"C": 1, "x0": 1}, '
                  '"jumps": [{"t": 1, "value": [1.0]}], ' + entry + "}")
     with pytest.raises(ProblemFormatError, match=re.escape(f"({token} is not a number")):
+        load_problem(p)
+
+
+_WITH_JUMPS = '"certificate": {"C": 1, "x0": 1}, "jumps": [{"t": 1, "value": [1.0]}], '
+
+
+@pytest.mark.parametrize("entry, where", [
+    (_WITH_JUMPS + '"f0": [1e400]', "f0[0]"),
+    (_WITH_JUMPS + '"f0": [1.0, -1e400]', "f0[1]"),
+    ('"dirichlet": {"coefficients": "alternating", "n_max": 100, "f0": [1e400]}',
+     "dirichlet.f0[0]"),
+    (_WITH_JUMPS + '"extension": {"kind": "rational", '
+                   '"params": {"numerator": [1e400], "denominator": [1, 1]}}',
+     "extension.params.numerator[0]"),
+    (_WITH_JUMPS + '"densities": [{"from": 0, "to": 1e400, "kind": "constant", "scale": [1.0]}]',
+     "densities[0].to"),
+    (_WITH_JUMPS + '"growth": {"kind": "constant", "params": {"c": 1' + "0" * 400 + '}}',
+     "growth.params.c"),
+], ids=["f0", "f0_pair", "dirichlet_f0", "rational_numerator", "density_to", "integer_growth_c"])
+def test_numbers_that_overflow_to_infinity_are_refused(tmp_path, entry, where):
+    # json reads 1e400 as inf: a dirichlet f0 then gave decay_norm inf and exit 0, a rational
+    # numerator failed on a contour node, "to": 1e400 meant "inf", and a 400-digit integer
+    # raised OverflowError
+    p = tmp_path / "case.json"
+    p.write_text('{"name": "x", ' + entry + "}")
+    with pytest.raises(ProblemFormatError,
+                       match=re.escape(f"case.json.{where}: expected a finite number")):
         load_problem(p)
 
 
