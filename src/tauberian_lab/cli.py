@@ -8,8 +8,6 @@ stderr when printing to stdout); CSV bodies themselves are deterministic.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import sys
@@ -40,12 +38,9 @@ def _fmt(value) -> str:
 
 
 def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+    # No cell can hold a comma, quote or line break (floats print through repr,
+    # text cells are fixed names), so this is csv.writer's minimal quoting.
+    return "".join([",".join(map(_fmt, row)) + "\n" for row in (header, *rows)])
 
 
 def _finish(command: str, prob, out: str | None, header, rows, meta: dict, failures) -> None:
@@ -56,9 +51,9 @@ def _finish(command: str, prob, out: str | None, header, rows, meta: dict, failu
             "norm": prob.bv.norm_kind, **meta, "tool": "tauberian-lab", "version": __version__,
             "generated_at": datetime.now(timezone.utc).isoformat()}
     if out:
-        Path(out).write_text(body)
-        Path(f"{out}.meta.json").write_text(
-            json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")
+        _write(out, "--out", body)
+        _write(f"{out}.meta.json", "--out",
+               json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")
     else:
         click.echo(body, nl=False)
         click.echo(json.dumps(meta, indent=2, sort_keys=True, default=str), err=True)
@@ -71,6 +66,14 @@ def _finish(command: str, prob, out: str | None, header, rows, meta: dict, failu
 def _input_error(message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(EXIT_INPUT)
+
+
+def _write(path: str, flag: str, text: str) -> None:
+    """Write text to path; exit 2 naming the option and the path if that fails."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        _input_error(f"{flag} {path}: {exc.strerror or exc}")
 
 
 def _tolerance(ctx, param, value: float) -> float:
@@ -264,11 +267,8 @@ def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
         failures.append(f"extension disagrees with the transform by {agreement.gap:.3g}")
 
     if dump_path is not None:
-        dump_rows = contour_dump(ev)  # the single t's evaluation
-        Path(dump_path).write_text(_csv_text(
-            ("piece", "s_param", "re z", "im z", "|integrand|"),
-            [(p, float(s), float(re), float(im), float(v))
-             for p, s, re, im, v in dump_rows]))
+        _write(dump_path, "--dump", _csv_text(("piece", "s_param", "re z", "im z", "|integrand|"),
+                                              contour_dump(ev)))  # the single t's evaluation
     meta = {"t_grid": t_grid_spec, "radius": radius, "density": density, "quad_tol": quad_tol,
             "residual_tol": residual_tol, "seed": seed,
             "extension_agreement_gap": agreement.gap,

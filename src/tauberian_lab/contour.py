@@ -331,13 +331,14 @@ def term_bounds(ev: ContourEvaluation,
 
 
 def contour_dump(ev: ContourEvaluation) -> list[tuple]:
-    """Rows (piece, s_param, re z, im z, |integrand|) for plotting."""
+    """Rows (piece, s_param, re z, im z, |integrand|) of Python floats, for plotting."""
     rows: list[tuple] = []
     for term in ev.terms:
         for p in term:
             q = p.piece
             vals = np.asarray(vector_norm(p.F, ev.bv.norm_kind), dtype=float) * np.abs(p.g)
-            rows.extend(zip([q.name] * q.nodes.size, q.params, q.nodes.real, q.nodes.imag, vals))
+            rows.extend(zip([q.name] * q.nodes.size, q.params.tolist(), q.nodes.real.tolist(),
+                            q.nodes.imag.tolist(), vals.tolist()))
     return rows
 
 

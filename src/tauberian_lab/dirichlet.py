@@ -80,6 +80,9 @@ class CoefficientSequence:
                 nums = [float(tok) for tok in tokens]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            for tok, num in zip(tokens, nums):
+                if not math.isfinite(num):
+                    raise ValueError(f"{path}:{lineno}: expected finite numbers, got {tok!r}")
             row = [complex(nums[i], nums[i + 1]) for i in range(0, len(nums), 2)]
             if width is None:
                 width = len(row)

@@ -196,6 +196,35 @@ def test_nonfinite_grid_end_is_input_error(flag, grid):
     assert f"{flag} '{grid}': grid values must be finite" in stderr_of(res)
 
 
+@pytest.mark.parametrize("args, flag", [
+    (("rate", "--problem", "problems/rate_constant_growth.json"), "--out"),
+    (("contour", "--problem", "problems/exp_density.json", "--t-grid", "5:5:1"), "--dump"),
+], ids=["out", "dump"])
+def test_unwritable_output_path_is_input_error(tmp_path, args, flag):
+    # a FileNotFoundError traceback exited 1, which reads as a violated bound
+    path = tmp_path / "missing" / "table.csv"
+    res = run(*args, flag, str(path))
+    assert res.exit_code == 2
+    assert f"error: {flag} {path}: No such file or directory" in stderr_of(res)
+
+
+def test_csv_text_is_csv_writers_minimal_quoting():
+    import csv
+    import io
+
+    from tauberian_lab.cli import _csv_text, _fmt
+
+    header = ("case_id", "x", "y", "z")
+    rows = [("ratio_condition", math.nan, math.inf, -math.inf),
+            ("line_bound", -0.0, 5e-324, 1e308), ("gamma2_top", 3, 0.1, -2.5e-17)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    assert _csv_text(header, rows) == buf.getvalue()
+    assert _csv_text(header, rows).splitlines()[2] == "line_bound,-0.0,5e-324,1e+308"
+
+
 class TestVerify:
     def test_delayed_step_passes(self):
         res = run("verify", "--problem", "problems/delayed_step.json",

@@ -337,6 +337,8 @@ class TestContourDump:
             assert math.isfinite(float(s_param))
             assert math.isfinite(float(re_z)) and math.isfinite(float(im_z))
             assert float(mag) >= 0.0
+        # Python floats, not numpy scalars: the CLI formats them without converting
+        assert all(type(cell) is float for r in rows for cell in r[1:])
         assert len(contour_dump(evaluate_contour(bv, ext, M2, 2.0, 5.0))) == build_contour(
             M2, 5.0, 2.0).total_nodes
 

@@ -84,6 +84,11 @@ class TestCoefficientSequence:
         p3.write_text("# nothing here\n")
         with pytest.raises(ValueError, match="no coefficients"):
             CoefficientSequence.from_file(p3)
+        for token in ("nan", "inf", "1e400"):
+            p4 = tmp_path / "nonfinite.txt"
+            p4.write_text(f"1.0 0.0\n{token} 0\n")
+            with pytest.raises(ValueError, match=rf"nonfinite\.txt:2: .* got '{token}'"):
+                CoefficientSequence.from_file(p4)
 
     def test_file_index_overflow_names_source(self, tmp_path):
         p = tmp_path / "short.txt"

@@ -9,10 +9,20 @@ sidecar ``extension_agreement_gap`` must match within 1e-12 absolute.
 Regenerate the expectations, after a deliberate change of output, with
 
     PYTHONPATH=src python tests/test_gallery.py
+
+For a byte-for-byte comparison of two checkouts, run in each (from its root)
+
+    PYTHONPATH=src python tests/test_gallery.py --outputs DIR
+
+which writes every gallery command's exact stdout, exit code and stderr
+(without the sidecar's ``generated_at`` line) into DIR, with each contour
+command's ``--dump`` table beside them; then compare with ``diff -r``.
 """
 
+import argparse
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,6 +70,21 @@ def run_gallery() -> dict[str, dict]:
     return outputs
 
 
+def write_outputs(directory: Path) -> None:
+    """Each gallery command's stdout, exit code and stderr, and each contour dump, in directory."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, args in _commands().items():
+        stem = name.replace(" ", "_")
+        if args[0] == "contour":
+            args = [*args, "--dump", str(directory / f"{stem}.dump.csv")]
+        result = CliRunner().invoke(main, args)
+        (directory / f"{stem}.csv").write_text(result.stdout)
+        (directory / f"{stem}.exit").write_text(f"{result.exit_code}\n")
+        (directory / f"{stem}.stderr").write_text("".join(
+            line for line in result.stderr.splitlines(keepends=True)
+            if '"generated_at":' not in line))
+
+
 def _number(cell: str) -> float | None:
     try:
         return float(cell)
@@ -103,5 +128,29 @@ def test_cell_comparison():
     assert _cell_matches("R_rule_t", "inf", "inf") and not _cell_matches("R_rule_t", "1e308", "inf")
 
 
+def test_outputs_mode_writes_each_command(tmp_path, monkeypatch):
+    subset = {name: args for name, args in _commands().items()
+              if name in ("rate rate_constant_growth", "contour exp_density")}
+    monkeypatch.setattr(sys.modules[__name__], "_commands", lambda: subset)
+    write_outputs(tmp_path / "out")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "contour_exp_density.csv", "contour_exp_density.dump.csv", "contour_exp_density.exit",
+        "contour_exp_density.stderr", "rate_rate_constant_growth.csv",
+        "rate_rate_constant_growth.exit", "rate_rate_constant_growth.stderr"]
+    rate = CliRunner().invoke(main, subset["rate rate_constant_growth"])
+    assert (tmp_path / "out" / "rate_rate_constant_growth.csv").read_text() == rate.stdout
+    assert (tmp_path / "out" / "contour_exp_density.exit").read_text() == "0\n"
+    assert "generated_at" not in (tmp_path / "out" / "contour_exp_density.stderr").read_text()
+    dump = (tmp_path / "out" / "contour_exp_density.dump.csv").read_text()
+    assert dump.startswith("piece,s_param,re z,im z,|integrand|\n")
+
+
 if __name__ == "__main__":
-    EXPECTED.write_text(json.dumps(run_gallery(), indent=1) + "\n")
+    parser = argparse.ArgumentParser(description="Regenerate gallery_expected.json, or with "
+                                     "--outputs write every gallery output into DIR.")
+    parser.add_argument("--outputs", metavar="DIR", type=Path)
+    outputs = parser.parse_args().outputs
+    if outputs is None:
+        EXPECTED.write_text(json.dumps(run_gallery(), indent=1) + "\n")
+    else:
+        write_outputs(outputs)
