@@ -43,9 +43,11 @@ prefix scan (Blelloch 1990) then adds up the steps with the decay
 e^{Re(c) (t_i - t_j)}.  A block spans at most _SCAN_SPAN = 256 in Re(c) t;
 inside it the steps are scaled by e^{Re(c) (t_i - t_block)} <= e^256,
 summed by np.cumsum and scaled back, and a carry passes from one block to
-the next, so there are about |Re c| span(t) / 256 blocks; the scan runs once
-per abscissa, back into the rows array.  The two rounded exponents cost
-each term at most about 2 eps 256 relative (under 6e-14).
+the next, so there are about |Re c| span(t) / 256 blocks.  The scan runs
+once per call, back into the rows array: every abscissa whose grid fits one
+block shares one np.cumsum, and only the others walk their blocks.  The two
+rounded exponents cost each term at most about 2 eps 256 relative (under
+6e-14).
 The steps are divided by a power of two near their largest entry first, so
 no scaled sum overflows, and a result that is still not finite raises.
 A partial sweep can also return only some of its rows (``_partial_rows``):
@@ -207,7 +209,7 @@ class DensityPiece:
     end: float
     kind: str
     scale: tuple[complex, ...]
-    rate: float = 0.0
+    rate: complex = 0.0
     exponent: float = 0.0
 
     def __post_init__(self) -> None:
@@ -310,7 +312,7 @@ class BVFunction:
 
     @classmethod
     def from_density(cls, kind: str, *, start: float = 0.0, end: float = math.inf,
-                     scale=1.0, rate: float = 0.0, exponent: float = 0.0,
+                     scale=1.0, rate: complex = 0.0, exponent: float = 0.0,
                      norm_kind: str = "euclidean") -> "BVFunction":
         sc = tuple(np.atleast_1d(np.asarray(scale, dtype=complex)))
         piece = DensityPiece(start, end, kind, sc, rate, exponent)
@@ -601,12 +603,17 @@ def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
     from t_j.  held, sorted, must hold every row that takes a jump; the
     (m, held.size, d) result has a slot for each held row.  The rows' jumps
     together are one run of consecutive jumps, in row order upward and in
-    reverse row order downward.  The run is cut into contiguous chunks whose
-    temporaries, about eight arrays of the chunk's length, together hold at
-    most _MAX_BLOCK_ELEMENTS entries.  Each chunk's layout (its slots, every
-    tau_l - t_j and its sizes as a (d, N) array) is formed once; then, for
-    each abscissa in turn, each jump is weighted once and the terms are summed
-    per row (np.add.reduceat along the jumps, which are the contiguous axis).
+    reverse row order downward.  The run is cut into contiguous chunks of
+    _MAX_BLOCK_ELEMENTS // (8 d) jumps, so that the temporaries, about eight
+    arrays of the chunk's length (the gaps, the (d, N) sizes and products
+    and the weights), hold at most _MAX_BLOCK_ELEMENTS entries.  Each chunk's
+    layout (its slots, every tau_l - t_j and its sizes as a (d, N) array) is
+    formed once; then, for each abscissa in turn, each jump is weighted once
+    and the terms are summed per row (np.add.reduceat along the jumps, which
+    are the contiguous axis).  The weights, with their exponents formed in
+    place, and the products go into two buffers allocated once per call, and
+    the cut below e^-_NEGLIGIBLE_LOG is skipped where no jump of the chunk
+    lies that low.
     """
     xr, y = c.real, c.imag
     times, sizes = bv.jump_times, bv.jump_sizes
@@ -623,42 +630,63 @@ def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
     last = np.cumsum(count)
     total = int(last[-1]) if last.size else 0
     chunk = max(1, _MAX_BLOCK_ELEMENTS // (8 * bv.dimension))
+    size, d = min(chunk, total), bv.dimension
+    weights = np.empty(size, dtype=complex if np.any(y) else float)
+    products = np.empty(d * size, dtype=complex)
     for p0 in range(0, total, chunk):
         p1 = min(p0 + chunk, total)
+        n = p1 - p0
         r0 = int(np.searchsorted(last, p0, side="right"))
         r1 = int(np.searchsorted(last, p1 - 1, side="right")) + 1
         taken = np.minimum(last[r0:r1], p1) - np.maximum(last[r0:r1] - count[r0:r1], p0)
         tau = times[first + p0:first + p1]
-        gap = tau - points[np.repeat(rows[r0:r1], taken)]
+        gap = tau - np.repeat(points[rows[r0:r1]], taken)
         part = sizes[first + p0:first + p1].T.copy()
         some = taken > 0
         into = np.searchsorted(held, rows[r0:r1][some])
         heads = (np.cumsum(taken) - taken)[some]
+        terms = products[:d * n].reshape(d, n)
+        # xr gap is monotone in gap, so its least value is at an end of the gaps
+        ends = gap.min(), gap.max()
         for k in range(c.size):
-            arg = xr[k] * gap
-            w = np.exp(arg + 1j * (y[k] * tau)) if y[k] else np.exp(arg)
-            w[arg < -_NEGLIGIBLE_LOG] = 0.0
-            out[k, into] += np.add.reduceat(w * part, heads, axis=1).T
+            # real weights take the buffer's first n floats, complex ones its
+            # first n entries, with the exponent xr gap as their real part
+            w = weights[:n] if y[k] else weights.view(float)[:n]
+            arg = w.real
+            np.multiply(gap, xr[k], out=arg)
+            low = min(xr[k] * ends[0], xr[k] * ends[1]) < -_NEGLIGIBLE_LOG
+            cut = arg < -_NEGLIGIBLE_LOG if low else None
+            if y[k]:
+                np.multiply(tau, y[k], out=w.imag)
+                w.imag += 0.0  # a zero phase is +0, as arg + 1j * (y tau) makes it
+            np.exp(w, out=w)
+            if cut is not None:
+                w[cut] = 0.0
+            np.multiply(w, part, out=terms)
+            out[k, into] += np.add.reduceat(terms, heads, axis=1).T
+        del gap, part  # before the next chunk's are formed
     return out
 
 
-def _decay_scan(rows: np.ndarray, xr: float, points: np.ndarray,
-                held: np.ndarray) -> np.ndarray:
-    """out_j = sum_{i <= j} e^{xr (t_i - t_j)} rows_i at each j of held, for xr (t_j - t_i) >= 0.
+def _decay_scan(rows: np.ndarray, xr: np.ndarray, points: np.ndarray, held: np.ndarray) -> None:
+    """rows[k]_j <- sum_{i <= j} e^{xr_k (t_i - t_j)} rows[k]_i at each j of held, in place.
 
-    rows holds the rows at the sorted grid indices held, and every other row
-    is zero; the result is the (held.size, d) rows of out at held, bitwise
-    those of the scan over every row (held = arange(n)).  This is the
-    recurrence out_j = e^{xr (t_{j-1} - t_j)} out_{j-1} + rows_j as a blocked
-    prefix scan (Blelloch 1990).  A block holds the grid rows whose
-    xr (t - t_0) falls in one cell of width _SCAN_SPAN, cut on the full grid.
-    Inside a block anchored at row a the rows are scaled by
-    grow_i = e^{xr (t_i - t_a)} <= e^_SCAN_SPAN, summed by np.cumsum and
-    scaled back; the last row of a block carries into the next.  A zero row
-    would only add exact zeros to its block's cumsum, so only the held rows
-    are summed, and the carry into a block comes from the last held row
-    before it, if that lies in the block before, or else from the carry into
-    the block before alone.  The rows are first divided by a power of two within a
+    rows is (m, held.size, d): for each rate xr_k, with xr_k (t_j - t_i) >= 0,
+    it holds the rows at the sorted grid indices held, and every other row is
+    zero; each rows[k] becomes the rows of the scan at held, bitwise those of
+    the scan over every row (held = arange(n)).  This is the recurrence
+    out_j = e^{xr (t_{j-1} - t_j)} out_{j-1} + rows_j as a blocked prefix scan
+    (Blelloch 1990).  A block holds the grid rows whose xr (t - t_0) falls in
+    one cell of width _SCAN_SPAN, cut on the full grid.  Inside a block
+    anchored at row a the rows are scaled by grow_i = e^{xr (t_i - t_a)} <=
+    e^_SCAN_SPAN, summed by np.cumsum and scaled back; the last row of a
+    block carries into the next.  Every rate whose grid fits one block
+    (xr (t_{n-1} - t_0) < _SCAN_SPAN) takes one shared np.cumsum along the
+    rows; only the others walk their blocks.  A zero row would only add exact
+    zeros to its block's cumsum, so only the held rows are summed, and the
+    carry into a block comes from the last held row before it, if that lies
+    in the block before, or else from the carry into the block before alone.
+    The rows of each rate are first divided by a power of two within a
     factor 2 of their largest entry (1 if that is below 1), so that the scaled
     sums cannot overflow however large the rows are.  Anchoring rounds the two
     exponents xr (t - t_a) once each, which costs at most about
@@ -673,36 +701,54 @@ def _decay_scan(rows: np.ndarray, xr: float, points: np.ndarray,
     component of out_j is at most that of out_i in modulus, and a sup over
     the grid is first reached on a row that is not zero.
     """
-    peak = float(np.max(np.abs(rows.view(float)), initial=0.0))
-    if peak == 0.0:
-        return np.zeros_like(rows)
+    parts = rows.view(float)
+    # the largest |entry| of each rate's rows, without an array of moduli
+    peak = np.maximum(parts.max(axis=(1, 2), initial=0.0), -parts.min(axis=(1, 2), initial=0.0))
+    live = peak != 0.0
+    rows[~live] = 0.0
+    if not live.any():
+        return
     # not below 1: complex division by a subnormal power of two gives inf
-    unit = math.ldexp(1.0, max(math.frexp(peak)[1] - 1, 0))
-    cell = np.floor(xr * (points - points[0]) / _SCAN_SPAN)
-    starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
-    block = np.searchsorted(starts, held, side="right") - 1
-    grow = np.exp(xr * (points[held] - points[starts[block]]))[:, None]
-    acc = grow * (rows / unit)
-    # the carry into the block at a is out_{a-1} e^{xr (t_{a-1} - t_a)}, and
-    # out_{a-1} = acc_{a-1} / grow_{a-1}, grow_{a-1} anchored at the block before
-    before = np.maximum(starts - 1, 0)
-    anchor = starts[np.maximum(np.arange(starts.size) - 1, 0)]
-    link = (np.exp(xr * (points[before] - points[starts]))
-            / np.exp(xr * (points[before] - points[anchor])))
-    # the held slots [first_b, first_{b+1}) of each block b
-    first = np.searchsorted(held, starts).tolist() + [held.size]
-    carry = np.zeros(rows.shape[1:], dtype=rows.dtype)  # acc_{a-1}
-    for a, i, e, f in zip(starts.tolist(), first, first[1:], link):
-        if e > i:
-            np.cumsum(acc[i:e], axis=0, out=acc[i:e])
-            if a:
-                acc[i:e] += f * carry
-            carry = acc[e - 1]
-        elif a:
-            carry = 0.0 + f * carry  # as a zero cumsum adds it, to the sign of a zero
-    acc /= grow
-    acc *= unit
-    return acc
+    unit = np.ldexp(1.0, np.maximum(np.frexp(peak)[1] - 1, 0))
+    # xr (t - t_0) is monotone along the grid, so its last cell is its largest
+    one = live & (np.floor(xr * (points[-1] - points[0]) / _SCAN_SPAN) == 0)
+    batch = np.flatnonzero(one)
+    if batch.size:
+        grow = np.exp(np.multiply.outer(xr[batch], points[held] - points[0]))[:, :, None]
+        acc = rows[batch]
+        acc /= unit[batch, None, None]
+        acc *= grow
+        np.cumsum(acc, axis=1, out=acc)
+        acc /= grow
+        acc *= unit[batch, None, None]
+        rows[batch] = acc
+    for k in np.flatnonzero(live & ~one).tolist():
+        x, acc = xr[k], rows[k]
+        cell = np.floor(x * (points - points[0]) / _SCAN_SPAN)
+        starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
+        block = np.searchsorted(starts, held, side="right") - 1
+        grow = np.exp(x * (points[held] - points[starts[block]]))[:, None]
+        acc /= unit[k]
+        acc *= grow
+        # the carry into the block at a is out_{a-1} e^{xr (t_{a-1} - t_a)}, and
+        # out_{a-1} = acc_{a-1} / grow_{a-1}, grow_{a-1} anchored at the block before
+        before = np.maximum(starts - 1, 0)
+        anchor = starts[np.maximum(np.arange(starts.size) - 1, 0)]
+        link = (np.exp(x * (points[before] - points[starts]))
+                / np.exp(x * (points[before] - points[anchor])))
+        # the held slots [first_b, first_{b+1}) of each block b
+        first = np.searchsorted(held, starts).tolist() + [held.size]
+        carry = np.zeros(rows.shape[2:], dtype=rows.dtype)  # acc_{a-1}
+        for a, i, e, f in zip(starts.tolist(), first, first[1:], link):
+            if e > i:
+                np.cumsum(acc[i:e], axis=0, out=acc[i:e])
+                if a:
+                    acc[i:e] += f * carry
+                carry = acc[e - 1]
+            elif a:
+                carry = 0.0 + f * carry  # as a zero cumsum adds it, to the sign of a zero
+        acc /= grow
+        acc *= unit[k]
 
 
 def _weighted_sweep(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
@@ -719,8 +765,8 @@ def _weighted_sweep(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: fl
     _density_segments), leaving out what lies over _NEGLIGIBLE_LOG / |Re c_k|
     (jumps) or that plus 10 (density) from t_j; the blocked scan _decay_scan
     then adds each row to the previous one rescaled by
-    e^{Re(c_k) (t_prev - t_j)}, one abscissa at a time, back into the same
-    array.  A nonfinite result raises NonFiniteIntegrandError.
+    e^{Re(c_k) (t_prev - t_j)}, for every abscissa in one call, back into the
+    same array.  A nonfinite result raises NonFiniteIntegrandError.
     """
     _refuse_nan(start, points)
     rows = _jump_rows(bv, c, points, start, held)
@@ -728,8 +774,7 @@ def _weighted_sweep(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: fl
         _density_segments(bv, c, points, start, quad_tol, rows, held)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow is caught by the finiteness guard
-        for k in range(c.size):
-            rows[k] = _decay_scan(rows[k], c[k].real, points, held)
+        _decay_scan(rows, c.real, points, held)
     _guard_finite(rows, points[held][:, None], "weighted sweep")
     return rows
 

@@ -150,9 +150,14 @@ def build_instance(coeffs: CoefficientSequence, n_max: int = 1_000_000,
     if limit is not None and n_max > limit:
         raise ValueError(
             f"coefficient source only provides {limit} values; lower n_max")
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    sizes = coeffs.values(n) / n[:, None]
-    bv = BVFunction(dimension=coeffs.dimension, jump_times=np.log(n.astype(float)),
+    n = np.arange(1.0, n_max + 1.0)
+    times = np.log(n)
+    table = coeffs.table[:n_max]
+    sizes = np.tile(table, (-(-n_max // table.shape[0]), 1))[:n_max]
+    # b_n / n as each part times fl(1/n), as numpy divides a complex by n + 0i
+    parts = sizes.view(float)
+    parts *= np.divide(1.0, n, out=n)[:, None]
+    bv = BVFunction(dimension=coeffs.dimension, jump_times=times,
                     jump_sizes=sizes, pieces=(), norm_kind=norm_kind)
     cert = TauberianCertificate(C=max(coeffs.sup_norm(norm_kind), 1.0) * math.e, x0=1.0, T=0.0,
                                 R_rule=CutoffRule.exp_of_t())

@@ -615,6 +615,105 @@ class TestSweepRange:
                 assert np.max(np.abs(got - want)) <= 1e-15 * float(np.sum(np.abs(sizes)))
 
 
+def assert_bitwise(got, want):
+    """got == want, and bit for bit wherever want is not zero (a zero may differ in sign)."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    live = want.view(float) != 0
+    assert np.array_equal(got.view(float)[live].view(np.uint64),
+                          want.view(float)[live].view(np.uint64))
+
+
+def scan_one(rows, xr, points, held):
+    """Reference for bv._decay_scan: the blocked scan of one abscissa's (h, d) rows, block by
+    block, as a copy."""
+    peak = float(np.max(np.abs(rows.view(float)), initial=0.0))
+    if peak == 0.0:
+        return np.zeros_like(rows)
+    unit = math.ldexp(1.0, max(math.frexp(peak)[1] - 1, 0))
+    cell = np.floor(xr * (points - points[0]) / bv_module._SCAN_SPAN)
+    starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
+    block = np.searchsorted(starts, held, side="right") - 1
+    grow = np.exp(xr * (points[held] - points[starts[block]]))[:, None]
+    acc = grow * (rows / unit)
+    before = np.maximum(starts - 1, 0)
+    anchor = starts[np.maximum(np.arange(starts.size) - 1, 0)]
+    link = (np.exp(xr * (points[before] - points[starts]))
+            / np.exp(xr * (points[before] - points[anchor])))
+    first = np.searchsorted(held, starts).tolist() + [held.size]
+    carry = np.zeros(rows.shape[1:], dtype=rows.dtype)
+    for a, i, e, f in zip(starts.tolist(), first, first[1:], link):
+        if e > i:
+            np.cumsum(acc[i:e], axis=0, out=acc[i:e])
+            if a:
+                acc[i:e] += f * carry
+            carry = acc[e - 1]
+        elif a:
+            carry = 0.0 + f * carry
+    return acc / grow * unit
+
+
+class TestOneCallForEveryAbscissa:
+    """The scan and the jump rows of many abscissas in one call are those of each alone."""
+
+    def test_batched_scan_equals_one_scan_per_abscissa(self, rng):
+        # |x| span(t) = 2|x| below, just below and exactly at 256, where floor
+        # cuts the last point into a second block, and far above; one abscissa
+        # of zero rows.  Negative rates walk the grid downward, as the tail does
+        points = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 2.0, 60)), [2.0]))
+        held = np.unique(np.concatenate(([0], rng.choice(points.size, 25), [points.size - 1])))
+        rates = [0.0, 0.7, np.nextafter(128.0, 0.0), 128.0, 300.0, 40.0]
+        assert np.floor(128.0 * 2.0 / bv_module._SCAN_SPAN) == 1.0
+        assert np.floor(np.nextafter(128.0, 0.0) * 2.0 / bv_module._SCAN_SPAN) == 0.0
+        for sign, grid in ((1.0, points), (-1.0, points[::-1].copy())):
+            xr = sign * np.asarray(rates)
+            rows = rng.normal(size=(xr.size, held.size, 2)) + 1j * rng.normal(
+                size=(xr.size, held.size, 2))
+            rows[-1] = 0.0
+            want = np.stack([scan_one(r, x, grid, held) for r, x in zip(rows, xr)])
+            each = rows.copy()
+            bv_module._decay_scan(rows, xr, grid, held)
+            for k in range(xr.size):
+                bv_module._decay_scan(each[k:k + 1], xr[k:k + 1], grid, held)
+            assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(each.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("blocks", [2_000_000, 8 * 2 * 37])
+    def test_jump_rows_equal_each_abscissa_alone(self, blocks, monkeypatch):
+        # real, complex, real, cut (jumps below e^-60 of their row), uncut: the
+        # buffers each abscissa reuses carry nothing into the next, also
+        # across chunks of 37 jumps
+        monkeypatch.setattr(bv_module, "_MAX_BLOCK_ELEMENTS", blocks)
+        tau, sizes = alternating_jumps(400)
+        bv = BVFunction(2, tau, np.hstack((sizes, 1j * sizes[::-1])))
+        grid = np.sort(np.concatenate((np.linspace(0.0, 6.5, 40), tau[::50] + 1e-9)))
+        c = np.asarray([0.5, 2.0 - 3.0j, 0.0, 900.0 + 1.0j, 1e-3])
+        for points, start, rates in ((grid, 0.0, c), (grid[::-1].copy(), 7.0, -c)):
+            held = np.arange(points.size)
+            got = bv_module._jump_rows(bv, rates, points, start, held)
+            for k in range(rates.size):
+                assert_bitwise(got[k:k + 1],
+                               bv_module._jump_rows(bv, rates[k:k + 1], points, start, held))
+        assert 900.0 * np.max(np.diff(grid)) > bv_module._NEGLIGIBLE_LOG  # abscissa 3 cuts
+
+    def test_exponential_piece_with_a_complex_rate(self):
+        # DensityPiece.rate is complex: e^{(-0.5 + 3i) s} on [0.5, 4) in closed form
+        rate, scale, lo, hi = -0.5 + 3.0j, 1.5 - 0.5j, 0.5, 4.0
+        bv = BVFunction(1, pieces=(DensityPiece(lo, hi, "exponential", (scale,), rate),))
+        for c in (0.0, 1.0 - 2.0j, 0.7 + 0.25j):
+            d = c + rate
+            want = scale * (np.exp(d * hi) - np.exp(d * lo)) / d
+            assert abs(stieltjes_integral(bv, c, 5.0)[0] - want) <= 1e-13 * abs(want)
+        grid = np.linspace(0.0, 5.0, 11)
+        z = 0.7 + 2.0j
+        d = z + rate
+        end = np.clip(grid, lo, hi)
+        want = scale * np.exp(-z.real * grid) * (np.exp(d * end) - np.exp(d * lo)) / d
+        got = weighted_partial_grid(bv, z, grid)[:, 0]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.all(got[grid <= lo] == 0)
+
+
 def dense_jump_sum(tau, sizes, z, t):
     """Reference for the jump-sum kernel: the dense node x jump sum.
 

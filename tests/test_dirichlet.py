@@ -132,6 +132,28 @@ class TestBuildInstance:
         inst = build_instance(CoefficientSequence.ones(), n_max=50)
         assert inst.f0 is None
 
+    @pytest.mark.parametrize("kind", ["ones", "alternating", "periodic", "file"])
+    def test_jumps_are_the_coefficients_over_n_at_log_n(self, kind, tmp_path):
+        # bit for bit b_n / n (numpy's complex division by n) at log n; the
+        # periodic table holds zero and negative parts, the file more rows than n_max
+        periodic = [[1.5 - 0.25j, 0.0], [-0.7j, -2.0 + 0.0j], [0.3, 4.0 - 1e-3j]]
+        path = tmp_path / "c.txt"
+        values = np.linspace(-2.0, 3.0, 1237)
+        path.write_text("".join(f"{v:.17g} {-v / 3:.17g}\n" for v in values))
+        coeffs = {"ones": CoefficientSequence.ones(),
+                  "alternating": CoefficientSequence.alternating(),
+                  "periodic": CoefficientSequence.periodic(periodic),
+                  "file": CoefficientSequence.from_file(path)}[kind]
+        n = np.arange(1, 1001)
+        bv = build_instance(coeffs, n_max=1000).bv
+        want = coeffs.values(n) / n[:, None]
+        assert bv.jump_sizes.shape == want.shape
+        assert np.array_equal(bv.jump_sizes, want)
+        live = want.view(float) != 0
+        assert np.array_equal(bv.jump_sizes.view(float)[live].view(np.uint64),
+                              want.view(float)[live].view(np.uint64))
+        assert np.array_equal(bv.jump_times.view(np.uint64), np.log(n).view(np.uint64))
+
     def test_n_max_validation(self, tmp_path):
         with pytest.raises(ValueError):
             build_instance(CoefficientSequence.ones(), n_max=1)

@@ -316,8 +316,8 @@ class TestSweepReuse:
         scan = bv_module._decay_scan
 
         def counted(acc, xr, points, held):
-            if xr >= 0:  # the tail sweep scans with xr = -x
-                rows.append(len(acc))
+            # one entry per abscissa; the tail sweep scans with xr = -x
+            rows.extend(acc.shape[1] for x in xr if x >= 0)
             return scan(acc, xr, points, held)
 
         monkeypatch.setattr(bv_module, "_decay_scan", counted)
