@@ -57,6 +57,9 @@ adds), which is how ``verify`` reads its sups.  Every other row's step is
 zero, so the jump sums go into the held rows' slots and the scan sums only
 those; its blocks are still cut on the full grid, and the carry into a block
 comes from the last held row before it or from the previous carry alone.
+The scan ends with the block that holds the last held row, since no slot
+reads a carry past it; an abscissa whose rows up to there fit one block
+joins the shared np.cumsum.
 Each held row is bitwise the full sweep's, and no other row is larger in any
 norm than the last held row before it.  The public grid evaluators hold
 every row.
@@ -135,6 +138,8 @@ _MAX_BLOCK_ELEMENTS = 2_000_000
 # scaled rows by e^256, far inside float64, and the rounding of a term's two
 # exponents by about 2 eps 256 relative; a wider block saves few block steps
 _SCAN_SPAN = 256.0
+# relative rounding-up of BVFunction.variation_bound, over its closed forms' few ulps
+_ROUND_UP = 1e-12
 
 # Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK's qk15), nodes ascending; the seven
 # Gauss nodes are the odd-indexed ones.
@@ -337,25 +342,87 @@ class BVFunction:
         Density pieces count piece by piece, so where pieces overlap the
         result is an upper bound (triangle inequality).
         """
-        _refuse_nan(t)
-        if t <= 0:
-            return 0.0
-        idx = self._jumps_before(t)
-        tv = float(np.sum(vector_norm(self.jump_sizes[:idx], self.norm_kind))) if idx else 0.0
-        for piece in self.pieces:
-            lo, hi = piece.start, min(piece.end, t)
-            if hi <= lo:
-                continue
-            amp = float(vector_norm(piece.scale_array(), self.norm_kind))
-            if amp == 0.0:
-                continue
+        def modulus_integral(piece, lo, hi):
             if not math.isfinite(hi):
                 raise ValueError("total_variation over an unbounded range; pass a finite t")
             # |base| is the base of the same piece with the real part of its rate
             modulus = replace(piece, rate=complex(piece.rate).real)
-            tv += amp * _piece_integrals(modulus, lambda s, owner: np.zeros_like(s), [0.0],
-                                         [lo], [hi], quad_tol)[0].real
+            return _piece_integrals(modulus, lambda s, owner: np.zeros_like(s), [0.0],
+                                    [lo], [hi], quad_tol)[0].real
+
+        return self._variation(t, modulus_integral)
+
+    def variation_bound(self, t: float) -> float:
+        """An upper bound on total_variation(t), from closed forms alone (no quadrature).
+
+        Each density piece takes _base_modulus_bound: int |base| in closed form
+        for constant, exponential and power pieces, sup |base| times the length
+        for damped_power.  The sum is rounded up by a relative _ROUND_UP, far
+        more than the few ulps of each closed form, so it also bounds the
+        rounded quadrature of total_variation.  A bound that overflows is inf.
+        """
+        return self._variation(t, _base_modulus_bound) * (1.0 + _ROUND_UP)
+
+    def _variation(self, t: float, base_integral) -> float:
+        """The jump norms over [0, t) plus, for each density piece clipped to [lo, hi)
+        within [0, t), ||scale|| base_integral(piece, lo, hi)."""
+        _refuse_nan(t)
+        if t <= 0:
+            return 0.0
+        tv = _norm_sum(self.jump_sizes[:self._jumps_before(t)], self.norm_kind)
+        for piece in self.pieces:
+            lo, hi = piece.start, min(piece.end, t)
+            amp = _norm_sum(piece.scale_array()[None, :], self.norm_kind)
+            if hi > lo and amp:
+                tv += amp * base_integral(piece, lo, hi)
         return tv
+
+
+def _norm_sum(rows: np.ndarray, norm_kind: str) -> float:
+    """The sum of the norms of the (n, d) complex rows.  Euclidean norms are formed
+    from the real and imaginary parts in one pass, scaled by a power of two where the
+    largest part lies outside [2^-500, 2^500], so that no square underflows or
+    overflows; sup norms take |entry|, which neither does, column by column."""
+    if norm_kind == "sup":
+        return float(np.sum(np.abs(np.ascontiguousarray(rows.T)).max(axis=0, initial=0.0)))
+    parts = np.ascontiguousarray(rows).view(float)  # (n, 2 d)
+    peak = max(parts.max(initial=0.0), -parts.min(initial=0.0))
+    unit = 1.0
+    if peak and not 2.0 ** -500 <= peak <= 2.0 ** 500:
+        # not below 2^-1000, whose reciprocal would overflow
+        unit = math.ldexp(1.0, max(math.frexp(peak)[1], -1000))
+        parts = parts / unit
+    return float(np.sum(np.sqrt(np.einsum("ij,ij->i", parts, parts)))) * unit
+
+
+def _base_modulus_bound(piece: DensityPiece, lo: float, hi: float) -> float:
+    """An upper bound on int_lo^hi |base(s)| ds, lo < hi: the integral itself up to
+    rounding but for damped_power, which takes sup |base| (hi - lo); inf where it
+    overflows or diverges.
+
+    |base(s)| = s^a e^{r s} with r = Re(rate) (a = 0 for constant and
+    exponential pieces).  The closed forms take expm1, so they lose no digits as
+    r or b = a + 1 tends to 0: int e^{r s} = e^{r lo} expm1(r L) / r, and
+    int s^a = lo^b expm1(b log(hi/lo)) / b (log(hi/lo) at b = 0, hi^b / b at
+    lo = 0).  The sup of s^a e^{r s} lies at an end, or at s = -a/r when a > 0 > r.
+    """
+    r, a = complex(piece.rate).real, piece.exponent
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if piece.kind == "constant" or (piece.kind == "exponential" and r == 0.0):
+            return hi - lo
+        if piece.kind == "exponential":
+            return float(np.exp(r * lo) * np.expm1(r * (hi - lo)) / r)
+        if piece.kind == "power":
+            b = a + 1.0
+            if lo == 0.0:
+                return float(np.power(hi, b) / b)
+            ell = float(np.log1p((hi - lo) / lo))  # log(hi/lo), to a few ulps as hi -> lo
+            return float(np.power(lo, b) * np.expm1(b * ell) / b) if b else ell
+        if math.isinf(hi):
+            return math.inf
+        s = np.asarray([lo, hi] + ([min(max(-a / r, lo), hi)] if a > 0.0 > r else []))
+        peak = np.exp((a * np.log(s) if a else 0.0) + r * s)
+        return float(np.max(peak) * (hi - lo))
 
 
 # -- density-piece integration ---------------------------------------------------
@@ -641,7 +708,7 @@ def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
         taken = np.minimum(last[r0:r1], p1) - np.maximum(last[r0:r1] - count[r0:r1], p0)
         tau = times[first + p0:first + p1]
         gap = tau - np.repeat(points[rows[r0:r1]], taken)
-        part = sizes[first + p0:first + p1].T.copy()
+        part = np.ascontiguousarray(sizes[first + p0:first + p1].T)  # no copy when d = 1
         some = taken > 0
         into = np.searchsorted(held, rows[r0:r1][some])
         heads = (np.cumsum(taken) - taken)[some]
@@ -680,9 +747,11 @@ def _decay_scan(rows: np.ndarray, xr: np.ndarray, points: np.ndarray, held: np.n
     one cell of width _SCAN_SPAN, cut on the full grid.  Inside a block
     anchored at row a the rows are scaled by grow_i = e^{xr (t_i - t_a)} <=
     e^_SCAN_SPAN, summed by np.cumsum and scaled back; the last row of a
-    block carries into the next.  Every rate whose grid fits one block
-    (xr (t_{n-1} - t_0) < _SCAN_SPAN) takes one shared np.cumsum along the
-    rows; only the others walk their blocks.  A zero row would only add exact
+    block carries into the next.  The blocks end with the one that holds the
+    last held row, h = held[-1]: no slot reads a carry past it.  Every rate
+    whose grid up to there fits one block (xr (t_h - t_0) < _SCAN_SPAN) takes
+    one shared np.cumsum along the rows; only the others walk their blocks,
+    and each walk stops at that last block.  A zero row would only add exact
     zeros to its block's cumsum, so only the held rows are summed, and the
     carry into a block comes from the last held row before it, if that lies
     in the block before, or else from the carry into the block before alone.
@@ -710,6 +779,8 @@ def _decay_scan(rows: np.ndarray, xr: np.ndarray, points: np.ndarray, held: np.n
         return
     # not below 1: complex division by a subnormal power of two gives inf
     unit = np.ldexp(1.0, np.maximum(np.frexp(peak)[1] - 1, 0))
+    # no slot lies past the last held row, so nothing reads a block or carry after it
+    points = points[:held[-1] + 1]
     # xr (t - t_0) is monotone along the grid, so its last cell is its largest
     one = live & (np.floor(xr * (points[-1] - points[0]) / _SCAN_SPAN) == 0)
     batch = np.flatnonzero(one)

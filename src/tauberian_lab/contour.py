@@ -244,10 +244,13 @@ def evaluate_contour(bv: BVFunction, f_ext, M: GrowthBound, t: float, R: float,
                         exp_tail_integral(bv, g1.nodes, t, quad_tol))
     term2 = PieceValues(g1r, fudge_factor(g1r.nodes, R) / g1r.nodes,
                         exp_partial_integral(bv, g1r.nodes, t, quad_tol))
+    # one extension call over every left-path node; each node's value is its own
+    values = _eval_extension(f_ext, np.concatenate([p.nodes for p in spec.gamma2]),
+                             bv.dimension)
+    ends = np.cumsum([p.nodes.size for p in spec.gamma2])[:-1]
     term3 = tuple(
-        PieceValues(p, -(np.exp(t * p.nodes) * fudge_factor(p.nodes, R) / p.nodes),
-                    _eval_extension(f_ext, p.nodes, bv.dimension))
-        for p in spec.gamma2)
+        PieceValues(p, -(np.exp(t * p.nodes) * fudge_factor(p.nodes, R) / p.nodes), F)
+        for p, F in zip(spec.gamma2, np.split(values, ends)))
     return ContourEvaluation(bv=bv, f_ext=f_ext, t=t, R=R, MR=float(M(R)),
                              quad_tol=quad_tol, terms=((term1,), (term2,), term3))
 

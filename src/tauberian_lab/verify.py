@@ -9,10 +9,13 @@ the one relative slack of every verdict: SupReport.passed, the ratio hypothesis
 the bounds assume, and the contour and dirichlet verdicts of the CLI.
 check_certificate is the one sup check: it takes a certificate (C, x0, T, R(t))
 and reports the ratio condition and the line, tail and small-x bounds it
-yields at x0, from one batched sweep that takes each abscissa once.  The
-bounds assume the ratio hypothesis at x0; each reads it from the same sweep
-and is marked hypothesis_failed when it fails, instead of silently checking a
-vacuous claim.  The sweep computes and reads only the grid rows where ||G||
+yields at x0, from one batched sweep that takes each abscissa once.  Of the
+small-x abscissas it sweeps only those whose bound c x0 / x the variation of
+A cannot settle: ||G|| never exceeds that variation, so every other one has a
+larger margin than x0 and cannot be the worst.  The bounds assume the ratio
+hypothesis at x0; each reads it from the same sweep and is marked
+hypothesis_failed when it fails, instead of silently checking a vacuous
+claim.  The sweep computes and reads only the grid rows where ||G||
 can rise: row 0, each row that takes a jump or meets a density piece, and
 each first point of a ratio mask.  Elsewhere G only decays, so each sup and
 its first witness are bitwise those of the full grid.
@@ -36,6 +39,7 @@ from .vectors import vector_norm
 
 REL_TOL = 1e-9  # relative slack of a verdict: a margin >= -REL_TOL |bound| passes
 _TAIL_REMAINDER_TOL = 1e-6  # the tail bound's certified remainder past its truncation point
+_SMALL_X_SLACK = 1e-10  # relative slack of dropping a small-x abscissa (_small_x_abscissas)
 _STRIP_DEPTHS = (0.0, 0.05, 0.25, 0.5, 0.75, 0.98)  # fractions of the strip width 1/M(|y|)
 
 
@@ -166,6 +170,30 @@ def tail_truncation_point(C: float, x: float, y: float, t_max: float) -> float:
     return t_max + max(0.0, extra)
 
 
+def _small_x_abscissas(bv: BVFunction, C: float, x0: float, t_grid: np.ndarray,
+                       quad_tol: float) -> np.ndarray:
+    """The abscissas of the 16 in [x0/100, x0] whose small-x bound C x0 / x a sweep must read.
+
+    ||G(x, t)|| <= V for every grid t, V = bv.variation_bound(t_max) (triangle
+    inequality), so the margin at x is at least C x0 / x - V.  An abscissa is
+    dropped when C x0 / x - V - slack > C x0 / x_last, the bound at the largest
+    abscissa x_last = x0, which is always kept and whose margin is at most that
+    bound.  slack is _SMALL_X_SLACK (V + C x0 / x), for the rounding of the scan
+    (at most about 1.9e-14 of the jump norms), of the closed forms and of this
+    test, plus quad_tol ||scale|| for each grid row and density piece that takes
+    quad.  So every dropped abscissa's margin is strictly larger than the
+    least margin of the kept ones, and the small-x report, its first-of-least
+    witness included, is the one read from all 16.
+    """
+    small = make_x_grid(x0 * 1e-2, x0, 16)
+    bounds = C * x0 / small
+    var = bv.variation_bound(float(t_grid[-1]))
+    quad_rows = t_grid.size * sum(float(vector_norm(p.scale_array(), bv.norm_kind))
+                                  for p in bv.pieces if not p.smooth_exponential)
+    slack = _SMALL_X_SLACK * (var + bounds) + quad_tol * quad_rows
+    return small[~(bounds - var - slack > bounds[-1])]  # a nan bound keeps its abscissa
+
+
 def check_certificate(bv: BVFunction, cert: TauberianCertificate,
                       t_grid: np.ndarray | None = None, x_grid: np.ndarray | None = None,
                       quad_tol: float = 1e-10) -> list[SupReport]:
@@ -176,15 +204,19 @@ def check_certificate(bv: BVFunction, cert: TauberianCertificate,
     nothing proves nothing); then, with the per-line constant c = C / x0, the
     line bounds c (1 + |y|/x0) at y = 0 and y = 2 x0, the tail bound
     c (3 + |y|/x0) at y = 2 x0 up to tail_truncation_point, and the small-x
-    bound c x0 / x at the worst of 16 points in [x0/100, x0].  The bounds
-    assume the ratio hypothesis sup_t ||G(x0, t)|| <= c, read from the same
-    sweep, and are marked hypothesis_failed where it fails.  t_grid defaults
-    to make_t_grid(bv), x_grid to 64 points from x0 to min(1000 x0, R(t_max)).
+    bound c x0 / x at the worst of 16 points in [x0/100, x0].  A point is
+    swept only where the variation bound of A cannot settle it: where c x0 / x
+    exceeds the bound at x0 by more than that variation, its margin is larger
+    than the one at x0, so dropping it leaves the report as it was
+    (_small_x_abscissas).  The bounds assume the ratio hypothesis
+    sup_t ||G(x0, t)|| <= c, read from the same sweep, and are marked
+    hypothesis_failed where it fails.  t_grid defaults to make_t_grid(bv),
+    x_grid to 64 points from x0 to min(1000 x0, R(t_max)).
     """
     t_grid = make_t_grid(bv)[0] if t_grid is None else np.asarray(t_grid, dtype=float)
     x0, C, y = cert.x0, cert.C / cert.x0, 2.0 * cert.x0
     masks = _ratio_masks(cert, t_grid, x_grid)
-    small = make_x_grid(x0 * 1e-2, x0, 16)
+    small = _small_x_abscissas(bv, C, x0, t_grid, quad_tol)
     sups, ratio = _sweep_sups(bv, [*masks, x0, complex(x0, y), *small], t_grid, quad_tol, masks)
     xs = list(ratio)
     best = xs[int(np.argmax([ratio[x][0] for x in xs]))]

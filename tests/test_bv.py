@@ -130,6 +130,39 @@ class TestValueAndVariation:
         assert tv == pytest.approx(10.0, rel=1e-10)
         assert tv >= 6.0 + math.sin(10.0 - 3.0 * math.pi)
 
+    @pytest.mark.parametrize("piece", [
+        DensityPiece(0.5, 4.0, "constant", (1.0 + 1.0j, 0.5)),
+        DensityPiece(0.3, math.inf, "exponential", (2.0, -1.0j), -0.7 + 2.0j),
+        DensityPiece(0.0, 5.0, "exponential", (0.5, 0.5), 0.9),
+        DensityPiece(0.0, 3.0, "power", (1.0, 1.0j), exponent=1.5),
+        DensityPiece(0.0, 3.0, "power", (1.0, 0.2), exponent=-0.5),
+        DensityPiece(0.2, 3.0, "power", (0.3, 1.0), exponent=-1.0),
+        DensityPiece(0.2, math.inf, "power", (0.3, 1.0), exponent=-2.5),
+        DensityPiece(0.0, 8.0, "damped_power", (1.0, 1.0), -1.0, 2.0),
+        DensityPiece(0.3, 8.0, "damped_power", (1.0j, 0.1), -0.5 + 1.0j, -0.5),
+        DensityPiece(1.0, 4.0, "damped_power", (0.4, 0.4), 0.5, 1.0),
+    ], ids=lambda piece: piece.kind)
+    @pytest.mark.parametrize("norm_kind", ["euclidean", "sup"])
+    def test_variation_bound_bounds_total_variation(self, piece, norm_kind):
+        # closed forms and no quad: above total_variation at every t, and within
+        # 1e-11 of it where the kind has a closed form for int |base|
+        bv = BVFunction(2, np.asarray([0.1, 2.0]), np.asarray([[1.0, -2.0j], [0.5, 0.5]]),
+                        (piece,), norm_kind)
+        for t in (0.05, 0.2, 1.0, 2.5, 10.0):
+            bound, tv = bv.variation_bound(t), bv.total_variation(t)
+            assert bound >= tv
+            if piece.kind != "damped_power":
+                assert bound <= tv * (1.0 + 1e-11)
+
+    def test_variation_of_tiny_and_huge_values(self):
+        # the squares of a 1e-283 or 1e300 entry underflow or overflow in the
+        # euclidean norm: total_variation read 0 (or inf) for such an integrator
+        for scale in (3.9e-283, 2.2e-313, 1e300):
+            piece = DensityPiece(0.0, 1.0, "constant", (scale + 0j, 0j))
+            bv = BVFunction(2, np.asarray([0.5]), np.asarray([[0j, scale * 1j]]), (piece,))
+            assert bv.total_variation(2.0) == pytest.approx(2.0 * scale, rel=1e-15)
+            assert bv.variation_bound(2.0) == pytest.approx(2.0 * scale, rel=1e-11)
+
     def test_validation_rejects_bad_jumps(self):
         with pytest.raises(ValueError):
             BVFunction.from_jumps([(2.0, 1.0), (2.0, 1.0)])
@@ -677,6 +710,25 @@ class TestOneCallForEveryAbscissa:
                 bv_module._decay_scan(each[k:k + 1], xr[k:k + 1], grid, held)
             assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
             assert np.array_equal(each.view(np.uint64), want.view(np.uint64))
+
+    def test_scan_stops_at_the_block_of_the_last_held_row(self, rng):
+        # on a [0, 50] grid at x = 1000 the blocks span 0.256 in t, 196 in all,
+        # but every held row lies below t = 1.2, in the first 5; at x = 100 the
+        # held rows fit one block though the grid spans 20.  Each abscissa is
+        # bitwise the walk over every block, downward (the tail's order) too
+        points = np.linspace(0.0, 50.0, 5001)
+        held = np.unique(np.concatenate(([0], rng.choice(121, 30), [120])))
+        rates = np.asarray([1000.0, 100.0, 5.0, 1000.0])
+        assert np.floor(1000.0 * 50.0 / bv_module._SCAN_SPAN) == 195.0
+        assert np.floor(100.0 * points[120] / bv_module._SCAN_SPAN) == 0.0
+        for sign, grid in ((1.0, points), (-1.0, points[::-1].copy())):
+            xr = sign * rates
+            rows = rng.normal(size=(xr.size, held.size, 2)) + 1j * rng.normal(
+                size=(xr.size, held.size, 2))
+            rows[-1] *= 1e-200  # a scale far from 1
+            want = np.stack([scan_one(r, x, grid, held) for r, x in zip(rows, xr)])
+            bv_module._decay_scan(rows, xr, grid, held)
+            assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("blocks", [2_000_000, 8 * 2 * 37])
     def test_jump_rows_equal_each_abscissa_alone(self, blocks, monkeypatch):

@@ -1,6 +1,7 @@
 """Contour machinery: geometry, the residue identity, and per-term bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +275,40 @@ class TestExtensions:
         assert report.points == 12
         assert report.truncation_bound_max == pytest.approx(1e-9, rel=1e-12)
         assert report.t_star_max > 0.0
+
+
+class TestLeftPathExtension:
+    """evaluate_contour calls the extension once, on every left-path node."""
+
+    def test_one_call_gives_each_pieces_values(self):
+        bv, ext = alternating_pair(2000)
+        sizes = []
+
+        def counted(z):
+            sizes.append(np.size(z))
+            return ext(z)
+
+        spec = build_contour(M2, 1.5, 3.0)
+        term3 = evaluate_contour(bv, counted, M2, 3.0, 1.5).terms[2]
+        assert sizes == [sum(p.nodes.size for p in spec.gamma2)]
+        assert len(term3) == len(spec.gamma2) == 6
+        for piece, values in zip(spec.gamma2, term3):
+            assert np.array_equal(values.piece.nodes, piece.nodes)
+            want = _eval_extension(ext, piece.nodes, 1)
+            assert np.array_equal(values.F.view(np.uint64), want.view(np.uint64))
+
+    def test_first_singular_node_is_named(self):
+        # singular below Im z = 0.5: the first such node of the path, in piece
+        # order, is the one named, as when each piece took its own call
+        spec = build_contour(M2, 2.0, 4.0)
+        nodes = np.concatenate([p.nodes for p in spec.gamma2])
+        first = complex(nodes[nodes.imag < 0.5][0])
+
+        def ext(z):
+            return np.where(z.imag < 0.5, np.inf, 1.0 / (z + 1.0))
+
+        with pytest.raises(ValueError, match=f"singular near z = {re.escape(str(first))}$"):
+            evaluate_contour(BVFunction.zero(), ext, M2, 4.0, 2.0)
 
 
 def loop_agreement(bv, f_ext, cert, rng, n_points, target_err=1e-9, quad_tol=1e-12):

@@ -275,26 +275,28 @@ class TestSweepReuse:
 
     def test_small_x_bound_reuses_the_hypothesis_at_x0(self, sweeps):
         # the ratio abscissa, x0 and the small-x grid's last point are one abscissa:
-        # 16 small-x points and x0 + 2i x0 take 17 partial sweeps
+        # of the 16 small-x points, those with 2/x - 1 > 1 (variation 1, c = 1) are
+        # settled unswept, so x = 1.08, 1.47, 2 and x0 + 2i x0 take 4 partial sweeps
         cert = TauberianCertificate(C=2.0, x0=2.0)
         rep = check_certificate(BVFunction.single_jump(1.0), cert, x_grid=np.asarray([2.0]))[4]
         assert make_x_grid(2e-2, 2.0, 16)[-1] == 2.0
         partial = [z for name, z in sweeps if name == "_partial_rows"]
-        assert len(partial) == len(set(partial)) == 17
+        assert len(partial) == len(set(partial)) == 4
         assert rep.witness_x == 2.0
 
     def test_verify_command_sweep_count(self, sweeps):
-        # ratio condition 8 (from x0 = 1), x0 + 2i x0, small x 16 (to x0): 24
-        # distinct abscissas, where five sweeps of their own swept 28
+        # ratio condition 8 (from x0 = 1), x0 + 2i x0, small x 6 of 16 (to x0; the
+        # variation bound settles the other 10): 14 distinct abscissas, where five
+        # sweeps of their own swept 28
         res = CliRunner().invoke(main, ["verify", "--problem", "problems/dirichlet_ones.json",
                                         "--x-grid", "1:1000:8"])
         assert res.exit_code == 0, res.output
         partial = [z for name, z in sweeps if name == "_partial_rows"]
-        assert len(partial) == len(set(partial)) == 24
+        assert len(partial) == len(set(partial)) == 14
         assert [z for name, z in sweeps if name == "weighted_tail_grid"] == [1.0 + 2.0j]
 
     def test_verify_command_makes_one_partial_and_one_tail_sweep_call(self, spy):
-        # the 24 abscissas fit one batch; the tail bound's own tail sweep is
+        # the 14 abscissas fit one batch; the tail bound's own tail sweep is
         # the other call
         res = CliRunner().invoke(main, ["verify", "--problem", "problems/dirichlet_ones.json",
                                         "--x-grid", "1:1000:8"])
@@ -324,12 +326,13 @@ class TestSweepReuse:
         res = CliRunner().invoke(main, ["verify", "--problem", "problems/dirichlet_ones.json",
                                         "--x-grid", "1:1000:8"])
         assert res.exit_code == 0, res.output
-        assert len(rows) == 24
+        assert len(rows) == 14
         assert max(rows) <= jump_rows.size + heads + 1 < t_grid.size // 10
 
     def test_batches_hold_at_most_the_jump_chunk_share(self, monkeypatch):
         # a batch holds at most _MAX_BLOCK_ELEMENTS // 8 entries of the held rows:
-        # with room for 10 abscissas of 2-vector rows per batch, the 24 take 10, 10, 4
+        # with room for 10 abscissas of 2-vector rows per batch, the 15 (8 ratio,
+        # x0 + 2i x0 and 7 small x, as the variation is sqrt 2 times larger) take 10, 5
         prob = load_problem("problems/dirichlet_ones.json")
         bv = BVFunction(2, prob.bv.jump_times, np.repeat(prob.bv.jump_sizes, 2, axis=1))
         t_grid, _ = make_t_grid(bv)
@@ -349,7 +352,7 @@ class TestSweepReuse:
         monkeypatch.setattr(verify_module, "_partial_rows", sized)
         monkeypatch.setattr(verify_module, "_MAX_BLOCK_ELEMENTS", 8 * 10 * held.size * 2)
         check_certificate(bv, prob.certificate, x_grid=x_grid)
-        assert sizes == [10, 10, 4]
+        assert sizes == [10, 5]
 
     def test_ratio_condition_sweeps_only_abscissas_it_checks(self, spy):
         # R(t) = 1 leaves x = 2 and x = 4 without a time to check
@@ -516,6 +519,59 @@ def full_sweep_certificate(bv, cert, t_grid, x_grid):
                                f"x0 = {x0:g}") for x in small),
                        key=lambda rep: rep.margin))
     return reports
+
+
+class TestSmallXPruning:
+    """check_certificate sweeps only the small-x abscissas that the variation bound cannot
+    settle, and reports what the sweep of all 16 reports."""
+
+    @staticmethod
+    def swept_small_x(monkeypatch, x0: float) -> list[float]:
+        """The small-x abscissas of the partial sweeps, filled in as check_certificate runs."""
+        small = set(make_x_grid(x0 * 1e-2, x0, 16).tolist())
+        swept = []
+        partial = verify_module._partial_rows
+
+        def spied(bv, z, *args, **kw):
+            swept.extend(v.real for v in np.atleast_1d(z) if v.imag == 0 and v.real in small)
+            return partial(bv, z, *args, **kw)
+
+        monkeypatch.setattr(verify_module, "_partial_rows", spied)
+        return swept
+
+    @pytest.mark.parametrize("C, kept", [(0.5, 13), (5.0, 6)])
+    def test_dropped_abscissas_leave_every_report_as_it_was(self, monkeypatch, C, kept):
+        # unit jumps at t = 1..20 (variation 20), x0 = 1: x is dropped where
+        # C / x - 20 > C.  At C = 0.5 the least small-x margin lies below x0, at
+        # x = 0.54, and the hypothesis fails; at C = 5 it holds
+        bv = BVFunction.from_jumps([(float(k), 1.0 - 0.5j) for k in range(1, 21)])
+        cert = TauberianCertificate(C=C, x0=1.0)
+        x_grid = np.geomspace(1.0, 50.0, 6)
+        swept = self.swept_small_x(monkeypatch, 1.0)
+        got = check_certificate(bv, cert, x_grid=x_grid)
+        assert sorted(swept) == make_x_grid(1e-2, 1.0, 16)[16 - kept:].tolist()
+        assert list(map(repr, got)) == list(map(repr, full_sweep_certificate(bv, cert, None,
+                                                                              x_grid)))
+        assert (got[4].witness_x < 1.0) == (C == 0.5)
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_bound_inside_the_slack_keeps_its_abscissa(self, monkeypatch, inside):
+        # one unit jump, so ||G|| <= V = variation_bound(50); at c = V / (1/x - 1)
+        # the bound c / x at x = small[14] exceeds c by V exactly.  Half a slack
+        # past that, x is still swept; two slacks past it, it is dropped
+        bv = BVFunction.single_jump(0.5, 1.0)
+        small = make_x_grid(1e-2, 1.0, 16)
+        var = bv.variation_bound(50.0)
+        c0 = var / (1.0 / small[14] - 1.0)
+        slack = verify_module._SMALL_X_SLACK * (var + c0 / small[14])
+        c = float((var + (0.5 if inside else 2.0) * slack) / (1.0 / small[14] - 1.0))
+        assert c / small[14] - var > c  # without the slack, x would be dropped
+        cert = TauberianCertificate(C=c, x0=1.0)
+        swept = self.swept_small_x(monkeypatch, 1.0)
+        got = check_certificate(bv, cert, x_grid=np.asarray([1.0]))
+        assert sorted(swept) == small[14 if inside else 15:].tolist()
+        want = full_sweep_certificate(bv, cert, None, np.asarray([1.0]))
+        assert list(map(repr, got)) == list(map(repr, want))
 
 
 _unit = st.floats(-1.0, 1.0)
