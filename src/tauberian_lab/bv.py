@@ -94,7 +94,9 @@ refused unless Re d < 0.  The other kinds take ``quad`` (on [lo, inf) only
 where Re d < 0, or Re d = 0 and s^a decays faster than 1/s), one vectorised
 adaptive Gauss-Kronrod (7/15) routine that integrates many intervals per
 call: all the contour nodes of a piece, or all the (abscissa, row)
-intervals of a weighted sweep call.  The integrand is
+intervals of a weighted sweep call.  The sweeps and the contour kernel take
+their pieces through one loop, ``_add_pieces``; ``stieltjes_integral``, the
+reference, keeps its own.  The integrand is
 formed as s^a e^{log weight + rate s}, so a growing base under a faster
 decaying weight does not overflow.
 Each interval converges on its own, when the sum of |K15 - G7| over its
@@ -365,34 +367,17 @@ class BVFunction:
 
     def _variation(self, t: float, base_integral) -> float:
         """The jump norms over [0, t) plus, for each density piece clipped to [lo, hi)
-        within [0, t), ||scale|| base_integral(piece, lo, hi)."""
+        within [0, t), ||scale|| base_integral(piece, lo, hi); vector_norm gives every norm."""
         _refuse_nan(t)
         if t <= 0:
             return 0.0
-        tv = _norm_sum(self.jump_sizes[:self._jumps_before(t)], self.norm_kind)
+        tv = float(np.sum(vector_norm(self.jump_sizes[:self._jumps_before(t)], self.norm_kind)))
         for piece in self.pieces:
             lo, hi = piece.start, min(piece.end, t)
-            amp = _norm_sum(piece.scale_array()[None, :], self.norm_kind)
+            amp = float(vector_norm(piece.scale_array(), self.norm_kind))
             if hi > lo and amp:
                 tv += amp * base_integral(piece, lo, hi)
         return tv
-
-
-def _norm_sum(rows: np.ndarray, norm_kind: str) -> float:
-    """The sum of the norms of the (n, d) complex rows.  Euclidean norms are formed
-    from the real and imaginary parts in one pass, scaled by a power of two where the
-    largest part lies outside [2^-500, 2^500], so that no square underflows or
-    overflows; sup norms take |entry|, which neither does, column by column."""
-    if norm_kind == "sup":
-        return float(np.sum(np.abs(np.ascontiguousarray(rows.T)).max(axis=0, initial=0.0)))
-    parts = np.ascontiguousarray(rows).view(float)  # (n, 2 d)
-    peak = max(parts.max(initial=0.0), -parts.min(initial=0.0))
-    unit = 1.0
-    if peak and not 2.0 ** -500 <= peak <= 2.0 ** 500:
-        # not below 2^-1000, whose reciprocal would overflow
-        unit = math.ldexp(1.0, max(math.frexp(peak)[1], -1000))
-        parts = parts / unit
-    return float(np.sum(np.sqrt(np.einsum("ij,ij->i", parts, parts)))) * unit
 
 
 def _base_modulus_bound(piece: DensityPiece, lo: float, hi: float) -> float:
@@ -602,7 +587,11 @@ def stieltjes_integral(bv: BVFunction, rate: complex, t: float,
 
     Each piece takes _piece_integrals with slope rate: constant and
     exponential pieces their closed form, the others absolute accuracy
-    ~quad_tol each.
+    ~quad_tol each.  This is the reference the other evaluators are tested
+    against, so it keeps its own loop over the pieces rather than
+    _add_pieces: it adds scale * value, which is not bitwise value * scale,
+    since numpy's complex product may fuse one of the two cross products of
+    its imaginary part into an FMA, and which one depends on the operand order.
     """
     rate = complex(rate)
     _refuse_nan(t)
@@ -628,6 +617,24 @@ def stieltjes_integral(bv: BVFunction, rate: complex, t: float,
 # -- overflow-safe grid evaluators ---------------------------------------------
 
 
+def _add_pieces(bv: BVFunction, out: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                slope: np.ndarray, log_weight, quad_tol: float) -> None:
+    """Add int e^{log_weight(s, i)} a(s) ds over [lo_i, hi_i) to out[i], for every i.
+
+    out is (n, d); log_weight is affine in s with slope slope[i], and takes
+    the ranges i as _piece_integrals gives them.  Each density piece is
+    clipped to its support and takes one _piece_integrals call over the
+    ranges it meets; its values times the scale are added in piece order.
+    """
+    for piece in bv.pieces:
+        a, b = np.maximum(piece.start, lo), np.minimum(piece.end, hi)
+        live = np.flatnonzero(b > a)
+        if live.size:
+            vals = _piece_integrals(piece, lambda s, owner: log_weight(s, live[owner]),
+                                    slope[live], a[live], b[live], quad_tol)
+            out[live] += vals[:, None] * piece.scale_array()[None, :]
+
+
 def _density_segments(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
                       quad_tol: float, rows: np.ndarray, held: np.ndarray) -> None:
     """Add to rows[k, i] int e^{c_k s - Re(c_k) t_j} a(s) ds over row j = held[i]'s step.
@@ -635,29 +642,24 @@ def _density_segments(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: 
     Row j steps from the previous point (start for j = 0) to t_j, clipped to
     within (_NEGLIGIBLE_LOG + 10) / |Re c_k| of t_j.  The weight is formed as
     e^{Re(c_k) (s - t_j) + i Im(c_k) s}, so that a large Re(c_k) t_j adds no
-    rounding.  Each piece takes one _piece_integrals call over the intervals
-    of every abscissa and row, with slope c_k.  Pieces are added in order.
-    held, sorted, must hold every row whose step meets a piece.
+    rounding.  The steps are formed for the held rows only, and _add_pieces
+    integrates those of every abscissa at once, with slope c_k.  held,
+    sorted, must hold every row whose step meets a piece.
     """
     xr = c.real
     phase = 1j * c.imag
     with np.errstate(divide="ignore", over="ignore"):
         # Re(c) = 0, or subnormal, reaches everywhere
         reach = (_NEGLIGIBLE_LOG + 10.0) / np.abs(xr)
-    prev = np.concatenate(([start], points[:-1]))
-    end = np.minimum(np.maximum(prev, points - reach[:, None]), points + reach[:, None])
-    step_lo, step_hi = np.minimum(end, points), np.maximum(end, points)
-    for piece in bv.pieces:
-        lo, hi = np.maximum(piece.start, step_lo), np.minimum(piece.end, step_hi)
-        k, j = np.nonzero(hi > lo)
-        if k.size == 0:
-            continue
-        lo, hi, t = lo[k, j], hi[k, j], points[j]
-        xk, pk = xr[k], phase[k]
-        vals = _piece_integrals(
-            piece, lambda s, owner: xk[owner, None] * (s - t[owner, None]) + pk[owner, None] * s,
-            c[k], lo, hi, quad_tol)
-        rows[k, np.searchsorted(held, j)] += vals[:, None] * piece.scale_array()[None, :]
+    t = points[held]
+    prev = np.concatenate(([start], points[:-1]))[held]
+    end = np.minimum(np.maximum(prev, t - reach[:, None]), t + reach[:, None])
+    step_lo, step_hi = np.minimum(end, t), np.maximum(end, t)
+    # slot k * held.size + i of the flat (m * held.size) ranges is (k, i)
+    xk, pk, tk = np.repeat(xr, held.size), np.repeat(phase, held.size), np.tile(t, c.size)
+    _add_pieces(bv, rows.reshape(-1, rows.shape[-1]), step_lo.ravel(), step_hi.ravel(),
+                np.repeat(c, held.size),
+                lambda s, i: xk[i, None] * (s - tk[i, None]) + pk[i, None] * s, quad_tol)
 
 
 def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
@@ -1027,10 +1029,11 @@ def _block_factors(zc: np.ndarray, gap: np.ndarray, gap_err: np.ndarray) -> np.n
 def jump_sum_remainder(sizes: np.ndarray) -> float:
     """Truncation bound of the block-Taylor jump sum over these (n, d) jump sizes.
 
-    Holds for every node and in either norm kind: sum_k ||s_k||_2 times
+    Holds for every node and in either norm kind: sum_k ||s_k||_2 (vector_norm's
+    euclidean norm, so sizes near 1e+-200 neither vanish nor overflow) times
     rho^{P+1} e^rho / (P+1)!.
     """
-    return _TAYLOR_REMAINDER * float(np.sum(np.linalg.norm(sizes, axis=1)))
+    return _TAYLOR_REMAINDER * float(np.sum(vector_norm(sizes, "euclidean")))
 
 
 def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi,
@@ -1042,8 +1045,8 @@ def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi,
     [t, inf) takes Re z >= 0 and [0, t) takes Re z <= 0.  The jumps are cut
     at each node's end; the kernel runs once on each run of jumps between two
     consecutive distinct cuts, over the nodes whose range covers that run, so
-    the moments of every jump are formed once.  Each piece takes one
-    _piece_integrals call over all nodes, with slope -z.
+    the moments of every jump are formed once.  _add_pieces integrates the
+    density over every node's range, with slope -z.
     """
     _refuse_nan(t)
     hi = np.broadcast_to(np.asarray(hi, dtype=float), z.shape)
@@ -1057,15 +1060,8 @@ def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi,
             reach = cuts >= cut
             out[reach] += _jump_exp_sum(times[start:cut], sizes[start:cut], z[reach], t)
             start = cut
-    for piece in bv.pieces:
-        a, b = max(piece.start, lo), np.minimum(piece.end, hi)
-        live = b > a
-        if not live.any():
-            continue
-        zl = z[live]
-        vals = _piece_integrals(piece, lambda s, owner: zl[owner, None] * (t - s), -zl,
-                                np.full(zl.size, a), b[live], quad_tol)
-        out[live] += vals[:, None] * piece.scale_array()[None, :]
+    _add_pieces(bv, out, np.full(z.size, float(lo)), hi, -z,
+                lambda s, i: z[i, None] * (t - s), quad_tol)
     return out
 
 

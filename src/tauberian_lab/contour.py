@@ -41,7 +41,7 @@ from numpy.polynomial import polynomial as npoly
 from .bv import (BVFunction, exp_partial_integral, exp_tail_integral,
                  gauss_legendre_panels, jump_sum_remainder)
 from .growth import GrowthBound
-from .oracles import eta
+from .oracles import ACCELERATION_TERMS, eta
 from .rates import bound_terms
 from .transform import TauberianCertificate, improper_laplace
 from .vectors import vector_norm
@@ -175,7 +175,7 @@ class RationalExtension:
 class EtaShiftExtension:
     """z -> eta(z + 1): the analytic extension of the alternating unit series."""
 
-    def __init__(self, terms: int = 96):
+    def __init__(self, terms: int = ACCELERATION_TERMS):
         self.terms = terms
 
     def __call__(self, z):

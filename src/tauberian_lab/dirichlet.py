@@ -28,6 +28,8 @@ from .transform import TauberianCertificate
 from .vectors import vector_norm
 
 COEFFICIENT_KINDS = ("alternating", "ones", "periodic", "file")
+# jumps of an instance when neither the caller nor the problem file gives n_max
+DEFAULT_N_MAX = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ class DirichletInstance:
         return math.log(self.n_max)
 
 
-def build_instance(coeffs: CoefficientSequence, n_max: int = 1_000_000,
+def build_instance(coeffs: CoefficientSequence, n_max: int = DEFAULT_N_MAX,
                    norm_kind: str = "euclidean") -> DirichletInstance:
     """Materialize the first n_max jumps and the summation-by-parts certificate."""
     if n_max < 2:

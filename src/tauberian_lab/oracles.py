@@ -12,8 +12,11 @@ import math
 
 import numpy as np
 
+# terms of every accelerated sum by default: the error (3 + sqrt 8)^-96 is about 1e-73
+ACCELERATION_TERMS = 96
 
-def alternating_sum(terms, n: int = 96):
+
+def alternating_sum(terms, n: int = ACCELERATION_TERMS):
     """Accelerated value of sum_{k>=0} (-1)^k terms(k).
 
     terms(k) takes an integer array and may return a float or complex array
@@ -33,17 +36,17 @@ def alternating_sum(terms, n: int = 96):
     return total / d
 
 
-def eta(s, n: int = 96):
+def eta(s, n: int = ACCELERATION_TERMS):
     """Dirichlet eta(s) = sum_{m>=1} (-1)^{m+1} m^{-s}, scalar or array s.
 
     The acceleration converges for complex s well into the left of Re s = 1;
-    accuracy degrades like e^{pi |Im s| / 2}, which the default n = 96 leaves
+    accuracy degrades like e^{pi |Im s| / 2}, which the default n = ACCELERATION_TERMS leaves
     with dozens of spare digits for |Im s| up to ~50.
     """
     return eta_tail(s, 1, n)
 
 
-def eta_tail(s, first: int, n: int = 96):
+def eta_tail(s, first: int, n: int = ACCELERATION_TERMS):
     """sum_{m>=first} (-1)^{m+1} m^{-s} by the same acceleration."""
     if first < 1:
         raise ValueError("tail start must be >= 1")
@@ -58,7 +61,7 @@ def eta_tail(s, first: int, n: int = 96):
     return out if np.ndim(s) else complex(out[0])
 
 
-def log_two(n: int = 96) -> float:
+def log_two(n: int = ACCELERATION_TERMS) -> float:
     """log 2 = eta(1), via the acceleration (provenance: computed, not typed)."""
     return float(eta(1.0, n=n).real)
 

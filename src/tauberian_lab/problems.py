@@ -19,8 +19,10 @@ import numpy as np
 
 from .bv import BVFunction, DENSITY_KINDS, DensityPiece
 from .contour import EtaShiftExtension, RationalExtension
-from .dirichlet import COEFFICIENT_KINDS, CoefficientSequence, DirichletInstance, build_instance
+from .dirichlet import (COEFFICIENT_KINDS, DEFAULT_N_MAX, CoefficientSequence, DirichletInstance,
+                        build_instance)
 from .growth import GROWTH_PARAMS, CutoffRule, GrowthBound
+from .oracles import ACCELERATION_TERMS
 from .transform import TauberianCertificate
 from .vectors import NORM_KINDS
 
@@ -164,7 +166,7 @@ def _build_extension(node, path: str):
             _fail(path, str(exc))
     if kind == "eta_shift":
         _check_keys(params, {"terms"}, f"{path}.params")
-        terms = params.get("terms", 96)
+        terms = params.get("terms", ACCELERATION_TERMS)
         if not isinstance(terms, int) or isinstance(terms, bool) or terms < 8:
             _fail(f"{path}.params.terms", "terms must be an integer >= 8")
         return EtaShiftExtension(terms=terms)
@@ -257,7 +259,7 @@ def load_problem(path) -> Problem:
         _check_keys(node, {"coefficients", "n_max", "f0"}, f"{path}.dirichlet")
         coeffs = _build_coefficients(_require(node, "coefficients", f"{path}.dirichlet"),
                                      path.parent, f"{path}.dirichlet.coefficients")
-        n_max = node.get("n_max", 1_000_000)
+        n_max = node.get("n_max", DEFAULT_N_MAX)
         if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 2:
             _fail(f"{path}.dirichlet.n_max", "expected an integer >= 2")
         try:

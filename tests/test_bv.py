@@ -806,6 +806,14 @@ def alternating_jumps(n_max):
 class TestJumpExpSum:
     """The block-Taylor kernel against the dense node x jump sum."""
 
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_remainder_of_tiny_and_huge_sizes(self, size):
+        # np.linalg.norm squared these sizes into 0 and inf
+        bound = jump_sum_remainder(np.asarray([[size, 1j * size], [size, 0.0]]))
+        assert 0.0 < bound < math.inf
+        assert bound == pytest.approx(bv_module._TAYLOR_REMAINDER * (1.0 + math.sqrt(2.0)) * size,
+                                      rel=1e-14)
+
     @pytest.mark.parametrize("n_max, nodes", [(50_000, 124), (1_000_000, 9)])
     def test_alternating_series_tail_and_partial(self, n_max, nodes):
         tau, sizes = alternating_jumps(n_max)

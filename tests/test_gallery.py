@@ -49,6 +49,8 @@ def _commands() -> dict[str, list[str]]:
     # the only gallery problem with power and damped_power pieces, so with quad
     commands["verify density_mix"] = ["verify", "--problem", "problems/density_mix.json",
                                       "--t-grid", "0:40:120", "--x-grid", "1:100:16"]
+    # the only gallery problem in the sup norm, which also norms the reversed tail rows
+    commands["verify periodic_sup"] = ["verify", "--problem", "problems/periodic_sup.json"]
     return commands
 
 

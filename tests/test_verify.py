@@ -639,6 +639,29 @@ def test_certificate_equals_separate_checks(case, one_per_batch):
     assert got == want
 
 
+class TestExtremeSizes:
+    """The sups of a jump whose euclidean norm squares would underflow or overflow."""
+
+    def line_reports(self, size, C):
+        reports = check_certificate(BVFunction.single_jump(1.0, [size, size]),
+                                    TauberianCertificate(C=C, x0=1.0))
+        lines = [r for r in reports if r.case_id.startswith("line_bound")]
+        assert len(lines) == 2
+        return lines
+
+    def test_tiny_jump_fails_its_line_bounds(self):
+        # the sup on a line is sqrt(2) 1e-200 > C, where the squares once read 0 and PASS
+        for report in self.line_reports(1e-200, 1e-200):
+            assert report.grid_sup == pytest.approx(math.sqrt(2.0) * 1e-200, rel=1e-6)
+            assert not report.passed()
+
+    def test_huge_jump_passes_its_line_bounds(self):
+        # the squares once read inf, a FAIL with a RuntimeWarning
+        for report in self.line_reports(1e200, 2e200):
+            assert report.grid_sup == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-6)
+            assert report.passed()
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the ratio condition reads a grid sup, not a certified sup")
 def test_ratio_condition_fails_where_the_grid_misses_the_sup():
