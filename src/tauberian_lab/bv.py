@@ -102,8 +102,8 @@ decaying weight does not overflow.
 Each interval converges on its own, when the sum of |K15 - G7| over its
 subintervals is at most max(quad_tol, 1e-12 |I|); each round bisects the
 subintervals whose estimate is at least their interval's mean.  A power s^a with -1 < a < 0 is
-integrated in u = s^{a+1}, which removes the endpoint singularity, and
-[lo, inf) is mapped onto [0, 1).  An interval that has used 400 subintervals
+integrated in u = expm1(b log s) / b, b = a + 1, which removes the endpoint
+singularity and keeps its digits as a -> -1, and [lo, inf) is mapped onto [0, 1).  An interval that has used 400 subintervals
 without converging raises ``QuadratureError``, an ArithmeticError that names
 the interval and the density kind; no unconverged value is ever returned.
 A call takes its intervals in slices of _MAX_BLOCK_ELEMENTS / (15 * 400), so
@@ -515,26 +515,29 @@ def _density_integrals(piece: DensityPiece, log_weight, lo, hi, quad_tol: float)
     for constant and exponential pieces) is formed as s^a e^{log_weight + rate s},
     so that a base that grows under a weight that decays faster never
     overflows.  A singular power s^a, -1 < a < 0, is integrated in
-    u = s^{a+1}, where s^a ds = du / (a + 1) leaves no singularity.  Failures
-    name the piece's kind and the interval in s.
+    u = expm1(b log s) / b = (s^b - 1) / b, b = a + 1, where s^a ds = du leaves
+    no singularity; unlike u = s^b it keeps its digits as b -> 0, where s^b
+    tends to 1 on every range.  Failures name the piece's kind and the
+    interval in s.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     a = piece.exponent if piece.kind in ("power", "damped_power") else 0.0
     singular = -1.0 < a < 0.0
+    b = a + 1.0
     detail = f"density kind {piece.kind!r}"
 
     def integrand(x, owner):
-        s = x ** (1.0 / (a + 1.0)) if singular else x
+        with np.errstate(divide="ignore"):  # u <= -1/b, rounded or not, is s = 0
+            s = np.exp(np.log1p(np.maximum(b * x, -1.0)) / b) if singular else x
         v = np.exp(log_weight(s, owner) + piece.rate * s)
-        if singular:
-            v /= a + 1.0
-        elif a:
+        if a and not singular:
             v *= np.power(s, a)
         _guard_finite(v, s, detail)
         return v
 
-    u_lo, u_hi = (lo ** (a + 1.0), hi ** (a + 1.0)) if singular else (lo, hi)
+    with np.errstate(divide="ignore"):  # s = 0 maps to u = -1/b through log 0 = -inf
+        u_lo, u_hi = np.expm1(b * np.log([lo, hi])) / b if singular else (lo, hi)
     try:
         values = quad(integrand, u_lo, u_hi, quad_tol)
     except QuadratureError as exc:

@@ -23,7 +23,7 @@ from .contour import (ContourBudgetError, cauchy_identity_report, contour_dump,
 from .dirichlet import partial_sum_decay
 from .problems import ProblemFormatError, load_problem
 from .rates import decay_rate, k_prime, t_prime, t_prime_second_term_clamped
-from .verify import REL_TOL, check_certificate, make_t_grid
+from .verify import check_certificate, make_t_grid, within
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -254,13 +254,12 @@ def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
         if not rep.residual <= residual_tol:
             failures.append(f"residual {rep.residual:.3g} at t = {t:g}")
         for b in bounds:
-            if b.margin_displayed < -REL_TOL * abs(b.bound_displayed):
+            if not within(b.margin_displayed, b.bound_displayed):
                 failures.append(f"term {b.name} exceeds its bound at t = {t:g}")
 
     rng = np.random.default_rng(seed)
     try:
-        agreement = extension_agreement(prob.bv, ext, prob.certificate, rng,
-                                        n_points=12, target_err=1e-9, quad_tol=quad_tol)
+        agreement = extension_agreement(prob.bv, ext, prob.certificate, rng, quad_tol=quad_tol)
     except (ValueError, ArithmeticError) as exc:
         _input_error(f"extension spot check: {exc}")
     if not agreement.gap <= agreement_tol:
@@ -293,11 +292,11 @@ def dirichlet(problem_path, t_grid_spec, out):
     prob, instance, growth = _load(problem_path, "dirichlet", "growth")
     grid = _parse_grid(t_grid_spec, "--t-grid", "linear")
     try:
-        decay_rows = partial_sum_decay(instance, growth, grid, f0=prob.f0)
+        decay_rows = partial_sum_decay(instance, growth, grid)
     except (ValueError, ArithmeticError) as exc:
         _input_error(str(exc))
     negative = [r.t for r in decay_rows
-                if math.isfinite(r.margin) and r.margin < -REL_TOL * abs(r.bound_B)]
+                if math.isfinite(r.margin) and not within(r.margin, r.bound_B)]
     meta = {"t_grid": t_grid_spec, "coefficients": instance.coefficients.describe(),
             "n_max": instance.n_max, "f0_provenance": instance.f0_provenance,
             "rows": len(decay_rows), "negative_margin_at": negative}

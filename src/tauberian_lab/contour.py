@@ -27,7 +27,10 @@ integrand g F.  Three reductions read that one ``ContourEvaluation``:
 ``cauchy_identity_report`` sums (dz g) @ F, ``term_bounds`` sums
 |dz| |g| ||F|| per term, and ``contour_dump`` lists ||F|| |g| per node.
 A contour needs 16 nodes per panel; one of more than _MAX_NODES nodes is refused
-with ContourBudgetError before any node is evaluated.
+with ContourBudgetError before any node is evaluated.  ``extension_agreement``
+spot-checks the extension against the transform, truncated at a certified
+error of _AGREEMENT_TARGET_ERR = 1e-9, at a fixed _AGREEMENT_POINTS = 12
+seeded points.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ from .vectors import vector_norm
 
 _PHASE_PER_PANEL = 1.2  # radians of integrand phase per 16-node panel
 _MAX_NODES = 400_000  # node budget of one contour
+_AGREEMENT_POINTS = 12  # seeded points of the extension spot check (extension_agreement)
+_AGREEMENT_TARGET_ERR = 1e-9  # certified truncation bound of the transform at each of them
 
 
 class ContourBudgetError(ValueError):
@@ -356,20 +361,19 @@ class AgreementReport:
 
 
 def extension_agreement(bv: BVFunction, f_ext, cert: TauberianCertificate,
-                        rng: np.random.Generator, n_points: int = 20,
-                        target_err: float = 1e-9, quad_tol: float = 1e-12) -> AgreementReport:
-    """Max gap between the extension and the truncated transform at random z.
+                        rng: np.random.Generator, quad_tol: float = 1e-12) -> AgreementReport:
+    """Max gap between the extension and the truncated transform at _AGREEMENT_POINTS random z.
 
     Samples Re z in [0.3, 2.5], |Im z| <= 2.5 (Re z, then Im z, per point);
-    the gap should stay within target_err plus the reported truncation
-    bounds.  All points take one improper_laplace call and one extension call.
+    the gap should stay within _AGREEMENT_TARGET_ERR plus the reported
+    truncation bounds.  All points take one improper_laplace call and one
+    extension call.
     """
     z = np.asarray([complex(rng.uniform(0.3, 2.5), rng.uniform(-2.5, 2.5))
-                    for _ in range(n_points)], dtype=complex)
-    point = improper_laplace(bv, z, cert, target_err=target_err, quad_tol=quad_tol)
+                    for _ in range(_AGREEMENT_POINTS)], dtype=complex)
+    point = improper_laplace(bv, z, cert, target_err=_AGREEMENT_TARGET_ERR, quad_tol=quad_tol)
     ext = _eval_extension(f_ext, z, bv.dimension)
     gaps = np.asarray(vector_norm(point.value - ext, bv.norm_kind), dtype=float)
-    return AgreementReport(gap=float(np.max(gaps, initial=0.0)), points=n_points,
-                           t_star_max=float(np.max(point.t_star, initial=0.0)),
-                           truncation_bound_max=float(np.max(point.truncation_bound,
-                                                             initial=0.0)))
+    return AgreementReport(gap=float(np.max(gaps)), points=_AGREEMENT_POINTS,
+                           t_star_max=float(np.max(point.t_star)),
+                           truncation_bound_max=float(np.max(point.truncation_bound)))

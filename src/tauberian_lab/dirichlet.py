@@ -9,7 +9,9 @@ parts gives the certificate constant C = e * max(sup ||b_n||, 1) with x0 = 1
 and cutoff R(t) = e^t, so the generic decay bound applies verbatim and can be
 measured against the true partial sums.  Every coefficient source is a table
 of rows b_n: the named rules and periodic sources repeat theirs, a file's is
-read once and must be long enough.
+read once and must be long enough.  The limit f(0) that partial_sum_decay
+measures against is the instance's own f0: computed for the alternating rule,
+else given as f0 in the problem file's dirichlet block (load_problem stores it).
 """
 
 from __future__ import annotations
@@ -106,17 +108,6 @@ class CoefficientSequence:
         """Largest index available (file sources only)."""
         return int(self.table.shape[0]) if self.kind == "file" else None
 
-    def values(self, n: np.ndarray) -> np.ndarray:
-        """Coefficients b_n for a 1-based index array, shape (len(n), dimension)."""
-        n = np.asarray(n, dtype=np.int64)
-        if np.any(n < 1):
-            raise ValueError("coefficient indices are 1-based")
-        if self.kind == "file" and np.any(n > self.table.shape[0]):
-            raise ValueError(
-                f"file source {self.source!r} has {self.table.shape[0]} coefficients, "
-                f"index {int(n.max())} requested")
-        return self.table[(n - 1) % self.table.shape[0]]
-
     def sup_norm(self, norm_kind: str = "euclidean") -> float:
         return float(np.max(vector_norm(self.table, norm_kind)))
 
@@ -183,20 +174,17 @@ class DecayRow:
     branch: str
 
 
-def partial_sum_decay(instance: DirichletInstance, M: GrowthBound,
-                      t_grid, f0=None) -> list[DecayRow]:
-    """Measured ||A(t) - f(0)|| against the generic bound on a t grid.
+def partial_sum_decay(instance: DirichletInstance, M: GrowthBound, t_grid) -> list[DecayRow]:
+    """Measured ||A(t) - f(0)|| against the generic bound on a t grid, f(0) = instance.f0.
 
     Rows where t <= T' carry nan bounds (the guarantee only starts past T');
     the decay norm itself is always reported.
     """
-    if f0 is None:
-        f0 = instance.f0
-    if f0 is None:
+    if instance.f0 is None:
         raise ValueError(
             f"coefficient source {instance.coefficients.describe()!r} has no known "
-            "limit value; pass f0 explicitly")
-    f0 = np.atleast_1d(np.asarray(f0, dtype=complex))
+            "limit value; give f0 in the problem file's dirichlet block")
+    f0 = np.atleast_1d(np.asarray(instance.f0, dtype=complex))
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size and float(t_grid.max()) > instance.t_max + 1e-12:
         raise ValueError(

@@ -61,9 +61,9 @@ def eta_tail(s, first: int, n: int = ACCELERATION_TERMS):
     return out if np.ndim(s) else complex(out[0])
 
 
-def log_two(n: int = ACCELERATION_TERMS) -> float:
+def log_two() -> float:
     """log 2 = eta(1), via the acceleration (provenance: computed, not typed)."""
-    return float(eta(1.0, n=n).real)
+    return float(eta(1.0).real)
 
 
 def alternating_partial_sum(s: complex, count: int) -> complex:

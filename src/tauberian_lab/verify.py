@@ -4,9 +4,12 @@ Every check reads sups of ||G(z, t)||, G(z, t) = e^{-Re(z) t} int_0^t e^{zs} dA(
 over a hybrid time grid (uniform base plus geometric refinement just after each
 jump, where suprema are attained as t decreases to the jump) and reports a
 SupReport: the grid supremum, the asserted bound, their margin, and the
-witnessing grid point.  Negative margins are reported, never raised.  REL_TOL is
-the one relative slack of every verdict: SupReport.passed, the ratio hypothesis
-the bounds assume, and the contour and dirichlet verdicts of the CLI.
+witnessing grid point.  Negative margins are reported, never raised.  The
+default grid (make_t_grid) is fixed: 512 uniform points on [0, 50] plus 64
+geometric ones in the 0.1 after each of the first 128 jumps.  REL_TOL is the
+one relative slack of every verdict: within(margin, bound) is the rule that
+SupReport.passed and the contour and dirichlet verdicts of the CLI apply, and
+the ratio hypothesis the bounds assume allows the same slack.
 check_certificate is the one sup check: it takes a certificate (C, x0, T, R(t))
 and reports the ratio condition and the line, tail and small-x bounds it
 yields at x0, from one batched sweep that takes each abscissa once.  Of the
@@ -41,6 +44,9 @@ REL_TOL = 1e-9  # relative slack of a verdict: a margin >= -REL_TOL |bound| pass
 _TAIL_REMAINDER_TOL = 1e-6  # the tail bound's certified remainder past its truncation point
 _SMALL_X_SLACK = 1e-10  # relative slack of dropping a small-x abscissa (_small_x_abscissas)
 _STRIP_DEPTHS = (0.0, 0.05, 0.25, 0.5, 0.75, 0.98)  # fractions of the strip width 1/M(|y|)
+# the default t grid (make_t_grid)
+_T_MAX, _BASE_POINTS = 50.0, 512
+_JUMP_POINTS, _JUMP_WINDOW, _MAX_REFINED_JUMPS = 64, 0.1, 128
 
 
 @dataclass(frozen=True)
@@ -58,23 +64,24 @@ class SupReport:
         return self.bound - self.grid_sup
 
     def passed(self) -> bool:
-        return (not self.hypothesis_failed) and self.margin >= -REL_TOL * abs(self.bound)
+        return (not self.hypothesis_failed) and within(self.margin, self.bound)
 
 
-def make_t_grid(bv: BVFunction, t_max: float = 50.0, base_points: int = 512,
-                jump_points: int = 64, jump_window: float = 0.1,
-                max_refined_jumps: int = 128) -> tuple[np.ndarray, str]:
-    """(grid, description): uniform on [0, t_max] plus geometric tails in (tau, tau + window]."""
-    parts = [np.linspace(0.0, t_max, base_points)]
-    taus = bv.jump_times[bv.jump_times < t_max][:max_refined_jumps]
-    if taus.size and jump_points > 0:
-        offsets = jump_window * np.geomspace(1e-6, 1.0, jump_points)
-        refined = (taus[:, None] + offsets[None, :]).ravel()
-        parts.append(refined[refined <= t_max])
-    grid = np.sort(np.concatenate(parts))
+def within(margin: float, bound: float) -> bool:
+    """The one verdict rule: a margin of at least -REL_TOL |bound| passes (a nan one fails)."""
+    return margin >= -REL_TOL * abs(bound)
+
+
+def make_t_grid(bv: BVFunction) -> tuple[np.ndarray, str]:
+    """(grid, description): _BASE_POINTS uniform on [0, _T_MAX] plus _JUMP_POINTS geometric
+    ones in (tau, tau + _JUMP_WINDOW] after each of the first _MAX_REFINED_JUMPS jumps."""
+    base = np.linspace(0.0, _T_MAX, _BASE_POINTS)
+    taus = bv.jump_times[bv.jump_times < _T_MAX][:_MAX_REFINED_JUMPS]
+    refined = (taus[:, None] + _JUMP_WINDOW * np.geomspace(1e-6, 1.0, _JUMP_POINTS)).ravel()
+    grid = np.sort(np.concatenate([base, refined[refined <= _T_MAX]]))
     grid = grid[np.diff(grid, prepend=-math.inf) != 0]  # np.unique would import numpy.ma
-    return grid, (f"t in [0, {t_max:g}], {base_points} uniform + {jump_points} geometric per "
-                  f"jump (window {jump_window:g}, {taus.size} jumps refined), {grid.size} points")
+    return grid, (f"t in [0, {_T_MAX:g}], {_BASE_POINTS} uniform + {_JUMP_POINTS} geometric per "
+                  f"jump (window {_JUMP_WINDOW:g}, {taus.size} jumps refined), {grid.size} points")
 
 
 def make_x_grid(x_min: float, x_max: float, points: int = 64) -> np.ndarray:

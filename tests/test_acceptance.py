@@ -282,7 +282,7 @@ def test_09_end_to_end_alternating_series():
     growth = GrowthBound.affine(1.25)
     tp = t_prime(inst.certificate, growth)
     ts = np.linspace(tp + 0.2, 13.0, 64)
-    rows = partial_sum_decay(inst, growth, ts, f0=inst.f0)
+    rows = partial_sum_decay(inst, growth, ts)
     worst = min(r.margin for r in rows)
     margins_ok = worst >= 0.0 and all(math.isfinite(r.margin) for r in rows)
 

@@ -13,6 +13,8 @@ from tauberian_lab import (
     BVFunction,
     DensityPiece,
     NonFiniteIntegrandError,
+    TauberianCertificate,
+    check_certificate,
     finite_laplace,
     stieltjes_integral,
     vector_norm,
@@ -1031,8 +1033,65 @@ def test_density_rate_only_where_the_base_uses_it():
 SINGULAR_EXPONENTS = (-0.5, -0.9, -0.99)
 
 
+def power_series(c, a, lo, hi, m=math, terms: int = 150):
+    """int_lo^hi e^{cs} s^a ds = sum_k c^k / k! (hi^p - lo^p) / p, p = a + k + 1, in the
+    arithmetic of the arguments' types (m = math or mpmath).  Each difference is formed as
+    lo^p expm1(p log(hi / lo)) / p, which keeps its digits as p -> 0; in floats the sum is
+    exact to rounding only where its terms do not cancel (|c| hi of order 1)."""
+    total, ck = 0, 1
+    for k in range(terms):
+        p = a + k + 1
+        total += ck * (hi ** p / p if lo == 0 else lo ** p * m.expm1(p * m.log(hi / lo)) / p)
+        ck *= c / (k + 1)
+    return total
+
+
 class TestSingularExponents:
     """Densities s^a with -1 < a < 0, singular at 0, against closed forms."""
+
+    NEAR = -1.0 + 1e-9  # s^a ds = du with u = expm1(b log s) / b, b = 1e-9
+
+    def test_near_singular_power_keeps_its_digits(self):
+        # in u = s^b both ends of [0.2, 10) lie within 4e-9 of 1, which cost 8 digits
+        bv = BVFunction.from_density("power", start=0.2, end=10.0, exponent=self.NEAR)
+        b = self.NEAR + 1.0
+        want = 0.2 ** b * math.expm1(b * math.log(50.0)) / b
+        assert want == power_series(0.0, self.NEAR, 0.2, 10.0)
+        assert abs(bv.total_variation(10.0) - want) <= 1e-15 * want
+        assert abs(stieltjes_integral(bv, 0.0, 10.0)[0] - want) <= 1e-15 * want
+
+    def test_near_singular_power_under_an_oscillating_weight(self):
+        # in u = s^b quad did not converge here (error estimate 2.4e-10 > 1e-12)
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.prec = 200
+        bv = BVFunction.from_density("power", start=0.2, end=10.0, exponent=self.NEAR)
+        want = complex(power_series(mpmath.mpc(-0.7, 2.0), mpmath.mpf(self.NEAR),
+                                    mpmath.mpf(0.2), mpmath.mpf(10.0), mpmath))
+        got = stieltjes_integral(bv, -0.7 + 2j, 10.0, 1e-12)[0]
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_near_singular_power_in_the_verify_sweep(self):
+        # the line sup at x0 = 1 is 0.2 e^{-1} int_0.2^1 e^s s^a ds, at t = 1; in
+        # u = s^b it read 0.19989674833393845
+        bv = BVFunction.from_density("power", start=0.2, end=10.0, exponent=self.NEAR, scale=0.2)
+        line = check_certificate(bv, TauberianCertificate(C=1.0, x0=1.0),
+                                 t_grid=np.linspace(0.0, 12.0, 25))[1]
+        want = 0.2 * math.exp(-1.0) * power_series(1.0, self.NEAR, 0.2, 1.0)
+        assert (line.case_id, line.witness_t) == ("line_bound_x1_y0", 1.0)
+        assert abs(line.grid_sup - want) <= 1e-15 * want
+
+    def test_near_singular_power_from_zero(self):
+        # s = 0 is u = -1/b, mapped back to s = 0 exactly
+        a, z = -1.0 + 1e-3, 0.5 - 1.0j
+        bv = BVFunction.from_density("power", end=1.0, exponent=a)
+        got = stieltjes_integral(bv, -0.7 + 2j, 1.0, 1e-12)[0]
+        want = power_series(-0.7 + 2j, a, 0.0, 1.0)
+        assert abs(got - want) <= 1e-14 * abs(want)
+        t = np.asarray([0.0, 0.5, 1.0, 2.0])
+        swept = weighted_partial_grid(bv, z, t, 1e-12)[:, 0]
+        want = np.exp(-z.real * t) * np.asarray([power_series(z, a, 0.0, min(ti, 1.0))
+                                                 for ti in t])
+        assert swept[0] == 0 and np.all(np.abs(swept[1:] - want[1:]) <= 1e-14 * np.abs(want[1:]))
 
     @pytest.mark.parametrize("a", SINGULAR_EXPONENTS)
     def test_power_on_the_unit_interval(self, a):
@@ -1076,7 +1135,8 @@ class TestSingularExponents:
 
     @pytest.mark.parametrize("a", SINGULAR_EXPONENTS)
     def test_contour_tail_over_an_unbounded_piece(self, a):
-        # [0, inf) in u = s^{a+1}, then mapped onto [0, 1): both substitutions at once
+        # [0, inf) in u = expm1(b log s) / b, then mapped onto [0, 1): both substitutions
+        # at once
         z = np.asarray([0.5 + 2.0j, 1.0, 3.0j, 0.01 - 40.0j])
         bv = BVFunction.from_density("damped_power", exponent=a, rate=-1.0)
         got = exp_tail_integral(bv, z, 0.0, 1e-12)[:, 0]

@@ -408,7 +408,8 @@ class TestDirichlet:
     def test_ones_without_f0_names_the_gap(self):
         res = run("dirichlet", "--problem", "problems/dirichlet_ones.json")
         assert res.exit_code == 2
-        assert "f0" in stderr_of(res)
+        assert "no known limit value; give f0 in the problem file's dirichlet block" in (
+            stderr_of(res))
 
     def test_alternating_margins(self, tmp_path):
         p = tmp_path / "alt.json"

@@ -270,7 +270,7 @@ class TestExtensions:
     def test_agreement_with_truncated_transform(self, rng):
         bv, ext = exp_density_pair()
         cert = TauberianCertificate(C=1.0, x0=1.0)
-        report = extension_agreement(bv, ext, cert, rng, n_points=12, target_err=1e-9)
+        report = extension_agreement(bv, ext, cert, rng)
         assert report.gap <= 1e-6
         assert report.points == 12
         assert report.truncation_bound_max == pytest.approx(1e-9, rel=1e-12)
@@ -328,7 +328,7 @@ class TestAgreementOneCall:
         bv, ext = pair()
         cert = TauberianCertificate(C=math.e, x0=1.0)
         for seed in (0, 7, 2026):
-            report = extension_agreement(bv, ext, cert, np.random.default_rng(seed), n_points=12)
+            report = extension_agreement(bv, ext, cert, np.random.default_rng(seed))
             want = loop_agreement(bv, ext, cert, np.random.default_rng(seed), 12)
             assert abs(report.gap - want) <= 1e-12
 
@@ -347,16 +347,9 @@ class TestAgreementOneCall:
                             spy("extension", contour_module._eval_extension))
         bv, ext = alternating_pair(2000)
         report = extension_agreement(bv, ext, TauberianCertificate(C=math.e, x0=1.0),
-                                     np.random.default_rng(1), n_points=12)
+                                     np.random.default_rng(1))
         assert calls == {"transform": [12], "extension": [12]}
         assert report.points == 12
-
-    def test_no_points(self):
-        bv, ext = exp_density_pair()
-        report = extension_agreement(bv, ext, TauberianCertificate(C=1.0, x0=1.0),
-                                     np.random.default_rng(1), n_points=0)
-        assert (report.gap, report.points, report.t_star_max, report.truncation_bound_max) == (
-            0.0, 0, 0.0, 0.0)
 
 
 class TestContourDump:

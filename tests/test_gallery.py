@@ -16,10 +16,17 @@ For a byte-for-byte comparison of two checkouts, run in each (from its root)
 
 which writes every gallery command's exact stdout, exit code and stderr
 (without the sidecar's ``generated_at`` line) into DIR, with each contour
-command's ``--dump`` table beside them; then compare with ``diff -r``.
+command's ``--dump`` table beside them, and then the same for every command
+of the benchmark workloads (``perfbench/workloads.py``) at seeds 1, 7 and 23;
+then compare with ``diff -r``.  The workloads run with DIR as the working
+directory and write their problem files and dumps under the relative path
+``workloads/<workload>/<seed>/``, so the sidecar's ``"problem"`` path is the
+same for every DIR.
 """
 
 import argparse
+import contextlib
+import importlib.util
 import json
 import math
 import sys
@@ -31,6 +38,8 @@ from click.testing import CliRunner
 from tauberian_lab.cli import main
 
 EXPECTED = Path(__file__).with_name("gallery_expected.json")
+WORKLOADS = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+WORKLOAD_SEEDS = (1, 7, 23)
 REL_TOL = ABS_TOL = 1e-12
 EXACT_COLUMNS = ("case_id", "witness_t")
 AGREEMENT_TOL = 1e-12  # absolute, on the contour sidecar's extension_agreement_gap
@@ -72,19 +81,41 @@ def run_gallery() -> dict[str, dict]:
     return outputs
 
 
+def _workloads() -> dict:
+    """The benchmark's {name: commands(seed, work)}, read from its file (perfbench is no package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclass looks the module up in sys.modules
+    return module.WORKLOADS
+
+
+def _write_run(directory: Path, stem: str, args) -> None:
+    """One command's stdout, exit code and stderr (without generated_at) in directory."""
+    result = CliRunner().invoke(main, list(args))
+    (directory / f"{stem}.csv").write_text(result.stdout)
+    (directory / f"{stem}.exit").write_text(f"{result.exit_code}\n")
+    (directory / f"{stem}.stderr").write_text("".join(
+        line for line in result.stderr.splitlines(keepends=True)
+        if '"generated_at":' not in line))
+
+
 def write_outputs(directory: Path) -> None:
-    """Each gallery command's stdout, exit code and stderr, and each contour dump, in directory."""
+    """Each gallery command's outputs and contour dump in directory, then each benchmark
+    workload command's at each of WORKLOAD_SEEDS, its files under workloads/<name>/<seed>/."""
+    directory = directory.resolve()
     directory.mkdir(parents=True, exist_ok=True)
     for name, args in _commands().items():
         stem = name.replace(" ", "_")
         if args[0] == "contour":
             args = [*args, "--dump", str(directory / f"{stem}.dump.csv")]
-        result = CliRunner().invoke(main, args)
-        (directory / f"{stem}.csv").write_text(result.stdout)
-        (directory / f"{stem}.exit").write_text(f"{result.exit_code}\n")
-        (directory / f"{stem}.stderr").write_text("".join(
-            line for line in result.stderr.splitlines(keepends=True)
-            if '"generated_at":' not in line))
+        _write_run(directory, stem, args)
+    with contextlib.chdir(directory):
+        for name, commands in _workloads().items():
+            for seed in WORKLOAD_SEEDS:
+                work = Path("workloads", name, str(seed))
+                work.mkdir(parents=True, exist_ok=True)
+                for command in commands(seed, work):
+                    _write_run(Path(), f"{name}_{seed}_{command.label}", command.args)
 
 
 def _number(cell: str) -> float | None:
@@ -134,6 +165,7 @@ def test_outputs_mode_writes_each_command(tmp_path, monkeypatch):
     subset = {name: args for name, args in _commands().items()
               if name in ("rate rate_constant_growth", "contour exp_density")}
     monkeypatch.setattr(sys.modules[__name__], "_commands", lambda: subset)
+    monkeypatch.setattr(sys.modules[__name__], "_workloads", dict)
     write_outputs(tmp_path / "out")
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "contour_exp_density.csv", "contour_exp_density.dump.csv", "contour_exp_density.exit",
@@ -147,9 +179,38 @@ def test_outputs_mode_writes_each_command(tmp_path, monkeypatch):
     assert dump.startswith("piece,s_param,re z,im z,|integrand|\n")
 
 
+def test_outputs_mode_writes_each_workload_command(tmp_path, monkeypatch):
+    # one workload at one seed, written from two directories: the trees are identical,
+    # the problem path in the sidecar included
+    module, jumps_contour = sys.modules[__name__], _workloads()["jumps-contour"]
+    monkeypatch.setattr(module, "_commands", dict)
+    monkeypatch.setattr(module, "_workloads", lambda: {"jumps-contour": jumps_contour})
+    monkeypatch.setattr(module, "WORKLOAD_SEEDS", (7,))
+    trees = []
+    for out in (tmp_path / "a", tmp_path / "deeper" / "b"):
+        write_outputs(out)
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert trees[0] == trees[1]
+    assert sorted(trees[0]) == [
+        "jumps-contour_7_contour.csv", "jumps-contour_7_contour.exit",
+        "jumps-contour_7_contour.stderr", "jumps-contour_7_dirichlet.csv",
+        "jumps-contour_7_dirichlet.exit", "jumps-contour_7_dirichlet.stderr",
+        "workloads/jumps-contour/7/alternating.json",
+        "workloads/jumps-contour/7/contour_dump.csv"]
+    stderr = trees[0]["jumps-contour_7_contour.stderr"].decode()
+    assert '"problem": "workloads/jumps-contour/7/alternating.json"' in stderr
+    assert "generated_at" not in stderr
+    assert trees[0]["jumps-contour_7_contour.exit"] == trees[0][
+        "jumps-contour_7_dirichlet.exit"] == b"0\n"
+    assert trees[0]["workloads/jumps-contour/7/contour_dump.csv"].startswith(
+        b"piece,s_param,re z,im z,|integrand|\n")
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Regenerate gallery_expected.json, or with "
-                                     "--outputs write every gallery output into DIR.")
+                                     "--outputs write every gallery and benchmark workload "
+                                     "output into DIR.")
     parser.add_argument("--outputs", metavar="DIR", type=Path)
     outputs = parser.parse_args().outputs
     if outputs is None:

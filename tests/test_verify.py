@@ -37,15 +37,32 @@ def exp_density() -> BVFunction:
     return BVFunction.from_density("exponential", rate=-1.0)
 
 
+def hybrid_grid(bv: BVFunction, t_max: float, base_points: int = 512,
+                jump_points: int = 64) -> np.ndarray:
+    """make_t_grid's layout on [0, t_max]: base_points uniform points plus jump_points
+    geometric ones in the 0.1 after each jump."""
+    taus = bv.jump_times[bv.jump_times < t_max]
+    refined = (taus[:, None] + 0.1 * np.geomspace(1e-6, 1.0, jump_points)).ravel()
+    return np.unique(np.concatenate([np.linspace(0.0, t_max, base_points),
+                                     refined[refined <= t_max]]))
+
+
 class TestGrids:
     def test_t_grid_refines_after_jumps(self):
         bv = BVFunction.single_jump(1.0)
-        grid, described = make_t_grid(bv, t_max=10.0)
+        grid, described = make_t_grid(bv)
         assert "1 jumps refined" in described
         just_after = grid[(grid > 1.0) & (grid < 1.01)]
         assert just_after.size >= 10  # geometric cluster right of the jump
-        assert grid[0] == 0.0 and grid[-1] == 10.0
+        assert grid[0] == 0.0 and grid[-1] == 50.0
         assert np.all(np.diff(grid) > 0)
+        assert np.array_equal(grid, hybrid_grid(bv, 50.0))
+
+    def test_t_grid_refines_the_first_128_jumps(self):
+        grid, described = make_t_grid(BVFunction.from_jumps([(0.2 * k, 1.0) for k in range(200)]))
+        assert "128 jumps refined" in described
+        first = BVFunction.from_jumps([(0.2 * k, 1.0) for k in range(128)])
+        assert np.array_equal(grid, hybrid_grid(first, 50.0))
 
     def test_x_grid(self):
         g = make_x_grid(0.1, 10.0, 5)
@@ -69,7 +86,7 @@ class TestDelayedStep:
         # sup over t of the ratio is 1, attained as t decreases to T; every
         # grid point matches the closed form
         step = BVFunction.single_jump(1.0)
-        grid, _ = make_t_grid(step, t_max=6.0)
+        grid = hybrid_grid(step, 6.0)
         for x in (0.5, 1.0, 4.0):
             got = np.abs(weighted_partial_grid(step, x, grid)[:, 0])
             assert np.all(np.abs(got - np.where(grid > 1.0, np.exp(x * (1.0 - grid)), 0.0))
@@ -80,7 +97,7 @@ class TestDelayedStep:
         # at x = 4 the sup (= 1) exceeds 1/x = 0.25: no constant bound C/x
         # with C < 1 can hold through the jump
         step = BVFunction.single_jump(1.0)
-        grid, _ = make_t_grid(step, t_max=6.0)
+        grid = hybrid_grid(step, 6.0)
         assert np.abs(weighted_partial_grid(step, 4.0, grid)).max() > 1.0 / 4.0
 
     def test_restart_clears_the_violation(self):
@@ -131,6 +148,15 @@ class TestCheckTauberian:
         report = check_certificate(exp_density(), cert, x_grid=np.geomspace(1.0, 100.0, 16))[0]
         assert report.passed()
 
+    def test_one_verdict_rule(self):
+        # SupReport.passed and the contour and dirichlet verdicts of the CLI all call it
+        within = verify_module.within
+        assert within(0.0, 1.0) and within(-1e-9, 1.0) and within(-1e-9, -1.0)
+        assert not within(-2e-9, 1.0) and not within(math.nan, 1.0)
+        assert within(math.inf, math.inf) and not within(-math.inf, 1.0)
+        rep = SupReport("c", grid_sup=1.0 + 2e-9, bound=1.0, witness_t=0.0)
+        assert not rep.passed() and SupReport("c", 1.0 + 5e-10, 1.0, 0.0).passed()
+
     def test_failing_certificate_reports_negative_margin(self):
         bv = BVFunction.single_jump(1.0)
         cert = TauberianCertificate(C=0.5, x0=1.0, R_rule=CutoffRuleConstantOne())
@@ -142,8 +168,7 @@ class TestCheckTauberian:
         # doubling both grid densities moves the reported sup by under 1%
         bv = exp_density()
         cert = TauberianCertificate(C=1.0, x0=1.0)
-        coarse_t, _ = make_t_grid(bv, t_max=30.0)
-        fine_t, _ = make_t_grid(bv, t_max=30.0, base_points=1024, jump_points=128)
+        coarse_t, fine_t = hybrid_grid(bv, 30.0), hybrid_grid(bv, 30.0, 1024, 128)
         xs = np.geomspace(1.0, 8.0, 16)
         a = check_certificate(bv, cert, t_grid=coarse_t, x_grid=xs)[0].grid_sup
         b = check_certificate(bv, cert, t_grid=fine_t, x_grid=xs)[0].grid_sup
@@ -156,8 +181,7 @@ class TestCheckTauberian:
         from tauberian_lab import CutoffRule
 
         cert = TauberianCertificate(C=1.0, x0=1.0, R_rule=CutoffRule.constant(50.0))
-        coarse_t, _ = make_t_grid(bv, t_max=10.0)
-        fine_t, _ = make_t_grid(bv, t_max=10.0, base_points=1024, jump_points=128)
+        coarse_t, fine_t = hybrid_grid(bv, 10.0), hybrid_grid(bv, 10.0, 1024, 128)
         xs = np.geomspace(1.0, 50.0, 8)
         a = check_certificate(bv, cert, t_grid=coarse_t, x_grid=xs, quad_tol=1e-12)[0].grid_sup
         b = check_certificate(bv, cert, t_grid=fine_t, x_grid=xs, quad_tol=1e-12)[0].grid_sup
