@@ -16,13 +16,12 @@ from .contour import (AgreementReport, CauchyReport, ContourBudgetError,
                       evaluate_contour, extension_agreement, fudge_factor, term_bounds)
 from .dirichlet import (CoefficientSequence, DecayRow, DirichletInstance,
                         build_instance, partial_sum_decay)
-from .growth import (CutoffRule, GrowthBound, GrowthDomainError, branch_start,
-                     m_log, m_log_inverse)
+from .growth import CutoffRule, GrowthBound, GrowthDomainError, m_log, m_log_inverse
 from .problems import Problem, ProblemFormatError, load_problem
 from .rates import (RateResult, bound_B, decay_rate, k_prime, r_opt, t_prime,
                     t_prime_second_term_clamped)
-from .transform import (TauberianCertificate, TransformPoint,
-                        TruncationCapError, finite_laplace, improper_laplace)
+from .transform import (TauberianCertificate, TransformPoint, TruncationCapError,
+                        improper_laplace)
 from .vectors import vector_norm
 from .verify import SupReport, check_admissibility, check_certificate, make_t_grid, make_x_grid
 
@@ -36,13 +35,11 @@ __all__ = [
     "evaluate_contour", "extension_agreement", "fudge_factor", "term_bounds",
     "CoefficientSequence", "DecayRow", "DirichletInstance", "build_instance",
     "partial_sum_decay",
-    "CutoffRule", "GrowthBound", "GrowthDomainError", "branch_start",
-    "m_log", "m_log_inverse",
+    "CutoffRule", "GrowthBound", "GrowthDomainError", "m_log", "m_log_inverse",
     "Problem", "ProblemFormatError", "load_problem",
     "RateResult", "bound_B", "decay_rate", "k_prime", "r_opt",
     "t_prime", "t_prime_second_term_clamped",
-    "TauberianCertificate", "TransformPoint", "TruncationCapError",
-    "finite_laplace", "improper_laplace",
+    "TauberianCertificate", "TransformPoint", "TruncationCapError", "improper_laplace",
     "vector_norm",
     "SupReport", "check_admissibility", "check_certificate", "make_t_grid", "make_x_grid",
 ]

@@ -26,7 +26,7 @@ hi_i = t*_i per point, so all of its points take one call.
 point and every rate of an (m,) array c, one call for all of them:
 ``weighted_partial_grid`` walks its grid upward from 0 with c = z,
 ``weighted_tail_grid`` walks it downward from v_max with c = -z, and both
-take a scalar z, giving (n, d), or an (m,) array of z, giving (m, n, d).
+take an (m,) array of z and give (m, n, d).
 The sweep needs no direction flag: each row covers the range between the
 start and its point, [start, t_j) or [t_j, start), so the order of the
 points it is handed is the direction.  The four public evaluators check
@@ -117,7 +117,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .vectors import NORM_KINDS, vector_norm
+from .vectors import NORM_KINDS, one_d, vector_norm
 
 DENSITY_KINDS = ("constant", "exponential", "power", "damped_power")
 
@@ -856,10 +856,8 @@ def _weighted_sweep(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: fl
 
 
 def _abscissas(z, caller: str) -> np.ndarray:
-    """z as a 0-d or 1-d complex array with Re(z) >= 0."""
-    z = np.asarray(z, dtype=complex)
-    if z.ndim > 1:
-        raise ValueError(f"{caller} takes a scalar z or a 1-d array of them")
+    """z as a 1-d complex array with Re(z) >= 0."""
+    z = one_d(z, complex, caller)
     if np.any(z.real < 0):
         raise ValueError(f"{caller} requires Re(z) >= 0")
     return z
@@ -871,8 +869,8 @@ def weighted_partial_grid(bv: BVFunction, z, t_grid: np.ndarray,
 
     Equals e^{-Re(z) t_j} int_0^{t_j} e^{zs} dA(s); every term has modulus
     <= its jump/density mass, so the result is finite for any Re(z) >= 0.
-    The sweep walks the grid upward from 0 with c = z.  A scalar z gives the
-    (n, d) rows; an (m,) array of z gives (m, n, d), all from one sweep.
+    The sweep walks the grid upward from 0 with c = z.  An (m,) array of z
+    gives the (m, n, d) rows, all from one sweep.
     """
     return _partial_rows(bv, z, t_grid, None, quad_tol)
 
@@ -903,13 +901,12 @@ def _partial_rows(bv: BVFunction, z, t_grid: np.ndarray, held: np.ndarray | None
     bitwise those of weighted_partial_grid there, and the last axis but one
     runs over held.
     """
-    zs = _abscissas(z, "weighted_partial_grid")
+    z = _abscissas(z, "weighted_partial_grid")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or (t_grid.size and (np.any(np.diff(t_grid) < 0) or t_grid[0] < 0)):
         raise ValueError("t_grid must be ascending and nonnegative")
     held = np.arange(t_grid.size) if held is None else held
-    out = _weighted_sweep(bv, zs.ravel(), t_grid, 0.0, quad_tol, held)
-    return out if zs.ndim else out[0]
+    return _weighted_sweep(bv, z, t_grid, 0.0, quad_tol, held)
 
 
 def weighted_tail_grid(bv: BVFunction, z, t_grid: np.ndarray, v_max: float,
@@ -918,18 +915,17 @@ def weighted_tail_grid(bv: BVFunction, z, t_grid: np.ndarray, v_max: float,
 
     Computed as int e^{-z s + Re(z) t_j} dA(s); all weights have modulus <= 1
     when Re(z) >= 0.  Jumps with tau in [t_j, v_max) contribute.  The sweep
-    walks the grid downward from v_max with c = -z.  A scalar z gives the
-    (n, d) rows; an (m,) array of z gives (m, n, d), all from one sweep.
+    walks the grid downward from v_max with c = -z.  An (m,) array of z
+    gives the (m, n, d) rows, all from one sweep.
     """
-    zs = _abscissas(z, "weighted_tail_grid")
+    z = _abscissas(z, "weighted_tail_grid")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or (t_grid.size and np.any(np.diff(t_grid) < 0)):
         raise ValueError("t_grid must be ascending")
     if t_grid.size and v_max < t_grid[-1]:
         raise ValueError("v_max must dominate the largest grid point")
-    out = _weighted_sweep(bv, -zs.ravel(), t_grid[::-1], float(v_max), quad_tol,
-                          np.arange(t_grid.size))[:, ::-1]
-    return out if zs.ndim else out[0]
+    return _weighted_sweep(bv, -z, t_grid[::-1], float(v_max), quad_tol,
+                           np.arange(t_grid.size))[:, ::-1]
 
 
 # -- contour-facing evaluators ---------------------------------------------------

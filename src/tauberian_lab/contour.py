@@ -64,11 +64,10 @@ class ContourBudgetError(ValueError):
             f"{max_nodes}; lower t, R or the density multiplier")
 
 
-def fudge_factor(z, R: float):
-    """(1 + z^2/R^2)^2; on |z| = R its modulus is (2|Re z|/R)^2."""
+def fudge_factor(z, R: float) -> np.ndarray:
+    """(1 + z^2/R^2)^2, elementwise; on |z| = R its modulus is (2|Re z|/R)^2."""
     z = np.asarray(z, dtype=complex)
-    w = (1.0 + (z / R) ** 2) ** 2
-    return w if w.ndim else complex(w)
+    return np.asarray((1.0 + (z / R) ** 2) ** 2)
 
 
 @dataclass(frozen=True)
@@ -165,13 +164,12 @@ class RationalExtension:
         if not any(c != 0 for c in self.denominator):
             raise ValueError("denominator is identically zero")
 
-    def __call__(self, z):
+    def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         num = npoly.polyval(z, np.asarray(self.numerator))
         den = npoly.polyval(z, np.asarray(self.denominator))
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = num / den
-        return out if out.ndim else complex(out)
+            return np.asarray(num / den)
 
     def describe(self) -> str:
         return f"rational(num={self.numerator}, den={self.denominator})"

@@ -9,8 +9,8 @@ whose three terms ``bound_terms`` writes once for both this module and the
 contour's term III.  The first and third terms balance exactly at
 R_opt = m_log_inverse(t / 4), which is where the bound is used unless the
 cutoff rule caps the radius first; the threshold T' and constant K' read
-m_log(1).  r_opt and decay_rate take a time or a 1-d grid of times: a grid
-is inverted in one m_log_inverse call and gives one result per time, in order.
+m_log(1).  r_opt and decay_rate take a 1-d grid of times: it is inverted in
+one m_log_inverse call and gives one result per time, in order.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 
 from .growth import GrowthBound, at_index, m_log, m_log_inverse
 from .transform import TauberianCertificate
+from .vectors import one_d
 
 BRANCH_OPT_INSIDE = "opt_inside"
 BRANCH_CUTOFF_LIMITED = "cutoff_limited"
@@ -54,34 +55,33 @@ def bound_B(cert: TauberianCertificate, M: GrowthBound, t: float, R: float) -> f
     return first + second + third
 
 
-def r_opt(cert: TauberianCertificate, M: GrowthBound, t) -> float | np.ndarray:
-    """Radius balancing the first and third terms: m_log_inverse(t / 4), elementwise.
+def r_opt(cert: TauberianCertificate, M: GrowthBound, t) -> np.ndarray:
+    """Radius balancing the first and third terms: m_log_inverse(t / 4), per time of a 1-d t.
 
     The balance 10 C / R = 2 R M(R)^2 e^{-t/(2M(R))} is re-verified on every
     element as a postcondition (in log space, so huge/tiny terms don't poison
     the check).  An error about one time carries its position as `index`.
     """
-    ts = np.asarray(t, dtype=float)
-    flat = ts.ravel()
-    bad = np.flatnonzero(~(flat > 0))
+    t = one_d(t, float, "r_opt")
+    bad = np.flatnonzero(~(t > 0))
     if bad.size:
         raise at_index(ValueError("r_opt needs t > 0"), bad[0])
-    a = m_log_inverse(M, cert.C, flat / 4.0)
+    a = m_log_inverse(M, cert.C, t / 4.0)
     bad = np.flatnonzero(~np.isfinite(a))
     if bad.size:
         raise at_index(ArithmeticError(
-            f"optimal radius exceeds float range at t = {float(flat[bad[0]])!r}"), bad[0])
+            f"optimal radius exceeds float range at t = {float(t[bad[0]])!r}"), bad[0])
     Ma = M(a)
     log_first = math.log(10.0 * cert.C) - np.log(a)
-    log_third = math.log(2.0) + np.log(a) + 2.0 * np.log(Ma) - flat / (2.0 * Ma)
+    log_third = math.log(2.0) + np.log(a) + 2.0 * np.log(Ma) - t / (2.0 * Ma)
     gap = np.abs(log_first - log_third)
     bad = np.flatnonzero(gap > _BALANCE_TOL)
     if bad.size:
         i = bad[0]
         raise at_index(ArithmeticError(
-            f"balance postcondition failed at t = {float(flat[i])!r}: |log-gap| = "
+            f"balance postcondition failed at t = {float(t[i])!r}: |log-gap| = "
             f"{gap[i]:.3e}"), i)
-    return a.reshape(ts.shape) if ts.ndim else float(a[0])
+    return a
 
 
 def t_prime(cert: TauberianCertificate, M: GrowthBound) -> float:
@@ -104,26 +104,23 @@ def k_prime(cert: TauberianCertificate, M: GrowthBound) -> float | None:
     return float(M(1.0)) / m1 if m1 > 0.0 else None
 
 
-def decay_rate(cert: TauberianCertificate, M: GrowthBound, t) -> RateResult | list[RateResult]:
-    """Evaluate the decay bound at each time t > T'.
+def decay_rate(cert: TauberianCertificate, M: GrowthBound, t) -> list[RateResult]:
+    """Evaluate the decay bound at each time t > T' of a 1-d array.
 
-    t is a time, which gives one RateResult, or a 1-d array of times, which
-    gives one RateResult per time, in order; T' and R_opt are computed once
-    for the grid.  branch is cutoff_limited exactly when R_opt exceeds
+    It gives one RateResult per time, in order; T' and R_opt are computed
+    once for the grid.  branch is cutoff_limited exactly when R_opt exceeds
     the cutoff R_rule(t); the bound is then evaluated at the cutoff radius
     instead.  An error about one time carries its position as `index`.
     """
-    ts = np.asarray(t, dtype=float)
-    flat = ts.ravel()
+    t = one_d(t, float, "decay_rate")
     threshold = t_prime(cert, M)
-    bad = np.flatnonzero(~(flat > threshold))
+    bad = np.flatnonzero(~(t > threshold))
     if bad.size:
         raise at_index(ValueError(
-            f"decay_rate needs t > T' = {threshold!r}, got t = {float(flat[bad[0]])!r}"),
+            f"decay_rate needs t > T' = {threshold!r}, got t = {float(t[bad[0]])!r}"),
             bad[0])
     results = []
-    for tk, R_o, R_r in zip(flat.tolist(), r_opt(cert, M, flat).tolist(),
-                            cert.R_rule(flat).tolist()):
+    for tk, R_o, R_r in zip(t.tolist(), r_opt(cert, M, t).tolist(), cert.R_rule(t).tolist()):
         if R_o > R_r:
             branch = BRANCH_CUTOFF_LIMITED
             R_used = R_r
@@ -134,4 +131,4 @@ def decay_rate(cert: TauberianCertificate, M: GrowthBound, t) -> RateResult | li
         rate_shape = max(1.0 / R_o, 1.0 / R_r if math.isfinite(R_r) else 0.0)
         results.append(RateResult(t=tk, R_opt=R_o, R_rule_t=R_r, R_used=R_used, bound=bound,
                                   branch=branch, rate_shape=rate_shape))
-    return results if ts.ndim else results[0]
+    return results

@@ -14,13 +14,12 @@ The line constant is c = C / x: the ratio condition for x0 <= x <= R(t), and
 the small-x bound (C / x0) (x0 / x) that ``verify`` reports for x < x0.  Above
 a cutoff R that never reaches x, the x0 line gives c = (C / x0)(2 - x0 / x).
 
-``finite_laplace`` is the literal reference: one dense ``stieltjes_integral``,
-one complex exponential per jump.  ``improper_laplace`` takes any number of
-points in one call: it sums int_[0, t*_i) e^{-z_i s} dA(s) with the
-block-Taylor jump kernel of ``bv`` (every weight has modulus <= 1 for
-Re z > 0 and s >= 0), so N jumps cost O(N P) moments once, not one
-exponential per jump and point.  A truncation point past _T_CAP is refused
-with TruncationCapError, which reports the tail bound the cap achieves.
+``improper_laplace`` takes a 1-d array of points, all in one call: it sums
+int_[0, t*_i) e^{-z_i s} dA(s) with the block-Taylor jump kernel of ``bv``
+(every weight has modulus <= 1 for Re z > 0 and s >= 0), so N jumps cost
+O(N P) moments once, not one exponential per jump and point.  A truncation
+point past _T_CAP is refused with TruncationCapError, which reports the tail
+bound the cap achieves.
 """
 
 from __future__ import annotations
@@ -30,8 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bv import BVFunction, _exp_range_integral, stieltjes_integral
+from .bv import BVFunction, _exp_range_integral
 from .growth import CutoffRule, at_index
+from .vectors import one_d
 
 _T_CAP = 1e4  # largest truncation point improper_laplace accepts
 
@@ -60,12 +60,12 @@ class TauberianCertificate:
 
 @dataclass(frozen=True)
 class TransformPoint:
-    """The truncated transform at z; for an (n,) array of z every field is an array."""
+    """The truncated transform at each z of an (n,) array; every field is an array."""
 
-    z: complex
-    value: np.ndarray  # (d,), or (n, d)
-    truncation_bound: float
-    t_star: float
+    z: np.ndarray  # (n,)
+    value: np.ndarray  # (n, d)
+    truncation_bound: np.ndarray  # (n,)
+    t_star: np.ndarray  # (n,)
 
 
 class TruncationCapError(ValueError):
@@ -78,12 +78,6 @@ class TruncationCapError(ValueError):
         super().__init__(
             f"truncation point beyond hard cap t = {cap:g}; the certified tail bound "
             f"achievable at the cap is {achievable_bound:.3e} (target was {target:.3e})")
-
-
-def finite_laplace(bv: BVFunction, z: complex, t: float,
-                   quad_tol: float = 1e-10) -> np.ndarray:
-    """int_0^t e^{-zs} dA(s) as a (d,) array; entire in z for each fixed t."""
-    return stieltjes_integral(bv, -complex(z), t, quad_tol)
 
 
 def tail_bound(c: float, x: float, y: float) -> float:
@@ -124,25 +118,19 @@ def improper_laplace(bv: BVFunction, z, cert: TauberianCertificate,
                      target_err: float = 1e-8, quad_tol: float = 1e-12) -> TransformPoint:
     """int_0^inf e^{-zs} dA(s) for Re z > 0, truncated with a certified bound.
 
-    z is a scalar or a 1-d array of them; an array gives one TransformPoint
-    whose fields are arrays, value (n, d).  Each point's t* is chosen on its
-    own, and all points are summed in one call of the block-Taylor range
-    integral over [0, t*_i).  An error names the first failing point in array
-    order, and its `index` attribute is that position.
+    z is a 1-d array of n points; the TransformPoint's fields are arrays,
+    value (n, d).  Each point's t* is chosen on its own, and all points are
+    summed in one call of the block-Taylor range integral over [0, t*_i).  An
+    error names the first failing point in array order, and its `index`
+    attribute is that position.
     """
-    zs = np.asarray(z, dtype=complex)
-    if zs.ndim > 1:
-        raise ValueError("improper_laplace takes a scalar z or a 1-d array of them")
-    flat = zs.ravel()
-    t_star = np.empty(flat.size)
-    bound = np.empty(flat.size)
-    for i, zi in enumerate(flat.tolist()):
+    z = one_d(z, complex, "improper_laplace")
+    t_star = np.empty(z.size)
+    bound = np.empty(z.size)
+    for i, zi in enumerate(z.tolist()):
         try:
             t_star[i], bound[i] = _truncation(cert, zi, target_err)
         except ValueError as exc:
             raise at_index(exc, i)
-    value = _exp_range_integral(bv, flat, 0.0, 0.0, t_star, quad_tol)
-    if zs.ndim:
-        return TransformPoint(z=flat, value=value, truncation_bound=bound, t_star=t_star)
-    return TransformPoint(z=complex(flat[0]), value=value[0],
-                          truncation_bound=float(bound[0]), t_star=float(t_star[0]))
+    value = _exp_range_integral(bv, z, 0.0, 0.0, t_star, quad_tol)
+    return TransformPoint(z=z, value=value, truncation_bound=bound, t_star=t_star)

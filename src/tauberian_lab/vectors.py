@@ -1,4 +1,4 @@
-"""The one norm used throughout on values in C^d.
+"""The one norm used throughout on values in C^d, and the one shape of a batch argument.
 
 Integrators take values in C^d, held as (d,) complex numpy arrays; rows of
 an (m, d) array are m such values.  Everything downstream only needs
@@ -23,6 +23,10 @@ row keeps numpy's value; an exact zero row reports nothing.
 The sup norm takes np.abs of the array as given (|x + iy| is formed without
 squares, so it needs no scaling) and then the max column by column, bitwise
 np.max(np.abs(a), axis=-1) for every d.
+
+``one_d`` is the shape rule of every batch entry (the weighted sweeps,
+improper_laplace, m_log_inverse, r_opt and decay_rate): a 1-d array in, one
+result per element out, and any other shape refused in the entry's name.
 """
 
 from __future__ import annotations
@@ -33,6 +37,14 @@ NORM_KINDS = ("euclidean", "sup")
 
 # plain euclidean norms inside this range lost nothing to their squares
 _TINY, _HUGE = 2.0 ** -500, 2.0 ** 500
+
+
+def one_d(values, dtype, caller: str) -> np.ndarray:
+    """values as a 1-d array of dtype; any other shape is refused in caller's name."""
+    out = np.asarray(values, dtype=dtype)
+    if out.ndim != 1:
+        raise ValueError(f"{caller} takes a 1-d array, got shape {out.shape}")
+    return out
 
 
 def vector_norm(values: np.ndarray, norm_kind: str = "euclidean") -> np.ndarray | float:

@@ -234,7 +234,7 @@ def check_certificate(bv: BVFunction, cert: TauberianCertificate,
         reports.append(_report(f"line_bound_x{x0:g}_y{v:g}", sups[complex(x0, v)],
                                C * (1.0 + abs(v) / x0), x0, t_grid, failed))
     v_max = tail_truncation_point(C, x0, y, float(t_grid[-1]))
-    tail = weighted_tail_grid(bv, complex(x0, y), t_grid, v_max, quad_tol)
+    tail = weighted_tail_grid(bv, [complex(x0, y)], t_grid, v_max, quad_tol)[0]
     reports.append(_report(f"tail_bound_x{x0:g}_y{y:g}", _sup(vector_norm(tail, bv.norm_kind)),
                            tail_bound(C, x0, y), x0, t_grid, failed, f"v_max={v_max:g}"))
     failed = "" if holds else f"ratio hypothesis fails at x0 = {x0:g}"

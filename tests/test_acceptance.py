@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from tauberian_lab import (BVFunction, CoefficientSequence, CutoffRule,
                            EtaShiftExtension, GrowthBound,
                            RationalExtension, TauberianCertificate,
-                           branch_start, build_instance, cauchy_identity_report,
+                           build_instance, cauchy_identity_report,
                            check_certificate, decay_rate, evaluate_contour, m_log,
                            m_log_inverse,
                            make_t_grid, partial_sum_decay, r_opt,
@@ -85,7 +85,7 @@ def test_02_delayed_step_reproduction():
     worst = 0.0
     for x in (0.5, 1.0, 4.0):
         ts = np.asarray([0.2, 0.9, 1.1, 2.0, 5.0])
-        got = np.abs(weighted_partial_grid(bv, x, ts, 1e-12))[:, 0]
+        got = np.abs(weighted_partial_grid(bv, [x], ts, 1e-12)[0])[:, 0]
         want = np.where(ts > T0, np.exp(x * (T0 - ts)), 0.0)
         worst = max(worst, float(np.max(np.abs(got - want))))
     closed_ok = worst <= 1e-12
@@ -93,7 +93,7 @@ def test_02_delayed_step_reproduction():
     t_grid, _ = make_t_grid(bv)
     sups = {}
     for x in (0.5, 1.0, 4.0):
-        norms = np.abs(weighted_partial_grid(bv, x, t_grid))[:, 0]
+        norms = np.abs(weighted_partial_grid(bv, [x], t_grid)[0])[:, 0]
         sups[x] = float(norms.max())
     sup_ok = all(abs(s - 1.0) <= 1e-3 for s in sups.values())
     excess_ok = sups[4.0] > 1.0 / 4.0
@@ -102,7 +102,7 @@ def test_02_delayed_step_reproduction():
     for x in (0.5, 1.0, 4.0):
         tp = T0 + math.log(x) / x + 1.0  # a unit past the crossing of e^{x(T0-t)} and 1/x
         probe = tp + np.geomspace(1e-9, 5.0, 200)
-        tail_sup = float(np.abs(weighted_partial_grid(bv, x, probe))[:, 0].max())
+        tail_sup = float(np.abs(weighted_partial_grid(bv, [x], probe)[0])[:, 0].max())
         restart_ok = restart_ok and tail_sup < 1.0 / x
 
     ok = closed_ok and sup_ok and excess_ok and restart_ok
@@ -143,9 +143,9 @@ def test_03_line_tail_smallx_bounds():
             # the other lines and tails, straight from every row of the sweeps
             for y in [y for y in (0.0, 2.0, 10.0) if y != 2.0 * x]:
                 v_max = verify.tail_truncation_point(c, x, y, float(t_grid[-1]))
-                sweeps = [(weighted_tail_grid(bv, complex(x, y), t_grid, v_max), 3.0)]
+                sweeps = [(weighted_tail_grid(bv, [complex(x, y)], t_grid, v_max)[0], 3.0)]
                 if y:  # the line y = 0 is report 1
-                    sweeps.append((weighted_partial_grid(bv, complex(x, y), t_grid), 1.0))
+                    sweeps.append((weighted_partial_grid(bv, [complex(x, y)], t_grid)[0], 1.0))
                 for vals, base in sweeps:
                     bound = c * (base + abs(y) / x)
                     worst = min(worst, (bound - sup(vals)) / bound)
@@ -171,17 +171,17 @@ def test_05_radius_inversion(rng):
     """Round trips at 1e-10 relative plus the constant-growth closed form."""
     worst = 0.0
     for M in GROWTH_PRESETS:
-        a0 = branch_start(M, 1.0)
+        a0 = m_log_inverse(M, 1.0, [max(m_log(M, 1.0, 1.0), 0.0)])[0]  # the branch start
         y_lo = max(float(m_log(M, 1.0, a0)), 0.0) + 0.01
         y_hi = min(2500.0, 0.9 * float(m_log(M, 1.0, 1e250)))
         for _ in range(50):
             y = float(rng.uniform(y_lo, y_hi))
-            back = float(m_log(M, 1.0, m_log_inverse(M, 1.0, y)))
+            back = float(m_log(M, 1.0, m_log_inverse(M, 1.0, [y])[0]))
             worst = max(worst, abs(back - y) / max(1.0, abs(y)))
     trips_ok = worst <= 1e-10
 
     want = math.sqrt(5.0) / 2.0 * math.e
-    got = r_opt(TauberianCertificate(C=1.0, x0=1.0), GrowthBound.constant(2.0), 8.0)
+    got = float(r_opt(TauberianCertificate(C=1.0, x0=1.0), GrowthBound.constant(2.0), [8.0])[0])
     closed_err = abs(got - want) / want
     _report(5, "radius inversion", trips_ok and closed_err <= 1e-6,
             f"worst round-trip residual {worst:.3e} over 250 points (tol 1e-10); "
@@ -263,7 +263,7 @@ def test_08_end_to_end_exponential_decay():
             # past t ~ 16 the subtraction 1 - e^{-t} loses all relative
             # accuracy in doubles; the inequality check below still stands
             form_err = max(form_err, abs(measured - math.exp(-t)) / math.exp(-t))
-        res = decay_rate(cert, M, float(t))
+        res = decay_rate(cert, M, [t])[0]
         bounds.append(res.bound)
         decay_ok = decay_ok and measured <= res.bound
     slope = float(np.polyfit(ts, np.log(bounds), 1)[0])

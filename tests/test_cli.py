@@ -113,7 +113,7 @@ class TestRate:
         # m_log calls here
         import tauberian_lab.growth as growth_module
 
-        counts = {"branch_start": 0, "m_log": 0}
+        counts = {"_climb": 0, "m_log": 0}
         for name in counts:
             inner = getattr(growth_module, name)
 
@@ -126,7 +126,7 @@ class TestRate:
                   "--t-grid", "0.5:300:160")
         assert res.exit_code == 0, res.output
         assert len(parse_csv(res.stdout)[1]) == 160
-        assert counts["branch_start"] == 0
+        assert counts["_climb"] == 1
         assert counts["m_log"] <= 300
 
     def test_thread_variable_is_ignored(self, monkeypatch):

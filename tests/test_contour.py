@@ -56,6 +56,11 @@ class TestFudgeFactor:
         assert fudge_factor(2.0, 2.0) == pytest.approx(4.0)
         assert fudge_factor(0.0, 5.0) == pytest.approx(1.0)
 
+    def test_elementwise_helpers_keep_their_argument_shape(self):
+        for z in (2.0, np.full((2, 3), 2.0)):
+            for value in (fudge_factor(z, 2.0), RationalExtension((1.0,), (1.0, 1.0))(z)):
+                assert isinstance(value, np.ndarray) and value.shape == np.shape(z)
+
     def test_modulus_identity_on_the_circle(self, rng):
         # |1 + z^2/R^2|^2 = (2 |Re z| / R)^2 for |z| = R
         R = 2.5
@@ -316,9 +321,9 @@ def loop_agreement(bv, f_ext, cert, rng, n_points, target_err=1e-9, quad_tol=1e-
     worst = 0.0
     for _ in range(n_points):
         z = complex(rng.uniform(0.3, 2.5), rng.uniform(-2.5, 2.5))
-        point = improper_laplace(bv, z, cert, target_err=target_err, quad_tol=quad_tol)
+        point = improper_laplace(bv, [z], cert, target_err=target_err, quad_tol=quad_tol)
         ext = _eval_extension(f_ext, np.asarray([z]), bv.dimension)[0]
-        worst = max(worst, float(vector_norm(point.value - ext, bv.norm_kind)))
+        worst = max(worst, float(vector_norm(point.value[0] - ext, bv.norm_kind)))
     return worst
 
 

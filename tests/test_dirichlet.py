@@ -233,8 +233,8 @@ class TestBoundedDensityInstances:
         cosine = BVFunction.from_jumps([], pieces=tuple(
             DensityPiece(0.0, math.inf, "exponential", (0.5,), rate) for rate in (1j, -1j)))
         z = 1.3 + 0.0j
-        point = improper_laplace(cosine, z, TauberianCertificate(C=1.0, x0=1.0), target_err=1e-9)
-        assert point.value[0] == pytest.approx(z / (1.0 + z * z), abs=1e-8)
+        point = improper_laplace(cosine, [z], TauberianCertificate(C=1.0, x0=1.0), target_err=1e-9)
+        assert point.value[0, 0] == pytest.approx(z / (1.0 + z * z), abs=1e-8)
 
 
 class TestAdmissibility:

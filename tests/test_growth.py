@@ -11,10 +11,10 @@ from tauberian_lab import (
     CutoffRule,
     GrowthBound,
     GrowthDomainError,
-    branch_start,
     m_log,
     m_log_inverse,
 )
+from tauberian_lab.growth import GROWTH_PARAMS
 
 PRESETS = [
     GrowthBound.constant(2.0),
@@ -32,6 +32,11 @@ MORE_PRESETS = [
 ]
 
 
+def branch_start(M, C):
+    """Left end of m_log's increasing branch: m_log_inverse at the floor max(m_log(1), 0)."""
+    return float(m_log_inverse(M, C, [max(m_log(M, C, 1.0), 0.0)])[0])
+
+
 class TestGrowthBound:
     def test_preset_values(self):
         assert GrowthBound.constant(2.0)(7.3) == 2.0
@@ -45,6 +50,23 @@ class TestGrowthBound:
         M = GrowthBound.affine(1.0)
         s = np.asarray([0.0, 1.0, 4.0])
         np.testing.assert_allclose(M(s), [1.0, 2.0, 5.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(list(GROWTH_PARAMS)),
+           st.floats(1.0, 1.7e308),
+           st.floats(0.0, 1.7e308, exclude_min=True))
+    def test_every_accepted_preset_is_at_least_one_and_nondecreasing(self, kind, c, p):
+        # construction checks only the parameters, which is enough: on a grid
+        # of s from 0 to 1e6, M >= 1, M never decreases (to 1e-9 relative), and
+        # once M leaves float range it stays out
+        M = GrowthBound(kind, c, alpha=p, beta=p, kappa=p)
+        vals = M(np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 9_999))))
+        assert not np.any(np.isnan(vals))
+        finite = np.isfinite(vals)
+        assert np.all(finite[:-1] >= finite[1:])  # inf only as a suffix
+        fv = vals[finite]
+        assert np.all(fv >= 1.0)
+        assert np.all(np.diff(fv) >= -1e-9 * fv[:-1])
 
     def test_certification_rejects_small_or_decreasing(self):
         with pytest.raises(ValueError):
@@ -155,7 +177,7 @@ class TestMLogInverse:
             y_hi = min(2500.0, 0.9 * float(m_log(M, 1.0, 1e250)))
             for _ in range(50):
                 y = float(rng.uniform(max(y_lo, 0.0) + 0.01, y_hi))
-                a = m_log_inverse(M, 1.0, y)
+                a = m_log_inverse(M, 1.0, [y])[0]
                 back = m_log(M, 1.0, a)
                 assert abs(back - y) <= 1e-10 * max(1.0, abs(y)), M.describe()
 
@@ -164,16 +186,16 @@ class TestMLogInverse:
         # inverse of t/4 is (sqrt 5 / 2) e^{t/8}; at t = 8 that is (sqrt 5 / 2) e
         M = GrowthBound.constant(2.0)
         want = math.sqrt(5.0) / 2.0 * math.e
-        assert m_log_inverse(M, 1.0, 2.0) == pytest.approx(want, rel=1e-12)
+        assert m_log_inverse(M, 1.0, [2.0])[0] == pytest.approx(want, rel=1e-12)
         for t in (8.0, 16.0, 40.0):
-            got = m_log_inverse(M, 1.0, t / 4.0)
+            got = m_log_inverse(M, 1.0, [t / 4.0])[0]
             assert got == pytest.approx(math.sqrt(5.0) / 2.0 * math.exp(t / 8.0), rel=1e-10)
 
     def test_closed_form_identity_preset(self):
         # M = 1, C = 1/5: m_log(a) = log a exactly, inverse is e^y
         M = GrowthBound.constant(1.0)
         for y in (0.5, 1.0, 3.0, 10.0):
-            assert m_log_inverse(M, 0.2, y) == pytest.approx(math.exp(y), rel=1e-10)
+            assert m_log_inverse(M, 0.2, [y])[0] == pytest.approx(math.exp(y), rel=1e-10)
 
     def test_domain_error_names_minimum(self):
         # M = 2, C = 1: the increasing branch starts above
@@ -182,7 +204,7 @@ class TestMLogInverse:
         a0 = branch_start(M, 1.0)
         floor = m_log(M, 1.0, a0)
         with pytest.raises(GrowthDomainError) as info:
-            m_log_inverse(M, 1.0, floor - 0.5)
+            m_log_inverse(M, 1.0, [floor - 0.5])
         assert f"{floor:.6g}"[:6] in str(info.value) or "minimum" in str(info.value)
 
     def test_power_preset_tracks_polynomial_rate(self):
@@ -192,18 +214,18 @@ class TestMLogInverse:
         alpha = 2.0
         M = GrowthBound.power(1.0, alpha)
         ts = np.geomspace(1e2, 1e6, 25)
-        ratios = np.asarray([m_log_inverse(M, 1.0, t / 4.0) / t ** (1.0 / alpha) for t in ts])
+        ratios = m_log_inverse(M, 1.0, ts / 4.0) / ts ** (1.0 / alpha)
         assert ratios.max() / ratios.min() < 5.0
 
     def test_float_range_exhaustion_is_loud(self):
         # constant growth: the radius for y ~ 1e5 would be e^{y/2}, which no
         # double can hold; the failure must say so instead of stalling
         with pytest.raises(GrowthDomainError, match="float range"):
-            m_log_inverse(GrowthBound.constant(2.0), 1.0, 1e5)
+            m_log_inverse(GrowthBound.constant(2.0), 1.0, [1e5])
 
     def test_huge_argument_stays_finite(self):
         M = GrowthBound.affine(1.0)
-        a = m_log_inverse(M, 1.0, 1e5)
+        a = m_log_inverse(M, 1.0, [1e5])[0]
         assert math.isfinite(a) and a > 1.0
         assert m_log(M, 1.0, a) == pytest.approx(1e5, rel=1e-10)
 
@@ -304,11 +326,6 @@ class TestArrayInversion:
             with pytest.raises(GrowthDomainError, match="m_log = nan") as info:
                 m_log_inverse(M, 1.0, np.asarray([1.0, math.nan]))
             assert info.value.index == 1
-
-    def test_scalar_gives_float(self):
-        got = m_log_inverse(GrowthBound.constant(2.0), 1.0, 2.0)
-        assert type(got) is float
-        assert got == scalar_m_log_inverse(GrowthBound.constant(2.0), 1.0, 2.0)
 
     def test_empty_gives_empty(self):
         got = m_log_inverse(GrowthBound.affine(1.2), 1.0, np.asarray([]))

@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 
 from tauberian_lab import (
+    BVFunction,
     CutoffRule,
     GrowthBound,
     TauberianCertificate,
     bound_B,
     decay_rate,
+    improper_laplace,
     k_prime,
+    m_log_inverse,
     r_opt,
     t_prime,
     t_prime_second_term_clamped,
+    weighted_partial_grid,
+    weighted_tail_grid,
 )
 
 
@@ -47,18 +52,18 @@ class TestBoundB:
 
 class TestROpt:
     def test_closed_form_constant_two(self):
-        got = r_opt(cert(), CONST2, 8.0)
+        got = r_opt(cert(), CONST2, [8.0])[0]
         assert got == pytest.approx(math.sqrt(5.0) / 2.0 * math.e, rel=1e-10)
 
     def test_closed_form_identity(self):
         # M = 1, C = 1/5: R_opt(t) = e^{t/4}
-        got = r_opt(cert(C=0.2), GrowthBound.constant(1.0), 4.0)
+        got = r_opt(cert(C=0.2), GrowthBound.constant(1.0), [4.0])[0]
         assert got == pytest.approx(math.e, rel=1e-10)
 
     def test_balance_postcondition(self):
         # first and third terms agree at the optimizer
         for t in (8.0, 20.0, 60.0):
-            R = r_opt(cert(), CONST2, t)
+            R = r_opt(cert(), CONST2, [t])[0]
             first = 10.0 / R
             MR = float(CONST2(R))
             third = 2.0 * R * MR * MR * math.exp(-t / (2.0 * MR))
@@ -70,7 +75,7 @@ class TestROpt:
 
         M = GrowthBound.affine(1.2)
         for t in (10.0, 50.0, 200.0):
-            R = r_opt(cert(), M, t)
+            R = r_opt(cert(), M, [t])[0]
             assert m_log(M, 1.0, R) == pytest.approx(t / 4.0, rel=1e-8)
 
 
@@ -100,11 +105,11 @@ class TestThreshold:
 class TestDecayRate:
     def test_requires_t_above_threshold(self):
         with pytest.raises(ValueError) as info:
-            decay_rate(cert(), CONST10, 10.0)
+            decay_rate(cert(), CONST10, [10.0])
         assert "59.91" in str(info.value)
 
     def test_opt_inside_branch(self):
-        res = decay_rate(cert(), CONST2, 8.0)
+        res = decay_rate(cert(), CONST2, [8.0])[0]
         assert res.branch == "opt_inside"
         assert res.R_used == res.R_opt
         assert math.isinf(res.R_rule_t)
@@ -113,7 +118,7 @@ class TestDecayRate:
 
     def test_cutoff_limited_branch(self):
         ins = cert(rule=CutoffRule.constant(2.0))
-        res = decay_rate(ins, CONST2, 20.0)  # R_opt(20) ~ 13.6 > 2
+        res = decay_rate(ins, CONST2, [20.0])[0]  # R_opt(20) ~ 13.6 > 2
         assert res.branch == "cutoff_limited"
         assert res.R_used == 2.0
         assert res.bound == pytest.approx(bound_B(ins, CONST2, 20.0, 2.0), rel=1e-14)
@@ -123,7 +128,7 @@ class TestDecayRate:
         # branch says cutoff_limited exactly when R_opt > R_rule(t)
         ins = cert(rule=CutoffRule.constant(5.0))
         for t in np.linspace(1.0, 40.0, 25):
-            res = decay_rate(ins, CONST2, float(t))
+            res = decay_rate(ins, CONST2, [t])[0]
             assert (res.branch == "cutoff_limited") == (res.R_opt > res.R_rule_t)
 
     def test_bound_monotone_in_time(self):
@@ -131,7 +136,7 @@ class TestDecayRate:
                   GrowthBound.power(1.0, 0.8)):
             tp = t_prime(cert(), M)
             ts = np.linspace(tp + 1.0, tp + 90.0, 60)
-            bounds = [decay_rate(cert(), M, float(t)).bound for t in ts]
+            bounds = [decay_rate(cert(), M, [t])[0].bound for t in ts]
             assert np.all(np.diff(bounds) < 0), M.describe()
 
     def test_near_optimality_factor_three(self):
@@ -142,7 +147,7 @@ class TestDecayRate:
             for t in (10.0, 50.0, 200.0):
                 if t <= t_prime(cert(), M):
                     continue
-                res = decay_rate(cert(), M, t)
+                res = decay_rate(cert(), M, [t])[0]
                 grid = np.geomspace(1.0, 10.0 * res.R_opt, 200)
                 best = min(bound_B(cert(), M, t, float(R)) for R in grid)
                 assert res.bound <= 3.0 * best, (M.describe(), t)
@@ -151,9 +156,9 @@ class TestDecayRate:
         # with the e^t cap the optimizer loses at small t and the branch flips
         ins = cert(C=math.e, rule=CutoffRule.exp_of_t())
         M = GrowthBound.affine(1.25)
-        res_small = decay_rate(ins, M, 0.5)
+        res_small = decay_rate(ins, M, [0.5])[0]
         assert res_small.R_rule_t == pytest.approx(math.exp(0.5), rel=1e-14)
-        res_large = decay_rate(ins, M, 12.0)
+        res_large = decay_rate(ins, M, [12.0])[0]
         assert res_large.branch == "opt_inside"
 
 
@@ -164,14 +169,12 @@ class TestRateGrid:
         for rule in (CutoffRule.infinite(), CutoffRule.constant(5.0), CutoffRule.exp_of_t()):
             ins, M = cert(rule=rule), GrowthBound.affine(1.2)
             ts = np.linspace(1.0, 60.0, 40)
-            assert decay_rate(ins, M, ts) == [decay_rate(ins, M, float(t)) for t in ts]
+            assert decay_rate(ins, M, ts) == [decay_rate(ins, M, [t])[0] for t in ts]
             np.testing.assert_array_equal(r_opt(ins, M, ts),
-                                          [r_opt(ins, M, float(t)) for t in ts])
+                                          [r_opt(ins, M, [t])[0] for t in ts])
 
-    def test_scalar_and_empty(self):
-        assert isinstance(decay_rate(cert(), CONST2, 8.0).t, float)
+    def test_empty_grid(self):
         assert decay_rate(cert(), CONST2, np.asarray([])) == []
-        assert type(r_opt(cert(), CONST2, 8.0)) is float
 
     def test_error_carries_position(self):
         with pytest.raises(ValueError, match="got t = 30.0") as info:  # T' ~ 59.91
@@ -184,3 +187,23 @@ class TestRateGrid:
     def test_one_inversion_per_grid(self, inversion_sizes):
         decay_rate(cert(), CONST2, np.linspace(1.0, 50.0, 50))
         assert inversion_sizes == [50]
+
+
+BATCH_ENTRIES = {
+    "weighted_partial_grid": lambda z: weighted_partial_grid(BVFunction.single_jump(1.0), z,
+                                                             [0.0, 2.0]),
+    "weighted_tail_grid": lambda z: weighted_tail_grid(BVFunction.single_jump(1.0), z,
+                                                       [0.0, 2.0], 3.0),
+    "improper_laplace": lambda z: improper_laplace(BVFunction.single_jump(1.0), z, cert()),
+    "r_opt": lambda t: r_opt(cert(), CONST2, t),
+    "decay_rate": lambda t: decay_rate(cert(), CONST2, t),
+    "m_log_inverse": lambda y: m_log_inverse(CONST2, 1.0, y),
+}
+
+
+@pytest.mark.parametrize("name", BATCH_ENTRIES)
+@pytest.mark.parametrize("arg", [8.0, np.full((2, 2), 8.0)], ids=["0-d", "2-d"])
+def test_batch_entry_takes_only_a_1d_array(name, arg):
+    BATCH_ENTRIES[name]([8.0])  # the 1-d form of the same value is accepted
+    with pytest.raises(ValueError, match=f"^{name} takes a 1-d array"):
+        BATCH_ENTRIES[name](arg)

@@ -14,8 +14,8 @@ from tauberian_lab import (
     TauberianCertificate,
     TruncationCapError,
     check_certificate,
-    finite_laplace,
     improper_laplace,
+    stieltjes_integral,
 )
 from tauberian_lab import transform as transform_module
 from tauberian_lab.bv import DENSITY_KINDS
@@ -29,7 +29,7 @@ def test_finite_laplace_single_jump(rng):
         z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-6.0, 6.0))
         t = rng.uniform(0.1, 10.0)
         want = np.exp(-z * 2.0) if t > 2.0 else 0.0
-        assert finite_laplace(bv, z, t)[0] == pytest.approx(want, abs=1e-13)
+        assert stieltjes_integral(bv, -z, t)[0] == pytest.approx(want, abs=1e-13)
 
 
 def test_finite_laplace_exp_density(rng):
@@ -39,14 +39,14 @@ def test_finite_laplace_exp_density(rng):
         t = rng.uniform(0.2, 6.0)
         d = -0.5 - z
         want = t if d == 0 else (np.exp(d * t) - 1.0) / d
-        got = finite_laplace(bv, z, t, 1e-12)[0]
+        got = stieltjes_integral(bv, -z, t, 1e-12)[0]
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_finite_laplace_at_zero_is_value():
     # f_t(0) recovers A(t)
     bv = BVFunction.from_jumps([(0.5, 1.0), (1.5, -0.25)])
-    assert finite_laplace(bv, 0.0, 2.0)[0] == pytest.approx(0.75, rel=1e-14)
+    assert stieltjes_integral(bv, 0.0, 2.0)[0] == pytest.approx(0.75, rel=1e-14)
 
 
 def test_conjugate_symmetry(rng):
@@ -58,8 +58,8 @@ def test_conjugate_symmetry(rng):
     for _ in range(10):
         z = complex(rng.uniform(0.1, 2.0), rng.uniform(0.1, 5.0))
         t = rng.uniform(1.0, 8.0)
-        a = finite_laplace(bv, z, t)[0]
-        b = finite_laplace(bv, z.conjugate(), t)[0]
+        a = stieltjes_integral(bv, -z, t)[0]
+        b = stieltjes_integral(bv, -z.conjugate(), t)[0]
         assert b == pytest.approx(a.conjugate(), rel=1e-13)
 
 
@@ -70,9 +70,9 @@ class TestImproper:
     def test_exp_density_limit(self):
         # int_0^inf e^{-zs} e^{-s} ds = 1/(z+1); at z = 1 this is 1/2
         bv = BVFunction.from_density("exponential", rate=-1.0)
-        point = improper_laplace(bv, 1.0, self.cert(), target_err=1e-10)
-        assert point.value[0] == pytest.approx(0.5, abs=2e-10)
-        assert point.truncation_bound <= 1e-10
+        point = improper_laplace(bv, [1.0], self.cert(), target_err=1e-10)
+        assert point.value[0, 0] == pytest.approx(0.5, abs=2e-10)
+        assert point.truncation_bound[0] <= 1e-10
 
     def test_dirichlet_alternating_eta2(self):
         # jumps (-1)^{n+1}/n at log n, z = 1: sum (-1)^{n+1} n^{-2} = eta(2)
@@ -81,9 +81,9 @@ class TestImproper:
         bv = BVFunction(dimension=1, jump_times=np.log(n.astype(float)),
                         jump_sizes=sizes.astype(complex).reshape(-1, 1))
         cert = TauberianCertificate(C=math.e, x0=1.0)
-        point = improper_laplace(bv, 1.0, cert, target_err=1e-6)
+        point = improper_laplace(bv, [1.0], cert, target_err=1e-6)
         want = eta(2.0).real
-        assert point.value[0].real == pytest.approx(want, abs=1e-6)
+        assert point.value[0, 0].real == pytest.approx(want, abs=1e-6)
         assert want == pytest.approx(math.pi ** 2 / 12.0, abs=1e-13)
 
     def test_truncation_agreement_between_targets(self):
@@ -92,30 +92,29 @@ class TestImproper:
         cert = self.cert()
         z = 0.7 + 0.9j
         for eps1, eps2 in ((1e-4, 1e-6), (1e-6, 1e-8), (1e-4, 1e-8)):
-            p1 = improper_laplace(bv, z, cert, target_err=eps1, quad_tol=1e-13)
-            p2 = improper_laplace(bv, z, cert, target_err=eps2, quad_tol=1e-13)
-            gap = abs(p1.value[0] - p2.value[0])
-            assert gap <= p1.truncation_bound + p2.truncation_bound + 1e-12
+            p1 = improper_laplace(bv, [z], cert, target_err=eps1, quad_tol=1e-13)
+            p2 = improper_laplace(bv, [z], cert, target_err=eps2, quad_tol=1e-13)
+            gap = abs(p1.value[0, 0] - p2.value[0, 0])
+            assert gap <= p1.truncation_bound[0] + p2.truncation_bound[0] + 1e-12
 
     def test_truncation_point_grows_with_oscillation(self):
         bv = BVFunction.from_density("exponential", rate=-1.0)
         cert = self.cert()
-        slow = improper_laplace(bv, 1.0 + 0.0j, cert)
-        fast = improper_laplace(bv, 1.0 + 40.0j, cert)
-        assert fast.t_star > slow.t_star
+        slow, fast = improper_laplace(bv, [1.0 + 0.0j, 1.0 + 40.0j], cert).t_star
+        assert fast > slow
 
     def test_domain_error_left_half_plane(self):
         bv = BVFunction.from_density("exponential", rate=-1.0)
         with pytest.raises(ValueError, match="Re z"):
-            improper_laplace(bv, -0.2 + 1.0j, self.cert())
+            improper_laplace(bv, [-0.2 + 1.0j], self.cert())
         with pytest.raises(ValueError, match="Re z"):
-            improper_laplace(bv, 0.0 + 1.0j, self.cert())
+            improper_laplace(bv, [0.0 + 1.0j], self.cert())
 
     def test_cap_refusal_carries_achievable_bound(self, monkeypatch):
         bv = BVFunction.from_density("exponential", rate=-1.0)
         monkeypatch.setattr(transform_module, "_T_CAP", 1e3)
         with pytest.raises(TruncationCapError) as info:
-            improper_laplace(bv, 1e-6 + 0.0j, self.cert(), target_err=1e-8)
+            improper_laplace(bv, [1e-6 + 0.0j], self.cert(), target_err=1e-8)
         err = info.value
         assert err.cap == 1e3
         assert err.achievable_bound > err.target
@@ -164,7 +163,8 @@ def array_cases(draw):
     cert = TauberianCertificate(C=draw(st.floats(0.5, 3.0)), x0=1.0,
                                 T=draw(st.sampled_from((0.0, 25.0)) | st.floats(0.0, 10.0)))
     target = draw(st.sampled_from((1e-2, 1e-5, 1e-9)))
-    t_stars = [improper_laplace(BVFunction.zero(2), zi, cert, target).t_star for zi in z]
+    t_stars = improper_laplace(BVFunction.zero(2), np.asarray(z, dtype=complex), cert,
+                               target).t_star.tolist()
     lo, hi = (min(t_stars), max(t_stars)) if t_stars else (0.0, 1.0)
     kind = draw(st.sampled_from(("jumps", "densities", "mixture")))
     taus = np.empty(0)
@@ -197,32 +197,21 @@ def array_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(array_cases())
 def test_array_transform_matches_the_dense_reference(case):
-    # point i of one array call is the dense finite_laplace at its own t*, within
-    # 1e-12 relative and an absolute floor of 1e-15 times the variation summed
+    # point i of one array call is the one-element call, and the dense finite
+    # transform stieltjes_integral(bv, -z_i, t*_i) within 1e-12 relative and an
+    # absolute floor of 1e-15 times the variation summed
     bv, cert, target, z = case
     got = improper_laplace(bv, z, cert, target)
     assert got.value.shape == (z.size, 2)
     assert got.t_star.shape == got.truncation_bound.shape == z.shape
     for i, zi in enumerate(z):
-        scalar = improper_laplace(bv, complex(zi), cert, target)
-        assert got.t_star[i] == scalar.t_star
-        assert got.truncation_bound[i] == scalar.truncation_bound
-        want = finite_laplace(bv, zi, scalar.t_star, 1e-12)
-        floor = 1e-15 * bv.total_variation(scalar.t_star)
+        one = improper_laplace(bv, [zi], cert, target)
+        assert got.t_star[i] == one.t_star[0]
+        assert got.truncation_bound[i] == one.truncation_bound[0]
+        want = stieltjes_integral(bv, -zi, one.t_star[0], 1e-12)
+        floor = 1e-15 * bv.total_variation(one.t_star[0])
         gap = float(vector_norm(got.value[i] - want))
         assert gap <= 1e-12 * float(vector_norm(want)) + floor
-
-
-def test_scalar_point_keeps_its_shape():
-    bv = BVFunction.from_jumps([(0.5, [1.0, 2.0j]), (3.0, [-1.0, 0.5])])
-    cert = TauberianCertificate(C=1.0, x0=1.0)
-    point = improper_laplace(bv, 0.8 + 0.5j, cert)
-    assert isinstance(point.z, complex) and point.z == 0.8 + 0.5j
-    assert isinstance(point.t_star, float) and isinstance(point.truncation_bound, float)
-    assert point.value.shape == (2,)
-    row = improper_laplace(bv, np.asarray([2.0, 0.8 + 0.5j]), cert)
-    assert row.value[1] == pytest.approx(point.value, rel=1e-14)
-    assert row.t_star[1] == point.t_star
 
 
 def test_transform_of_no_points():
@@ -233,7 +222,7 @@ def test_transform_of_no_points():
 
 
 class TestArrayErrors:
-    """An array call raises the scalar call's error for its first bad point, at its index."""
+    """An array call raises the one-element call's error for its first bad point, at its index."""
 
     bv = BVFunction.from_density("exponential", rate=-1.0)
     cert = TauberianCertificate(C=1.0, x0=1.0)
@@ -241,13 +230,13 @@ class TestArrayErrors:
     @pytest.mark.parametrize("bad, error", [(-0.2 + 1.0j, ValueError), (0.0, ValueError),
                                             (1e-6, TruncationCapError)])
     def test_first_bad_point_is_named(self, bad, error):
-        with pytest.raises(error) as scalar:
-            improper_laplace(self.bv, bad, self.cert, target_err=1e-8)
+        with pytest.raises(error) as one:
+            improper_laplace(self.bv, [bad], self.cert, target_err=1e-8)
         z = np.asarray([1.0, 0.5 + 2.0j, bad, -1.0, 1e-7])
         with pytest.raises(error) as info:
             improper_laplace(self.bv, z, self.cert, target_err=1e-8)
         assert info.value.index == 2
-        assert str(info.value) == str(scalar.value)
+        assert str(info.value) == str(one.value)
 
     def test_two_dimensional_points_are_refused(self):
         with pytest.raises(ValueError, match="1-d array"):

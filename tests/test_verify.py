@@ -77,8 +77,8 @@ class TestDelayedStep:
     """The unit jump at T = 1: ||G(x, t)|| is 0 for t <= T and e^{x(T-t)} after."""
 
     def test_ratio_closed_form(self):
-        got = np.abs(weighted_partial_grid(BVFunction.single_jump(1.0), 2.0,
-                                           np.asarray([0.5, 1.0, 2.0]), 1e-12)[:, 0])
+        got = np.abs(weighted_partial_grid(BVFunction.single_jump(1.0), [2.0],
+                                           np.asarray([0.5, 1.0, 2.0]), 1e-12)[0, :, 0])
         assert got[0] == got[1] == 0.0
         assert abs(got[2] - math.exp(2.0 * (1.0 - 2.0))) <= 1e-12
 
@@ -88,7 +88,7 @@ class TestDelayedStep:
         step = BVFunction.single_jump(1.0)
         grid = hybrid_grid(step, 6.0)
         for x in (0.5, 1.0, 4.0):
-            got = np.abs(weighted_partial_grid(step, x, grid)[:, 0])
+            got = np.abs(weighted_partial_grid(step, [x], grid)[0, :, 0])
             assert np.all(np.abs(got - np.where(grid > 1.0, np.exp(x * (1.0 - grid)), 0.0))
                           <= 1e-12)
             assert got.max() == pytest.approx(1.0, abs=1e-3)
@@ -98,7 +98,7 @@ class TestDelayedStep:
         # with C < 1 can hold through the jump
         step = BVFunction.single_jump(1.0)
         grid = hybrid_grid(step, 6.0)
-        assert np.abs(weighted_partial_grid(step, 4.0, grid)).max() > 1.0 / 4.0
+        assert np.abs(weighted_partial_grid(step, [4.0], grid)).max() > 1.0 / 4.0
 
     def test_restart_clears_the_violation(self):
         # e^{x(T-t)} crosses 1/x at t = T + log(x)/x; a unit past it, the
@@ -106,7 +106,7 @@ class TestDelayedStep:
         x = 4.0
         t0 = 1.0 + math.log(x) / x + 1.0
         ts = np.linspace(t0, t0 + 10.0, 200)
-        assert np.abs(weighted_partial_grid(BVFunction.single_jump(1.0), x, ts)).max() < 1.0 / x
+        assert np.abs(weighted_partial_grid(BVFunction.single_jump(1.0), [x], ts)).max() < 1.0 / x
 
 
 class TestCheckTauberian:
@@ -199,13 +199,13 @@ class CutoffRuleConstantOne:
 
 def line_sup(bv, z, t_grid) -> float:
     """sup over t_grid of ||G(z, t)||, from every row of the partial sweep."""
-    return float(np.max(vector_norm(weighted_partial_grid(bv, z, t_grid), bv.norm_kind)))
+    return float(np.max(vector_norm(weighted_partial_grid(bv, [z], t_grid)[0], bv.norm_kind)))
 
 
 def tail_sup(bv, C, x, y, t_grid) -> float:
     """The tail bound's sup at x + iy, from every row of the tail sweep."""
     v_max = verify_module.tail_truncation_point(C, x, y, float(t_grid[-1]))
-    tail = weighted_tail_grid(bv, complex(x, y), t_grid, v_max)
+    tail = weighted_tail_grid(bv, [complex(x, y)], t_grid, v_max)[0]
     return float(np.max(vector_norm(tail, bv.norm_kind)))
 
 
@@ -408,7 +408,7 @@ def full_sweep_sups(bv, zs, t_grid, masks):
     """Reference for _sweep_sups: _sup over the norms of every row of weighted_partial_grid."""
     sups, ratio = {}, {}
     for z in dict.fromkeys(map(complex, zs)):
-        norms = vector_norm(weighted_partial_grid(bv, z, t_grid), bv.norm_kind)
+        norms = vector_norm(weighted_partial_grid(bv, [z], t_grid)[0], bv.norm_kind)
         sups[z] = verify_module._sup(norms)
         if z in masks:
             ratio[z] = verify_module._sup(norms * z.real, masks[z])
@@ -504,8 +504,8 @@ class TestHeldRows:
         t_grid = np.linspace(0.0, 50.0, 5001)
         held = bv_module._rising_rows(bv, t_grid)
         assert held.tolist() == [0, 101, 131]
-        got = bv_module._partial_rows(bv, 1000.0, t_grid, held, 1e-10)
-        full = weighted_partial_grid(bv, 1000.0, t_grid)
+        got = bv_module._partial_rows(bv, [1000.0], t_grid, held, 1e-10)[0]
+        full = weighted_partial_grid(bv, [1000.0], t_grid)[0]
         assert np.array_equal(got, full[held])
         both = (math.exp(-1000.0 * (t_grid[131] - 1.0))
                 + 1e-130 * math.exp(-1000.0 * (t_grid[131] - 1.3)))
@@ -536,7 +536,7 @@ def full_sweep_certificate(bv, cert, t_grid, x_grid):
         reports.append(report(f"line_bound_x{x0:g}_y{v:g}", sups[complex(x0, v)],
                               c * (1.0 + abs(v) / x0), x0, f"x = {x0:g}"))
     v_max = verify_module.tail_truncation_point(c, x0, y, float(t_grid[-1]))
-    tail = vector_norm(weighted_tail_grid(bv, complex(x0, y), t_grid, v_max), bv.norm_kind)
+    tail = vector_norm(weighted_tail_grid(bv, [complex(x0, y)], t_grid, v_max)[0], bv.norm_kind)
     reports.append(report(f"tail_bound_x{x0:g}_y{y:g}", verify_module._sup(tail),
                           c * (3.0 + abs(y) / x0), x0, f"x = {x0:g}", f"v_max={v_max:g}"))
     reports.append(min((report("small_x_bound", sups[complex(x)], c * x0 / float(x), float(x),
@@ -707,6 +707,6 @@ def test_verify_does_not_import_numpy_ma():
               "    assert exc.code == 0, exc.code\n"
               "print('numpy.ma' in sys.modules)\n")
     src = str(Path(tauberian_lab.__file__).resolve().parent.parent)
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    res = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True, text=True,
                          env={"PYTHONPATH": src, "PATH": ""}, check=True)
     assert res.stdout.splitlines()[-1] == "False"
