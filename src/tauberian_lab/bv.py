@@ -50,10 +50,11 @@ rounded exponents cost each term at most about 2 eps 256 relative (under
 6e-14).
 The steps are divided by a power of two near their largest entry first, so
 no scaled sum overflows, and a result that is still not finite raises.
-A partial sweep can also return only some of its rows (``_partial_rows``):
-those that ``_rising_rows`` names, where ||G|| can rise (row 0, each row
-whose step takes a jump or meets a density piece, and any rows the caller
-adds), which is how ``verify`` reads its sups.  Every other row's step is
+A partial sweep can also return only some of its rows
+(``weighted_partial_grid(..., held=...)``): those that ``_rising_rows``
+names, where ||G|| can rise (row 0, each row whose step takes a jump or
+meets a density piece, and any rows the caller adds), which is how
+``verify`` reads its sups.  Every other row's step is
 zero, so the jump sums go into the held rows' slots and the scan sums only
 those; its blocks are still cut on the full grid, and the carry into a block
 comes from the last held row before it or from the previous carry alone.
@@ -863,18 +864,6 @@ def _abscissas(z, caller: str) -> np.ndarray:
     return z
 
 
-def weighted_partial_grid(bv: BVFunction, z, t_grid: np.ndarray,
-                          quad_tol: float = 1e-10) -> np.ndarray:
-    """G_j = int_0^{t_j} e^{z s - Re(z) t_j} dA(s) on an ascending grid.
-
-    Equals e^{-Re(z) t_j} int_0^{t_j} e^{zs} dA(s); every term has modulus
-    <= its jump/density mass, so the result is finite for any Re(z) >= 0.
-    The sweep walks the grid upward from 0 with c = z.  An (m,) array of z
-    gives the (m, n, d) rows, all from one sweep.
-    """
-    return _partial_rows(bv, z, t_grid, None, quad_tol)
-
-
 def _rising_rows(bv: BVFunction, t_grid: np.ndarray, heads=()) -> np.ndarray:
     """The sorted grid indices where ||G_j|| of weighted_partial_grid can rise.
 
@@ -893,13 +882,16 @@ def _rising_rows(bv: BVFunction, t_grid: np.ndarray, heads=()) -> np.ndarray:
     return np.flatnonzero(rising)
 
 
-def _partial_rows(bv: BVFunction, z, t_grid: np.ndarray, held: np.ndarray | None,
-                  quad_tol: float) -> np.ndarray:
-    """weighted_partial_grid's rows at the sorted grid indices held (every row if None).
+def weighted_partial_grid(bv: BVFunction, z, t_grid: np.ndarray, quad_tol: float = 1e-10,
+                          held: np.ndarray | None = None) -> np.ndarray:
+    """G_j = int_0^{t_j} e^{z s - Re(z) t_j} dA(s) on an ascending grid, at the rows held.
 
-    held must hold every row of _rising_rows(bv, t_grid); the rows are
-    bitwise those of weighted_partial_grid there, and the last axis but one
-    runs over held.
+    Equals e^{-Re(z) t_j} int_0^{t_j} e^{zs} dA(s); every term has modulus
+    <= its jump/density mass, so the result is finite for any Re(z) >= 0.
+    The sweep walks the grid upward from 0 with c = z.  An (m,) array of z
+    gives the (m, len(held), d) rows, all from one sweep.  held lists sorted
+    grid indices (every row if None) and must hold every row of
+    _rising_rows(bv, t_grid); each of its rows is bitwise the full sweep's.
     """
     z = _abscissas(z, "weighted_partial_grid")
     t_grid = np.asarray(t_grid, dtype=float)

@@ -171,9 +171,6 @@ class RationalExtension:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.asarray(num / den)
 
-    def describe(self) -> str:
-        return f"rational(num={self.numerator}, den={self.denominator})"
-
 
 class EtaShiftExtension:
     """z -> eta(z + 1): the analytic extension of the alternating unit series."""
@@ -184,9 +181,6 @@ class EtaShiftExtension:
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         return eta(z + 1.0, n=self.terms)
-
-    def describe(self) -> str:
-        return f"eta_shift(terms={self.terms})"
 
 
 def _eval_extension(f_ext, z: np.ndarray, dimension: int) -> np.ndarray:
@@ -304,10 +298,6 @@ class TermBound:
     @property
     def margin_displayed(self) -> float:
         return self.bound_displayed - self.measured
-
-    @property
-    def margin_derived(self) -> float:
-        return self.bound_derived - self.measured
 
 
 def term_bounds(ev: ContourEvaluation,

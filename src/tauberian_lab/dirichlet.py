@@ -153,7 +153,7 @@ def build_instance(coeffs: CoefficientSequence, n_max: int = DEFAULT_N_MAX,
     bv = BVFunction(dimension=coeffs.dimension, jump_times=times,
                     jump_sizes=sizes, pieces=(), norm_kind=norm_kind)
     cert = TauberianCertificate(C=max(coeffs.sup_norm(norm_kind), 1.0) * math.e, x0=1.0, T=0.0,
-                                R_rule=CutoffRule.exp_of_t())
+                                R_rule=CutoffRule("exp_t"))
     f0 = None
     provenance = None
     if coeffs.kind == "alternating":

@@ -67,28 +67,6 @@ class GrowthBound:
             if not math.isfinite(value):
                 raise ValueError(f"growth parameter {name} must be finite, got {value}")
 
-    # presets ------------------------------------------------------------------
-
-    @classmethod
-    def constant(cls, c: float) -> "GrowthBound":
-        return cls("constant", c)
-
-    @classmethod
-    def affine(cls, c: float) -> "GrowthBound":
-        return cls("affine", c)
-
-    @classmethod
-    def power(cls, c: float, alpha: float) -> "GrowthBound":
-        return cls("power", c, alpha=alpha)
-
-    @classmethod
-    def log_power(cls, c: float, beta: float) -> "GrowthBound":
-        return cls("log", c, beta=beta)
-
-    @classmethod
-    def exponential(cls, c: float, kappa: float) -> "GrowthBound":
-        return cls("exp", c, kappa=kappa)
-
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         with np.errstate(over="ignore"):
@@ -104,10 +82,6 @@ class GrowthBound:
                 out = self.c * np.exp(self.kappa * s)
         return out if out.ndim else float(out)
 
-    def describe(self) -> str:
-        params = ", ".join(f"{name}={getattr(self, name)}" for name in GROWTH_PARAMS[self.kind])
-        return f"{self.kind}({params})"
-
 
 @dataclass(frozen=True)
 class CutoffRule:
@@ -122,18 +96,6 @@ class CutoffRule:
         if self.kind == "constant" and not (self.value >= 1.0 and math.isfinite(self.value)):
             raise ValueError("constant cutoff must be a finite value >= 1")
 
-    @classmethod
-    def exp_of_t(cls) -> "CutoffRule":
-        return cls("exp_t")
-
-    @classmethod
-    def constant(cls, value: float) -> "CutoffRule":
-        return cls("constant", value)
-
-    @classmethod
-    def infinite(cls) -> "CutoffRule":
-        return cls("infinite")
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "exp_t":
@@ -144,11 +106,6 @@ class CutoffRule:
         else:
             out = np.full_like(t, math.inf)
         return out if out.ndim else float(out)
-
-    def describe(self) -> str:
-        if self.kind == "constant":
-            return f"constant({self.value})"
-        return "exp(t)" if self.kind == "exp_t" else "infinite"
 
 
 def m_log(M: GrowthBound, C: float, a) -> float | np.ndarray:

@@ -14,6 +14,9 @@ import numpy as np
 
 # terms of every accelerated sum by default: the error (3 + sqrt 8)^-96 is about 1e-73
 ACCELERATION_TERMS = 96
+# the most terms whose weights stay finite in float64: from n = 399 on the b recurrence
+# overflows (and from 403 on (3 + sqrt 8)^n), which gives nan or an OverflowError
+MAX_ACCELERATION_TERMS = 398
 
 
 def alternating_sum(terms, n: int = ACCELERATION_TERMS):
@@ -21,7 +24,10 @@ def alternating_sum(terms, n: int = ACCELERATION_TERMS):
 
     terms(k) takes an integer array and may return a float or complex array
     of per-k values, or a 2-d array (len(k), m) to sum m series at once.
+    n above MAX_ACCELERATION_TERMS raises a ValueError.
     """
+    if n > MAX_ACCELERATION_TERMS:
+        raise ValueError(f"the acceleration takes at most {MAX_ACCELERATION_TERMS} terms, got {n}")
     k = np.arange(n)
     a = np.asarray(terms(k))
     d = (3.0 + math.sqrt(8.0)) ** n

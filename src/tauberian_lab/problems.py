@@ -21,8 +21,8 @@ from .bv import BVFunction, DENSITY_KINDS, DensityPiece
 from .contour import EtaShiftExtension, RationalExtension
 from .dirichlet import (COEFFICIENT_KINDS, DEFAULT_N_MAX, CoefficientSequence, DirichletInstance,
                         build_instance)
-from .growth import GROWTH_PARAMS, CutoffRule, GrowthBound
-from .oracles import ACCELERATION_TERMS
+from .growth import CUTOFF_KINDS, GROWTH_PARAMS, CutoffRule, GrowthBound
+from .oracles import ACCELERATION_TERMS, MAX_ACCELERATION_TERMS
 from .transform import TauberianCertificate
 from .vectors import NORM_KINDS
 
@@ -128,15 +128,13 @@ def _build_growth(node, path: str) -> GrowthBound:
 def _build_cutoff(node, path: str) -> CutoffRule:
     _check_keys(node, {"kind", "value"}, path)
     kind = _require(node, "kind", path)
-    if kind in ("exp_t", "infinite") and "value" in node:
-        _fail(f"{path}.value", f"cutoff kind {kind!r} takes no value")
-    if kind == "exp_t":
-        return CutoffRule.exp_of_t()
-    if kind == "infinite":
-        return CutoffRule.infinite()
-    if kind == "constant":
-        return CutoffRule.constant(_as_float(_require(node, "value", path), f"{path}.value"))
-    _fail(f"{path}.kind", f"unknown cutoff kind {kind!r}; choose from ['constant', 'exp_t', 'infinite']")
+    if kind not in CUTOFF_KINDS:
+        _fail(f"{path}.kind", f"unknown cutoff kind {kind!r}; choose from {sorted(CUTOFF_KINDS)}")
+    if kind != "constant":
+        if "value" in node:
+            _fail(f"{path}.value", f"cutoff kind {kind!r} takes no value")
+        return CutoffRule(kind)
+    return CutoffRule(kind, _as_float(_require(node, "value", path), f"{path}.value"))
 
 
 def _build_certificate(node, cutoff: CutoffRule, path: str) -> TauberianCertificate:
@@ -167,8 +165,9 @@ def _build_extension(node, path: str):
     if kind == "eta_shift":
         _check_keys(params, {"terms"}, f"{path}.params")
         terms = params.get("terms", ACCELERATION_TERMS)
-        if not isinstance(terms, int) or isinstance(terms, bool) or terms < 8:
-            _fail(f"{path}.params.terms", "terms must be an integer >= 8")
+        if (not isinstance(terms, int) or isinstance(terms, bool)
+                or not 8 <= terms <= MAX_ACCELERATION_TERMS):
+            _fail(f"{path}.params.terms", f"terms must be an integer from 8 to {MAX_ACCELERATION_TERMS}")
         return EtaShiftExtension(terms=terms)
     _fail(f"{path}.kind", f"unknown extension kind {kind!r}; choose from ['eta_shift', 'rational']")
 
@@ -266,6 +265,8 @@ def load_problem(path) -> Problem:
             instance = build_instance(coeffs, n_max=n_max, norm_kind=norm_kind)
         except ValueError as exc:
             _fail(f"{path}.dirichlet", str(exc))
+        except MemoryError as exc:
+            _fail(f"{path}.dirichlet.n_max", f"too large to allocate ({exc})")
         if "f0" in node:
             where = f"{path}.dirichlet.f0"
             instance = replace(instance, f0=_as_vector(node["f0"], instance.bv.dimension, where),
@@ -305,7 +306,7 @@ def load_problem(path) -> Problem:
     except ValueError as exc:
         _fail(f"{path}.jumps", str(exc))
 
-    cutoff = _build_cutoff(raw["cutoff"], f"{path}.cutoff") if "cutoff" in raw else CutoffRule.infinite()
+    cutoff = _build_cutoff(raw["cutoff"], f"{path}.cutoff") if "cutoff" in raw else CutoffRule("infinite")
     cert = _build_certificate(_require(raw, "certificate", str(path)), cutoff, f"{path}.certificate")
 
     f0 = _as_vector(raw["f0"], dimension, f"{path}.f0") if "f0" in raw else None

@@ -47,7 +47,7 @@ class TauberianCertificate:
     C: float
     x0: float
     T: float = 0.0
-    R_rule: CutoffRule = field(default_factory=CutoffRule.infinite)
+    R_rule: CutoffRule = field(default_factory=lambda: CutoffRule("infinite"))
 
     def __post_init__(self) -> None:
         if not (self.C > 0 and math.isfinite(self.C)):

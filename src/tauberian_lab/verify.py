@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bv import _MAX_BLOCK_ELEMENTS, BVFunction, _partial_rows, _rising_rows, weighted_tail_grid
+from .bv import (_MAX_BLOCK_ELEMENTS, BVFunction, _rising_rows, weighted_partial_grid,
+                 weighted_tail_grid)
 from .growth import GrowthBound
 from .transform import TauberianCertificate, tail_bound
 from .vectors import vector_norm
@@ -114,9 +115,9 @@ def _sweep_sups(bv: BVFunction, zs, t_grid: np.ndarray, quad_tol: float,
     On every other row of a mask or of the grid, G is a decayed copy of the last such row
     before it, never larger in norm after rounding (see bv._decay_scan), so each value and
     first witness is bitwise that of the sweep of every row; witnesses are mapped back to their
-    grid index.  The z are swept once each, in order, by bv._partial_rows calls on batches of
-    at most _MAX_BLOCK_ELEMENTS // 8 entries of the held rows (the share _jump_rows gives its
-    chunk); each batch is read and dropped before the next.
+    grid index.  The z are swept once each, in order, by weighted_partial_grid(..., held=...)
+    calls on batches of at most _MAX_BLOCK_ELEMENTS // 8 entries of the held rows (the share
+    _jump_rows gives its chunk); each batch is read and dropped before the next.
     """
     zs, masks = list(dict.fromkeys(map(complex, zs))), masks or {}
     heads = [j for mask in masks.values() for j in np.flatnonzero(mask[1:] & ~mask[:-1]) + 1]
@@ -124,7 +125,7 @@ def _sweep_sups(bv: BVFunction, zs, t_grid: np.ndarray, quad_tol: float,
     step = max(1, _MAX_BLOCK_ELEMENTS // 8 // max(1, held.size * bv.dimension))
     sups, ratio = {}, {}
     for b in range(0, len(zs), step):
-        rows = _partial_rows(bv, np.asarray(zs[b:b + step]), t_grid, held, quad_tol)
+        rows = weighted_partial_grid(bv, np.asarray(zs[b:b + step]), t_grid, quad_tol, held)
         for z, row in zip(zs[b:b + step], rows):
             norms = vector_norm(row, bv.norm_kind)
             value, j = _sup(norms)

@@ -28,7 +28,7 @@ from tauberian_lab.oracles import eta
 from tauberian_lab.transform import improper_laplace
 from tauberian_lab.vectors import vector_norm
 
-M2 = GrowthBound.constant(2.0)
+M2 = GrowthBound("constant", 2.0)
 
 
 def exp_density_pair():
@@ -98,7 +98,7 @@ class TestGeometry:
         assert info.value.required_nodes > info.value.max_nodes
         assert "density" in str(info.value)
 
-    @pytest.mark.parametrize("M, R, t", [(GrowthBound.affine(1.25), 2.0, 5.0), (M2, 1.0, 0.5),
+    @pytest.mark.parametrize("M, R, t", [(GrowthBound("affine", 1.25), 2.0, 5.0), (M2, 1.0, 0.5),
                                          (M2, 7.5, 12.0)], ids=["affine", "unit_R", "wide"])
     def test_budget_error_reports_the_exact_node_count(self, M, R, t, monkeypatch):
         nodes = build_contour(M, R, t).total_nodes
@@ -185,7 +185,7 @@ class TestCauchyIdentity:
     def test_eta_extension_identity(self):
         # alternating Dirichlet jumps against the eta(z+1) extension
         bv, ext = alternating_pair(1_000_000)
-        M = GrowthBound.affine(1.25)
+        M = GrowthBound("affine", 1.25)
         res = cauchy_identity_report(evaluate_contour(bv, ext, M, 3.0, 1.5)).residual
         assert res <= 1e-5
 
@@ -195,7 +195,7 @@ class TestCauchyIdentity:
 
         bv, ext = alternating_pair(2000)
         t, R = 3.0, 1.5
-        rep = cauchy_identity_report(evaluate_contour(bv, ext, GrowthBound.affine(1.25), t, R))
+        rep = cauchy_identity_report(evaluate_contour(bv, ext, GrowthBound("affine", 1.25), t, R))
         k = int(np.searchsorted(bv.jump_times, t))
         tail = jump_sum_remainder(bv.jump_sizes[k:])
         partial = jump_sum_remainder(bv.jump_sizes[:k])
@@ -213,7 +213,7 @@ class TestTermBounds:
             I, II, III = term_bounds(evaluate_contour(bv, ext, M2, t, R), self.cert())
             for tb in (I, II, III):
                 assert tb.margin_displayed >= -1e-9 * tb.bound_displayed, (t, R, tb.name)
-                assert tb.margin_derived >= -1e-9 * tb.bound_derived, (t, R, tb.name)
+                assert tb.bound_derived - tb.measured >= -1e-9 * tb.bound_derived, (t, R, tb.name)
 
     def test_displayed_constants(self):
         bv, ext = exp_density_pair()
@@ -252,7 +252,6 @@ class TestExtensions:
     def test_rational_evaluates(self):
         ext = RationalExtension((1.0,), (1.0, 0.0, 1.0))  # 1/(1+z^2)
         assert ext(1.0 + 0j) == pytest.approx(0.5)
-        assert "rational" in ext.describe()
 
     def test_rational_rejects_zero_denominator(self):
         with pytest.raises(ValueError):
@@ -384,7 +383,7 @@ class TestContourDump:
             ev = evaluate_contour(bv, ext, M2, 5.0, 2.0)
         else:
             bv, ext = alternating_pair(2000)
-            ev = evaluate_contour(bv, ext, GrowthBound.affine(1.25), 3.0, 1.5)
+            ev = evaluate_contour(bv, ext, GrowthBound("affine", 1.25), 3.0, 1.5)
         rows = contour_dump(ev)
         bounds = term_bounds(ev, TauberianCertificate(C=1.0, x0=1.0))
         start = 0

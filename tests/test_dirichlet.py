@@ -161,7 +161,7 @@ class TestBuildInstance:
 class TestPartialSumDecay:
     def test_alternating_decay_scale(self):
         inst = build_instance(CoefficientSequence.alternating(), n_max=200_000)
-        M = GrowthBound.affine(1.25)
+        M = GrowthBound("affine", 1.25)
         rows = partial_sum_decay(inst, M, [10.0])
         row = rows[0]
         # |A(t) - log 2| ~ 1/(2 e^t) for the alternating harmonic tail
@@ -172,14 +172,14 @@ class TestPartialSumDecay:
 
     def test_margins_nonnegative_on_grid(self):
         inst = build_instance(CoefficientSequence.alternating(), n_max=200_000)
-        M = GrowthBound.affine(1.25)
+        M = GrowthBound("affine", 1.25)
         rows = partial_sum_decay(inst, M, np.linspace(0.5, 12.0, 24))
         assert all(r.margin >= 0.0 for r in rows if math.isfinite(r.margin))
 
     def test_below_threshold_rows_are_nan(self):
         inst = build_instance(CoefficientSequence.alternating(), n_max=1_000)
         # a deliberately huge growth bound pushes T' above the whole grid
-        M = GrowthBound.constant(10.0)
+        M = GrowthBound("constant", 10.0)
         rows = partial_sum_decay(inst, M, [1.0, 2.0])
         assert all(r.branch == "below_t_prime" for r in rows)
         assert all(math.isnan(r.bound_B) for r in rows)
@@ -188,7 +188,7 @@ class TestPartialSumDecay:
     def test_one_inversion_per_grid(self, inversion_sizes):
         inst = build_instance(CoefficientSequence.alternating(), n_max=200_000)
         # M = 5, C = e puts T' ~ 6.09 inside the grid: 12 of the 24 rows are above it
-        rows = partial_sum_decay(inst, GrowthBound.constant(5.0), np.linspace(0.5, 12.0, 24))
+        rows = partial_sum_decay(inst, GrowthBound("constant", 5.0), np.linspace(0.5, 12.0, 24))
         assert inversion_sizes == [12]
         assert [r.branch for r in rows[:12]] == ["below_t_prime"] * 12
         assert all(r.branch == "opt_inside" for r in rows[12:])
@@ -196,17 +196,17 @@ class TestPartialSumDecay:
     def test_missing_f0_is_refused(self):
         inst = build_instance(CoefficientSequence.ones(), n_max=100)
         with pytest.raises(ValueError, match="give f0 in the problem file"):
-            partial_sum_decay(inst, GrowthBound.affine(2.0), [2.0])
+            partial_sum_decay(inst, GrowthBound("affine", 2.0), [2.0])
 
     def test_explicit_f0_override(self):
         inst = build_instance(CoefficientSequence.periodic([0.0]), n_max=100)
-        rows = partial_sum_decay(replace(inst, f0=np.zeros(1)), GrowthBound.affine(2.0), [2.0])
+        rows = partial_sum_decay(replace(inst, f0=np.zeros(1)), GrowthBound("affine", 2.0), [2.0])
         assert rows[0].decay_norm == 0.0
 
     def test_grid_beyond_faithful_range_is_refused(self):
         inst = build_instance(CoefficientSequence.alternating(), n_max=100)
         with pytest.raises(ValueError, match="log\\(n_max\\)"):
-            partial_sum_decay(inst, GrowthBound.affine(1.25), [math.log(100.0) + 0.5])
+            partial_sum_decay(inst, GrowthBound("affine", 1.25), [math.log(100.0) + 0.5])
 
 
 class TestTauberianConditionForInstances:
@@ -242,26 +242,26 @@ class TestAdmissibility:
         # z/(1+z^2) blows up near z = +-i: inside the strip of M = 2 the
         # bound fails around |y| = 1
         ext = RationalExtension((0.0, 1.0), (1.0, 0.0, 1.0))
-        report = check_admissibility(ext, GrowthBound.constant(2.0))
+        report = check_admissibility(ext, GrowthBound("constant", 2.0))
         assert report.grid_sup > 0.0
         assert abs(abs(report.witness_t) - 1.0) <= 0.1
 
     def test_decaying_exp_extension_is_admissible(self):
         # 1/(1+z) is bounded by 2 on the whole strip of M = 2 away from -1
         ext = RationalExtension((1.0,), (1.0, 1.0))
-        report = check_admissibility(ext, GrowthBound.constant(2.0))
+        report = check_admissibility(ext, GrowthBound("constant", 2.0))
         assert report.grid_sup <= 0.0
         assert "strip depths" in report.note
 
     def test_singular_sample_reported(self):
         ext = RationalExtension((1.0,), (0.0, 1.0))  # 1/z singular at 0
-        report = check_admissibility(ext, GrowthBound.constant(2.0))
+        report = check_admissibility(ext, GrowthBound("constant", 2.0))
         assert math.isinf(report.grid_sup)
         assert "singular" in report.note
 
     def test_eta_shift_admissible_after_calibration(self):
         # the affine c = 1.25 of dirichlet_alternating.json holds on the default window
-        report = check_admissibility(EtaShiftExtension(), GrowthBound.affine(1.25))
+        report = check_admissibility(EtaShiftExtension(), GrowthBound("affine", 1.25))
         assert report.grid_sup <= 0.0
 
 

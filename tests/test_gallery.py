@@ -22,9 +22,15 @@ then compare with ``diff -r``.  The workloads run with DIR as the working
 directory and write their problem files and dumps under the relative path
 ``workloads/<workload>/<seed>/``, so the sidecar's ``"problem"`` path is the
 same for every DIR.
+
+The trace test runs every gallery command, with each contour's ``--dump``,
+under ``sys.setprofile`` and asserts that the package functions none of
+them enters are exactly those of ``UNREACHED``, each listed with the reason
+it stays.
 """
 
 import argparse
+import ast
 import contextlib
 import importlib.util
 import json
@@ -89,6 +95,13 @@ def _workloads() -> dict:
     return module.WORKLOADS
 
 
+def _with_dump(name: str, args: list[str], directory: Path) -> list[str]:
+    """A gallery command's args, a contour's with --dump into directory."""
+    if args[0] != "contour":
+        return args
+    return [*args, "--dump", str(directory / f"{name.replace(' ', '_')}.dump.csv")]
+
+
 def _write_run(directory: Path, stem: str, args) -> None:
     """One command's stdout, exit code and stderr (without generated_at) in directory."""
     result = CliRunner().invoke(main, list(args))
@@ -105,10 +118,7 @@ def write_outputs(directory: Path) -> None:
     directory = directory.resolve()
     directory.mkdir(parents=True, exist_ok=True)
     for name, args in _commands().items():
-        stem = name.replace(" ", "_")
-        if args[0] == "contour":
-            args = [*args, "--dump", str(directory / f"{stem}.dump.csv")]
-        _write_run(directory, stem, args)
+        _write_run(directory, name.replace(" ", "_"), _with_dump(name, args, directory))
     with contextlib.chdir(directory):
         for name, commands in _workloads().items():
             for seed in WORKLOAD_SEEDS:
@@ -205,6 +215,79 @@ def test_outputs_mode_writes_each_workload_command(tmp_path, monkeypatch):
         "jumps-contour_7_dirichlet.exit"] == b"0\n"
     assert trees[0]["workloads/jumps-contour/7/contour_dump.csv"].startswith(
         b"piece,s_param,re z,im z,|integrand|\n")
+
+
+PACKAGE = Path(__file__).parents[1] / "src" / "tauberian_lab"
+_LIBRARY_CONSTRUCTOR = "library constructor that hides the (n, d) jump layout"
+# "module.qualname" of every package function that no gallery command enters, and why it stays
+UNREACHED = {
+    "bv.NonFiniteIntegrandError.__init__": "error path: a sweep meets a non-finite value",
+    "bv.QuadratureError.__init__": "error path: an interval of quad misses its tolerance",
+    "contour.ContourBudgetError.__init__": "error path: a contour needs too many nodes",
+    "transform.TruncationCapError.__init__": "error path: no truncation point within the cap",
+    "cli._input_error": "error path: a bad command-line value exits 2",
+    "problems._fail": "error path: a malformed problem file exits 2",
+    "verify._span": "error path: names the grids when the ratio condition checks nothing",
+    "growth.at_index": "error path: tags a batch entry's failure with its position",
+    "dirichlet.CoefficientSequence.from_file": "input path that no gallery problem uses",
+    "bv.BVFunction.total_variation": "quadrature reference for variation_bound's tests",
+    "bv.BVFunction.total_variation.modulus_integral": "nested in total_variation",
+    "oracles.alternating_partial_sum": "brute-force test oracle; leaves with ROADMAP item 6",
+    "bv.BVFunction.from_jumps": _LIBRARY_CONSTRUCTOR,
+    "bv.BVFunction.single_jump": _LIBRARY_CONSTRUCTOR,
+    "bv.BVFunction.from_density": _LIBRARY_CONSTRUCTOR,
+    "bv.BVFunction.zero": _LIBRARY_CONSTRUCTOR,
+    "bv._as_size_array": "the library constructors' jump-size check",
+    "verify.check_admissibility": "ROADMAP item 5 wires it into contour and certify",
+    "contour.ContourSpec.total_nodes": "perfbench's contour.build span reads it",
+}
+
+
+def _package_functions() -> dict[tuple[str, int], str]:
+    """{(file, first line): "module.qualname"} of every def in the package, nested ones
+    joined by dots; a decorated def starts at its first decorator, as its code object does."""
+    found = {}
+
+    def walk(node, file: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if isinstance(child, ast.FunctionDef):
+                    line = child.decorator_list[0].lineno if child.decorator_list else child.lineno
+                    found[file, line] = name
+            walk(child, file, name)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(ast.parse(path.read_text()), str(path.resolve()), path.stem)
+    return found
+
+
+def unreached_functions(directory: Path) -> set[str]:
+    """The package functions that no gallery command, run with each contour's --dump into
+    directory, enters under sys.setprofile."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    previous = sys.getprofile()
+    for name, args in _commands().items():
+        args = _with_dump(name, args, directory)
+        sys.setprofile(profile)
+        try:
+            CliRunner().invoke(main, args)
+        finally:
+            sys.setprofile(previous)
+    files = {file: str(Path(file).resolve()) for file, _ in entered}
+    entered = {(files[file], line) for file, line in entered}
+    return {name for key, name in _package_functions().items() if key not in entered}
+
+
+def test_every_package_function_is_reached_or_listed(tmp_path):
+    # equality, so wiring a listed function into a command fails too until its entry goes
+    assert unreached_functions(tmp_path) == set(UNREACHED)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tauberian_lab.oracles import (
+    MAX_ACCELERATION_TERMS,
     alternating_partial_sum,
     alternating_sum,
     eta,
@@ -65,3 +66,15 @@ def test_alternating_sum_batched():
     rs = np.asarray([0.2, 0.5, 0.8])
     got = alternating_sum(lambda k: rs[None, :] ** k[:, None].astype(float))
     np.testing.assert_allclose(got, 1.0 / (1.0 + rs), rtol=1e-13)
+
+
+def test_acceleration_terms_stop_where_the_weights_overflow():
+    # the most terms still gives eta(2) to the last digits; one more once gave nan + nan j
+    # with only a RuntimeWarning, and from 403 on an OverflowError
+    with np.errstate(all="raise"):
+        assert abs(eta(2.0, n=MAX_ACCELERATION_TERMS) - math.pi ** 2 / 12.0) <= 1e-14
+    for n in (MAX_ACCELERATION_TERMS + 1, 403):
+        with pytest.raises(ValueError, match=f"at most {MAX_ACCELERATION_TERMS} terms"):
+            alternating_sum(lambda k: 1.0 / (k + 1.0), n=n)
+        with pytest.raises(ValueError, match=f"at most {MAX_ACCELERATION_TERMS} terms"):
+            eta(2.0, n=n)

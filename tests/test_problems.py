@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from tauberian_lab import ProblemFormatError, load_problem
 from tauberian_lab.cli import main
+from tauberian_lab.oracles import MAX_ACCELERATION_TERMS
 
 SHIPPED = [str(p) for p in sorted(Path("problems").glob("*.json"))]
 
@@ -262,3 +263,26 @@ def test_missing_growth_hint(tmp_path):
         res = CliRunner().invoke(main, [command, "--problem", str(p)])
         assert res.exit_code == 2
         assert res.stderr == f"error: {p}: this command needs {block} block in the problem file\n"
+
+
+def test_n_max_too_large_to_allocate_names_the_option(tmp_path):
+    # 10^15 jumps need petabytes: numpy's MemoryError once escaped as a traceback, exit 1
+    p = write(tmp_path, {"name": "big", "dirichlet": {"coefficients": "alternating",
+                                                      "n_max": 10**15}})
+    with pytest.raises(ProblemFormatError, match=re.escape(f"{p}.dirichlet.n_max: too large")):
+        load_problem(p)
+    res = CliRunner().invoke(main, ["verify", "--problem", str(p)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"error: {p}.dirichlet.n_max: too large to allocate")
+
+
+def test_eta_shift_terms_outside_the_acceleration_range_are_refused(tmp_path):
+    # past MAX_ACCELERATION_TERMS the weights overflow: eta gave nan, then OverflowError
+    base = {"name": "e", "certificate": {"C": 1, "x0": 1}, "jumps": [{"t": 1, "value": [1.0]}]}
+    for terms in (7, MAX_ACCELERATION_TERMS + 1, 500):
+        p = write(tmp_path, dict(base, extension={"kind": "eta_shift", "params": {"terms": terms}}))
+        with pytest.raises(ProblemFormatError, match=re.escape(f"{p}.extension.params.terms:")):
+            load_problem(p)
+    p = write(tmp_path, dict(base, extension={"kind": "eta_shift",
+                                              "params": {"terms": MAX_ACCELERATION_TERMS}}))
+    assert load_problem(p).extension.terms == MAX_ACCELERATION_TERMS

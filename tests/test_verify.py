@@ -180,7 +180,7 @@ class TestCheckTauberian:
         bv = BVFunction.single_jump(1.0)
         from tauberian_lab import CutoffRule
 
-        cert = TauberianCertificate(C=1.0, x0=1.0, R_rule=CutoffRule.constant(50.0))
+        cert = TauberianCertificate(C=1.0, x0=1.0, R_rule=CutoffRule("constant", 50.0))
         coarse_t, fine_t = hybrid_grid(bv, 10.0), hybrid_grid(bv, 10.0, 1024, 128)
         xs = np.geomspace(1.0, 50.0, 8)
         a = check_certificate(bv, cert, t_grid=coarse_t, x_grid=xs, quad_tol=1e-12)[0].grid_sup
@@ -194,7 +194,7 @@ class CutoffRuleConstantOne:
     def __new__(cls):
         from tauberian_lab import CutoffRule
 
-        return CutoffRule.constant(1.0)
+        return CutoffRule("constant", 1.0)
 
 
 def line_sup(bv, z, t_grid) -> float:
@@ -277,7 +277,7 @@ class TestSweepReuse:
     def spy(self, monkeypatch) -> tuple[list[tuple[str, complex]], list[str]]:
         """Every abscissa swept, with its sweep's name, and the name of every sweep call."""
         abscissas, calls = [], []
-        for name in ("_partial_rows", "weighted_tail_grid"):
+        for name in ("weighted_partial_grid", "weighted_tail_grid"):
             def counted(bv, z, *args, _name=name, _sweep=getattr(verify_module, name), **kw):
                 calls.append(_name)
                 abscissas.extend((_name, complex(v)) for v in np.atleast_1d(z))
@@ -304,7 +304,7 @@ class TestSweepReuse:
         cert = TauberianCertificate(C=2.0, x0=2.0)
         rep = check_certificate(BVFunction.single_jump(1.0), cert, x_grid=np.asarray([2.0]))[4]
         assert make_x_grid(2e-2, 2.0, 16)[-1] == 2.0
-        partial = [z for name, z in sweeps if name == "_partial_rows"]
+        partial = [z for name, z in sweeps if name == "weighted_partial_grid"]
         assert len(partial) == len(set(partial)) == 4
         assert rep.witness_x == 2.0
 
@@ -315,7 +315,7 @@ class TestSweepReuse:
         res = CliRunner().invoke(main, ["verify", "--problem", "problems/dirichlet_ones.json",
                                         "--x-grid", "1:1000:8"])
         assert res.exit_code == 0, res.output
-        partial = [z for name, z in sweeps if name == "_partial_rows"]
+        partial = [z for name, z in sweeps if name == "weighted_partial_grid"]
         assert len(partial) == len(set(partial)) == 14
         assert [z for name, z in sweeps if name == "weighted_tail_grid"] == [1.0 + 2.0j]
 
@@ -326,7 +326,7 @@ class TestSweepReuse:
                                         "--x-grid", "1:1000:8"])
         assert res.exit_code == 0, res.output
         _, calls = spy
-        assert calls == ["_partial_rows", "weighted_tail_grid"]
+        assert calls == ["weighted_partial_grid", "weighted_tail_grid"]
 
     def test_scans_see_only_the_rows_where_the_norm_can_rise(self, monkeypatch):
         # each abscissa's partial scan holds at most the rows that take a jump,
@@ -366,14 +366,14 @@ class TestSweepReuse:
             [[0], np.searchsorted(t_grid, bv.jump_times[bv.jump_times < t_grid[-1]], "right"),
              *(np.flatnonzero(mask[1:] & ~mask[:-1]) + 1 for mask in masks.values())]))
         sizes = []
-        partial = verify_module._partial_rows
+        partial = verify_module.weighted_partial_grid
 
-        def sized(bv, z, t_grid, rows, *args, **kw):
+        def sized(bv, z, t_grid, quad_tol, rows):
             sizes.append(np.size(z))
             assert np.array_equal(rows, held)
-            return partial(bv, z, t_grid, rows, *args, **kw)
+            return partial(bv, z, t_grid, quad_tol, rows)
 
-        monkeypatch.setattr(verify_module, "_partial_rows", sized)
+        monkeypatch.setattr(verify_module, "weighted_partial_grid", sized)
         monkeypatch.setattr(verify_module, "_MAX_BLOCK_ELEMENTS", 8 * 10 * held.size * 2)
         check_certificate(bv, prob.certificate, x_grid=x_grid)
         assert sizes == [10, 5]
@@ -384,7 +384,7 @@ class TestSweepReuse:
         check_certificate(BVFunction.single_jump(1.0), cert, x_grid=np.asarray([1.0, 2.0, 4.0]))
         abscissas, calls = spy
         assert 2.0 not in [z for _, z in abscissas] and 4.0 not in [z for _, z in abscissas]
-        assert calls == ["_partial_rows", "weighted_tail_grid"]
+        assert calls == ["weighted_partial_grid", "weighted_tail_grid"]
 
     def test_density_mix_verify_quad_calls(self, monkeypatch):
         # power and damped_power pieces take quad: one call per piece per sweep
@@ -504,7 +504,7 @@ class TestHeldRows:
         t_grid = np.linspace(0.0, 50.0, 5001)
         held = bv_module._rising_rows(bv, t_grid)
         assert held.tolist() == [0, 101, 131]
-        got = bv_module._partial_rows(bv, [1000.0], t_grid, held, 1e-10)[0]
+        got = weighted_partial_grid(bv, [1000.0], t_grid, held=held)[0]
         full = weighted_partial_grid(bv, [1000.0], t_grid)[0]
         assert np.array_equal(got, full[held])
         both = (math.exp(-1000.0 * (t_grid[131] - 1.0))
@@ -554,13 +554,13 @@ class TestSmallXPruning:
         """The small-x abscissas of the partial sweeps, filled in as check_certificate runs."""
         small = set(make_x_grid(x0 * 1e-2, x0, 16).tolist())
         swept = []
-        partial = verify_module._partial_rows
+        partial = verify_module.weighted_partial_grid
 
         def spied(bv, z, *args, **kw):
             swept.extend(v.real for v in np.atleast_1d(z) if v.imag == 0 and v.real in small)
             return partial(bv, z, *args, **kw)
 
-        monkeypatch.setattr(verify_module, "_partial_rows", spied)
+        monkeypatch.setattr(verify_module, "weighted_partial_grid", spied)
         return swept
 
     @pytest.mark.parametrize("C, kept", [(0.5, 13), (5.0, 6)])
@@ -626,8 +626,8 @@ def certificate_cases(draw):
                                              for _ in range(d)), rate, exponent))
     bv = BVFunction(d, taus, sizes, tuple(pieces), draw(st.sampled_from(("euclidean", "sup"))))
     x0 = draw(st.floats(0.3, 3.0).filter(lambda v: v != 1.0))
-    cutoff = draw(st.sampled_from((CutoffRule.infinite(), CutoffRule.exp_of_t(),
-                                   CutoffRule.constant(max(1.0, 4.0 * x0)))))
+    cutoff = draw(st.sampled_from((CutoffRule("infinite"), CutoffRule("exp_t"),
+                                   CutoffRule("constant", max(1.0, 4.0 * x0)))))
     # now and then T lies past every grid, and the ratio condition checks nothing
     T = 60.0 if draw(st.integers(0, 7)) == 0 else draw(st.floats(0.01, 2.0))
     cert = TauberianCertificate(C=draw(st.floats(0.05, 4.0)), x0=x0, T=T, R_rule=cutoff)
