@@ -49,21 +49,6 @@ class CoefficientSequence:
             raise ValueError(f"{self.kind} coefficients need a nonempty table")
 
     @staticmethod
-    def alternating() -> "CoefficientSequence":
-        return CoefficientSequence("alternating", np.asarray([[1], [-1]], dtype=complex))
-
-    @staticmethod
-    def ones() -> "CoefficientSequence":
-        return CoefficientSequence("ones", np.ones((1, 1), dtype=complex))
-
-    @staticmethod
-    def periodic(values) -> "CoefficientSequence":
-        table = np.atleast_2d(np.asarray(values, dtype=complex))
-        if table.shape[0] == 1 and np.asarray(values).ndim == 1:
-            table = table.T
-        return CoefficientSequence("periodic", table=table)
-
-    @staticmethod
     def from_file(path) -> "CoefficientSequence":
         """One coefficient per line: whitespace-separated re im pairs.
 

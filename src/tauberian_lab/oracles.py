@@ -71,13 +71,3 @@ def log_two() -> float:
     """log 2 = eta(1), via the acceleration (provenance: computed, not typed)."""
     return float(eta(1.0).real)
 
-
-def alternating_partial_sum(s: complex, count: int) -> complex:
-    """Brute-force sum_{m=1}^{count} (-1)^{m+1} m^{-s}; the cross-check oracle."""
-    total = 0j
-    block = 1_000_000
-    for start in range(1, count + 1, block):
-        m = np.arange(start, min(start + block, count + 1), dtype=float)
-        signs = np.where(m.astype(np.int64) % 2 == 1, 1.0, -1.0)
-        total += complex(np.sum(signs * np.exp(-complex(s) * np.log(m))))
-    return total

@@ -134,7 +134,11 @@ def _build_cutoff(node, path: str) -> CutoffRule:
         if "value" in node:
             _fail(f"{path}.value", f"cutoff kind {kind!r} takes no value")
         return CutoffRule(kind)
-    return CutoffRule(kind, _as_float(_require(node, "value", path), f"{path}.value"))
+    value = _as_float(_require(node, "value", path), f"{path}.value")
+    try:
+        return CutoffRule(kind, value)
+    except ValueError as exc:
+        _fail(f"{path}.value", str(exc))
 
 
 def _build_certificate(node, cutoff: CutoffRule, path: str) -> TauberianCertificate:
@@ -172,15 +176,15 @@ def _build_extension(node, path: str):
     _fail(f"{path}.kind", f"unknown extension kind {kind!r}; choose from ['eta_shift', 'rational']")
 
 
-_COEFFICIENT_RULES = {"alternating": CoefficientSequence.alternating,
-                      "ones": CoefficientSequence.ones}
+# the rows of each named coefficient rule, repeated: b_n = (-1)^{n+1} and b_n = 1
+_COEFFICIENT_RULES = {"alternating": ((1,), (-1,)), "ones": ((1,),)}
 
 
 def _build_coefficients(node, base_dir: Path, path: str) -> CoefficientSequence:
     if isinstance(node, str):
         if node not in _COEFFICIENT_RULES:
             _fail(path, f"unknown coefficient rule {node!r}; use 'alternating', 'ones', or an object")
-        return _COEFFICIENT_RULES[node]()
+        node = {"kind": node}
     _check_keys(node, {"kind", "values", "path"}, path)
     kind = _require(node, "kind", path)
     if not (isinstance(kind, str) and kind in COEFFICIENT_KINDS):
@@ -189,7 +193,7 @@ def _build_coefficients(node, base_dir: Path, path: str) -> CoefficientSequence:
         if key in node and kind != owner:
             _fail(f"{path}.{key}", f"coefficient kind {kind!r} takes no {key}")
     if kind in _COEFFICIENT_RULES:
-        return _COEFFICIENT_RULES[kind]()
+        return CoefficientSequence(kind, np.asarray(_COEFFICIENT_RULES[kind], dtype=complex))
     if kind == "periodic":
         values = _require(node, "values", path)
         if not isinstance(values, list) or not values:
@@ -198,11 +202,18 @@ def _build_coefficients(node, base_dir: Path, path: str) -> CoefficientSequence:
         width = len(first) if isinstance(first, list) and (
             len(first) != 2 or isinstance(first[0], list)) else None
         if width is None:
-            vec = [_as_complex(v, f"{path}.values[{i}]") for i, v in enumerate(values)]
-            return CoefficientSequence.periodic(np.asarray(vec)[:, None])
-        table = [[_as_complex(c, f"{path}.values[{i}][{j}]") for j, c in enumerate(row)]
-                 for i, row in enumerate(values)]
-        return CoefficientSequence.periodic(np.asarray(table))
+            table = np.asarray([_as_complex(v, f"{path}.values[{i}]")
+                                for i, v in enumerate(values)])[:, None]
+        else:
+            for i, row in enumerate(values):
+                if not isinstance(row, list) or len(row) != width:
+                    _fail(f"{path}.values[{i}]", f"expected a row of {width} coefficients like values[0]")
+            table = np.asarray([[_as_complex(c, f"{path}.values[{i}][{j}]")
+                                 for j, c in enumerate(row)] for i, row in enumerate(values)])
+        try:
+            return CoefficientSequence("periodic", table)
+        except ValueError as exc:
+            _fail(f"{path}.values", str(exc))
     rel = _require(node, "path", path)
     if not isinstance(rel, str):
         _fail(f"{path}.path", "expected a file path string")

@@ -11,28 +11,22 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
-from tauberian_lab import (BVFunction, CoefficientSequence, CutoffRule,
-                           EtaShiftExtension, GrowthBound,
-                           RationalExtension, TauberianCertificate,
-                           build_instance, cauchy_identity_report,
-                           check_certificate, decay_rate, evaluate_contour, m_log,
-                           m_log_inverse,
-                           make_t_grid, partial_sum_decay, r_opt,
-                           stieltjes_integral, t_prime, term_bounds,
-                           vector_norm, weighted_partial_grid, weighted_tail_grid)
 from tauberian_lab import oracles
 from tauberian_lab import verify
+from tauberian_lab.bv import BVFunction, stieltjes_integral, weighted_partial_grid, weighted_tail_grid
 from tauberian_lab.cli import main as cli_main
+from tauberian_lab.contour import (EtaShiftExtension, cauchy_identity_report, evaluate_contour,
+                                   term_bounds)
+from tauberian_lab.dirichlet import build_instance, partial_sum_decay
+from tauberian_lab.growth import CutoffRule, GrowthBound, m_log, m_log_inverse
+from tauberian_lab.rates import decay_rate, r_opt, t_prime
+from tauberian_lab.transform import TauberianCertificate
+from tauberian_lab.vectors import vector_norm
+from tauberian_lab.verify import check_certificate, make_t_grid
+
+from exact import GROWTH_PRESETS, alternating_partial_sum, exp_density, exp_partial, named_rule
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
-
-GROWTH_PRESETS = [
-    GrowthBound("constant", 2.0),
-    GrowthBound("affine", 1.2),
-    GrowthBound("power", 1.0, alpha=0.8),
-    GrowthBound("log", 1.5, beta=2.0),
-    GrowthBound("exp", 1.0, kappa=0.1),
-]
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -55,12 +49,12 @@ def test_01_quadrature_matches_closed_forms(rng):
         want = np.exp(z * tau) * size
         worst = max(worst, abs(got - want) / abs(want))
 
-    bv = BVFunction.from_density("exponential", scale=1.0, rate=-1.0)
+    bv = exp_density()[0]
     for _ in range(17):  # exponential density e^{-s} against the antiderivative
         z = complex(rng.uniform(-2.0, 0.4), rng.uniform(-3.0, 3.0))
         t = rng.uniform(0.5, 5.0)
         got = stieltjes_integral(bv, z, t, quad_tol=1e-12)[0]
-        want = (np.exp((z - 1.0) * t) - 1.0) / (z - 1.0)
+        want = exp_partial(-1.0, -z, t)
         worst = max(worst, abs(got - want) / abs(want))
 
     for _ in range(16):  # finite coefficient block: sum of b_n n^{z-1}
@@ -114,12 +108,10 @@ def test_02_delayed_step_reproduction():
 
 def test_03_line_tail_smallx_bounds():
     """Line, tail, and small-x margins >= -1e-9*bound over three families."""
-    alt = build_instance(CoefficientSequence.alternating(), n_max=10**5)
+    alt = build_instance(named_rule("alternating"), n_max=10**5)
     families = [
         ("step", BVFunction.single_jump(1.0), lambda x: 1.0, 1.0),
-        ("exp_density",
-         BVFunction.from_density("exponential", scale=1.0, rate=-1.0),
-         lambda x: 1.0, 1.0),
+        ("exp_density", exp_density()[0], lambda x: 1.0, 1.0),
         ("alternating", alt.bv, lambda x: math.e / x, math.e),
     ]
     worst = math.inf
@@ -157,7 +149,7 @@ def test_03_line_tail_smallx_bounds():
 
 def test_04_tauberian_condition_for_dirichlet():
     """Scaled sup stays below e for the alternating series down to x = 0.05."""
-    inst = build_instance(CoefficientSequence.alternating(), n_max=10**6)
+    inst = build_instance(named_rule("alternating"), n_max=10**6)
     cert = dataclasses.replace(inst.certificate, x0=0.05)
     x_grid = np.geomspace(0.05, 400.0, 64)
     rep = check_certificate(inst.bv, cert, x_grid=x_grid)[0]
@@ -193,8 +185,7 @@ def test_06_contour_identity():
     def residual(*args, **kwargs):
         return cauchy_identity_report(evaluate_contour(*args, **kwargs)).residual
 
-    bv = BVFunction.from_density("exponential", scale=1.0, rate=-1.0)
-    ext = RationalExtension((1.0,), (1.0, 1.0))
+    bv, ext = exp_density()
     M2 = GrowthBound("constant", 2.0)
     worst = 0.0
     for t in (2.0, 5.0, 10.0):
@@ -202,7 +193,7 @@ def test_06_contour_identity():
             worst = max(worst, residual(bv, ext, M2, t, R))
     rational_ok = worst <= 1e-6
 
-    inst = build_instance(CoefficientSequence.alternating(), n_max=10**6)
+    inst = build_instance(named_rule("alternating"), n_max=10**6)
     eta_res = residual(inst.bv, EtaShiftExtension(), GrowthBound("affine", 1.25), 3.0, 1.5)
     eta_ok = eta_res <= 1e-5
 
@@ -219,13 +210,12 @@ def test_06_contour_identity():
 
 def test_07_contour_term_bounds():
     """Measured term norms against displayed and derived constants."""
-    bv = BVFunction.from_density("exponential", scale=1.0, rate=-1.0)
-    ext = RationalExtension((1.0,), (1.0, 1.0))
+    bv, ext = exp_density()
     M2 = GrowthBound("constant", 2.0)
     cert = TauberianCertificate(C=1.0, x0=1.0)
     worst = math.inf
     cases = [(bv, cert, M2, ext, t, R) for t, R in ((10.0, 2.0), (5.0, 1.0), (10.0, 1.0))]
-    inst = build_instance(CoefficientSequence.alternating(), n_max=10**6)
+    inst = build_instance(named_rule("alternating"), n_max=10**6)
     cases.append((inst.bv, TauberianCertificate(C=math.e, x0=1.0),
                   GrowthBound("affine", 1.25), EtaShiftExtension(), 3.0, 1.5))
     for fbv, fcert, fM, fext, t, R in cases:
@@ -252,7 +242,7 @@ def test_08_end_to_end_exponential_decay():
     M = GrowthBound("constant", 2.0)
     tp = t_prime(cert, M)
     ts = np.linspace(tp + 0.5, 50.0, 100)
-    bv = BVFunction.from_density("exponential", scale=1.0, rate=-1.0)
+    bv = exp_density()[0]
 
     bounds = []
     decay_ok = True
@@ -278,7 +268,7 @@ def test_08_end_to_end_exponential_decay():
 
 def test_09_end_to_end_alternating_series():
     """Partial sums approach log 2 no slower than the guaranteed bound."""
-    inst = build_instance(CoefficientSequence.alternating(), n_max=10**6)
+    inst = build_instance(named_rule("alternating"), n_max=10**6)
     growth = GrowthBound("affine", 1.25)
     tp = t_prime(inst.certificate, growth)
     ts = np.linspace(tp + 0.2, 13.0, 64)
@@ -287,7 +277,7 @@ def test_09_end_to_end_alternating_series():
     margins_ok = worst >= 0.0 and all(math.isfinite(r.margin) for r in rows)
 
     limit = oracles.log_two()
-    direct = oracles.alternating_partial_sum(1.0, 10**7)
+    direct = alternating_partial_sum(1.0, 10**7)
     oracle_gap = abs(limit - direct)
     oracle_ok = oracle_gap <= 1e-7 and abs(limit - inst.f0[0]) <= 1e-14
 

@@ -1,6 +1,5 @@
 """CLI surface: exit codes, CSV schemas, metadata, and determinism."""
 
-import inspect
 import json
 import math
 import shlex
@@ -12,8 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 from tauberian_lab import bv as bv_module
-from tauberian_lab import load_problem, make_t_grid
 from tauberian_lab.cli import main
+from tauberian_lab.problems import load_problem
+from tauberian_lab.verify import make_t_grid
 
 ALT_PROBLEM = """
 {
@@ -494,22 +494,6 @@ def test_cli_imports_without_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
-
-
-def test_export_list_resolves():
-    # every exported name exists, once, and a star import brings them all in
-    import tauberian_lab
-
-    names = tauberian_lab.__all__
-    assert [n for n in names if not hasattr(tauberian_lab, n)] == []
-    assert len(set(names)) == len(names)
-    namespace = {}
-    exec("from tauberian_lab import *", namespace)
-    assert set(names) <= set(namespace)
-    # and the converse: every public class or function of the package is exported
-    bound = {n for n, obj in vars(tauberian_lab).items()
-             if not n.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj))}
-    assert bound - set(names) == set()
 
 
 def readme_examples() -> list[tuple[str, list[str]]]:

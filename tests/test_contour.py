@@ -6,44 +6,20 @@ import re
 import numpy as np
 import pytest
 
-from tauberian_lab import (
-    BVFunction,
-    ContourBudgetError,
-    EtaShiftExtension,
-    GrowthBound,
-    RationalExtension,
-    TauberianCertificate,
-    bound_B,
-    build_contour,
-    cauchy_identity_report,
-    contour_dump,
-    evaluate_contour,
-    extension_agreement,
-    fudge_factor,
-    term_bounds,
-)
 from tauberian_lab import contour as contour_module
-from tauberian_lab.contour import _eval_extension
+from tauberian_lab.bv import BVFunction, exp_tail_integral, jump_sum_remainder
+from tauberian_lab.contour import (ContourBudgetError, EtaShiftExtension, RationalExtension,
+                                   _eval_extension, build_contour, cauchy_identity_report,
+                                   contour_dump, evaluate_contour, extension_agreement,
+                                   fudge_factor, term_bounds)
+from tauberian_lab.growth import GrowthBound
 from tauberian_lab.oracles import eta
-from tauberian_lab.transform import improper_laplace
-from tauberian_lab.vectors import vector_norm
+from tauberian_lab.rates import bound_B
+from tauberian_lab.transform import TauberianCertificate
+
+from exact import alternating_series, exp_density, loop_agreement
 
 M2 = GrowthBound("constant", 2.0)
-
-
-def exp_density_pair():
-    """Density e^{-s} with transform 1/(1+z), the workhorse rational case."""
-    bv = BVFunction.from_density("exponential", rate=-1.0)
-    ext = RationalExtension((1.0,), (1.0, 1.0))
-    return bv, ext
-
-
-def alternating_pair(n_max):
-    """Jumps (-1)^{n+1}/n at log n, n <= n_max, with the extension eta(z + 1)."""
-    n = np.arange(1, n_max + 1)
-    sizes = (np.where(n % 2 == 1, 1.0, -1.0) / n).astype(complex).reshape(-1, 1)
-    return (BVFunction(dimension=1, jump_times=np.log(n.astype(float)), jump_sizes=sizes),
-            EtaShiftExtension())
 
 
 class TestFudgeFactor:
@@ -120,7 +96,7 @@ class TestGeometry:
 
 class TestCauchyIdentity:
     def test_rational_family_machine_precision(self):
-        bv, ext = exp_density_pair()
+        bv, ext = exp_density()
         for t in (2.0, 5.0, 10.0):
             for R in (1.0, 2.0, 5.0):
                 res = cauchy_identity_report(evaluate_contour(bv, ext, M2, t, R)).residual
@@ -128,7 +104,7 @@ class TestCauchyIdentity:
                 assert res <= 1e-9, (t, R)  # in practice it is machine-level
 
     def test_report_fields(self):
-        bv, ext = exp_density_pair()
+        bv, ext = exp_density()
         ev = evaluate_contour(bv, ext, M2, 5.0, 2.0)
         rep = cauchy_identity_report(ev)
         # reference A(t) - f(0) = (1 - e^{-t}) - 1 = -e^{-t}
@@ -146,7 +122,7 @@ class TestCauchyIdentity:
         assert rep.abs_error <= 1e-12
 
     def test_explicit_f0_override(self):
-        bv, ext = exp_density_pair()
+        bv, ext = exp_density()
         ev = evaluate_contour(bv, ext, M2, 5.0, 2.0)
         honest = cauchy_identity_report(ev)
         shifted = cauchy_identity_report(ev, f0=[0.5])
@@ -156,9 +132,7 @@ class TestCauchyIdentity:
     def test_junction_continuity(self):
         # the fudge factor kills the integrand at z = +-iR, where the arc
         # meets the left path
-        from tauberian_lab.bv import exp_tail_integral
-
-        bv, ext = exp_density_pair()
+        bv, ext = exp_density()
         t, R = 5.0, 2.0
         rows = contour_dump(evaluate_contour(bv, ext, M2, t, R))
         g1 = [r for r in rows if r[0] == "gamma1"]
@@ -175,7 +149,7 @@ class TestCauchyIdentity:
 
     def test_doubling_density_cuts_error(self):
         # (t, R) chosen where the left-path quadrature error is the floor
-        bv, ext = exp_density_pair()
+        bv, ext = exp_density()
         t, R = 10.0, 5.0
         coarse = cauchy_identity_report(evaluate_contour(bv, ext, M2, t, R, 0.1)).residual
         fine = cauchy_identity_report(evaluate_contour(bv, ext, M2, t, R, 0.2)).residual
@@ -184,16 +158,14 @@ class TestCauchyIdentity:
 
     def test_eta_extension_identity(self):
         # alternating Dirichlet jumps against the eta(z+1) extension
-        bv, ext = alternating_pair(1_000_000)
+        bv, ext = alternating_series(1_000_000)
         M = GrowthBound("affine", 1.25)
         res = cauchy_identity_report(evaluate_contour(bv, ext, M, 3.0, 1.5)).residual
         assert res <= 1e-5
 
     def test_report_carries_jump_sum_remainder(self):
         # tail and partial kernel calls split the jumps at t; their bounds add
-        from tauberian_lab.bv import jump_sum_remainder
-
-        bv, ext = alternating_pair(2000)
+        bv, ext = alternating_series(2000)
         t, R = 3.0, 1.5
         rep = cauchy_identity_report(evaluate_contour(bv, ext, GrowthBound("affine", 1.25), t, R))
         k = int(np.searchsorted(bv.jump_times, t))
@@ -208,7 +180,7 @@ class TestTermBounds:
         return TauberianCertificate(C=1.0, x0=1.0)
 
     def test_margins_nonnegative(self):
-        bv, ext = exp_density_pair()
+        bv, ext = exp_density()
         for t, R in ((5.0, 1.0), (10.0, 2.0)):
             I, II, III = term_bounds(evaluate_contour(bv, ext, M2, t, R), self.cert())
             for tb in (I, II, III):
@@ -216,7 +188,7 @@ class TestTermBounds:
                 assert tb.bound_derived - tb.measured >= -1e-9 * tb.bound_derived, (t, R, tb.name)
 
     def test_displayed_constants(self):
-        bv, ext = exp_density_pair()
+        bv, ext = exp_density()
         I, II, III = term_bounds(evaluate_contour(bv, ext, M2, 10.0, 2.0), self.cert())
         assert I.bound_displayed == pytest.approx(6.0 / 2.0)
         assert II.bound_displayed == pytest.approx(4.0 / 2.0)
@@ -231,7 +203,7 @@ class TestTermBounds:
             assert abs(total - want) <= 4 * np.spacing(want), (t, R, total, want)
 
     def test_third_term_formula(self):
-        bv, ext = exp_density_pair()
+        bv, ext = exp_density()
         t, R = 10.0, 1.0
         _, _, III = term_bounds(evaluate_contour(bv, ext, M2, t, R), self.cert())
         want = 2.0 / (t * R ** 3) + 2.0 * R * 4.0 * math.exp(-t / 4.0)
@@ -239,7 +211,7 @@ class TestTermBounds:
         assert III.bound_derived == III.bound_displayed
 
     def test_third_term_decays_in_time(self):
-        bv, ext = exp_density_pair()
+        bv, ext = exp_density()
         vals = []
         for t in (10.0, 20.0, 40.0):
             _, _, III = term_bounds(evaluate_contour(bv, ext, M2, t, 2.0), self.cert())
@@ -272,7 +244,7 @@ class TestExtensions:
             cauchy_identity_report(evaluate_contour(bv, ext, M2, 4.0, 2.0))
 
     def test_agreement_with_truncated_transform(self, rng):
-        bv, ext = exp_density_pair()
+        bv, ext = exp_density()
         cert = TauberianCertificate(C=1.0, x0=1.0)
         report = extension_agreement(bv, ext, cert, rng)
         assert report.gap <= 1e-6
@@ -285,7 +257,7 @@ class TestLeftPathExtension:
     """evaluate_contour calls the extension once, on every left-path node."""
 
     def test_one_call_gives_each_pieces_values(self):
-        bv, ext = alternating_pair(2000)
+        bv, ext = alternating_series(2000)
         sizes = []
 
         def counted(z):
@@ -315,19 +287,8 @@ class TestLeftPathExtension:
             evaluate_contour(BVFunction.zero(), ext, M2, 4.0, 2.0)
 
 
-def loop_agreement(bv, f_ext, cert, rng, n_points, target_err=1e-9, quad_tol=1e-12):
-    """Reference for extension_agreement: one transform and one extension call per point."""
-    worst = 0.0
-    for _ in range(n_points):
-        z = complex(rng.uniform(0.3, 2.5), rng.uniform(-2.5, 2.5))
-        point = improper_laplace(bv, [z], cert, target_err=target_err, quad_tol=quad_tol)
-        ext = _eval_extension(f_ext, np.asarray([z]), bv.dimension)[0]
-        worst = max(worst, float(vector_norm(point.value[0] - ext, bv.norm_kind)))
-    return worst
-
-
 class TestAgreementOneCall:
-    @pytest.mark.parametrize("pair", [exp_density_pair, lambda: alternating_pair(20_000)])
+    @pytest.mark.parametrize("pair", [exp_density, lambda: alternating_series(20_000)])
     def test_matches_the_point_loop(self, pair):
         bv, ext = pair()
         cert = TauberianCertificate(C=math.e, x0=1.0)
@@ -349,7 +310,7 @@ class TestAgreementOneCall:
                             spy("transform", contour_module.improper_laplace))
         monkeypatch.setattr(contour_module, "_eval_extension",
                             spy("extension", contour_module._eval_extension))
-        bv, ext = alternating_pair(2000)
+        bv, ext = alternating_series(2000)
         report = extension_agreement(bv, ext, TauberianCertificate(C=math.e, x0=1.0),
                                      np.random.default_rng(1))
         assert calls == {"transform": [12], "extension": [12]}
@@ -358,7 +319,7 @@ class TestAgreementOneCall:
 
 class TestContourDump:
     def test_row_schema_and_coverage(self):
-        bv, ext = exp_density_pair()
+        bv, ext = exp_density()
         rows = contour_dump(evaluate_contour(bv, ext, M2, 5.0, 2.0))
         names = {r[0] for r in rows}
         assert "gamma1" in names and "gamma1_reflected" in names
@@ -379,10 +340,10 @@ class TestContourDump:
         # the dump and the term bounds reduce one evaluation: weighting each
         # term's dump rows by arc length gives that term's measured norm
         if instance == "exp_density":
-            bv, ext = exp_density_pair()
+            bv, ext = exp_density()
             ev = evaluate_contour(bv, ext, M2, 5.0, 2.0)
         else:
-            bv, ext = alternating_pair(2000)
+            bv, ext = alternating_series(2000)
             ev = evaluate_contour(bv, ext, GrowthBound("affine", 1.25), 3.0, 1.5)
         rows = contour_dump(ev)
         bounds = term_bounds(ev, TauberianCertificate(C=1.0, x0=1.0))

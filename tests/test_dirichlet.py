@@ -7,22 +7,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tauberian_lab import (
-    BVFunction,
-    CoefficientSequence,
-    DensityPiece,
-    EtaShiftExtension,
-    GrowthBound,
-    RationalExtension,
-    TauberianCertificate,
-    build_instance,
-    check_admissibility,
-    check_certificate,
-    improper_laplace,
-    partial_sum_decay,
-    vector_norm,
-)
+from tauberian_lab.bv import BVFunction, DensityPiece
+from tauberian_lab.contour import EtaShiftExtension, RationalExtension
+from tauberian_lab.dirichlet import CoefficientSequence, build_instance, partial_sum_decay
+from tauberian_lab.growth import GrowthBound
 from tauberian_lab.oracles import log_two
+from tauberian_lab.transform import TauberianCertificate, improper_laplace
+from tauberian_lab.vectors import vector_norm
+from tauberian_lab.verify import check_admissibility, check_certificate
+
+from exact import exp_density, named_rule
 
 
 def coefficients(c: CoefficientSequence, n: np.ndarray) -> np.ndarray:
@@ -32,21 +26,21 @@ def coefficients(c: CoefficientSequence, n: np.ndarray) -> np.ndarray:
 
 class TestCoefficientSequence:
     def test_alternating(self):
-        c = CoefficientSequence.alternating()
+        c = named_rule("alternating")
         vals = coefficients(c, np.arange(1, 6))
         np.testing.assert_allclose(vals[:, 0], [1, -1, 1, -1, 1])
         assert c.sup_norm() == 1.0
 
     def test_ones(self):
-        c = CoefficientSequence.ones()
+        c = named_rule("ones")
         assert np.all(coefficients(c, np.arange(1, 4)) == 1.0)
 
     def test_named_rules_are_bitwise_their_closed_forms(self):
         n = np.arange(1, 10**6 + 1)
         for coeffs, want in (
-                (CoefficientSequence.alternating(),
+                (named_rule("alternating"),
                  np.where(n % 2 == 1, 1.0, -1.0).astype(complex)[:, None]),
-                (CoefficientSequence.ones(), np.ones((n.size, 1), dtype=complex))):
+                (named_rule("ones"), np.ones((n.size, 1), dtype=complex))):
             got = coefficients(coeffs, n)
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
@@ -60,7 +54,7 @@ class TestCoefficientSequence:
             CoefficientSequence("periodic", np.zeros((0, 1), dtype=complex))
 
     def test_periodic(self):
-        c = CoefficientSequence.periodic([1.0, 0.0, -1.0])
+        c = CoefficientSequence("periodic", np.asarray([[1.0], [0.0], [-1.0]], dtype=complex))
         vals = coefficients(c, np.arange(1, 8))[:, 0]
         np.testing.assert_allclose(vals, [1, 0, -1, 1, 0, -1, 1])
         assert c.sup_norm() == 1.0
@@ -95,7 +89,7 @@ class TestCoefficientSequence:
 
 class TestBuildInstance:
     def test_jump_layout(self):
-        inst = build_instance(CoefficientSequence.ones(), n_max=3)
+        inst = build_instance(named_rule("ones"), n_max=3)
         bv = inst.bv
         np.testing.assert_allclose(bv.jump_times, [0.0, math.log(2.0), math.log(3.0)])
         np.testing.assert_allclose(bv.jump_sizes[:, 0], [1.0, 0.5, 1.0 / 3.0])
@@ -104,27 +98,27 @@ class TestBuildInstance:
         np.testing.assert_allclose(n_back, [1.0, 2.0, 3.0], rtol=1e-14)
 
     def test_partial_sums_match_by_hand(self):
-        inst = build_instance(CoefficientSequence.alternating(), n_max=10)
+        inst = build_instance(named_rule("alternating"), n_max=10)
         # value just past log 3 is 1 - 1/2 + 1/3
         got = inst.bv.value_at(math.log(3.0) + 1e-9)[0].real
         assert got == pytest.approx(1.0 - 0.5 + 1.0 / 3.0, rel=1e-12)
         assert vector_norm(inst.bv.value_at(0.0), inst.bv.norm_kind) == 0.0
 
     def test_certificate_fields(self):
-        inst = build_instance(CoefficientSequence.alternating(), n_max=100)
+        inst = build_instance(named_rule("alternating"), n_max=100)
         assert inst.certificate.C == math.e  # max(sup ||b_n||, 1) e with sup ||b_n|| = 1
         assert inst.certificate.x0 == 1.0
         assert inst.certificate.R_rule(2.0) == pytest.approx(math.exp(2.0))
         assert inst.t_max == pytest.approx(math.log(100.0))
 
     def test_alternating_limit_is_computed(self):
-        inst = build_instance(CoefficientSequence.alternating(), n_max=50)
+        inst = build_instance(named_rule("alternating"), n_max=50)
         assert inst.f0 is not None
         assert inst.f0[0].real == pytest.approx(math.log(2.0), abs=1e-14)
         assert "series" in inst.f0_provenance
 
     def test_ones_has_no_limit(self):
-        inst = build_instance(CoefficientSequence.ones(), n_max=50)
+        inst = build_instance(named_rule("ones"), n_max=50)
         assert inst.f0 is None
 
     @pytest.mark.parametrize("kind", ["ones", "alternating", "periodic", "file"])
@@ -135,9 +129,9 @@ class TestBuildInstance:
         path = tmp_path / "c.txt"
         values = np.linspace(-2.0, 3.0, 1237)
         path.write_text("".join(f"{v:.17g} {-v / 3:.17g}\n" for v in values))
-        coeffs = {"ones": CoefficientSequence.ones(),
-                  "alternating": CoefficientSequence.alternating(),
-                  "periodic": CoefficientSequence.periodic(periodic),
+        coeffs = {"ones": named_rule("ones"),
+                  "alternating": named_rule("alternating"),
+                  "periodic": CoefficientSequence("periodic", np.asarray(periodic)),
                   "file": CoefficientSequence.from_file(path)}[kind]
         n = np.arange(1, 1001)
         bv = build_instance(coeffs, n_max=1000).bv
@@ -151,7 +145,7 @@ class TestBuildInstance:
 
     def test_n_max_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            build_instance(CoefficientSequence.ones(), n_max=1)
+            build_instance(named_rule("ones"), n_max=1)
         p = tmp_path / "c.txt"
         p.write_text("1.0 0.0\n1.0 0.0\n")
         with pytest.raises(ValueError, match="lower n_max"):
@@ -160,7 +154,7 @@ class TestBuildInstance:
 
 class TestPartialSumDecay:
     def test_alternating_decay_scale(self):
-        inst = build_instance(CoefficientSequence.alternating(), n_max=200_000)
+        inst = build_instance(named_rule("alternating"), n_max=200_000)
         M = GrowthBound("affine", 1.25)
         rows = partial_sum_decay(inst, M, [10.0])
         row = rows[0]
@@ -171,13 +165,13 @@ class TestPartialSumDecay:
         assert row.branch in ("opt_inside", "cutoff_limited")
 
     def test_margins_nonnegative_on_grid(self):
-        inst = build_instance(CoefficientSequence.alternating(), n_max=200_000)
+        inst = build_instance(named_rule("alternating"), n_max=200_000)
         M = GrowthBound("affine", 1.25)
         rows = partial_sum_decay(inst, M, np.linspace(0.5, 12.0, 24))
         assert all(r.margin >= 0.0 for r in rows if math.isfinite(r.margin))
 
     def test_below_threshold_rows_are_nan(self):
-        inst = build_instance(CoefficientSequence.alternating(), n_max=1_000)
+        inst = build_instance(named_rule("alternating"), n_max=1_000)
         # a deliberately huge growth bound pushes T' above the whole grid
         M = GrowthBound("constant", 10.0)
         rows = partial_sum_decay(inst, M, [1.0, 2.0])
@@ -186,7 +180,7 @@ class TestPartialSumDecay:
         assert all(math.isfinite(r.decay_norm) for r in rows)
 
     def test_one_inversion_per_grid(self, inversion_sizes):
-        inst = build_instance(CoefficientSequence.alternating(), n_max=200_000)
+        inst = build_instance(named_rule("alternating"), n_max=200_000)
         # M = 5, C = e puts T' ~ 6.09 inside the grid: 12 of the 24 rows are above it
         rows = partial_sum_decay(inst, GrowthBound("constant", 5.0), np.linspace(0.5, 12.0, 24))
         assert inversion_sizes == [12]
@@ -194,24 +188,25 @@ class TestPartialSumDecay:
         assert all(r.branch == "opt_inside" for r in rows[12:])
 
     def test_missing_f0_is_refused(self):
-        inst = build_instance(CoefficientSequence.ones(), n_max=100)
+        inst = build_instance(named_rule("ones"), n_max=100)
         with pytest.raises(ValueError, match="give f0 in the problem file"):
             partial_sum_decay(inst, GrowthBound("affine", 2.0), [2.0])
 
     def test_explicit_f0_override(self):
-        inst = build_instance(CoefficientSequence.periodic([0.0]), n_max=100)
+        zeros = CoefficientSequence("periodic", np.zeros((1, 1), dtype=complex))
+        inst = build_instance(zeros, n_max=100)
         rows = partial_sum_decay(replace(inst, f0=np.zeros(1)), GrowthBound("affine", 2.0), [2.0])
         assert rows[0].decay_norm == 0.0
 
     def test_grid_beyond_faithful_range_is_refused(self):
-        inst = build_instance(CoefficientSequence.alternating(), n_max=100)
+        inst = build_instance(named_rule("alternating"), n_max=100)
         with pytest.raises(ValueError, match="log\\(n_max\\)"):
             partial_sum_decay(inst, GrowthBound("affine", 1.25), [math.log(100.0) + 0.5])
 
 
 class TestTauberianConditionForInstances:
     def test_alternating_within_e(self):
-        inst = build_instance(CoefficientSequence.alternating(), n_max=100_000)
+        inst = build_instance(named_rule("alternating"), n_max=100_000)
         report = check_certificate(inst.bv, inst.certificate,
                                    x_grid=np.geomspace(1.0, 200.0, 32), quad_tol=1e-12)[0]
         assert report.passed()
@@ -220,8 +215,7 @@ class TestTauberianConditionForInstances:
 
     def test_bounded_density_sup_at_most_c0(self):
         # dA = a(s) ds with |a| <= c0 = 1: x e^{-xt} int_0^t e^{xs} |a(s)| ds <= 1 - e^{-xt}
-        bv = BVFunction.from_density("exponential", rate=-1.0)
-        report = check_certificate(bv, TauberianCertificate(C=1.0, x0=1.0),
+        report = check_certificate(exp_density()[0], TauberianCertificate(C=1.0, x0=1.0),
                                    x_grid=np.geomspace(1.0, 30.0, 12))[0]
         assert report.passed()
         assert report.grid_sup <= 1.0 + 1e-9
@@ -248,8 +242,7 @@ class TestAdmissibility:
 
     def test_decaying_exp_extension_is_admissible(self):
         # 1/(1+z) is bounded by 2 on the whole strip of M = 2 away from -1
-        ext = RationalExtension((1.0,), (1.0, 1.0))
-        report = check_admissibility(ext, GrowthBound("constant", 2.0))
+        report = check_admissibility(exp_density()[1], GrowthBound("constant", 2.0))
         assert report.grid_sup <= 0.0
         assert "strip depths" in report.note
 

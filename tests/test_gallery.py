@@ -35,6 +35,7 @@ import contextlib
 import importlib.util
 import json
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -232,7 +233,6 @@ UNREACHED = {
     "dirichlet.CoefficientSequence.from_file": "input path that no gallery problem uses",
     "bv.BVFunction.total_variation": "quadrature reference for variation_bound's tests",
     "bv.BVFunction.total_variation.modulus_integral": "nested in total_variation",
-    "oracles.alternating_partial_sum": "brute-force test oracle; leaves with ROADMAP item 6",
     "bv.BVFunction.from_jumps": _LIBRARY_CONSTRUCTOR,
     "bv.BVFunction.single_jump": _LIBRARY_CONSTRUCTOR,
     "bv.BVFunction.from_density": _LIBRARY_CONSTRUCTOR,
@@ -288,6 +288,26 @@ def unreached_functions(directory: Path) -> set[str]:
 def test_every_package_function_is_reached_or_listed(tmp_path):
     # equality, so wiring a listed function into a command fails too until its entry goes
     assert unreached_functions(tmp_path) == set(UNREACHED)
+
+
+def test_every_name_has_one_home():
+    # a fresh import of the package root defines __version__ and no public name: every name
+    # is imported from the module that defines it
+    script = ("import types, tauberian_lab as root\n"
+              "print(root.__version__, sorted(n for n, v in vars(root).items()\n"
+              "      if not n.startswith('_') and not isinstance(v, types.ModuleType)))\n")
+    res = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(PACKAGE.parent), "PATH": ""}, check=True)
+    assert res.stdout.split(" ", 1)[1] == "[]\n"
+    # and every top-level def of tests/exact.py is imported by some test module
+    tests = Path(__file__).parent
+    defined = {node.name for node in ast.parse((tests / "exact.py").read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    imported = {alias.name for path in tests.glob("test_*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "exact"
+                for alias in node.names}
+    assert defined and defined - imported == set()
 
 
 if __name__ == "__main__":

@@ -7,22 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tauberian_lab import (
-    CutoffRule,
-    GrowthBound,
-    GrowthDomainError,
-    m_log,
-    m_log_inverse,
-)
-from tauberian_lab.growth import GROWTH_PARAMS
+from tauberian_lab.growth import (GROWTH_PARAMS, CutoffRule, GrowthBound, GrowthDomainError, m_log,
+                                  m_log_inverse)
 
-PRESETS = [
-    GrowthBound("constant", 2.0),
-    GrowthBound("affine", 1.2),
-    GrowthBound("power", 1.0, alpha=0.8),
-    GrowthBound("log", 1.5, beta=2.0),
-    GrowthBound("exp", 1.0, kappa=0.1),
-]
+from exact import GROWTH_PRESETS
+
 MORE_PRESETS = [
     GrowthBound("constant", 1.0),
     GrowthBound("affine", 1.0),
@@ -134,7 +123,7 @@ class TestMLog:
             assert a0 == 1.0 or abs(val) < 1e-9
         # a start above 1 lies within one float of m_log's sign change
         above_one = 0
-        for M in PRESETS + MORE_PRESETS:
+        for M in GROWTH_PRESETS + MORE_PRESETS:
             for C in (0.05, 0.2, 1.0, 2.0, 7.5, 30.0, 1e3, 1e6):
                 a0 = branch_start(M, C)
                 if a0 == 1.0:
@@ -151,7 +140,7 @@ class TestMLog:
             branch_start(GrowthBound("constant", 2.0), 1e308)
 
     def test_monotone_on_branch(self):
-        for M in PRESETS:
+        for M in GROWTH_PRESETS:
             a0 = branch_start(M, 1.0)
             a_hi = 1e6 if math.isfinite(float(M(1e6))) else 5e3
             grid = np.geomspace(max(a0, 1.0), a_hi, 200)
@@ -162,7 +151,7 @@ class TestMLog:
 
 class TestMLogInverse:
     def test_round_trips(self, rng):
-        for M in PRESETS:
+        for M in GROWTH_PRESETS:
             a0 = branch_start(M, 1.0)
             y_lo = m_log(M, 1.0, a0)
             # stay within the radii representable in doubles for this preset
@@ -270,7 +259,7 @@ def scalar_m_log_inverse(M, C, y, residual_tol=1e-10):
 def inversion_targets(draw):
     """A preset, a C, and targets just below (within tolerance), at and just
     above the branch minimum mixed with targets further up the branch."""
-    M = draw(st.sampled_from(PRESETS))
+    M = draw(st.sampled_from(GROWTH_PRESETS))
     C = draw(st.sampled_from([0.2, 1.0, 7.5]))
     m_min = float(m_log(M, C, branch_start(M, C)))
     scale = max(1.0, abs(m_min))

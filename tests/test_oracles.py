@@ -7,12 +7,13 @@ import pytest
 
 from tauberian_lab.oracles import (
     MAX_ACCELERATION_TERMS,
-    alternating_partial_sum,
     alternating_sum,
     eta,
     eta_tail,
     log_two,
 )
+
+from exact import alternating_partial_sum
 
 
 def test_log_two_matches_math():

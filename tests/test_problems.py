@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from tauberian_lab import ProblemFormatError, load_problem
 from tauberian_lab.cli import main
 from tauberian_lab.oracles import MAX_ACCELERATION_TERMS
+from tauberian_lab.problems import ProblemFormatError, load_problem
 
 SHIPPED = [str(p) for p in sorted(Path("problems").glob("*.json"))]
 
@@ -286,3 +286,32 @@ def test_eta_shift_terms_outside_the_acceleration_range_are_refused(tmp_path):
     p = write(tmp_path, dict(base, extension={"kind": "eta_shift",
                                               "params": {"terms": MAX_ACCELERATION_TERMS}}))
     assert load_problem(p).extension.terms == MAX_ACCELERATION_TERMS
+
+
+def test_constant_cutoff_below_one_names_the_cutoff(tmp_path):
+    # CutoffRule's ValueError once escaped load_problem: a traceback and exit 1
+    p = write(tmp_path, {"certificate": {"C": 1.0, "x0": 1.0}, "jumps": [{"t": 1.0, "value": [1.0]}],
+                         "cutoff": {"kind": "constant", "value": 0.5}})
+    with pytest.raises(ProblemFormatError, match=re.escape(f"{p}.cutoff.value: constant cutoff")):
+        load_problem(p)
+    res = CliRunner().invoke(main, ["verify", "--problem", str(p)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"error: {p}.cutoff.value: constant cutoff must be")
+
+
+@pytest.mark.parametrize("values, where", [
+    ([[1, 2, 3], [4]], "values[1]"),
+    ([[[1, 0], [2, 0]], [[1, 0]]], "values[1]"),
+    ([[1, 2, 3], 4], "values[1]"),
+    ([[]], "values"),
+], ids=["ragged", "ragged_pairs", "row_not_a_list", "empty_row"])
+def test_ragged_or_empty_periodic_table_names_the_row(tmp_path, values, where):
+    # numpy's inhomogeneous-shape ValueError (or the empty table's) once escaped: exit 1
+    p = write(tmp_path, {"dirichlet": {"coefficients": {"kind": "periodic", "values": values},
+                                       "n_max": 100}})
+    with pytest.raises(ProblemFormatError,
+                       match=re.escape(f"{p}.dirichlet.coefficients.{where}:")):
+        load_problem(p)
+    res = CliRunner().invoke(main, ["verify", "--problem", str(p)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"error: {p}.dirichlet.coefficients.{where}:")

@@ -5,22 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from tauberian_lab import (
-    BVFunction,
-    CutoffRule,
-    GrowthBound,
-    TauberianCertificate,
-    bound_B,
-    decay_rate,
-    improper_laplace,
-    k_prime,
-    m_log_inverse,
-    r_opt,
-    t_prime,
-    t_prime_second_term_clamped,
-    weighted_partial_grid,
-    weighted_tail_grid,
-)
+from tauberian_lab.bv import BVFunction, weighted_partial_grid, weighted_tail_grid
+from tauberian_lab.growth import CutoffRule, GrowthBound, m_log, m_log_inverse
+from tauberian_lab.rates import (bound_B, decay_rate, k_prime, r_opt, t_prime,
+                                 t_prime_second_term_clamped)
+from tauberian_lab.transform import TauberianCertificate, improper_laplace
 
 
 CONST2 = GrowthBound("constant", 2.0)
@@ -71,8 +60,6 @@ class TestROpt:
 
     def test_round_trip_through_m_log(self):
         # R_opt solves m_log(R) = t/4 by construction
-        from tauberian_lab import m_log
-
         M = GrowthBound("affine", 1.2)
         for t in (10.0, 50.0, 200.0):
             R = r_opt(cert(), M, [t])[0]

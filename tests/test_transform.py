@@ -7,20 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tauberian_lab import (
-    BVFunction,
-    CutoffRule,
-    DensityPiece,
-    TauberianCertificate,
-    TruncationCapError,
-    check_certificate,
-    improper_laplace,
-    stieltjes_integral,
-)
 from tauberian_lab import transform as transform_module
-from tauberian_lab.bv import DENSITY_KINDS
+from tauberian_lab.bv import BVFunction, stieltjes_integral
+from tauberian_lab.growth import CutoffRule
 from tauberian_lab.oracles import eta
+from tauberian_lab.transform import TauberianCertificate, TruncationCapError, improper_laplace
 from tauberian_lab.vectors import vector_norm
+from tauberian_lab.verify import check_certificate
+
+from exact import alternating_series, draw_pieces, draw_sizes, exp_density, exp_partial
 
 
 def test_finite_laplace_single_jump(rng):
@@ -37,8 +32,7 @@ def test_finite_laplace_exp_density(rng):
     for _ in range(20):
         z = complex(rng.uniform(-1.0, 2.0), rng.uniform(-4.0, 4.0))
         t = rng.uniform(0.2, 6.0)
-        d = -0.5 - z
-        want = t if d == 0 else (np.exp(d * t) - 1.0) / d
+        want = exp_partial(-0.5, z, t)
         got = stieltjes_integral(bv, -z, t, 1e-12)[0]
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -69,17 +63,14 @@ class TestImproper:
 
     def test_exp_density_limit(self):
         # int_0^inf e^{-zs} e^{-s} ds = 1/(z+1); at z = 1 this is 1/2
-        bv = BVFunction.from_density("exponential", rate=-1.0)
+        bv = exp_density()[0]
         point = improper_laplace(bv, [1.0], self.cert(), target_err=1e-10)
         assert point.value[0, 0] == pytest.approx(0.5, abs=2e-10)
         assert point.truncation_bound[0] <= 1e-10
 
     def test_dirichlet_alternating_eta2(self):
         # jumps (-1)^{n+1}/n at log n, z = 1: sum (-1)^{n+1} n^{-2} = eta(2)
-        n = np.arange(1, 200_001)
-        sizes = np.where(n % 2 == 1, 1.0, -1.0) / n
-        bv = BVFunction(dimension=1, jump_times=np.log(n.astype(float)),
-                        jump_sizes=sizes.astype(complex).reshape(-1, 1))
+        bv = alternating_series(200_000)[0]
         cert = TauberianCertificate(C=math.e, x0=1.0)
         point = improper_laplace(bv, [1.0], cert, target_err=1e-6)
         want = eta(2.0).real
@@ -88,7 +79,7 @@ class TestImproper:
 
     def test_truncation_agreement_between_targets(self):
         # two evaluations must agree within the sum of their certified bounds
-        bv = BVFunction.from_density("exponential", rate=-1.0)
+        bv = exp_density()[0]
         cert = self.cert()
         z = 0.7 + 0.9j
         for eps1, eps2 in ((1e-4, 1e-6), (1e-6, 1e-8), (1e-4, 1e-8)):
@@ -98,20 +89,20 @@ class TestImproper:
             assert gap <= p1.truncation_bound[0] + p2.truncation_bound[0] + 1e-12
 
     def test_truncation_point_grows_with_oscillation(self):
-        bv = BVFunction.from_density("exponential", rate=-1.0)
+        bv = exp_density()[0]
         cert = self.cert()
         slow, fast = improper_laplace(bv, [1.0 + 0.0j, 1.0 + 40.0j], cert).t_star
         assert fast > slow
 
     def test_domain_error_left_half_plane(self):
-        bv = BVFunction.from_density("exponential", rate=-1.0)
+        bv = exp_density()[0]
         with pytest.raises(ValueError, match="Re z"):
             improper_laplace(bv, [-0.2 + 1.0j], self.cert())
         with pytest.raises(ValueError, match="Re z"):
             improper_laplace(bv, [0.0 + 1.0j], self.cert())
 
     def test_cap_refusal_carries_achievable_bound(self, monkeypatch):
-        bv = BVFunction.from_density("exponential", rate=-1.0)
+        bv = exp_density()[0]
         monkeypatch.setattr(transform_module, "_T_CAP", 1e3)
         with pytest.raises(TruncationCapError) as info:
             improper_laplace(bv, [1e-6 + 0.0j], self.cert(), target_err=1e-8)
@@ -148,7 +139,6 @@ class TestImproper:
         assert np.all(np.abs(point.value[:, 0] - np.exp(-z * tau)) <= point.truncation_bound)
 
 
-_unit = st.floats(-1.0, 1.0)
 _abscissa = st.builds(complex, st.floats(0.2, 3.0), st.floats(-5.0, 5.0))
 
 
@@ -176,22 +166,11 @@ def array_cases(draw):
         fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
         taus = np.unique(a + (b - a) * np.asarray(fractions))
         taus = taus[taus < b] if where == "before" else taus
-    parts = draw(st.lists(_unit, min_size=4 * taus.size, max_size=4 * taus.size))
-    sizes = np.asarray(parts, dtype=float).reshape(-1, 2, 2) @ np.asarray([1.0, 1.0j])
-    pieces = []
-    if kind != "jumps":
-        for density in DENSITY_KINDS:
-            start = draw(st.floats(0.0, 1.2 * hi))
-            rate = 0.0
-            if density in ("exponential", "damped_power"):
-                rate = complex(draw(st.floats(-1.5, 0.0 if density == "damped_power" else 0.5)),
-                               draw(st.floats(-2.0, 2.0)))
-            exponent = draw(st.floats(-0.9 if start > 0 else -0.5, 2.0))
-            end = start + draw(st.floats(0.05, 10.0)) if draw(st.booleans()) else math.inf
-            pieces.append(DensityPiece(start, end, density,
-                                       tuple(complex(draw(_unit), draw(_unit)) for _ in range(2)),
-                                       rate, exponent))
-    return BVFunction(2, taus, sizes, tuple(pieces)), cert, target, np.asarray(z, dtype=complex)
+    sizes = draw_sizes(draw, taus.size)
+    pieces = () if kind == "jumps" else draw_pieces(
+        draw, starts=st.floats(0.0, 1.2 * hi), lengths=st.floats(0.05, 10.0) | st.just(math.inf),
+        max_rate=0.5)
+    return BVFunction(2, taus, sizes, pieces), cert, target, np.asarray(z, dtype=complex)
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,7 +203,7 @@ def test_transform_of_no_points():
 class TestArrayErrors:
     """An array call raises the one-element call's error for its first bad point, at its index."""
 
-    bv = BVFunction.from_density("exponential", rate=-1.0)
+    bv = exp_density()[0]
     cert = TauberianCertificate(C=1.0, x0=1.0)
 
     @pytest.mark.parametrize("bad, error", [(-0.2 + 1.0j, ValueError), (0.0, ValueError),

@@ -13,38 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tauberian_lab
-from tauberian_lab import (
-    BVFunction,
-    CutoffRule,
-    DensityPiece,
-    SupReport,
-    TauberianCertificate,
-    check_certificate,
-    load_problem,
-    make_t_grid,
-    make_x_grid,
-    weighted_partial_grid,
-    weighted_tail_grid,
-)
 from tauberian_lab import bv as bv_module
-from tauberian_lab.bv import DENSITY_KINDS
 from tauberian_lab import verify as verify_module
+from tauberian_lab.bv import (DENSITY_KINDS, BVFunction, DensityPiece, weighted_partial_grid,
+                              weighted_tail_grid)
 from tauberian_lab.cli import main
+from tauberian_lab.growth import CutoffRule
+from tauberian_lab.problems import load_problem
+from tauberian_lab.transform import TauberianCertificate
 from tauberian_lab.vectors import vector_norm
+from tauberian_lab.verify import SupReport, check_certificate, make_t_grid, make_x_grid
 
-
-def exp_density() -> BVFunction:
-    return BVFunction.from_density("exponential", rate=-1.0)
-
-
-def hybrid_grid(bv: BVFunction, t_max: float, base_points: int = 512,
-                jump_points: int = 64) -> np.ndarray:
-    """make_t_grid's layout on [0, t_max]: base_points uniform points plus jump_points
-    geometric ones in the 0.1 after each jump."""
-    taus = bv.jump_times[bv.jump_times < t_max]
-    refined = (taus[:, None] + 0.1 * np.geomspace(1e-6, 1.0, jump_points)).ravel()
-    return np.unique(np.concatenate([np.linspace(0.0, t_max, base_points),
-                                     refined[refined <= t_max]]))
+from exact import (draw_pieces, draw_sizes, exp_density, full_sweep_certificate, full_sweep_sups,
+                   hybrid_grid)
 
 
 class TestGrids:
@@ -112,7 +93,7 @@ class TestDelayedStep:
 class TestCheckTauberian:
     def test_step_with_cutoff_passes(self):
         bv = BVFunction.single_jump(1.0)
-        cert = TauberianCertificate(C=1.0, x0=1.0, R_rule=CutoffRuleConstantOne())
+        cert = TauberianCertificate(C=1.0, x0=1.0, R_rule=CutoffRule("constant", 1.0))
         report = check_certificate(bv, cert, quad_tol=1e-12)[0]
         assert report.passed()
         assert report.grid_sup == pytest.approx(1.0, abs=1e-3)
@@ -145,7 +126,7 @@ class TestCheckTauberian:
     def test_exp_density_bounded_by_one(self):
         # x e^{-xt} int_0^t e^{(x-1)s} ds <= x/(x... stays below 1 for x >= 1
         cert = TauberianCertificate(C=1.0, x0=1.0)
-        report = check_certificate(exp_density(), cert, x_grid=np.geomspace(1.0, 100.0, 16))[0]
+        report = check_certificate(exp_density()[0], cert, x_grid=np.geomspace(1.0, 100.0, 16))[0]
         assert report.passed()
 
     def test_one_verdict_rule(self):
@@ -159,14 +140,14 @@ class TestCheckTauberian:
 
     def test_failing_certificate_reports_negative_margin(self):
         bv = BVFunction.single_jump(1.0)
-        cert = TauberianCertificate(C=0.5, x0=1.0, R_rule=CutoffRuleConstantOne())
+        cert = TauberianCertificate(C=0.5, x0=1.0, R_rule=CutoffRule("constant", 1.0))
         report = check_certificate(bv, cert, quad_tol=1e-12)[0]
         assert not report.passed()
         assert report.margin < 0
 
     def test_grid_refinement_stability_smooth(self):
         # doubling both grid densities moves the reported sup by under 1%
-        bv = exp_density()
+        bv = exp_density()[0]
         cert = TauberianCertificate(C=1.0, x0=1.0)
         coarse_t, fine_t = hybrid_grid(bv, 30.0), hybrid_grid(bv, 30.0, 1024, 128)
         xs = np.geomspace(1.0, 8.0, 16)
@@ -178,23 +159,12 @@ class TestCheckTauberian:
         # for jump instances the per-jump geometric cluster carries the sup,
         # so stability holds even at large x
         bv = BVFunction.single_jump(1.0)
-        from tauberian_lab import CutoffRule
-
         cert = TauberianCertificate(C=1.0, x0=1.0, R_rule=CutoffRule("constant", 50.0))
         coarse_t, fine_t = hybrid_grid(bv, 10.0), hybrid_grid(bv, 10.0, 1024, 128)
         xs = np.geomspace(1.0, 50.0, 8)
         a = check_certificate(bv, cert, t_grid=coarse_t, x_grid=xs, quad_tol=1e-12)[0].grid_sup
         b = check_certificate(bv, cert, t_grid=fine_t, x_grid=xs, quad_tol=1e-12)[0].grid_sup
         assert abs(a - b) <= 0.01 * max(a, b)
-
-
-class CutoffRuleConstantOne:
-    """Inline stand-in so the tests read the dependency explicitly."""
-
-    def __new__(cls):
-        from tauberian_lab import CutoffRule
-
-        return CutoffRule("constant", 1.0)
 
 
 def line_sup(bv, z, t_grid) -> float:
@@ -243,7 +213,7 @@ class TestLineTailSmallX:
             assert tail_sup(bv, 1.0, x, y, t_grid) <= 3.0 + abs(y) / x, (x, y)
 
     def test_tail_bound_exp_density(self):
-        rep = check_certificate(exp_density(), TauberianCertificate(C=1.0, x0=1.0),
+        rep = check_certificate(exp_density()[0], TauberianCertificate(C=1.0, x0=1.0),
                                 quad_tol=1e-11)[3]
         assert rep.case_id == "tail_bound_x1_y2"
         assert rep.passed()
@@ -380,7 +350,7 @@ class TestSweepReuse:
 
     def test_ratio_condition_sweeps_only_abscissas_it_checks(self, spy):
         # R(t) = 1 leaves x = 2 and x = 4 without a time to check
-        cert = TauberianCertificate(C=1.0, x0=1.0, R_rule=CutoffRuleConstantOne())
+        cert = TauberianCertificate(C=1.0, x0=1.0, R_rule=CutoffRule("constant", 1.0))
         check_certificate(BVFunction.single_jump(1.0), cert, x_grid=np.asarray([1.0, 2.0, 4.0]))
         abscissas, calls = spy
         assert 2.0 not in [z for _, z in abscissas] and 4.0 not in [z for _, z in abscissas]
@@ -402,17 +372,6 @@ class TestSweepReuse:
                                         "--t-grid", "0:40:120", "--x-grid", "1:100:16"])
         assert res.exit_code == 0, res.output
         assert len(calls) <= 4
-
-
-def full_sweep_sups(bv, zs, t_grid, masks):
-    """Reference for _sweep_sups: _sup over the norms of every row of weighted_partial_grid."""
-    sups, ratio = {}, {}
-    for z in dict.fromkeys(map(complex, zs)):
-        norms = vector_norm(weighted_partial_grid(bv, [z], t_grid)[0], bv.norm_kind)
-        sups[z] = verify_module._sup(norms)
-        if z in masks:
-            ratio[z] = verify_module._sup(norms * z.real, masks[z])
-    return sups, ratio
 
 
 @st.composite
@@ -514,37 +473,6 @@ class TestHeldRows:
                 == full_sweep_sups(bv, [1000.0], t_grid, {}))
 
 
-def full_sweep_certificate(bv, cert, t_grid, x_grid):
-    """Reference for check_certificate: every report read from all rows of the public sweeps,
-    one weighted_partial_grid call per abscissa (full_sweep_sups) and one weighted_tail_grid."""
-    t_grid = make_t_grid(bv)[0] if t_grid is None else t_grid
-    x0, c, y = cert.x0, cert.C / cert.x0, 2.0 * cert.x0
-    masks = verify_module._ratio_masks(cert, t_grid, x_grid)
-    small = make_x_grid(x0 * 1e-2, x0, 16)
-    sups, ratio = full_sweep_sups(bv, [*masks, x0, complex(x0, y), *small], t_grid, masks)
-
-    def report(case_id, found, bound, x, where, note=""):
-        failed = sups[complex(x0)][0] > c * (1.0 + verify_module.REL_TOL)
-        why = f"ratio hypothesis fails at {where}" if failed else ""
-        return SupReport(case_id, found[0], bound, float(t_grid[found[1]]), x, failed,
-                         "; ".join(filter(None, (why, note))))
-
-    best = max(ratio, key=lambda x: ratio[x][0])  # the first of the largest
-    reports = [SupReport("tauberian_condition", ratio[best][0], cert.C,
-                         float(t_grid[ratio[best][1]]), best.real)]
-    for v in (0.0, y):
-        reports.append(report(f"line_bound_x{x0:g}_y{v:g}", sups[complex(x0, v)],
-                              c * (1.0 + abs(v) / x0), x0, f"x = {x0:g}"))
-    v_max = verify_module.tail_truncation_point(c, x0, y, float(t_grid[-1]))
-    tail = vector_norm(weighted_tail_grid(bv, [complex(x0, y)], t_grid, v_max)[0], bv.norm_kind)
-    reports.append(report(f"tail_bound_x{x0:g}_y{y:g}", verify_module._sup(tail),
-                          c * (3.0 + abs(y) / x0), x0, f"x = {x0:g}", f"v_max={v_max:g}"))
-    reports.append(min((report("small_x_bound", sups[complex(x)], c * x0 / float(x), float(x),
-                               f"x0 = {x0:g}") for x in small),
-                       key=lambda rep: rep.margin))
-    return reports
-
-
 class TestSmallXPruning:
     """check_certificate sweeps only the small-x abscissas that the variation bound cannot
     settle, and reports what the sweep of all 16 reports."""
@@ -598,33 +526,19 @@ class TestSmallXPruning:
         assert list(map(repr, got)) == list(map(repr, want))
 
 
-_unit = st.floats(-1.0, 1.0)
-
-
 @st.composite
 def certificate_cases(draw):
-    """An integrator of jumps, of all four density kinds, or of both, in C^1 or C^2
-    under either norm; a certificate with T > 0, x0 != 1 and a finite or infinite
+    """An integrator of jumps, of all four density kinds (with real rates), or of both, in C^1
+    or C^2 under either norm; a certificate with T > 0, x0 != 1 and a finite or infinite
     cutoff; a t grid (maybe the default one) and an x grid that holds x0 or misses it."""
     d = draw(st.sampled_from((1, 2)))
     kind = draw(st.sampled_from(("jumps", "densities", "mix")))
     taus = np.zeros(0)
     if kind != "densities":
         taus = np.unique(draw(st.lists(st.floats(0.0, 9.0), min_size=1, max_size=6)))
-    parts = draw(st.lists(_unit, min_size=2 * d * taus.size, max_size=2 * d * taus.size))
-    sizes = np.asarray(parts, dtype=float).reshape(-1, d, 2) @ np.asarray([1.0, 1.0j])
-    pieces = []
-    if kind != "jumps":
-        for piece_kind in DENSITY_KINDS:
-            a = draw(st.floats(0.0, 5.0))
-            rate = 0.0
-            if piece_kind in ("exponential", "damped_power"):
-                rate = draw(st.floats(-1.5, 0.0 if piece_kind == "damped_power" else 0.5))
-            exponent = draw(st.floats(-0.9 if a > 0 else -0.5, 2.0))
-            pieces.append(DensityPiece(a, a + draw(st.floats(0.05, 3.0)), piece_kind,
-                                       tuple(complex(draw(_unit), draw(_unit))
-                                             for _ in range(d)), rate, exponent))
-    bv = BVFunction(d, taus, sizes, tuple(pieces), draw(st.sampled_from(("euclidean", "sup"))))
+    sizes = draw_sizes(draw, taus.size, d)
+    pieces = () if kind == "jumps" else draw_pieces(draw, d, max_rate=0.5, imag=st.just(0.0))
+    bv = BVFunction(d, taus, sizes, pieces, draw(st.sampled_from(("euclidean", "sup"))))
     x0 = draw(st.floats(0.3, 3.0).filter(lambda v: v != 1.0))
     cutoff = draw(st.sampled_from((CutoffRule("infinite"), CutoffRule("exp_t"),
                                    CutoffRule("constant", max(1.0, 4.0 * x0)))))
@@ -692,8 +606,7 @@ def test_ratio_condition_fails_where_the_grid_misses_the_sup():
     # x ||G(x, t)|| for A' = e^{-t} is x (e^{-t} - e^{-xt}) / (x - 1), which tends
     # to 1 as x grows: 0.9931 at x = 1000, t = 0.0069, so C = 0.95 fails.  The
     # default grids reach only 0.9192, at x = 64.49, and report a PASS
-    reports = check_certificate(BVFunction.from_density("exponential", rate=-1),
-                                TauberianCertificate(C=0.95, x0=1))
+    reports = check_certificate(exp_density()[0], TauberianCertificate(C=0.95, x0=1))
     assert not reports[0].passed()
 
 
