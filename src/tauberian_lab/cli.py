@@ -291,17 +291,20 @@ def dirichlet(problem_path, t_grid_spec, out):
     """Partial-sum decay against the generic bound for a Dirichlet problem."""
     prob, instance, growth = _load(problem_path, "dirichlet", "growth")
     grid = _parse_grid(t_grid_spec, "--t-grid", "linear")
+    if prob.f0 is None:
+        _input_error(f"coefficient source {instance.coefficients!r} has no known limit value; "
+                     "give f0 in the problem file's dirichlet block")
     try:
-        decay_rows = partial_sum_decay(instance, growth, grid)
+        rows = partial_sum_decay(prob.bv, prob.f0, prob.certificate, growth, grid,
+                                 instance.t_max)
     except (ValueError, ArithmeticError) as exc:
         _input_error(str(exc))
-    negative = [r.t for r in decay_rows
-                if math.isfinite(r.margin) and not within(r.margin, r.bound_B)]
-    meta = {"t_grid": t_grid_spec, "coefficients": instance.coefficients.describe(),
+    negative = [t for t, _, bound, margin in rows
+                if math.isfinite(margin) and not within(margin, bound)]
+    meta = {"t_grid": t_grid_spec, "coefficients": instance.coefficients,
             "n_max": instance.n_max, "f0_provenance": instance.f0_provenance,
-            "rows": len(decay_rows), "negative_margin_at": negative}
-    _finish("dirichlet", prob, out, ("t", "decay_norm", "bound_B", "margin"),
-            [(r.t, r.decay_norm, r.bound_B, r.margin) for r in decay_rows], meta,
+            "rows": len(rows), "negative_margin_at": negative}
+    _finish("dirichlet", prob, out, ("t", "decay_norm", "bound_B", "margin"), rows, meta,
             [f"bound violated at t = {', '.join(f'{t:g}' for t in negative)}"] if negative else [])
 
 

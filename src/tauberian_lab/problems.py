@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bv import BVFunction, DENSITY_KINDS, DensityPiece
 from .contour import EtaShiftExtension, RationalExtension
-from .dirichlet import (COEFFICIENT_KINDS, DEFAULT_N_MAX, CoefficientSequence, DirichletInstance,
-                        build_instance)
+from .dirichlet import DEFAULT_N_MAX, DirichletInstance, build_instance, read_coefficients
 from .growth import CUTOFF_KINDS, GROWTH_PARAMS, CutoffRule, GrowthBound
-from .oracles import ACCELERATION_TERMS, MAX_ACCELERATION_TERMS
+from .oracles import ACCELERATION_TERMS, MAX_ACCELERATION_TERMS, log_two
 from .transform import TauberianCertificate
 from .vectors import NORM_KINDS
 
@@ -180,20 +179,21 @@ def _build_extension(node, path: str):
 _COEFFICIENT_RULES = {"alternating": ((1,), (-1,)), "ones": ((1,),)}
 
 
-def _build_coefficients(node, base_dir: Path, path: str) -> CoefficientSequence:
+def _build_coefficients(node, base_dir: Path, path: str) -> tuple[np.ndarray, str]:
+    """The table of rows b_1 ... b_q and the sidecar's description of its source."""
     if isinstance(node, str):
         if node not in _COEFFICIENT_RULES:
             _fail(path, f"unknown coefficient rule {node!r}; use 'alternating', 'ones', or an object")
         node = {"kind": node}
     _check_keys(node, {"kind", "values", "path"}, path)
     kind = _require(node, "kind", path)
-    if not (isinstance(kind, str) and kind in COEFFICIENT_KINDS):
+    if not (isinstance(kind, str) and kind in (*_COEFFICIENT_RULES, "periodic", "file")):
         _fail(f"{path}.kind", f"unknown coefficient kind {kind!r}")
     for key, owner in (("values", "periodic"), ("path", "file")):
         if key in node and kind != owner:
             _fail(f"{path}.{key}", f"coefficient kind {kind!r} takes no {key}")
     if kind in _COEFFICIENT_RULES:
-        return CoefficientSequence(kind, np.asarray(_COEFFICIENT_RULES[kind], dtype=complex))
+        return np.asarray(_COEFFICIENT_RULES[kind], dtype=complex), kind
     if kind == "periodic":
         values = _require(node, "values", path)
         if not isinstance(values, list) or not values:
@@ -210,17 +210,17 @@ def _build_coefficients(node, base_dir: Path, path: str) -> CoefficientSequence:
                     _fail(f"{path}.values[{i}]", f"expected a row of {width} coefficients like values[0]")
             table = np.asarray([[_as_complex(c, f"{path}.values[{i}][{j}]")
                                  for j, c in enumerate(row)] for i, row in enumerate(values)])
-        try:
-            return CoefficientSequence("periodic", table)
-        except ValueError as exc:
-            _fail(f"{path}.values", str(exc))
+        if table.size == 0:
+            _fail(f"{path}.values", "periodic coefficients need a nonempty table")
+        return table, f"periodic(period={table.shape[0]})"
     rel = _require(node, "path", path)
     if not isinstance(rel, str):
         _fail(f"{path}.path", "expected a file path string")
     try:
-        return CoefficientSequence.from_file(base_dir / rel)
+        table = read_coefficients(base_dir / rel)
     except (OSError, ValueError) as exc:
         _fail(path, str(exc))
+    return table, f"file({base_dir / rel}, n={table.shape[0]})"
 
 
 @dataclass(frozen=True)
@@ -267,23 +267,32 @@ def load_problem(path) -> Problem:
                 _fail(f"{path}.{key}", "not allowed alongside a 'dirichlet' block")
         node = raw["dirichlet"]
         _check_keys(node, {"coefficients", "n_max", "f0"}, f"{path}.dirichlet")
-        coeffs = _build_coefficients(_require(node, "coefficients", f"{path}.dirichlet"),
-                                     path.parent, f"{path}.dirichlet.coefficients")
+        source = _require(node, "coefficients", f"{path}.dirichlet")
+        table, described = _build_coefficients(source, path.parent,
+                                               f"{path}.dirichlet.coefficients")
+        kind = source if isinstance(source, str) else source["kind"]
         n_max = node.get("n_max", DEFAULT_N_MAX)
         if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 2:
             _fail(f"{path}.dirichlet.n_max", "expected an integer >= 2")
+        if kind == "file" and n_max > table.shape[0]:
+            _fail(f"{path}.dirichlet",
+                  f"coefficient source only provides {table.shape[0]} values; lower n_max")
         try:
-            instance = build_instance(coeffs, n_max=n_max, norm_kind=norm_kind)
-        except ValueError as exc:
-            _fail(f"{path}.dirichlet", str(exc))
+            bv, cert = build_instance(table, n_max=n_max, norm_kind=norm_kind)
         except MemoryError as exc:
             _fail(f"{path}.dirichlet.n_max", f"too large to allocate ({exc})")
+        f0 = provenance = None
         if "f0" in node:
             where = f"{path}.dirichlet.f0"
-            instance = replace(instance, f0=_as_vector(node["f0"], instance.bv.dimension, where),
-                               f0_provenance=f"problem file: {where}")
-        return Problem(name=name, bv=instance.bv, certificate=instance.certificate, growth=growth,
-                       extension=extension, f0=instance.f0, dirichlet=instance, source=str(path))
+            f0, provenance = _as_vector(node["f0"], bv.dimension, where), f"problem file: {where}"
+        elif kind == "alternating":
+            # limit of sum (-1)^{n+1}/n, computed by series acceleration rather
+            # than typed in as a decimal constant
+            f0 = np.asarray([complex(log_two())])
+            provenance = "accelerated alternating series (64+ digit-stable scheme)"
+        return Problem(name=name, bv=bv, certificate=cert, growth=growth, extension=extension,
+                       f0=f0, dirichlet=DirichletInstance(described, n_max, provenance),
+                       source=str(path))
 
     dimension = raw.get("dimension", 1)
     if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:

@@ -31,7 +31,6 @@ from tauberian_lab import verify as verify_module
 from tauberian_lab.bv import (DENSITY_KINDS, BVFunction, DensityPiece, gauss_legendre_panels,
                               weighted_partial_grid, weighted_tail_grid)
 from tauberian_lab.contour import EtaShiftExtension, RationalExtension, _eval_extension
-from tauberian_lab.dirichlet import CoefficientSequence
 from tauberian_lab.growth import GrowthBound
 from tauberian_lab.problems import _COEFFICIENT_RULES
 from tauberian_lab.transform import improper_laplace
@@ -107,8 +106,9 @@ def mixed_integrator():
 
 
 def named_rule(kind):
-    """The named coefficient rule kind ("alternating" or "ones"), as load_problem builds it."""
-    return CoefficientSequence(kind, np.asarray(_COEFFICIENT_RULES[kind], dtype=complex))
+    """The table of the named coefficient rule kind ("alternating" or "ones"), as
+    load_problem builds it."""
+    return np.asarray(_COEFFICIENT_RULES[kind], dtype=complex)
 
 
 def dense_jump_sum(tau, sizes, z, t):

@@ -19,6 +19,7 @@ from tauberian_lab.contour import (EtaShiftExtension, cauchy_identity_report, ev
                                    term_bounds)
 from tauberian_lab.dirichlet import build_instance, partial_sum_decay
 from tauberian_lab.growth import CutoffRule, GrowthBound, m_log, m_log_inverse
+from tauberian_lab.problems import load_problem
 from tauberian_lab.rates import decay_rate, r_opt, t_prime
 from tauberian_lab.transform import TauberianCertificate
 from tauberian_lab.vectors import vector_norm
@@ -108,11 +109,11 @@ def test_02_delayed_step_reproduction():
 
 def test_03_line_tail_smallx_bounds():
     """Line, tail, and small-x margins >= -1e-9*bound over three families."""
-    alt = build_instance(named_rule("alternating"), n_max=10**5)
+    alt, _ = build_instance(named_rule("alternating"), n_max=10**5)
     families = [
         ("step", BVFunction.single_jump(1.0), lambda x: 1.0, 1.0),
         ("exp_density", exp_density()[0], lambda x: 1.0, 1.0),
-        ("alternating", alt.bv, lambda x: math.e / x, math.e),
+        ("alternating", alt, lambda x: math.e / x, math.e),
     ]
     worst = math.inf
     checked = 0
@@ -149,10 +150,10 @@ def test_03_line_tail_smallx_bounds():
 
 def test_04_tauberian_condition_for_dirichlet():
     """Scaled sup stays below e for the alternating series down to x = 0.05."""
-    inst = build_instance(named_rule("alternating"), n_max=10**6)
-    cert = dataclasses.replace(inst.certificate, x0=0.05)
+    bv, cert = build_instance(named_rule("alternating"), n_max=10**6)
+    cert = dataclasses.replace(cert, x0=0.05)
     x_grid = np.geomspace(0.05, 400.0, 64)
-    rep = check_certificate(inst.bv, cert, x_grid=x_grid)[0]
+    rep = check_certificate(bv, cert, x_grid=x_grid)[0]
     ok = rep.margin >= 0.0 and abs(cert.C - math.e) <= 1e-15
     _report(4, "Dirichlet scaled condition", ok,
             f"grid sup {rep.grid_sup:.6f} <= C = e = {cert.C:.6f} "
@@ -193,8 +194,8 @@ def test_06_contour_identity():
             worst = max(worst, residual(bv, ext, M2, t, R))
     rational_ok = worst <= 1e-6
 
-    inst = build_instance(named_rule("alternating"), n_max=10**6)
-    eta_res = residual(inst.bv, EtaShiftExtension(), GrowthBound("affine", 1.25), 3.0, 1.5)
+    alt, _ = build_instance(named_rule("alternating"), n_max=10**6)
+    eta_res = residual(alt, EtaShiftExtension(), GrowthBound("affine", 1.25), 3.0, 1.5)
     eta_ok = eta_res <= 1e-5
 
     coarse = residual(bv, ext, M2, 10.0, 5.0, density=0.1)
@@ -215,8 +216,8 @@ def test_07_contour_term_bounds():
     cert = TauberianCertificate(C=1.0, x0=1.0)
     worst = math.inf
     cases = [(bv, cert, M2, ext, t, R) for t, R in ((10.0, 2.0), (5.0, 1.0), (10.0, 1.0))]
-    inst = build_instance(named_rule("alternating"), n_max=10**6)
-    cases.append((inst.bv, TauberianCertificate(C=math.e, x0=1.0),
+    alt, _ = build_instance(named_rule("alternating"), n_max=10**6)
+    cases.append((alt, TauberianCertificate(C=math.e, x0=1.0),
                   GrowthBound("affine", 1.25), EtaShiftExtension(), 3.0, 1.5))
     for fbv, fcert, fM, fext, t, R in cases:
         for b in term_bounds(evaluate_contour(fbv, fext, fM, t, R), fcert):
@@ -268,18 +269,18 @@ def test_08_end_to_end_exponential_decay():
 
 def test_09_end_to_end_alternating_series():
     """Partial sums approach log 2 no slower than the guaranteed bound."""
-    inst = build_instance(named_rule("alternating"), n_max=10**6)
-    growth = GrowthBound("affine", 1.25)
-    tp = t_prime(inst.certificate, growth)
+    prob = load_problem(PROBLEMS / "dirichlet_alternating.json")  # n_max 10^6, affine c = 1.25
+    growth = prob.growth
+    tp = t_prime(prob.certificate, growth)
     ts = np.linspace(tp + 0.2, 13.0, 64)
-    rows = partial_sum_decay(inst, growth, ts)
-    worst = min(r.margin for r in rows)
-    margins_ok = worst >= 0.0 and all(math.isfinite(r.margin) for r in rows)
+    rows = partial_sum_decay(prob.bv, prob.f0, prob.certificate, growth, ts, prob.dirichlet.t_max)
+    worst = min(margin for *_, margin in rows)
+    margins_ok = worst >= 0.0 and all(math.isfinite(margin) for *_, margin in rows)
 
     limit = oracles.log_two()
     direct = alternating_partial_sum(1.0, 10**7)
     oracle_gap = abs(limit - direct)
-    oracle_ok = oracle_gap <= 1e-7 and abs(limit - inst.f0[0]) <= 1e-14
+    oracle_ok = oracle_gap <= 1e-7 and abs(limit - prob.f0[0]) <= 1e-14
 
     _report(9, "end-to-end alternating series", margins_ok and oracle_ok,
             f"worst margin {worst:.3e} >= 0 on {len(rows)} points of (T', 13] "

@@ -427,9 +427,14 @@ class TestDirichlet:
         assert res.exit_code == 2
         assert "n_max" in stderr_of(res)
 
-    @pytest.mark.parametrize("coefficients", ["alternating", "ones"])
-    def test_sidecar_names_the_source_of_a_block_f0(self, tmp_path, coefficients):
+    @pytest.mark.parametrize("coefficients, described", [
+        ("alternating", "alternating"), ("ones", "ones"),
+        ({"kind": "periodic", "values": [1.0, -2.0, 1.0]}, "periodic(period=3)"),
+        ({"kind": "file", "path": "c.txt"}, "file({dir}/c.txt, n=1200)"),
+    ], ids=["alternating", "ones", "periodic", "file"])
+    def test_sidecar_names_the_source_of_a_block_f0(self, tmp_path, coefficients, described):
         # the sidecar said "accelerated alternating series ..." or null for a block f0
+        (tmp_path / "c.txt").write_text("1.0 0.0\n-0.5 0.25\n0.0 1.0\n" * 400)
         p = tmp_path / "f0.json"
         p.write_text(json.dumps({"dirichlet": {"coefficients": coefficients, "n_max": 1000,
                                                "f0": [0.5]},
@@ -438,6 +443,8 @@ class TestDirichlet:
         res = run("dirichlet", "--problem", str(p), "--t-grid", "2:6:2", "--out", str(out))
         assert res.exit_code == 0, stderr_of(res)
         meta = json.loads((tmp_path / "d.csv.meta.json").read_text())
+        assert meta["coefficients"] == described.format(dir=tmp_path)
+        assert meta["n_max"] == 1000
         assert meta["f0_provenance"] == f"problem file: {p}.dirichlet.f0"
 
     def test_needs_dirichlet_block(self):

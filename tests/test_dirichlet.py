@@ -1,17 +1,20 @@
 """Dirichlet-series instances, the certificate on them and on a bounded density,
 and growth admissibility on the left strip."""
 
+import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from tauberian_lab.bv import BVFunction, DensityPiece
+from tauberian_lab.cli import main
 from tauberian_lab.contour import EtaShiftExtension, RationalExtension
-from tauberian_lab.dirichlet import CoefficientSequence, build_instance, partial_sum_decay
+from tauberian_lab.dirichlet import build_instance, partial_sum_decay, read_coefficients
 from tauberian_lab.growth import GrowthBound
 from tauberian_lab.oracles import log_two
+from tauberian_lab.problems import load_problem
 from tauberian_lab.transform import TauberianCertificate, improper_laplace
 from tauberian_lab.vectors import vector_norm
 from tauberian_lab.verify import check_admissibility, check_certificate
@@ -19,9 +22,16 @@ from tauberian_lab.verify import check_admissibility, check_certificate
 from exact import exp_density, named_rule
 
 
-def coefficients(c: CoefficientSequence, n: np.ndarray) -> np.ndarray:
+def coefficients(table: np.ndarray, n: np.ndarray) -> np.ndarray:
     """b_n for a 1-based index array: the table repeated."""
-    return c.table[(n - 1) % c.table.shape[0]]
+    return table[(n - 1) % table.shape[0]]
+
+
+def dirichlet_problem(tmp_path, source, n_max: int):
+    """The problem of a dirichlet block with this coefficient source and n_max, loaded."""
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps({"dirichlet": {"coefficients": source, "n_max": n_max}}))
+    return load_problem(p)
 
 
 class TestCoefficientSequence:
@@ -29,7 +39,6 @@ class TestCoefficientSequence:
         c = named_rule("alternating")
         vals = coefficients(c, np.arange(1, 6))
         np.testing.assert_allclose(vals[:, 0], [1, -1, 1, -1, 1])
-        assert c.sup_norm() == 1.0
 
     def test_ones(self):
         c = named_rule("ones")
@@ -44,53 +53,45 @@ class TestCoefficientSequence:
             got = coefficients(coeffs, n)
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
-            assert coeffs.sup_norm() == coeffs.sup_norm("sup") == 1.0
-            assert coeffs.dimension == 1 and coeffs.max_n is None
-
-    def test_every_kind_needs_a_table(self):
-        with pytest.raises(TypeError):
-            CoefficientSequence("ones")
-        with pytest.raises(ValueError, match="nonempty table"):
-            CoefficientSequence("periodic", np.zeros((0, 1), dtype=complex))
 
     def test_periodic(self):
-        c = CoefficientSequence("periodic", np.asarray([[1.0], [0.0], [-1.0]], dtype=complex))
-        vals = coefficients(c, np.arange(1, 8))[:, 0]
+        # the jumps of a period-3 table, times n, repeat it; C = e as sup ||b_n|| = 1
+        bv, cert = build_instance(np.asarray([[1.0], [0.0], [-1.0]], dtype=complex), n_max=7)
+        vals = bv.jump_sizes[:, 0] * np.arange(1, 8)
         np.testing.assert_allclose(vals, [1, 0, -1, 1, 0, -1, 1])
-        assert c.sup_norm() == 1.0
+        assert cert.C == math.e
 
     def test_file_round_trip(self, tmp_path):
         p = tmp_path / "coeffs.txt"
         p.write_text("# a comment\n1.0 0.0\n\n-0.5 0.25\n0.0 1.0\n")
-        c = CoefficientSequence.from_file(p)
-        assert c.max_n == 3
-        vals = c.table[:, 0]
+        table = read_coefficients(p)
+        assert table.shape == (3, 1)
+        vals = table[:, 0]
         np.testing.assert_allclose(vals, [1.0, -0.5 + 0.25j, 1.0j])
 
     def test_file_errors_carry_line_numbers(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1.0 0.0\n2.0 0.0\n3.0\n")
         with pytest.raises(ValueError, match=r"bad\.txt:3"):
-            CoefficientSequence.from_file(p)
+            read_coefficients(p)
         p2 = tmp_path / "ragged.txt"
         p2.write_text("1.0 0.0 2.0 0.0\n1.0 0.0\n")
         with pytest.raises(ValueError, match=r"ragged\.txt:2"):
-            CoefficientSequence.from_file(p2)
+            read_coefficients(p2)
         p3 = tmp_path / "empty.txt"
         p3.write_text("# nothing here\n")
         with pytest.raises(ValueError, match="no coefficients"):
-            CoefficientSequence.from_file(p3)
+            read_coefficients(p3)
         for token in ("nan", "inf", "1e400"):
             p4 = tmp_path / "nonfinite.txt"
             p4.write_text(f"1.0 0.0\n{token} 0\n")
             with pytest.raises(ValueError, match=rf"nonfinite\.txt:2: .* got '{token}'"):
-                CoefficientSequence.from_file(p4)
+                read_coefficients(p4)
 
 
 class TestBuildInstance:
     def test_jump_layout(self):
-        inst = build_instance(named_rule("ones"), n_max=3)
-        bv = inst.bv
+        bv, _ = build_instance(named_rule("ones"), n_max=3)
         np.testing.assert_allclose(bv.jump_times, [0.0, math.log(2.0), math.log(3.0)])
         np.testing.assert_allclose(bv.jump_sizes[:, 0], [1.0, 0.5, 1.0 / 3.0])
         # jump locations invert exactly back to the integer index
@@ -98,28 +99,26 @@ class TestBuildInstance:
         np.testing.assert_allclose(n_back, [1.0, 2.0, 3.0], rtol=1e-14)
 
     def test_partial_sums_match_by_hand(self):
-        inst = build_instance(named_rule("alternating"), n_max=10)
+        bv, _ = build_instance(named_rule("alternating"), n_max=10)
         # value just past log 3 is 1 - 1/2 + 1/3
-        got = inst.bv.value_at(math.log(3.0) + 1e-9)[0].real
+        got = bv.value_at(math.log(3.0) + 1e-9)[0].real
         assert got == pytest.approx(1.0 - 0.5 + 1.0 / 3.0, rel=1e-12)
-        assert vector_norm(inst.bv.value_at(0.0), inst.bv.norm_kind) == 0.0
+        assert vector_norm(bv.value_at(0.0), bv.norm_kind) == 0.0
 
     def test_certificate_fields(self):
-        inst = build_instance(named_rule("alternating"), n_max=100)
-        assert inst.certificate.C == math.e  # max(sup ||b_n||, 1) e with sup ||b_n|| = 1
-        assert inst.certificate.x0 == 1.0
-        assert inst.certificate.R_rule(2.0) == pytest.approx(math.exp(2.0))
-        assert inst.t_max == pytest.approx(math.log(100.0))
+        _, cert = build_instance(named_rule("alternating"), n_max=100)
+        assert cert.C == math.e  # max(sup ||b_n||, 1) e with sup ||b_n|| = 1
+        assert cert.x0 == 1.0
+        assert cert.R_rule(2.0) == pytest.approx(math.exp(2.0))
 
-    def test_alternating_limit_is_computed(self):
-        inst = build_instance(named_rule("alternating"), n_max=50)
-        assert inst.f0 is not None
-        assert inst.f0[0].real == pytest.approx(math.log(2.0), abs=1e-14)
-        assert "series" in inst.f0_provenance
+    def test_alternating_limit_is_computed(self, tmp_path):
+        prob = dirichlet_problem(tmp_path, "alternating", 50)
+        assert prob.f0 is not None
+        assert prob.f0[0].real == pytest.approx(math.log(2.0), abs=1e-14)
+        assert "series" in prob.dirichlet.f0_provenance
 
-    def test_ones_has_no_limit(self):
-        inst = build_instance(named_rule("ones"), n_max=50)
-        assert inst.f0 is None
+    def test_ones_has_no_limit(self, tmp_path):
+        assert dirichlet_problem(tmp_path, "ones", 50).f0 is None
 
     @pytest.mark.parametrize("kind", ["ones", "alternating", "periodic", "file"])
     def test_jumps_are_the_coefficients_over_n_at_log_n(self, kind, tmp_path):
@@ -131,10 +130,10 @@ class TestBuildInstance:
         path.write_text("".join(f"{v:.17g} {-v / 3:.17g}\n" for v in values))
         coeffs = {"ones": named_rule("ones"),
                   "alternating": named_rule("alternating"),
-                  "periodic": CoefficientSequence("periodic", np.asarray(periodic)),
-                  "file": CoefficientSequence.from_file(path)}[kind]
+                  "periodic": np.asarray(periodic),
+                  "file": read_coefficients(path)}[kind]
         n = np.arange(1, 1001)
-        bv = build_instance(coeffs, n_max=1000).bv
+        bv, _ = build_instance(coeffs, n_max=1000)
         want = coefficients(coeffs, n) / n[:, None]
         assert bv.jump_sizes.shape == want.shape
         assert np.array_equal(bv.jump_sizes, want)
@@ -149,66 +148,70 @@ class TestBuildInstance:
         p = tmp_path / "c.txt"
         p.write_text("1.0 0.0\n1.0 0.0\n")
         with pytest.raises(ValueError, match="lower n_max"):
-            build_instance(CoefficientSequence.from_file(p), n_max=5)
+            dirichlet_problem(tmp_path, {"kind": "file", "path": "c.txt"}, 5)
+
+
+def alternating_decay(n_max: int, M: GrowthBound, t_grid) -> list[tuple]:
+    """partial_sum_decay's (t, decay_norm, bound_B, margin) rows of the alternating series."""
+    bv, cert = build_instance(named_rule("alternating"), n_max=n_max)
+    return partial_sum_decay(bv, np.asarray([complex(log_two())]), cert, M, t_grid,
+                             math.log(n_max))
 
 
 class TestPartialSumDecay:
     def test_alternating_decay_scale(self):
-        inst = build_instance(named_rule("alternating"), n_max=200_000)
-        M = GrowthBound("affine", 1.25)
-        rows = partial_sum_decay(inst, M, [10.0])
-        row = rows[0]
+        rows = alternating_decay(200_000, GrowthBound("affine", 1.25), [10.0])
+        _, decay_norm, bound_B, margin = rows[0]
         # |A(t) - log 2| ~ 1/(2 e^t) for the alternating harmonic tail
         scale = 1.0 / (2.0 * math.exp(10.0))
-        assert row.decay_norm == pytest.approx(scale, rel=4.0)
-        assert row.margin >= 0.0
-        assert row.branch in ("opt_inside", "cutoff_limited")
+        assert decay_norm == pytest.approx(scale, rel=4.0)
+        assert margin >= 0.0
+        assert math.isfinite(bound_B)  # t = 10 lies past T'
 
     def test_margins_nonnegative_on_grid(self):
-        inst = build_instance(named_rule("alternating"), n_max=200_000)
-        M = GrowthBound("affine", 1.25)
-        rows = partial_sum_decay(inst, M, np.linspace(0.5, 12.0, 24))
-        assert all(r.margin >= 0.0 for r in rows if math.isfinite(r.margin))
+        rows = alternating_decay(200_000, GrowthBound("affine", 1.25), np.linspace(0.5, 12.0, 24))
+        assert all(margin >= 0.0 for *_, margin in rows if math.isfinite(margin))
 
     def test_below_threshold_rows_are_nan(self):
-        inst = build_instance(named_rule("alternating"), n_max=1_000)
         # a deliberately huge growth bound pushes T' above the whole grid
-        M = GrowthBound("constant", 10.0)
-        rows = partial_sum_decay(inst, M, [1.0, 2.0])
-        assert all(r.branch == "below_t_prime" for r in rows)
-        assert all(math.isnan(r.bound_B) for r in rows)
-        assert all(math.isfinite(r.decay_norm) for r in rows)
+        rows = alternating_decay(1_000, GrowthBound("constant", 10.0), [1.0, 2.0])
+        assert all(math.isnan(bound_B) and math.isnan(margin) for _, _, bound_B, margin in rows)
+        assert all(math.isfinite(decay_norm) for _, decay_norm, _, _ in rows)
 
     def test_one_inversion_per_grid(self, inversion_sizes):
-        inst = build_instance(named_rule("alternating"), n_max=200_000)
         # M = 5, C = e puts T' ~ 6.09 inside the grid: 12 of the 24 rows are above it
-        rows = partial_sum_decay(inst, GrowthBound("constant", 5.0), np.linspace(0.5, 12.0, 24))
+        rows = alternating_decay(200_000, GrowthBound("constant", 5.0), np.linspace(0.5, 12.0, 24))
         assert inversion_sizes == [12]
-        assert [r.branch for r in rows[:12]] == ["below_t_prime"] * 12
-        assert all(r.branch == "opt_inside" for r in rows[12:])
+        assert [math.isnan(bound_B) for _, _, bound_B, _ in rows] == [True] * 12 + [False] * 12
 
-    def test_missing_f0_is_refused(self):
-        inst = build_instance(named_rule("ones"), n_max=100)
-        with pytest.raises(ValueError, match="give f0 in the problem file"):
-            partial_sum_decay(inst, GrowthBound("affine", 2.0), [2.0])
+    def test_missing_f0_is_refused(self, tmp_path):
+        # a table with no computed limit and no f0 in its block
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"dirichlet": {"coefficients": {"kind": "periodic",
+                                                                "values": [1.0, 0.0]},
+                                               "n_max": 100},
+                                 "growth": {"kind": "affine", "params": {"c": 2.0}}}))
+        res = CliRunner().invoke(main, ["dirichlet", "--problem", str(p), "--t-grid", "2,3"])
+        assert res.exit_code == 2
+        assert res.stderr == ("error: coefficient source 'periodic(period=2)' has no known "
+                              "limit value; give f0 in the problem file's dirichlet block\n")
 
     def test_explicit_f0_override(self):
-        zeros = CoefficientSequence("periodic", np.zeros((1, 1), dtype=complex))
-        inst = build_instance(zeros, n_max=100)
-        rows = partial_sum_decay(replace(inst, f0=np.zeros(1)), GrowthBound("affine", 2.0), [2.0])
-        assert rows[0].decay_norm == 0.0
+        bv, cert = build_instance(np.zeros((1, 1), dtype=complex), n_max=100)
+        rows = partial_sum_decay(bv, np.zeros(1), cert, GrowthBound("affine", 2.0), [2.0],
+                                 math.log(100.0))
+        assert rows[0][1] == 0.0
 
     def test_grid_beyond_faithful_range_is_refused(self):
-        inst = build_instance(named_rule("alternating"), n_max=100)
         with pytest.raises(ValueError, match="log\\(n_max\\)"):
-            partial_sum_decay(inst, GrowthBound("affine", 1.25), [math.log(100.0) + 0.5])
+            alternating_decay(100, GrowthBound("affine", 1.25), [math.log(100.0) + 0.5])
 
 
 class TestTauberianConditionForInstances:
     def test_alternating_within_e(self):
-        inst = build_instance(named_rule("alternating"), n_max=100_000)
-        report = check_certificate(inst.bv, inst.certificate,
-                                   x_grid=np.geomspace(1.0, 200.0, 32), quad_tol=1e-12)[0]
+        bv, cert = build_instance(named_rule("alternating"), n_max=100_000)
+        report = check_certificate(bv, cert, x_grid=np.geomspace(1.0, 200.0, 32),
+                                   quad_tol=1e-12)[0]
         assert report.passed()
         # the known sharp level: sup of x e^{-xt} sum_{log n < t} n^{x-1} b_n
         assert report.grid_sup <= math.e

@@ -23,6 +23,13 @@ directory and write their problem files and dumps under the relative path
 ``workloads/<workload>/<seed>/``, so the sidecar's ``"problem"`` path is the
 same for every DIR.
 
+For the code-line counts that CHANGES.md and ROADMAP.md quote, run
+
+    PYTHONPATH=src python tests/test_gallery.py --code-lines
+
+which prints the lines of each ``src/tauberian_lab/*.py`` and ``tests/*.py`` file that
+hold code (no docstring, comment or blank line), then each directory's total.
+
 The trace test runs every gallery command, with each contour's ``--dump``,
 under ``sys.setprofile`` and asserts that the package functions none of
 them enters are exactly those of ``UNREACHED``, each listed with the reason
@@ -33,10 +40,12 @@ import argparse
 import ast
 import contextlib
 import importlib.util
+import io
 import json
 import math
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -46,6 +55,7 @@ from tauberian_lab.cli import main
 
 EXPECTED = Path(__file__).with_name("gallery_expected.json")
 WORKLOADS = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+SPANS = WORKLOADS.with_name("spans.py")
 WORKLOAD_SEEDS = (1, 7, 23)
 REL_TOL = ABS_TOL = 1e-12
 EXACT_COLUMNS = ("case_id", "witness_t")
@@ -230,7 +240,7 @@ UNREACHED = {
     "problems._fail": "error path: a malformed problem file exits 2",
     "verify._span": "error path: names the grids when the ratio condition checks nothing",
     "growth.at_index": "error path: tags a batch entry's failure with its position",
-    "dirichlet.CoefficientSequence.from_file": "input path that no gallery problem uses",
+    "dirichlet.read_coefficients": "input path that no gallery problem uses",
     "bv.BVFunction.total_variation": "quadrature reference for variation_bound's tests",
     "bv.BVFunction.total_variation.modulus_integral": "nested in total_variation",
     "bv.BVFunction.from_jumps": _LIBRARY_CONSTRUCTOR,
@@ -290,6 +300,28 @@ def test_every_package_function_is_reached_or_listed(tmp_path):
     assert unreached_functions(tmp_path) == set(UNREACHED)
 
 
+_BENCHMARK_CHANGE = "waits for ROADMAP item 4's benchmark change"
+# "module.attribute" of every perfbench span target that names nothing, and why it stays
+STALE_SPAN_TARGETS = {
+    "cli.check_tauberian": _BENCHMARK_CHANGE,
+    "cli.check_line_bound": _BENCHMARK_CHANGE,
+    "cli.check_tail_bound": _BENCHMARK_CHANGE,
+    "cli.check_small_x_bound": _BENCHMARK_CHANGE,
+    "transform.stieltjes_integral": _BENCHMARK_CHANGE,
+}
+
+
+def test_every_perfbench_span_target_resolves_or_is_listed():
+    # perfbench skips a span whose target is gone, so a rename would silently drop a layer
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    unresolved = {f"{module.removeprefix('tauberian_lab.')}.{attr}"
+                  for module, attr, _, _ in spans.TARGETS
+                  if not hasattr(importlib.import_module(module), attr)}
+    assert unresolved == set(STALE_SPAN_TARGETS)
+
+
 def test_every_name_has_one_home():
     # a fresh import of the package root defines __version__ and no public name: every name
     # is imported from the module that defines it
@@ -310,13 +342,51 @@ def test_every_name_has_one_home():
     assert defined and defined - imported == set()
 
 
+def code_lines(source: str) -> int:
+    """Lines of source that hold code: no blank line, comment or docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENDMARKER)
+    lines = {line for token in tokenize.generate_tokens(io.StringIO(source).readline)
+             if token.type not in layout for line in range(token.start[0], token.end[0] + 1)}
+    return len(lines - docstrings)
+
+
+def print_code_lines() -> None:
+    """Code lines of each package and test file, then of each directory."""
+    root = Path(__file__).parents[1]
+    for directory in (PACKAGE, root / "tests"):
+        total = 0
+        for path in sorted(directory.glob("*.py")):
+            count = code_lines(path.read_text())
+            total += count
+            print(f"{count:6d}  {path.relative_to(root)}")
+        print(f"{total:6d}  {directory.relative_to(root)}/*.py")
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines():
+    source = ('"""Module\ndocstring."""\n\nx = 1  # comment\n# comment\n'
+              'def f():\n    """Doc."""\n    return """a\nb"""\n')
+    assert code_lines(source) == 4  # x = 1, def, and the two lines of the returned string
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Regenerate gallery_expected.json, or with "
                                      "--outputs write every gallery and benchmark workload "
-                                     "output into DIR.")
+                                     "output into DIR, or with --code-lines print the code "
+                                     "lines of the package and the tests.")
     parser.add_argument("--outputs", metavar="DIR", type=Path)
-    outputs = parser.parse_args().outputs
-    if outputs is None:
+    parser.add_argument("--code-lines", action="store_true")
+    args = parser.parse_args()
+    if args.code_lines:
+        print_code_lines()
+    elif args.outputs is None:
         EXPECTED.write_text(json.dumps(run_gallery(), indent=1) + "\n")
     else:
-        write_outputs(outputs)
+        write_outputs(args.outputs)

@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -41,6 +42,7 @@ def test_dirichlet_problem_contents():
     prob = load_problem("problems/dirichlet_alternating.json")
     assert prob.dirichlet is not None
     assert prob.dirichlet.n_max == 1_000_000
+    assert prob.dirichlet.t_max == pytest.approx(math.log(1_000_000))
     assert prob.certificate.C == pytest.approx(math.e)
     assert prob.growth is not None
     assert prob.growth(1.0) == pytest.approx(2.5)  # affine c = 1.25
@@ -249,7 +251,18 @@ def test_dirichlet_periodic_and_file(tmp_path):
         "dirichlet": {"coefficients": {"kind": "periodic", "values": [1.0, -1.0]},
                       "n_max": 10},
     })
-    assert load_problem(p2).dirichlet.coefficients.kind == "periodic"
+    assert load_problem(p2).dirichlet.coefficients == "periodic(period=2)"
+
+
+def test_certificate_constant_reads_only_the_jumps_it_holds(tmp_path):
+    # summation by parts needs sup ||b_n|| over n <= n_max only; C once read the file's
+    # third row, 5, which the integrator does not hold, and came out 5e
+    (tmp_path / "c.txt").write_text("1 0\n1 0\n5 0\n")
+    p = write(tmp_path, {"dirichlet": {"coefficients": {"kind": "file", "path": "c.txt"},
+                                       "n_max": 2}})
+    prob = load_problem(p)
+    np.testing.assert_array_equal(prob.bv.jump_sizes[:, 0], [1.0, 0.5])
+    assert prob.certificate.C == math.e
 
 
 def test_missing_growth_hint(tmp_path):
