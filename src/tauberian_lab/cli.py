@@ -30,17 +30,11 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
 
-def _fmt(value) -> str:
-    # repr(float) is the shortest round-trip form, stable across runs
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _csv_text(header, rows) -> str:
-    # No cell can hold a comma, quote or line break (floats print through repr,
-    # text cells are fixed names), so this is csv.writer's minimal quoting.
-    return "".join([",".join(map(_fmt, row)) + "\n" for row in (header, *rows)])
+    # str(float) is repr(float), the shortest round-trip form, stable across runs.
+    # No cell can hold a comma, quote or line break (text cells are fixed names),
+    # so this is csv.writer's minimal quoting.
+    return "".join([",".join(map(str, row)) + "\n" for row in (header, *rows)])
 
 
 def _finish(command: str, prob, out: str | None, header, rows, meta: dict, failures) -> None:

@@ -119,8 +119,9 @@ def partial_sum_decay(bv: BVFunction, f0: np.ndarray, cert: TauberianCertificate
             f"t = {float(t_grid.max()):g} exceeds log(n_max) = {t_max:.6g}; "
             "the truncated jump list is not faithful there")
 
-    prefix = np.concatenate([np.zeros((1, bv.dimension), dtype=complex),
-                             np.cumsum(bv.jump_sizes, axis=0)])
+    prefix = np.empty((bv.jump_sizes.shape[0] + 1, bv.dimension), dtype=complex)
+    prefix[0] = 0.0
+    np.cumsum(bv.jump_sizes, axis=0, out=prefix[1:])
     idx = np.searchsorted(bv.jump_times, t_grid, side="left")
     decay = np.asarray(vector_norm(prefix[idx] - f0[None, :], bv.norm_kind), dtype=float)
 

@@ -70,17 +70,20 @@ class GrowthBound:
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         with np.errstate(over="ignore"):
-            if self.kind == "constant":
-                out = np.full_like(s, self.c)
-            elif self.kind == "affine":
-                out = self.c * (1.0 + s)
-            elif self.kind == "power":
-                out = self.c * np.power(1.0 + s, self.alpha)
-            elif self.kind == "log":
-                out = self.c * np.power(np.log(math.e + s), self.beta)
-            else:
-                out = self.c * np.exp(self.kappa * s)
+            out = self._values(s)
         return out if out.ndim else float(out)
+
+    def _values(self, s: np.ndarray) -> np.ndarray:
+        """M on a float array, under the caller's np.errstate."""
+        if self.kind == "constant":
+            return np.full_like(s, self.c)
+        if self.kind == "affine":
+            return self.c * (1.0 + s)
+        if self.kind == "power":
+            return self.c * np.power(1.0 + s, self.alpha)
+        if self.kind == "log":
+            return self.c * np.power(np.log(math.e + s), self.beta)
+        return self.c * np.exp(self.kappa * s)
 
 
 @dataclass(frozen=True)
@@ -115,11 +118,16 @@ def m_log(M: GrowthBound, C: float, a) -> float | np.ndarray:
         raise GrowthDomainError("m_log is defined for a >= 1")
     if not C > 0:
         raise ValueError("C must be positive")
-    Ma = np.asarray(M(a_arr), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = Ma * (np.log(a_arr) + np.log(Ma) - 0.5 * math.log(5.0 * C))
-    out = np.where(np.isinf(Ma), math.inf, out)
+        out = _m_log_values(M, a_arr, 0.5 * math.log(5.0 * C))
     return out if np.ndim(a) else float(out)
+
+
+def _m_log_values(M: GrowthBound, a: np.ndarray, half_log: float) -> np.ndarray:
+    """m_log on a float array a >= 1, half_log = 0.5 log(5C), without m_log's checks and
+    under the caller's np.errstate; an infinite M(a) gives inf."""
+    Ma = M._values(a)
+    return np.where(np.isinf(Ma), math.inf, Ma * (np.log(a) + np.log(Ma) - half_log))
 
 
 def _climb(M: GrowthBound, C: float, want: np.ndarray) -> np.ndarray:
@@ -139,14 +147,16 @@ def _climb(M: GrowthBound, C: float, want: np.ndarray) -> np.ndarray:
     lo = np.where(rung[live] > 0, rungs[rung[live] - 1], 1.0)
     hi = rungs[rung[live]]
     target = want[live]
-    while live.size:
-        mid = 0.5 * (lo + hi)
-        moves = (mid > lo) & (mid < hi)
-        out[live[~moves]] = mid[~moves]
-        live, lo, hi, mid, target = live[moves], lo[moves], hi[moves], mid[moves], target[moves]
-        low = m_log(M, C, mid) < target
-        lo = np.where(low, mid, lo)
-        hi = np.where(low, hi, mid)
+    half_log = 0.5 * math.log(5.0 * C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size:
+            mid = 0.5 * (lo + hi)
+            moves = (mid > lo) & (mid < hi)
+            out[live[~moves]] = mid[~moves]
+            live, lo, hi, mid, target = live[moves], lo[moves], hi[moves], mid[moves], target[moves]
+            low = _m_log_values(M, mid, half_log) < target
+            lo = np.where(low, mid, lo)
+            hi = np.where(low, hi, mid)
     return out
 
 

@@ -45,13 +45,13 @@ def bound_terms(C: float, MR: float, t: float, R: float) -> tuple[float, float, 
     return (10.0 * C / R, MR / (t * R ** 3), 2.0 * R * MR * MR * math.exp(-t / (2.0 * MR)))
 
 
-def bound_B(cert: TauberianCertificate, M: GrowthBound, t: float, R: float) -> float:
-    """The three-term bound at time t and radius R (requires t > 0, R >= 1)."""
+def bound_B(C: float, MR: float, t: float, R: float) -> float:
+    """The three-term bound at time t and radius R, with MR = M(R) (requires t > 0, R >= 1)."""
     if not t > 0:
         raise ValueError("bound_B needs t > 0")
     if not R >= 1:
         raise ValueError("bound_B needs R >= 1")
-    first, second, third = bound_terms(cert.C, float(M(R)), t, R)
+    first, second, third = bound_terms(C, MR, t, R)
     return first + second + third
 
 
@@ -107,10 +107,11 @@ def k_prime(cert: TauberianCertificate, M: GrowthBound) -> float | None:
 def decay_rate(cert: TauberianCertificate, M: GrowthBound, t) -> list[RateResult]:
     """Evaluate the decay bound at each time t > T' of a 1-d array.
 
-    It gives one RateResult per time, in order; T' and R_opt are computed
-    once for the grid.  branch is cutoff_limited exactly when R_opt exceeds
-    the cutoff R_rule(t); the bound is then evaluated at the cutoff radius
-    instead.  An error about one time carries its position as `index`.
+    It gives one RateResult per time, in order; T', R_opt and M at the used
+    radii are computed once for the grid.  branch is cutoff_limited exactly
+    when R_opt exceeds the cutoff R_rule(t); the bound is then evaluated at
+    the cutoff radius instead.  An error about one time carries its position
+    as `index`.
     """
     t = one_d(t, float, "decay_rate")
     threshold = t_prime(cert, M)
@@ -119,16 +120,15 @@ def decay_rate(cert: TauberianCertificate, M: GrowthBound, t) -> list[RateResult
         raise at_index(ValueError(
             f"decay_rate needs t > T' = {threshold!r}, got t = {float(t[bad[0]])!r}"),
             bad[0])
+    R_opt, R_rule = r_opt(cert, M, t), cert.R_rule(t)
+    limited = R_opt > R_rule
+    R_used = np.where(limited, R_rule, R_opt)
     results = []
-    for tk, R_o, R_r in zip(t.tolist(), r_opt(cert, M, t).tolist(), cert.R_rule(t).tolist()):
-        if R_o > R_r:
-            branch = BRANCH_CUTOFF_LIMITED
-            R_used = R_r
-        else:
-            branch = BRANCH_OPT_INSIDE
-            R_used = R_o
-        bound = bound_B(cert, M, tk, R_used)
+    for tk, R_o, R_r, cut, R_u, MR in zip(t.tolist(), R_opt.tolist(), R_rule.tolist(),
+                                         limited.tolist(), R_used.tolist(), M(R_used).tolist()):
+        branch = BRANCH_CUTOFF_LIMITED if cut else BRANCH_OPT_INSIDE
+        bound = bound_B(cert.C, MR, tk, R_u)
         rate_shape = max(1.0 / R_o, 1.0 / R_r if math.isfinite(R_r) else 0.0)
-        results.append(RateResult(t=tk, R_opt=R_o, R_rule_t=R_r, R_used=R_used, bound=bound,
+        results.append(RateResult(t=tk, R_opt=R_o, R_rule_t=R_r, R_used=R_u, bound=bound,
                                   branch=branch, rate_shape=rate_shape))
     return results

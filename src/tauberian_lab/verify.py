@@ -116,8 +116,9 @@ def _sweep_sups(bv: BVFunction, zs, t_grid: np.ndarray, quad_tol: float,
     before it, never larger in norm after rounding (see bv._decay_scan), so each value and
     first witness is bitwise that of the sweep of every row; witnesses are mapped back to their
     grid index.  The z are swept once each, in order, by weighted_partial_grid(..., held=...)
-    calls on batches of at most _MAX_BLOCK_ELEMENTS // 8 entries of the held rows (the share
-    _jump_rows gives its chunk); each batch is read and dropped before the next.
+    calls on batches of at most _MAX_BLOCK_ELEMENTS // 8 entries of the held rows, so that the
+    (m, held, d) rows of one call stay bounded however many z there are; each batch is read
+    and dropped before the next.
     """
     zs, masks = list(dict.fromkeys(map(complex, zs))), masks or {}
     heads = [j for mask in masks.values() for j in np.flatnonzero(mask[1:] & ~mask[:-1]) + 1]

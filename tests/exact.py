@@ -10,9 +10,9 @@ one test reads lives here, written once:
 * references computed another way than the package does it: the dense jump
   sum, the finite transform of an exponential density, Laplace transforms of
   exponential pieces in mpmath, the power series of int e^{cs} s^a ds, the
-  row-by-row sweep, the per-block decay scan, the full-grid sups and
-  certificate, the point-by-point extension agreement and the brute-force
-  alternating partial sum;
+  row-by-row sweep, the per-block decay scan, the chunk plan of the sweep's
+  jump rows, the full-grid sups and certificate, the point-by-point extension
+  agreement and the brute-force alternating partial sum;
 * the draws of jump sizes in C^d and of density pieces that the sweep, batch,
   transform and certificate strategies share, each strategy with its own ranges.
 
@@ -224,6 +224,40 @@ def scan_one(rows, xr, points, held):
         elif a:
             carry = 0.0 + f * carry
     return acc / grow * unit
+
+
+def chunk_rows(bv, c, points, start, chunk):
+    """Reference for bv._jump_rows with every row held: the chunk plan that the tiles replaced.
+
+    The run of the rows' jumps is cut into chunks of `chunk` jumps.  Each
+    chunk's terms are formed at once as a (d, n) array, with the weights
+    e^{Re(c) (tau - t_j) + i Im(c) tau} (real ones where Im(c) = 0) zeroed
+    below e^-_NEGLIGIBLE_LOG, and one np.add.reduceat sums them per row; each
+    row adds its chunks' sums in run order.
+    """
+    times, sizes = bv.jump_times, bv.jump_sizes
+    out = np.zeros((c.size, points.size, bv.dimension), dtype=complex)
+    bounds = np.searchsorted(times, np.concatenate(([start], points)), side="left")
+    rows = np.arange(points.size)
+    if bounds[-1] < bounds[0]:
+        rows = rows[::-1]
+    count = np.abs(np.diff(bounds))[rows]
+    first = int(min(bounds[0], bounds[-1]))
+    last = np.cumsum(count)
+    for p0 in range(0, int(last[-1]) if last.size else 0, chunk):
+        p1 = min(p0 + chunk, int(last[-1]))
+        taken = np.minimum(last, p1) - np.maximum(last - count, p0)
+        some = np.flatnonzero(taken > 0)
+        tau = times[first + p0:first + p1]
+        gap = tau - np.repeat(points[rows[some]], taken[some])
+        part = np.ascontiguousarray(sizes[first + p0:first + p1].T)
+        heads = np.cumsum(taken[some]) - taken[some]
+        for k, ck in enumerate(c):
+            arg = gap * ck.real
+            w = np.exp(arg + 1j * (tau * ck.imag)) if ck.imag else np.exp(arg)
+            w[arg < -bv_module._NEGLIGIBLE_LOG] = 0.0
+            out[k, rows[some]] += np.add.reduceat(np.multiply(w, part), heads, axis=1).T
+    return out
 
 
 def hybrid_grid(bv: BVFunction, t_max: float, base_points: int = 512,

@@ -212,17 +212,21 @@ def test_csv_text_is_csv_writers_minimal_quoting():
     import csv
     import io
 
-    from tauberian_lab.cli import _csv_text, _fmt
+    from tauberian_lab.cli import _csv_text
 
     header = ("case_id", "x", "y", "z")
     rows = [("ratio_condition", math.nan, math.inf, -math.inf),
-            ("line_bound", -0.0, 5e-324, 1e308), ("gamma2_top", 3, 0.1, -2.5e-17)]
+            ("line_bound", -0.0, 5e-324, 1e308), ("gamma2_top", 3, 0.1, -2.5e-17),
+            ("opt_inside", 0.1, 1e-05, 1e16, -0.0, math.nan, math.inf, 7)]
+    # cells go through str, and str(float) is repr(float)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
+    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
     assert _csv_text(header, rows) == buf.getvalue()
-    assert _csv_text(header, rows).splitlines()[2] == "line_bound,-0.0,5e-324,1e+308"
+    lines = _csv_text(header, rows).splitlines()
+    assert lines[2] == "line_bound,-0.0,5e-324,1e+308"
+    assert lines[4] == "opt_inside,0.1,1e-05,1e+16,-0.0,nan,inf,7"
 
 
 class TestVerify:

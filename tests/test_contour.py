@@ -199,7 +199,7 @@ class TestTermBounds:
         for t, R in ((10.0, 2.0), (3.0, 1.0), (7.5, 1.7), (20.0, 3.0)):
             bounds = term_bounds(evaluate_contour(bv, ext, M2, t, R), self.cert())
             total = sum(b.bound_displayed for b in bounds)
-            want = bound_B(self.cert(), M2, t, R)
+            want = bound_B(self.cert().C, M2(R), t, R)
             assert abs(total - want) <= 4 * np.spacing(want), (t, R, total, want)
 
     def test_third_term_formula(self):

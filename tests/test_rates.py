@@ -24,19 +24,19 @@ class TestBoundB:
     def test_example_value(self):
         # t = 4, R = 1, M = 2, C = 1: 10 + 2/4 + 2*4*e^{-1}
         want = 10.0 + 0.5 + 8.0 * math.exp(-1.0)
-        assert bound_B(cert(), CONST2, 4.0, 1.0) == pytest.approx(want, rel=1e-14)
+        assert bound_B(cert().C, CONST2(1.0), 4.0, 1.0) == pytest.approx(want, rel=1e-14)
         assert want == pytest.approx(13.443035529371539, rel=1e-12)
 
     def test_large_time_limit(self):
         # at fixed R the second and third terms die; 10 C / R remains
-        val = bound_B(cert(), CONST2, 1e6, 2.0)
+        val = bound_B(cert().C, CONST2(2.0), 1e6, 2.0)
         assert val == pytest.approx(5.0, abs=1e-3)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            bound_B(cert(), CONST2, 0.0, 2.0)
+            bound_B(cert().C, CONST2(2.0), 0.0, 2.0)
         with pytest.raises(ValueError):
-            bound_B(cert(), CONST2, 1.0, 0.5)
+            bound_B(cert().C, CONST2(0.5), 1.0, 0.5)
 
 
 class TestROpt:
@@ -100,7 +100,7 @@ class TestDecayRate:
         assert res.branch == "opt_inside"
         assert res.R_used == res.R_opt
         assert math.isinf(res.R_rule_t)
-        assert res.bound == pytest.approx(bound_B(cert(), CONST2, 8.0, res.R_opt), rel=1e-14)
+        assert res.bound == pytest.approx(bound_B(cert().C, CONST2(res.R_opt), 8.0, res.R_opt), rel=1e-14)
         assert res.rate_shape == pytest.approx(1.0 / res.R_opt, rel=1e-14)
 
     def test_cutoff_limited_branch(self):
@@ -108,7 +108,7 @@ class TestDecayRate:
         res = decay_rate(ins, CONST2, [20.0])[0]  # R_opt(20) ~ 13.6 > 2
         assert res.branch == "cutoff_limited"
         assert res.R_used == 2.0
-        assert res.bound == pytest.approx(bound_B(ins, CONST2, 20.0, 2.0), rel=1e-14)
+        assert res.bound == pytest.approx(bound_B(ins.C, CONST2(2.0), 20.0, 2.0), rel=1e-14)
         assert res.rate_shape == pytest.approx(0.5, rel=1e-14)
 
     def test_branch_consistency_is_exact(self):
@@ -136,7 +136,7 @@ class TestDecayRate:
                     continue
                 res = decay_rate(cert(), M, [t])[0]
                 grid = np.geomspace(1.0, 10.0 * res.R_opt, 200)
-                best = min(bound_B(cert(), M, t, float(R)) for R in grid)
+                best = min(bound_B(cert().C, M(float(R)), t, float(R)) for R in grid)
                 assert res.bound <= 3.0 * best, (M, t)
 
     def test_exp_cutoff_small_time(self):
