@@ -34,12 +34,12 @@ their input and call these bodies.
 
 The sweep has no loop over its rows.  Each row first gets its own step, the
 jumps and density between the previous point and its own.  The jumps are
-walked in tiles of about _TILE_JUMPS = 8192 jumps, into buffers allocated
-once per call, so no temporary grows with the number of jumps while the
-rows are shorter than a tile.  The layout of a tile (which row each jump
-belongs to, and its tau - t_j) is built once; then, for each abscissa,
-every jump is weighted once and the weights are summed per row, in the
-same segments whatever the tiles.  Constant and exponential pieces take
+walked in tiles of _TILE_JUMPS = 8192 consecutive jumps, into buffers
+allocated once per call, so no temporary grows with the number of jumps.
+The layout of a tile (which row each jump belongs to, and its tau - t_j) is
+built once; then, for each abscissa, every jump is weighted once and the
+weights are summed per row, and a row that spans tiles adds its parts in
+order.  Constant and exponential pieces take
 their closed form for every abscissa and row at once, and every other piece takes
 one quad call per sweep call, over the rows of all its abscissas.  A blocked
 prefix scan (Blelloch 1990) then adds up the steps with the decay
@@ -140,11 +140,11 @@ _TAYLOR_REMAINDER = (_TAYLOR_RADIUS ** (_TAYLOR_ORDER + 1) * math.exp(_TAYLOR_RA
                      / math.factorial(_TAYLOR_ORDER + 1))
 # largest temporary of one node chunk, in array elements
 _MAX_BLOCK_ELEMENTS = 2_000_000
-# jumps of one tile of _jump_rows and of _norm_sum.  Its buffers (64-256 KiB
-# for d <= 2) are near glibc malloc's mmap threshold (128 KiB, raised to the
-# size of a freed mapped block), so they come back from the heap on the next
-# call and are not mapped and faulted in anew.  Tuned on one x86-64 Linux host:
-# twice the tile faulted again, and half of it spent more time in loop steps
+# jumps of one tile of _jump_rows.  Its buffers (64-256 KiB for d <= 2) are
+# near glibc malloc's mmap threshold (128 KiB, raised to the size of a freed
+# mapped block), so they come back from the heap on the next call and are not
+# mapped and faulted in anew.  Tuned on one x86-64 Linux host: twice the tile
+# faulted again, and half of it spent more time in loop steps
 _TILE_JUMPS = 8192
 # width in Re(c) t of one block of the weighted sweep's scan: it bounds the
 # scaled rows by e^256, far inside float64, and the rounding of a term's two
@@ -376,39 +376,18 @@ class BVFunction:
         return self._variation(t, _base_modulus_bound) * (1.0 + _ROUND_UP)
 
     def _variation(self, t: float, base_integral) -> float:
-        """The jump norms over [0, t) (_norm_sum) plus, for each density piece clipped to
-        [lo, hi) within [0, t), ||scale|| base_integral(piece, lo, hi); vector_norm gives
-        every norm."""
+        """The jump norms over [0, t) plus, for each density piece clipped to [lo, hi)
+        within [0, t), ||scale|| base_integral(piece, lo, hi); vector_norm gives every norm."""
         _refuse_nan(t)
         if t <= 0:
             return 0.0
-        tv = _norm_sum(self.jump_sizes[:self._jumps_before(t)], self.norm_kind)
+        tv = float(np.sum(vector_norm(self.jump_sizes[:self._jumps_before(t)], self.norm_kind)))
         for piece in self.pieces:
             lo, hi = piece.start, min(piece.end, t)
             amp = float(vector_norm(piece.scale_array(), self.norm_kind))
             if hi > lo and amp:
                 tv += amp * base_integral(piece, lo, hi)
         return tv
-
-
-def _norm_sum(sizes: np.ndarray, norm_kind: str) -> float:
-    """sum_k ||s_k|| over (n, d) sizes, with the norms of _TILE_JUMPS rows at a time written
-    into one (n,) array and then one np.sum.
-
-    vector_norm's norm of a row does not depend on the call's other rows: a
-    row is rescaled only when outside [2^-500, 2^500], and a row none of whose
-    squares lost a digit keeps its plain norm when scaled by a power of two.
-    So the sum is bitwise np.sum(vector_norm(sizes, norm_kind)), without its
-    (n, d) temporaries.  The exception is complex (n, 1) sizes, taken whole:
-    numpy squares a lone complex number in a scalar loop, without the fused
-    multiply-add of its vector loop, and a tile of them could hold one entry,
-    or one entry to rescale.
-    """
-    norms = np.empty(sizes.shape[0])
-    step = max(norms.size, 1) if sizes.dtype.kind == "c" and sizes.shape[1] == 1 else _TILE_JUMPS
-    for a in range(0, norms.size, step):
-        norms[a:a + step] = vector_norm(sizes[a:a + step], norm_kind)
-    return float(np.sum(norms))
 
 
 def _base_modulus_bound(piece: DensityPiece, lo: float, hi: float) -> float:
@@ -706,24 +685,17 @@ def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
     from t_j.  held, sorted, must hold every row that takes a jump; the
     (m, held.size, d) result has a slot for each held row.  The rows' jumps
     together are one run of consecutive jumps, in row order upward and in
-    reverse row order downward.  A segment is a row's jumps cut at the run
-    positions that are multiples of _MAX_BLOCK_ELEMENTS // (8 d); each
-    segment is summed alone (np.add.reduceat along the jumps, which are the
-    contiguous axis), and a row adds its segments' sums in run order.  The
-    cuts stay where the former chunk plan put them, because numpy's pairwise
-    summation groups a segment's terms by its length: another cut would
-    change the last bits of a row.  The run is walked in tiles.  A tile is
-    a group of consecutive whole segments within one block between two
-    cuts, of at most _TILE_JUMPS jumps, or one longer segment (with a
-    neighbour if it is a lone jump); a tile holds a lone jump only where its
-    block does, since numpy multiplies a lone pair of complex numbers in a
-    scalar loop, without the fused multiply-add of its vector loop.  The
-    weights, the products, the gaps tau_l - t_j and the (d, N) sizes of a
-    tile go into four buffers allocated once per call at the largest tile's
-    length, so no temporary grows with the number of jumps while the rows
-    are shorter than a tile.  In each tile, for each abscissa in turn, each
-    jump is weighted once (the exponent formed in place) and the terms are
-    summed per segment; the cut below e^-_NEGLIGIBLE_LOG is skipped where no
+    reverse row order downward.  The run is walked in tiles, the windows
+    [p, p + _TILE_JUMPS) of its positions, and a segment is a row's part in
+    one tile.  The weights, the products, the gaps tau_l - t_j and the (d, n)
+    sizes of a tile go into four buffers allocated once per call, so no
+    temporary grows with the number of jumps.  In each tile, for each
+    abscissa in turn, each jump is weighted once (the exponent formed in
+    place), each segment is summed alone (np.add.reduceat along the jumps,
+    which are the contiguous axis), and a row adds its segments' sums in run
+    order.  numpy's pairwise summation groups a segment's terms by its
+    length, so the last bits of a row that straddles a tile's end depend on
+    _TILE_JUMPS.  The cut below e^-_NEGLIGIBLE_LOG is skipped where no
     jump of the tile lies that low.
     """
     xr, y = c.real, c.imag
@@ -740,26 +712,13 @@ def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
     first = int(min(bounds[0], bounds[-1]))
     last = np.cumsum(count)
     total = int(last[-1]) if last.size else 0
-    cut = max(1, _MAX_BLOCK_ELEMENTS // (8 * d))
-    # 0 and every segment's end (a repeated end is harmless)
-    edges = np.sort(np.concatenate(([0], last, np.arange(cut, total, cut))))
-    tiles, p0 = [], 0
-    while p0 < total:
-        end = min((p0 // cut + 1) * cut, total)  # the end of p0's cut block
-        # the last segment end within a tile's length
-        p1 = int(edges[np.searchsorted(edges, min(p0 + _TILE_JUMPS, end), side="right") - 1])
-        if p1 < p0 + 2:  # a segment longer than a tile, or a lone jump
-            p1 = int(edges[np.searchsorted(edges, p0 + 1, side="right")]) if p0 + 1 < end else end
-        if end - p1 == 1:  # no lone jump after the tile
-            p1 = end
-        tiles.append((p0, p1))
-        p0 = p1
-    size = max((p1 - p0 for p0, p1 in tiles), default=0)
+    size = min(_TILE_JUMPS, total)
     weights = np.empty(size, dtype=complex if np.any(y) else float)
     products = np.empty(d * size, dtype=complex)
     parts = np.empty(d * size, dtype=complex)
     gaps = np.empty(size)
-    for p0, p1 in tiles:
+    for p0 in range(0, total, _TILE_JUMPS):
+        p1 = min(p0 + _TILE_JUMPS, total)
         n = p1 - p0
         r0 = int(np.searchsorted(last, p0, side="right"))
         r1 = int(np.searchsorted(last, p1 - 1, side="right")) + 1
@@ -1076,7 +1035,7 @@ def jump_sum_remainder(sizes: np.ndarray) -> float:
     euclidean norm, so sizes near 1e+-200 neither vanish nor overflow) times
     rho^{P+1} e^rho / (P+1)!.
     """
-    return _TAYLOR_REMAINDER * _norm_sum(sizes, "euclidean")
+    return _TAYLOR_REMAINDER * float(np.sum(vector_norm(sizes, "euclidean")))
 
 
 def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi,

@@ -26,11 +26,11 @@ stores, per piece, the analytic weight g and the node values F of the
 integrand g F.  Three reductions read that one ``ContourEvaluation``:
 ``cauchy_identity_report`` sums (dz g) @ F, ``term_bounds`` sums
 |dz| |g| ||F|| per term, and ``contour_dump`` lists ||F|| |g| per node.
-A contour needs 16 nodes per panel; one of more than _MAX_NODES nodes is refused
-with ContourBudgetError before any node is evaluated.  ``extension_agreement``
-spot-checks the extension against the transform, truncated at a certified
-error of _AGREEMENT_TARGET_ERR = 1e-9, at a fixed _AGREEMENT_POINTS = 12
-seeded points.
+A contour needs 16 nodes per panel; one of more than _MAX_NODES nodes, or of a
+count that overflows to inf, is refused with ContourBudgetError before any node
+is evaluated.  ``extension_agreement`` spot-checks the extension against the
+transform, truncated at a certified error of _AGREEMENT_TARGET_ERR = 1e-9, at a
+fixed _AGREEMENT_POINTS = 12 seeded points.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class ContourBudgetError(ValueError):
         self.required_nodes = required_nodes
         self.max_nodes = max_nodes
         super().__init__(
-            f"contour quadrature needs {required_nodes} nodes, over the budget of "
+            f"contour quadrature needs {required_nodes:.0f} nodes, over the budget of "
             f"{max_nodes}; lower t, R or the density multiplier")
 
 
@@ -81,9 +81,10 @@ class QuadPiece:
     abs_weights: np.ndarray  # weight * |z'(u)|: arc-length element
 
 
-def _panels(length: float, rate: float, density: float, least: int) -> int:
-    # rate = phase change of the integrand per unit length
-    return max(least, int(math.ceil(length * rate * density / _PHASE_PER_PANEL)))
+def _panels(length: float, rate: float, density: float, least: int) -> float:
+    # rate = phase change of the integrand per unit length; a float count, inf
+    # where it overflows, so that the budget check sees it before any int()
+    return max(least, float(np.ceil(length * rate * density / _PHASE_PER_PANEL)))
 
 
 def _arc_piece(name: str, R: float, th0: float, th1: float, panels: int) -> QuadPiece:
@@ -146,8 +147,9 @@ def build_contour(M: GrowthBound, R: float, t: float, density: float = 1.0) -> C
     if nodes > _MAX_NODES:
         raise ContourBudgetError(nodes, _MAX_NODES)
 
-    g1, g1r = (_arc_piece(name, R, th0, th1, n) for (name, th0, th1), n in zip(arcs, arc_panels))
-    gamma2 = tuple(_segment_piece(name, za, zb, n)
+    g1, g1r = (_arc_piece(name, R, th0, th1, int(n))
+               for (name, th0, th1), n in zip(arcs, arc_panels))
+    gamma2 = tuple(_segment_piece(name, za, zb, int(n))
                    for (name, za, zb, _), n in zip(segments, seg_panels))
     return ContourSpec(R=R, left_abscissa=a, gamma1=g1, gamma1_reflected=g1r, gamma2=gamma2)
 

@@ -15,7 +15,7 @@ from tauberian_lab.bv import (_QUAD_LEAVES, BVFunction, DensityPiece, NonFiniteI
                               exp_tail_integral, gauss_legendre_panels, jump_sum_remainder, quad,
                               stieltjes_integral, weighted_partial_grid, weighted_tail_grid)
 from tauberian_lab.transform import TauberianCertificate
-from tauberian_lab.vectors import NORM_KINDS, vector_norm
+from tauberian_lab.vectors import vector_norm
 from tauberian_lab.verify import check_certificate
 
 from exact import (alternating_jumps, chunk_rows, dense_jump_sum, draw_piece, draw_pieces,
@@ -523,27 +523,26 @@ class TestSweepRange:
             weighted_partial_grid(bv, [1.0], np.asarray([0.0005, 0.5]))
 
     def test_jumps_are_taken_in_bounded_chunks(self, monkeypatch):
-        # chunks of 7 jumps split rows between chunks; the sums must not change
+        # tiles of 7 jumps split rows between tiles; the sums must not change
         tau, sizes = alternating_jumps(300)
         bv = BVFunction(2, tau, np.hstack((sizes, 1j * sizes[::-1])))
         grid = np.sort(np.concatenate((np.linspace(0.0, 6.0, 50), tau[::40])))
         for z in (0.5, 3.0 + 2.0j):
             whole = weighted_partial_grid(bv, [z], grid), weighted_tail_grid(bv, [z], grid, 7.0)
-            monkeypatch.setattr(bv_module, "_MAX_BLOCK_ELEMENTS", 8 * 2 * 7)
+            monkeypatch.setattr(bv_module, "_TILE_JUMPS", 7)
             chunked = weighted_partial_grid(bv, [z], grid), weighted_tail_grid(bv, [z], grid, 7.0)
             monkeypatch.undo()
             for got, want in zip(chunked, whole):
                 assert np.max(np.abs(got - want)) <= 1e-15 * float(np.sum(np.abs(sizes)))
 
 
-TILE_SIZES = (1, 7, 64, bv_module._TILE_JUMPS)
+TILE_SIZES = (1, 2, 3, 7, 64, bv_module._TILE_JUMPS)
 
 
 @st.composite
 def tile_cases(draw):
     """A d-vector integrator of 1-120 jumps (d = 1 or 2), a grid that may skip jumps or lie
-    past them, a tail start, 1-3 abscissas (some far enough to cut jumps below e^-60) and
-    chunk cuts every 1-40 jumps, so that old cuts fall inside rows."""
+    past them, a tail start and 1-3 abscissas (some far enough to cut jumps below e^-60)."""
     d = draw(st.sampled_from((1, 2)))
     taus = np.unique(draw(st.lists(st.floats(0.0, 7.0), min_size=1, max_size=120)))
     sizes = draw_sizes(draw, taus.size, d)
@@ -551,77 +550,47 @@ def tile_cases(draw):
     v_max = max(float(grid[-1]), draw(st.floats(0.0, 9.0)))
     z = draw(st.lists(st.builds(complex, st.sampled_from((0.0, 0.5, 3.0, 900.0)),
                                 st.sampled_from((0.0, 2.0, -3.0))), min_size=1, max_size=3))
-    return BVFunction(d, taus, sizes), grid, v_max, np.asarray(z), draw(st.integers(1, 40))
+    return BVFunction(d, taus, sizes), grid, v_max, np.asarray(z)
 
 
 @settings(max_examples=60, deadline=None)
 @given(tile_cases())
-# a tile of the lone jump at 3 rounded its complex product otherwise than its block
+# a tile of the lone jump at 3 takes its complex product in numpy's scalar loop
 @example(case=(BVFunction(1, np.asarray([0.0, 3.0]), np.asarray([[0j], [0.83 + 1j]])),
-               np.asarray([1.0, 4.0]), 4.0, np.asarray([2j]), 2))
+               np.asarray([1.0, 4.0]), 4.0, np.asarray([2j])))
 def test_tiles_keep_every_row_bitwise(case):
-    # every tile size gives the chunk plan's rows byte for byte: the segments, and
-    # so the pairwise sums of np.add.reduceat, do not depend on the tiles
-    bv, grid, v_max, z, cut = case
+    # every tile size gives the rows of the chunk plan with chunks of that size,
+    # byte for byte: a row's segments are its parts in the windows of one tile
+    bv, grid, v_max, z = case
     down = grid[::-1].copy()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bv_module, "_MAX_BLOCK_ELEMENTS", 8 * bv.dimension * cut)
-        want_partial = chunk_rows(bv, z, grid, 0.0, cut)
-        want_tail = chunk_rows(bv, -z, down, v_max, cut)
-        grids = []
-        for tile in TILE_SIZES:
-            mp.setattr(bv_module, "_TILE_JUMPS", tile)
-            held = np.arange(grid.size)
-            rows = (bv_module._jump_rows(bv, z, grid, 0.0, held),
-                    bv_module._jump_rows(bv, -z, down, v_max, held))
-            assert rows[0].tobytes() == want_partial.tobytes()
-            assert rows[1].tobytes() == want_tail.tobytes()
-            grids.append((weighted_partial_grid(bv, z, grid).tobytes(),
-                          weighted_tail_grid(bv, z, grid, v_max).tobytes()))
-    assert all(g == grids[0] for g in grids)
-
-
-@st.composite
-def norm_cases(draw):
-    """1-40 jump sizes in R^d or C^d (d = 1 or 2), each row scaled by 2^-600, 1 or 2^600 so
-    that some rows are rescaled, and a norm kind."""
-    d, kind = draw(st.sampled_from((1, 2))), draw(st.sampled_from(NORM_KINDS))
-    sizes = draw_sizes(draw, draw(st.integers(1, 40)), d)
-    if draw(st.booleans()):
-        sizes = sizes.real.copy()
-    scales = draw(st.lists(st.sampled_from((2.0 ** -600, 1.0, 2.0 ** 600)),
-                           min_size=sizes.shape[0], max_size=sizes.shape[0]))
-    return sizes * np.asarray(scales)[:, None], kind
-
-
-@settings(max_examples=60, deadline=None)
-@given(norm_cases())
-# tiles of one row square each complex entry alone, and round these sums otherwise
-@example(case=(np.asarray([[0.4 + 0.1j], [1j]]), "euclidean"))
-@example(case=(np.asarray([[0.7 + 0.4j], [0.5 + 0.5j]]) * 2.0 ** -600, "euclidean"))
-def test_norm_sum_is_one_sum_of_norms(case):
-    sizes, kind = case
-    want = np.sum(vector_norm(sizes, kind))
+    held = np.arange(grid.size)
     for tile in TILE_SIZES:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bv_module, "_TILE_JUMPS", tile)
-            assert np.float64(bv_module._norm_sum(sizes, kind)).tobytes() == want.tobytes()
+            partial = bv_module._jump_rows(bv, z, grid, 0.0, held)
+            tail = bv_module._jump_rows(bv, -z, down, v_max, held)
+        assert partial.tobytes() == chunk_rows(bv, z, grid, 0.0, tile).tobytes()
+        assert tail.tobytes() == chunk_rows(bv, -z, down, v_max, tile).tobytes()
 
 
 @pytest.mark.parametrize("n", [200_000, 400_000])
 def test_partial_sweep_memory_does_not_grow_with_the_jumps(n):
-    # the chunk plan held about four arrays of the jumps' length (gaps, weights,
-    # products); the tiles hold a few of _TILE_JUMPS entries, whatever n is
+    # a whole-run chunk plan holds about four arrays of the jumps' length (gaps,
+    # weights, products); the tiles hold a few of _TILE_JUMPS entries, whatever n
+    # is, also on the coarse grid, where each row holds n / 2 jumps
     tau = np.linspace(0.0, 50.0, n, endpoint=False)
     bv = BVFunction(1, tau, np.where(np.arange(n) % 2, -1.0, 1.0).astype(complex)[:, None])
-    grid = np.linspace(0.0, 50.0, 2001)
-    tracemalloc.start()
-    try:
-        weighted_partial_grid(bv, [0.5, 3.0 + 2.0j, 40.0], grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 200_000  # one (n,) float array of the smaller n
+    z = [0.5, 3.0 + 2.0j, 40.0]
+    for grid in (np.linspace(0.0, 50.0, 2001), np.asarray([0.0, 25.0, 50.0])):
+        for sweep in (lambda: weighted_partial_grid(bv, z, grid),
+                      lambda: weighted_tail_grid(bv, z, grid, 50.0)):
+            tracemalloc.start()
+            try:
+                sweep()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 200_000  # one (n,) float array of the smaller n
 
 
 def assert_bitwise(got, want):
@@ -677,12 +646,12 @@ class TestOneCallForEveryAbscissa:
             bv_module._decay_scan(rows, xr, grid, held)
             assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("blocks", [2_000_000, 8 * 2 * 37])
-    def test_jump_rows_equal_each_abscissa_alone(self, blocks, monkeypatch):
+    @pytest.mark.parametrize("tile", [bv_module._TILE_JUMPS, 37])
+    def test_jump_rows_equal_each_abscissa_alone(self, tile, monkeypatch):
         # real, complex, real, cut (jumps below e^-60 of their row), uncut: the
         # buffers each abscissa reuses carry nothing into the next, also
-        # across chunks of 37 jumps
-        monkeypatch.setattr(bv_module, "_MAX_BLOCK_ELEMENTS", blocks)
+        # across tiles of 37 jumps
+        monkeypatch.setattr(bv_module, "_TILE_JUMPS", tile)
         tau, sizes = alternating_jumps(400)
         bv = BVFunction(2, tau, np.hstack((sizes, 1j * sizes[::-1])))
         grid = np.sort(np.concatenate((np.linspace(0.0, 6.5, 40), tau[::50] + 1e-9)))

@@ -397,6 +397,14 @@ class TestContour:
         assert res.exit_code == 2
         assert message in stderr_of(res)
 
+    @pytest.mark.parametrize("flag, value", [("--radius", "1e308"), ("--density", "1e308"),
+                                             ("--t-grid", "1e308:1e308:1")])
+    def test_overflowing_panel_count_is_over_the_budget(self, flag, value):
+        # a finite input whose panel count overflows to inf is refused by the node budget
+        res = run("contour", "--problem", "problems/exp_density.json", flag, value)
+        assert res.exit_code == 2
+        assert "needs inf nodes, over the budget of 400000" in stderr_of(res)
+
     def test_missing_extension_block(self, tmp_path):
         p = tmp_path / "no_ext.json"
         p.write_text(json.dumps({
