@@ -75,8 +75,8 @@ sorted jumps into blocks of width h = 2/max|z|, forms per-block Taylor
 moments of order P = 20 about each block's centre c_b, and evaluates
 sum_b e^{-z(c_b - t)} sum_p (-z h/2)^p m_{b,p}, where every factor has
 modulus <= 1.  Truncation adds at most
-sum_k ||s_k|| e / 21! (<= 2^-60 sum_k ||s_k||) to each entry, a bound the
-kernel returns and ``CauchyReport.remainder_bound`` carries.  The block
+sum_k ||s_k|| e / 21! (<= 2^-60 sum_k ||s_k||) to each entry, the bound
+``jump_sum_remainder`` gives and the contour sidecar reports.  The block
 factors carry their phase's rounding error (``_block_factors``), so a phase
 of hundreds of radians still leaves each factor accurate to about eps.  The
 cost is O(N P + nodes * blocks * P) instead of the dense O(nodes * N)

@@ -1,9 +1,10 @@
 """Command-line front end: problem files in, CSV tables out.
 
-Exit codes: 0 success, 1 when any checked bound reports a negative margin
-(or the identity residual exceeds its tolerance), 2 on input errors.  Every
-output is accompanied by a metadata block (JSON sidecar next to --out, or
-stderr when printing to stdout); CSV bodies themselves are deterministic.
+Exit codes: 0 success, 1 when any check fails Check.passed (a bound, the
+identity residual or the extension spot check beyond its slack), 2 on input
+errors.  Every output is accompanied by a metadata block (JSON sidecar next
+to --out, or stderr when printing to stdout); CSV bodies themselves are
+deterministic.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ import click
 import numpy as np
 
 from . import __version__
+from .bv import jump_sum_remainder
 from .contour import (ContourBudgetError, cauchy_identity_report, contour_dump,
                       evaluate_contour, extension_agreement, term_bounds)
 from .dirichlet import partial_sum_decay
 from .problems import ProblemFormatError, load_problem
 from .rates import decay_rate, k_prime, t_prime, t_prime_second_term_clamped
-from .verify import check_certificate, make_t_grid, within
+from .verify import Check, check_certificate, make_t_grid
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -55,6 +57,21 @@ def _finish(command: str, prob, out: str | None, header, rows, meta: dict, failu
         click.echo("; ".join(failures), err=True)
         sys.exit(EXIT_VIOLATION)
     sys.exit(EXIT_OK)
+
+
+def _failures(checks, describe) -> list:
+    """describe(check) for each check that fails Check.passed, in order; a command exits 1
+    exactly when this list is not empty."""
+    return [describe(c) for c in checks if not c.passed()]
+
+
+def _contour_failure(c: Check) -> str:
+    """The phrase that names a failed contour check on stderr and in the sidecar."""
+    if c.case_id == "residual":
+        return f"residual {c.value:.3g} at t = {c.witness_t:g}"
+    if c.case_id == "agreement":
+        return f"extension disagrees with the transform by {c.value:.3g}"
+    return f"term {c.case_id} exceeds its bound at t = {c.witness_t:g}"
 
 
 def _input_error(message: str):
@@ -189,8 +206,8 @@ def verify(problem_path, t_grid_spec, x_grid_spec, quad_tol, out):
     except (ValueError, ArithmeticError) as exc:
         _input_error(str(exc))
 
-    rows = [(r.case_id, r.grid_sup, r.bound, r.margin, r.witness_t) for r in reports]
-    failed = [r.case_id for r in reports if not r.passed()]
+    rows = [(r.case_id, r.value, r.bound, r.margin, r.witness_t) for r in reports]
+    failed = _failures(reports, lambda r: r.case_id)
     meta = {"quad_tol": quad_tol, "line_constant": cert.C / cert.x0,
             "t_grid": t_grid_spec, "x_grid": x_grid_spec or "auto",
             "notes": {r.case_id: r.note for r in reports if r.note},
@@ -228,47 +245,40 @@ def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
     if dump_path is not None and ts.size != 1:
         _input_error("--dump needs a single-point --t-grid (one contour per dump)")
 
-    rows, failures, nodes = [], [], []
-    remainder_max = 0.0
+    rows, checks, nodes = [], [], []
     for t in ts:
         try:
             ev = evaluate_contour(prob.bv, ext, growth, float(t), radius, density, quad_tol)
-            rep = cauchy_identity_report(ev, f0=prob.f0)
-            bounds = term_bounds(ev, prob.certificate)
+            residual = cauchy_identity_report(ev, prob.f0, residual_tol)
+            terms = term_bounds(ev, prob.certificate)
         except ContourBudgetError as exc:
             _input_error(str(exc))
         except (ValueError, ArithmeticError) as exc:
             _input_error(f"t = {t:g}: {exc}")
         nodes.append([float(t), ev.total_nodes])
-        remainder_max = max(remainder_max, rep.remainder_bound)
-        rows.append((float(t), radius, rep.residual,
-                     bounds[0].measured, bounds[0].bound_displayed,
-                     bounds[1].measured, bounds[1].bound_displayed,
-                     bounds[2].measured, bounds[2].bound_displayed))
-        if not rep.residual <= residual_tol:
-            failures.append(f"residual {rep.residual:.3g} at t = {t:g}")
-        for b in bounds:
-            if not within(b.margin_displayed, b.bound_displayed):
-                failures.append(f"term {b.name} exceeds its bound at t = {t:g}")
+        rows.append((float(t), radius, residual.value,
+                     *(v for term in terms for v in (term.value, term.bound))))
+        checks += [residual, *terms]
 
     rng = np.random.default_rng(seed)
     try:
-        agreement = extension_agreement(prob.bv, ext, prob.certificate, rng, quad_tol=quad_tol)
+        agreement, point = extension_agreement(prob.bv, ext, prob.certificate, rng,
+                                               agreement_tol, quad_tol=quad_tol)
     except (ValueError, ArithmeticError) as exc:
         _input_error(f"extension spot check: {exc}")
-    if not agreement.gap <= agreement_tol:
-        failures.append(f"extension disagrees with the transform by {agreement.gap:.3g}")
+    failures = _failures([*checks, agreement], _contour_failure)
 
     if dump_path is not None:
         _write(dump_path, "--dump", _csv_text(("piece", "s_param", "re z", "im z", "|integrand|"),
                                               contour_dump(ev)))  # the single t's evaluation
     meta = {"t_grid": t_grid_spec, "radius": radius, "density": density, "quad_tol": quad_tol,
             "residual_tol": residual_tol, "seed": seed,
-            "extension_agreement_gap": agreement.gap,
-            "extension_agreement_points": agreement.points,
-            "extension_agreement_t_star_max": agreement.t_star_max,
-            "extension_agreement_truncation_bound_max": agreement.truncation_bound_max,
-            "failures": failures, "total_nodes": nodes, "jump_sum_remainder_max": remainder_max}
+            "extension_agreement_gap": agreement.value,
+            "extension_agreement_points": point.z.size,
+            "extension_agreement_t_star_max": float(np.max(point.t_star)),
+            "extension_agreement_truncation_bound_max": float(np.max(point.truncation_bound)),
+            "failures": failures, "total_nodes": nodes,
+            "jump_sum_remainder_max": jump_sum_remainder(prob.bv.jump_sizes)}
     _finish("contour", prob, out, ("t", "R", "residual", "I_measured", "I_bound", "II_measured",
                                    "II_bound", "III_measured", "III_bound"), rows, meta, failures)
 
@@ -293,8 +303,9 @@ def dirichlet(problem_path, t_grid_spec, out):
                                  instance.t_max)
     except (ValueError, ArithmeticError) as exc:
         _input_error(str(exc))
-    negative = [t for t, _, bound, margin in rows
-                if math.isfinite(margin) and not within(margin, bound)]
+    # rows at or below T' carry a nan bound and no verdict
+    negative = _failures([Check("decay_bound", d, bound, t) for t, d, bound, _ in rows
+                          if not math.isnan(bound)], lambda c: c.witness_t)
     meta = {"t_grid": t_grid_spec, "coefficients": instance.coefficients,
             "n_max": instance.n_max, "f0_provenance": instance.f0_provenance,
             "rows": len(rows), "negative_margin_at": negative}

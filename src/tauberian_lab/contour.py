@@ -30,7 +30,9 @@ A contour needs 16 nodes per panel; one of more than _MAX_NODES nodes, or of a
 count that overflows to inf, is refused with ContourBudgetError before any node
 is evaluated.  ``extension_agreement`` spot-checks the extension against the
 transform, truncated at a certified error of _AGREEMENT_TARGET_ERR = 1e-9, at a
-fixed _AGREEMENT_POINTS = 12 seeded points.
+fixed _AGREEMENT_POINTS = 12 seeded points.  The identity's residual, each
+term and the spot check each give a ``verify.Check``, judged by the one rule
+``Check.passed``.
 """
 
 from __future__ import annotations
@@ -41,13 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .bv import (BVFunction, exp_partial_integral, exp_tail_integral,
-                 gauss_legendre_panels, jump_sum_remainder)
+from .bv import BVFunction, exp_partial_integral, exp_tail_integral, gauss_legendre_panels
 from .growth import GrowthBound
 from .oracles import ACCELERATION_TERMS, eta
 from .rates import bound_terms
-from .transform import TauberianCertificate, improper_laplace
+from .transform import TauberianCertificate, TransformPoint, improper_laplace
 from .vectors import vector_norm
+from .verify import Check
 
 _PHASE_PER_PANEL = 1.2  # radians of integrand phase per 16-node panel
 _MAX_NODES = 400_000  # node budget of one contour
@@ -254,21 +256,12 @@ def evaluate_contour(bv: BVFunction, f_ext, M: GrowthBound, t: float, R: float,
                              quad_tol=quad_tol, terms=((term1,), (term2,), term3))
 
 
-@dataclass(frozen=True)
-class CauchyReport:
-    lhs: np.ndarray
-    reference: np.ndarray
-    abs_error: float
-    residual: float
-    remainder_bound: float  # jump-sum truncation bound per node, tail plus partial
-
-
-def cauchy_identity_report(ev: ContourEvaluation, f0=None) -> CauchyReport:
-    """Both sides of the residue identity and their relative gap.
+def cauchy_identity_report(ev: ContourEvaluation, f0, tol: float) -> Check:
+    """The relative gap of the two sides of the residue identity, checked against tol.
 
     The left side is (1/2 pi i) sum (dz g) @ F over all pieces.  The
-    reference is A(t) - f(0), with f(0) from the extension unless an
-    explicit f0 array is supplied.
+    reference is A(t) - f(0), with f(0) from the extension where f0 is None,
+    else the f0 array.  The check is witnessed at t.
     """
     bv = ev.bv
     sums = []
@@ -286,30 +279,16 @@ def cauchy_identity_report(ev: ContourEvaluation, f0=None) -> CauchyReport:
     reference = bv.value_at(ev.t, ev.quad_tol) - f0_arr
     abs_error = float(vector_norm(lhs - reference, bv.norm_kind))
     residual = abs_error / max(1e-30, float(vector_norm(reference, bv.norm_kind)))
-    return CauchyReport(lhs=lhs, reference=reference, abs_error=abs_error, residual=residual,
-                        remainder_bound=jump_sum_remainder(bv.jump_sizes))
+    return Check("residual", residual, tol, ev.t)
 
 
-@dataclass(frozen=True)
-class TermBound:
-    name: str
-    measured: float
-    bound_displayed: float
-    bound_derived: float
+def term_bounds(ev: ContourEvaluation, cert: TauberianCertificate) -> tuple[Check, Check, Check]:
+    """Norm integrals of the three contour terms I, II and III against their bounds, at t.
 
-    @property
-    def margin_displayed(self) -> float:
-        return self.bound_displayed - self.measured
-
-
-def term_bounds(ev: ContourEvaluation,
-                cert: TauberianCertificate) -> tuple[TermBound, TermBound, TermBound]:
-    """Norm integrals of the three contour terms against their asserted bounds.
-
-    Each term's measured value is (1/2 pi) sum |g| ||F|| ds over its pieces.
-    Each term reports two reference constants: the displayed (rounded-up) one
-    and the sharper one the derivation actually produces; both margins should
-    be nonnegative on instances whose certificate holds.
+    Each term's value is (1/2 pi) sum |g| ||F|| ds over its pieces.  The
+    bounds are the displayed ones, 6 C/R, 4 C/R and the decay bound's last two
+    terms; each margin should be nonnegative on instances whose certificate
+    holds.
     """
     measured = []
     for term in ev.terms:
@@ -321,11 +300,9 @@ def term_bounds(ev: ContourEvaluation,
 
     C, R = cert.C, ev.R
     _, second, third = bound_terms(C, ev.MR, ev.t, R)
-    III_bound = second + third
-    term_I = TermBound("I", measured[0], 6.0 * C / R, 12.0 * C / (math.pi * R) + 2.0 * C / R)
-    term_II = TermBound("II", measured[1], 4.0 * C / R, 4.0 * C / (math.pi * R) + 2.0 * C / R)
-    term_III = TermBound("III", measured[2], III_bound, III_bound)
-    return term_I, term_II, term_III
+    return (Check("I", measured[0], 6.0 * C / R, ev.t),
+            Check("II", measured[1], 4.0 * C / R, ev.t),
+            Check("III", measured[2], second + third, ev.t))
 
 
 def contour_dump(ev: ContourEvaluation) -> list[tuple]:
@@ -340,22 +317,14 @@ def contour_dump(ev: ContourEvaluation) -> list[tuple]:
     return rows
 
 
-@dataclass(frozen=True)
-class AgreementReport:
-    """The extension against the truncated transform at seeded points."""
-
-    gap: float  # max over the points of ||f_ext(z) - f_{t*}(z)||
-    points: int
-    t_star_max: float  # largest truncation point
-    truncation_bound_max: float  # largest certified tail bound
-
-
 def extension_agreement(bv: BVFunction, f_ext, cert: TauberianCertificate,
-                        rng: np.random.Generator, quad_tol: float = 1e-12) -> AgreementReport:
-    """Max gap between the extension and the truncated transform at _AGREEMENT_POINTS random z.
+                        rng: np.random.Generator, tol: float,
+                        quad_tol: float = 1e-12) -> tuple[Check, TransformPoint]:
+    """Max gap between the extension and the truncated transform at _AGREEMENT_POINTS random z,
+    checked against tol, and the transform at those z.
 
     Samples Re z in [0.3, 2.5], |Im z| <= 2.5 (Re z, then Im z, per point);
-    the gap should stay within _AGREEMENT_TARGET_ERR plus the reported
+    the gap should stay within _AGREEMENT_TARGET_ERR plus the transform's
     truncation bounds.  All points take one improper_laplace call and one
     extension call.
     """
@@ -364,6 +333,4 @@ def extension_agreement(bv: BVFunction, f_ext, cert: TauberianCertificate,
     point = improper_laplace(bv, z, cert, target_err=_AGREEMENT_TARGET_ERR, quad_tol=quad_tol)
     ext = _eval_extension(f_ext, z, bv.dimension)
     gaps = np.asarray(vector_norm(point.value - ext, bv.norm_kind), dtype=float)
-    return AgreementReport(gap=float(np.max(gaps)), points=_AGREEMENT_POINTS,
-                           t_star_max=float(np.max(point.t_star)),
-                           truncation_bound_max=float(np.max(point.truncation_bound)))
+    return Check("agreement", float(np.max(gaps)), tol), point

@@ -3,16 +3,18 @@
 Every check reads sups of ||G(z, t)||, G(z, t) = e^{-Re(z) t} int_0^t e^{zs} dA(s),
 over a hybrid time grid (uniform base plus geometric refinement just after each
 jump, where suprema are attained as t decreases to the jump) and reports a
-SupReport: the grid supremum, the asserted bound, their margin, and the
-witnessing grid point.  Negative margins are reported, never raised.  The
+Check: the grid supremum as its value, the asserted bound, their margin, and
+the witnessing grid point.  Negative margins are reported, never raised.  The
 default grid (make_t_grid) is fixed: 512 uniform points on [0, 50] plus 64
-geometric ones in the 0.1 after each of the first 128 jumps.  REL_TOL is the
-one relative slack of every verdict: within(margin, bound) is the rule that
-SupReport.passed and the contour and dirichlet verdicts of the CLI apply, and
-the ratio hypothesis the bounds assume allows the same slack.
+geometric ones in the 0.1 after each of the first 128 jumps.  Check is the
+one record of a verdict, here and in the contour and dirichlet commands, and
+Check.passed is the one verdict rule: the check's own hypothesis holds and
+within(margin, bound), whose REL_TOL is the one relative slack of every
+verdict; the ratio hypothesis the bounds assume allows the same slack.
 check_certificate is the one sup check: it takes a certificate (C, x0, T, R(t))
 and reports the ratio condition and the line, tail and small-x bounds it
-yields at x0, from one batched sweep that takes each abscissa once.  Of the
+yields at x0, from one batched sweep that takes each abscissa once.  A
+certificate whose bounds overflow is refused before the sweep.  Of the
 small-x abscissas it sweeps only those whose bound c x0 / x the variation of
 A cannot settle: ||G|| never exceeds that variation, so every other one has a
 larger margin than x0 and cannot be the worst.  The bounds assume the ratio
@@ -51,25 +53,28 @@ _JUMP_POINTS, _JUMP_WINDOW, _MAX_REFINED_JUMPS = 64, 0.1, 128
 
 
 @dataclass(frozen=True)
-class SupReport:
+class Check:
+    """One verdict: value against bound, with the point that witnesses the value."""
+
     case_id: str
-    grid_sup: float
+    value: float
     bound: float
-    witness_t: float
+    witness_t: float = math.nan
     witness_x: float | None = None
     hypothesis_failed: bool = False
     note: str = ""
 
     @property
     def margin(self) -> float:
-        return self.bound - self.grid_sup
+        return self.bound - self.value
 
     def passed(self) -> bool:
         return (not self.hypothesis_failed) and within(self.margin, self.bound)
 
 
 def within(margin: float, bound: float) -> bool:
-    """The one verdict rule: a margin of at least -REL_TOL |bound| passes (a nan one fails)."""
+    """Check.passed's comparison: a margin of at least -REL_TOL |bound| passes (a nan one
+    fails)."""
     return margin >= -REL_TOL * abs(bound)
 
 
@@ -139,10 +144,10 @@ def _sweep_sups(bv: BVFunction, zs, t_grid: np.ndarray, quad_tol: float,
 
 
 def _report(case_id: str, found: tuple[float, int], bound: float, x: float, t_grid: np.ndarray,
-            failed: str = "", note: str = "") -> SupReport:
-    """The report of a sup and its witness index, found = _sup(...)."""
-    return SupReport(case_id, found[0], bound, float(t_grid[found[1]]), x, bool(failed),
-                     "; ".join(filter(None, (failed, note))))
+            failed: str = "", note: str = "") -> Check:
+    """The check of a sup and its witness index, found = _sup(...)."""
+    return Check(case_id, found[0], bound, float(t_grid[found[1]]), x, bool(failed),
+                 "; ".join(filter(None, (failed, note))))
 
 
 def _ratio_masks(cert: TauberianCertificate, t_grid: np.ndarray,
@@ -179,9 +184,10 @@ def tail_truncation_point(C: float, x: float, y: float, t_max: float) -> float:
     return t_max + max(0.0, extra)
 
 
-def _small_x_abscissas(bv: BVFunction, C: float, x0: float, t_grid: np.ndarray,
-                       quad_tol: float) -> np.ndarray:
-    """The abscissas of the 16 in [x0/100, x0] whose small-x bound C x0 / x a sweep must read.
+def _small_x_abscissas(bv: BVFunction, C: float, x0: float, small: np.ndarray,
+                       t_grid: np.ndarray, quad_tol: float) -> np.ndarray:
+    """The abscissas of small, the 16 in [x0/100, x0], whose small-x bound C x0 / x a sweep
+    must read.
 
     ||G(x, t)|| <= V for every grid t, V = bv.variation_bound(t_max) (triangle
     inequality), so the margin at x is at least C x0 / x - V.  An abscissa is
@@ -194,7 +200,6 @@ def _small_x_abscissas(bv: BVFunction, C: float, x0: float, t_grid: np.ndarray,
     least margin of the kept ones, and the small-x report, its first-of-least
     witness included, is the one read from all 16.
     """
-    small = make_x_grid(x0 * 1e-2, x0, 16)
     bounds = C * x0 / small
     var = bv.variation_bound(float(t_grid[-1]))
     quad_rows = t_grid.size * sum(float(vector_norm(p.scale_array(), bv.norm_kind))
@@ -205,7 +210,7 @@ def _small_x_abscissas(bv: BVFunction, C: float, x0: float, t_grid: np.ndarray,
 
 def check_certificate(bv: BVFunction, cert: TauberianCertificate,
                       t_grid: np.ndarray | None = None, x_grid: np.ndarray | None = None,
-                      quad_tol: float = 1e-10) -> list[SupReport]:
+                      quad_tol: float = 1e-10) -> list[Check]:
     """The ratio condition and the four bounds it yields at x0, from one sweep.
 
     In this order: sup x ||G(x, t)|| against C over the grid pairs with t > T
@@ -219,13 +224,22 @@ def check_certificate(bv: BVFunction, cert: TauberianCertificate,
     than the one at x0, so dropping it leaves the report as it was
     (_small_x_abscissas).  The bounds assume the ratio hypothesis
     sup_t ||G(x0, t)|| <= c, read from the same sweep, and are marked
-    hypothesis_failed where it fails.  t_grid defaults to make_t_grid(bv),
-    x_grid to 64 points from x0 to min(1000 x0, R(t_max)).
+    hypothesis_failed where it fails.  A certificate that makes one of these
+    bounds infinite raises ValueError: a check against inf passes vacuously.
+    t_grid defaults to make_t_grid(bv), x_grid to 64 points from x0 to
+    min(1000 x0, R(t_max)).
     """
     t_grid = make_t_grid(bv)[0] if t_grid is None else np.asarray(t_grid, dtype=float)
     x0, C, y = cert.x0, cert.C / cert.x0, 2.0 * cert.x0
+    small = make_x_grid(x0 * 1e-2, x0, 16)
+    # the largest bounds: the tail's c (3 + 2) tops both lines, and the small-x bound c x0 / x
+    # is largest at x0 / 100
+    for name, bound in (("tail", tail_bound(C, x0, y)), ("small-x", C * x0 / float(small[0]))):
+        if not math.isfinite(bound):
+            raise ValueError(f"certificate C = {cert.C:g}, x0 = {x0:g} makes the {name} bound "
+                             f"{bound:g}; every bound must be finite")
     masks = _ratio_masks(cert, t_grid, x_grid)
-    small = _small_x_abscissas(bv, C, x0, t_grid, quad_tol)
+    small = _small_x_abscissas(bv, C, x0, small, t_grid, quad_tol)
     sups, ratio = _sweep_sups(bv, [*masks, x0, complex(x0, y), *small], t_grid, quad_tol, masks)
     xs = list(ratio)
     best = xs[int(np.argmax([ratio[x][0] for x in xs]))]
@@ -250,10 +264,10 @@ def check_certificate(bv: BVFunction, cert: TauberianCertificate,
 
 
 def check_admissibility(f_ext, M: GrowthBound, y_grid=None,
-                        norm_kind: str = "euclidean") -> SupReport:
+                        norm_kind: str = "euclidean") -> Check:
     """Grid check of ||f(x+iy)|| <= M(|y|) on the strip -1/M(|y|) < x <= 0, at _STRIP_DEPTHS.
 
-    grid_sup is the worst excess ||f|| - M(|y|) (so admissible means <= 0);
+    The value is the worst excess ||f|| - M(|y|) (so admissible means <= 0);
     singular sample points count as +inf excess.
     """
     y_grid = np.linspace(-20.0, 20.0, 801) if y_grid is None else np.asarray(y_grid, float)

@@ -11,7 +11,8 @@ one test reads lives here, written once:
   sum, the finite transform of an exponential density, Laplace transforms of
   exponential pieces in mpmath, the power series of int e^{cs} s^a ds, the
   row-by-row sweep, the per-block decay scan, the chunk plan of the sweep's
-  jump rows, the full-grid sups and certificate, the point-by-point extension
+  jump rows, the full-grid sups and certificate, the sharper bounds that the
+  derivation of the contour terms gives, the point-by-point extension
   agreement and the brute-force alternating partial sum;
 * the draws of jump sizes in C^d and of density pieces that the sweep, batch,
   transform and certificate strategies share, each strategy with its own ranges.
@@ -34,7 +35,7 @@ from tauberian_lab.contour import EtaShiftExtension, RationalExtension, _eval_ex
 from tauberian_lab.growth import GrowthBound
 from tauberian_lab.problems import _COEFFICIENT_RULES
 from tauberian_lab.transform import improper_laplace
-from tauberian_lab.verify import SupReport, make_t_grid, make_x_grid
+from tauberian_lab.verify import Check, make_t_grid, make_x_grid
 from tauberian_lab.vectors import vector_norm
 
 # one growth bound of each kind
@@ -293,12 +294,12 @@ def full_sweep_certificate(bv, cert, t_grid, x_grid):
     def report(case_id, found, bound, x, where, note=""):
         failed = sups[complex(x0)][0] > c * (1.0 + verify_module.REL_TOL)
         why = f"ratio hypothesis fails at {where}" if failed else ""
-        return SupReport(case_id, found[0], bound, float(t_grid[found[1]]), x, failed,
-                         "; ".join(filter(None, (why, note))))
+        return Check(case_id, found[0], bound, float(t_grid[found[1]]), x, failed,
+                     "; ".join(filter(None, (why, note))))
 
     best = max(ratio, key=lambda x: ratio[x][0])  # the first of the largest
-    reports = [SupReport("tauberian_condition", ratio[best][0], cert.C,
-                         float(t_grid[ratio[best][1]]), best.real)]
+    reports = [Check("tauberian_condition", ratio[best][0], cert.C,
+                     float(t_grid[ratio[best][1]]), best.real)]
     for v in (0.0, y):
         reports.append(report(f"line_bound_x{x0:g}_y{v:g}", sups[complex(x0, v)],
                               c * (1.0 + abs(v) / x0), x0, f"x = {x0:g}"))
@@ -310,6 +311,15 @@ def full_sweep_certificate(bv, cert, t_grid, x_grid):
                                f"x0 = {x0:g}") for x in small),
                        key=lambda rep: rep.margin))
     return reports
+
+
+def derived_term_bounds(C: float, MR: float, t: float, R: float) -> tuple[float, float, float]:
+    """The bounds on the contour terms I, II and III that their derivation gives, with MR =
+    M(R): 12 C/(pi R) + 2 C/R and 4 C/(pi R) + 2 C/R, sharper than term_bounds' displayed
+    6 C/R and 4 C/R, and the decay bound's last two terms M(R)/(t R^3) + 2 R M(R)^2
+    e^{-t/(2 M(R))}, which term III displays as they are."""
+    return (12.0 * C / (math.pi * R) + 2.0 * C / R, 4.0 * C / (math.pi * R) + 2.0 * C / R,
+            MR / (t * R ** 3) + 2.0 * R * MR * MR * math.exp(-t / (2.0 * MR)))
 
 
 def loop_agreement(bv, f_ext, cert, rng, n_points, target_err=1e-9, quad_tol=1e-12):

@@ -25,7 +25,8 @@ from tauberian_lab.transform import TauberianCertificate
 from tauberian_lab.vectors import vector_norm
 from tauberian_lab.verify import check_certificate, make_t_grid
 
-from exact import GROWTH_PRESETS, alternating_partial_sum, exp_density, exp_partial, named_rule
+from exact import (GROWTH_PRESETS, alternating_partial_sum, derived_term_bounds, exp_density,
+                   exp_partial, named_rule)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -156,7 +157,7 @@ def test_04_tauberian_condition_for_dirichlet():
     rep = check_certificate(bv, cert, x_grid=x_grid)[0]
     ok = rep.margin >= 0.0 and abs(cert.C - math.e) <= 1e-15
     _report(4, "Dirichlet scaled condition", ok,
-            f"grid sup {rep.grid_sup:.6f} <= C = e = {cert.C:.6f} "
+            f"grid sup {rep.value:.6f} <= C = e = {cert.C:.6f} "
             f"(margin {rep.margin:.3e}, x in [0.05, 400])")
 
 
@@ -184,7 +185,7 @@ def test_05_radius_inversion(rng):
 def test_06_contour_identity():
     """Residuals for the rational and series instances, plus density scaling."""
     def residual(*args, **kwargs):
-        return cauchy_identity_report(evaluate_contour(*args, **kwargs)).residual
+        return cauchy_identity_report(evaluate_contour(*args, **kwargs), None, 1e-6).value
 
     bv, ext = exp_density()
     M2 = GrowthBound("constant", 2.0)
@@ -220,17 +221,16 @@ def test_07_contour_term_bounds():
     cases.append((alt, TauberianCertificate(C=math.e, x0=1.0),
                   GrowthBound("affine", 1.25), EtaShiftExtension(), 3.0, 1.5))
     for fbv, fcert, fM, fext, t, R in cases:
-        for b in term_bounds(evaluate_contour(fbv, fext, fM, t, R), fcert):
-            worst = min(worst, b.margin_displayed / b.bound_displayed,
-                        (b.bound_derived - b.measured) / b.bound_derived)
+        checks = term_bounds(evaluate_contour(fbv, fext, fM, t, R), fcert)
+        for b, derived in zip(checks, derived_term_bounds(fcert.C, float(fM(R)), t, R)):
+            worst = min(worst, b.margin / b.bound, (derived - b.value) / derived)
 
     one, two, three = term_bounds(evaluate_contour(bv, ext, M2, 10.0, 1.0), cert)
     formulas_ok = (
-        one.bound_displayed == 6.0 * cert.C / 1.0
-        and two.bound_displayed == 4.0 * cert.C / 1.0
-        and abs(three.bound_displayed
-                - (2.0 / 10.0 + 2.0 * 1.0 * 4.0 * math.exp(-10.0 / 4.0)))
-        <= 1e-12 * three.bound_displayed)
+        one.bound == 6.0 * cert.C / 1.0
+        and two.bound == 4.0 * cert.C / 1.0
+        and abs(three.bound - (2.0 / 10.0 + 2.0 * 1.0 * 4.0 * math.exp(-10.0 / 4.0)))
+        <= 1e-12 * three.bound)
 
     _report(7, "contour term bounds", worst >= -1e-9 and formulas_ok,
             f"worst margin/bound {worst:.3e} (floor -1e-9) across 4 instances; "

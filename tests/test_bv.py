@@ -962,7 +962,7 @@ class TestSingularExponents:
                                  t_grid=np.linspace(0.0, 12.0, 25))[1]
         want = 0.2 * math.exp(-1.0) * power_series(1.0, self.NEAR, 0.2, 1.0)
         assert (line.case_id, line.witness_t) == ("line_bound_x1_y0", 1.0)
-        assert abs(line.grid_sup - want) <= 1e-15 * want
+        assert abs(line.value - want) <= 1e-15 * want
 
     def test_near_singular_power_from_zero(self):
         # s = 0 is u = -1/b, mapped back to s = 0 exactly

@@ -5,6 +5,7 @@ import math
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,17 @@ class TestVerify:
                                                      "v_max=64.7318",
                                  "small_x_bound": "ratio hypothesis fails at x0 = 1"}
 
+    def test_overflowing_certificate_is_input_error(self, tmp_path):
+        # C = 1e308 made the tail bound inf: two RuntimeWarnings, then a vacuous PASS, exit 0
+        problem = gallery_variant(tmp_path, "exp_density", "certificate", C=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run("verify", "--problem", problem)
+        assert res.exit_code == 2
+        assert stderr_of(res) == ("error: certificate C = 1e+308, x0 = 1 makes the tail bound "
+                                  "inf; every bound must be finite\n")
+        assert res.stdout == ""
+
     def test_empty_ratio_check_exits_two(self, tmp_path):
         # no grid time lies past T, so the ratio condition checks nothing
         p = tmp_path / "late.json"
@@ -463,6 +475,57 @@ class TestDirichlet:
         res = run("dirichlet", "--problem", "problems/exp_density.json")
         assert res.exit_code == 2
         assert "dirichlet" in stderr_of(res)
+
+
+def gallery_variant(directory: Path, problem: str, block: str, **fields) -> str:
+    """The path of a copy of problems/<problem>.json, written into directory, with the given
+    fields of one block replaced."""
+    data = json.loads(Path("problems", f"{problem}.json").read_text())
+    data[block].update(fields)
+    path = directory / f"{problem}_variant.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestFailurePaths:
+    # each verdict of contour and dirichlet that fails exits 1, names every failure on the last
+    # stderr line and lists them in the sidecar
+    def failed_run(self, tmp_path, *args) -> tuple[str, dict]:
+        out = tmp_path / "table.csv"
+        res = run(*args, "--out", str(out))
+        assert res.exit_code == 1, stderr_of(res)
+        return stderr_of(res).splitlines()[-1], json.loads(Path(f"{out}.meta.json").read_text())
+
+    def test_contour_residual_over_its_tolerance(self, tmp_path):
+        line, meta = self.failed_run(tmp_path, "contour", "--problem",
+                                     "problems/exp_density.json", "--t-grid", "1:5:3",
+                                     "--residual-tol", "0")
+        failures = ["residual 3.93e-17 at t = 1", "residual 4.99e-16 at t = 3",
+                    "residual 8.82e-16 at t = 5"]
+        assert line == "; ".join(failures)
+        assert meta["failures"] == failures
+
+    def test_contour_extension_disagrees(self, tmp_path):
+        line, meta = self.failed_run(tmp_path, "contour", "--problem",
+                                     "problems/exp_density.json", "--agreement-tol", "0")
+        assert line == "extension disagrees with the transform by 1.53e-14"
+        assert meta["failures"] == [line]
+
+    def test_contour_terms_over_their_bounds(self, tmp_path):
+        problem = gallery_variant(tmp_path, "exp_density", "certificate", C=0.01)
+        line, meta = self.failed_run(tmp_path, "contour", "--problem", problem,
+                                     "--t-grid", "1:5:3")
+        failures = ["term I exceeds its bound at t = 1", "term II exceeds its bound at t = 1",
+                    "term II exceeds its bound at t = 3"]
+        assert line == "; ".join(failures)
+        assert meta["failures"] == failures
+
+    def test_dirichlet_decay_over_its_bound(self, tmp_path):
+        problem = gallery_variant(tmp_path, "dirichlet_alternating", "dirichlet", f0=[100.0])
+        line, meta = self.failed_run(tmp_path, "dirichlet", "--problem", problem)
+        ts = [1.0 + 0.5 * k for k in range(25)]
+        assert line == f"bound violated at t = {', '.join(f'{t:g}' for t in ts)}"
+        assert meta["negative_margin_at"] == ts
 
 
 class TestDeterminism:

@@ -1,13 +1,17 @@
 """Contour machinery: geometry, the residue identity, and per-term bounds."""
 
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from tauberian_lab import contour as contour_module
 from tauberian_lab.bv import BVFunction, exp_tail_integral, jump_sum_remainder
+from tauberian_lab.cli import main
 from tauberian_lab.contour import (ContourBudgetError, EtaShiftExtension, RationalExtension,
                                    _eval_extension, build_contour, cauchy_identity_report,
                                    contour_dump, evaluate_contour, extension_agreement,
@@ -16,10 +20,23 @@ from tauberian_lab.growth import GrowthBound
 from tauberian_lab.oracles import eta
 from tauberian_lab.rates import bound_B
 from tauberian_lab.transform import TauberianCertificate
+from tauberian_lab.vectors import vector_norm
 
-from exact import alternating_series, exp_density, loop_agreement
+from exact import alternating_series, derived_term_bounds, exp_density, loop_agreement
 
 M2 = GrowthBound("constant", 2.0)
+RESIDUAL_TOL = 1e-6  # the CLI's default --residual-tol
+
+
+def residual(ev, f0=None) -> float:
+    return cauchy_identity_report(ev, f0, RESIDUAL_TOL).value
+
+
+def abs_error(ev, f0) -> float:
+    """The identity's absolute gap: the relative residual times its denominator, the norm of
+    A(t) - f(0) (at least 1e-30)."""
+    reference = ev.bv.value_at(ev.t) - np.asarray(f0, dtype=complex)
+    return residual(ev, f0) * max(1e-30, float(vector_norm(reference, ev.bv.norm_kind)))
 
 
 class TestFudgeFactor:
@@ -99,35 +116,36 @@ class TestCauchyIdentity:
         bv, ext = exp_density()
         for t in (2.0, 5.0, 10.0):
             for R in (1.0, 2.0, 5.0):
-                res = cauchy_identity_report(evaluate_contour(bv, ext, M2, t, R)).residual
+                res = residual(evaluate_contour(bv, ext, M2, t, R))
                 assert res <= 1e-6, (t, R)
                 assert res <= 1e-9, (t, R)  # in practice it is machine-level
 
     def test_report_fields(self):
         bv, ext = exp_density()
         ev = evaluate_contour(bv, ext, M2, 5.0, 2.0)
-        rep = cauchy_identity_report(ev)
-        # reference A(t) - f(0) = (1 - e^{-t}) - 1 = -e^{-t}
-        assert rep.reference[0] == pytest.approx(-math.exp(-5.0), rel=1e-12)
-        assert rep.abs_error <= 1e-12
+        check = cauchy_identity_report(ev, None, RESIDUAL_TOL)
+        assert (check.case_id, check.bound, check.witness_t) == ("residual", RESIDUAL_TOL, 5.0)
+        assert check.passed()
+        # reference A(t) - f(0) = (1 - e^{-t}) - 1 = -e^{-t}, f(0) = 1 from the extension
+        f0 = ext(np.asarray([0j]))
+        assert (bv.value_at(5.0) - f0)[0] == pytest.approx(-math.exp(-5.0), rel=1e-12)
+        assert abs_error(ev, f0) <= 1e-12
         assert ev.total_nodes > 0
-        assert rep.remainder_bound == 0.0  # no jumps, nothing truncated
+        assert jump_sum_remainder(bv.jump_sizes) == 0.0  # no jumps, nothing truncated
 
     def test_zero_instance_numerator(self):
         # A = 0 with extension 0: both sides vanish; the guarded residual
         # denominator must not blow the numerator up
         bv = BVFunction.zero()
         ext = RationalExtension((0.0,), (1.0,))
-        rep = cauchy_identity_report(evaluate_contour(bv, ext, M2, 4.0, 2.0))
-        assert rep.abs_error <= 1e-12
+        assert abs_error(evaluate_contour(bv, ext, M2, 4.0, 2.0), [0.0]) <= 1e-12
 
     def test_explicit_f0_override(self):
         bv, ext = exp_density()
         ev = evaluate_contour(bv, ext, M2, 5.0, 2.0)
-        honest = cauchy_identity_report(ev)
-        shifted = cauchy_identity_report(ev, f0=[0.5])
-        assert honest.abs_error < 1e-12
-        assert shifted.abs_error == pytest.approx(0.5, abs=1e-6)
+        assert residual(ev) == residual(ev, ext(np.asarray([0j])))  # f(0) = 1, the default
+        assert abs_error(ev, [1.0]) < 1e-12
+        assert abs_error(ev, [0.5]) == pytest.approx(0.5, abs=1e-6)
 
     def test_junction_continuity(self):
         # the fudge factor kills the integrand at z = +-iR, where the arc
@@ -151,8 +169,8 @@ class TestCauchyIdentity:
         # (t, R) chosen where the left-path quadrature error is the floor
         bv, ext = exp_density()
         t, R = 10.0, 5.0
-        coarse = cauchy_identity_report(evaluate_contour(bv, ext, M2, t, R, 0.1)).residual
-        fine = cauchy_identity_report(evaluate_contour(bv, ext, M2, t, R, 0.2)).residual
+        coarse = residual(evaluate_contour(bv, ext, M2, t, R, 0.1))
+        fine = residual(evaluate_contour(bv, ext, M2, t, R, 0.2))
         assert coarse > 1e-12  # meaningfully above the machine floor
         assert coarse >= 4.0 * fine
 
@@ -160,19 +178,26 @@ class TestCauchyIdentity:
         # alternating Dirichlet jumps against the eta(z+1) extension
         bv, ext = alternating_series(1_000_000)
         M = GrowthBound("affine", 1.25)
-        res = cauchy_identity_report(evaluate_contour(bv, ext, M, 3.0, 1.5)).residual
+        res = residual(evaluate_contour(bv, ext, M, 3.0, 1.5))
         assert res <= 1e-5
 
-    def test_report_carries_jump_sum_remainder(self):
-        # tail and partial kernel calls split the jumps at t; their bounds add
-        bv, ext = alternating_series(2000)
-        t, R = 3.0, 1.5
-        rep = cauchy_identity_report(evaluate_contour(bv, ext, GrowthBound("affine", 1.25), t, R))
-        k = int(np.searchsorted(bv.jump_times, t))
+    def test_report_carries_jump_sum_remainder(self, tmp_path):
+        # the tail and partial kernel calls split the jumps at t; their bounds add up to the
+        # one of every jump, which the contour sidecar reports
+        bv, _ = alternating_series(2000)
+        k = int(np.searchsorted(bv.jump_times, 3.0))
         tail = jump_sum_remainder(bv.jump_sizes[k:])
         partial = jump_sum_remainder(bv.jump_sizes[:k])
-        assert rep.remainder_bound == pytest.approx(tail + partial, rel=1e-12)
-        assert rep.remainder_bound > 0.0
+        problem, out = tmp_path / "alt.json", tmp_path / "contour.csv"
+        problem.write_text(json.dumps({
+            "dirichlet": {"coefficients": "alternating", "n_max": 2000},
+            "growth": {"kind": "affine", "params": {"c": 1.25}},
+            "extension": {"kind": "eta_shift", "params": {"terms": 96}}}))
+        CliRunner().invoke(main, ["contour", "--problem", str(problem), "--t-grid", "3:3:1",
+                                  "--radius", "1.5", "--out", str(out)])
+        remainder = json.loads(Path(f"{out}.meta.json").read_text())["jump_sum_remainder_max"]
+        assert remainder == pytest.approx(tail + partial, rel=1e-12)
+        assert remainder > 0.0
 
 
 class TestTermBounds:
@@ -182,23 +207,26 @@ class TestTermBounds:
     def test_margins_nonnegative(self):
         bv, ext = exp_density()
         for t, R in ((5.0, 1.0), (10.0, 2.0)):
-            I, II, III = term_bounds(evaluate_contour(bv, ext, M2, t, R), self.cert())
-            for tb in (I, II, III):
-                assert tb.margin_displayed >= -1e-9 * tb.bound_displayed, (t, R, tb.name)
-                assert tb.bound_derived - tb.measured >= -1e-9 * tb.bound_derived, (t, R, tb.name)
+            checks = term_bounds(evaluate_contour(bv, ext, M2, t, R), self.cert())
+            for tb, derived in zip(checks, derived_term_bounds(1.0, M2(R), t, R)):
+                assert tb.margin >= -1e-9 * tb.bound, (t, R, tb.case_id)
+                assert derived - tb.value >= -1e-9 * derived, (t, R, tb.case_id)
+                assert tb.passed() and tb.witness_t == t
 
     def test_displayed_constants(self):
         bv, ext = exp_density()
         I, II, III = term_bounds(evaluate_contour(bv, ext, M2, 10.0, 2.0), self.cert())
-        assert I.bound_displayed == pytest.approx(6.0 / 2.0)
-        assert II.bound_displayed == pytest.approx(4.0 / 2.0)
+        assert [b.case_id for b in (I, II, III)] == ["I", "II", "III"]
+        assert I.bound == pytest.approx(6.0 / 2.0)
+        assert II.bound == pytest.approx(4.0 / 2.0)
         # the derivation's sharper constants sit strictly inside the display
-        assert I.bound_derived < I.bound_displayed
-        assert II.bound_derived < II.bound_displayed
+        derived_I, derived_II, _ = derived_term_bounds(1.0, M2(2.0), 10.0, 2.0)
+        assert derived_I < I.bound
+        assert derived_II < II.bound
         # the three displayed bounds add up to the rate engine's bound_B
         for t, R in ((10.0, 2.0), (3.0, 1.0), (7.5, 1.7), (20.0, 3.0)):
             bounds = term_bounds(evaluate_contour(bv, ext, M2, t, R), self.cert())
-            total = sum(b.bound_displayed for b in bounds)
+            total = sum(b.bound for b in bounds)
             want = bound_B(self.cert().C, M2(R), t, R)
             assert abs(total - want) <= 4 * np.spacing(want), (t, R, total, want)
 
@@ -207,15 +235,15 @@ class TestTermBounds:
         t, R = 10.0, 1.0
         _, _, III = term_bounds(evaluate_contour(bv, ext, M2, t, R), self.cert())
         want = 2.0 / (t * R ** 3) + 2.0 * R * 4.0 * math.exp(-t / 4.0)
-        assert III.bound_displayed == pytest.approx(want, rel=1e-12)
-        assert III.bound_derived == III.bound_displayed
+        assert III.bound == pytest.approx(want, rel=1e-12)
+        assert III.bound == derived_term_bounds(1.0, M2(R), t, R)[2]
 
     def test_third_term_decays_in_time(self):
         bv, ext = exp_density()
         vals = []
         for t in (10.0, 20.0, 40.0):
             _, _, III = term_bounds(evaluate_contour(bv, ext, M2, t, 2.0), self.cert())
-            vals.append((III.measured, III.bound_displayed))
+            vals.append((III.value, III.bound))
         assert vals[0][0] > vals[1][0] > vals[2][0]
         assert vals[0][1] > vals[1][1] > vals[2][1]
 
@@ -241,16 +269,17 @@ class TestExtensions:
         bv = BVFunction.zero()
         ext = RationalExtension((1.0,), (0.0, 1.0))  # 1/z, singular at 0
         with pytest.raises(ValueError, match="singular"):
-            cauchy_identity_report(evaluate_contour(bv, ext, M2, 4.0, 2.0))
+            residual(evaluate_contour(bv, ext, M2, 4.0, 2.0))
 
     def test_agreement_with_truncated_transform(self, rng):
         bv, ext = exp_density()
         cert = TauberianCertificate(C=1.0, x0=1.0)
-        report = extension_agreement(bv, ext, cert, rng)
-        assert report.gap <= 1e-6
-        assert report.points == 12
-        assert report.truncation_bound_max == pytest.approx(1e-9, rel=1e-12)
-        assert report.t_star_max > 0.0
+        check, point = extension_agreement(bv, ext, cert, rng, 1e-6)
+        assert check.value <= 1e-6
+        assert (check.case_id, check.bound) == ("agreement", 1e-6) and check.passed()
+        assert point.z.size == 12
+        assert float(np.max(point.truncation_bound)) == pytest.approx(1e-9, rel=1e-12)
+        assert float(np.max(point.t_star)) > 0.0
 
 
 class TestLeftPathExtension:
@@ -293,9 +322,9 @@ class TestAgreementOneCall:
         bv, ext = pair()
         cert = TauberianCertificate(C=math.e, x0=1.0)
         for seed in (0, 7, 2026):
-            report = extension_agreement(bv, ext, cert, np.random.default_rng(seed))
+            check, _ = extension_agreement(bv, ext, cert, np.random.default_rng(seed), 1e-6)
             want = loop_agreement(bv, ext, cert, np.random.default_rng(seed), 12)
-            assert abs(report.gap - want) <= 1e-12
+            assert abs(check.value - want) <= 1e-12
 
     def test_one_transform_and_one_extension_call(self, monkeypatch):
         calls = {"transform": [], "extension": []}
@@ -311,10 +340,10 @@ class TestAgreementOneCall:
         monkeypatch.setattr(contour_module, "_eval_extension",
                             spy("extension", contour_module._eval_extension))
         bv, ext = alternating_series(2000)
-        report = extension_agreement(bv, ext, TauberianCertificate(C=math.e, x0=1.0),
-                                     np.random.default_rng(1))
+        _, point = extension_agreement(bv, ext, TauberianCertificate(C=math.e, x0=1.0),
+                                       np.random.default_rng(1), 1e-6)
         assert calls == {"transform": [12], "extension": [12]}
-        assert report.points == 12
+        assert point.z.size == 12
 
 
 class TestContourDump:
@@ -356,5 +385,5 @@ class TestContourDump:
             mags = np.asarray([r[4] for r in term_rows])
             # the two reductions multiply |dz|, |g| and ||F|| in different orders
             assert np.sum(weights * mags) / (2 * math.pi) == pytest.approx(
-                bound.measured, rel=1e-13, abs=0.0)
+                bound.value, rel=1e-13, abs=0.0)
         assert start == len(rows) == ev.total_nodes

@@ -214,14 +214,14 @@ class TestTauberianConditionForInstances:
                                    quad_tol=1e-12)[0]
         assert report.passed()
         # the known sharp level: sup of x e^{-xt} sum_{log n < t} n^{x-1} b_n
-        assert report.grid_sup <= math.e
+        assert report.value <= math.e
 
     def test_bounded_density_sup_at_most_c0(self):
         # dA = a(s) ds with |a| <= c0 = 1: x e^{-xt} int_0^t e^{xs} |a(s)| ds <= 1 - e^{-xt}
         report = check_certificate(exp_density()[0], TauberianCertificate(C=1.0, x0=1.0),
                                    x_grid=np.geomspace(1.0, 30.0, 12))[0]
         assert report.passed()
-        assert report.grid_sup <= 1.0 + 1e-9
+        assert report.value <= 1.0 + 1e-9
 
 
 class TestBoundedDensityInstances:
@@ -240,25 +240,25 @@ class TestAdmissibility:
         # bound fails around |y| = 1
         ext = RationalExtension((0.0, 1.0), (1.0, 0.0, 1.0))
         report = check_admissibility(ext, GrowthBound("constant", 2.0))
-        assert report.grid_sup > 0.0
+        assert report.value > 0.0
         assert abs(abs(report.witness_t) - 1.0) <= 0.1
 
     def test_decaying_exp_extension_is_admissible(self):
         # 1/(1+z) is bounded by 2 on the whole strip of M = 2 away from -1
         report = check_admissibility(exp_density()[1], GrowthBound("constant", 2.0))
-        assert report.grid_sup <= 0.0
+        assert report.value <= 0.0
         assert "strip depths" in report.note
 
     def test_singular_sample_reported(self):
         ext = RationalExtension((1.0,), (0.0, 1.0))  # 1/z singular at 0
         report = check_admissibility(ext, GrowthBound("constant", 2.0))
-        assert math.isinf(report.grid_sup)
+        assert math.isinf(report.value)
         assert "singular" in report.note
 
     def test_eta_shift_admissible_after_calibration(self):
         # the affine c = 1.25 of dirichlet_alternating.json holds on the default window
         report = check_admissibility(EtaShiftExtension(), GrowthBound("affine", 1.25))
-        assert report.grid_sup <= 0.0
+        assert report.value <= 0.0
 
 
 

@@ -18,10 +18,12 @@ which writes every gallery command's exact stdout, exit code and stderr
 (without the sidecar's ``generated_at`` line) into DIR, with each contour
 command's ``--dump`` table beside them, and then the same for every command
 of the benchmark workloads (``perfbench/workloads.py``) at seeds 1, 7 and 23;
-then compare with ``diff -r``.  The workloads run with DIR as the working
-directory and write their problem files and dumps under the relative path
-``workloads/<workload>/<seed>/``, so the sidecar's ``"problem"`` path is the
-same for every DIR.
+and then each run of ``FAILURE_RUNS``, which exit 1; then compare with
+``diff -r``.  The workloads run with DIR as the working directory and write
+their problem files and dumps under the relative path
+``workloads/<workload>/<seed>/``, and the failure runs theirs and their outputs
+under ``failures/``, so the sidecar's ``"problem"`` path is the same for every
+DIR.
 
 For the code-line counts that CHANGES.md and ROADMAP.md quote, run
 
@@ -54,6 +56,7 @@ from click.testing import CliRunner
 from tauberian_lab.cli import main
 
 EXPECTED = Path(__file__).with_name("gallery_expected.json")
+PROBLEMS = Path(__file__).parents[1] / "problems"
 WORKLOADS = Path(__file__).parents[1] / "perfbench" / "workloads.py"
 SPANS = WORKLOADS.with_name("spans.py")
 WORKLOAD_SEEDS = (1, 7, 23)
@@ -78,6 +81,21 @@ def _commands() -> dict[str, list[str]]:
     # the only gallery problem in the sup norm, which also norms the reversed tail rows
     commands["verify periodic_sup"] = ["verify", "--problem", "problems/periodic_sup.json"]
     return commands
+
+
+# runs that exit 1, one per verdict path of verify, contour and dirichlet: {name: (command,
+# gallery problem, {block: {field: value}} changed in it, arguments after --problem)}; only
+# --outputs runs them, so the gallery expectations and UNREACHED leave them out
+FAILURE_RUNS = {
+    "verify_C_0.01": ("verify", "exp_density", {"certificate": {"C": 0.01}}, []),
+    "contour_residual_tol_0": ("contour", "exp_density", {},
+                               ["--t-grid", "1:5:3", "--residual-tol", "0"]),
+    "contour_agreement_tol_0": ("contour", "exp_density", {}, ["--agreement-tol", "0"]),
+    "contour_C_0.01": ("contour", "exp_density", {"certificate": {"C": 0.01}},
+                       ["--t-grid", "1:5:3"]),
+    "dirichlet_f0_100": ("dirichlet", "dirichlet_alternating", {"dirichlet": {"f0": [100.0]}},
+                         []),
+}
 
 
 def run_gallery() -> dict[str, dict]:
@@ -125,7 +143,8 @@ def _write_run(directory: Path, stem: str, args) -> None:
 
 def write_outputs(directory: Path) -> None:
     """Each gallery command's outputs and contour dump in directory, then each benchmark
-    workload command's at each of WORKLOAD_SEEDS, its files under workloads/<name>/<seed>/."""
+    workload command's at each of WORKLOAD_SEEDS, its files under workloads/<name>/<seed>/,
+    then each failure run's, its problem file and outputs under failures/."""
     directory = directory.resolve()
     directory.mkdir(parents=True, exist_ok=True)
     for name, args in _commands().items():
@@ -137,6 +156,14 @@ def write_outputs(directory: Path) -> None:
                 work.mkdir(parents=True, exist_ok=True)
                 for command in commands(seed, work):
                     _write_run(Path(), f"{name}_{seed}_{command.label}", command.args)
+        for name, (command, problem, changes, args) in FAILURE_RUNS.items():
+            data = json.loads((PROBLEMS / f"{problem}.json").read_text())
+            for block, fields in changes.items():
+                data[block].update(fields)
+            path = Path("failures", f"{name}.json")
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(json.dumps(data, indent=1) + "\n")
+            _write_run(path.parent, name, [command, "--problem", str(path), *args])
 
 
 def _number(cell: str) -> float | None:
@@ -187,6 +214,7 @@ def test_outputs_mode_writes_each_command(tmp_path, monkeypatch):
               if name in ("rate rate_constant_growth", "contour exp_density")}
     monkeypatch.setattr(sys.modules[__name__], "_commands", lambda: subset)
     monkeypatch.setattr(sys.modules[__name__], "_workloads", dict)
+    monkeypatch.setattr(sys.modules[__name__], "FAILURE_RUNS", {})
     write_outputs(tmp_path / "out")
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "contour_exp_density.csv", "contour_exp_density.dump.csv", "contour_exp_density.exit",
@@ -207,6 +235,7 @@ def test_outputs_mode_writes_each_workload_command(tmp_path, monkeypatch):
     monkeypatch.setattr(module, "_commands", dict)
     monkeypatch.setattr(module, "_workloads", lambda: {"jumps-contour": jumps_contour})
     monkeypatch.setattr(module, "WORKLOAD_SEEDS", (7,))
+    monkeypatch.setattr(module, "FAILURE_RUNS", {})
     trees = []
     for out in (tmp_path / "a", tmp_path / "deeper" / "b"):
         write_outputs(out)
@@ -228,6 +257,27 @@ def test_outputs_mode_writes_each_workload_command(tmp_path, monkeypatch):
         b"piece,s_param,re z,im z,|integrand|\n")
 
 
+def test_outputs_mode_writes_each_failure_run(tmp_path, monkeypatch):
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "_commands", dict)
+    monkeypatch.setattr(module, "_workloads", dict)
+    monkeypatch.setattr(module, "FAILURE_RUNS", {
+        name: FAILURE_RUNS[name] for name in ("contour_agreement_tol_0", "contour_C_0.01")})
+    write_outputs(tmp_path / "out")
+    failures = tmp_path / "out" / "failures"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["failures"]
+    assert sorted(p.name for p in failures.iterdir()) == [
+        f"{name}.{ext}" for name in ("contour_C_0.01", "contour_agreement_tol_0")
+        for ext in ("csv", "exit", "json", "stderr")]
+    problem = json.loads((failures / "contour_C_0.01.json").read_text())
+    assert problem["certificate"] == {"C": 0.01, "x0": 1.0, "T": 0.0}
+    for name in ("contour_C_0.01", "contour_agreement_tol_0"):
+        assert (failures / f"{name}.exit").read_text() == "1\n"
+        stderr = (failures / f"{name}.stderr").read_text()
+        assert f'"problem": "failures/{name}.json"' in stderr
+        assert "generated_at" not in stderr
+
+
 PACKAGE = Path(__file__).parents[1] / "src" / "tauberian_lab"
 _LIBRARY_CONSTRUCTOR = "library constructor that hides the (n, d) jump layout"
 # "module.qualname" of every package function that no gallery command enters, and why it stays
@@ -237,6 +287,7 @@ UNREACHED = {
     "contour.ContourBudgetError.__init__": "error path: a contour needs too many nodes",
     "transform.TruncationCapError.__init__": "error path: no truncation point within the cap",
     "cli._input_error": "error path: a bad command-line value exits 2",
+    "cli._contour_failure": "error path: names a contour check that fails, for exit 1",
     "problems._fail": "error path: a malformed problem file exits 2",
     "verify._span": "error path: names the grids when the ratio condition checks nothing",
     "growth.at_index": "error path: tags a batch entry's failure with its position",
