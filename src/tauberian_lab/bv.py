@@ -117,7 +117,7 @@ that its node arrays stay bounded however many intervals it is given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -261,13 +261,6 @@ class DensityPiece:
         return np.asarray(self.scale, dtype=complex)
 
 
-def _as_size_array(value, dimension: int | None) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=complex))
-    if dimension is not None and arr.shape != (dimension,):
-        raise ValueError(f"value of dimension {arr.shape} where ({dimension},) expected")
-    return arr
-
-
 @dataclass(frozen=True)
 class BVFunction:
     """Locally-BV integrator: sorted jumps plus preset density pieces."""
@@ -285,8 +278,6 @@ class BVFunction:
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
         times = np.asarray(self.jump_times, dtype=float)
         sizes = np.asarray(self.jump_sizes, dtype=complex)
-        if sizes.ndim == 1:
-            sizes = sizes.reshape(-1, 1)
         if times.ndim != 1 or sizes.shape != (times.size, self.dimension):
             raise ValueError("jump arrays must be (n,) times with (n, dimension) sizes")
         if times.size:
@@ -305,42 +296,6 @@ class BVFunction:
         object.__setattr__(self, "jump_sizes", sizes)
         object.__setattr__(self, "pieces", tuple(self.pieces))
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_jumps(cls, jumps, dimension: int | None = None, norm_kind: str = "euclidean",
-                   pieces: tuple[DensityPiece, ...] = ()) -> "BVFunction":
-        jumps = sorted(jumps, key=lambda p: p[0])
-        if dimension is None:
-            if jumps:
-                dimension = _as_size_array(jumps[0][1], None).size
-            elif pieces:
-                dimension = pieces[0].dimension
-            else:
-                dimension = 1
-        times = np.asarray([p[0] for p in jumps], dtype=float)
-        sizes = (np.asarray([_as_size_array(p[1], dimension) for p in jumps], dtype=complex)
-                 if jumps else np.empty((0, dimension), dtype=complex))
-        return cls(dimension, times, sizes, tuple(pieces), norm_kind)
-
-    @classmethod
-    def single_jump(cls, location: float, size=1.0, norm_kind: str = "euclidean") -> "BVFunction":
-        return cls.from_jumps([(location, size)], norm_kind=norm_kind)
-
-    @classmethod
-    def from_density(cls, kind: str, *, start: float = 0.0, end: float = math.inf,
-                     scale=1.0, rate: complex = 0.0, exponent: float = 0.0,
-                     norm_kind: str = "euclidean") -> "BVFunction":
-        sc = tuple(np.atleast_1d(np.asarray(scale, dtype=complex)))
-        piece = DensityPiece(start, end, kind, sc, rate, exponent)
-        return cls(len(sc), np.empty(0), np.empty((0, len(sc)), dtype=complex), (piece,), norm_kind)
-
-    @classmethod
-    def zero(cls, dimension: int = 1, norm_kind: str = "euclidean") -> "BVFunction":
-        return cls(dimension, np.empty(0), np.empty((0, dimension), dtype=complex), (), norm_kind)
-
-    # -- basic queries ---------------------------------------------------------
-
     def _jumps_before(self, t: float) -> int:
         return int(np.searchsorted(self.jump_times, t, side="left"))
 
@@ -348,36 +303,19 @@ class BVFunction:
         """Cumulative (d,) value at t (left-continuous; value_at(0) == 0)."""
         return stieltjes_integral(self, 0.0, t, quad_tol)
 
-    def total_variation(self, t: float, quad_tol: float = 1e-12) -> float:
-        """Total variation of the cumulative value over [0, t).
-
-        Density pieces count piece by piece, so where pieces overlap the
-        result is an upper bound (triangle inequality).
-        """
-        def modulus_integral(piece, lo, hi):
-            if not math.isfinite(hi):
-                raise ValueError("total_variation over an unbounded range; pass a finite t")
-            # |base| is the base of the same piece with the real part of its rate
-            modulus = replace(piece, rate=complex(piece.rate).real)
-            return _piece_integrals(modulus, lambda s, owner: np.zeros_like(s), [0.0],
-                                    [lo], [hi], quad_tol)[0].real
-
-        return self._variation(t, modulus_integral)
-
     def variation_bound(self, t: float) -> float:
-        """An upper bound on total_variation(t), from closed forms alone (no quadrature).
+        """An upper bound on the total variation over [0, t), from closed forms alone.
 
-        Each density piece takes _base_modulus_bound: int |base| in closed form
-        for constant, exponential and power pieces, sup |base| times the length
-        for damped_power.  The sum is rounded up by a relative _ROUND_UP, far
-        more than the few ulps of each closed form, so it also bounds the
-        rounded quadrature of total_variation.  A bound that overflows is inf.
+        The jump norms over [0, t) plus, for each density piece clipped to
+        [lo, hi) within [0, t), ||scale|| _base_modulus_bound(piece, lo, hi):
+        int |base| in closed form for constant, exponential and power pieces,
+        sup |base| times the length for damped_power.  vector_norm gives every
+        norm, and density pieces count piece by piece, so where pieces overlap
+        the triangle inequality holds the sum above.  The sum is rounded up by
+        a relative _ROUND_UP, far more than the few ulps of each closed form,
+        so it also bounds a rounded quadrature of the variation.  A bound that
+        overflows is inf.
         """
-        return self._variation(t, _base_modulus_bound) * (1.0 + _ROUND_UP)
-
-    def _variation(self, t: float, base_integral) -> float:
-        """The jump norms over [0, t) plus, for each density piece clipped to [lo, hi)
-        within [0, t), ||scale|| base_integral(piece, lo, hi); vector_norm gives every norm."""
         _refuse_nan(t)
         if t <= 0:
             return 0.0
@@ -386,8 +324,8 @@ class BVFunction:
             lo, hi = piece.start, min(piece.end, t)
             amp = float(vector_norm(piece.scale_array(), self.norm_kind))
             if hi > lo and amp:
-                tv += amp * base_integral(piece, lo, hi)
-        return tv
+                tv += amp * _base_modulus_bound(piece, lo, hi)
+        return tv * (1.0 + _ROUND_UP)
 
 
 def _base_modulus_bound(piece: DensityPiece, lo: float, hi: float) -> float:

@@ -95,6 +95,16 @@ def _tolerance(ctx, param, value: float) -> float:
     return value
 
 
+def _contour_setting(ctx, param, value: float) -> float:
+    """Click callback of --radius and --density: build_contour's check of the value, so that
+    a bad one exits 2 naming the option, not a time."""
+    if param.name == "radius" and not (value >= 1.0 and math.isfinite(value)):
+        raise click.BadParameter(f"contour radius must be finite and >= 1, not {value!r}")
+    if param.name == "density" and not (value > 0 and math.isfinite(value)):
+        raise click.BadParameter(f"density multiplier must be positive and finite, not {value!r}")
+    return value
+
+
 def _load(problem_path: str, *blocks: str) -> tuple:
     """The problem and each named block of it; exit 2 if one is missing or the file is bad."""
     try:
@@ -222,8 +232,9 @@ def verify(problem_path, t_grid_spec, x_grid_spec, quad_tol, out):
               help="Problem file with 'extension' and 'growth' blocks.")
 @click.option("--t-grid", "t_grid_spec", default="5:5:1", show_default=True,
               help="Times, one contour evaluation per t.")
-@click.option("--radius", default=2.0, show_default=True, help="Contour radius R >= 1.")
-@click.option("--density", default=1.0, show_default=True,
+@click.option("--radius", default=2.0, show_default=True, callback=_contour_setting,
+              help="Contour radius R >= 1.")
+@click.option("--density", default=1.0, show_default=True, callback=_contour_setting,
               help="Quadrature density multiplier.")
 @click.option("--quad-tol", default=1e-12, show_default=True, callback=_tolerance,
               help="Quadrature tolerance.")

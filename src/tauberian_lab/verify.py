@@ -163,9 +163,11 @@ def _ratio_masks(cert: TauberianCertificate, t_grid: np.ndarray,
     if not np.all(np.isfinite(x_grid)):
         raise ValueError(f"x grid must hold finite abscissas; it holds "
                          f"{x_grid[~np.isfinite(x_grid)][0]:g}")
-    x_grid = x_grid[x_grid >= cert.x0 * (1.0 - 1e-12)]
-    if x_grid.size == 0:
-        raise ValueError("x grid is empty after applying the certificate abscissa x0")
+    above = x_grid >= cert.x0 * (1.0 - 1e-12)
+    if not above.any():
+        raise ValueError(f"x grid {_span(x_grid)} holds no abscissa at or above the "
+                         f"certificate's x0 = {cert.x0:g}")
+    x_grid = x_grid[above]
     rule_vals = np.asarray(cert.R_rule(t_grid), dtype=float)
     masks = (t_grid > cert.T) & (rule_vals >= x_grid[:, None])
     live = np.flatnonzero(masks.any(axis=1))
@@ -231,6 +233,9 @@ def check_certificate(bv: BVFunction, cert: TauberianCertificate,
     """
     t_grid = make_t_grid(bv)[0] if t_grid is None else np.asarray(t_grid, dtype=float)
     x0, C, y = cert.x0, cert.C / cert.x0, 2.0 * cert.x0
+    if not x0 * 1e-2 > 0:
+        raise ValueError(f"certificate x0 = {x0:g} leaves no small-x grid [x0/100, x0]: "
+                         f"x0/100 rounds to 0")
     small = make_x_grid(x0 * 1e-2, x0, 16)
     # the largest bounds: the tail's c (3 + 2) tops both lines, and the small-x bound c x0 / x
     # is largest at x0 / 100

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from tauberian_lab import oracles
 from tauberian_lab import verify
-from tauberian_lab.bv import BVFunction, stieltjes_integral, weighted_partial_grid, weighted_tail_grid
+from tauberian_lab.bv import stieltjes_integral, weighted_partial_grid, weighted_tail_grid
 from tauberian_lab.cli import main as cli_main
 from tauberian_lab.contour import (EtaShiftExtension, cauchy_identity_report, evaluate_contour,
                                    term_bounds)
@@ -26,7 +26,7 @@ from tauberian_lab.vectors import vector_norm
 from tauberian_lab.verify import check_certificate, make_t_grid
 
 from exact import (GROWTH_PRESETS, alternating_partial_sum, derived_term_bounds, exp_density,
-                   exp_partial, named_rule)
+                   exp_partial, jump_integrator, named_rule)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -45,7 +45,7 @@ def test_01_quadrature_matches_closed_forms(rng):
         tau = rng.uniform(0.2, 4.0)
         size = (1.0 + rng.uniform(0.0, 1.0)) * np.exp(2j * np.pi * rng.uniform())
         z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-3.0, 3.0))
-        bv = BVFunction.single_jump(tau, size)
+        bv = jump_integrator([(tau, size)])
         got = stieltjes_integral(bv, z, tau + rng.uniform(0.1, 2.0),
                                  quad_tol=1e-12)[0]
         want = np.exp(z * tau) * size
@@ -62,7 +62,7 @@ def test_01_quadrature_matches_closed_forms(rng):
     for _ in range(16):  # finite coefficient block: sum of b_n n^{z-1}
         n = np.arange(1, 31)
         b = rng.uniform(0.5, 1.5, n.size)
-        bv = BVFunction.from_jumps(list(zip(np.log(n), b / n)))
+        bv = jump_integrator(list(zip(np.log(n), b / n)))
         z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-3.0, 3.0))
         t = rng.uniform(1.0, 3.4)
         got = stieltjes_integral(bv, z, t, quad_tol=1e-12)[0]
@@ -77,7 +77,7 @@ def test_01_quadrature_matches_closed_forms(rng):
 def test_02_delayed_step_reproduction():
     """Ratio closed form, grid sup at 1, the large-x excess, and the restart."""
     T0 = 1.0
-    bv = BVFunction.single_jump(T0)
+    bv = jump_integrator([(T0, 1.0)])
     worst = 0.0
     for x in (0.5, 1.0, 4.0):
         ts = np.asarray([0.2, 0.9, 1.1, 2.0, 5.0])
@@ -112,7 +112,7 @@ def test_03_line_tail_smallx_bounds():
     """Line, tail, and small-x margins >= -1e-9*bound over three families."""
     alt, _ = build_instance(named_rule("alternating"), n_max=10**5)
     families = [
-        ("step", BVFunction.single_jump(1.0), lambda x: 1.0, 1.0),
+        ("step", jump_integrator([(1.0, 1.0)]), lambda x: 1.0, 1.0),
         ("exp_density", exp_density()[0], lambda x: 1.0, 1.0),
         ("alternating", alt, lambda x: math.e / x, math.e),
     ]

@@ -275,6 +275,23 @@ class TestVerify:
                                   "inf; every bound must be finite\n")
         assert res.stdout == ""
 
+    def test_x0_without_a_small_x_grid_is_named(self, tmp_path):
+        # x0 / 100 rounds to 0, and the small-x grid was refused as "x grid needs 0 < x_min
+        # <= x_max", naming neither x0 nor that grid
+        problem = gallery_variant(tmp_path, "exp_density", "certificate", x0=1e-323, C=1e-300)
+        res = run("verify", "--problem", problem)
+        assert res.exit_code == 2
+        assert stderr_of(res) == ("error: certificate x0 = 9.88131e-324 leaves no small-x grid "
+                                  "[x0/100, x0]: x0/100 rounds to 0\n")
+        assert res.stdout == ""
+
+    def test_x_grid_below_x0_is_named(self):
+        res = run("verify", "--problem", "problems/exp_density.json", "--x-grid", "0.001:0.5:4")
+        assert res.exit_code == 2
+        assert stderr_of(res) == ("error: x grid [0.001, 0.5] holds no abscissa at or above the "
+                                  "certificate's x0 = 1\n")
+        assert res.stdout == ""
+
     def test_empty_ratio_check_exits_two(self, tmp_path):
         # no grid time lies past T, so the ratio condition checks nothing
         p = tmp_path / "late.json"
@@ -402,12 +419,17 @@ class TestContour:
         ("--density", "nan", "density multiplier must be positive and finite"),
         ("--density", "inf", "density multiplier must be positive and finite"),
         ("--radius", "inf", "contour radius must be finite and >= 1"),
+        ("--radius", "0.5", "contour radius must be finite and >= 1"),
+        ("--density", "0", "density multiplier must be positive and finite"),
     ])
     def test_non_finite_radius_or_density_is_named(self, flag, value, message):
-        # these once reached the panel count as "cannot convert float ... to integer"
+        # these once reached the panel count as "cannot convert float ... to integer", and
+        # then were refused for a time of the grid ("t = 5: ..."), not for the option
         res = run("contour", "--problem", "problems/exp_density.json", flag, value)
         assert res.exit_code == 2
         assert message in stderr_of(res)
+        assert f"Invalid value for '{flag}'" in stderr_of(res)
+        assert "t = " not in stderr_of(res)
 
     @pytest.mark.parametrize("flag, value", [("--radius", "1e308"), ("--density", "1e308"),
                                              ("--t-grid", "1e308:1e308:1")])

@@ -136,7 +136,7 @@ class TestCauchyIdentity:
     def test_zero_instance_numerator(self):
         # A = 0 with extension 0: both sides vanish; the guarded residual
         # denominator must not blow the numerator up
-        bv = BVFunction.zero()
+        bv = BVFunction(1)
         ext = RationalExtension((0.0,), (1.0,))
         assert abs_error(evaluate_contour(bv, ext, M2, 4.0, 2.0), [0.0]) <= 1e-12
 
@@ -266,7 +266,7 @@ class TestExtensions:
         assert ext(np.asarray([0j]))[0] == pytest.approx(eta(1.0), abs=1e-14)
 
     def test_singular_extension_is_named(self):
-        bv = BVFunction.zero()
+        bv = BVFunction(1)
         ext = RationalExtension((1.0,), (0.0, 1.0))  # 1/z, singular at 0
         with pytest.raises(ValueError, match="singular"):
             residual(evaluate_contour(bv, ext, M2, 4.0, 2.0))
@@ -313,7 +313,7 @@ class TestLeftPathExtension:
             return np.where(z.imag < 0.5, np.inf, 1.0 / (z + 1.0))
 
         with pytest.raises(ValueError, match=f"singular near z = {re.escape(str(first))}$"):
-            evaluate_contour(BVFunction.zero(), ext, M2, 4.0, 2.0)
+            evaluate_contour(BVFunction(1), ext, M2, 4.0, 2.0)
 
 
 class TestAgreementOneCall:

@@ -227,7 +227,7 @@ class TestTauberianConditionForInstances:
 class TestBoundedDensityInstances:
     def test_cosine_transform_matches_density(self):
         # int_0^t e^{-zs} cos s ds approaches z/(1+z^2) as t grows; cos s = (e^{is} + e^{-is})/2
-        cosine = BVFunction.from_jumps([], pieces=tuple(
+        cosine = BVFunction(1, pieces=tuple(
             DensityPiece(0.0, math.inf, "exponential", (0.5,), rate) for rate in (1j, -1j)))
         z = 1.3 + 0.0j
         point = improper_laplace(cosine, [z], TauberianCertificate(C=1.0, x0=1.0), target_err=1e-9)

@@ -18,7 +18,7 @@ which writes every gallery command's exact stdout, exit code and stderr
 (without the sidecar's ``generated_at`` line) into DIR, with each contour
 command's ``--dump`` table beside them, and then the same for every command
 of the benchmark workloads (``perfbench/workloads.py``) at seeds 1, 7 and 23;
-and then each run of ``FAILURE_RUNS``, which exit 1; then compare with
+and then each run of ``FAILURE_RUNS``, which exit 1 or 2; then compare with
 ``diff -r``.  The workloads run with DIR as the working directory and write
 their problem files and dumps under the relative path
 ``workloads/<workload>/<seed>/``, and the failure runs theirs and their outputs
@@ -45,6 +45,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tokenize
@@ -83,9 +84,10 @@ def _commands() -> dict[str, list[str]]:
     return commands
 
 
-# runs that exit 1, one per verdict path of verify, contour and dirichlet: {name: (command,
-# gallery problem, {block: {field: value}} changed in it, arguments after --problem)}; only
-# --outputs runs them, so the gallery expectations and UNREACHED leave them out
+# runs that exit 1, one per verdict path of verify, contour and dirichlet, then runs that exit 2
+# on a bad input: {name: (command, gallery problem, {block: {field: value}} changed in it,
+# arguments after --problem)}; only --outputs runs them, so the gallery expectations and
+# UNREACHED leave them out
 FAILURE_RUNS = {
     "verify_C_0.01": ("verify", "exp_density", {"certificate": {"C": 0.01}}, []),
     "contour_residual_tol_0": ("contour", "exp_density", {},
@@ -95,6 +97,15 @@ FAILURE_RUNS = {
                        ["--t-grid", "1:5:3"]),
     "dirichlet_f0_100": ("dirichlet", "dirichlet_alternating", {"dirichlet": {"f0": [100.0]}},
                          []),
+    "verify_x0_1e-323": ("verify", "exp_density", {"certificate": {"x0": 1e-323, "C": 1e-300}},
+                         []),
+    "verify_x_grid_below_x0": ("verify", "exp_density", {}, ["--x-grid", "0.001:0.5:4"]),
+    "verify_C_1e308": ("verify", "exp_density", {"certificate": {"C": 1e308}}, []),
+    "contour_radius_0.5": ("contour", "exp_density", {}, ["--radius", "0.5"]),
+    "contour_density_0": ("contour", "exp_density", {}, ["--density", "0"]),
+    "dirichlet_t_grid_past_log_n_max": ("dirichlet", "dirichlet_alternating", {},
+                                        ["--t-grid", "1:20:3"]),
+    "verify_unknown_key": ("verify", "exp_density", {"certificate": {"D": 1.0}}, []),
 }
 
 
@@ -279,7 +290,6 @@ def test_outputs_mode_writes_each_failure_run(tmp_path, monkeypatch):
 
 
 PACKAGE = Path(__file__).parents[1] / "src" / "tauberian_lab"
-_LIBRARY_CONSTRUCTOR = "library constructor that hides the (n, d) jump layout"
 # "module.qualname" of every package function that no gallery command enters, and why it stays
 UNREACHED = {
     "bv.NonFiniteIntegrandError.__init__": "error path: a sweep meets a non-finite value",
@@ -289,19 +299,19 @@ UNREACHED = {
     "cli._input_error": "error path: a bad command-line value exits 2",
     "cli._contour_failure": "error path: names a contour check that fails, for exit 1",
     "problems._fail": "error path: a malformed problem file exits 2",
-    "verify._span": "error path: names the grids when the ratio condition checks nothing",
+    "verify._span": "error path: names a grid that leaves the ratio condition nothing to check",
     "growth.at_index": "error path: tags a batch entry's failure with its position",
     "dirichlet.read_coefficients": "input path that no gallery problem uses",
-    "bv.BVFunction.total_variation": "quadrature reference for variation_bound's tests",
-    "bv.BVFunction.total_variation.modulus_integral": "nested in total_variation",
-    "bv.BVFunction.from_jumps": _LIBRARY_CONSTRUCTOR,
-    "bv.BVFunction.single_jump": _LIBRARY_CONSTRUCTOR,
-    "bv.BVFunction.from_density": _LIBRARY_CONSTRUCTOR,
-    "bv.BVFunction.zero": _LIBRARY_CONSTRUCTOR,
-    "bv._as_size_array": "the library constructors' jump-size check",
     "verify.check_admissibility": "ROADMAP item 5 wires it into contour and certify",
     "contour.ContourSpec.total_nodes": "perfbench's contour.build span reads it",
 }
+
+
+def test_every_unreached_function_is_an_error_path_an_input_path_or_due():
+    # the package is what a command runs: a listed function is an error path, an input
+    # path no gallery problem takes, or a name an open ROADMAP item or perfbench calls
+    reason = re.compile(r"error path: |input path |ROADMAP item \d+\b|perfbench")
+    assert [name for name, why in UNREACHED.items() if not reason.match(why)] == []
 
 
 def _package_functions() -> dict[tuple[str, int], str]:

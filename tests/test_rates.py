@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from tauberian_lab.bv import BVFunction, weighted_partial_grid, weighted_tail_grid
+from tauberian_lab.bv import weighted_partial_grid, weighted_tail_grid
 from tauberian_lab.growth import CutoffRule, GrowthBound, m_log, m_log_inverse
 from tauberian_lab.rates import (bound_B, decay_rate, k_prime, r_opt, t_prime,
                                  t_prime_second_term_clamped)
 from tauberian_lab.transform import TauberianCertificate, improper_laplace
+
+from exact import jump_integrator
 
 
 CONST2 = GrowthBound("constant", 2.0)
@@ -177,11 +179,11 @@ class TestRateGrid:
 
 
 BATCH_ENTRIES = {
-    "weighted_partial_grid": lambda z: weighted_partial_grid(BVFunction.single_jump(1.0), z,
+    "weighted_partial_grid": lambda z: weighted_partial_grid(jump_integrator([(1.0, 1.0)]), z,
                                                              [0.0, 2.0]),
-    "weighted_tail_grid": lambda z: weighted_tail_grid(BVFunction.single_jump(1.0), z,
+    "weighted_tail_grid": lambda z: weighted_tail_grid(jump_integrator([(1.0, 1.0)]), z,
                                                        [0.0, 2.0], 3.0),
-    "improper_laplace": lambda z: improper_laplace(BVFunction.single_jump(1.0), z, cert()),
+    "improper_laplace": lambda z: improper_laplace(jump_integrator([(1.0, 1.0)]), z, cert()),
     "r_opt": lambda t: r_opt(cert(), CONST2, t),
     "decay_rate": lambda t: decay_rate(cert(), CONST2, t),
     "m_log_inverse": lambda y: m_log_inverse(CONST2, 1.0, y),

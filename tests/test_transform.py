@@ -15,11 +15,12 @@ from tauberian_lab.transform import TauberianCertificate, TruncationCapError, im
 from tauberian_lab.vectors import vector_norm
 from tauberian_lab.verify import check_certificate
 
-from exact import alternating_series, draw_pieces, draw_sizes, exp_density, exp_partial
+from exact import (alternating_series, density_integrator, draw_pieces, draw_sizes, exp_density,
+                   exp_partial, jump_integrator, total_variation)
 
 
 def test_finite_laplace_single_jump(rng):
-    bv = BVFunction.single_jump(2.0, 1.0)
+    bv = jump_integrator([(2.0, 1.0)])
     for _ in range(20):
         z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-6.0, 6.0))
         t = rng.uniform(0.1, 10.0)
@@ -28,7 +29,7 @@ def test_finite_laplace_single_jump(rng):
 
 
 def test_finite_laplace_exp_density(rng):
-    bv = BVFunction.from_density("exponential", rate=-0.5)
+    bv = density_integrator("exponential", rate=-0.5)
     for _ in range(20):
         z = complex(rng.uniform(-1.0, 2.0), rng.uniform(-4.0, 4.0))
         t = rng.uniform(0.2, 6.0)
@@ -39,13 +40,13 @@ def test_finite_laplace_exp_density(rng):
 
 def test_finite_laplace_at_zero_is_value():
     # f_t(0) recovers A(t)
-    bv = BVFunction.from_jumps([(0.5, 1.0), (1.5, -0.25)])
+    bv = jump_integrator([(0.5, 1.0), (1.5, -0.25)])
     assert stieltjes_integral(bv, 0.0, 2.0)[0] == pytest.approx(0.75, rel=1e-14)
 
 
 def test_conjugate_symmetry(rng):
     # real integrator: f(conj z) = conj f(z)
-    bv = BVFunction.from_jumps(
+    bv = jump_integrator(
         [(0.3, 1.0), (1.7, -0.6)],
         pieces=(),
     )
@@ -120,7 +121,7 @@ class TestImproper:
         # read C (3 + |y|/x), without the 1/x of the line constant C/x: at x0 = 0.1
         # and z = 0.3 it certified 1.000e-08 where the true error is 1.111e-08
         z = np.asarray([complex(x, y) for x in (0.3, 0.7, 1.0, 2.0) for y in (0.0, 2.0)])
-        point = improper_laplace(BVFunction.from_density("constant"), z,
+        point = improper_laplace(density_integrator("constant"), z,
                                  TauberianCertificate(C=1.0, x0=x0, R_rule=cutoff),
                                  target_err=1e-8)
         assert np.all(np.abs(point.value[:, 0] - 1.0 / z) <= point.truncation_bound)
@@ -131,7 +132,7 @@ class TestImproper:
         # after tau), and every check of verify passes; above the cutoff sup_t ||G(x, t)|| = 1,
         # far above C/x.  With C/x the tail bound at z = 4 once stopped at t* = 4.533, short of
         # the jump at 4.54: it certified 1e-8 where the true error e^{-18.16} is 1.3e-8
-        bv = BVFunction.single_jump(tau)
+        bv = jump_integrator([(tau, 1.0)])
         cert = TauberianCertificate(C=1.0, x0=1.0, R_rule=CutoffRule("constant", 1.0))
         assert all(report.passed() for report in check_certificate(bv, cert))
         z = np.asarray([complex(x, y) for x in (1.5, 2.0, 4.0, 8.0, 17.0) for y in (0.0, 2.0)])
@@ -153,7 +154,7 @@ def array_cases(draw):
     cert = TauberianCertificate(C=draw(st.floats(0.5, 3.0)), x0=1.0,
                                 T=draw(st.sampled_from((0.0, 25.0)) | st.floats(0.0, 10.0)))
     target = draw(st.sampled_from((1e-2, 1e-5, 1e-9)))
-    t_stars = improper_laplace(BVFunction.zero(2), np.asarray(z, dtype=complex), cert,
+    t_stars = improper_laplace(jump_integrator([], 2), np.asarray(z, dtype=complex), cert,
                                target).t_star.tolist()
     lo, hi = (min(t_stars), max(t_stars)) if t_stars else (0.0, 1.0)
     kind = draw(st.sampled_from(("jumps", "densities", "mixture")))
@@ -188,13 +189,13 @@ def test_array_transform_matches_the_dense_reference(case):
         assert got.t_star[i] == one.t_star[0]
         assert got.truncation_bound[i] == one.truncation_bound[0]
         want = stieltjes_integral(bv, -zi, one.t_star[0], 1e-12)
-        floor = 1e-15 * bv.total_variation(one.t_star[0])
+        floor = 1e-15 * total_variation(bv, one.t_star[0])
         gap = float(vector_norm(got.value[i] - want))
         assert gap <= 1e-12 * float(vector_norm(want)) + floor
 
 
 def test_transform_of_no_points():
-    bv = BVFunction.from_jumps([(0.5, 1.0)])
+    bv = jump_integrator([(0.5, 1.0)])
     point = improper_laplace(bv, np.zeros(0, dtype=complex), TauberianCertificate(C=1.0, x0=1.0))
     assert point.value.shape == (0, 1)
     assert point.t_star.shape == point.truncation_bound.shape == (0,)

@@ -25,12 +25,12 @@ from tauberian_lab.vectors import vector_norm
 from tauberian_lab.verify import Check, check_certificate, make_t_grid, make_x_grid
 
 from exact import (draw_pieces, draw_sizes, exp_density, full_sweep_certificate, full_sweep_sups,
-                   hybrid_grid)
+                   hybrid_grid, jump_integrator)
 
 
 class TestGrids:
     def test_t_grid_refines_after_jumps(self):
-        bv = BVFunction.single_jump(1.0)
+        bv = jump_integrator([(1.0, 1.0)])
         grid, described = make_t_grid(bv)
         assert "1 jumps refined" in described
         just_after = grid[(grid > 1.0) & (grid < 1.01)]
@@ -40,9 +40,9 @@ class TestGrids:
         assert np.array_equal(grid, hybrid_grid(bv, 50.0))
 
     def test_t_grid_refines_the_first_128_jumps(self):
-        grid, described = make_t_grid(BVFunction.from_jumps([(0.2 * k, 1.0) for k in range(200)]))
+        grid, described = make_t_grid(jump_integrator([(0.2 * k, 1.0) for k in range(200)]))
         assert "128 jumps refined" in described
-        first = BVFunction.from_jumps([(0.2 * k, 1.0) for k in range(128)])
+        first = jump_integrator([(0.2 * k, 1.0) for k in range(128)])
         assert np.array_equal(grid, hybrid_grid(first, 50.0))
 
     def test_x_grid(self):
@@ -58,7 +58,7 @@ class TestDelayedStep:
     """The unit jump at T = 1: ||G(x, t)|| is 0 for t <= T and e^{x(T-t)} after."""
 
     def test_ratio_closed_form(self):
-        got = np.abs(weighted_partial_grid(BVFunction.single_jump(1.0), [2.0],
+        got = np.abs(weighted_partial_grid(jump_integrator([(1.0, 1.0)]), [2.0],
                                            np.asarray([0.5, 1.0, 2.0]), 1e-12)[0, :, 0])
         assert got[0] == got[1] == 0.0
         assert abs(got[2] - math.exp(2.0 * (1.0 - 2.0))) <= 1e-12
@@ -66,7 +66,7 @@ class TestDelayedStep:
     def test_sup_is_one_for_every_x(self):
         # sup over t of the ratio is 1, attained as t decreases to T; every
         # grid point matches the closed form
-        step = BVFunction.single_jump(1.0)
+        step = jump_integrator([(1.0, 1.0)])
         grid = hybrid_grid(step, 6.0)
         for x in (0.5, 1.0, 4.0):
             got = np.abs(weighted_partial_grid(step, [x], grid)[0, :, 0])
@@ -77,7 +77,7 @@ class TestDelayedStep:
     def test_violation_scales_like_one_over_x(self):
         # at x = 4 the sup (= 1) exceeds 1/x = 0.25: no constant bound C/x
         # with C < 1 can hold through the jump
-        step = BVFunction.single_jump(1.0)
+        step = jump_integrator([(1.0, 1.0)])
         grid = hybrid_grid(step, 6.0)
         assert np.abs(weighted_partial_grid(step, [4.0], grid)).max() > 1.0 / 4.0
 
@@ -87,12 +87,13 @@ class TestDelayedStep:
         x = 4.0
         t0 = 1.0 + math.log(x) / x + 1.0
         ts = np.linspace(t0, t0 + 10.0, 200)
-        assert np.abs(weighted_partial_grid(BVFunction.single_jump(1.0), [x], ts)).max() < 1.0 / x
+        step = jump_integrator([(1.0, 1.0)])
+        assert np.abs(weighted_partial_grid(step, [x], ts)).max() < 1.0 / x
 
 
 class TestCheckTauberian:
     def test_step_with_cutoff_passes(self):
-        bv = BVFunction.single_jump(1.0)
+        bv = jump_integrator([(1.0, 1.0)])
         cert = TauberianCertificate(C=1.0, x0=1.0, R_rule=CutoffRule("constant", 1.0))
         report = check_certificate(bv, cert, quad_tol=1e-12)[0]
         assert report.passed()
@@ -100,7 +101,7 @@ class TestCheckTauberian:
         assert report.witness_t == pytest.approx(1.0, abs=2e-3)
 
     def test_zero_integrator(self):
-        bv = BVFunction.zero()
+        bv = BVFunction(1)
         cert = TauberianCertificate(C=1.0, x0=1.0)
         report = check_certificate(bv, cert)[0]
         assert report.value == 0.0
@@ -109,7 +110,7 @@ class TestCheckTauberian:
     def test_empty_ratio_check_is_refused(self):
         # T = 100 lies past the default grid's t_max = 50, so no (t, x) pair is
         # checked; the parent reported grid_sup -inf with margin inf, a PASS
-        bv = BVFunction.single_jump(1.0, 5.0)
+        bv = jump_integrator([(1.0, 5.0)])
         cert = TauberianCertificate(C=1.0, x0=1.0, T=100.0)
         with pytest.raises(ValueError, match=r"T = 100.*t in \[0, 50\].*x in \[1, 1000\]"):
             check_certificate(bv, cert)
@@ -121,7 +122,7 @@ class TestCheckTauberian:
         # grid_sup nan with a RuntimeWarning
         cert = TauberianCertificate(C=1.0, x0=1.0)
         with pytest.raises(ValueError, match="x grid must hold finite abscissas"):
-            check(BVFunction.single_jump(1.0), cert, x_grid=np.asarray(x_grid))
+            check(jump_integrator([(1.0, 1.0)]), cert, x_grid=np.asarray(x_grid))
 
     def test_exp_density_bounded_by_one(self):
         # x e^{-xt} int_0^t e^{(x-1)s} ds <= x/(x... stays below 1 for x >= 1
@@ -159,7 +160,7 @@ class TestCheckTauberian:
                                      "every bound must be finite")
 
     def test_failing_certificate_reports_negative_margin(self):
-        bv = BVFunction.single_jump(1.0)
+        bv = jump_integrator([(1.0, 1.0)])
         cert = TauberianCertificate(C=0.5, x0=1.0, R_rule=CutoffRule("constant", 1.0))
         report = check_certificate(bv, cert, quad_tol=1e-12)[0]
         assert not report.passed()
@@ -178,7 +179,7 @@ class TestCheckTauberian:
     def test_grid_refinement_stability_jump(self):
         # for jump instances the per-jump geometric cluster carries the sup,
         # so stability holds even at large x
-        bv = BVFunction.single_jump(1.0)
+        bv = jump_integrator([(1.0, 1.0)])
         cert = TauberianCertificate(C=1.0, x0=1.0, R_rule=CutoffRule("constant", 50.0))
         coarse_t, fine_t = hybrid_grid(bv, 10.0), hybrid_grid(bv, 10.0, 1024, 128)
         xs = np.geomspace(1.0, 50.0, 8)
@@ -205,7 +206,7 @@ class TestLineTailSmallX:
     def test_line_bound_step(self):
         # unscaled hypothesis sup_t |e^{-xt} int e^{xs} dA| <= 1 holds for the
         # step; the vertical-line value obeys C (1 + |y|/x)
-        bv = BVFunction.single_jump(1.0)
+        bv = jump_integrator([(1.0, 1.0)])
         for x0 in (0.5, 1.0):
             reports = check_certificate(bv, TauberianCertificate(C=x0, x0=x0), quad_tol=1e-12)
             for rep, y in zip(reports[1:3], (0.0, 2.0 * x0)):
@@ -214,15 +215,15 @@ class TestLineTailSmallX:
         assert line_sup(bv, 1.0 + 10.0j, make_t_grid(bv)[0]) <= 11.0
 
     def test_line_bound_flags_broken_hypothesis(self):
-        rep = check_certificate(BVFunction.single_jump(1.0), TauberianCertificate(C=0.5, x0=1.0),
-                                quad_tol=1e-12)[2]
+        rep = check_certificate(jump_integrator([(1.0, 1.0)]),
+                                TauberianCertificate(C=0.5, x0=1.0), quad_tol=1e-12)[2]
         assert rep.case_id == "line_bound_x1_y2"
         assert rep.hypothesis_failed
         assert not rep.passed()
         assert "hypothesis" in rep.note
 
     def test_tail_bound_step(self):
-        bv = BVFunction.single_jump(1.0)
+        bv = jump_integrator([(1.0, 1.0)])
         for x0 in (0.5, 1.0):
             rep = check_certificate(bv, TauberianCertificate(C=x0, x0=x0), quad_tol=1e-12)[3]
             assert rep.passed(), rep
@@ -251,7 +252,7 @@ class TestLineTailSmallX:
         assert np.min(np.abs(ties - rep.witness_t)) <= 1e-12
 
     def test_small_x_bound(self):
-        bv = BVFunction.single_jump(1.0)
+        bv = jump_integrator([(1.0, 1.0)])
         rep = check_certificate(bv, TauberianCertificate(C=1.0, x0=1.0), quad_tol=1e-12)[4]
         assert rep.case_id == "small_x_bound"
         assert rep.passed()
@@ -282,7 +283,8 @@ class TestSweepReuse:
 
     def test_line_bound_on_the_real_axis_is_its_own_hypothesis(self, sweeps):
         # the line y = 0 and the ratio hypothesis read the one sweep of x0
-        reports = check_certificate(BVFunction.single_jump(1.0), TauberianCertificate(C=2.0, x0=2.0))
+        reports = check_certificate(jump_integrator([(1.0, 1.0)]),
+                                    TauberianCertificate(C=2.0, x0=2.0))
         assert [z for _, z in sweeps].count(2.0) == 1
         assert reports[1].case_id == "line_bound_x2_y0"
         assert not reports[1].hypothesis_failed
@@ -292,7 +294,7 @@ class TestSweepReuse:
         # of the 16 small-x points, those with 2/x - 1 > 1 (variation 1, c = 1) are
         # settled unswept, so x = 1.08, 1.47, 2 and x0 + 2i x0 take 4 partial sweeps
         cert = TauberianCertificate(C=2.0, x0=2.0)
-        rep = check_certificate(BVFunction.single_jump(1.0), cert, x_grid=np.asarray([2.0]))[4]
+        rep = check_certificate(jump_integrator([(1.0, 1.0)]), cert, x_grid=np.asarray([2.0]))[4]
         assert make_x_grid(2e-2, 2.0, 16)[-1] == 2.0
         partial = [z for name, z in sweeps if name == "weighted_partial_grid"]
         assert len(partial) == len(set(partial)) == 4
@@ -371,7 +373,7 @@ class TestSweepReuse:
     def test_ratio_condition_sweeps_only_abscissas_it_checks(self, spy):
         # R(t) = 1 leaves x = 2 and x = 4 without a time to check
         cert = TauberianCertificate(C=1.0, x0=1.0, R_rule=CutoffRule("constant", 1.0))
-        check_certificate(BVFunction.single_jump(1.0), cert, x_grid=np.asarray([1.0, 2.0, 4.0]))
+        check_certificate(jump_integrator([(1.0, 1.0)]), cert, x_grid=np.asarray([1.0, 2.0, 4.0]))
         abscissas, calls = spy
         assert 2.0 not in [z for _, z in abscissas] and 4.0 not in [z for _, z in abscissas]
         assert calls == ["weighted_partial_grid", "weighted_tail_grid"]
@@ -454,7 +456,7 @@ class TestHeldRows:
 
     def test_no_jump_before_the_last_point(self):
         # the only jump lies at the last grid point, past every row's step
-        bv = BVFunction.single_jump(5.0, 2.0)
+        bv = jump_integrator([(5.0, 2.0)])
         t_grid = np.linspace(0.0, 5.0, 11)
         mask = t_grid > 2.2
         sups, ratio = verify_module._sweep_sups(bv, [1.0, 3 + 4j], t_grid, 1e-10,
@@ -466,7 +468,7 @@ class TestHeldRows:
     def test_mask_head_inside_an_empty_run(self):
         # the mask starts at t = 3.1, far from the jump at 1: its sup is the
         # decayed value there, on a row that takes no jump
-        bv = BVFunction.single_jump(1.0, 1.0 + 1.0j)
+        bv = jump_integrator([(1.0, 1.0 + 1.0j)])
         t_grid = np.linspace(0.0, 10.0, 101)
         masks = {2.0 + 0j: t_grid > 3.05}
         sups, ratio = verify_module._sweep_sups(bv, [2.0], t_grid, 1e-10, masks)
@@ -479,7 +481,7 @@ class TestHeldRows:
         # at x = 1000 a scan block spans 0.256 in t, so blocks start at 1.024 and
         # 1.28 between the jumps at 1 and 1.3; the second jump is small enough
         # that the term carried through both, e^{-310}, is a third of its row
-        bv = BVFunction.from_jumps([(1.0, 1.0), (1.3, 1e-130)])
+        bv = jump_integrator([(1.0, 1.0), (1.3, 1e-130)])
         t_grid = np.linspace(0.0, 50.0, 5001)
         held = bv_module._rising_rows(bv, t_grid)
         assert held.tolist() == [0, 101, 131]
@@ -516,7 +518,7 @@ class TestSmallXPruning:
         # unit jumps at t = 1..20 (variation 20), x0 = 1: x is dropped where
         # C / x - 20 > C.  At C = 0.5 the least small-x margin lies below x0, at
         # x = 0.54, and the hypothesis fails; at C = 5 it holds
-        bv = BVFunction.from_jumps([(float(k), 1.0 - 0.5j) for k in range(1, 21)])
+        bv = jump_integrator([(float(k), 1.0 - 0.5j) for k in range(1, 21)])
         cert = TauberianCertificate(C=C, x0=1.0)
         x_grid = np.geomspace(1.0, 50.0, 6)
         swept = self.swept_small_x(monkeypatch, 1.0)
@@ -531,7 +533,7 @@ class TestSmallXPruning:
         # one unit jump, so ||G|| <= V = variation_bound(50); at c = V / (1/x - 1)
         # the bound c / x at x = small[14] exceeds c by V exactly.  Half a slack
         # past that, x is still swept; two slacks past it, it is dropped
-        bv = BVFunction.single_jump(0.5, 1.0)
+        bv = jump_integrator([(0.5, 1.0)])
         small = make_x_grid(1e-2, 1.0, 16)
         var = bv.variation_bound(50.0)
         c0 = var / (1.0 / small[14] - 1.0)
@@ -601,7 +603,7 @@ class TestExtremeSizes:
     """The sups of a jump whose euclidean norm squares would underflow or overflow."""
 
     def line_reports(self, size, C):
-        reports = check_certificate(BVFunction.single_jump(1.0, [size, size]),
+        reports = check_certificate(jump_integrator([(1.0, [size, size])]),
                                     TauberianCertificate(C=C, x0=1.0))
         lines = [r for r in reports if r.case_id.startswith("line_bound")]
         assert len(lines) == 2
