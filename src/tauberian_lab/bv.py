@@ -267,7 +267,7 @@ class BVFunction:
 
     dimension: int
     jump_times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    jump_sizes: np.ndarray = field(default_factory=lambda: np.empty((0, 1), dtype=complex))
+    jump_sizes: np.ndarray | None = None  # None: no jumps, np.empty((0, dimension))
     pieces: tuple[DensityPiece, ...] = ()
     norm_kind: str = "euclidean"
 
@@ -277,7 +277,8 @@ class BVFunction:
         if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
         times = np.asarray(self.jump_times, dtype=float)
-        sizes = np.asarray(self.jump_sizes, dtype=complex)
+        sizes = np.asarray(np.empty((0, self.dimension)) if self.jump_sizes is None
+                           else self.jump_sizes, dtype=complex)
         if times.ndim != 1 or sizes.shape != (times.size, self.dimension):
             raise ValueError("jump arrays must be (n,) times with (n, dimension) sizes")
         if times.size:

@@ -266,7 +266,7 @@ def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
             _input_error(str(exc))
         except (ValueError, ArithmeticError) as exc:
             _input_error(f"t = {t:g}: {exc}")
-        nodes.append([float(t), ev.total_nodes])
+        nodes.append([float(t), ev.spec.total_nodes])
         rows.append((float(t), radius, residual.value,
                      *(v for term in terms for v in (term.value, term.bound))))
         checks += [residual, *terms]

@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .bv import BVFunction, DENSITY_KINDS, DensityPiece
-from .contour import EtaShiftExtension, RationalExtension
+from .contour import (ACCELERATION_TERMS, MAX_ACCELERATION_TERMS, EtaShiftExtension,
+                      RationalExtension, eta)
 from .dirichlet import DEFAULT_N_MAX, DirichletInstance, build_instance, read_coefficients
 from .growth import CUTOFF_KINDS, GROWTH_PARAMS, CutoffRule, GrowthBound
-from .oracles import ACCELERATION_TERMS, MAX_ACCELERATION_TERMS, log_two
 from .transform import TauberianCertificate
 from .vectors import NORM_KINDS
 
@@ -32,6 +32,14 @@ class ProblemFormatError(ValueError):
 
 def _fail(path: str, message: str):
     raise ProblemFormatError(f"{path}: {message}")
+
+
+def _made(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError (or OSError, of a coefficient file) failing at path."""
+    try:
+        return make(*args, **kwargs)
+    except (OSError, ValueError) as exc:
+        _fail(path, str(exc))
 
 
 def _check_keys(obj: dict, allowed: set[str], path: str):
@@ -101,11 +109,8 @@ def _build_density(node, dimension: int, path: str) -> DensityPiece:
         exponent = _as_float(_require(node, "exponent", path), f"{path}.exponent")
     elif "exponent" in node:
         _fail(f"{path}.exponent", f"density kind {kind!r} takes no exponent")
-    try:
-        return DensityPiece(start=start, end=end, kind=kind,
-                            scale=tuple(scale.tolist()), rate=rate, exponent=exponent)
-    except ValueError as exc:
-        _fail(path, str(exc))
+    return _made(path, DensityPiece, start=start, end=end, kind=kind,
+                 scale=tuple(scale.tolist()), rate=rate, exponent=exponent)
 
 
 def _build_growth(node, path: str) -> GrowthBound:
@@ -118,10 +123,7 @@ def _build_growth(node, path: str) -> GrowthBound:
     _check_keys(params_node, set(names), f"{path}.params")
     params = {name: _as_float(_require(params_node, name, f"{path}.params"),
                               f"{path}.params.{name}") for name in names}
-    try:
-        return GrowthBound(kind, **params)
-    except ValueError as exc:
-        _fail(path, str(exc))
+    return _made(path, GrowthBound, kind, **params)
 
 
 def _build_cutoff(node, path: str) -> CutoffRule:
@@ -134,10 +136,7 @@ def _build_cutoff(node, path: str) -> CutoffRule:
             _fail(f"{path}.value", f"cutoff kind {kind!r} takes no value")
         return CutoffRule(kind)
     value = _as_float(_require(node, "value", path), f"{path}.value")
-    try:
-        return CutoffRule(kind, value)
-    except ValueError as exc:
-        _fail(f"{path}.value", str(exc))
+    return _made(f"{path}.value", CutoffRule, kind, value)
 
 
 def _build_certificate(node, cutoff: CutoffRule, path: str) -> TauberianCertificate:
@@ -145,10 +144,7 @@ def _build_certificate(node, cutoff: CutoffRule, path: str) -> TauberianCertific
     C = _as_float(_require(node, "C", path), f"{path}.C")
     x0 = _as_float(_require(node, "x0", path), f"{path}.x0")
     T = _as_float(node.get("T", 0.0), f"{path}.T")
-    try:
-        return TauberianCertificate(C=C, x0=x0, T=T, R_rule=cutoff)
-    except ValueError as exc:
-        _fail(path, str(exc))
+    return _made(path, TauberianCertificate, C=C, x0=x0, T=T, R_rule=cutoff)
 
 
 def _build_extension(node, path: str):
@@ -161,10 +157,7 @@ def _build_extension(node, path: str):
                for i, v in enumerate(_require(params, "numerator", f"{path}.params"))]
         den = [_as_complex(v, f"{path}.params.denominator[{i}]")
                for i, v in enumerate(_require(params, "denominator", f"{path}.params"))]
-        try:
-            return RationalExtension(num, den)
-        except ValueError as exc:
-            _fail(path, str(exc))
+        return _made(path, RationalExtension, num, den)
     if kind == "eta_shift":
         _check_keys(params, {"terms"}, f"{path}.params")
         terms = params.get("terms", ACCELERATION_TERMS)
@@ -216,10 +209,7 @@ def _build_coefficients(node, base_dir: Path, path: str) -> tuple[np.ndarray, st
     rel = _require(node, "path", path)
     if not isinstance(rel, str):
         _fail(f"{path}.path", "expected a file path string")
-    try:
-        table = read_coefficients(base_dir / rel)
-    except (OSError, ValueError) as exc:
-        _fail(path, str(exc))
+    table = _made(path, read_coefficients, base_dir / rel)
     return table, f"file({base_dir / rel}, n={table.shape[0]})"
 
 
@@ -288,7 +278,7 @@ def load_problem(path) -> Problem:
         elif kind == "alternating":
             # limit of sum (-1)^{n+1}/n, computed by series acceleration rather
             # than typed in as a decimal constant
-            f0 = np.asarray([complex(log_two())])
+            f0 = np.asarray([complex(eta(1.0).real)])
             provenance = "accelerated alternating series (64+ digit-stable scheme)"
         return Problem(name=name, bv=bv, certificate=cert, growth=growth, extension=extension,
                        f0=f0, dirichlet=DirichletInstance(described, n_max, provenance),
@@ -317,14 +307,8 @@ def load_problem(path) -> Problem:
     if not times and not pieces:
         _fail(str(path), "problem defines neither jumps, densities, nor a dirichlet block")
 
-    try:
-        bv = BVFunction(dimension=dimension,
-                        jump_times=np.asarray(times, dtype=float),
-                        jump_sizes=(np.asarray(sizes, dtype=complex)
-                                    if sizes else np.empty((0, dimension), dtype=complex)),
-                        pieces=pieces, norm_kind=norm_kind)
-    except ValueError as exc:
-        _fail(f"{path}.jumps", str(exc))
+    bv = _made(f"{path}.jumps", BVFunction, dimension, np.asarray(times, dtype=float),
+               np.asarray(sizes, dtype=complex).reshape(len(times), dimension), pieces, norm_kind)
 
     cutoff = _build_cutoff(raw["cutoff"], f"{path}.cutoff") if "cutoff" in raw else CutoffRule("infinite")
     cert = _build_certificate(_require(raw, "certificate", str(path)), cutoff, f"{path}.certificate")

@@ -52,15 +52,14 @@ GROWTH_PRESETS = [
 ]
 
 
-def jump_integrator(pairs, dimension=None, pieces=(), norm_kind="euclidean"):
+def jump_integrator(pairs, pieces=(), norm_kind="euclidean"):
     """BVFunction with the jumps (t, size) of pairs, in that order, and the density pieces.
 
     A size is a number or a (d,) sequence.  d is the first size's length, else the
     first piece's dimension, else 1.
     """
     sizes = [np.atleast_1d(np.asarray(size, dtype=complex)) for _, size in pairs]
-    if dimension is None:
-        dimension = sizes[0].size if sizes else pieces[0].dimension if pieces else 1
+    dimension = sizes[0].size if sizes else pieces[0].dimension if pieces else 1
     return BVFunction(dimension, np.asarray([t for t, _ in pairs], dtype=float),
                       np.reshape(sizes, (len(sizes), dimension)), tuple(pieces), norm_kind)
 

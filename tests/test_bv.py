@@ -156,6 +156,13 @@ class TestValueAndVariation:
             with pytest.raises(ValueError):
                 BVFunction(1, np.asarray(times), np.asarray(sizes, dtype=complex))
 
+    def test_a_vector_integrator_without_jumps_needs_no_jump_arrays(self):
+        # the default jump_sizes was (0, 1) whatever the dimension, so a 2-vector density
+        # with no jumps was refused as "jump arrays must be (n,) times with (n, dimension) sizes"
+        bv = BVFunction(2, pieces=(DensityPiece(0.0, 1.0, "constant", (1.0, 0.0)),))
+        assert bv.jump_sizes.shape == (0, 2)
+        assert np.array_equal(bv.value_at(2.0), [1.0, 0.0])
+
     @pytest.mark.parametrize("size", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_validation_rejects_a_non_finite_density_scale(self, size):
         # a nan scale once loaded, and verify then failed inside the weighted sweep
@@ -447,7 +454,7 @@ def sweep_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(sweep_cases())
 # a subnormal row: dividing complex rows by a subnormal power of two gave inf
-@example(case=(jump_integrator([], 2, pieces=(
+@example(case=(BVFunction(2, pieces=(
     DensityPiece(0.0, 1.0, "constant", (0j, 2.2250738585e-313j)),)), np.asarray([0.0]), 0j))
 def test_sweep_matches_the_row_loop(case):
     bv, grid, c = case

@@ -14,10 +14,9 @@ from tauberian_lab.bv import BVFunction, exp_tail_integral, jump_sum_remainder
 from tauberian_lab.cli import main
 from tauberian_lab.contour import (ContourBudgetError, EtaShiftExtension, RationalExtension,
                                    _eval_extension, build_contour, cauchy_identity_report,
-                                   contour_dump, evaluate_contour, extension_agreement,
+                                   contour_dump, eta, evaluate_contour, extension_agreement,
                                    fudge_factor, term_bounds)
 from tauberian_lab.growth import GrowthBound
-from tauberian_lab.oracles import eta
 from tauberian_lab.rates import bound_B
 from tauberian_lab.transform import TauberianCertificate
 from tauberian_lab.vectors import vector_norm
@@ -130,7 +129,7 @@ class TestCauchyIdentity:
         f0 = ext(np.asarray([0j]))
         assert (bv.value_at(5.0) - f0)[0] == pytest.approx(-math.exp(-5.0), rel=1e-12)
         assert abs_error(ev, f0) <= 1e-12
-        assert ev.total_nodes > 0
+        assert ev.spec.total_nodes > 0
         assert jump_sum_remainder(bv.jump_sizes) == 0.0  # no jumps, nothing truncated
 
     def test_zero_instance_numerator(self):
@@ -386,4 +385,4 @@ class TestContourDump:
             # the two reductions multiply |dz|, |g| and ||F|| in different orders
             assert np.sum(weights * mags) / (2 * math.pi) == pytest.approx(
                 bound.value, rel=1e-13, abs=0.0)
-        assert start == len(rows) == ev.total_nodes
+        assert start == len(rows) == ev.spec.total_nodes

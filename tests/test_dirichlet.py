@@ -10,10 +10,9 @@ from click.testing import CliRunner
 
 from tauberian_lab.bv import BVFunction, DensityPiece
 from tauberian_lab.cli import main
-from tauberian_lab.contour import EtaShiftExtension, RationalExtension
+from tauberian_lab.contour import EtaShiftExtension, RationalExtension, eta
 from tauberian_lab.dirichlet import build_instance, partial_sum_decay, read_coefficients
 from tauberian_lab.growth import GrowthBound
-from tauberian_lab.oracles import log_two
 from tauberian_lab.problems import load_problem
 from tauberian_lab.transform import TauberianCertificate, improper_laplace
 from tauberian_lab.vectors import vector_norm
@@ -154,7 +153,7 @@ class TestBuildInstance:
 def alternating_decay(n_max: int, M: GrowthBound, t_grid) -> list[tuple]:
     """partial_sum_decay's (t, decay_norm, bound_B, margin) rows of the alternating series."""
     bv, cert = build_instance(named_rule("alternating"), n_max=n_max)
-    return partial_sum_decay(bv, np.asarray([complex(log_two())]), cert, M, t_grid,
+    return partial_sum_decay(bv, np.asarray([complex(eta(1.0).real)]), cert, M, t_grid,
                              math.log(n_max))
 
 
@@ -264,4 +263,4 @@ class TestAdmissibility:
 
 def test_f0_provenance_is_not_a_literal():
     # the shipped limit value matches the oracle to full precision
-    assert log_two() == pytest.approx(math.log(2.0), abs=5e-16)
+    assert eta(1.0).real == pytest.approx(math.log(2.0), abs=5e-16)

@@ -40,11 +40,11 @@ it stays.
 
 import argparse
 import ast
-import contextlib
 import importlib.util
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -160,7 +160,9 @@ def write_outputs(directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     for name, args in _commands().items():
         _write_run(directory, name.replace(" ", "_"), _with_dump(name, args, directory))
-    with contextlib.chdir(directory):
+    previous = Path.cwd()
+    os.chdir(directory)
+    try:
         for name, commands in _workloads().items():
             for seed in WORKLOAD_SEEDS:
                 work = Path("workloads", name, str(seed))
@@ -175,6 +177,8 @@ def write_outputs(directory: Path) -> None:
             path.parent.mkdir(exist_ok=True)
             path.write_text(json.dumps(data, indent=1) + "\n")
             _write_run(path.parent, name, [command, "--problem", str(path), *args])
+    finally:
+        os.chdir(previous)
 
 
 def _number(cell: str) -> float | None:
@@ -303,7 +307,6 @@ UNREACHED = {
     "growth.at_index": "error path: tags a batch entry's failure with its position",
     "dirichlet.read_coefficients": "input path that no gallery problem uses",
     "verify.check_admissibility": "ROADMAP item 5 wires it into contour and certify",
-    "contour.ContourSpec.total_nodes": "perfbench's contour.build span reads it",
 }
 
 

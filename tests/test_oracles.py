@@ -1,29 +1,23 @@
-"""The accelerated alternating-series oracles, cross-checked by brute force."""
+"""The accelerated eta of the eta_shift extension, cross-checked by brute force."""
 
 import math
 
 import numpy as np
 import pytest
 
-from tauberian_lab.oracles import (
-    MAX_ACCELERATION_TERMS,
-    alternating_sum,
-    eta,
-    eta_tail,
-    log_two,
-)
+from tauberian_lab.contour import MAX_ACCELERATION_TERMS, eta
 
 from exact import alternating_partial_sum
 
 
 def test_log_two_matches_math():
-    assert log_two() == pytest.approx(math.log(2.0), abs=1e-15)
+    assert eta(1.0).real == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 def test_log_two_matches_brute_force():
     # 1e7-term partial sum carries ~5e-8 truncation error of its own
     brute = alternating_partial_sum(1.0, 10_000_000).real
-    assert abs(log_two() - brute) <= 1e-7
+    assert abs(eta(1.0).real - brute) <= 1e-7
 
 
 def test_eta_two_is_pi_squared_over_twelve():
@@ -44,38 +38,11 @@ def test_eta_vectorized_shape():
     assert vals[0].real == pytest.approx(math.log(2.0), abs=1e-14)
 
 
-def test_eta_tail_complements_partial_sum():
-    s = 1.3 + 0.4j
-    for first in (2, 7, 12):
-        head = alternating_partial_sum(s, first - 1)
-        assert abs(head + eta_tail(s, first) - eta(s)) <= 1e-12
-
-
-def test_eta_tail_rejects_bad_start():
-    with pytest.raises(ValueError):
-        eta_tail(2.0, 0)
-
-
-def test_alternating_sum_geometric():
-    # sum (-1)^k r^k = 1/(1+r) for |r| < 1
-    for r in (0.3, 0.9):
-        got = alternating_sum(lambda k, r=r: r ** k.astype(float))
-        assert got == pytest.approx(1.0 / (1.0 + r), rel=1e-13)
-
-
-def test_alternating_sum_batched():
-    rs = np.asarray([0.2, 0.5, 0.8])
-    got = alternating_sum(lambda k: rs[None, :] ** k[:, None].astype(float))
-    np.testing.assert_allclose(got, 1.0 / (1.0 + rs), rtol=1e-13)
-
-
 def test_acceleration_terms_stop_where_the_weights_overflow():
     # the most terms still gives eta(2) to the last digits; one more once gave nan + nan j
     # with only a RuntimeWarning, and from 403 on an OverflowError
     with np.errstate(all="raise"):
         assert abs(eta(2.0, n=MAX_ACCELERATION_TERMS) - math.pi ** 2 / 12.0) <= 1e-14
     for n in (MAX_ACCELERATION_TERMS + 1, 403):
-        with pytest.raises(ValueError, match=f"at most {MAX_ACCELERATION_TERMS} terms"):
-            alternating_sum(lambda k: 1.0 / (k + 1.0), n=n)
         with pytest.raises(ValueError, match=f"at most {MAX_ACCELERATION_TERMS} terms"):
             eta(2.0, n=n)

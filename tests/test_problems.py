@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from tauberian_lab.cli import main
-from tauberian_lab.oracles import MAX_ACCELERATION_TERMS
+from tauberian_lab.contour import MAX_ACCELERATION_TERMS
 from tauberian_lab.problems import ProblemFormatError, load_problem
 
 SHIPPED = [str(p) for p in sorted(Path("problems").glob("*.json"))]

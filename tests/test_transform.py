@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from tauberian_lab import transform as transform_module
 from tauberian_lab.bv import BVFunction, stieltjes_integral
+from tauberian_lab.contour import eta
 from tauberian_lab.growth import CutoffRule
-from tauberian_lab.oracles import eta
 from tauberian_lab.transform import TauberianCertificate, TruncationCapError, improper_laplace
 from tauberian_lab.vectors import vector_norm
 from tauberian_lab.verify import check_certificate
@@ -154,7 +154,7 @@ def array_cases(draw):
     cert = TauberianCertificate(C=draw(st.floats(0.5, 3.0)), x0=1.0,
                                 T=draw(st.sampled_from((0.0, 25.0)) | st.floats(0.0, 10.0)))
     target = draw(st.sampled_from((1e-2, 1e-5, 1e-9)))
-    t_stars = improper_laplace(jump_integrator([], 2), np.asarray(z, dtype=complex), cert,
+    t_stars = improper_laplace(BVFunction(2), np.asarray(z, dtype=complex), cert,
                                target).t_star.tolist()
     lo, hi = (min(t_stars), max(t_stars)) if t_stars else (0.0, 1.0)
     kind = draw(st.sampled_from(("jumps", "densities", "mixture")))
