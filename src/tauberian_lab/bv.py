@@ -68,6 +68,18 @@ Each held row is bitwise the full sweep's, and no other row is larger in any
 norm than the last held row before it.  The public grid evaluators hold
 every row.
 
+An integrator that carries its Dirichlet table (``BVFunction.table``, q
+rows b_r, jump n = b_n / n at log n) answers its jump rows in closed form
+past a head.  Abscissa c weights one by one only the jumps before its head
+of q ceil(_HEAD_SLOPE |c| + _HEAD_PERIODS) jumps.  Past it, a row's range
+starts (upward) or ends (downward) at the e^-_NEGLIGIBLE_LOG cut, its partial
+periods at either end are summed jump by jump, and the full periods between
+take one Euler-Maclaurin range sum (``_period_sums``), whose remainder
+``_range_sum_bound`` proves below _RANGE_SUM_TOL = 2^-60 of the range's jump
+mass.  A file's table has q >= n_max rows, so it has no full period past the
+head and stays jump by jump.  Every other reader of the jump arrays
+(``_rising_rows``, ``value_at``, the contour kernel below) keeps them.
+
 The contour evaluators ``exp_tail_integral`` and ``exp_partial_integral``,
 and the improper transform, share one jump-sum kernel for
 sum_k s_k e^{-z(tau_k - t)} over N jumps and many nodes z.  It groups the
@@ -152,6 +164,30 @@ _TILE_JUMPS = 8192
 _SCAN_SPAN = 256.0
 # relative rounding-up of BVFunction.variation_bound, over its closed forms' few ulps
 _ROUND_UP = 1e-12
+# Range sums of a table's full periods (_period_sums): Euler-Maclaurin with the
+# Bernoulli terms B_2j / (2j)!, j = 1.._EM_TERMS, each endpoint term expanded in
+# 1/m to degree _EM_DEGREE.  At abscissa c they start past the head of
+# ceil(_HEAD_SLOPE |c| + _HEAD_PERIODS) periods, where _range_sum_bound proves
+# the remainder below _RANGE_SUM_TOL of the range's jump mass; the bound is
+# below 0.1 of it for every c, the most as |c| -> inf on the negative axis
+_EM_TERMS, _EM_DEGREE = 9, 20
+_HEAD_SLOPE, _HEAD_PERIODS = 2.0, 32.0
+_RANGE_SUM_TOL = 2.0 ** -60
+_BERNOULLI = np.asarray([  # B_2j / (2j)!, j = 1.._EM_TERMS
+    num / den / math.factorial(2 * j) for j, (num, den) in enumerate((
+        (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+        (43867, 798)), start=1)])
+# lambda = _EM_MATRIX mu (_period_sums): lambda_0 = mu_0 and, for p >= 1,
+# lambda_p = mu_p / p - mu_{p-1} / 2
+#            + sum_{j <= min(_EM_TERMS, p/2)} B_2j / (2j)! (p-1) ... (p-2j+1) mu_{p-2j},
+# which is sum_r b_r B_p(r/q) / p for the Bernoulli polynomial B_p, but for
+# the Bernoulli terms past _EM_TERMS
+_EM_MATRIX = np.diag(1.0 / np.maximum(np.arange(_EM_DEGREE + 1.0), 1.0))
+_EM_MATRIX -= 0.5 * np.eye(_EM_DEGREE + 1, k=-1)
+for _j, _beta in enumerate(_BERNOULLI, start=1):
+    _p = np.arange(2 * _j, _EM_DEGREE + 1)
+    _EM_MATRIX[_p, _p - 2 * _j] = _beta * np.prod(_p[:, None] - np.arange(1.0, 2 * _j), axis=1)
+del _j, _beta, _p
 
 # Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK's qk15), nodes ascending; the seven
 # Gauss nodes are the odd-indexed ones.
@@ -263,13 +299,21 @@ class DensityPiece:
 
 @dataclass(frozen=True)
 class BVFunction:
-    """Locally-BV integrator: sorted jumps plus preset density pieces."""
+    """Locally-BV integrator: sorted jumps plus preset density pieces.
+
+    table, if given, is the (q, d) table b_1, ..., b_q of a Dirichlet
+    integrator: jump i (from 0) lies at log(i + 1) and has size
+    b_{i mod q + 1} / (i + 1).  The jump arrays must hold exactly those
+    jumps; the weighted sweeps then answer the full periods past a head of
+    O(|c|) jumps in closed form (_table_rows).
+    """
 
     dimension: int
     jump_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     jump_sizes: np.ndarray | None = None  # None: no jumps, np.empty((0, dimension))
     pieces: tuple[DensityPiece, ...] = ()
     norm_kind: str = "euclidean"
+    table: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
@@ -293,6 +337,11 @@ class BVFunction:
                 raise ValueError(
                     f"density scale dimension {piece.dimension} != integrator dimension {self.dimension}"
                 )
+        if self.table is not None:
+            table = np.asarray(self.table, dtype=complex)
+            if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] != self.dimension:
+                raise ValueError("a coefficient table must be (q, dimension) with q >= 1")
+            object.__setattr__(self, "table", table)
         object.__setattr__(self, "jump_times", times)
         object.__setattr__(self, "jump_sizes", sizes)
         object.__setattr__(self, "pieces", tuple(self.pieces))
@@ -624,18 +673,22 @@ def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
     from t_j.  held, sorted, must hold every row that takes a jump; the
     (m, held.size, d) result has a slot for each held row.  The rows' jumps
     together are one run of consecutive jumps, in row order upward and in
-    reverse row order downward.  The run is walked in tiles, the windows
-    [p, p + _TILE_JUMPS) of its positions, and a segment is a row's part in
-    one tile.  The weights, the products, the gaps tau_l - t_j and the (d, n)
-    sizes of a tile go into four buffers allocated once per call, so no
-    temporary grows with the number of jumps.  In each tile, for each
-    abscissa in turn, each jump is weighted once (the exponent formed in
-    place), each segment is summed alone (np.add.reduceat along the jumps,
-    which are the contiguous axis), and a row adds its segments' sums in run
-    order.  numpy's pairwise summation groups a segment's terms by its
-    length, so the last bits of a row that straddles a tile's end depend on
-    _TILE_JUMPS.  The cut below e^-_NEGLIGIBLE_LOG is skipped where no
-    jump of the tile lies that low.
+    reverse row order downward.  Abscissa k sums the jumps before its head
+    jump by jump, and an integrator with a table hands those from the head
+    on to _table_rows; the head is q ceil(_HEAD_SLOPE |c_k| + _HEAD_PERIODS)
+    where _range_sum_bound proves it, and past every jump otherwise.  The
+    run is walked in tiles, the windows [p, p + _TILE_JUMPS) of its
+    positions, and a segment is a row's part in one tile.  The weights, the
+    products, the gaps tau_l - t_j and the (d, n) sizes of a tile go into
+    four buffers allocated once per call, so no temporary grows with the
+    number of jumps.  In each tile, for each abscissa in turn, each jump
+    before its head is weighted once (the exponent formed in place), each
+    segment is summed alone (np.add.reduceat along the jumps, which are the
+    contiguous axis), and a row adds its segments' sums in run order.
+    numpy's pairwise summation groups a segment's terms by its length, so
+    the last bits of a row that straddles a tile's end depend on
+    _TILE_JUMPS.  The cut below e^-_NEGLIGIBLE_LOG is skipped where no jump
+    of the tile lies that low.
     """
     xr, y = c.real, c.imag
     times, sizes, d = bv.jump_times, bv.jump_sizes, bv.dimension
@@ -651,13 +704,21 @@ def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
     first = int(min(bounds[0], bounds[-1]))
     last = np.cumsum(count)
     total = int(last[-1]) if last.size else 0
-    size = min(_TILE_JUMPS, total)
+    head = np.full(c.size, times.size)
+    if bv.table is not None:
+        periods = np.ceil(_HEAD_SLOPE * np.abs(c) + _HEAD_PERIODS)
+        proven = _range_sum_bound(c, periods) <= _RANGE_SUM_TOL
+        head[proven] = np.minimum(bv.table.shape[0] * periods[proven], times.size)
+    # abscissa k sums the positions [0, direct[k]) jump by jump
+    direct = np.clip(head - first, 0, total).tolist()
+    stop = max(direct, default=0)
+    size = min(_TILE_JUMPS, stop)
     weights = np.empty(size, dtype=complex if np.any(y) else float)
     products = np.empty(d * size, dtype=complex)
     parts = np.empty(d * size, dtype=complex)
     gaps = np.empty(size)
-    for p0 in range(0, total, _TILE_JUMPS):
-        p1 = min(p0 + _TILE_JUMPS, total)
+    for p0 in range(0, stop, _TILE_JUMPS):
+        p1 = min(p0 + _TILE_JUMPS, stop)
         n = p1 - p0
         r0 = int(np.searchsorted(last, p0, side="right"))
         r1 = int(np.searchsorted(last, p1 - 1, side="right")) + 1
@@ -673,22 +734,170 @@ def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
         # xr gap is monotone in gap, so its least value is at an end of the gaps
         ends = gap.min(), gap.max()
         for k in range(c.size):
-            # real weights take the buffer's first n floats, complex ones its
-            # first n entries, with the exponent xr gap as their real part
-            w = weights[:n] if y[k] else weights.view(float)[:n]
+            # the tile's first m jumps lie before the head, in its first s segments
+            m = min(n, direct[k] - p0)
+            if m <= 0:
+                continue
+            s = int(np.searchsorted(heads, m))
+            # real weights take the buffer's first m floats, complex ones its
+            # first m entries, with the exponent xr gap as their real part
+            w = weights[:m] if y[k] else weights.view(float)[:m]
             arg = w.real
-            np.multiply(gap, xr[k], out=arg)
+            np.multiply(gap[:m], xr[k], out=arg)
             low = min(xr[k] * ends[0], xr[k] * ends[1]) < -_NEGLIGIBLE_LOG
             drop = arg < -_NEGLIGIBLE_LOG if low else None
             if y[k]:
-                np.multiply(tau, y[k], out=w.imag)
+                np.multiply(tau[:m], y[k], out=w.imag)
                 w.imag += 0.0  # a zero phase is +0, as arg + 1j * (y tau) makes it
             np.exp(w, out=w)
             if drop is not None:
                 w[drop] = 0.0
-            np.multiply(w, part, out=terms)
-            out[k, into] += np.add.reduceat(terms, heads, axis=1).T
+            np.multiply(w, part[:, :m], out=terms[:, :m])
+            out[k, into[:s]] += np.add.reduceat(terms[:, :m], heads[:s], axis=1).T
+    if bv.table is not None:
+        live = count > 0
+        _table_rows(bv, c, head, points[rows[live]], (first + last - count)[live],
+                    (first + last)[live], np.searchsorted(held, rows[live]), out)
     return out
+
+
+def _table_rows(bv: BVFunction, c: np.ndarray, head: np.ndarray, t: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray, into: np.ndarray, out: np.ndarray) -> None:
+    """Add to out[k, into[i]] the weighted jumps of row i from jump head[k] on, for bv's table.
+
+    Row i lies at t_i and holds the jumps [lo_i, hi_i).  Abscissa k takes
+    those from head[k] on whose weight e^{Re(c_k) (tau - t_i)} is at least
+    e^-_NEGLIGIBLE_LOG, so the range starts at the cut upward and ends there
+    downward, and no weight below it is formed.  The range's partial periods
+    at either end are summed jump by jump, and its full periods take
+    _period_sums.  Where head[k] lies before the last jump, it is q times
+    the head's periods, from which _jump_rows has proven the remainder of
+    the range sums below _RANGE_SUM_TOL of their jump mass.
+    """
+    q = bv.table.shape[0]
+    times, sizes = bv.jump_times, bv.jump_sizes
+    k, i = np.nonzero(np.maximum(lo, head[:, None]) < hi)  # sorted by abscissa
+    if k.size == 0:
+        return
+    ck, ti = c[k], t[i]
+    with np.errstate(divide="ignore"):
+        reach = _NEGLIGIBLE_LOG / np.abs(ck.real)  # Re(c) = 0 reaches everywhere
+    start = np.maximum(np.maximum(lo[i], head[k]), np.searchsorted(times, ti - reach))
+    stop = np.minimum(hi[i], np.searchsorted(times, ti + reach, side="right"))
+    # the full periods are the jumps [a, b): jump l has n = l + 1, q m < n <= q (m + 1)
+    a, b = -(-start // q) * q, stop // q * q
+    full = b > a
+    # the partial periods [start, a) and [b, stop), or all of [start, stop)
+    seg_lo = np.stack((start, np.where(full, b, stop)), axis=1).ravel()
+    seg_len = np.maximum(np.stack((np.where(full, a, stop), stop), axis=1).ravel() - seg_lo, 0)
+    owner = np.repeat(np.repeat(np.arange(k.size), 2), seg_len)
+    idx = np.arange(owner.size) + np.repeat(seg_lo - (np.cumsum(seg_len) - seg_len), seg_len)
+    tau = times[idx]
+    w = np.exp(ck.real[owner] * (tau - ti[owner])).astype(complex)
+    turn = ck.imag[owner] != 0  # only complex abscissas take a phase
+    w[turn] *= np.exp(1j * (ck.imag[owner[turn]] * tau[turn]))
+    sums = np.zeros((k.size, bv.dimension), dtype=complex)
+    taken = seg_len.reshape(-1, 2).sum(axis=1)
+    some = taken > 0
+    if some.any():
+        sums[some] = np.add.reduceat(w[:, None] * sizes[idx], (np.cumsum(taken) - taken)[some])
+    if full.any():
+        sums[full] += _period_sums(bv.table, c, head // q, k[full], ti[full], a[full] // q,
+                                   b[full] // q)
+    out[k, into[i]] += sums
+
+
+def _period_sums(table: np.ndarray, c: np.ndarray, periods: np.ndarray, k: np.ndarray,
+                 t: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """(n, d): e^{-Re(c) t_i} sum_n b_n n^{c-1}, c = c_{k_i}, over n = q m + r, m0_i <= m < m1_i.
+
+    That is the weighted jump sum of the full periods m0_i to m1_i - 1 of
+    the (q, d) table at the abscissa c_{k_i}, each weight formed about t_i;
+    k is sorted and m0_i >= periods[k_i] >= 2 |c_{k_i}|.  Euler-Maclaurin
+    (Johansson 2015) on h(m) = sum_{r=1..q} b_r (q m + r)^{c-1} gives the sum
+    as G(m1) - G(m0), G(M) = H(M) - h(M) / 2 + sum_j B_2j / (2j)!
+    h^(2j-1)(M) with H' = h.  Each term, expanded in r / (q M) about
+    E = e^{Re(c) (log N - t)} N^{i Im(c)}, N = q M, makes
+    q G(M) = E (mu_0 / c + sum_p binom(c - 1, p - 1) lambda_p / M^p)
+    with the scaled moments mu_k = sum_r b_r (r/q)^k and
+    lambda = _EM_MATRIX mu.  The mu_0 / c part of G(m1) - G(m0) takes the
+    closed form mu_0 E (e^{+-c L} - 1) / (+-c), L = log(m1 / m0), anchored at
+    the end where |E| is larger, so a mean-zero table (mu_0 = 0) and a small
+    c lose nothing to cancellation.  The rest is a polynomial in h / M <= 1,
+    h = periods[k], with the bounded coefficients
+    binom(c - 1, p - 1) lambda_p / h^(p-1), one real product per abscissa.
+    _range_sum_bound bounds what the _EM_TERMS Bernoulli terms and the
+    degree _EM_DEGREE leave out.
+    """
+    q, d = table.shape
+    # einsum, not matmul: a first BLAS call would map its buffers into the process
+    mu = np.einsum("kr,rd->kd", (np.arange(1, q + 1) / q) ** np.arange(_EM_DEGREE + 1)[:, None],
+                   table)
+    lam = np.einsum("pk,kd->pd", _EM_MATRIX, mu)
+    ends = np.stack((m0, m1), axis=1).astype(float)
+    powers = np.empty((k.size, 2, _EM_DEGREE))  # (h / M)^(p-1)
+    powers[..., 0] = 1.0
+    powers[..., 1:] = (periods[k, None] / ends)[..., None]
+    np.cumprod(powers, axis=2, out=powers)
+    acc = np.empty((k.size, 2, 2 * d))
+    p = np.arange(1.0, _EM_DEGREE)
+    cuts = np.searchsorted(k, np.arange(c.size + 1)).tolist()
+    for j, (i0, i1) in enumerate(zip(cuts, cuts[1:])):
+        if i1 > i0:
+            coef = np.cumprod(np.concatenate(([1.0], (c[j] - p) / (p * periods[j]))))
+            terms = (coef[:, None] * lam[1:]).view(float)  # (P, 2d)
+            acc[i0:i1] = np.einsum("iep,pf->ief", powers[i0:i1], terms)
+    ck = c[k]
+    log_n = np.log(q * ends)
+    e = np.exp(ck.real[:, None] * (log_n - t[:, None]) + 1j * (ck.imag[:, None] * log_n))
+    g = (e / ends)[..., None] * acc.view(complex)  # q G(M) - mu_0 E / c at M = m0, m1
+    rising = ck.real > 0
+    anchor = np.where(rising, e[:, 1], e[:, 0])
+    seg = _exp_segment(np.where(rising, -ck, ck), np.log1p((ends[:, 1] - ends[:, 0]) / ends[:, 0]))
+    return (g[:, 1] - g[:, 0] + (anchor * seg)[:, None] * lam[0]) / q
+
+
+def _range_sum_bound(c: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """For each abscissa c: a bound on the remainder of _period_sums on a range from
+    m0 >= periods on, relative to the range's jump mass, in the euclidean norm.
+
+    The mass is e^{-x t} sum ||b_n|| n^{x-1} over the range, x = Re c (the
+    jump norms ||b_n / n|| up to their rounding), and u = 1 / periods.
+    Euler-Maclaurin leaves |B_2J| / (2J)! int ||h^(2J)||, J = _EM_TERMS; as
+    ||h^(2J)(m)|| <= |(c-1) ... (c-2J)| u^2J sum_r ||b_r|| (q m + r)^{x-1},
+    and a period's integral is at most e^{|x-1| u} times its sum, that is
+    em = |B_2J| / (2J)! |(c-1) ... (c-2J)| u^2J e^{|x-1| u}.
+    Truncating at degree P = _EM_DEGREE leaves, at each end N = q M, at most
+    N^{x-1} e^{-x t} sum_r ||b_r|| (an end period's mass times
+    e^{|x-1| u / (1 - u)}) times
+    1.5 T_P(|c-1|) + sum_j |B_2j| / (2j)! |(c-1) ... (c-2j+1)| u^(2j-1) T_{P-2j+1}(|c-2j|),
+    with T_K(A) = sum_{k >= K} binom(A + k - 1, k) u^k, which bounds the
+    tail of sum_k |binom(a, k)| u^k for |a| = A.  Its terms fall by
+    u max(1, (A + K) / (K + 1)) < 1 past the first, which is at most
+    ((A + K - 1) u)^K / K!.  The bound is twice the ends' part, plus em.
+    One that cannot be formed is inf or nan, and proves nothing.
+    """
+    j = np.arange(1, _EM_TERMS + 1)
+    order = np.concatenate(([_EM_DEGREE], _EM_DEGREE - 2 * j + 1))
+    log_factorial = np.cumsum(np.log(np.arange(1.0, _EM_DEGREE + 1)))[order - 1]
+    log_beta = np.log(np.abs(_BERNOULLI))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = 1.0 / periods
+        spread = np.abs(c.real - 1.0) * u
+        a = np.abs(c[:, None] - np.concatenate(([1.0], 2.0 * j)))  # |c - 1|, |c - 2j|
+        # log |(c-1) ... (c-k)|, k = 0..2J
+        log_falling = np.cumsum(np.log(np.abs(np.concatenate(
+            (np.ones((c.size, 1)), c[:, None] - 1.0 - np.arange(2 * _EM_TERMS)), axis=1))),
+            axis=1)
+        ratio = u[:, None] * np.maximum(1.0, (a + order) / (order + 1))
+        tails = np.where(ratio < 1.0, np.exp(order * np.log((a + order - 1) * u[:, None])
+                                             - log_factorial) / (1.0 - ratio), math.inf)
+        weights = np.concatenate((np.full((c.size, 1), 1.5), np.exp(
+            log_beta + log_falling[:, 2 * j - 1] + (2 * j - 1) * np.log(u)[:, None])), axis=1)
+        taylor = 2.0 * np.exp(spread / (1.0 - u)) * np.sum(weights * tails, axis=1)
+        em = np.exp(log_beta[-1] + log_falling[:, 2 * _EM_TERMS] + 2 * _EM_TERMS * np.log(u)
+                    + spread)
+    return em + taylor
 
 
 def _decay_scan(rows: np.ndarray, xr: np.ndarray, points: np.ndarray, held: np.ndarray) -> None:

@@ -97,7 +97,7 @@ def build_instance(table: np.ndarray, n_max: int = DEFAULT_N_MAX,
     parts = sizes.view(float)
     parts *= np.divide(1.0, n, out=n)[:, None]
     bv = BVFunction(dimension=table.shape[1], jump_times=times,
-                    jump_sizes=sizes, pieces=(), norm_kind=norm_kind)
+                    jump_sizes=sizes, pieces=(), norm_kind=norm_kind, table=table)
     sup = float(np.max(vector_norm(table, norm_kind)))
     cert = TauberianCertificate(C=max(sup, 1.0) * math.e, x0=1.0, T=0.0,
                                 R_rule=CutoffRule("exp_t"))

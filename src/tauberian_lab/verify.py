@@ -196,11 +196,14 @@ def _small_x_abscissas(bv: BVFunction, C: float, x0: float, small: np.ndarray,
     dropped when C x0 / x - V - slack > C x0 / x_last, the bound at the largest
     abscissa x_last = x0, which is always kept and whose margin is at most that
     bound.  slack is _SMALL_X_SLACK (V + C x0 / x), for the rounding of the scan
-    (at most about 1.9e-14 of the jump norms), of the closed forms and of this
-    test, plus quad_tol ||scale|| for each grid row and density piece that takes
-    quad.  So every dropped abscissa's margin is strictly larger than the
-    least margin of the kept ones, and the small-x report, its first-of-least
-    witness included, is the one read from all 16.
+    (at most about 1.9e-14 of the jump norms), the remainder of the range sums
+    that answer a Dirichlet table's rows past the head (at most
+    bv._RANGE_SUM_TOL = 2^-60 of the jump norms, far below the slack) and
+    their rounding, which is that of the jump-by-jump sums, of the closed
+    forms and of this test, plus quad_tol ||scale|| for each grid row and
+    density piece that takes quad.  So every dropped abscissa's margin is
+    strictly larger than the least margin of the kept ones, and the small-x
+    report, its first-of-least witness included, is the one read from all 16.
     """
     bounds = C * x0 / small
     var = bv.variation_bound(float(t_grid[-1]))

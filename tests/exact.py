@@ -12,11 +12,12 @@ one test reads lives here, written once:
 * references computed another way than the package does it: the total
   variation by quadrature, the dense jump sum, the finite transform of an
   exponential density, Laplace transforms of exponential pieces in mpmath,
-  the power series of int e^{cs} s^a ds, the row-by-row sweep, the
-  per-block decay scan, the chunk plan of the sweep's jump rows, the
-  full-grid sups and certificate, the sharper bounds that the derivation of
-  the contour terms gives, the point-by-point extension agreement and the
-  brute-force alternating partial sum;
+  a Dirichlet range sum term by term in mpmath, the power series of
+  int e^{cs} s^a ds, the row-by-row sweep, the per-block decay scan, the
+  chunk plan of the sweep's jump rows, the full-grid sups and certificate,
+  the sharper bounds that the derivation of the contour terms gives, the
+  point-by-point extension agreement and the brute-force alternating
+  partial sum;
 * the draws of jump sizes in C^d and of density pieces that the sweep, batch,
   transform and certificate strategies share, each strategy with its own ranges.
 
@@ -167,6 +168,24 @@ def dense_jump_sum(tau, sizes, z, t):
     arg = -np.asarray(z, dtype=np.clongdouble)[:, None] * (
         np.asarray(tau, dtype=np.longdouble)[None, :] - np.longdouble(t))
     return np.exp(arg).astype(complex) @ sizes
+
+
+def dirichlet_range_sum(table, c, t, n0, n1):
+    """Reference for bv._period_sums: e^{-Re(c) t} sum b_n n^{c-1} over n0 < n <= n1,
+    b_n the (q, d) table's row (n - 1) mod q, and the range's jump mass e^{-Re(c) t}
+    sum ||b_n|| n^{Re(c) - 1}, each term formed in 30-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        c, t = mpmath.mpc(c.real, c.imag), mpmath.mpf(t)
+        rows = [[mpmath.mpc(v.real, v.imag) for v in row] for row in table]
+        norms = [mpmath.mpf(float(np.linalg.norm(row))) for row in table]
+        total, mass = [mpmath.mpc(0)] * table.shape[1], mpmath.mpf(0)
+        for n in range(n0 + 1, n1 + 1):
+            w = mpmath.exp((c - 1) * mpmath.log(n) - c.real * t)
+            row = rows[(n - 1) % len(rows)]
+            total = [acc + w * b for acc, b in zip(total, row)]
+            mass += abs(w) * norms[(n - 1) % len(rows)]
+        return np.asarray([complex(v) for v in total]), float(mass)
 
 
 def power_series(c, a, lo, hi, m=math, terms: int = 150):

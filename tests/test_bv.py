@@ -1,5 +1,6 @@
 """Stieltjes integration against closed forms and structural invariants."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -10,18 +11,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tauberian_lab import bv as bv_module
+from tauberian_lab import verify as verify_module
 from tauberian_lab.bv import (_QUAD_LEAVES, BVFunction, DensityPiece, NonFiniteIntegrandError,
                               QuadratureError, _exp_segment, _jump_exp_sum, exp_partial_integral,
                               exp_tail_integral, gauss_legendre_panels, jump_sum_remainder, quad,
                               stieltjes_integral, weighted_partial_grid, weighted_tail_grid)
+from tauberian_lab.dirichlet import build_instance
 from tauberian_lab.transform import TauberianCertificate
 from tauberian_lab.vectors import vector_norm
 from tauberian_lab.verify import check_certificate
 
-from exact import (alternating_jumps, chunk_rows, dense_jump_sum, density_integrator, draw_piece,
-                   draw_pieces, draw_sizes, exp_density, exp_integrals, exp_partial,
-                   jump_integrator, loop_sweep, mixed_integrator, power_series, scan_one,
-                   total_variation)
+from exact import (alternating_jumps, chunk_rows, dense_jump_sum, density_integrator,
+                   dirichlet_range_sum, draw_piece, draw_pieces, draw_sizes, exp_density,
+                   exp_integrals, exp_partial, jump_integrator, loop_sweep, mixed_integrator,
+                   power_series, scan_one, total_variation)
 
 
 class TestStieltjesClosedForms:
@@ -155,6 +158,11 @@ class TestValueAndVariation:
                              ([1.0, 2.0], [1.0, 1.0])):  # (n,) sizes, not (n, dimension)
             with pytest.raises(ValueError):
                 BVFunction(1, np.asarray(times), np.asarray(sizes, dtype=complex))
+
+    @pytest.mark.parametrize("table", [np.ones(2), np.ones((0, 1)), np.ones((3, 2))])
+    def test_validation_rejects_a_table_of_another_shape(self, table):
+        with pytest.raises(ValueError, match="coefficient table must be"):
+            BVFunction(1, np.asarray([0.0]), np.ones((1, 1)), table=table)
 
     def test_a_vector_integrator_without_jumps_needs_no_jump_arrays(self):
         # the default jump_sizes was (0, 1) whatever the dimension, so a 2-vector density
@@ -598,6 +606,90 @@ def test_partial_sweep_memory_does_not_grow_with_the_jumps(n):
             finally:
                 tracemalloc.stop()
             assert peak < 8 * 200_000  # one (n,) float array of the smaller n
+
+
+@st.composite
+def table_cases(draw):
+    """A Dirichlet integrator of a periodic (q, d) table, q <= 6 and d <= 2 (in half the draws
+    a dyadic table whose rows sum to exactly 0), with 500 to 60000 jumps; a grid up to past
+    the last jump, and 1-4 abscissas with |z| <= 1000, real in about half the draws."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, d = draw(st.integers(1, 6)), draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        table = (rng.integers(-8, 9, (q, d)) + 1j * rng.integers(-8, 9, (q, d))) / 8.0
+        table[-1] = -table[:-1].sum(axis=0)  # exact in dyadic arithmetic
+    else:
+        table = rng.uniform(-1.0, 1.0, (q, d)) + 1j * rng.uniform(-1.0, 1.0, (q, d))
+    n = draw(st.integers(500, 60_000))
+    bv = build_instance(table, n, draw(st.sampled_from(("euclidean", "sup"))))[0]
+    t_max = math.log(n) + 1.0
+    grid = np.sort(rng.uniform(0.0, t_max, draw(st.integers(1, 200))))
+    modulus = 10.0 ** rng.uniform(-2.0, 3.0, draw(st.integers(1, 4)))
+    angle = np.where(rng.random(modulus.size) < 0.5, 0.0,
+                     rng.uniform(-math.pi / 2, math.pi / 2, modulus.size))
+    return bv, grid, t_max, modulus * np.exp(1j * angle)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(table_cases())
+def test_table_rows_match_the_jump_kernel(case):
+    # the same integrator without its table sums every jump one at a time.  Each row of
+    # either sweep direction agrees within _RANGE_SUM_TOL of its jump mass, plus the rounding
+    # of both sums, eps (1 + |z| log n) of it (the exponents are formed in absolute log n),
+    # and the weights either one cuts at e^-60 of a jump.  A range sum's bound is so small
+    # that verify's small-x slack need not count it
+    assert bv_module._RANGE_SUM_TOL <= 1e-8 * verify_module._SMALL_X_SLACK
+    bv, grid, v_max, z = case
+    plain = dataclasses.replace(bv, table=None)
+    norms = vector_norm(bv.jump_sizes, "euclidean")
+    masses = BVFunction(1, bv.jump_times, norms[:, None] + 0j)
+    rounding = 16.0 * np.finfo(float).eps * (1.0 + np.abs(z) * math.log(bv.jump_times.size))
+    for sweep, args in ((weighted_partial_grid, ()), (weighted_tail_grid, (v_max,))):
+        got, want = sweep(bv, z, grid, *args), sweep(plain, z, grid, *args)
+        mass = sweep(masses, z.real, grid, *args)[..., 0].real
+        allowed = ((bv_module._RANGE_SUM_TOL + rounding[:, None]) * mass
+                   + math.exp(-bv_module._NEGLIGIBLE_LOG) * np.max(norms))
+        assert np.all(vector_norm(got - want, "euclidean") <= allowed)
+
+
+def test_head_rule_proves_every_range_sum():
+    # the head ceil(2 |c| + 32) periods proves the remainder below 2^-60 of the jump mass
+    # at every |c| up to 1e9 and every phase, with room: the bound grows towards its limit as
+    # |c| -> inf on the negative axis, 0.098 of 2^-60
+    modulus = np.concatenate((np.linspace(0.0, 80.0, 1601), np.geomspace(80.0, 1e9, 400)))
+    c = (modulus[:, None] * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 49))).ravel()
+    periods = np.ceil(bv_module._HEAD_SLOPE * np.abs(c) + bv_module._HEAD_PERIODS)
+    ratio = bv_module._range_sum_bound(c, periods) / bv_module._RANGE_SUM_TOL
+    assert np.max(ratio) < 0.1
+    assert np.max(ratio) > 0.09  # near the limit, on the negative axis at 1e9
+
+
+@pytest.mark.parametrize("q, d, c, m0, m1", [
+    (6, 2, 0.29, 200_000, 200_500),
+    (2, 1, 1.0 + 2.0j, 500_000_000, 500_001_000),
+    (1, 1, -1.0 - 2.0j, 2_000_000, 2_002_000),
+    (3, 2, 19.0, 1_000_000, 1_000_700),
+    (2, 1, 373.0 + 100.0j, 1_000_000, 1_001_000),
+    (5, 1, -139.0, 300_000, 300_400),
+    # heads below the rule, where the bound is 1e-11 to 1e-9 and must still hold
+    (2, 1, 2.5 + 1.0j, 8, 60),
+    (3, 2, -3.0, 10, 60),
+    (1, 1, -6.0 + 3.0j, 12, 40),
+])
+def test_period_sums_match_mpmath(rng, q, d, c, m0, m1):
+    # ranges past n = 1e6 (one past 1e9), and two from small heads: within the bound that
+    # _range_sum_bound gives at m0, plus eps (1 + |c| log n) of the jump mass for rounding
+    table = rng.uniform(-1.0, 1.0, (q, d)) + 1j * rng.uniform(-1.0, 1.0, (q, d))
+    c = complex(c)
+    t = math.log(q * (m1 if c.real > 0 else m0))
+    want, mass = dirichlet_range_sum(table, c, t, q * m0, q * m1)
+    bound = bv_module._range_sum_bound(np.asarray([c]), np.asarray([float(m0)]))[0]
+    assert bound < 1e-8
+    got = bv_module._period_sums(table, np.asarray([c]), np.asarray([float(m0)]),
+                                 np.asarray([0]), np.asarray([t]), np.asarray([m0]),
+                                 np.asarray([m1]))[0]
+    rounding = np.finfo(float).eps * (1.0 + abs(c) * math.log(q * m1))
+    assert np.linalg.norm(got - want) <= (bound + rounding) * mass
 
 
 def assert_bitwise(got, want):

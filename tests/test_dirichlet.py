@@ -140,6 +140,8 @@ class TestBuildInstance:
         assert np.array_equal(bv.jump_sizes.view(float)[live].view(np.uint64),
                               want.view(float)[live].view(np.uint64))
         assert np.array_equal(bv.jump_times.view(np.uint64), np.log(n).view(np.uint64))
+        # the integrator carries its table, a file's cut at n_max: no full period past it
+        assert np.array_equal(bv.table, coeffs[:1000])
 
     def test_n_max_validation(self, tmp_path):
         with pytest.raises(ValueError):

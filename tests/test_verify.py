@@ -18,6 +18,7 @@ from tauberian_lab import verify as verify_module
 from tauberian_lab.bv import (DENSITY_KINDS, BVFunction, DensityPiece, weighted_partial_grid,
                               weighted_tail_grid)
 from tauberian_lab.cli import main
+from tauberian_lab.dirichlet import build_instance
 from tauberian_lab.growth import CutoffRule
 from tauberian_lab.problems import load_problem
 from tauberian_lab.transform import TauberianCertificate
@@ -397,11 +398,13 @@ class TestSweepReuse:
 
 
 @st.composite
-def held_sweep_cases(draw, densities: bool):
+def held_sweep_cases(draw, densities: bool, table: bool = False):
     """A jump integrator (0 to 300 real, complex or 2-vector jumps, some on grid points), with
-    density pieces of every kind if densities; an ascending grid on [0, 50] with points a
-    few ulps apart (or equal); ratio masks of random runs; real and complex abscissas, with
-    |Im z| <= 50 where there are densities, and short power pieces, so that quad converges."""
+    density pieces of every kind if densities, or if table a Dirichlet integrator of a
+    periodic (q, d) table, q <= 6 and d <= 2, with 2 to 20000 jumps; an ascending grid on
+    [0, 50] with points a few ulps apart (or equal); ratio masks of random runs; real and
+    complex abscissas, with |Im z| <= 50 where there are densities, and short power pieces,
+    so that quad converges."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = rng.uniform(0.0, 50.0, draw(st.integers(1, 60)))
     if draw(st.booleans()):
@@ -419,6 +422,11 @@ def held_sweep_cases(draw, densities: bool):
     if kind != "real":
         sizes = sizes + 1j * rng.standard_normal((taus.size, d))
     pieces = []
+    if table:
+        q, d = draw(st.integers(1, 6)), draw(st.integers(1, 2))
+        rows = rng.standard_normal((q, d)) + 1j * rng.standard_normal((q, d))
+        bv = build_instance(rows, draw(st.integers(2, 20_000)),
+                            draw(st.sampled_from(("euclidean", "sup"))))[0]
     if densities:
         for piece_kind in DENSITY_KINDS:
             a = 0.0 if draw(st.booleans()) else float(rng.uniform(0.0, 40.0))
@@ -429,7 +437,9 @@ def held_sweep_cases(draw, densities: bool):
                                                                   "damped_power") else 0.0
             pieces.append(DensityPiece(a, end, piece_kind, tuple(rng.standard_normal(d)),
                                        rate, float(rng.uniform(0.0, 2.0))))
-    bv = BVFunction(d, taus, sizes, tuple(pieces), draw(st.sampled_from(("euclidean", "sup"))))
+    if not table:
+        bv = BVFunction(d, taus, sizes, tuple(pieces),
+                        draw(st.sampled_from(("euclidean", "sup"))))
     scale = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
     xs = draw(st.lists(scale, min_size=1, max_size=3))
     masks = {}
@@ -441,12 +451,14 @@ def held_sweep_cases(draw, densities: bool):
     return bv, zs, t_grid, masks
 
 
-@pytest.mark.parametrize("densities", [False, True])
+@pytest.mark.parametrize("densities, table", [(False, False), (True, False), (False, True)],
+                         ids=["False", "True", "table"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_held_rows_give_the_full_sweep_sups(data, densities):
-    # every value and first witness bitwise as the sup over every grid row
-    bv, zs, t_grid, masks = data.draw(held_sweep_cases(densities))
+def test_held_rows_give_the_full_sweep_sups(data, densities, table):
+    # every value and first witness bitwise as the sup over every grid row, also where a
+    # table's range sums answer the rows past each abscissa's head
+    bv, zs, t_grid, masks = data.draw(held_sweep_cases(densities, table))
     got = verify_module._sweep_sups(bv, zs, t_grid, 1e-10, masks)
     assert got == full_sweep_sups(bv, zs, t_grid, masks)
 
