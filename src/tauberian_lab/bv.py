@@ -33,15 +33,18 @@ points it is handed is the direction.  The four public evaluators check
 their input and call these bodies.
 
 The sweep has no loop over its rows.  Each row first gets its own step, the
-jumps and density between the previous point and its own.  The jumps are
-walked in tiles of _TILE_JUMPS = 8192 consecutive jumps, into buffers
-allocated once per call, so no temporary grows with the number of jumps.
-The layout of a tile (which row each jump belongs to, and its tau - t_j) is
-built once; then, for each abscissa, every jump is weighted once and the
-weights are summed per row, and a row that spans tiles adds its parts in
-order.  Constant and exponential pieces take
-their closed form for every abscissa and row at once, and every other piece takes
-one quad call per sweep call, over the rows of all its abscissas.  A blocked
+jumps and density between the previous point and its own.  The jumps go by
+one range plan (``_jump_rows``): for every abscissa and row, the jump ranges
+it sums one by one, in the order of the jumps, and for a Dirichlet table the
+full periods it sums in closed form (see below).  One direct kernel
+(``_direct_sums``) sums every planned range, each abscissa's jumps in chunks
+of _TILE_JUMPS = 8192, so no temporary grows with the number of jumps.  A
+range is cut at the chunk edges, so a row that spans chunks adds its parts
+in order, and where an abscissa's ranges are one run of jumps the chunks
+are the fixed windows of 8192 jumps from its start.  Constant and
+exponential pieces take their closed form for every abscissa and row at
+once, and every other piece takes one quad call per sweep call, over the
+rows of all its abscissas.  A blocked
 prefix scan (Blelloch 1990) then adds up the steps with the decay
 e^{Re(c) (t_i - t_j)}.  A block spans at most _SCAN_SPAN = 256 in Re(c) t;
 inside it the steps are scaled by e^{Re(c) (t_i - t_block)} <= e^256,
@@ -57,9 +60,10 @@ A partial sweep can also return only some of its rows
 (``weighted_partial_grid(..., held=...)``): those that ``_rising_rows``
 names, where ||G|| can rise (row 0, each row whose step takes a jump or
 meets a density piece, and any rows the caller adds), which is how
-``verify`` reads its sups.  Every other row's step is
-zero, so the jump sums go into the held rows' slots and the scan sums only
-those; its blocks are still cut on the full grid, and the carry into a block
+``verify`` reads its sups.  A held list that leaves out a row whose step
+takes a jump or meets a density piece raises ValueError naming it.  Every
+other row's step is zero, so the jump sums go into the held rows' slots and
+the scan sums only those; its blocks are still cut on the full grid, and the carry into a block
 comes from the last held row before it or from the previous carry alone.
 The scan ends with the block that holds the last held row, since no slot
 reads a carry past it; an abscissa whose rows up to there fit one block
@@ -70,15 +74,17 @@ every row.
 
 An integrator that carries its Dirichlet table (``BVFunction.table``, q
 rows b_r, jump n = b_n / n at log n) answers its jump rows in closed form
-past a head.  Abscissa c weights one by one only the jumps before its head
-of q ceil(_HEAD_SLOPE |c| + _HEAD_PERIODS) jumps.  Past it, a row's range
-starts (upward) or ends (downward) at the e^-_NEGLIGIBLE_LOG cut, its partial
-periods at either end are summed jump by jump, and the full periods between
-take one Euler-Maclaurin range sum (``_period_sums``), whose remainder
-``_range_sum_bound`` proves below _RANGE_SUM_TOL = 2^-60 of the range's jump
-mass.  A file's table has q >= n_max rows, so it has no full period past the
-head and stays jump by jump.  Every other reader of the jump arrays
-(``_rising_rows``, ``value_at``, the contour kernel below) keeps them.
+past a head.  The plan gives abscissa c each row's range up to its head of
+q ceil(_HEAD_SLOPE |c| + _HEAD_PERIODS) jumps, whose weights are zeroed
+below e^-_NEGLIGIBLE_LOG as for any integrator.  Past the head, a row's
+range starts (upward) or ends (downward) at the e^-_NEGLIGIBLE_LOG cut; the
+plan hands its partial periods at either end to the same direct kernel, and
+its full periods between take one Euler-Maclaurin range sum
+(``_period_sums``), whose remainder ``_range_sum_bound`` proves below
+_RANGE_SUM_TOL = 2^-60 of the range's jump mass.  A file's table has
+q >= n_max rows, so it has no full period past the head and stays jump by
+jump.  Every other reader of the jump arrays (``_rising_rows``,
+``value_at``, the contour kernel below) keeps them.
 
 The contour evaluators ``exp_tail_integral`` and ``exp_partial_integral``,
 and the improper transform, share one jump-sum kernel for
@@ -152,11 +158,10 @@ _TAYLOR_REMAINDER = (_TAYLOR_RADIUS ** (_TAYLOR_ORDER + 1) * math.exp(_TAYLOR_RA
                      / math.factorial(_TAYLOR_ORDER + 1))
 # largest temporary of one node chunk, in array elements
 _MAX_BLOCK_ELEMENTS = 2_000_000
-# jumps of one tile of _jump_rows.  Its buffers (64-256 KiB for d <= 2) are
-# near glibc malloc's mmap threshold (128 KiB, raised to the size of a freed
-# mapped block), so they come back from the heap on the next call and are not
-# mapped and faulted in anew.  Tuned on one x86-64 Linux host: twice the tile
-# faulted again, and half of it spent more time in loop steps
+# jumps of one chunk of _direct_sums, so that its temporaries (64-256 KiB each
+# for d <= 2) stay bounded however many jumps a sweep weights.  It fixes the
+# chunk edges, and so the last bits of a row that straddles one; it was tuned
+# on sweeps of 1e6 jumps for the earlier loop, whose buffers lived per call
 _TILE_JUMPS = 8192
 # width in Re(c) t of one block of the weighted sweep's scan: it bounds the
 # scaled rows by e^256, far inside float64, and the rounding of a term's two
@@ -305,7 +310,7 @@ class BVFunction:
     integrator: jump i (from 0) lies at log(i + 1) and has size
     b_{i mod q + 1} / (i + 1).  The jump arrays must hold exactly those
     jumps; the weighted sweeps then answer the full periods past a head of
-    O(|c|) jumps in closed form (_table_rows).
+    O(|c|) jumps in closed form (_jump_rows).
     """
 
     dimension: int
@@ -645,15 +650,21 @@ def _density_segments(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: 
     e^{Re(c_k) (s - t_j) + i Im(c_k) s}, so that a large Re(c_k) t_j adds no
     rounding.  The steps are formed for the held rows only, and _add_pieces
     integrates those of every abscissa at once, with slope c_k.  held,
-    sorted, must hold every row whose step meets a piece.
+    sorted, must hold every row whose step meets a piece (ValueError names
+    the first it leaves out).
     """
     xr = c.real
     phase = 1j * c.imag
     with np.errstate(divide="ignore", over="ignore"):
         # Re(c) = 0, or subnormal, reaches everywhere
         reach = (_NEGLIGIBLE_LOG + 10.0) / np.abs(xr)
-    t = points[held]
-    prev = np.concatenate(([start], points[:-1]))[held]
+    prev = np.concatenate(([start], points[:-1]))
+    lo, hi = np.minimum(prev, points), np.maximum(prev, points)
+    meets = np.zeros(points.size, dtype=bool)
+    for piece in bv.pieces:
+        meets |= np.maximum(lo, piece.start) < np.minimum(hi, piece.end)
+    _refuse_unheld(meets, held, "meets a density piece")
+    t, prev = points[held], prev[held]
     end = np.minimum(np.maximum(prev, t - reach[:, None]), t + reach[:, None])
     step_lo, step_hi = np.minimum(end, t), np.maximum(end, t)
     # slot k * held.size + i of the flat (m * held.size) ranges is (k, i)
@@ -663,148 +674,127 @@ def _density_segments(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: 
                 lambda s, i: xk[i, None] * (s - tk[i, None]) + pk[i, None] * s, quad_tol)
 
 
+def _refuse_unheld(needed: np.ndarray, held: np.ndarray, step: str) -> None:
+    """ValueError naming the first grid index that the mask needed marks and held leaves out:
+    a row whose step takes a jump or meets a density piece needs a slot, or its sum would land
+    in another row's."""
+    missing = needed.copy()
+    missing[held] = False
+    if missing.any():
+        raise ValueError(f"held rows leave out grid index {np.argmax(missing)}, "
+                         f"whose step {step}")
+
+
 def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
                held: np.ndarray) -> np.ndarray:
     """Slot (k, i): sum of s_l e^{Re(c_k) (tau_l - t_j) + i Im(c_k) tau_l}, l in row j = held[i].
 
     Row j takes the jumps between t_{j-1} and t_j (t_{-1} = start), as
-    [t_{j-1}, t_j) upward or [t_j, t_{j-1}) downward, and leaves out those
-    whose weight is below e^-_NEGLIGIBLE_LOG, over _NEGLIGIBLE_LOG / |Re c_k|
-    from t_j.  held, sorted, must hold every row that takes a jump; the
-    (m, held.size, d) result has a slot for each held row.  The rows' jumps
-    together are one run of consecutive jumps, in row order upward and in
-    reverse row order downward.  Abscissa k sums the jumps before its head
-    jump by jump, and an integrator with a table hands those from the head
-    on to _table_rows; the head is q ceil(_HEAD_SLOPE |c_k| + _HEAD_PERIODS)
-    where _range_sum_bound proves it, and past every jump otherwise.  The
-    run is walked in tiles, the windows [p, p + _TILE_JUMPS) of its
-    positions, and a segment is a row's part in one tile.  The weights, the
-    products, the gaps tau_l - t_j and the (d, n) sizes of a tile go into
-    four buffers allocated once per call, so no temporary grows with the
-    number of jumps.  In each tile, for each abscissa in turn, each jump
-    before its head is weighted once (the exponent formed in place), each
-    segment is summed alone (np.add.reduceat along the jumps, which are the
-    contiguous axis), and a row adds its segments' sums in run order.
-    numpy's pairwise summation groups a segment's terms by its length, so
-    the last bits of a row that straddles a tile's end depend on
-    _TILE_JUMPS.  The cut below e^-_NEGLIGIBLE_LOG is skipped where no jump
-    of the tile lies that low.
+    [t_{j-1}, t_j) upward or [t_j, t_{j-1}) downward.  held, sorted, must
+    hold every row that takes a jump (ValueError names the first it leaves
+    out); the (m, held.size, d) result has a slot for each held row.  The
+    rows' jumps together are one run of consecutive jumps, in row order
+    upward and in reverse row order downward.  The plan gives each abscissa
+    k and row j the jump ranges it sums, in run order: the row's range before
+    the head, which is q ceil(_HEAD_SLOPE |c_k| + _HEAD_PERIODS) jumps for an
+    integrator with a table where _range_sum_bound proves it, and past every
+    jump otherwise; then, past the head, the row's range from the cut at
+    e^-_NEGLIGIBLE_LOG on (upward; up to it downward), whose partial periods
+    at either end are summed jump by jump and whose full periods take
+    _period_sums.  _direct_sums sums every range that goes jump by jump.
     """
-    xr, y = c.real, c.imag
-    times, sizes, d = bv.jump_times, bv.jump_sizes, bv.dimension
-    out = np.zeros((c.size, held.size, d), dtype=complex)
-    # row j holds the jumps between bounds[j] and bounds[j + 1]
+    times, table = bv.jump_times, bv.table
+    out = np.zeros((c.size, held.size, bv.dimension), dtype=complex)
     bounds = np.searchsorted(times, np.concatenate(([start], points)), side="left")
-    rows = np.arange(points.size)
+    takes = bounds[1:] != bounds[:-1]
+    _refuse_unheld(takes, held, "takes a jump")
+    rows = np.flatnonzero(takes)  # the rows with a jump, in run order
     if bounds[-1] < bounds[0]:
         rows = rows[::-1]
-    count = np.abs(np.diff(bounds))[rows]
-    # position p of the run is jump first + p, and row rows[i] holds the
-    # positions last[i] - count[i] to last[i] - 1
-    first = int(min(bounds[0], bounds[-1]))
-    last = np.cumsum(count)
-    total = int(last[-1]) if last.size else 0
+    ends = bounds[rows], bounds[rows + 1]
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    t, slot = points[rows], np.searchsorted(held, rows)
     head = np.full(c.size, times.size)
-    if bv.table is not None:
+    if table is not None:
         periods = np.ceil(_HEAD_SLOPE * np.abs(c) + _HEAD_PERIODS)
         proven = _range_sum_bound(c, periods) <= _RANGE_SUM_TOL
-        head[proven] = np.minimum(bv.table.shape[0] * periods[proven], times.size)
-    # abscissa k sums the positions [0, direct[k]) jump by jump
-    direct = np.clip(head - first, 0, total).tolist()
-    stop = max(direct, default=0)
-    size = min(_TILE_JUMPS, stop)
-    weights = np.empty(size, dtype=complex if np.any(y) else float)
-    products = np.empty(d * size, dtype=complex)
-    parts = np.empty(d * size, dtype=complex)
-    gaps = np.empty(size)
-    for p0 in range(0, stop, _TILE_JUMPS):
-        p1 = min(p0 + _TILE_JUMPS, stop)
-        n = p1 - p0
-        r0 = int(np.searchsorted(last, p0, side="right"))
-        r1 = int(np.searchsorted(last, p1 - 1, side="right")) + 1
-        taken = np.minimum(last[r0:r1], p1) - np.maximum(last[r0:r1] - count[r0:r1], p0)
-        tau = times[first + p0:first + p1]
-        gap = np.subtract(tau, np.repeat(points[rows[r0:r1]], taken), out=gaps[:n])
-        part = parts[:d * n].reshape(d, n)
-        part[...] = sizes[first + p0:first + p1].T
-        some = taken > 0
-        into = np.searchsorted(held, rows[r0:r1][some])
-        heads = (np.cumsum(taken) - taken)[some]
-        terms = products[:d * n].reshape(d, n)
-        # xr gap is monotone in gap, so its least value is at an end of the gaps
-        ends = gap.min(), gap.max()
-        for k in range(c.size):
-            # the tile's first m jumps lie before the head, in its first s segments
-            m = min(n, direct[k] - p0)
-            if m <= 0:
-                continue
-            s = int(np.searchsorted(heads, m))
-            # real weights take the buffer's first m floats, complex ones its
-            # first m entries, with the exponent xr gap as their real part
-            w = weights[:m] if y[k] else weights.view(float)[:m]
-            arg = w.real
-            np.multiply(gap[:m], xr[k], out=arg)
-            low = min(xr[k] * ends[0], xr[k] * ends[1]) < -_NEGLIGIBLE_LOG
-            drop = arg < -_NEGLIGIBLE_LOG if low else None
-            if y[k]:
-                np.multiply(tau[:m], y[k], out=w.imag)
-                w.imag += 0.0  # a zero phase is +0, as arg + 1j * (y tau) makes it
-            np.exp(w, out=w)
-            if drop is not None:
-                w[drop] = 0.0
-            np.multiply(w, part[:, :m], out=terms[:, :m])
-            out[k, into[:s]] += np.add.reduceat(terms[:, :m], heads[:s], axis=1).T
-    if bv.table is not None:
-        live = count > 0
-        _table_rows(bv, c, head, points[rows[live]], (first + last - count)[live],
-                    (first + last)[live], np.searchsorted(held, rows[live]), out)
+        head[proven] = np.minimum(table.shape[0] * periods[proven], times.size)
+    # each abscissa's ranges for each row, in run order: the row's range before the head, then
+    # for a table the partial periods past it
+    starts, stops = [np.broadcast_to(lo, (c.size, lo.size))], [np.minimum(hi, head[:, None])]
+    if table is not None:
+        q = table.shape[0]
+        with np.errstate(divide="ignore"):
+            reach = _NEGLIGIBLE_LOG / np.abs(c.real[:, None])  # Re(c) = 0 reaches everywhere
+        # the cut starts a row's range upward and ends it downward
+        first, stop = np.maximum(lo, head[:, None]), np.broadcast_to(hi, (c.size, lo.size))
+        if bounds[-1] < bounds[0]:
+            stop = np.minimum(stop, np.searchsorted(times, t + reach, side="right"))
+        else:
+            first = np.maximum(first, np.searchsorted(times, t - reach))
+        # the full periods are the jumps [a, b): jump l has n = l + 1, q m < n <= q (m + 1);
+        # the partial periods are [first, a) and [b, stop), or all of [first, stop)
+        a, b = -(-first // q) * q, stop // q * q
+        full = b > a
+        starts += [first, np.where(full, b, stop)]
+        stops += [np.where(full, a, stop), stop]
+    _direct_sums(bv, c, t, slot, np.stack(starts, axis=2), np.stack(stops, axis=2), out)
+    if table is not None and full.any():
+        k, i = np.nonzero(full)
+        out[k, slot[i]] += _period_sums(table, c, head // q, k, t[i], a[full] // q, b[full] // q)
     return out
 
 
-def _table_rows(bv: BVFunction, c: np.ndarray, head: np.ndarray, t: np.ndarray,
-                lo: np.ndarray, hi: np.ndarray, into: np.ndarray, out: np.ndarray) -> None:
-    """Add to out[k, into[i]] the weighted jumps of row i from jump head[k] on, for bv's table.
+def _direct_sums(bv: BVFunction, c: np.ndarray, t: np.ndarray, slot: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, out: np.ndarray) -> None:
+    """Add to out[k, slot[i]] the sum of s_l e^{Re(c_k) (tau_l - t_i) + i Im(c_k) tau_l} over
+    the jumps l of each range [lo[k, i, v], hi[k, i, v]), one jump at a time.
 
-    Row i lies at t_i and holds the jumps [lo_i, hi_i).  Abscissa k takes
-    those from head[k] on whose weight e^{Re(c_k) (tau - t_i)} is at least
-    e^-_NEGLIGIBLE_LOG, so the range starts at the cut upward and ends there
-    downward, and no weight below it is formed.  The range's partial periods
-    at either end are summed jump by jump, and its full periods take
-    _period_sums.  Where head[k] lies before the last jump, it is q times
-    the head's periods, from which _jump_rows has proven the remainder of
-    the range sums below _RANGE_SUM_TOL of their jump mass.
+    Each abscissa's ranges, row by row and range by range, come in the
+    order of their jumps; a range with hi <= lo is empty.  Each abscissa's
+    jumps are walked in chunks, the windows [f, f + _TILE_JUMPS) of their
+    positions in that order, so no temporary grows with the number of
+    jumps.  A range is split at the chunk edges, so where an abscissa's
+    ranges are one run of consecutive jumps from jump f, as its ranges
+    before the head are, the edges are f + p _TILE_JUMPS.  In a chunk each
+    jump is weighted once: e^{Re(c) (tau - t)}, a real exponential for a
+    real abscissa, or one complex exponential with the phase Im(c) tau, and
+    zeroed below e^-_NEGLIGIBLE_LOG.  The products with the chunk's sizes,
+    a contiguous (d, n) copy, are summed per part by np.add.reduceat along
+    the jumps, and each row adds its parts in order.  numpy's pairwise
+    summation groups a part's terms by its length, so the last bits of a
+    row that straddles a chunk edge depend on _TILE_JUMPS.
     """
-    q = bv.table.shape[0]
-    times, sizes = bv.jump_times, bv.jump_sizes
-    k, i = np.nonzero(np.maximum(lo, head[:, None]) < hi)  # sorted by abscissa
-    if k.size == 0:
-        return
-    ck, ti = c[k], t[i]
-    with np.errstate(divide="ignore"):
-        reach = _NEGLIGIBLE_LOG / np.abs(ck.real)  # Re(c) = 0 reaches everywhere
-    start = np.maximum(np.maximum(lo[i], head[k]), np.searchsorted(times, ti - reach))
-    stop = np.minimum(hi[i], np.searchsorted(times, ti + reach, side="right"))
-    # the full periods are the jumps [a, b): jump l has n = l + 1, q m < n <= q (m + 1)
-    a, b = -(-start // q) * q, stop // q * q
-    full = b > a
-    # the partial periods [start, a) and [b, stop), or all of [start, stop)
-    seg_lo = np.stack((start, np.where(full, b, stop)), axis=1).ravel()
-    seg_len = np.maximum(np.stack((np.where(full, a, stop), stop), axis=1).ravel() - seg_lo, 0)
-    owner = np.repeat(np.repeat(np.arange(k.size), 2), seg_len)
-    idx = np.arange(owner.size) + np.repeat(seg_lo - (np.cumsum(seg_len) - seg_len), seg_len)
-    tau = times[idx]
-    w = np.exp(ck.real[owner] * (tau - ti[owner])).astype(complex)
-    turn = ck.imag[owner] != 0  # only complex abscissas take a phase
-    w[turn] *= np.exp(1j * (ck.imag[owner[turn]] * tau[turn]))
-    sums = np.zeros((k.size, bv.dimension), dtype=complex)
-    taken = seg_len.reshape(-1, 2).sum(axis=1)
-    some = taken > 0
-    if some.any():
-        sums[some] = np.add.reduceat(w[:, None] * sizes[idx], (np.cumsum(taken) - taken)[some])
-    if full.any():
-        sums[full] += _period_sums(bv.table, c, head // q, k[full], ti[full], a[full] // q,
-                                   b[full] // q)
-    out[k, into[i]] += sums
+    times, sizes, (sets, width) = bv.jump_times, bv.jump_sizes, lo.shape[1:]
+    n = np.maximum(hi - lo, 0).reshape(c.size, sets * width)
+    # each range's offset among its abscissa's jumps, and the chunks it meets there
+    off = np.cumsum(n, axis=1) - n
+    live = np.flatnonzero(n)  # the ranges that hold a jump
+    n, off = n.ravel()[live], off.ravel()[live]
+    first = off // _TILE_JUMPS
+    count = (off + n - 1) // _TILE_JUMPS - first + 1
+    r = np.repeat(np.arange(live.size), count)  # the range of each part
+    chunk = first[r] + np.arange(r.size) - np.repeat(np.cumsum(count) - count, count)
+    off = off[r]
+    part_lo = np.maximum(off, chunk * _TILE_JUMPS)
+    part_n = np.minimum(off + n[r], (chunk + 1) * _TILE_JUMPS) - part_lo
+    part_lo += lo.ravel()[live[r]] - off
+    k, i = np.divmod(live[r] // width, sets)  # the abscissa and row of each part
+    cuts = np.flatnonzero((np.diff(k) != 0) | (np.diff(chunk) != 0)) + 1
+    edges = [0, *cuts.tolist(), r.size] if r.size else []
+    del n, off, live, first, count, r, chunk, cuts  # only the parts are read from here on
+    for p0, p1 in zip(edges, edges[1:]):
+        m, kk, rows = part_n[p0:p1], k[p0], i[p0:p1]
+        heads = np.cumsum(m) - m
+        idx = np.arange(heads[-1] + m[-1]) + np.repeat(part_lo[p0:p1] - heads, m)
+        # np.take, many times faster than fancy indexing here; the sizes as a contiguous (d, n)
+        terms, tau = np.ascontiguousarray(np.take(sizes, idx, axis=0).T), np.take(times, idx)
+        arg = (tau - np.repeat(t[rows], m)) * c.real[kk]
+        w = np.exp(arg + 1j * (tau * c.imag[kk])) if c.imag[kk] else np.exp(arg)
+        w[arg < -_NEGLIGIBLE_LOG] = 0.0
+        np.multiply(w, terms, out=terms)
+        np.add.at(out, (kk, slot[rows]), np.add.reduceat(terms, heads, axis=1).T)
+        del idx, terms, tau, arg, w  # before the next chunk forms its own
 
 
 def _period_sums(table: np.ndarray, c: np.ndarray, periods: np.ndarray, k: np.ndarray,
@@ -854,7 +844,9 @@ def _period_sums(table: np.ndarray, c: np.ndarray, periods: np.ndarray, k: np.nd
     rising = ck.real > 0
     anchor = np.where(rising, e[:, 1], e[:, 0])
     seg = _exp_segment(np.where(rising, -ck, ck), np.log1p((ends[:, 1] - ends[:, 0]) / ends[:, 0]))
-    return (g[:, 1] - g[:, 0] + (anchor * seg)[:, None] * lam[0]) / q
+    # lam[:1], not lam[0]: numpy rounds a 1-d operand broadcast against one lone pair's
+    # product unlike the same pair among others
+    return (g[:, 1] - g[:, 0] + (anchor * seg)[:, None] * lam[:1]) / q
 
 
 def _range_sum_bound(c: np.ndarray, periods: np.ndarray) -> np.ndarray:
@@ -1051,6 +1043,8 @@ def weighted_partial_grid(bv: BVFunction, z, t_grid: np.ndarray, quad_tol: float
     gives the (m, len(held), d) rows, all from one sweep.  held lists sorted
     grid indices (every row if None) and must hold every row of
     _rising_rows(bv, t_grid); each of its rows is bitwise the full sweep's.
+    A held list that leaves out a row whose step takes a jump or meets a
+    density piece raises ValueError naming the first such grid index.
     """
     z = _abscissas(z, "weighted_partial_grid")
     t_grid = np.asarray(t_grid, dtype=float)

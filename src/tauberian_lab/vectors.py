@@ -71,8 +71,9 @@ def vector_norm(values: np.ndarray, norm_kind: str = "euclidean") -> np.ndarray 
 def _sum_of_squares(a: np.ndarray) -> np.ndarray:
     """sum_j |a_j|^2 along the last axis, squared as by np.linalg.norm, added left to right."""
     squares = np.conjugate(a)  # a new array, so the products and sums may go into it
-    squares *= a
-    squares = squares.real
+    # numpy's in-place complex product rounds a lone element unlike the same element among
+    # others, so that one takes a new array, or a row's norm would depend on the rows beside it
+    squares = (squares * a if squares.size == 1 else np.multiply(squares, a, out=squares)).real
     total = squares[..., 0]
     for j in range(1, a.shape[-1]):
         total += squares[..., j]

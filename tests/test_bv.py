@@ -1,6 +1,7 @@
 """Stieltjes integration against closed forms and structural invariants."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -551,6 +552,20 @@ class TestSweepRange:
                 assert np.max(np.abs(got - want)) <= 1e-15 * float(np.sum(np.abs(sizes)))
 
 
+@pytest.mark.parametrize("bv", [
+    BVFunction(1, np.asarray([0.5, 1.5]), np.ones((2, 1), dtype=complex)),
+    BVFunction(1, pieces=(DensityPiece(1.2, 1.8, "constant", (1.0,)),))], ids=["jump", "density"])
+def test_held_rows_that_leave_out_a_rising_row_are_refused(bv):
+    # row 2's step [1, 2) takes the jump at 1.5 or meets the piece on [1.2, 1.8).  Left out of
+    # held, its sum went into row 3's slot, which read 0.6886 for the jumps and 0 for the piece
+    grid = np.asarray([0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="leave out grid index 2, whose step"):
+        weighted_partial_grid(bv, [1.0], grid, held=np.asarray([0, 1, 3]))
+    want = {"jump": math.exp(-2.5) + math.exp(-1.5), "density": math.exp(-1.2) - math.exp(-1.8)}
+    got = weighted_partial_grid(bv, [1.0], grid, held=np.asarray([0, 1, 2, 3]))[0, 3, 0]
+    assert got == pytest.approx(want["jump" if bv.jump_times.size else "density"], rel=1e-14)
+
+
 TILE_SIZES = (1, 2, 3, 7, 64, bv_module._TILE_JUMPS)
 
 
@@ -591,12 +606,15 @@ def test_tiles_keep_every_row_bitwise(case):
 @pytest.mark.parametrize("n", [200_000, 400_000])
 def test_partial_sweep_memory_does_not_grow_with_the_jumps(n):
     # a whole-run chunk plan holds about four arrays of the jumps' length (gaps,
-    # weights, products); the tiles hold a few of _TILE_JUMPS entries, whatever n
-    # is, also on the coarse grid, where each row holds n / 2 jumps
+    # weights, products); the chunks hold a few of _TILE_JUMPS entries, whatever n
+    # is, also on the coarse grid, where each row holds n / 2 jumps.  The plan's
+    # (abscissa, row) arrays, for the alternating Dirichlet table too, stay as small
     tau = np.linspace(0.0, 50.0, n, endpoint=False)
-    bv = BVFunction(1, tau, np.where(np.arange(n) % 2, -1.0, 1.0).astype(complex)[:, None])
+    plain = BVFunction(1, tau, np.where(np.arange(n) % 2, -1.0, 1.0).astype(complex)[:, None])
+    table = build_instance(np.asarray([[1.0 + 0j], [-1.0]]), n)[0]
     z = [0.5, 3.0 + 2.0j, 40.0]
-    for grid in (np.linspace(0.0, 50.0, 2001), np.asarray([0.0, 25.0, 50.0])):
+    for bv, grid in itertools.product((plain, table), (np.linspace(0.0, 50.0, 2001),
+                                                       np.asarray([0.0, 25.0, 50.0]))):
         for sweep in (lambda: weighted_partial_grid(bv, z, grid),
                       lambda: weighted_tail_grid(bv, z, grid, 50.0)):
             tracemalloc.start()
@@ -650,6 +668,19 @@ def test_table_rows_match_the_jump_kernel(case):
         allowed = ((bv_module._RANGE_SUM_TOL + rounding[:, None]) * mass
                    + math.exp(-bv_module._NEGLIGIBLE_LOG) * np.max(norms))
         assert np.all(vector_norm(got - want, "euclidean") <= allowed)
+    # a row that lies wholly before an abscissa's head is summed jump by jump, in the same
+    # chunks and with the same arithmetic as without the table: bit for bit
+    held = np.arange(grid.size)
+    for c, points, start in ((z, grid, 0.0), (-z, grid[::-1].copy(), v_max)):
+        periods = np.ceil(bv_module._HEAD_SLOPE * np.abs(c) + bv_module._HEAD_PERIODS)
+        proven = bv_module._range_sum_bound(c, periods) <= bv_module._RANGE_SUM_TOL
+        head = np.where(proven, np.minimum(bv.table.shape[0] * periods, bv.jump_times.size),
+                        bv.jump_times.size)
+        bounds = np.searchsorted(bv.jump_times, np.concatenate(([start], points)))
+        before = np.maximum(bounds[:-1], bounds[1:]) <= head[:, None]
+        got = bv_module._jump_rows(bv, c, points, start, held)[before]
+        want = bv_module._jump_rows(plain, c, points, start, held)[before]
+        assert got.tobytes() == want.tobytes()
 
 
 def test_head_rule_proves_every_range_sum():
@@ -690,6 +721,24 @@ def test_period_sums_match_mpmath(rng, q, d, c, m0, m1):
                                  np.asarray([m1]))[0]
     rounding = np.finfo(float).eps * (1.0 + abs(c) * math.log(q * m1))
     assert np.linalg.norm(got - want) <= (bound + rounding) * mass
+
+
+def test_period_sums_of_one_range_are_those_among_others(rng):
+    # one abscissa's range sum alone is bitwise the same range's among other abscissas'
+    # ranges; the mu_0 term of a lone range was rounded unlike the same term in a batch
+    for _ in range(40):
+        q, d = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        table = rng.uniform(-1.0, 1.0, (q, d)) + 1j * rng.uniform(-1.0, 1.0, (q, d))
+        c = rng.uniform(0.1, 20.0, 3) * np.exp(1j * rng.uniform(-1.5, 1.5, 3))
+        periods = np.ceil(bv_module._HEAD_SLOPE * np.abs(c) + bv_module._HEAD_PERIODS)
+        m0 = periods.astype(int) + rng.integers(0, 50, 3)
+        m1 = m0 + rng.integers(1, 5000, 3)
+        t = np.log(q * m1 + 1.0)
+        batch = bv_module._period_sums(table, c, periods, np.arange(3), t, m0, m1)
+        for k in range(3):
+            alone = bv_module._period_sums(table, c[k:k + 1], periods[k:k + 1], np.asarray([0]),
+                                           t[k:k + 1], m0[k:k + 1], m1[k:k + 1])
+            assert alone.tobytes() == batch[k:k + 1].tobytes()
 
 
 def assert_bitwise(got, want):
@@ -747,9 +796,9 @@ class TestOneCallForEveryAbscissa:
 
     @pytest.mark.parametrize("tile", [bv_module._TILE_JUMPS, 37])
     def test_jump_rows_equal_each_abscissa_alone(self, tile, monkeypatch):
-        # real, complex, real, cut (jumps below e^-60 of their row), uncut: the
-        # buffers each abscissa reuses carry nothing into the next, also
-        # across tiles of 37 jumps
+        # real, complex, real, cut (jumps below e^-60 of their row), uncut: one
+        # abscissa's chunks carry nothing into the next's, also across chunks of
+        # 37 jumps
         monkeypatch.setattr(bv_module, "_TILE_JUMPS", tile)
         tau, sizes = alternating_jumps(400)
         bv = BVFunction(2, tau, np.hstack((sizes, 1j * sizes[::-1])))

@@ -14,7 +14,9 @@ For a byte-for-byte comparison of two checkouts, run in each (from its root)
 
     PYTHONPATH=src python tests/test_gallery.py --outputs DIR
 
-which writes every gallery command's exact stdout, exit code and stderr
+(it exits 2, naming both directories, when the ``tauberian_lab`` it imports is not
+this checkout's ``src/tauberian_lab``, as under a stale ``PYTHONPATH``), which
+writes every gallery command's exact stdout, exit code and stderr
 (without the sidecar's ``generated_at`` line) into DIR, with each contour
 command's ``--dump`` table beside them, and then the same for every command
 of the benchmark workloads (``perfbench/workloads.py``) at seeds 1, 7 and 23;
@@ -54,10 +56,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import tauberian_lab
 from tauberian_lab.cli import main
 
 EXPECTED = Path(__file__).with_name("gallery_expected.json")
 PROBLEMS = Path(__file__).parents[1] / "problems"
+PACKAGE = Path(__file__).parents[1] / "src" / "tauberian_lab"
 WORKLOADS = Path(__file__).parents[1] / "perfbench" / "workloads.py"
 SPANS = WORKLOADS.with_name("spans.py")
 WORKLOAD_SEEDS = (1, 7, 23)
@@ -181,6 +185,26 @@ def write_outputs(directory: Path) -> None:
         os.chdir(previous)
 
 
+def refuse_foreign_package(imported: Path) -> None:
+    """Exit 2, naming both directories, unless imported is this checkout's package: --outputs
+    of two checkouts that import one tree would compare that tree with itself."""
+    if imported.resolve() != PACKAGE.resolve():
+        print(f"--outputs: tauberian_lab was imported from {imported.resolve()}, not from this "
+              f"checkout's {PACKAGE.resolve()}; run with PYTHONPATH=src from the checkout's root",
+              file=sys.stderr)
+        sys.exit(2)
+
+
+def test_outputs_mode_refuses_a_foreign_package(tmp_path, capsys):
+    refuse_foreign_package(PACKAGE)
+    with pytest.raises(SystemExit) as exit_:
+        refuse_foreign_package(tmp_path / "tauberian_lab")
+    assert exit_.value.code == 2
+    message = capsys.readouterr().err
+    assert str((tmp_path / "tauberian_lab").resolve()) in message
+    assert str(PACKAGE.resolve()) in message
+
+
 def _number(cell: str) -> float | None:
     try:
         return float(cell)
@@ -293,7 +317,6 @@ def test_outputs_mode_writes_each_failure_run(tmp_path, monkeypatch):
         assert "generated_at" not in stderr
 
 
-PACKAGE = Path(__file__).parents[1] / "src" / "tauberian_lab"
 # "module.qualname" of every package function that no gallery command enters, and why it stays
 UNREACHED = {
     "bv.NonFiniteIntegrandError.__init__": "error path: a sweep meets a non-finite value",
@@ -453,4 +476,5 @@ if __name__ == "__main__":
     elif args.outputs is None:
         EXPECTED.write_text(json.dumps(run_gallery(), indent=1) + "\n")
     else:
+        refuse_foreign_package(Path(tauberian_lab.__file__).parent)
         write_outputs(args.outputs)

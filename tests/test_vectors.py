@@ -36,6 +36,16 @@ def test_norms_are_bitwise_numpys(d, dtype, rng):
             assert np.array_equal(_bits(got), _bits(want)), (layout, kind)
 
 
+def test_a_row_norm_does_not_depend_on_the_rows_beside_it(rng):
+    # numpy's in-place complex product rounded a lone complex entry without the fused
+    # multiply-add it takes among others, so a sweep that held one row could read a sup one
+    # ulp off the full sweep's
+    rows = rng.standard_normal((2000, 1)) + 1j * rng.standard_normal((2000, 1))
+    alone = [vector_norm(row[None])[0] for row in rows] + [vector_norm(row) for row in rows]
+    assert np.array_equal(_bits(alone), _bits(np.tile(vector_norm(rows), 2)))
+    assert np.array_equal(_bits(vector_norm(rows)), _bits(np.linalg.norm(rows, axis=-1)))
+
+
 def test_a_vector_gives_a_numpy_float():
     assert type(vector_norm(np.asarray([3.0, 4j]))) is np.float64
     assert vector_norm(np.asarray([3, 4])) == 5.0  # integer input is taken as float
