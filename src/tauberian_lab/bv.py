@@ -34,14 +34,17 @@ their input and call these bodies.
 
 The sweep has no loop over its rows.  Each row first gets its own step, the
 jumps and density between the previous point and its own.  The jumps go by
-one range plan (``_jump_rows``): for every abscissa and row, the jump ranges
-it sums one by one, in the order of the jumps, and for a Dirichlet table the
-full periods it sums in closed form (see below).  One direct kernel
-(``_direct_sums``) sums every planned range, each abscissa's jumps in chunks
-of _TILE_JUMPS = 8192, so no temporary grows with the number of jumps.  A
-range is cut at the chunk edges, so a row that spans chunks adds its parts
-in order, and where an abscissa's ranges are one run of jumps the chunks
-are the fixed windows of 8192 jumps from its start.  Constant and
+one range plan (``_range_sums``; ``_jump_rows`` lays out the sweep's rows
+for it): for every abscissa and row, the jump ranges it sums one by one, in
+the order of the jumps, and for a Dirichlet table the full periods it sums
+in closed form (see below).  One direct kernel (``_direct_sums``) sums every
+planned range, each abscissa's jumps in chunks of _TILE_JUMPS = 8192, and
+whole (abscissa, chunk) groups in batches of at most 8192 jumps, so no
+temporary grows with the number of jumps or abscissas.  A range is cut at
+the chunk edges, so a row that spans chunks adds its parts in order, and
+where an abscissa's ranges are one run of jumps the chunks are the fixed
+windows of 8192 jumps from its start; the batches do not move a bit of any
+row.  Constant and
 exponential pieces take their closed form for every abscissa and row at
 once, and every other piece takes one quad call per sweep call, over the
 rows of all its abscissas.  A blocked
@@ -76,25 +79,37 @@ An integrator that carries its Dirichlet table (``BVFunction.table``, q
 rows b_r, jump n = b_n / n at log n) answers its jump rows in closed form
 past a head.  The plan gives abscissa c each row's range up to its head of
 q ceil(_HEAD_SLOPE |c| + _HEAD_PERIODS) jumps, whose weights are zeroed
-below e^-_NEGLIGIBLE_LOG as for any integrator.  Past the head, a row's
-range starts (upward) or ends (downward) at the e^-_NEGLIGIBLE_LOG cut; the
-plan hands its partial periods at either end to the same direct kernel, and
-its full periods between take one Euler-Maclaurin range sum
+below e^-_NEGLIGIBLE_LOG as for any integrator.  Past the head, a row
+keeps the jumps whose weight is at least e^-_NEGLIGIBLE_LOG, which starts
+its range where Re(c) > 0 (the partial sweep) and ends it where Re(c) < 0
+(the tail sweep); the plan hands its partial periods at either end to the
+same direct kernel, and its full periods between take one Euler-Maclaurin
+range sum
 (``_period_sums``), whose remainder ``_range_sum_bound`` proves below
 _RANGE_SUM_TOL = 2^-60 of the range's jump mass.  A file's table has
 q >= n_max rows, so it has no full period past the head and stays jump by
 jump.  Every other reader of the jump arrays (``_rising_rows``,
-``value_at``, the contour kernel below) keeps them.
+``value_at``) keeps them.
 
 The contour evaluators ``exp_tail_integral`` and ``exp_partial_integral``,
-and the improper transform, share one jump-sum kernel for
-sum_k s_k e^{-z(tau_k - t)} over N jumps and many nodes z.  It groups the
+and the improper transform, sum s_k e^{-z(tau_k - t)} over the jumps of each
+node's range.  An integrator whose table repeats within its jumps (q < N)
+takes the same range plan, each node z an abscissa c = -z with one row
+anchored at t, and its own end (the improper transform's t*_i): a node sums
+its head of q ceil(2 |z| + 32) jumps and its partial periods jump by jump,
+and its full periods in closed form.  What the plan leaves out, the range
+sums' 2^-60 and the weights cut below e^-60 of the jump mass, is the bound
+``jump_sum_remainder`` gives and the contour sidecar reports.  The phase
+Im(z) tau is formed in absolute tau, so it costs eps |Im z| tau relative.
+
+Materialised jumps (``jumps`` problems and file tables) take the block-Taylor
+kernel, where the plan would weigh every jump at every node.  It groups the
 sorted jumps into blocks of width h = 2/max|z|, forms per-block Taylor
 moments of order P = 20 about each block's centre c_b, and evaluates
 sum_b e^{-z(c_b - t)} sum_p (-z h/2)^p m_{b,p}, where every factor has
 modulus <= 1.  Truncation adds at most
 sum_k ||s_k|| e / 21! (<= 2^-60 sum_k ||s_k||) to each entry, the bound
-``jump_sum_remainder`` gives and the contour sidecar reports.  The block
+``jump_sum_remainder`` gives for these jumps.  The block
 factors carry their phase's rounding error (``_block_factors``), so a phase
 of hundreds of radians still leaves each factor accurate to about eps.  The
 cost is O(N P + nodes * blocks * P) instead of the dense O(nodes * N)
@@ -309,8 +324,9 @@ class BVFunction:
     table, if given, is the (q, d) table b_1, ..., b_q of a Dirichlet
     integrator: jump i (from 0) lies at log(i + 1) and has size
     b_{i mod q + 1} / (i + 1).  The jump arrays must hold exactly those
-    jumps; the weighted sweeps then answer the full periods past a head of
-    O(|c|) jumps in closed form (_jump_rows).
+    jumps; the weighted sweeps and, where the table repeats within the
+    jumps, the contour sums then answer the full periods past a head of
+    O(|c|) jumps in closed form (_range_sums).
     """
 
     dimension: int
@@ -694,44 +710,55 @@ def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
     hold every row that takes a jump (ValueError names the first it leaves
     out); the (m, held.size, d) result has a slot for each held row.  The
     rows' jumps together are one run of consecutive jumps, in row order
-    upward and in reverse row order downward.  The plan gives each abscissa
-    k and row j the jump ranges it sums, in run order: the row's range before
-    the head, which is q ceil(_HEAD_SLOPE |c_k| + _HEAD_PERIODS) jumps for an
-    integrator with a table where _range_sum_bound proves it, and past every
-    jump otherwise; then, past the head, the row's range from the cut at
-    e^-_NEGLIGIBLE_LOG on (upward; up to it downward), whose partial periods
-    at either end are summed jump by jump and whose full periods take
-    _period_sums.  _direct_sums sums every range that goes jump by jump.
+    upward and in reverse row order downward, which is the order in which
+    _range_sums takes every abscissa's rows.
     """
-    times, table = bv.jump_times, bv.table
     out = np.zeros((c.size, held.size, bv.dimension), dtype=complex)
-    bounds = np.searchsorted(times, np.concatenate(([start], points)), side="left")
+    bounds = np.searchsorted(bv.jump_times, np.concatenate(([start], points)), side="left")
     takes = bounds[1:] != bounds[:-1]
     _refuse_unheld(takes, held, "takes a jump")
     rows = np.flatnonzero(takes)  # the rows with a jump, in run order
     if bounds[-1] < bounds[0]:
         rows = rows[::-1]
     ends = bounds[rows], bounds[rows + 1]
-    lo, hi = np.minimum(*ends), np.maximum(*ends)
-    t, slot = points[rows], np.searchsorted(held, rows)
+    _range_sums(bv, c, points[rows], np.searchsorted(held, rows), np.minimum(*ends),
+                np.maximum(*ends), out)
+    return out
+
+
+def _range_sums(bv: BVFunction, c: np.ndarray, t: np.ndarray, slot: np.ndarray, lo, hi,
+                out: np.ndarray) -> None:
+    """Add to out[k, slot[i]] the sum of s_l e^{Re(c_k) (tau_l - t_i) + i Im(c_k) tau_l} over
+    the jumps lo[k, i] <= l < hi[k, i] (lo and hi broadcast to (m, n)), by the range plan.
+
+    Each abscissa's ranges come row by row in the order of their jumps, and
+    Re(c_k) (tau_l - t_i) <= 0 on them.  The plan gives each abscissa k and
+    row i the ranges it sums, in that order: the row's range before the
+    head, which is q ceil(_HEAD_SLOPE |c_k| + _HEAD_PERIODS) jumps for an
+    integrator with a table where _range_sum_bound proves it, and past every
+    jump otherwise; then, past the head, the row's jumps within
+    _NEGLIGIBLE_LOG / |Re c_k| of t_i (the weights above e^-_NEGLIGIBLE_LOG),
+    whose partial periods at either end are summed jump by jump and whose
+    full periods take _period_sums.  _direct_sums sums every range that goes
+    jump by jump.
+    """
+    times, table = bv.jump_times, bv.table
+    lo, hi = np.broadcast_to(lo, (c.size, t.size)), np.broadcast_to(hi, (c.size, t.size))
+    if table is not None and not np.any(hi > table.shape[0] * _HEAD_PERIODS):
+        table = None  # every range ends before the least head, so all of it goes jump by jump
     head = np.full(c.size, times.size)
     if table is not None:
         periods = np.ceil(_HEAD_SLOPE * np.abs(c) + _HEAD_PERIODS)
         proven = _range_sum_bound(c, periods) <= _RANGE_SUM_TOL
         head[proven] = np.minimum(table.shape[0] * periods[proven], times.size)
-    # each abscissa's ranges for each row, in run order: the row's range before the head, then
-    # for a table the partial periods past it
-    starts, stops = [np.broadcast_to(lo, (c.size, lo.size))], [np.minimum(hi, head[:, None])]
+    starts, stops = [lo], [np.minimum(hi, head[:, None])]
     if table is not None:
         q = table.shape[0]
         with np.errstate(divide="ignore"):
             reach = _NEGLIGIBLE_LOG / np.abs(c.real[:, None])  # Re(c) = 0 reaches everywhere
-        # the cut starts a row's range upward and ends it downward
-        first, stop = np.maximum(lo, head[:, None]), np.broadcast_to(hi, (c.size, lo.size))
-        if bounds[-1] < bounds[0]:
-            stop = np.minimum(stop, np.searchsorted(times, t + reach, side="right"))
-        else:
-            first = np.maximum(first, np.searchsorted(times, t - reach))
+        # the cut starts a range where Re(c) > 0 and ends it where Re(c) < 0
+        first = np.maximum(np.maximum(lo, head[:, None]), np.searchsorted(times, t - reach))
+        stop = np.minimum(hi, np.searchsorted(times, t + reach, side="right"))
         # the full periods are the jumps [a, b): jump l has n = l + 1, q m < n <= q (m + 1);
         # the partial periods are [first, a) and [b, stop), or all of [first, stop)
         a, b = -(-first // q) * q, stop // q * q
@@ -742,7 +769,6 @@ def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
     if table is not None and full.any():
         k, i = np.nonzero(full)
         out[k, slot[i]] += _period_sums(table, c, head // q, k, t[i], a[full] // q, b[full] // q)
-    return out
 
 
 def _direct_sums(bv: BVFunction, c: np.ndarray, t: np.ndarray, slot: np.ndarray, lo: np.ndarray,
@@ -752,18 +778,21 @@ def _direct_sums(bv: BVFunction, c: np.ndarray, t: np.ndarray, slot: np.ndarray,
 
     Each abscissa's ranges, row by row and range by range, come in the
     order of their jumps; a range with hi <= lo is empty.  Each abscissa's
-    jumps are walked in chunks, the windows [f, f + _TILE_JUMPS) of their
-    positions in that order, so no temporary grows with the number of
-    jumps.  A range is split at the chunk edges, so where an abscissa's
-    ranges are one run of consecutive jumps from jump f, as its ranges
-    before the head are, the edges are f + p _TILE_JUMPS.  In a chunk each
-    jump is weighted once: e^{Re(c) (tau - t)}, a real exponential for a
-    real abscissa, or one complex exponential with the phase Im(c) tau, and
-    zeroed below e^-_NEGLIGIBLE_LOG.  The products with the chunk's sizes,
-    a contiguous (d, n) copy, are summed per part by np.add.reduceat along
-    the jumps, and each row adds its parts in order.  numpy's pairwise
-    summation groups a part's terms by its length, so the last bits of a
-    row that straddles a chunk edge depend on _TILE_JUMPS.
+    jumps are cut into chunks, the windows [f, f + _TILE_JUMPS) of their
+    positions in that order.  A range is split at the chunk edges, so where
+    an abscissa's ranges are one run of consecutive jumps from jump f, as
+    its ranges before the head are, the edges are f + p _TILE_JUMPS.  The
+    (abscissa, chunk) groups are summed in batches of whole groups, at most
+    _TILE_JUMPS jumps each, so no temporary grows with the number of jumps
+    or abscissas; real and complex abscissas take separate batches.  In a
+    batch each jump is weighted once: e^{Re(c) (tau - t)}, a real
+    exponential for a real abscissa, or one complex exponential with the
+    phase Im(c) tau, and zeroed below e^-_NEGLIGIBLE_LOG.  The products with
+    the batch's sizes, a contiguous (d, n) copy, are summed per part by
+    np.add.reduceat along the jumps, and each row adds its parts in order.
+    numpy's pairwise summation groups a part's terms by its length, so the
+    last bits of a row that straddles a chunk edge depend on _TILE_JUMPS;
+    the batches do not move them.
     """
     times, sizes, (sets, width) = bv.jump_times, bv.jump_sizes, lo.shape[1:]
     n = np.maximum(hi - lo, 0).reshape(c.size, sets * width)
@@ -780,21 +809,34 @@ def _direct_sums(bv: BVFunction, c: np.ndarray, t: np.ndarray, slot: np.ndarray,
     part_n = np.minimum(off + n[r], (chunk + 1) * _TILE_JUMPS) - part_lo
     part_lo += lo.ravel()[live[r]] - off
     k, i = np.divmod(live[r] // width, sets)  # the abscissa and row of each part
-    cuts = np.flatnonzero((np.diff(k) != 0) | (np.diff(chunk) != 0)) + 1
-    edges = [0, *cuts.tolist(), r.size] if r.size else []
-    del n, off, live, first, count, r, chunk, cuts  # only the parts are read from here on
-    for p0, p1 in zip(edges, edges[1:]):
-        m, kk, rows = part_n[p0:p1], k[p0], i[p0:p1]
+    del n, off, live, first, count, r  # only the parts are read from here on
+    if not part_n.size:
+        return
+    # the parts that start each (abscissa, chunk) group, and the group's weight in a batch: its
+    # jumps, but a lone jump weighs a whole batch, as numpy's product of one element rounds
+    # unlike the same element among others.  A change between real and complex abscissas
+    # costs a whole batch too, so that no real weight goes through the complex exponential
+    groups = np.flatnonzero(np.diff(k, prepend=-1) | np.diff(chunk, prepend=-1))
+    jumps, kind = np.add.reduceat(part_n, groups), c.imag[k[groups]] != 0
+    weight = np.where(jumps == 1, _TILE_JUMPS, jumps)
+    end = np.cumsum(weight + _TILE_JUMPS * np.diff(kind, prepend=kind[0]))
+    begin, groups = end - weight, np.append(groups, part_n.size)
+    g0 = 0
+    while g0 < kind.size:  # each batch ends with the last group that fits in _TILE_JUMPS
+        g1 = np.searchsorted(end, begin[g0] + _TILE_JUMPS, side="right")
+        p0, p1 = groups[g0], groups[g1]
+        m, kk, rows = part_n[p0:p1], k[p0:p1], i[p0:p1]
         heads = np.cumsum(m) - m
         idx = np.arange(heads[-1] + m[-1]) + np.repeat(part_lo[p0:p1] - heads, m)
         # np.take, many times faster than fancy indexing here; the sizes as a contiguous (d, n)
         terms, tau = np.ascontiguousarray(np.take(sizes, idx, axis=0).T), np.take(times, idx)
-        arg = (tau - np.repeat(t[rows], m)) * c.real[kk]
-        w = np.exp(arg + 1j * (tau * c.imag[kk])) if c.imag[kk] else np.exp(arg)
+        arg = (tau - np.repeat(t[rows], m)) * np.repeat(c.real[kk], m)
+        w = np.exp(arg + 1j * (tau * np.repeat(c.imag[kk], m))) if kind[g0] else np.exp(arg)
         w[arg < -_NEGLIGIBLE_LOG] = 0.0
         np.multiply(w, terms, out=terms)
         np.add.at(out, (kk, slot[rows]), np.add.reduceat(terms, heads, axis=1).T)
-        del idx, terms, tau, arg, w  # before the next chunk forms its own
+        del idx, terms, tau, arg, w  # before the next batch forms its own
+        g0 = g1
 
 
 def _period_sums(table: np.ndarray, c: np.ndarray, periods: np.ndarray, k: np.ndarray,
@@ -829,14 +871,11 @@ def _period_sums(table: np.ndarray, c: np.ndarray, periods: np.ndarray, k: np.nd
     powers[..., 0] = 1.0
     powers[..., 1:] = (periods[k, None] / ends)[..., None]
     np.cumprod(powers, axis=2, out=powers)
-    acc = np.empty((k.size, 2, 2 * d))
     p = np.arange(1.0, _EM_DEGREE)
-    cuts = np.searchsorted(k, np.arange(c.size + 1)).tolist()
-    for j, (i0, i1) in enumerate(zip(cuts, cuts[1:])):
-        if i1 > i0:
-            coef = np.cumprod(np.concatenate(([1.0], (c[j] - p) / (p * periods[j]))))
-            terms = (coef[:, None] * lam[1:]).view(float)  # (P, 2d)
-            acc[i0:i1] = np.einsum("iep,pf->ief", powers[i0:i1], terms)
+    coef = np.cumprod(np.concatenate((np.ones((c.size, 1)), (c[:, None] - p)
+                                      / (p * periods[:, None])), axis=1), axis=1)
+    terms = (coef[..., None] * lam[1:]).view(float)  # (m, P, 2d)
+    acc = np.einsum("iep,ipf->ief", powers, terms[k])
     ck = c[k]
     log_n = np.log(q * ends)
     e = np.exp(ck.real[:, None] * (log_n - t[:, None]) + 1j * (ck.imag[:, None] * log_n))
@@ -1097,8 +1136,9 @@ def _jump_exp_sum(tau: np.ndarray, sizes: np.ndarray, z: np.ndarray, t: float) -
 
     Needs ascending tau and Re(z (tau_k - t)) >= 0 for every node and jump
     (up to the callers' 1e-12 slack), so each block factor e^{-z(c_b - t)}
-    has modulus <= 1.  Returns the (n, d) sums; jump_sum_remainder(sizes)
-    bounds the truncation error of every entry, in any norm.
+    has modulus <= 1.  Returns the (n, d) sums; jump_sum_remainder of these
+    jumps without a table bounds the truncation error of every entry, in any
+    norm.
     """
     values = np.zeros((z.size, sizes.shape[1]), dtype=complex)
     if tau.size == 0 or z.size == 0:
@@ -1170,14 +1210,25 @@ def _block_factors(zc: np.ndarray, gap: np.ndarray, gap_err: np.ndarray) -> np.n
     return factors
 
 
-def jump_sum_remainder(sizes: np.ndarray) -> float:
-    """Truncation bound of the block-Taylor jump sum over these (n, d) jump sizes.
+def _repeats(bv: BVFunction) -> bool:
+    """Whether bv carries a Dirichlet table that repeats within its jumps (q < N): the
+    integrators whose contour sums take the range plan."""
+    return bv.table is not None and bv.table.shape[0] < bv.jump_times.size
 
-    Holds for every node and in either norm kind: sum_k ||s_k||_2 (vector_norm's
-    euclidean norm, so sizes near 1e+-200 neither vanish nor overflow) times
-    rho^{P+1} e^rho / (P+1)!.
+
+def jump_sum_remainder(bv: BVFunction) -> float:
+    """A bound on what the jump sums of the contour evaluators leave out, in every entry.
+
+    Holds for every node and in either norm kind, as a share of the jump mass
+    sum_k ||s_k||_2 (vector_norm's euclidean norm, so sizes near 1e+-200
+    neither vanish nor overflow).  Block-Taylor truncation leaves
+    rho^{P+1} e^rho / (P+1)! of it.  The range plan of a repeating table
+    leaves each range sum's remainder, below _RANGE_SUM_TOL of the range's
+    jump mass, and the weights it cuts below e^-_NEGLIGIBLE_LOG.
     """
-    return _TAYLOR_REMAINDER * float(np.sum(vector_norm(sizes, "euclidean")))
+    share = (_RANGE_SUM_TOL + math.exp(-_NEGLIGIBLE_LOG) if _repeats(bv)
+             else _TAYLOR_REMAINDER)
+    return share * float(np.sum(vector_norm(bv.jump_sizes, "euclidean")))
 
 
 def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi,
@@ -1185,12 +1236,16 @@ def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi,
     """int_[lo, hi_i) e^{-z_i(s-t)} dA(s) for an (n,) array of z; hi = inf allowed.
 
     hi is one end for every node or an (n,) array of ends, one per node.
-    Needs Re(z (s - t)) >= 0 on the range, the jump kernel's precondition:
+    Needs Re(z (s - t)) >= 0 on the range, the jump kernels' precondition:
     [t, inf) takes Re z >= 0 and [0, t) takes Re z <= 0.  The jumps are cut
-    at each node's end; the kernel runs once on each run of jumps between two
-    consecutive distinct cuts, over the nodes whose range covers that run, so
-    the moments of every jump are formed once.  _add_pieces integrates the
-    density over every node's range, with slope -z.
+    at each node's end.  A repeating table (_repeats) takes the range plan,
+    each node an abscissa c = -z with one row anchored at t: _range_sums
+    weights the jumps e^{-Re(z) (tau - t) - i Im(z) tau}, and the phase
+    e^{i Im(z) t} turns that into e^{-z (tau - t)}.  Other jumps take the
+    block-Taylor kernel, once on each run of jumps between two consecutive
+    distinct cuts, over the nodes whose range covers that run, so the moments
+    of every jump are formed once.  _add_pieces integrates the density over
+    every node's range, with slope -z.
     """
     _refuse_nan(t)
     hi = np.broadcast_to(np.asarray(hi, dtype=float), z.shape)
@@ -1198,12 +1253,19 @@ def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi,
     i0 = int(np.searchsorted(times, lo, side="left"))
     cuts = np.maximum(np.searchsorted(times, hi, side="left"), i0)
     out = np.zeros((z.size, bv.dimension), dtype=complex)
-    start = i0
-    for cut in sorted(set(cuts.tolist())):
-        if cut > start:
-            reach = cuts >= cut
-            out[reach] += _jump_exp_sum(times[start:cut], sizes[start:cut], z[reach], t)
-            start = cut
+    if _repeats(bv) and np.any(cuts > i0):  # an empty range may have an infinite t
+        if not np.all(np.isfinite(z)):
+            raise ValueError("jump-sum nodes must be finite")
+        _range_sums(bv, -z, np.asarray([float(t)]), np.zeros(1, dtype=int), i0, cuts[:, None],
+                    out[:, None])
+        out *= np.exp(1j * (z.imag * t))[:, None]
+    else:
+        start = i0
+        for cut in sorted(set(cuts.tolist())):
+            if cut > start:
+                reach = cuts >= cut
+                out[reach] += _jump_exp_sum(times[start:cut], sizes[start:cut], z[reach], t)
+                start = cut
     _add_pieces(bv, out, np.full(z.size, float(lo)), hi, -z,
                 lambda s, i: z[i, None] * (t - s), quad_tol)
     return out

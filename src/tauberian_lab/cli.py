@@ -289,7 +289,7 @@ def contour(problem_path, t_grid_spec, radius, density, quad_tol, residual_tol,
             "extension_agreement_t_star_max": float(np.max(point.t_star)),
             "extension_agreement_truncation_bound_max": float(np.max(point.truncation_bound)),
             "failures": failures, "total_nodes": nodes,
-            "jump_sum_remainder_max": jump_sum_remainder(prob.bv.jump_sizes)}
+            "jump_sum_remainder_max": jump_sum_remainder(prob.bv)}
     _finish("contour", prob, out, ("t", "R", "residual", "I_measured", "I_bound", "II_measured",
                                    "II_bound", "III_measured", "III_bound"), rows, meta, failures)
 

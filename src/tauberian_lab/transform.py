@@ -15,9 +15,12 @@ the small-x bound (C / x0) (x0 / x) that ``verify`` reports for x < x0.  Above
 a cutoff R that never reaches x, the x0 line gives c = (C / x0)(2 - x0 / x).
 
 ``improper_laplace`` takes a 1-d array of points, all in one call: it sums
-int_[0, t*_i) e^{-z_i s} dA(s) with the block-Taylor jump kernel of ``bv``
-(every weight has modulus <= 1 for Re z > 0 and s >= 0), so N jumps cost
-O(N P) moments once, not one exponential per jump and point.  A truncation
+int_[0, t*_i) e^{-z_i s} dA(s) with the contour jump sums of ``bv`` (every
+weight has modulus <= 1 for Re z > 0 and s >= 0).  A Dirichlet table that
+repeats within its jumps goes through the range plan, each point summing a
+head of O(|z|) jumps one by one and its full periods in closed form; other
+jumps take the block-Taylor kernel, so N jumps cost O(N P) moments once, not
+one exponential per jump and point.  A truncation
 point past _T_CAP is refused with TruncationCapError, which reports the tail
 bound the cap achieves.
 """
@@ -120,7 +123,7 @@ def improper_laplace(bv: BVFunction, z, cert: TauberianCertificate,
 
     z is a 1-d array of n points; the TransformPoint's fields are arrays,
     value (n, d).  Each point's t* is chosen on its own, and all points are
-    summed in one call of the block-Taylor range integral over [0, t*_i).  An
+    summed in one call of the range integral over [0, t*_i).  An
     error names the first failing point in array order, and its `index`
     attribute is that position.
     """

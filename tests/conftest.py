@@ -1,5 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import is_hypothesis_test, settings
+
+# Tier-1 replays the same draws on every run: each property test's examples follow from its
+# own code, and no example database carries draws from one run into the next.  The explore
+# profile (pytest --hypothesis-profile explore) draws fresh examples, ten times each test's
+# own count; a failure it finds goes into that test as an explicit @example
+settings.register_profile("default", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, database=None)
+
+
+def pytest_collection_modifyitems(items):
+    if settings.get_current_profile_name() != "explore":
+        return
+    for item in items:
+        test = getattr(item, "function", None)
+        if test is not None and is_hypothesis_test(test):
+            own = test._hypothesis_internal_use_settings
+            test._hypothesis_internal_use_settings = settings(
+                own, max_examples=10 * own.max_examples)
 
 
 @pytest.fixture

@@ -329,6 +329,9 @@ UNREACHED = {
     "verify._span": "error path: names a grid that leaves the ratio condition nothing to check",
     "growth.at_index": "error path: tags a batch entry's failure with its position",
     "dirichlet.read_coefficients": "input path that no gallery problem uses",
+    **dict.fromkeys(("bv._jump_exp_sum", "bv._block_factors", "bv._split"),
+                    "input path that no gallery problem uses: contour on materialised jumps, "
+                    "until ROADMAP item 3"),
     "verify.check_admissibility": "ROADMAP item 5 wires it into contour and certify",
 }
 
