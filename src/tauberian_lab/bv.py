@@ -60,18 +60,19 @@ rounded exponents cost each term at most about 2 eps 256 relative (under
 The steps are divided by a power of two near their largest entry first, so
 no scaled sum overflows, and a result that is still not finite raises.
 A partial sweep can also return only some of its rows
-(``weighted_partial_grid(..., held=...)``): those that ``_rising_rows``
-names, where ||G|| can rise (row 0, each row whose step takes a jump or
-meets a density piece, and any rows the caller adds), which is how
-``verify`` reads its sups.  A held list that leaves out a row whose step
-takes a jump or meets a density piece raises ValueError naming it.  Every
-other row's step is zero, so the jump sums go into the held rows' slots and
-the scan sums only those; its blocks are still cut on the full grid, and the carry into a block
-comes from the last held row before it or from the previous carry alone.
-The scan ends with the block that holds the last held row, since no slot
-reads a carry past it; an abscissa whose rows up to there fit one block
-joins the shared np.cumsum.
-Each held row is bitwise the full sweep's, and no other row is larger in any
+(``weighted_partial_grid(..., held=...)``), at any strictly increasing grid
+indices.  The held points form a sub-grid: each held row steps from the
+held point before it, so the steps the list leaves out land in the next
+held row with that row's own weights, and each held row is G at its point.
+The scan sums only the held rows; its blocks are still cut on the full
+grid, and the carry into a block comes from the last held row before it or
+from the previous carry alone.  The scan ends with the block that holds the
+last held row, since no slot reads a carry past it; an abscissa whose rows
+up to there fit one block joins the shared np.cumsum.
+``verify`` holds the rows that ``_rising_rows`` names, where ||G|| can rise
+(row 0, each row whose step takes a jump or meets a density piece, and any
+rows the caller adds).  The steps such a list merges hold nothing, so each
+held row is bitwise the full sweep's, and no other row is larger in any
 norm than the last held row before it.  The public grid evaluators hold
 every row.
 
@@ -658,16 +659,14 @@ def _add_pieces(bv: BVFunction, out: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 
 def _density_segments(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
-                      quad_tol: float, rows: np.ndarray, held: np.ndarray) -> None:
-    """Add to rows[k, i] int e^{c_k s - Re(c_k) t_j} a(s) ds over row j = held[i]'s step.
+                      quad_tol: float, rows: np.ndarray) -> None:
+    """Add to rows[k, j] int e^{c_k s - Re(c_k) t_j} a(s) ds over row j's step.
 
     Row j steps from the previous point (start for j = 0) to t_j, clipped to
     within (_NEGLIGIBLE_LOG + 10) / |Re c_k| of t_j.  The weight is formed as
     e^{Re(c_k) (s - t_j) + i Im(c_k) s}, so that a large Re(c_k) t_j adds no
-    rounding.  The steps are formed for the held rows only, and _add_pieces
-    integrates those of every abscissa at once, with slope c_k.  held,
-    sorted, must hold every row whose step meets a piece (ValueError names
-    the first it leaves out).
+    rounding.  _add_pieces integrates the steps of every abscissa at once,
+    with slope c_k.
     """
     xr = c.real
     phase = 1j * c.imag
@@ -675,54 +674,32 @@ def _density_segments(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: 
         # Re(c) = 0, or subnormal, reaches everywhere
         reach = (_NEGLIGIBLE_LOG + 10.0) / np.abs(xr)
     prev = np.concatenate(([start], points[:-1]))
-    lo, hi = np.minimum(prev, points), np.maximum(prev, points)
-    meets = np.zeros(points.size, dtype=bool)
-    for piece in bv.pieces:
-        meets |= np.maximum(lo, piece.start) < np.minimum(hi, piece.end)
-    _refuse_unheld(meets, held, "meets a density piece")
-    t, prev = points[held], prev[held]
-    end = np.minimum(np.maximum(prev, t - reach[:, None]), t + reach[:, None])
-    step_lo, step_hi = np.minimum(end, t), np.maximum(end, t)
-    # slot k * held.size + i of the flat (m * held.size) ranges is (k, i)
-    xk, pk, tk = np.repeat(xr, held.size), np.repeat(phase, held.size), np.tile(t, c.size)
+    end = np.minimum(np.maximum(prev, points - reach[:, None]), points + reach[:, None])
+    step_lo, step_hi = np.minimum(end, points), np.maximum(end, points)
+    # slot k * points.size + j of the flat (m * points.size) ranges is (k, j)
+    xk, pk, tk = (np.repeat(xr, points.size), np.repeat(phase, points.size),
+                  np.tile(points, c.size))
     _add_pieces(bv, rows.reshape(-1, rows.shape[-1]), step_lo.ravel(), step_hi.ravel(),
-                np.repeat(c, held.size),
+                np.repeat(c, points.size),
                 lambda s, i: xk[i, None] * (s - tk[i, None]) + pk[i, None] * s, quad_tol)
 
 
-def _refuse_unheld(needed: np.ndarray, held: np.ndarray, step: str) -> None:
-    """ValueError naming the first grid index that the mask needed marks and held leaves out:
-    a row whose step takes a jump or meets a density piece needs a slot, or its sum would land
-    in another row's."""
-    missing = needed.copy()
-    missing[held] = False
-    if missing.any():
-        raise ValueError(f"held rows leave out grid index {np.argmax(missing)}, "
-                         f"whose step {step}")
-
-
-def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float,
-               held: np.ndarray) -> np.ndarray:
-    """Slot (k, i): sum of s_l e^{Re(c_k) (tau_l - t_j) + i Im(c_k) tau_l}, l in row j = held[i].
+def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float) -> np.ndarray:
+    """Slot (k, j): sum of s_l e^{Re(c_k) (tau_l - t_j) + i Im(c_k) tau_l}, l in row j.
 
     Row j takes the jumps between t_{j-1} and t_j (t_{-1} = start), as
-    [t_{j-1}, t_j) upward or [t_j, t_{j-1}) downward.  held, sorted, must
-    hold every row that takes a jump (ValueError names the first it leaves
-    out); the (m, held.size, d) result has a slot for each held row.  The
-    rows' jumps together are one run of consecutive jumps, in row order
-    upward and in reverse row order downward, which is the order in which
-    _range_sums takes every abscissa's rows.
+    [t_{j-1}, t_j) upward or [t_j, t_{j-1}) downward, into the (m, n, d)
+    result.  The rows' jumps together are one run of consecutive jumps, in
+    row order upward and in reverse row order downward, which is the order
+    in which _range_sums takes every abscissa's rows.
     """
-    out = np.zeros((c.size, held.size, bv.dimension), dtype=complex)
+    out = np.zeros((c.size, points.size, bv.dimension), dtype=complex)
     bounds = np.searchsorted(bv.jump_times, np.concatenate(([start], points)), side="left")
-    takes = bounds[1:] != bounds[:-1]
-    _refuse_unheld(takes, held, "takes a jump")
-    rows = np.flatnonzero(takes)  # the rows with a jump, in run order
+    rows = np.flatnonzero(bounds[1:] != bounds[:-1])  # the rows with a jump, in run order
     if bounds[-1] < bounds[0]:
         rows = rows[::-1]
     ends = bounds[rows], bounds[rows + 1]
-    _range_sums(bv, c, points[rows], np.searchsorted(held, rows), np.minimum(*ends),
-                np.maximum(*ends), out)
+    _range_sums(bv, c, points[rows], rows, np.minimum(*ends), np.maximum(*ends), out)
     return out
 
 
@@ -935,9 +912,10 @@ def _decay_scan(rows: np.ndarray, xr: np.ndarray, points: np.ndarray, held: np.n
     """rows[k]_j <- sum_{i <= j} e^{xr_k (t_i - t_j)} rows[k]_i at each j of held, in place.
 
     rows is (m, held.size, d): for each rate xr_k, with xr_k (t_j - t_i) >= 0,
-    it holds the rows at the sorted grid indices held, and every other row is
-    zero; each rows[k] becomes the rows of the scan at held, bitwise those of
-    the scan over every row (held = arange(n)).  This is the recurrence
+    it holds the rows at the strictly increasing grid indices held, and reads
+    every other row as zero; each rows[k] becomes the rows of the scan at
+    held, bitwise those of the scan over every row (held = arange(n)) with
+    zeros at the rows held leaves out.  This is the recurrence
     out_j = e^{xr (t_{j-1} - t_j)} out_{j-1} + rows_j as a blocked prefix scan
     (Blelloch 1990).  A block holds the grid rows whose xr (t - t_0) falls in
     one cell of width _SCAN_SPAN, cut on the full grid.  Inside a block
@@ -1023,26 +1001,32 @@ def _weighted_sweep(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: fl
     """Rows (k, i): int e^{c_k s - Re(c_k) t_j} dA(s) over the s between start and t_j, j = held[i].
 
     One call sweeps the (m,) rates c over the (n,) points and returns the
-    (m, held.size, d) rows at the sorted indices held, which must hold every
-    row whose step takes a jump or meets a density piece.  The range is
-    [start, t_j) while the points ascend from start and [t_j, start) while
-    they descend to it.  The weights have modulus <= 1 when
-    Re(c_k) (s - t_j) <= 0 on the range.  The jumps and the density between
-    consecutive points give each held row's own sum (_jump_rows,
-    _density_segments), leaving out what lies over _NEGLIGIBLE_LOG / |Re c_k|
-    (jumps) or that plus 10 (density) from t_j; the blocked scan _decay_scan
-    then adds each row to the previous one rescaled by
-    e^{Re(c_k) (t_prev - t_j)}, for every abscissa in one call, back into the
-    same array.  A nonfinite result raises NonFiniteIntegrandError.
+    (m, held.size, d) rows at the strictly increasing indices held.  The
+    range is [start, t_j) while the points ascend from start and
+    [t_j, start) while they descend to it.  The weights have modulus <= 1
+    when Re(c_k) (s - t_j) <= 0 on the range.  The held points form a
+    sub-grid: held row i steps from the held point before it (start for
+    i = 0), and the jumps and the density on that step give its own sum
+    with its own weights (_jump_rows, _density_segments), leaving out what
+    lies over _NEGLIGIBLE_LOG / |Re c_k| (jumps) or that plus 10 (density)
+    from t_j.  The blocked scan _decay_scan then adds each held row to the
+    previous one rescaled by e^{Re(c_k) (t_prev - t_j)}, for every abscissa
+    in one call, back into the same array, with its blocks cut on the full
+    grid.  So any held list gives G exactly at its rows, and where it holds
+    every row whose step on the full grid takes a jump or meets a density
+    piece (_rising_rows), each row is bitwise the full sweep's: the steps
+    it merges hold nothing.  A nonfinite result raises
+    NonFiniteIntegrandError.
     """
     _refuse_nan(start, points)
-    rows = _jump_rows(bv, c, points, start, held)
+    sub = points[held]
+    rows = _jump_rows(bv, c, sub, start)
     if bv.pieces:
-        _density_segments(bv, c, points, start, quad_tol, rows, held)
+        _density_segments(bv, c, sub, start, quad_tol, rows)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow is caught by the finiteness guard
         _decay_scan(rows, c.real, points, held)
-    _guard_finite(rows, points[held][:, None], "weighted sweep")
+    _guard_finite(rows, sub[:, None], "weighted sweep")
     return rows
 
 
@@ -1079,17 +1063,19 @@ def weighted_partial_grid(bv: BVFunction, z, t_grid: np.ndarray, quad_tol: float
     Equals e^{-Re(z) t_j} int_0^{t_j} e^{zs} dA(s); every term has modulus
     <= its jump/density mass, so the result is finite for any Re(z) >= 0.
     The sweep walks the grid upward from 0 with c = z.  An (m,) array of z
-    gives the (m, len(held), d) rows, all from one sweep.  held lists sorted
-    grid indices (every row if None) and must hold every row of
-    _rising_rows(bv, t_grid); each of its rows is bitwise the full sweep's.
-    A held list that leaves out a row whose step takes a jump or meets a
-    density piece raises ValueError naming the first such grid index.
+    gives the (m, len(held), d) rows, all from one sweep.  held lists
+    strictly increasing grid indices (every row if None), and any such list
+    gives G exactly at its rows; where it holds every row of
+    _rising_rows(bv, t_grid), each of its rows is bitwise the full sweep's.
     """
     z = _abscissas(z, "weighted_partial_grid")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or (t_grid.size and (np.any(np.diff(t_grid) < 0) or t_grid[0] < 0)):
         raise ValueError("t_grid must be ascending and nonnegative")
-    held = np.arange(t_grid.size) if held is None else held
+    held = np.arange(t_grid.size) if held is None else np.asarray(held)
+    if held.ndim != 1 or held.dtype.kind not in "iu" or (held.size and (
+            held[0] < 0 or held[-1] >= t_grid.size or np.any(held[1:] <= held[:-1]))):
+        raise ValueError("held must be strictly increasing indices into t_grid")
     return _weighted_sweep(bv, z, t_grid, 0.0, quad_tol, held)
 
 

@@ -291,7 +291,7 @@ def scan_one(rows, xr, points, held):
 
 
 def chunk_rows(bv, c, points, start, chunk):
-    """Reference for bv._jump_rows with every row held and _TILE_JUMPS = chunk, as a copy.
+    """Reference for bv._jump_rows with _TILE_JUMPS = chunk, as a copy.
 
     The run of the rows' jumps is cut into chunks of `chunk` jumps.  Each
     chunk's terms are formed at once as a (d, n) array, with the weights

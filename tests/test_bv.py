@@ -555,15 +555,23 @@ class TestSweepRange:
 @pytest.mark.parametrize("bv", [
     BVFunction(1, np.asarray([0.5, 1.5]), np.ones((2, 1), dtype=complex)),
     BVFunction(1, pieces=(DensityPiece(1.2, 1.8, "constant", (1.0,)),))], ids=["jump", "density"])
-def test_held_rows_that_leave_out_a_rising_row_are_refused(bv):
+def test_held_rows_that_leave_out_a_rising_row_are_exact(bv):
     # row 2's step [1, 2) takes the jump at 1.5 or meets the piece on [1.2, 1.8).  Left out of
-    # held, its sum went into row 3's slot, which read 0.6886 for the jumps and 0 for the piece
+    # held, it lands in row 3's step [1, 3), with row 3's weights
     grid = np.asarray([0.0, 1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="leave out grid index 2, whose step"):
-        weighted_partial_grid(bv, [1.0], grid, held=np.asarray([0, 1, 3]))
     want = {"jump": math.exp(-2.5) + math.exp(-1.5), "density": math.exp(-1.2) - math.exp(-1.8)}
-    got = weighted_partial_grid(bv, [1.0], grid, held=np.asarray([0, 1, 2, 3]))[0, 3, 0]
-    assert got == pytest.approx(want["jump" if bv.jump_times.size else "density"], rel=1e-14)
+    for held in ([0, 1, 3], [0, 1, 2, 3], [3]):
+        got = weighted_partial_grid(bv, [1.0], grid, held=np.asarray(held))[0, -1, 0]
+        assert got == pytest.approx(want["jump" if bv.jump_times.size else "density"], rel=1e-14)
+
+
+@pytest.mark.parametrize("held", [[3, 2, 1, 0], [0, 4], [-1, 2], [1, 1], [0.0, 1.0], [[0, 1]],
+                                  np.asarray([2, 1], dtype=np.uint8)])
+def test_held_must_be_increasing_indices_into_the_grid(held):
+    # an unsorted, repeated, negative, fractional or out-of-range list names no sub-grid
+    bv = BVFunction(1, np.asarray([0.5, 1.5]), np.ones((2, 1), dtype=complex))
+    with pytest.raises(ValueError, match="held must be strictly increasing indices"):
+        weighted_partial_grid(bv, [1.0], np.asarray([0.0, 1.0, 2.0, 3.0]), held=held)
 
 
 TILE_SIZES = (1, 2, 3, 7, 64, bv_module._TILE_JUMPS)
@@ -593,12 +601,11 @@ def test_tiles_keep_every_row_bitwise(case):
     # byte for byte: a row's segments are its parts in the windows of one tile
     bv, grid, v_max, z = case
     down = grid[::-1].copy()
-    held = np.arange(grid.size)
     for tile in TILE_SIZES:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bv_module, "_TILE_JUMPS", tile)
-            partial = bv_module._jump_rows(bv, z, grid, 0.0, held)
-            tail = bv_module._jump_rows(bv, -z, down, v_max, held)
+            partial = bv_module._jump_rows(bv, z, grid, 0.0)
+            tail = bv_module._jump_rows(bv, -z, down, v_max)
         assert partial.tobytes() == chunk_rows(bv, z, grid, 0.0, tile).tobytes()
         assert tail.tobytes() == chunk_rows(bv, -z, down, v_max, tile).tobytes()
 
@@ -691,7 +698,6 @@ def test_table_rows_match_the_jump_kernel(case):
     assert not np.any(exp_tail_integral(bv, z, math.inf))  # no jump, and no phase e^{i Im(z) inf}
     # a row that lies wholly before an abscissa's head is summed jump by jump, in the same
     # chunks and with the same arithmetic as without the table: bit for bit
-    held = np.arange(grid.size)
     for c, points, start in ((z, grid, 0.0), (-z, grid[::-1].copy(), v_max)):
         periods = np.ceil(bv_module._HEAD_SLOPE * np.abs(c) + bv_module._HEAD_PERIODS)
         proven = bv_module._range_sum_bound(c, periods) <= bv_module._RANGE_SUM_TOL
@@ -699,8 +705,8 @@ def test_table_rows_match_the_jump_kernel(case):
                         bv.jump_times.size)
         bounds = np.searchsorted(bv.jump_times, np.concatenate(([start], points)))
         before = np.maximum(bounds[:-1], bounds[1:]) <= head[:, None]
-        got = bv_module._jump_rows(bv, c, points, start, held)[before]
-        want = bv_module._jump_rows(plain, c, points, start, held)[before]
+        got = bv_module._jump_rows(bv, c, points, start)[before]
+        want = bv_module._jump_rows(plain, c, points, start)[before]
         assert got.tobytes() == want.tobytes()
 
 
@@ -826,11 +832,10 @@ class TestOneCallForEveryAbscissa:
         grid = np.sort(np.concatenate((np.linspace(0.0, 6.5, 40), tau[::50] + 1e-9)))
         c = np.asarray([0.5, 2.0 - 3.0j, 0.0, 900.0 + 1.0j, 1e-3])
         for points, start, rates in ((grid, 0.0, c), (grid[::-1].copy(), 7.0, -c)):
-            held = np.arange(points.size)
-            got = bv_module._jump_rows(bv, rates, points, start, held)
+            got = bv_module._jump_rows(bv, rates, points, start)
             for k in range(rates.size):
                 assert_bitwise(got[k:k + 1],
-                               bv_module._jump_rows(bv, rates[k:k + 1], points, start, held))
+                               bv_module._jump_rows(bv, rates[k:k + 1], points, start))
         assert 900.0 * np.max(np.diff(grid)) > bv_module._NEGLIGIBLE_LOG  # abscissa 3 cuts
 
     def test_exponential_piece_with_a_complex_rate(self):
