@@ -89,8 +89,19 @@ range sum
 (``_period_sums``), whose remainder ``_range_sum_bound`` proves below
 _RANGE_SUM_TOL = 2^-60 of the range's jump mass.  A file's table has
 q >= n_max rows, so it has no full period past the head and stays jump by
-jump.  Every other reader of the jump arrays (``_rising_rows``,
-``value_at``) keeps them.
+jump.
+
+A table forms no jump arrays: the engine reads the jumps of every
+integrator by index alone, through ``BVFunction.jumps_before`` (the count
+of jumps before t, np.searchsorted of the jump times) and
+``BVFunction.jumps_at`` (the times and sizes of given jumps).  An
+integrator with arrays answers both from them; a table inverts fl(log n)
+and forms each gathered jump as fl(log n) and b_n times fl(1/n), so a
+sweep, a contour sum or a load holds no array that grows with the number
+of jumps.  ``variation_bound`` sums a table's jump norms by the range plan
+at c = 0, ``jump_sum_remainder`` adds them in chunks the way np.sum adds
+one array, and ``dirichlet.partial_sum_decay`` carries its np.cumsum from
+chunk to chunk, so each keeps the value it had from whole arrays.
 
 The contour evaluators ``exp_tail_integral`` and ``exp_partial_integral``,
 and the improper transform, sum s_k e^{-z(tau_k - t)} over the jumps of each
@@ -150,8 +161,9 @@ that its node arrays stay bounded however many intervals it is given.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,6 +195,10 @@ _TILE_JUMPS = 8192
 # scaled rows by e^256, far inside float64, and the rounding of a term's two
 # exponents by about 2 eps 256 relative; a wider block saves few block steps
 _SCAN_SPAN = 256.0
+# jumps a table may give: for n <= 2^40, fl(log n) < 28 is within a few ulps (2^-48) of
+# log n and log(n + 1) - log n > 2^-41, so its jump times strictly increase, and
+# floor(fl(e^t)) is within one of the count of jumps before t (BVFunction.jumps_before)
+MAX_TABLE_JUMPS = 2 ** 40
 # relative rounding-up of BVFunction.variation_bound, over its closed forms' few ulps
 _ROUND_UP = 1e-12
 # Range sums of a table's full periods (_period_sums): Euler-Maclaurin with the
@@ -318,58 +334,99 @@ class DensityPiece:
         return np.asarray(self.scale, dtype=complex)
 
 
-@dataclass(frozen=True)
 class BVFunction:
     """Locally-BV integrator: sorted jumps plus preset density pieces.
 
-    table, if given, is the (q, d) table b_1, ..., b_q of a Dirichlet
-    integrator: jump i (from 0) lies at log(i + 1) and has size
-    b_{i mod q + 1} / (i + 1).  The jump arrays must hold exactly those
-    jumps; the weighted sweeps and, where the table repeats within the
-    jumps, the contour sums then answer the full periods past a head of
-    O(|c|) jumps in closed form (_range_sums).
+    The jumps are given either as arrays, jump_times (strictly increasing)
+    with jump_sizes, or, for a Dirichlet integrator, as its (q, d) table
+    b_1, ..., b_q and a count N = jump_count <= MAX_TABLE_JUMPS: jump i (from
+    0) lies at fl(log n), n = i + 1, and has size b_{i mod q + 1} with each
+    part times fl(1/n), and no array of them is formed.  The engine reads
+    the jumps of either kind by index only: jump_count, the index lookup
+    jumps_before and the gather jumps_at.  A table has no jump_sizes, and
+    its jump_times is formed on its first read and kept, for readers
+    outside the package (perfbench's trace counters).  Every dirichlet
+    problem, a file's table too, is a table.  The weighted sweeps
+    and, where the table repeats within its jumps (q < N), the contour sums
+    answer the full periods past a head of O(|c|) jumps in closed form
+    (_range_sums).
     """
 
-    dimension: int
-    jump_times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    jump_sizes: np.ndarray | None = None  # None: no jumps, np.empty((0, dimension))
-    pieces: tuple[DensityPiece, ...] = ()
-    norm_kind: str = "euclidean"
-    table: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
+    def __init__(self, dimension: int, jump_times=(), jump_sizes=None,
+                 pieces: tuple[DensityPiece, ...] = (), norm_kind: str = "euclidean",
+                 table: np.ndarray | None = None, jump_count: int = 0):
+        if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if self.norm_kind not in NORM_KINDS:
-            raise ValueError(f"unknown norm kind {self.norm_kind!r}")
-        times = np.asarray(self.jump_times, dtype=float)
-        sizes = np.asarray(np.empty((0, self.dimension)) if self.jump_sizes is None
-                           else self.jump_sizes, dtype=complex)
-        if times.ndim != 1 or sizes.shape != (times.size, self.dimension):
+        if norm_kind not in NORM_KINDS:
+            raise ValueError(f"unknown norm kind {norm_kind!r}")
+        times = np.asarray(jump_times, dtype=float)
+        sizes = np.asarray(np.empty((0, dimension)) if jump_sizes is None else jump_sizes,
+                           dtype=complex)
+        if times.ndim != 1 or sizes.shape != (times.size, dimension):
             raise ValueError("jump arrays must be (n,) times with (n, dimension) sizes")
         if times.size:
             if not np.all(np.isfinite(times)) or times[0] < 0:
                 raise ValueError("jump locations must be finite and >= 0")
             if np.any(times[1:] <= times[:-1]):
                 raise ValueError("jump locations must be strictly increasing")
-            if not np.all(np.isfinite(sizes)):
-                raise ValueError("jump sizes must be finite")
-        for piece in self.pieces:
-            if piece.dimension != self.dimension:
+        for piece in pieces:
+            if piece.dimension != dimension:
                 raise ValueError(
-                    f"density scale dimension {piece.dimension} != integrator dimension {self.dimension}"
+                    f"density scale dimension {piece.dimension} != integrator dimension {dimension}"
                 )
-        if self.table is not None:
-            table = np.asarray(self.table, dtype=complex)
-            if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] != self.dimension:
-                raise ValueError("a coefficient table must be (q, dimension) with q >= 1")
-            object.__setattr__(self, "table", table)
-        object.__setattr__(self, "jump_times", times)
-        object.__setattr__(self, "jump_sizes", sizes)
-        object.__setattr__(self, "pieces", tuple(self.pieces))
+        self.dimension, self.pieces, self.norm_kind = dimension, tuple(pieces), norm_kind
+        self.table, self.jump_count = table, times.size
+        if table is None:
+            self.jump_times, self.jump_sizes = times, sizes
+        else:
+            self.table = sizes = np.asarray(table, dtype=complex)
+            if (sizes.ndim != 2 or sizes.shape[0] < 1 or sizes.shape[1] != dimension
+                    or times.size or not 0 <= jump_count <= MAX_TABLE_JUMPS):
+                raise ValueError("a coefficient table must be (q, dimension) with q >= 1, give 0 "
+                                 "to MAX_TABLE_JUMPS jumps and come without jump arrays")
+            self.jump_count = int(jump_count)
+        if not np.all(np.isfinite(sizes)):
+            raise ValueError("jump sizes must be finite")
 
-    def _jumps_before(self, t: float) -> int:
-        return int(np.searchsorted(self.jump_times, t, side="left"))
+    # a table's jump times as an array, formed on the first read, for readers outside the
+    # package; the engine never reads it
+    jump_times = functools.cached_property(lambda self: self.jumps_at(slice(None))[0])
+
+    def jumps_before(self, t, side: str = "left"):
+        """The index lookup: np.searchsorted(jump_times, t, side) for a number or array t,
+        the count of jumps before t (at or before t for side "right").
+
+        A table's count comes from its jump times fl(log n): floor(fl(e^t)),
+        at most N, is within one of it (MAX_TABLE_JUMPS), so one pass that
+        steps it up past a jump that counts and then down off one that does
+        not makes it exact.  A nan t counts every jump, as np.searchsorted
+        sorts nan last.
+        """
+        if self.table is None:
+            return np.searchsorted(self.jump_times, t, side)
+        t, count = np.asarray(t, dtype=float), self.jump_count
+        after = np.greater_equal if side == "left" else np.greater  # a jump at t not counted
+        with np.errstate(over="ignore"):
+            k = np.fmin(np.floor(np.exp(t)), count)
+        k = k + ((k < count) & ~after(np.log(k + 1.0), t))
+        k = k - ((k > 0) & after(np.log(np.maximum(k, 1.0)), t))
+        return k.astype(np.intp)[()]
+
+    def jumps_at(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """The gather: the (m,) times and (m, d) sizes of the jumps idx, an index array or a
+        slice, as new arrays.
+
+        A table forms them as fl(log n), n = i + 1, and b_{i mod q + 1} with
+        each part times fl(1/n), the arithmetic of the arrays
+        dirichlet.build_instance once formed, bit for bit.
+        """
+        if isinstance(idx, slice):
+            idx = np.arange(*idx.indices(self.jump_count))
+        if self.table is None:  # np.take, many times faster than fancy indexing
+            return np.take(self.jump_times, idx), np.take(self.jump_sizes, idx, axis=0)
+        n, sizes = idx + 1.0, np.take(self.table, idx % self.table.shape[0], axis=0)
+        np.multiply(sizes.view(float), np.divide(1.0, n)[:, None], out=sizes.view(float))
+        return np.log(n), sizes
 
     def value_at(self, t: float, quad_tol: float = 1e-12) -> np.ndarray:
         """Cumulative (d,) value at t (left-continuous; value_at(0) == 0)."""
@@ -391,7 +448,15 @@ class BVFunction:
         _refuse_nan(t)
         if t <= 0:
             return 0.0
-        tv = float(np.sum(vector_norm(self.jump_sizes[:self._jumps_before(t)], self.norm_kind)))
+        count = int(self.jumps_before(t))
+        if self.table is None:
+            tv = float(np.sum(vector_norm(self.jump_sizes[:count], self.norm_kind)))
+        else:  # the norms ||b_r|| make a table of their own, summed at c = 0 by the range plan
+            norms = BVFunction(1, table=vector_norm(self.table, self.norm_kind)[:, None],
+                               jump_count=count)
+            sums = np.zeros((1, 1, 1), dtype=complex)
+            _range_sums(norms, np.zeros(1, complex), np.zeros(1), np.arange(1), 0, count, sums)
+            tv = float(sums[0, 0, 0].real)
         for piece in self.pieces:
             lo, hi = piece.start, min(piece.end, t)
             amp = float(vector_norm(piece.scale_array(), self.norm_kind))
@@ -621,14 +686,14 @@ def stieltjes_integral(bv: BVFunction, rate: complex, t: float,
     total = np.zeros(bv.dimension, dtype=complex)
     if t <= 0:
         return total
-    idx = bv._jumps_before(t)
-    if idx:
-        with np.errstate(over="ignore", invalid="ignore"):
-            # e^{0 s} = 1 exactly, so rate 0 takes no exponentials; overflow
-            # is caught by the finiteness guard
-            w = np.full(idx, 1.0 + 0j) if rate == 0 else np.exp(rate * bv.jump_times[:idx])
-        _guard_finite(w, bv.jump_times[:idx], "jump weights")
-        total += w @ bv.jump_sizes[:idx]
+    idx = int(bv.jumps_before(t))
+    tau, sizes = bv.jumps_at(slice(0, idx))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # e^{0 s} = 1 exactly, so rate 0 takes no exponentials; overflow
+        # is caught by the finiteness guard
+        w = np.full(idx, 1.0 + 0j) if rate == 0 else np.exp(rate * tau)
+    _guard_finite(w, tau, "jump weights")
+    total += w @ sizes  # no jump adds an exact 0
     for piece in bv.pieces:
         lo, hi = piece.start, min(piece.end, t)
         if hi > lo:
@@ -691,15 +756,20 @@ def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float) 
     [t_{j-1}, t_j) upward or [t_j, t_{j-1}) downward, into the (m, n, d)
     result.  The rows' jumps together are one run of consecutive jumps, in
     row order upward and in reverse row order downward, which is the order
-    in which _range_sums takes every abscissa's rows.
+    in which _range_sums takes every abscissa's rows.  The abscissas go to
+    _range_sums in groups of at most _TILE_JUMPS / 3 (abscissa, row) pairs,
+    whose plans hold three ranges each, so that no plan grows with the
+    number of abscissas; no abscissa's sums depend on another's.
     """
     out = np.zeros((c.size, points.size, bv.dimension), dtype=complex)
-    bounds = np.searchsorted(bv.jump_times, np.concatenate(([start], points)), side="left")
+    bounds = bv.jumps_before(np.concatenate(([start], points)))
     rows = np.flatnonzero(bounds[1:] != bounds[:-1])  # the rows with a jump, in run order
     if bounds[-1] < bounds[0]:
         rows = rows[::-1]
-    ends = bounds[rows], bounds[rows + 1]
-    _range_sums(bv, c, points[rows], rows, np.minimum(*ends), np.maximum(*ends), out)
+    lo, hi = np.sort((bounds[rows], bounds[rows + 1]), axis=0)
+    step = max(1, _TILE_JUMPS // max(1, 3 * rows.size))  # (abscissa, row) pairs of one plan
+    for k in range(0, c.size, step):
+        _range_sums(bv, c[k:k + step], points[rows], rows, lo, hi, out[k:k + step])
     return out
 
 
@@ -719,23 +789,23 @@ def _range_sums(bv: BVFunction, c: np.ndarray, t: np.ndarray, slot: np.ndarray, 
     full periods take _period_sums.  _direct_sums sums every range that goes
     jump by jump.
     """
-    times, table = bv.jump_times, bv.table
+    table = bv.table
     lo, hi = np.broadcast_to(lo, (c.size, t.size)), np.broadcast_to(hi, (c.size, t.size))
     if table is not None and not np.any(hi > table.shape[0] * _HEAD_PERIODS):
         table = None  # every range ends before the least head, so all of it goes jump by jump
-    head = np.full(c.size, times.size)
+    head = np.full(c.size, bv.jump_count)
     if table is not None:
         periods = np.ceil(_HEAD_SLOPE * np.abs(c) + _HEAD_PERIODS)
         proven = _range_sum_bound(c, periods) <= _RANGE_SUM_TOL
-        head[proven] = np.minimum(table.shape[0] * periods[proven], times.size)
+        head[proven] = np.minimum(table.shape[0] * periods[proven], bv.jump_count)
     starts, stops = [lo], [np.minimum(hi, head[:, None])]
     if table is not None:
         q = table.shape[0]
         with np.errstate(divide="ignore"):
             reach = _NEGLIGIBLE_LOG / np.abs(c.real[:, None])  # Re(c) = 0 reaches everywhere
         # the cut starts a range where Re(c) > 0 and ends it where Re(c) < 0
-        first = np.maximum(np.maximum(lo, head[:, None]), np.searchsorted(times, t - reach))
-        stop = np.minimum(hi, np.searchsorted(times, t + reach, side="right"))
+        first = np.maximum(np.maximum(lo, head[:, None]), bv.jumps_before(t - reach))
+        stop = np.minimum(hi, bv.jumps_before(t + reach, side="right"))
         # the full periods are the jumps [a, b): jump l has n = l + 1, q m < n <= q (m + 1);
         # the partial periods are [first, a) and [b, stop), or all of [first, stop)
         a, b = -(-first // q) * q, stop // q * q
@@ -771,7 +841,7 @@ def _direct_sums(bv: BVFunction, c: np.ndarray, t: np.ndarray, slot: np.ndarray,
     last bits of a row that straddles a chunk edge depend on _TILE_JUMPS;
     the batches do not move them.
     """
-    times, sizes, (sets, width) = bv.jump_times, bv.jump_sizes, lo.shape[1:]
+    sets, width = lo.shape[1:]
     n = np.maximum(hi - lo, 0).reshape(c.size, sets * width)
     # each range's offset among its abscissa's jumps, and the chunks it meets there
     off = np.cumsum(n, axis=1) - n
@@ -805,8 +875,8 @@ def _direct_sums(bv: BVFunction, c: np.ndarray, t: np.ndarray, slot: np.ndarray,
         m, kk, rows = part_n[p0:p1], k[p0:p1], i[p0:p1]
         heads = np.cumsum(m) - m
         idx = np.arange(heads[-1] + m[-1]) + np.repeat(part_lo[p0:p1] - heads, m)
-        # np.take, many times faster than fancy indexing here; the sizes as a contiguous (d, n)
-        terms, tau = np.ascontiguousarray(np.take(sizes, idx, axis=0).T), np.take(times, idx)
+        tau, sizes = bv.jumps_at(idx)
+        terms = np.ascontiguousarray(sizes.T)  # the sizes as a contiguous (d, n)
         arg = (tau - np.repeat(t[rows], m)) * np.repeat(c.real[kk], m)
         w = np.exp(arg + 1j * (tau * np.repeat(c.imag[kk], m))) if kind[g0] else np.exp(arg)
         w[arg < -_NEGLIGIBLE_LOG] = 0.0
@@ -1047,7 +1117,7 @@ def _rising_rows(bv: BVFunction, t_grid: np.ndarray, heads=()) -> np.ndarray:
     the last of them before it (see _decay_scan).
     """
     prev = np.concatenate(([0.0], t_grid[:-1]))
-    taken = np.searchsorted(bv.jump_times, np.concatenate(([0.0], t_grid)), side="left")
+    taken = bv.jumps_before(np.concatenate(([0.0], t_grid)))
     rising = np.diff(taken) > 0
     for piece in bv.pieces:
         rising |= np.maximum(prev, piece.start) < np.minimum(t_grid, piece.end)
@@ -1199,7 +1269,7 @@ def _block_factors(zc: np.ndarray, gap: np.ndarray, gap_err: np.ndarray) -> np.n
 def _repeats(bv: BVFunction) -> bool:
     """Whether bv carries a Dirichlet table that repeats within its jumps (q < N): the
     integrators whose contour sums take the range plan."""
-    return bv.table is not None and bv.table.shape[0] < bv.jump_times.size
+    return bv.table is not None and bv.table.shape[0] < bv.jump_count
 
 
 def jump_sum_remainder(bv: BVFunction) -> float:
@@ -1214,7 +1284,23 @@ def jump_sum_remainder(bv: BVFunction) -> float:
     """
     share = (_RANGE_SUM_TOL + math.exp(-_NEGLIGIBLE_LOG) if _repeats(bv)
              else _TAYLOR_REMAINDER)
-    return share * float(np.sum(vector_norm(bv.jump_sizes, "euclidean")))
+    return share * _jump_mass(bv, 0, bv.jump_count)
+
+
+def _jump_mass(bv: BVFunction, lo: int, hi: int) -> float:
+    """np.sum of the euclidean norms of the jumps [lo, hi), bit for bit, gathered at most
+    _TILE_JUMPS at a time.
+
+    numpy sums an array of more than 128 elements pairwise, as the sums of
+    its first n2 and its other elements, n2 = n // 2 rounded down to a
+    multiple of 8; this splits the jumps the same way, so each gathered run
+    is one of numpy's halves, which np.sum adds up as it would within the
+    whole array.
+    """
+    if hi - lo <= _TILE_JUMPS:
+        return float(np.sum(vector_norm(bv.jumps_at(slice(lo, hi))[1], "euclidean")))
+    mid = lo + (hi - lo) // 16 * 8
+    return _jump_mass(bv, lo, mid) + _jump_mass(bv, mid, hi)
 
 
 def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi,
@@ -1235,9 +1321,8 @@ def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi,
     """
     _refuse_nan(t)
     hi = np.broadcast_to(np.asarray(hi, dtype=float), z.shape)
-    times, sizes = bv.jump_times, bv.jump_sizes
-    i0 = int(np.searchsorted(times, lo, side="left"))
-    cuts = np.maximum(np.searchsorted(times, hi, side="left"), i0)
+    i0 = int(bv.jumps_before(lo))
+    cuts = np.maximum(bv.jumps_before(hi), i0)
     out = np.zeros((z.size, bv.dimension), dtype=complex)
     if _repeats(bv) and np.any(cuts > i0):  # an empty range may have an infinite t
         if not np.all(np.isfinite(z)):
@@ -1250,7 +1335,7 @@ def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi,
         for cut in sorted(set(cuts.tolist())):
             if cut > start:
                 reach = cuts >= cut
-                out[reach] += _jump_exp_sum(times[start:cut], sizes[start:cut], z[reach], t)
+                out[reach] += _jump_exp_sum(*bv.jumps_at(slice(start, cut)), z[reach], t)
                 start = cut
     _add_pieces(bv, out, np.full(z.size, float(lo)), hi, -z,
                 lambda s, i: z[i, None] * (t - s), quad_tol)

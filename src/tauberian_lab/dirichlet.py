@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bv import BVFunction
+from .bv import _TILE_JUMPS, BVFunction
 from .growth import CutoffRule, GrowthBound
 from .rates import decay_rate, t_prime
 from .transform import TauberianCertificate
@@ -86,18 +86,15 @@ def read_coefficients(path) -> np.ndarray:
 
 def build_instance(table: np.ndarray, n_max: int = DEFAULT_N_MAX,
                    norm_kind: str = "euclidean") -> tuple[BVFunction, TauberianCertificate]:
-    """The first n_max jumps of the table, repeated, and the summation-by-parts certificate."""
+    """The first n_max jumps of the table, repeated, and the summation-by-parts certificate.
+
+    The integrator reads each jump from the table by its index (BVFunction.jumps_at), so
+    nothing here grows with n_max.
+    """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    n = np.arange(1.0, n_max + 1.0)
-    times = np.log(n)
     table = table[:n_max]
-    sizes = np.tile(table, (-(-n_max // table.shape[0]), 1))[:n_max]
-    # b_n / n as each part times fl(1/n), as numpy divides a complex by n + 0i
-    parts = sizes.view(float)
-    parts *= np.divide(1.0, n, out=n)[:, None]
-    bv = BVFunction(dimension=table.shape[1], jump_times=times,
-                    jump_sizes=sizes, pieces=(), norm_kind=norm_kind, table=table)
+    bv = BVFunction(table.shape[1], norm_kind=norm_kind, table=table, jump_count=n_max)
     sup = float(np.max(vector_norm(table, norm_kind)))
     cert = TauberianCertificate(C=max(sup, 1.0) * math.e, x0=1.0, T=0.0,
                                 R_rule=CutoffRule("exp_t"))
@@ -119,11 +116,17 @@ def partial_sum_decay(bv: BVFunction, f0: np.ndarray, cert: TauberianCertificate
             f"t = {float(t_grid.max()):g} exceeds log(n_max) = {t_max:.6g}; "
             "the truncated jump list is not faithful there")
 
-    prefix = np.empty((bv.jump_sizes.shape[0] + 1, bv.dimension), dtype=complex)
-    prefix[0] = 0.0
-    np.cumsum(bv.jump_sizes, axis=0, out=prefix[1:])
-    idx = np.searchsorted(bv.jump_times, t_grid, side="left")
-    decay = np.asarray(vector_norm(prefix[idx] - f0[None, :], bv.norm_kind), dtype=float)
+    # A(t) sums the jumps before t, by np.cumsum over runs of _TILE_JUMPS jumps that each
+    # start from the last sum before them.  np.cumsum adds in order, so each sum is that of
+    # one np.cumsum over every jump, but for the sign of a zero part, which no norm reads
+    idx = bv.jumps_before(t_grid)
+    # the sums at the grid points, and the sum before the run
+    sums, total = np.zeros((idx.size, bv.dimension), complex), np.zeros((1, bv.dimension), complex)
+    for lo in range(0, int(np.max(idx, initial=0)), _TILE_JUMPS):
+        run = np.cumsum(np.concatenate((total, bv.jumps_at(slice(lo, lo + _TILE_JUMPS))[1])), 0)
+        at = (idx > lo) & (idx <= lo + _TILE_JUMPS)
+        sums[at], total = run[idx[at] - lo], run[-1:]
+    decay = np.asarray(vector_norm(sums - f0[None, :], bv.norm_kind), dtype=float)
 
     above = t_grid > t_prime(cert, M)
     bounds = iter(res.bound for res in decay_rate(cert, M, t_grid[above]))

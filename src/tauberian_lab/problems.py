@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bv import BVFunction, DENSITY_KINDS, DensityPiece
+from .bv import DENSITY_KINDS, MAX_TABLE_JUMPS, BVFunction, DensityPiece
 from .contour import (ACCELERATION_TERMS, MAX_ACCELERATION_TERMS, EtaShiftExtension,
                       RationalExtension, eta)
 from .dirichlet import DEFAULT_N_MAX, DirichletInstance, build_instance, read_coefficients
@@ -264,13 +264,13 @@ def load_problem(path) -> Problem:
         n_max = node.get("n_max", DEFAULT_N_MAX)
         if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 2:
             _fail(f"{path}.dirichlet.n_max", "expected an integer >= 2")
+        if n_max > MAX_TABLE_JUMPS:
+            _fail(f"{path}.dirichlet.n_max", f"too large: a table gives at most 2^40 = "
+                  f"{MAX_TABLE_JUMPS} jumps, where fl(log n) provably increases")
         if kind == "file" and n_max > table.shape[0]:
             _fail(f"{path}.dirichlet",
                   f"coefficient source only provides {table.shape[0]} values; lower n_max")
-        try:
-            bv, cert = build_instance(table, n_max=n_max, norm_kind=norm_kind)
-        except MemoryError as exc:
-            _fail(f"{path}.dirichlet.n_max", f"too large to allocate ({exc})")
+        bv, cert = build_instance(table, n_max=n_max, norm_kind=norm_kind)
         f0 = provenance = None
         if "f0" in node:
             where = f"{path}.dirichlet.f0"

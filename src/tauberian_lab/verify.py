@@ -82,7 +82,7 @@ def make_t_grid(bv: BVFunction) -> tuple[np.ndarray, str]:
     """(grid, description): _BASE_POINTS uniform on [0, _T_MAX] plus _JUMP_POINTS geometric
     ones in (tau, tau + _JUMP_WINDOW] after each of the first _MAX_REFINED_JUMPS jumps."""
     base = np.linspace(0.0, _T_MAX, _BASE_POINTS)
-    taus = bv.jump_times[bv.jump_times < _T_MAX][:_MAX_REFINED_JUMPS]
+    taus = bv.jumps_at(slice(0, min(int(bv.jumps_before(_T_MAX)), _MAX_REFINED_JUMPS)))[0]
     refined = (taus[:, None] + _JUMP_WINDOW * np.geomspace(1e-6, 1.0, _JUMP_POINTS)).ravel()
     grid = np.sort(np.concatenate([base, refined[refined <= _T_MAX]]))
     grid = grid[np.diff(grid, prepend=-math.inf) != 0]  # np.unique would import numpy.ma

@@ -13,9 +13,10 @@ settings.register_profile("explore", derandomize=False, database=None)
 def pytest_collection_modifyitems(items):
     if settings.get_current_profile_name() != "explore":
         return
-    for item in items:
-        test = getattr(item, "function", None)
-        if test is not None and is_hypothesis_test(test):
+    # the ids of a parametrized test share its function, so each function is scaled once
+    tests = {id(item.function): item.function for item in items if hasattr(item, "function")}
+    for test in tests.values():
+        if is_hypothesis_test(test):
             own = test._hypothesis_internal_use_settings
             test._hypothesis_internal_use_settings = settings(
                 own, max_examples=10 * own.max_examples)

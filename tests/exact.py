@@ -81,8 +81,9 @@ def total_variation(bv, t, quad_tol=1e-12):
     overlap the result is an upper bound (triangle inequality)."""
     if t <= 0:
         return 0.0
-    before = int(np.searchsorted(bv.jump_times, t, side="left"))
-    tv = float(np.sum(vector_norm(bv.jump_sizes[:before], bv.norm_kind)))
+    times, sizes = bv.jumps_at(slice(None))
+    before = int(np.searchsorted(times, t, side="left"))
+    tv = float(np.sum(vector_norm(sizes[:before], bv.norm_kind)))
     for piece in bv.pieces:
         lo, hi = piece.start, min(piece.end, t)
         amp = float(vector_norm(piece.scale_array(), bv.norm_kind))
@@ -98,6 +99,23 @@ def alternating_jumps(n_max):
     n = np.arange(1, n_max + 1)
     sizes = (np.where(n % 2 == 1, 1.0, -1.0) / n).astype(complex).reshape(-1, 1)
     return np.log(n.astype(float)), sizes
+
+
+def table_jumps(table, n_max):
+    """The jump arrays of the first n_max jumps of a (q, d) table, as whole arrays: times
+    fl(log n), and the table repeated with each part times fl(1/n)."""
+    n = np.arange(1.0, n_max + 1.0)
+    times = np.log(n)
+    sizes = np.tile(table, (-(-n_max // table.shape[0]), 1))[:n_max]
+    parts = sizes.view(float)
+    parts *= np.divide(1.0, n, out=n)[:, None]
+    return times, sizes
+
+
+def plain_jumps(bv):
+    """bv with its jumps as arrays and no table, which the engine sums jump by jump
+    (block-Taylor on the contour)."""
+    return BVFunction(bv.dimension, *bv.jumps_at(slice(None)), bv.pieces, bv.norm_kind)
 
 
 def alternating_series(n_max):
@@ -230,7 +248,7 @@ def loop_sweep(bv, c, points, start, quad_tol):
     xr, y = c.real, c.imag
     reach = bv_module._NEGLIGIBLE_LOG / abs(xr) if xr else math.inf
     seg_reach = (bv_module._NEGLIGIBLE_LOG + 10.0) / abs(xr) if xr else math.inf
-    times, sizes = bv.jump_times, bv.jump_sizes
+    times, sizes = bv.jumps_at(slice(None))
     out = np.empty((points.size, bv.dimension), dtype=complex)
     acc = np.zeros(bv.dimension, dtype=complex)
     prev = start
@@ -299,7 +317,7 @@ def chunk_rows(bv, c, points, start, chunk):
     below e^-_NEGLIGIBLE_LOG, and one np.add.reduceat sums them per row; each
     row adds its chunks' sums in run order.
     """
-    times, sizes = bv.jump_times, bv.jump_sizes
+    times, sizes = bv.jumps_at(slice(None))
     out = np.zeros((c.size, points.size, bv.dimension), dtype=complex)
     bounds = np.searchsorted(times, np.concatenate(([start], points)), side="left")
     rows = np.arange(points.size)
@@ -328,7 +346,8 @@ def hybrid_grid(bv: BVFunction, t_max: float, base_points: int = 512,
                 jump_points: int = 64) -> np.ndarray:
     """make_t_grid's layout on [0, t_max]: base_points uniform points plus jump_points
     geometric ones in the 0.1 after each jump."""
-    taus = bv.jump_times[bv.jump_times < t_max]
+    taus = bv.jumps_at(slice(None))[0]
+    taus = taus[taus < t_max]
     refined = (taus[:, None] + 0.1 * np.geomspace(1e-6, 1.0, jump_points)).ravel()
     return np.unique(np.concatenate([np.linspace(0.0, t_max, base_points),
                                      refined[refined <= t_max]]))

@@ -1,6 +1,5 @@
 """Stieltjes integration against closed forms and structural invariants."""
 
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -25,7 +24,7 @@ from tauberian_lab.verify import check_certificate
 from exact import (alternating_jumps, chunk_rows, dense_jump_sum, density_integrator,
                    dirichlet_range_sum, draw_piece, draw_pieces, draw_sizes, exp_density,
                    exp_integrals, exp_partial, jump_integrator, loop_sweep, mixed_integrator,
-                   power_series, scan_one, total_variation)
+                   plain_jumps, power_series, scan_one, total_variation)
 
 
 class TestStieltjesClosedForms:
@@ -669,10 +668,11 @@ def test_table_rows_match_the_jump_kernel(case):
     # that verify's small-x slack need not count it
     assert bv_module._RANGE_SUM_TOL <= 1e-8 * verify_module._SMALL_X_SLACK
     bv, grid, v_max, z = case
-    plain = dataclasses.replace(bv, table=None)
-    norms = vector_norm(bv.jump_sizes, "euclidean")
-    masses = BVFunction(1, bv.jump_times, norms[:, None] + 0j)
-    rounding = 16.0 * np.finfo(float).eps * (1.0 + np.abs(z) * math.log(bv.jump_times.size))
+    plain = plain_jumps(bv)
+    tau, sizes = bv.jumps_at(slice(None))
+    norms = vector_norm(sizes, "euclidean")
+    masses = BVFunction(1, tau, norms[:, None] + 0j)
+    rounding = 16.0 * np.finfo(float).eps * (1.0 + np.abs(z) * math.log(tau.size))
     for sweep, args in ((weighted_partial_grid, ()), (weighted_tail_grid, (v_max,))):
         got, want = sweep(bv, z, grid, *args), sweep(plain, z, grid, *args)
         mass = sweep(masses, z.real, grid, *args)[..., 0].real
@@ -682,7 +682,7 @@ def test_table_rows_match_the_jump_kernel(case):
     # the contour evaluators and the improper transform take the range plan on the table and
     # block-Taylor on the plain jumps: the same bound against each node's jump mass, plus
     # block-Taylor's truncation
-    t, cert, tau = float(grid[grid.size // 2]), TauberianCertificate(C=1.0, x0=1.0), bv.jump_times
+    t, cert = float(grid[grid.size // 2]), TauberianCertificate(C=1.0, x0=1.0)
     t_star = improper_laplace(plain, z + 1.0, cert).t_star[:, None]
     decay = np.exp(-z.real[:, None] * np.abs(tau - t))
     for evaluate, nodes, weights in (
@@ -701,9 +701,8 @@ def test_table_rows_match_the_jump_kernel(case):
     for c, points, start in ((z, grid, 0.0), (-z, grid[::-1].copy(), v_max)):
         periods = np.ceil(bv_module._HEAD_SLOPE * np.abs(c) + bv_module._HEAD_PERIODS)
         proven = bv_module._range_sum_bound(c, periods) <= bv_module._RANGE_SUM_TOL
-        head = np.where(proven, np.minimum(bv.table.shape[0] * periods, bv.jump_times.size),
-                        bv.jump_times.size)
-        bounds = np.searchsorted(bv.jump_times, np.concatenate(([start], points)))
+        head = np.where(proven, np.minimum(bv.table.shape[0] * periods, tau.size), tau.size)
+        bounds = np.searchsorted(tau, np.concatenate(([start], points)))
         before = np.maximum(bounds[:-1], bounds[1:]) <= head[:, None]
         got = bv_module._jump_rows(bv, c, points, start)[before]
         want = bv_module._jump_rows(plain, c, points, start)[before]

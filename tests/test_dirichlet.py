@@ -3,6 +3,7 @@ and growth admissibility on the left strip."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from tauberian_lab.transform import TauberianCertificate, improper_laplace
 from tauberian_lab.vectors import vector_norm
 from tauberian_lab.verify import check_admissibility, check_certificate
 
-from exact import exp_density, named_rule
+from exact import exp_density, named_rule, table_jumps
 
 
 def coefficients(table: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -56,7 +57,7 @@ class TestCoefficientSequence:
     def test_periodic(self):
         # the jumps of a period-3 table, times n, repeat it; C = e as sup ||b_n|| = 1
         bv, cert = build_instance(np.asarray([[1.0], [0.0], [-1.0]], dtype=complex), n_max=7)
-        vals = bv.jump_sizes[:, 0] * np.arange(1, 8)
+        vals = bv.jumps_at(slice(None))[1][:, 0] * np.arange(1, 8)
         np.testing.assert_allclose(vals, [1, 0, -1, 1, 0, -1, 1])
         assert cert.C == math.e
 
@@ -91,10 +92,11 @@ class TestCoefficientSequence:
 class TestBuildInstance:
     def test_jump_layout(self):
         bv, _ = build_instance(named_rule("ones"), n_max=3)
-        np.testing.assert_allclose(bv.jump_times, [0.0, math.log(2.0), math.log(3.0)])
-        np.testing.assert_allclose(bv.jump_sizes[:, 0], [1.0, 0.5, 1.0 / 3.0])
+        times, sizes = bv.jumps_at(slice(None))
+        np.testing.assert_allclose(times, [0.0, math.log(2.0), math.log(3.0)])
+        np.testing.assert_allclose(sizes[:, 0], [1.0, 0.5, 1.0 / 3.0])
         # jump locations invert exactly back to the integer index
-        n_back = np.exp(bv.jump_times)
+        n_back = np.exp(times)
         np.testing.assert_allclose(n_back, [1.0, 2.0, 3.0], rtol=1e-14)
 
     def test_partial_sums_match_by_hand(self):
@@ -133,13 +135,14 @@ class TestBuildInstance:
                   "file": read_coefficients(path)}[kind]
         n = np.arange(1, 1001)
         bv, _ = build_instance(coeffs, n_max=1000)
+        times, sizes = bv.jumps_at(slice(None))
         want = coefficients(coeffs, n) / n[:, None]
-        assert bv.jump_sizes.shape == want.shape
-        assert np.array_equal(bv.jump_sizes, want)
+        assert sizes.shape == want.shape
+        assert np.array_equal(sizes, want)
         live = want.view(float) != 0
-        assert np.array_equal(bv.jump_sizes.view(float)[live].view(np.uint64),
+        assert np.array_equal(sizes.view(float)[live].view(np.uint64),
                               want.view(float)[live].view(np.uint64))
-        assert np.array_equal(bv.jump_times.view(np.uint64), np.log(n).view(np.uint64))
+        assert np.array_equal(times.view(np.uint64), np.log(n).view(np.uint64))
         # the integrator carries its table, a file's cut at n_max: no full period past it
         assert np.array_equal(bv.table, coeffs[:1000])
 
@@ -150,6 +153,58 @@ class TestBuildInstance:
         p.write_text("1.0 0.0\n1.0 0.0\n")
         with pytest.raises(ValueError, match="lower n_max"):
             dirichlet_problem(tmp_path, {"kind": "file", "path": "c.txt"}, 5)
+
+    def test_index_lookup_is_searchsorted_of_the_jump_times(self):
+        # a table counts the jumps before t from t alone: np.searchsorted of its times fl(log n)
+        # on both sides, at every jump time, at both of its float neighbours and past the ends
+        n_max = 10**6
+        bv, _ = build_instance(named_rule("ones"), n_max=n_max)
+        times = table_jumps(named_rule("ones"), n_max)[0]
+        ends = [-1.0, 0.0, math.log(n_max), 50.0, math.inf]
+        t = np.concatenate((times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf), ends))
+        for side in ("left", "right"):
+            assert np.array_equal(bv.jumps_before(t, side), np.searchsorted(times, t, side))
+            for s in ends:
+                assert bv.jumps_before(s, side) == np.searchsorted(times, s, side)
+        assert bv.jump_count == n_max
+
+    @pytest.mark.parametrize("kind", ["alternating", "periodic"])
+    def test_gather_is_the_table_arithmetic_bit_for_bit(self, kind, rng):
+        # jumps_at forms jump i from its index alone, bit for bit the whole arrays: lengths
+        # 1..8193 (every one to 64, then every 128th and the batch edges), contiguous from a
+        # random start and scattered, sorted or not
+        table = {"alternating": named_rule("alternating"),
+                 "periodic": np.asarray([[1.5 - 0.25j, 0.0], [-0.7j, -2.0 + 0.0j],
+                                         [0.3, 4.0 - 1e-3j]])}[kind]
+        n_max = 60_000
+        bv, _ = build_instance(table, n_max=n_max)
+        times, sizes = table_jumps(table, n_max)
+        for m in [*range(1, 65), *range(128, 8192, 128), 8191, 8192, 8193]:
+            start = int(rng.integers(0, n_max - m + 1))
+            for idx in (np.arange(start, start + m), rng.integers(0, n_max, m),
+                        np.sort(rng.choice(n_max, m, replace=False))):
+                tau, got = bv.jumps_at(idx)
+                assert np.array_equal(tau.view(np.uint64), times[idx].view(np.uint64))
+                assert np.array_equal(got.view(np.uint64), sizes[idx].view(np.uint64))
+        tau, got = bv.jumps_at(slice(None))
+        assert np.array_equal(tau.view(np.uint64), times.view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), sizes.view(np.uint64))
+        assert np.array_equal(bv.jump_times.view(np.uint64), times.view(np.uint64))
+
+    def test_a_million_jumps_load_and_verify_in_under_2_mb(self):
+        # the table is read by index, so no array grows with n_max: the gallery's 10^6 jumps
+        # once held 23 MB from load and peaked 23 MB more in the certificate check
+        path = "problems/dirichlet_alternating.json"
+        load_problem(path)  # imports outside the count
+        tracemalloc.start()
+        try:
+            prob = load_problem(path)
+            check_certificate(prob.bv, prob.certificate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prob.bv.jump_count == 10**6
+        assert peak < 2_000_000
 
 
 def alternating_decay(n_max: int, M: GrowthBound, t_grid) -> list[tuple]:

@@ -261,7 +261,7 @@ def test_certificate_constant_reads_only_the_jumps_it_holds(tmp_path):
     p = write(tmp_path, {"dirichlet": {"coefficients": {"kind": "file", "path": "c.txt"},
                                        "n_max": 2}})
     prob = load_problem(p)
-    np.testing.assert_array_equal(prob.bv.jump_sizes[:, 0], [1.0, 0.5])
+    np.testing.assert_array_equal(prob.bv.jumps_at(slice(None))[1][:, 0], [1.0, 0.5])
     assert prob.certificate.C == math.e
 
 
@@ -279,14 +279,16 @@ def test_missing_growth_hint(tmp_path):
 
 
 def test_n_max_too_large_to_allocate_names_the_option(tmp_path):
-    # 10^15 jumps need petabytes: numpy's MemoryError once escaped as a traceback, exit 1
+    # 10^15 jumps once needed petabytes, and numpy's MemoryError escaped as a traceback, exit 1.
+    # A table forms no jump arrays now; its limit is where fl(log n) is proven to increase
     p = write(tmp_path, {"name": "big", "dirichlet": {"coefficients": "alternating",
                                                       "n_max": 10**15}})
     with pytest.raises(ProblemFormatError, match=re.escape(f"{p}.dirichlet.n_max: too large")):
         load_problem(p)
     res = CliRunner().invoke(main, ["verify", "--problem", str(p)])
     assert res.exit_code == 2
-    assert res.stderr.startswith(f"error: {p}.dirichlet.n_max: too large to allocate")
+    assert res.stderr.startswith(f"error: {p}.dirichlet.n_max: too large: a table gives at most "
+                                 f"2^40 = 1099511627776 jumps")
 
 
 def test_eta_shift_terms_outside_the_acceleration_range_are_refused(tmp_path):

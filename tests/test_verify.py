@@ -328,8 +328,8 @@ class TestSweepReuse:
         t_grid, _ = make_t_grid(prob.bv)
         x_grid = np.geomspace(1.0, 1000.0, 8)
         masks = verify_module._ratio_masks(prob.certificate, t_grid, x_grid)
-        jump_rows = np.unique(np.searchsorted(
-            t_grid, prob.bv.jump_times[prob.bv.jump_times < t_grid[-1]], side="right"))
+        tau = prob.bv.jumps_at(slice(None))[0]
+        jump_rows = np.unique(np.searchsorted(t_grid, tau[tau < t_grid[-1]], side="right"))
         heads = sum(int(mask[0]) + int(np.sum(mask[1:] & ~mask[:-1])) for mask in masks.values())
         rows = []
         scan = bv_module._decay_scan
@@ -351,7 +351,8 @@ class TestSweepReuse:
         # with room for 10 abscissas of 2-vector rows per batch, the 15 (8 ratio,
         # x0 + 2i x0 and 7 small x, as the variation is sqrt 2 times larger) take 10, 5
         prob = load_problem("problems/dirichlet_ones.json")
-        bv = BVFunction(2, prob.bv.jump_times, np.repeat(prob.bv.jump_sizes, 2, axis=1))
+        tau, sizes = prob.bv.jumps_at(slice(None))
+        bv = BVFunction(2, tau, np.repeat(sizes, 2, axis=1))
         t_grid, _ = make_t_grid(bv)
         x_grid = np.geomspace(1.0, 1000.0, 8)
         masks = verify_module._ratio_masks(prob.certificate, t_grid, x_grid)
