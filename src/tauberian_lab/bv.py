@@ -5,16 +5,14 @@ sizes) plus piecewise smooth densities drawn from a small preset family.  The
 cumulative value is normalized to be left-continuous with value 0 at 0, so a
 jump at location tau contributes to integrals over [0, t) exactly when tau < t.
 
-Two evaluation surfaces coexist on purpose:
-
-* ``stieltjes_integral(bv, rate, t)`` integrates e^{rate s} dA(s) over
-  [0, t) as written, one exponential per jump (none at rate 0, as for
-  ``value_at``).  Fine for moderate arguments, and the reference semantics
-  everything else is tested against.
-* the ``*_grid`` / ``exp_*`` evaluators keep exponential weights shifted
-  inside the integral (all weights have modulus <= 1), which is the only way
-  quantities like x e^{-xt} int_0^t e^{xs} dA(s) survive x*t in the hundreds
-  without overflowing float64.  They are algebraically identical rewrites.
+The ``*_grid`` / ``exp_*`` evaluators keep exponential weights shifted
+inside the integral (all weights have modulus <= 1), which is the only way
+quantities like x e^{-xt} int_0^t e^{xs} dA(s) survive x*t in the hundreds
+without overflowing float64.  The contour reads A(t) itself as
+``exp_partial_integral`` at z = 0, one more node of its reflected-arc call;
+only ``dirichlet.partial_sum_decay`` forms partial sums another way, a
+cumsum over the jumps.  The tests keep the integral as written, one
+exponential per jump, as their reference.
 
 Splitting one integral at t gives the partial transform over [0, t) and the
 tail over [t, inf), so each pair of evaluators has one body.
@@ -134,9 +132,9 @@ term updated in place, and u / (p + 1).
 
 Every evaluator integrates a density piece through one body,
 ``_piece_integrals``: int e^{w(s)} base(s) ds over arrays of ranges, where
-w is affine in s with slope c (the rate of ``stieltjes_integral``, the rate
-c of a sweep, -z on the contour).  Constant and exponential pieces (rate r)
-take one closed form, with d = c + r: e^{w(a) + r a} times the complex expm1
+w is affine in s with slope c (the rate c of a sweep, -z on the contour).
+Constant and exponential pieces (rate r) take one closed form, with
+d = c + r: e^{w(a) + r a} times the complex expm1
 of ``_exp_segment`` on a bounded range, anchored at the end a where
 Re(d s) is larger, and e^{w(lo) + r lo} / (-d) on [lo, inf), which is
 refused unless Re d < 0.  The other kinds take ``quad`` (on [lo, inf) only
@@ -144,8 +142,7 @@ where Re d < 0, or Re d = 0 and s^a decays faster than 1/s), one vectorised
 adaptive Gauss-Kronrod (7/15) routine that integrates many intervals per
 call: all the contour nodes of a piece, or all the (abscissa, row)
 intervals of a weighted sweep call.  The sweeps and the contour kernel take
-their pieces through one loop, ``_add_pieces``; ``stieltjes_integral``, the
-reference, keeps its own.  The integrand is
+their pieces through one loop, ``_add_pieces``.  The integrand is
 formed as s^a e^{log weight + rate s}, so a growing base under a faster
 decaying weight does not overflow.
 Each interval converges on its own, when the sum of |K15 - G7| over its
@@ -428,10 +425,6 @@ class BVFunction:
         np.multiply(sizes.view(float), np.divide(1.0, n)[:, None], out=sizes.view(float))
         return np.log(n), sizes
 
-    def value_at(self, t: float, quad_tol: float = 1e-12) -> np.ndarray:
-        """Cumulative (d,) value at t (left-continuous; value_at(0) == 0)."""
-        return stieltjes_integral(self, 0.0, t, quad_tol)
-
     def variation_bound(self, t: float) -> float:
         """An upper bound on the total variation over [0, t), from closed forms alone.
 
@@ -667,39 +660,6 @@ def _piece_integrals(piece: DensityPiece, log_weight, slope, lo, hi,
         vals[unbounded] = head[unbounded] / -d[unbounded]
     _guard_finite(vals, a, f"density kind {piece.kind!r}")
     return vals
-
-
-def stieltjes_integral(bv: BVFunction, rate: complex, t: float,
-                       quad_tol: float = 1e-10) -> np.ndarray:
-    """int_0^t e^{rate s} dA(s) as a (d,) array: jumps at tau < t (strict) plus density pieces.
-
-    Each piece takes _piece_integrals with slope rate: constant and
-    exponential pieces their closed form, the others absolute accuracy
-    ~quad_tol each.  This is the reference the other evaluators are tested
-    against, so it keeps its own loop over the pieces rather than
-    _add_pieces: it adds scale * value, which is not bitwise value * scale,
-    since numpy's complex product may fuse one of the two cross products of
-    its imaginary part into an FMA, and which one depends on the operand order.
-    """
-    rate = complex(rate)
-    _refuse_nan(t)
-    total = np.zeros(bv.dimension, dtype=complex)
-    if t <= 0:
-        return total
-    idx = int(bv.jumps_before(t))
-    tau, sizes = bv.jumps_at(slice(0, idx))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # e^{0 s} = 1 exactly, so rate 0 takes no exponentials; overflow
-        # is caught by the finiteness guard
-        w = np.full(idx, 1.0 + 0j) if rate == 0 else np.exp(rate * tau)
-    _guard_finite(w, tau, "jump weights")
-    total += w @ sizes  # no jump adds an exact 0
-    for piece in bv.pieces:
-        lo, hi = piece.start, min(piece.end, t)
-        if hi > lo:
-            total += piece.scale_array() * _piece_integrals(
-                piece, lambda s, owner: rate * s, [rate], [lo], [hi], quad_tol)[0]
-    return total
 
 
 # -- overflow-safe grid evaluators ---------------------------------------------

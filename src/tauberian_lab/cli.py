@@ -9,6 +9,7 @@ deterministic.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -35,8 +36,12 @@ EXIT_INPUT = 2
 def _csv_text(header, rows) -> str:
     # str(float) is repr(float), the shortest round-trip form, stable across runs.
     # No cell can hold a comma, quote or line break (text cells are fixed names),
-    # so this is csv.writer's minimal quoting.
-    return "".join([",".join(map(str, row)) + "\n" for row in (header, *rows)])
+    # so this is csv.writer's minimal quoting.  One map of str takes every cell in
+    # order, and each line joins its own slice of them, however long its row
+    table = (header, *rows)
+    cells = list(map(str, itertools.chain.from_iterable(table)))
+    ends = list(itertools.accumulate(map(len, table)))
+    return "".join([",".join(cells[a:b]) + "\n" for a, b in zip([0, *ends], ends)])
 
 
 def _finish(command: str, prob, out: str | None, header, rows, meta: dict, failures) -> None:

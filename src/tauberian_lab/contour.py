@@ -19,13 +19,18 @@ f_t(z) e^{tz} on the reflected arc is int_0^t e^{z(t-s)} dA(s), whose
 integrand never exceeds 1 in modulus there.  Both are the same integral of
 e^{-z(s-t)} dA(s) split at t, so one routine in ``bv`` computes them: over
 [t, inf) on gamma1 (Re z >= 0, ``exp_tail_integral``) and over [0, t) on
-the reflected arc (Re z <= 0, ``exp_partial_integral``).
+the reflected arc (Re z <= 0, ``exp_partial_integral``).  The reference
+A(t) on the left is that partial integral at one more node, z = 0, in the
+reflected arc's call: int_[0, t) dA from the same jump sums (the range plan
+of a repeating table, the block-Taylor kernel of materialised jumps) and
+density integrals as every node, not from a second evaluator.
 
 Each (t, R) is evaluated once: ``evaluate_contour`` builds the contour and
 stores, per piece, the analytic weight g and the node values F of the
-integrand g F.  Three reductions read that one ``ContourEvaluation``:
-``cauchy_identity_report`` sums (dz g) @ F, ``term_bounds`` sums
-|dz| |g| ||F|| per term, and ``contour_dump`` lists ||F|| |g| per node.
+integrand g F, and A(t).  Three reductions read that one
+``ContourEvaluation``: ``cauchy_identity_report`` sums (dz g) @ F against
+A(t) - f(0), ``term_bounds`` sums |dz| |g| ||F|| per term, and
+``contour_dump`` lists ||F|| |g| per node.
 A contour needs 16 nodes per panel; one of more than _MAX_NODES nodes, or of a
 count that overflows to inf, is refused with ContourBudgetError before any node
 is evaluated.  ``extension_agreement`` spot-checks the extension against the
@@ -261,17 +266,24 @@ class ContourEvaluation:
     MR: float  # M(R)
     quad_tol: float
     terms: tuple[tuple[PieceValues, ...], ...]
+    A_t: np.ndarray  # (d,) A(t) = int_[0, t) dA, the partial integral's row at z = 0
 
 
 def evaluate_contour(bv: BVFunction, f_ext, M: GrowthBound, t: float, R: float,
                      density: float = 1.0, quad_tol: float = 1e-12) -> ContourEvaluation:
-    """Build the contour and evaluate the integrand on every node, once."""
+    """Build the contour and evaluate the integrand on every node, once.
+
+    The reflected arc's partial integrals take one more node, z = 0, whose
+    row int_[0, t) dA is A(t), left-continuous: the identity's reference
+    comes from the same call and the same jump sums as the arc's rows, and
+    leaves each of them as it would be without it.
+    """
     spec = build_contour(M, R, t, density)
     g1, g1r = spec.gamma1, spec.gamma1_reflected
     term1 = PieceValues(g1, -(fudge_factor(g1.nodes, R) / g1.nodes),
                         exp_tail_integral(bv, g1.nodes, t, quad_tol))
-    term2 = PieceValues(g1r, fudge_factor(g1r.nodes, R) / g1r.nodes,
-                        exp_partial_integral(bv, g1r.nodes, t, quad_tol))
+    partial = exp_partial_integral(bv, np.append(g1r.nodes, 0j), t, quad_tol)
+    term2 = PieceValues(g1r, fudge_factor(g1r.nodes, R) / g1r.nodes, partial[:-1])
     # one extension call over every left-path node; each node's value is its own
     values = _eval_extension(f_ext, np.concatenate([p.nodes for p in spec.gamma2]),
                              bv.dimension)
@@ -280,15 +292,17 @@ def evaluate_contour(bv: BVFunction, f_ext, M: GrowthBound, t: float, R: float,
         PieceValues(p, -(np.exp(t * p.nodes) * fudge_factor(p.nodes, R) / p.nodes), F)
         for p, F in zip(spec.gamma2, np.split(values, ends)))
     return ContourEvaluation(bv=bv, f_ext=f_ext, t=t, spec=spec, MR=float(M(R)),
-                             quad_tol=quad_tol, terms=((term1,), (term2,), term3))
+                             quad_tol=quad_tol, terms=((term1,), (term2,), term3),
+                             A_t=partial[-1])
 
 
 def cauchy_identity_report(ev: ContourEvaluation, f0, tol: float) -> Check:
     """The relative gap of the two sides of the residue identity, checked against tol.
 
     The left side is (1/2 pi i) sum (dz g) @ F over all pieces.  The
-    reference is A(t) - f(0), with f(0) from the extension where f0 is None,
-    else the f0 array.  The check is witnessed at t.
+    reference is A(t) - f(0), with A(t) the evaluation's own (ev.A_t) and
+    f(0) from the extension where f0 is None, else the f0 array.  The check
+    is witnessed at t.
     """
     bv = ev.bv
     sums = []
@@ -303,7 +317,7 @@ def cauchy_identity_report(ev: ContourEvaluation, f0, tol: float) -> Check:
         f0_arr = _eval_extension(ev.f_ext, np.asarray([0j]), bv.dimension)[0]
     else:
         f0_arr = np.atleast_1d(np.asarray(f0, dtype=complex))
-    reference = bv.value_at(ev.t, ev.quad_tol) - f0_arr
+    reference = ev.A_t - f0_arr
     abs_error = float(vector_norm(lhs - reference, bv.norm_kind))
     residual = abs_error / max(1e-30, float(vector_norm(reference, bv.norm_kind)))
     return Check("residual", residual, tol, ev.t)

@@ -20,10 +20,12 @@ A cannot settle: ||G|| never exceeds that variation, so every other one has a
 larger margin than x0 and cannot be the worst.  The bounds assume the ratio
 hypothesis at x0; each reads it from the same sweep and is marked
 hypothesis_failed when it fails, instead of silently checking a vacuous
-claim.  The sweep computes and reads only the grid rows where ||G||
+claim.  The t grid ascends and R(t) never decreases, so the pairs the ratio
+condition checks at x, t > T and R(t) >= x, are the grid's suffix from one
+start index.  The sweep computes and reads only the grid rows where ||G||
 can rise: row 0, each row that takes a jump or meets a density piece, and
-each first point of a ratio mask.  Elsewhere G only decays, so each sup and
-its first witness are bitwise those of the full grid.
+each start index.  Elsewhere G only decays, so each sup and its first
+witness are bitwise those of the full grid.
 
 The growth hypothesis ||f(z)|| <= M(|Im z|) on the strip -1/M(|y|) < Re z <= 0
 is checked on one scan of the strip: every depth of _STRIP_DEPTHS times every
@@ -111,13 +113,13 @@ def _sup(vals: np.ndarray, mask: np.ndarray | None = None) -> tuple[float, int]:
 
 
 def _sweep_sups(bv: BVFunction, zs, t_grid: np.ndarray, quad_tol: float,
-                masks: dict | None = None) -> tuple[dict, dict]:
+                starts: dict | None = None) -> tuple[dict, dict]:
     """_sup of ||G(z, t_grid)|| at each distinct z of zs, keyed by z, and of x ||G(x, t_grid)||
-    over the mask at each x of masks {complex(x): mask}.
+    over the grid from index j on at each x of starts {complex(x): j}.
 
     Only the rows where ||G|| can rise are swept and read: row 0, each row whose step takes a
-    jump or meets a density piece (bv._rising_rows) and each first point of a run of a mask.
-    On every other row of a mask or of the grid, G is a decayed copy of the last such row
+    jump or meets a density piece (bv._rising_rows) and each start index.  On every other row
+    of the grid, or of its suffix from a start, G is a decayed copy of the last such row
     before it, never larger in norm after rounding (see bv._decay_scan), so each value and
     first witness is bitwise that of the sweep of every row; witnesses are mapped back to their
     grid index.  The z are swept once each, in order, by weighted_partial_grid(..., held=...)
@@ -125,9 +127,8 @@ def _sweep_sups(bv: BVFunction, zs, t_grid: np.ndarray, quad_tol: float,
     (m, held, d) rows of one call stay bounded however many z there are; each batch is read
     and dropped before the next.
     """
-    zs, masks = list(dict.fromkeys(map(complex, zs))), masks or {}
-    heads = [j for mask in masks.values() for j in np.flatnonzero(mask[1:] & ~mask[:-1]) + 1]
-    held = _rising_rows(bv, t_grid, heads)
+    zs, starts = list(dict.fromkeys(map(complex, zs))), starts or {}
+    held = _rising_rows(bv, t_grid, list(starts.values()))
     step = max(1, _MAX_BLOCK_ELEMENTS // 8 // max(1, held.size * bv.dimension))
     sups, ratio = {}, {}
     for b in range(0, len(zs), step):
@@ -136,8 +137,8 @@ def _sweep_sups(bv: BVFunction, zs, t_grid: np.ndarray, quad_tol: float,
             norms = vector_norm(row, bv.norm_kind)
             value, j = _sup(norms)
             sups[z] = value, int(held[j])
-            if z in masks:
-                value, j = _sup(norms * z.real, masks[z][held])
+            if z in starts:
+                value, j = _sup(norms * z.real, held >= starts[z])
                 ratio[z] = value, int(held[j])
         del rows, row, norms
     return sups, ratio
@@ -150,9 +151,10 @@ def _report(case_id: str, found: tuple[float, int], bound: float, x: float, t_gr
                  "; ".join(filter(None, (failed, note))))
 
 
-def _ratio_masks(cert: TauberianCertificate, t_grid: np.ndarray,
-                 x_grid: np.ndarray | None) -> dict:
-    """{complex(x): mask of the t to check} for each x of the grid with such a t."""
+def _ratio_starts(cert: TauberianCertificate, t_grid: np.ndarray,
+                  x_grid: np.ndarray | None) -> dict:
+    """{complex(x): j} for each x of the grid with a t to check, t > T and R(t) >= x: the
+    ascending grid's t_j, t_{j+1}, ..., as R(t) never decreases."""
     if x_grid is None:
         x_hi = cert.x0 * 1e3
         rule_hi = float(cert.R_rule(t_grid[-1]))
@@ -169,13 +171,14 @@ def _ratio_masks(cert: TauberianCertificate, t_grid: np.ndarray,
                          f"certificate's x0 = {cert.x0:g}")
     x_grid = x_grid[above]
     rule_vals = np.asarray(cert.R_rule(t_grid), dtype=float)
-    masks = (t_grid > cert.T) & (rule_vals >= x_grid[:, None])
-    live = np.flatnonzero(masks.any(axis=1))
-    if live.size == 0:
+    first = np.maximum(np.searchsorted(t_grid, cert.T, side="right"),
+                       np.searchsorted(rule_vals, x_grid))
+    live = first < t_grid.size
+    if not live.any():
         raise ValueError(f"ratio condition has nothing to check: no grid point has t > T = "
                          f"{cert.T:g} and x0 = {cert.x0:g} <= x <= R(t); the grids hold t in "
                          f"{_span(t_grid)} and x in {_span(x_grid)}")
-    return {complex(x): mask for x, mask in zip(x_grid[live], masks[live])}
+    return dict(zip(map(complex, x_grid[live]), first[live].tolist()))
 
 
 def tail_truncation_point(C: float, x: float, y: float, t_max: float) -> float:
@@ -246,9 +249,10 @@ def check_certificate(bv: BVFunction, cert: TauberianCertificate,
         if not math.isfinite(bound):
             raise ValueError(f"certificate C = {cert.C:g}, x0 = {x0:g} makes the {name} bound "
                              f"{bound:g}; every bound must be finite")
-    masks = _ratio_masks(cert, t_grid, x_grid)
+    starts = _ratio_starts(cert, t_grid, x_grid)
     small = _small_x_abscissas(bv, C, x0, small, t_grid, quad_tol)
-    sups, ratio = _sweep_sups(bv, [*masks, x0, complex(x0, y), *small], t_grid, quad_tol, masks)
+    sups, ratio = _sweep_sups(bv, [*starts, x0, complex(x0, y), *small], t_grid, quad_tol,
+                              starts)
     xs = list(ratio)
     best = xs[int(np.argmax([ratio[x][0] for x in xs]))]
     reports = [_report("tauberian_condition", ratio[best], cert.C, best.real, t_grid)]

@@ -10,11 +10,14 @@ one test reads lives here, written once:
 * two helpers that build test integrators: jumps from a list of (t, size) pairs,
   and one density piece;
 * references computed another way than the package does it: the total
-  variation by quadrature, the dense jump sum, the finite transform of an
+  variation by quadrature, the Stieltjes integral of e^{rate s} dA(s) as
+  written (one exponential per jump, none at rate 0, so A(t) at rate 0),
+  the dense jump sum, the finite transform of an
   exponential density, Laplace transforms of exponential pieces in mpmath,
   a Dirichlet range sum term by term in mpmath, the power series of
   int e^{cs} s^a ds, the row-by-row sweep, the per-block decay scan, the
-  chunk plan of the sweep's jump rows, the full-grid sups and certificate,
+  chunk plan of the sweep's jump rows, the ratio condition's whole masks, the
+  full-grid sups and certificate,
   the sharper bounds that the derivation of the contour terms gives, the
   point-by-point extension agreement and the brute-force alternating
   partial sum;
@@ -92,6 +95,39 @@ def total_variation(bv, t, quad_tol=1e-12):
             tv += amp * bv_module._piece_integrals(
                 modulus, lambda s, owner: np.zeros_like(s), [0.0], [lo], [hi], quad_tol)[0].real
     return tv
+
+
+def stieltjes_integral(bv: BVFunction, rate: complex, t: float,
+                       quad_tol: float = 1e-10) -> np.ndarray:
+    """int_0^t e^{rate s} dA(s) as a (d,) array: jumps at tau < t (strict) plus density pieces.
+
+    Each piece takes bv._piece_integrals with slope rate: constant and
+    exponential pieces their closed form, the others absolute accuracy
+    ~quad_tol each.  This is the reference the package's evaluators are
+    tested against, so it keeps its own loop over the pieces rather than
+    bv._add_pieces: it adds scale * value, which is not bitwise value * scale,
+    since numpy's complex product may fuse one of the two cross products of
+    its imaginary part into an FMA, and which one depends on the operand order.
+    """
+    rate = complex(rate)
+    bv_module._refuse_nan(t)
+    total = np.zeros(bv.dimension, dtype=complex)
+    if t <= 0:
+        return total
+    idx = int(bv.jumps_before(t))
+    tau, sizes = bv.jumps_at(slice(0, idx))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # e^{0 s} = 1 exactly, so rate 0 takes no exponentials; overflow
+        # is caught by the finiteness guard
+        w = np.full(idx, 1.0 + 0j) if rate == 0 else np.exp(rate * tau)
+    bv_module._guard_finite(w, tau, "jump weights")
+    total += w @ sizes  # no jump adds an exact 0
+    for piece in bv.pieces:
+        lo, hi = piece.start, min(piece.end, t)
+        if hi > lo:
+            total += piece.scale_array() * bv_module._piece_integrals(
+                piece, lambda s, owner: rate * s, [rate], [lo], [hi], quad_tol)[0]
+    return total
 
 
 def alternating_jumps(n_max):
@@ -353,6 +389,35 @@ def hybrid_grid(bv: BVFunction, t_max: float, base_points: int = 512,
                                      refined[refined <= t_max]]))
 
 
+def ratio_masks(cert, t_grid, x_grid):
+    """Reference for verify._ratio_starts: {complex(x): mask of the t to check}, the whole
+    boolean mask (t > T) & (R(t) >= x) over the t grid, for each x of the grid (64 points
+    from x0 to min(1000 x0, R(t_max)) if None) at or above x0 with a t to check."""
+    if x_grid is None:
+        x_hi = cert.x0 * 1e3
+        rule_hi = float(cert.R_rule(t_grid[-1]))
+        if math.isfinite(rule_hi):
+            x_hi = min(x_hi, rule_hi)
+        x_grid = make_x_grid(cert.x0, max(cert.x0, x_hi))
+    x_grid = np.asarray(x_grid, dtype=float)
+    if not np.all(np.isfinite(x_grid)):
+        raise ValueError(f"x grid must hold finite abscissas; it holds "
+                         f"{x_grid[~np.isfinite(x_grid)][0]:g}")
+    above = x_grid >= cert.x0 * (1.0 - 1e-12)
+    if not above.any():
+        raise ValueError(f"x grid {verify_module._span(x_grid)} holds no abscissa at or above "
+                         f"the certificate's x0 = {cert.x0:g}")
+    x_grid = x_grid[above]
+    masks = (t_grid > cert.T) & (np.asarray(cert.R_rule(t_grid), dtype=float)
+                                 >= x_grid[:, None])
+    live = np.flatnonzero(masks.any(axis=1))
+    if live.size == 0:
+        raise ValueError(f"ratio condition has nothing to check: no grid point has t > T = "
+                         f"{cert.T:g} and x0 = {cert.x0:g} <= x <= R(t); the grids hold t in "
+                         f"{verify_module._span(t_grid)} and x in {verify_module._span(x_grid)}")
+    return {complex(x): mask for x, mask in zip(x_grid[live], masks[live])}
+
+
 def full_sweep_sups(bv, zs, t_grid, masks):
     """Reference for _sweep_sups: _sup over the norms of every row of weighted_partial_grid."""
     sups, ratio = {}, {}
@@ -369,7 +434,7 @@ def full_sweep_certificate(bv, cert, t_grid, x_grid):
     one weighted_partial_grid call per abscissa (full_sweep_sups) and one weighted_tail_grid."""
     t_grid = make_t_grid(bv)[0] if t_grid is None else t_grid
     x0, c, y = cert.x0, cert.C / cert.x0, 2.0 * cert.x0
-    masks = verify_module._ratio_masks(cert, t_grid, x_grid)
+    masks = ratio_masks(cert, t_grid, x_grid)
     small = make_x_grid(x0 * 1e-2, x0, 16)
     sups, ratio = full_sweep_sups(bv, [*masks, x0, complex(x0, y), *small], t_grid, masks)
 

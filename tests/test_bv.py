@@ -15,7 +15,7 @@ from tauberian_lab import verify as verify_module
 from tauberian_lab.bv import (_QUAD_LEAVES, BVFunction, DensityPiece, NonFiniteIntegrandError,
                               QuadratureError, _exp_segment, _jump_exp_sum, exp_partial_integral,
                               exp_tail_integral, gauss_legendre_panels, jump_sum_remainder, quad,
-                              stieltjes_integral, weighted_partial_grid, weighted_tail_grid)
+                              weighted_partial_grid, weighted_tail_grid)
 from tauberian_lab.dirichlet import build_instance
 from tauberian_lab.transform import TauberianCertificate, improper_laplace
 from tauberian_lab.vectors import vector_norm
@@ -24,7 +24,7 @@ from tauberian_lab.verify import check_certificate
 from exact import (alternating_jumps, chunk_rows, dense_jump_sum, density_integrator,
                    dirichlet_range_sum, draw_piece, draw_pieces, draw_sizes, exp_density,
                    exp_integrals, exp_partial, jump_integrator, loop_sweep, mixed_integrator,
-                   plain_jumps, power_series, scan_one, total_variation)
+                   plain_jumps, power_series, scan_one, stieltjes_integral, total_variation)
 
 
 class TestStieltjesClosedForms:
@@ -90,16 +90,17 @@ class TestStieltjesClosedForms:
 class TestValueAndVariation:
     def test_value_at_zero_is_zero(self):
         bv = jump_integrator([(0.0, 1.0), (1.0, -0.5)])
-        assert vector_norm(bv.value_at(0.0), bv.norm_kind) == 0.0
+        assert vector_norm(stieltjes_integral(bv, 0.0, 0.0, 1e-12), bv.norm_kind) == 0.0
 
     def test_value_left_continuity(self):
         bv = jump_integrator([(2.0, 1.0)])
-        assert bv.value_at(2.0)[0] == 0.0
-        assert bv.value_at(2.0 + 1e-9)[0] == 1.0
+        assert stieltjes_integral(bv, 0.0, 2.0, 1e-12)[0] == 0.0
+        assert stieltjes_integral(bv, 0.0, 2.0 + 1e-9, 1e-12)[0] == 1.0
 
     def test_exp_density_value(self):
         bv = exp_density()[0]
-        assert bv.value_at(1.0)[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-10)
+        assert stieltjes_integral(bv, 0.0, 1.0, 1e-12)[0] == pytest.approx(1.0 - math.exp(-1.0),
+                                                                        rel=1e-10)
 
     def test_total_variation_mixes_parts(self):
         piece = DensityPiece(0.0, 2.0, "constant", (1.0,))
@@ -169,7 +170,7 @@ class TestValueAndVariation:
         # with no jumps was refused as "jump arrays must be (n,) times with (n, dimension) sizes"
         bv = BVFunction(2, pieces=(DensityPiece(0.0, 1.0, "constant", (1.0, 0.0)),))
         assert bv.jump_sizes.shape == (0, 2)
-        assert np.array_equal(bv.value_at(2.0), [1.0, 0.0])
+        assert np.array_equal(stieltjes_integral(bv, 0.0, 2.0, 1e-12), [1.0, 0.0])
 
     @pytest.mark.parametrize("size", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_validation_rejects_a_non_finite_density_scale(self, size):
@@ -178,7 +179,7 @@ class TestValueAndVariation:
             DensityPiece(0.0, 1.0, "constant", (1.0, size))
 
     def test_rate_zero_jump_sum_takes_no_exponentials(self, monkeypatch):
-        # value_at once took exp of N complex zeros; np.full(idx, 1 + 0j) @ sizes is
+        # A(t) at rate 0 once took exp of N complex zeros; np.full(idx, 1 + 0j) @ sizes is
         # the same sum, bit for bit
         n = np.arange(1, 2001)
         sizes = np.stack((np.cos(n), np.sin(n) * 1j), axis=1) / n[:, None]
@@ -187,7 +188,6 @@ class TestValueAndVariation:
         for t in (0.5, 3.0, 100.0):
             idx = int(np.searchsorted(bv.jump_times, t))
             want = np.full(idx, 1.0 + 0j) @ sizes[:idx]
-            assert np.array_equal(bv.value_at(t), want)
             assert np.array_equal(stieltjes_integral(bv, 0.0, t), want)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
@@ -200,18 +200,18 @@ class TestValueAndVariation:
 
     def test_jump_at_zero_allowed(self):
         bv = jump_integrator([(0.0, 1.0)])
-        assert bv.value_at(0.5)[0] == 1.0
+        assert stieltjes_integral(bv, 0.0, 0.5, 1e-12)[0] == 1.0
 
     def test_nan_time_is_refused(self):
         # a nan t once passed every range test and gave the whole integrator:
-        # value_at(nan) = [9] and a variation of 9; the sweeps and the
+        # A(nan) = [9] and a variation of 9; the sweeps and the
         # contour evaluators gave zeros, nan rows, no rows at all or, for
         # v_max = nan, the tail to infinity
         piece = DensityPiece(0.0, 3.0, "constant", (1.0,))
         bv = jump_integrator([(1.0, 1.0), (2.0, 5.0)], pieces=(piece,))
         dens = exp_density()[0]
         jumps = jump_integrator([(0.5, 1.0), (1.0, -2.0)])
-        for evaluate in (bv.value_at, bv.variation_bound,
+        for evaluate in (lambda t: stieltjes_integral(bv, 0.0, t, 1e-12), bv.variation_bound,
                          lambda t: stieltjes_integral(bv, -1.0, t),
                          lambda t: weighted_partial_grid(dens, [1.0], np.asarray([t])),
                          lambda t: weighted_partial_grid(dens, [1.0], np.asarray([0.0, t])),
@@ -1074,10 +1074,11 @@ def test_unbounded_power_piece_converges_only_below_one_over_s(exponent, converg
     # int_1^inf s^a ds = -1 / (a + 1) for a < -1: no exponential decay is needed
     bv = density_integrator("power", start=1.0, exponent=exponent)
     if converges:
-        assert bv.value_at(math.inf)[0] == pytest.approx(-1.0 / (exponent + 1.0), rel=1e-12)
+        assert stieltjes_integral(bv, 0.0, math.inf, 1e-12)[0] == pytest.approx(
+            -1.0 / (exponent + 1.0), rel=1e-12)
     else:
         with pytest.raises(ValueError, match=r"integral over \[1, inf\) diverges"):
-            bv.value_at(math.inf)
+            stieltjes_integral(bv, 0.0, math.inf, 1e-12)
 
 
 def test_nonfinite_integrand_error_names_location():
@@ -1095,7 +1096,7 @@ def test_norm_kinds_agree_on_scalars():
 
 def test_density_rate_only_where_the_base_uses_it():
     # constant and power bases ignore rate; a rate there once leaked into some
-    # evaluators and not others (value_at(1) = 1.297 but total_variation(1) = 1)
+    # evaluators and not others (A(1) = 1.297 but total_variation(1) = 1)
     for kind in ("constant", "power"):
         with pytest.raises(ValueError, match="takes no rate"):
             DensityPiece(0.0, 1.0, kind, (1.0,), rate=0.5)

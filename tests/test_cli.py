@@ -219,12 +219,20 @@ def test_csv_text_is_csv_writers_minimal_quoting():
     rows = [("ratio_condition", math.nan, math.inf, -math.inf),
             ("line_bound", -0.0, 5e-324, 1e308), ("gamma2_top", 3, 0.1, -2.5e-17),
             ("opt_inside", 0.1, 1e-05, 1e16, -0.0, math.nan, math.inf, 7)]
-    # cells go through str, and str(float) is repr(float)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
-    assert _csv_text(header, rows) == buf.getvalue()
+    # every column takes every kind of cell in turn; rows may be empty or short
+    cells = ("gamma1", 0, 7, math.nan, math.inf, -math.inf, -0.0, 1e-05, 1e16, 2.5e-17)
+    rows += [tuple(cells[(i + k) % len(cells)] for k in range(4)) for i in range(30)]
+    rows += [(), ("gamma1",)]
+    # cells go through str, and str(float) is repr(float): the text is csv.writer's, and the
+    # join of each row's cells
+    for body in (rows, rows[:1], []):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in body)
+        assert _csv_text(header, body) == buf.getvalue()
+        assert buf.getvalue() == "".join([",".join(map(str, row)) + "\n"
+                                          for row in (header, *body)])
     lines = _csv_text(header, rows).splitlines()
     assert lines[2] == "line_bound,-0.0,5e-324,1e+308"
     assert lines[4] == "opt_inside,0.1,1e-05,1e+16,-0.0,nan,inf,7"

@@ -13,20 +13,23 @@ from click.testing import CliRunner
 
 from tauberian_lab import bv as bv_module
 from tauberian_lab import contour as contour_module
-from tauberian_lab.bv import BVFunction, exp_tail_integral, jump_sum_remainder
+from tauberian_lab.bv import (BVFunction, exp_partial_integral, exp_tail_integral,
+                              jump_sum_remainder)
 from tauberian_lab.cli import main
 from tauberian_lab.contour import (ContourBudgetError, EtaShiftExtension, RationalExtension,
                                    _eval_extension, build_contour, cauchy_identity_report,
                                    contour_dump, eta, evaluate_contour, extension_agreement,
                                    fudge_factor, term_bounds)
+from tauberian_lab.dirichlet import build_instance
 from tauberian_lab.growth import GrowthBound
 from tauberian_lab.problems import load_problem
 from tauberian_lab.rates import bound_B
 from tauberian_lab.transform import TauberianCertificate
 from tauberian_lab.vectors import vector_norm
 
-from exact import (alternating_series, derived_term_bounds, exp_density, loop_agreement,
-                   plain_jumps)
+from exact import (alternating_series, derived_term_bounds, exp_density, jump_integrator,
+                   loop_agreement, mixed_integrator, named_rule, plain_jumps, stieltjes_integral,
+                   total_variation)
 
 M2 = GrowthBound("constant", 2.0)
 RESIDUAL_TOL = 1e-6  # the CLI's default --residual-tol
@@ -38,8 +41,8 @@ def residual(ev, f0=None) -> float:
 
 def abs_error(ev, f0) -> float:
     """The identity's absolute gap: the relative residual times its denominator, the norm of
-    A(t) - f(0) (at least 1e-30)."""
-    reference = ev.bv.value_at(ev.t) - np.asarray(f0, dtype=complex)
+    A(t) - f(0) (at least 1e-30), with the evaluation's own A(t)."""
+    reference = ev.A_t - np.asarray(f0, dtype=complex)
     return residual(ev, f0) * max(1e-30, float(vector_norm(reference, ev.bv.norm_kind)))
 
 
@@ -132,7 +135,7 @@ class TestCauchyIdentity:
         assert check.passed()
         # reference A(t) - f(0) = (1 - e^{-t}) - 1 = -e^{-t}, f(0) = 1 from the extension
         f0 = ext(np.asarray([0j]))
-        assert (bv.value_at(5.0) - f0)[0] == pytest.approx(-math.exp(-5.0), rel=1e-12)
+        assert (ev.A_t - f0)[0] == pytest.approx(-math.exp(-5.0), rel=1e-12)
         assert abs_error(ev, f0) <= 1e-12
         assert ev.spec.total_nodes > 0
         assert jump_sum_remainder(bv) == 0.0  # no jumps, nothing truncated
@@ -226,6 +229,41 @@ def test_dirichlet_alternating_sidecar_bounds_the_range_plan(tmp_path):
     gap = np.max(np.abs(exp_tail_integral(bv, z, t) - exp_tail_integral(plain, z, t)))
     assert gap <= (jump_sum_remainder(bv) + jump_sum_remainder(plain)
                    + 64.0 * np.finfo(float).eps * mass)
+
+
+class TestReferenceValue:
+    """The identity's reference A(t) is the reflected arc's partial integral at z = 0."""
+
+    def test_dirichlet_alternating_value_is_the_fsum_of_its_jumps(self):
+        # the range plan sums the 10^6-jump table's full periods by Euler-Maclaurin; a dense
+        # dot over every jump before t was 3.0e-15, 1.6e-14 and 9.2e-14 off at these t
+        prob = load_problem("problems/dirichlet_alternating.json")
+        for t in (7.3, 13.0, 13.8):
+            ev = evaluate_contour(prob.bv, prob.extension, prob.growth, t, 2.0)
+            sizes = prob.bv.jumps_at(slice(0, int(prob.bv.jumps_before(t))))[1][:, 0]
+            exact = complex(math.fsum(sizes.real), math.fsum(sizes.imag))
+            assert abs(ev.A_t[0] - exact) <= 1e-15, t
+
+    @pytest.mark.parametrize("kind", ["table", "jumps", "mixed"])
+    @pytest.mark.parametrize("t, R", [(3.0, 1.0), (9.5, 3.0)])
+    def test_the_z0_node_moves_no_bit_of_the_arc(self, kind, t, R):
+        # a repeating table takes the range plan, its jumps as arrays take block-Taylor, and
+        # the mixed 2-vector integrator adds every density kind, power ones through quad
+        table = build_instance(named_rule("alternating"), 20_000)[0]
+        bv, ext = {"table": (table, EtaShiftExtension()),
+                   "jumps": (plain_jumps(table), EtaShiftExtension()),
+                   "mixed": (mixed_integrator(), lambda z: np.ones((np.size(z), 2)))}[kind]
+        ev = evaluate_contour(bv, ext, M2, t, R)
+        alone = exp_partial_integral(bv, ev.spec.gamma1_reflected.nodes, t, ev.quad_tol)
+        assert np.array_equal(ev.terms[1][0].F, alone)
+        want = stieltjes_integral(bv, 0.0, t, 1e-12)
+        assert vector_norm(ev.A_t - want, bv.norm_kind) <= 1e-12 * max(1.0, total_variation(bv, t))
+
+    def test_value_is_left_continuous(self):
+        # a jump at t counts in A(t + 1e-9) and not in A(t)
+        bv, ext = jump_integrator([(2.0, 1.0)]), RationalExtension((1.0,), (1.0,))
+        assert evaluate_contour(bv, ext, M2, 2.0, 2.0).A_t.tolist() == [0.0]
+        assert evaluate_contour(bv, ext, M2, 2.0 + 1e-9, 2.0).A_t.tolist() == [1.0]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

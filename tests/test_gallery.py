@@ -398,6 +398,7 @@ STALE_SPAN_TARGETS = {
     "cli.check_tail_bound": _BENCHMARK_CHANGE,
     "cli.check_small_x_bound": _BENCHMARK_CHANGE,
     "transform.stieltjes_integral": _BENCHMARK_CHANGE,
+    "bv.stieltjes_integral": _BENCHMARK_CHANGE,
 }
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tauberian_lab import transform as transform_module
-from tauberian_lab.bv import BVFunction, stieltjes_integral
+from tauberian_lab.bv import BVFunction
 from tauberian_lab.contour import eta
 from tauberian_lab.growth import CutoffRule
 from tauberian_lab.transform import TauberianCertificate, TruncationCapError, improper_laplace
@@ -16,7 +16,7 @@ from tauberian_lab.vectors import vector_norm
 from tauberian_lab.verify import check_certificate
 
 from exact import (alternating_series, density_integrator, draw_pieces, draw_sizes, exp_density,
-                   exp_partial, jump_integrator, total_variation)
+                   exp_partial, jump_integrator, stieltjes_integral, total_variation)
 
 
 def test_finite_laplace_single_jump(rng):

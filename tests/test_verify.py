@@ -26,7 +26,7 @@ from tauberian_lab.vectors import vector_norm
 from tauberian_lab.verify import Check, check_certificate, make_t_grid, make_x_grid
 
 from exact import (draw_pieces, draw_sizes, exp_density, full_sweep_certificate, full_sweep_sups,
-                   hybrid_grid, jump_integrator)
+                   hybrid_grid, jump_integrator, ratio_masks)
 
 
 class TestGrids:
@@ -323,14 +323,13 @@ class TestSweepReuse:
 
     def test_scans_see_only_the_rows_where_the_norm_can_rise(self, monkeypatch):
         # each abscissa's partial scan holds at most the rows that take a jump,
-        # the first point of each ratio mask and row 0: not the 8704 grid rows
+        # the start of each ratio abscissa's t range and row 0: not the 8704 grid rows
         prob = load_problem("problems/dirichlet_ones.json")
         t_grid, _ = make_t_grid(prob.bv)
         x_grid = np.geomspace(1.0, 1000.0, 8)
-        masks = verify_module._ratio_masks(prob.certificate, t_grid, x_grid)
+        heads = len(verify_module._ratio_starts(prob.certificate, t_grid, x_grid))
         tau = prob.bv.jumps_at(slice(None))[0]
         jump_rows = np.unique(np.searchsorted(t_grid, tau[tau < t_grid[-1]], side="right"))
-        heads = sum(int(mask[0]) + int(np.sum(mask[1:] & ~mask[:-1])) for mask in masks.values())
         rows = []
         scan = bv_module._decay_scan
 
@@ -355,10 +354,10 @@ class TestSweepReuse:
         bv = BVFunction(2, tau, np.repeat(sizes, 2, axis=1))
         t_grid, _ = make_t_grid(bv)
         x_grid = np.geomspace(1.0, 1000.0, 8)
-        masks = verify_module._ratio_masks(prob.certificate, t_grid, x_grid)
+        starts = verify_module._ratio_starts(prob.certificate, t_grid, x_grid)
         held = np.unique(np.concatenate(
             [[0], np.searchsorted(t_grid, bv.jump_times[bv.jump_times < t_grid[-1]], "right"),
-             *(np.flatnonzero(mask[1:] & ~mask[:-1]) + 1 for mask in masks.values())]))
+             list(starts.values())]))
         sizes = []
         partial = verify_module.weighted_partial_grid
 
@@ -403,7 +402,7 @@ def held_sweep_cases(draw, densities: bool, table: bool = False):
     """A jump integrator (0 to 300 real, complex or 2-vector jumps, some on grid points), with
     density pieces of every kind if densities, or if table a Dirichlet integrator of a
     periodic (q, d) table, q <= 6 and d <= 2, with 2 to 20000 jumps; an ascending grid on
-    [0, 50] with points a few ulps apart (or equal); ratio masks of random runs; real and
+    [0, 50] with points a few ulps apart (or equal); ratio start indices; real and
     complex abscissas, with |Im z| <= 50 where there are densities, and short power pieces,
     so that quad converges."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -443,13 +442,10 @@ def held_sweep_cases(draw, densities: bool, table: bool = False):
                         draw(st.sampled_from(("euclidean", "sup"))))
     scale = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
     xs = draw(st.lists(scale, min_size=1, max_size=3))
-    masks = {}
-    for x in xs:
-        if draw(st.booleans()):
-            masks[complex(x)] = (rng.random(t_grid.size) < rng.random()) | (t_grid > 45.0)
+    starts = {complex(x): int(rng.integers(t_grid.size)) for x in xs if draw(st.booleans())}
     y_max = 50.0 if densities else 1e3  # past ~100 periods on a piece, quad may run out of leaves
     zs = [*xs, *(complex(draw(scale), draw(st.floats(-y_max, y_max))) for _ in range(2))]
-    return bv, zs, t_grid, masks
+    return bv, zs, t_grid, starts
 
 
 @pytest.mark.parametrize("densities, table", [(False, False), (True, False), (False, True)],
@@ -459,8 +455,9 @@ def held_sweep_cases(draw, densities: bool, table: bool = False):
 def test_held_rows_give_the_full_sweep_sups(data, densities, table):
     # every value and first witness bitwise as the sup over every grid row, also where a
     # table's range sums answer the rows past each abscissa's head
-    bv, zs, t_grid, masks = data.draw(held_sweep_cases(densities, table))
-    got = verify_module._sweep_sups(bv, zs, t_grid, 1e-10, masks)
+    bv, zs, t_grid, starts = data.draw(held_sweep_cases(densities, table))
+    got = verify_module._sweep_sups(bv, zs, t_grid, 1e-10, starts)
+    masks = {x: np.arange(t_grid.size) >= j for x, j in starts.items()}
     assert got == full_sweep_sups(bv, zs, t_grid, masks)
 
 
@@ -493,21 +490,19 @@ class TestHeldRows:
         # the only jump lies at the last grid point, past every row's step
         bv = jump_integrator([(5.0, 2.0)])
         t_grid = np.linspace(0.0, 5.0, 11)
-        mask = t_grid > 2.2
-        sups, ratio = verify_module._sweep_sups(bv, [1.0, 3 + 4j], t_grid, 1e-10,
-                                                {1.0 + 0j: mask})
+        mask = t_grid > 2.2  # from index 5 on
+        sups, ratio = verify_module._sweep_sups(bv, [1.0, 3 + 4j], t_grid, 1e-10, {1.0 + 0j: 5})
         assert sups == {1.0 + 0j: (0.0, 0), 3 + 4j: (0.0, 0)}
         assert ratio == {1.0 + 0j: (0.0, 5)}
         assert (sups, ratio) == full_sweep_sups(bv, [1.0, 3 + 4j], t_grid, {1.0 + 0j: mask})
 
     def test_mask_head_inside_an_empty_run(self):
-        # the mask starts at t = 3.1, far from the jump at 1: its sup is the
-        # decayed value there, on a row that takes no jump
+        # the ratio's t range starts at t = 3.1, far from the jump at 1: its sup is
+        # the decayed value there, on a row that takes no jump
         bv = jump_integrator([(1.0, 1.0 + 1.0j)])
         t_grid = np.linspace(0.0, 10.0, 101)
-        masks = {2.0 + 0j: t_grid > 3.05}
-        sups, ratio = verify_module._sweep_sups(bv, [2.0], t_grid, 1e-10, masks)
-        assert (sups, ratio) == full_sweep_sups(bv, [2.0], t_grid, masks)
+        sups, ratio = verify_module._sweep_sups(bv, [2.0], t_grid, 1e-10, {2.0 + 0j: 31})
+        assert (sups, ratio) == full_sweep_sups(bv, [2.0], t_grid, {2.0 + 0j: t_grid > 3.05})
         assert t_grid[ratio[2.0 + 0j][1]] == t_grid[31]
         decayed = 2.0 * math.sqrt(2.0) * math.exp(-2.0 * (t_grid[31] - 1.0))
         assert ratio[2.0 + 0j][0] == pytest.approx(decayed, rel=1e-13)
@@ -632,6 +627,53 @@ def test_certificate_equals_separate_checks(case, one_per_batch):
                            8 if one_per_batch else verify_module._MAX_BLOCK_ELEMENTS):
         got = _outcome(lambda: check_certificate(bv, cert, t_grid, x_grid))
     assert got == want
+
+
+@st.composite
+def ratio_cases(draw):
+    """A certificate with each cutoff kind and T anywhere from 0 to past the t grid; an
+    ascending t grid (the default one, an a:b:n grid or random points) and an x grid that
+    holds x0, starts below or past it, or is None; and one or two jumps in C^1."""
+    x0 = draw(st.floats(0.3, 3.0))
+    cutoff = draw(st.sampled_from((CutoffRule("infinite"), CutoffRule("exp_t"),
+                                   CutoffRule("constant", draw(st.floats(1.0, 100.0))))))
+    cert = TauberianCertificate(C=1.0, x0=x0, T=draw(st.floats(0.0, 15.0)), R_rule=cutoff)
+    taus = sorted(draw(st.lists(st.floats(0.0, 9.0), min_size=1, max_size=2, unique=True)))
+    bv = jump_integrator([(tau, 1.0) for tau in taus])
+    grid = draw(st.sampled_from(("default", "linear", "random")))
+    t_grid = None
+    if grid == "linear":
+        t_grid = np.linspace(0.0, draw(st.floats(2.5, 12.0)), draw(st.integers(2, 60)))
+    elif grid == "random":
+        t_grid = np.unique(draw(st.lists(st.floats(0.0, 12.0), min_size=1, max_size=60)))
+    x_grid = None
+    if draw(st.booleans()):
+        x_grid = np.geomspace(x0 * draw(st.sampled_from((1.0, 0.5, 1.3))),
+                              x0 * draw(st.floats(1.0, 1e4)), draw(st.integers(1, 12)))
+    return bv, cert, t_grid, x_grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=ratio_cases())
+def test_ratio_masks_are_suffixes_from_the_starts(case):
+    # t ascends and R(t) never decreases for every cutoff kind, so each whole mask
+    # (t > T) & (R(t) >= x) is the grid's suffix from the index _ratio_starts keeps for x (the
+    # same x, or the same error), and check_certificate reports what the whole masks give
+    bv, cert, t_grid, x_grid = case
+    grid = make_t_grid(bv)[0] if t_grid is None else t_grid
+    try:
+        masks = ratio_masks(cert, grid, x_grid)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            verify_module._ratio_starts(cert, grid, x_grid)
+        assert str(info.value) == str(exc)
+    else:
+        starts = verify_module._ratio_starts(cert, grid, x_grid)
+        assert list(starts) == list(masks)
+        for x, mask in masks.items():
+            assert not mask[:starts[x]].any() and mask[starts[x]:].all()
+    want = _outcome(lambda: full_sweep_certificate(bv, cert, t_grid, x_grid))
+    assert _outcome(lambda: check_certificate(bv, cert, t_grid, x_grid)) == want
 
 
 class TestExtremeSizes:
