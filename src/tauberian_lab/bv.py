@@ -1,7 +1,8 @@
 """Vector-valued integrators of locally bounded variation and their Stieltjes integrals.
 
 An integrator is a finite list of jumps (strictly increasing locations, vector
-sizes) plus piecewise smooth densities drawn from a small preset family.  The
+sizes) plus piecewise smooth densities drawn from one preset family,
+scale * s^a e^{r s} on an interval (DENSITY_PARAMS names the kinds).  The
 cumulative value is normalized to be left-continuous with value 0 at 0, so a
 jump at location tau contributes to integrals over [0, t) exactly when tau < t.
 
@@ -42,8 +43,8 @@ temporary grows with the number of jumps or abscissas.  A range is cut at
 the chunk edges, so a row that spans chunks adds its parts in order, and
 where an abscissa's ranges are one run of jumps the chunks are the fixed
 windows of 8192 jumps from its start; the batches do not move a bit of any
-row.  Constant and
-exponential pieces take their closed form for every abscissa and row at
+row.  Pieces with
+exponent 0 take their closed form for every abscissa and row at
 once, and every other piece takes one quad call per sweep call, over the
 rows of all its abscissas.  A blocked
 prefix scan (Blelloch 1990) then adds up the steps with the decay
@@ -133,11 +134,11 @@ term updated in place, and u / (p + 1).
 Every evaluator integrates a density piece through one body,
 ``_piece_integrals``: int e^{w(s)} base(s) ds over arrays of ranges, where
 w is affine in s with slope c (the rate c of a sweep, -z on the contour).
-Constant and exponential pieces (rate r) take one closed form, with
+A piece with exponent 0 (base e^{r s}) takes one closed form, with
 d = c + r: e^{w(a) + r a} times the complex expm1
 of ``_exp_segment`` on a bounded range, anchored at the end a where
 Re(d s) is larger, and e^{w(lo) + r lo} / (-d) on [lo, inf), which is
-refused unless Re d < 0.  The other kinds take ``quad`` (on [lo, inf) only
+refused unless Re d < 0.  The other pieces take ``quad`` (on [lo, inf) only
 where Re d < 0, or Re d = 0 and s^a decays faster than 1/s), one vectorised
 adaptive Gauss-Kronrod (7/15) routine that integrates many intervals per
 call: all the contour nodes of a piece, or all the (abscissa, row)
@@ -166,7 +167,10 @@ import numpy as np
 
 from .vectors import NORM_KINDS, one_d, vector_norm
 
-DENSITY_KINDS = ("constant", "exponential", "power", "damped_power")
+# the parameters each preset density kind reads; every kind is base(s) = s^exponent e^{rate s}
+DENSITY_PARAMS = {"constant": (), "exponential": ("rate",), "power": ("exponent",),
+                  "damped_power": ("rate", "exponent")}
+DENSITY_KINDS = tuple(DENSITY_PARAMS)
 
 # log(weight) below which exponentially damped contributions are provably
 # negligible relative to total variation (e^-60 ~ 8.8e-27).
@@ -287,9 +291,12 @@ class QuadratureError(ArithmeticError):
 class DensityPiece:
     """Density scale * base(s) on [start, end), end = inf allowed.
 
-    base by kind: constant 1, exponential e^{rate s}, power s^exponent,
-    damped_power s^exponent e^{rate s}; constant and power take no rate.
-    base is nonnegative on s >= 0 when rate is real.
+    Every kind is one family, base(s) = s^exponent e^{rate s}; a kind reads
+    the parameters DENSITY_PARAMS lists for it and refuses a nonzero value of
+    any other: constant 1, exponential e^{rate s}, power s^exponent,
+    damped_power s^exponent e^{rate s}.  The evaluators read the numbers,
+    not the kind: a piece takes the closed form exactly when its exponent
+    is 0.  base is nonnegative on s >= 0 when rate is real.
     """
 
     start: float
@@ -309,23 +316,17 @@ class DensityPiece:
         object.__setattr__(self, "scale", tuple(complex(c) for c in self.scale))
         if not np.all(np.isfinite(self.scale)):
             raise ValueError("density scale must be finite")
-        if self.kind in ("constant", "power") and self.rate != 0:
-            raise ValueError(f"density kind {self.kind!r} takes no rate")
-        if self.kind in ("power", "damped_power"):
-            if self.start == 0.0 and self.exponent <= -1.0:
-                raise ValueError("power density with exponent <= -1 is not integrable at 0")
+        for name in ("rate", "exponent"):
+            if name not in DENSITY_PARAMS[self.kind] and getattr(self, name) != 0:
+                raise ValueError(f"density kind {self.kind!r} takes no {name}")
+        if self.start == 0.0 and self.exponent <= -1.0:
+            raise ValueError("power density with exponent <= -1 is not integrable at 0")
         if not all(np.isfinite([self.rate, self.exponent])):
             raise ValueError("density parameters must be finite")
 
     @property
     def dimension(self) -> int:
         return len(self.scale)
-
-    @property
-    def smooth_exponential(self) -> bool:
-        # kinds whose base folds into a single exponential: closed form in
-        # every evaluator
-        return self.kind in ("constant", "exponential")
 
     def scale_array(self) -> np.ndarray:
         return np.asarray(self.scale, dtype=complex)
@@ -430,8 +431,8 @@ class BVFunction:
 
         The jump norms over [0, t) plus, for each density piece clipped to
         [lo, hi) within [0, t), ||scale|| _base_modulus_bound(piece, lo, hi):
-        int |base| in closed form for constant, exponential and power pieces,
-        sup |base| times the length for damped_power.  vector_norm gives every
+        int |base| in closed form where the exponent or Re(rate) is 0, and
+        sup |base| times the length otherwise.  vector_norm gives every
         norm, and density pieces count piece by piece, so where pieces overlap
         the triangle inequality holds the sum above.  The sum is rounded up by
         a relative _ROUND_UP, far more than the few ulps of each closed form,
@@ -460,22 +461,20 @@ class BVFunction:
 
 def _base_modulus_bound(piece: DensityPiece, lo: float, hi: float) -> float:
     """An upper bound on int_lo^hi |base(s)| ds, lo < hi: the integral itself up to
-    rounding but for damped_power, which takes sup |base| (hi - lo); inf where it
+    rounding where a = 0 or r = 0, else sup |base| (hi - lo); inf where it
     overflows or diverges.
 
-    |base(s)| = s^a e^{r s} with r = Re(rate) (a = 0 for constant and
-    exponential pieces).  The closed forms take expm1, so they lose no digits as
-    r or b = a + 1 tends to 0: int e^{r s} = e^{r lo} expm1(r L) / r, and
+    |base(s)| = s^a e^{r s} with a the exponent and r = Re(rate).  The closed
+    forms take expm1, so they lose no digits as r or b = a + 1 tends to 0:
+    int e^{r s} = e^{r lo} expm1(r L) / r, and
     int s^a = lo^b expm1(b log(hi/lo)) / b (log(hi/lo) at b = 0, hi^b / b at
     lo = 0).  The sup of s^a e^{r s} lies at an end, or at s = -a/r when a > 0 > r.
     """
     r, a = complex(piece.rate).real, piece.exponent
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if piece.kind == "constant" or (piece.kind == "exponential" and r == 0.0):
-            return hi - lo
-        if piece.kind == "exponential":
-            return float(np.exp(r * lo) * np.expm1(r * (hi - lo)) / r)
-        if piece.kind == "power":
+        if a == 0.0:
+            return float(np.exp(r * lo) * np.expm1(r * (hi - lo)) / r) if r else hi - lo
+        if r == 0.0:
             b = a + 1.0
             if lo == 0.0:
                 return float(np.power(hi, b) / b)
@@ -484,7 +483,7 @@ def _base_modulus_bound(piece: DensityPiece, lo: float, hi: float) -> float:
         if math.isinf(hi):
             return math.inf
         s = np.asarray([lo, hi] + ([min(max(-a / r, lo), hi)] if a > 0.0 > r else []))
-        peak = np.exp((a * np.log(s) if a else 0.0) + r * s)
+        peak = np.exp(a * np.log(s) + r * s)
         return float(np.max(peak) * (hi - lo))
 
 
@@ -589,8 +588,8 @@ def _quad_slice(f, lo: np.ndarray, hi: np.ndarray, first: int, abs_tol: float) -
 def _density_integrals(piece: DensityPiece, log_weight, lo, hi, quad_tol: float) -> np.ndarray:
     """int_lo[i]^hi[i] e^{log_weight(s, i)} base(s) ds for every i, in one call of quad.
 
-    The weight enters by its exponent, and base(s) = s^a e^{rate s} (a = 0
-    for constant and exponential pieces) is formed as s^a e^{log_weight + rate s},
+    The weight enters by its exponent, and base(s) = s^a e^{rate s} (a the
+    piece's exponent) is formed as s^a e^{log_weight + rate s},
     so that a base that grows under a weight that decays faster never
     overflows.  A singular power s^a, -1 < a < 0, is integrated in
     u = expm1(b log s) / b = (s^b - 1) / b, b = a + 1, where s^a ds = du leaves
@@ -600,7 +599,7 @@ def _density_integrals(piece: DensityPiece, log_weight, lo, hi, quad_tol: float)
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    a = piece.exponent if piece.kind in ("power", "damped_power") else 0.0
+    a = piece.exponent
     singular = -1.0 < a < 0.0
     b = a + 1.0
     detail = f"density kind {piece.kind!r}"
@@ -631,11 +630,11 @@ def _piece_integrals(piece: DensityPiece, log_weight, slope, lo, hi,
     log_weight(s, i) gets (m, q) points s and the ranges i of its rows, an
     index array (from quad) or slice(None) (every range, in order).  It is
     affine in s with slope slope[i], so with d = slope + rate the integrand
-    is e^{w(a) + rate a} e^{d (s - a)} about any point a.  Constant and
-    exponential pieces take that closed form: e^{w(a) + rate a}
+    is e^{w(a) + rate a} e^{d (s - a)} about any point a.  A piece with
+    exponent 0 takes that closed form: e^{w(a) + rate a}
     (e^{+-d L} - 1) / (+-d) on a range of length L, anchored at the end a
     where Re(d s) is larger, so that the segment factor stays bounded, and
-    e^{w(lo) + rate lo} / (-d) on [lo, inf).  The other kinds take
+    e^{w(lo) + rate lo} / (-d) on [lo, inf).  Every other piece takes
     _density_integrals.  A range [lo, inf) is refused unless the integral
     converges absolutely: Re d < 0, or Re d = 0 and s^exponent decays
     faster than 1/s.
@@ -643,13 +642,13 @@ def _piece_integrals(piece: DensityPiece, log_weight, slope, lo, hi,
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     d = np.asarray(slope, dtype=complex) + piece.rate
     unbounded = np.isinf(hi)
-    power = piece.exponent if piece.kind in ("power", "damped_power") else 0.0
+    power = piece.exponent
     wild = unbounded & ((d.real > 0) | ((d.real == 0) & (power >= -1.0)))
     if wild.any():
         i = np.argmax(wild)
         raise ValueError(f"integral over [{lo[i]:g}, inf) diverges in absolute value: "
                          f"|weight times density| ~ e^{{{d[i].real:g} s}} s^{power:g}")
-    if not piece.smooth_exponential:
+    if power:
         return _density_integrals(piece, log_weight, lo, hi, quad_tol)
     rising = d.real > 0
     a = np.where(rising, hi, lo)

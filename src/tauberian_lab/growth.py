@@ -56,12 +56,9 @@ class GrowthBound:
                              f"expected one of {tuple(GROWTH_PARAMS)}")
         if not (self.c >= 1.0):
             raise ValueError(f"growth scale c must be >= 1 so that M >= 1, got {self.c}")
-        if self.kind == "power" and not (self.alpha > 0):
-            raise ValueError("power growth needs alpha > 0")
-        if self.kind == "log" and not (self.beta > 0):
-            raise ValueError("log growth needs beta > 0")
-        if self.kind == "exp" and not (self.kappa > 0):
-            raise ValueError("exp growth needs kappa > 0")
+        for name in GROWTH_PARAMS[self.kind][1:]:
+            if not (getattr(self, name) > 0):
+                raise ValueError(f"{self.kind} growth needs {name} > 0")
         for name in ("c", "alpha", "beta", "kappa"):
             value = getattr(self, name)
             if not math.isfinite(value):

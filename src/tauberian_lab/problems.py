@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bv import DENSITY_KINDS, MAX_TABLE_JUMPS, BVFunction, DensityPiece
+from .bv import DENSITY_KINDS, DENSITY_PARAMS, MAX_TABLE_JUMPS, BVFunction, DensityPiece
 from .contour import (ACCELERATION_TERMS, MAX_ACCELERATION_TERMS, EtaShiftExtension,
                       RationalExtension, eta)
 from .dirichlet import DEFAULT_N_MAX, DirichletInstance, build_instance, read_coefficients
@@ -99,18 +99,14 @@ def _build_density(node, dimension: int, path: str) -> DensityPiece:
     if kind not in DENSITY_KINDS:
         _fail(f"{path}.kind", f"unknown density kind {kind!r}; choose from {DENSITY_KINDS}")
     scale = _as_vector(_require(node, "scale", path), dimension, f"{path}.scale")
-    rate = 0j
-    exponent = 0.0
-    if kind in ("exponential", "damped_power"):
-        rate = _as_complex(_require(node, "rate", path), f"{path}.rate")
-    elif "rate" in node:
-        _fail(f"{path}.rate", f"density kind {kind!r} takes no rate")
-    if kind in ("power", "damped_power"):
-        exponent = _as_float(_require(node, "exponent", path), f"{path}.exponent")
-    elif "exponent" in node:
-        _fail(f"{path}.exponent", f"density kind {kind!r} takes no exponent")
+    params = {}
+    for name, read in (("rate", _as_complex), ("exponent", _as_float)):
+        if name in DENSITY_PARAMS[kind]:
+            params[name] = read(_require(node, name, path), f"{path}.{name}")
+        elif name in node:
+            _fail(f"{path}.{name}", f"density kind {kind!r} takes no {name}")
     return _made(path, DensityPiece, start=start, end=end, kind=kind,
-                 scale=tuple(scale.tolist()), rate=rate, exponent=exponent)
+                 scale=tuple(scale.tolist()), **params)
 
 
 def _build_growth(node, path: str) -> GrowthBound:

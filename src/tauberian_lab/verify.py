@@ -211,7 +211,7 @@ def _small_x_abscissas(bv: BVFunction, C: float, x0: float, small: np.ndarray,
     bounds = C * x0 / small
     var = bv.variation_bound(float(t_grid[-1]))
     quad_rows = t_grid.size * sum(float(vector_norm(p.scale_array(), bv.norm_kind))
-                                  for p in bv.pieces if not p.smooth_exponential)
+                                  for p in bv.pieces if p.exponent)
     slack = _SMALL_X_SLACK * (var + bounds) + quad_tol * quad_rows
     return small[~(bounds - var - slack > bounds[-1])]  # a nan bound keeps its abscissa
 

@@ -37,8 +37,8 @@ from hypothesis import strategies as st
 
 from tauberian_lab import bv as bv_module
 from tauberian_lab import verify as verify_module
-from tauberian_lab.bv import (DENSITY_KINDS, BVFunction, DensityPiece, gauss_legendre_panels,
-                              weighted_partial_grid, weighted_tail_grid)
+from tauberian_lab.bv import (DENSITY_KINDS, DENSITY_PARAMS, BVFunction, DensityPiece,
+                              gauss_legendre_panels, weighted_partial_grid, weighted_tail_grid)
 from tauberian_lab.contour import EtaShiftExtension, RationalExtension, _eval_extension
 from tauberian_lab.growth import GrowthBound
 from tauberian_lab.problems import _COEFFICIENT_RULES
@@ -301,7 +301,7 @@ def loop_sweep(bv, c, points, start, quad_tol):
             if hi <= lo:
                 continue
             val = None
-            if piece.smooth_exponential:
+            if not piece.exponent:
                 rest = 1j * y + piece.rate
                 val = gauss_legendre(lo, hi, c + piece.rate,
                                      lambda s: np.exp(xr * (s - tj) + rest * s))
@@ -505,13 +505,16 @@ def draw_piece(draw, kind, d=2, starts=st.floats(0.0, 5.0), lengths=st.floats(0.
     """A density piece of kind in C^d from a start drawn from starts, of a length drawn from
     lengths (inf allowed); its rate has real part in [-1.5, 0] (damped_power) or [-1.5,
     max_rate] and imaginary part drawn from imag, its exponent lies in [-0.9, 2] ([-0.5, 2]
-    from 0), and the parts of its scale in [-1, 1]."""
+    from 0), and the parts of its scale in [-1, 1].  Every kind draws an exponent, so the
+    draws do not depend on the kind, but only the kinds that read one keep it."""
     start = draw(starts)
     rate = 0.0
     if kind in ("exponential", "damped_power"):
         rate = complex(draw(st.floats(-1.5, 0.0 if kind == "damped_power" else max_rate)),
                        draw(imag))
     exponent = draw(st.floats(-0.9 if start > 0 else -0.5, 2.0))
+    if "exponent" not in DENSITY_PARAMS[kind]:
+        exponent = 0.0
     return DensityPiece(start, start + draw(lengths), kind, tuple(draw_sizes(draw, 1, d)[0]),
                         rate, exponent)
 

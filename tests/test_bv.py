@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from tauberian_lab import bv as bv_module
 from tauberian_lab import verify as verify_module
-from tauberian_lab.bv import (_QUAD_LEAVES, BVFunction, DensityPiece, NonFiniteIntegrandError,
-                              QuadratureError, _exp_segment, _jump_exp_sum, exp_partial_integral,
-                              exp_tail_integral, gauss_legendre_panels, jump_sum_remainder, quad,
+from tauberian_lab.bv import (_QUAD_LEAVES, DENSITY_PARAMS, BVFunction, DensityPiece,
+                              NonFiniteIntegrandError, QuadratureError, _exp_segment,
+                              _jump_exp_sum, exp_partial_integral, exp_tail_integral,
+                              gauss_legendre_panels, jump_sum_remainder, quad,
                               weighted_partial_grid, weighted_tail_grid)
 from tauberian_lab.dirichlet import build_instance
 from tauberian_lab.transform import TauberianCertificate, improper_laplace
@@ -1095,13 +1096,35 @@ def test_norm_kinds_agree_on_scalars():
 
 
 def test_density_rate_only_where_the_base_uses_it():
-    # constant and power bases ignore rate; a rate there once leaked into some
-    # evaluators and not others (A(1) = 1.297 but total_variation(1) = 1)
-    for kind in ("constant", "power"):
-        with pytest.raises(ValueError, match="takes no rate"):
-            DensityPiece(0.0, 1.0, kind, (1.0,), rate=0.5)
-    for kind in ("exponential", "damped_power"):
-        assert DensityPiece(0.0, 1.0, kind, (1.0,), rate=0.5).rate == 0.5
+    # a kind refuses a nonzero parameter that DENSITY_PARAMS does not list for it: a rate
+    # on a constant base once leaked into some evaluators and not others (A(1) = 1.297 but
+    # total_variation(1) = 1), and an exponent on one was silently ignored
+    for kind, names in DENSITY_PARAMS.items():
+        for name in ("rate", "exponent"):
+            if name in names:
+                assert getattr(DensityPiece(0.0, 1.0, kind, (1.0,), **{name: 0.5}), name) == 0.5
+            else:
+                with pytest.raises(ValueError, match=f"^density kind {kind!r} takes no {name}$"):
+                    DensityPiece(0.0, 1.0, kind, (1.0,), **{name: 0.5})
+                assert getattr(DensityPiece(0.0, 1.0, kind, (1.0,), **{name: 0.0}), name) == 0
+
+
+def test_exponent_zero_rows_are_the_closed_form_kinds_rows():
+    # power and damped_power with exponent 0 are constant and exponential pieces: every
+    # evaluator reads the numbers, so their rows are bitwise the same, real or complex z
+    rate = -0.7 + 1.0j
+    twins = [((0.5, 3.0, "power", (1.0, 0.5j), 0.0, 0.0), (0.5, 3.0, "constant", (1.0, 0.5j))),
+             ((0.0, math.inf, "damped_power", (0.3, -1.0), rate, 0.0),
+              (0.0, math.inf, "exponential", (0.3, -1.0), rate))]
+    zs, grid = np.asarray([2.0, 0.5 + 3.0j]), np.linspace(0.0, 5.0, 11)
+    for args, closed_args in twins:
+        rows = []
+        for bv in (BVFunction(2, pieces=(DensityPiece(*args),)),
+                   BVFunction(2, pieces=(DensityPiece(*closed_args),))):
+            rows.append([weighted_partial_grid(bv, zs, grid), weighted_tail_grid(bv, zs, grid, 6.0),
+                         exp_tail_integral(bv, zs, 1.0), exp_partial_integral(bv, -zs, 1.0)])
+        for got, want in zip(*rows):
+            assert got.tobytes() == want.tobytes()
 
 
 SINGULAR_EXPONENTS = (-0.5, -0.9, -0.99)
@@ -1298,6 +1321,33 @@ def test_unresolved_oscillation_raises_instead_of_returning_a_number():
     assert "[0, 200)" in str(info.value) and "'power'" in str(info.value)
 
 
+# a(s) = s^{1/2} on [0, 5) and s^{1/2} e^{-s} on [0, inf), with a(2), a'(2) and a''(2):
+# x G(x, 2) = x int_0^2 e^{x (s - 2)} a(s) ds = a - a'/x + a''/x^2 up to e^{-2x} and the
+# x^-3 term, both below 1e-15 relative for x >= 1e5
+ROOT_PIECES = (
+    (DensityPiece(0.0, 5.0, "power", (1.0,), exponent=0.5), (2**0.5, 2**-1.5, -2**-3.5)),
+    (DensityPiece(0.0, math.inf, "damped_power", (1.0,), rate=-1.0, exponent=0.5),
+     tuple(math.exp(-2.0) * v for v in (2**0.5, 2**-1.5 - 2**0.5, 2**0.5 - 2**-0.5 - 2**-3.5))),
+)
+
+
+def root_row_errors(xs):
+    """Relative error of x G(x, 2) against the expansion, for each ROOT_PIECES piece and x,
+    from the sweep over the grid 0, 0.1, ..., 4."""
+    xs, errors = np.asarray(xs), []
+    for piece, (a, da, dda) in ROOT_PIECES:
+        rows = weighted_partial_grid(BVFunction(1, pieces=(piece,)), xs,
+                                     np.linspace(0.0, 4.0, 41))[:, 20, 0]
+        errors.append(np.abs(xs * rows - (a - da / xs + dda / xs**2)) / abs(a))
+    return np.asarray(errors)
+
+
+def test_quad_rows_hold_at_large_abscissas():
+    # guards _density_segments' reach clip: without it each step spans the whole row,
+    # quad misses the peak e^{x (s - t)} at its end, and both rows read 0 at every x >= 1e5
+    assert np.max(root_row_errors([1e5, 1e6, 1e7])) <= 1e-9
+
+
 class TestOpenQuadratureDefects:
     """Confirmed density-quadrature defects, each against an independent reference.
 
@@ -1326,6 +1376,14 @@ class TestOpenQuadratureDefects:
         bv = density_integrator("damped_power", rate=-0.5, exponent=1.0)
         got = exp_tail_integral(bv, np.asarray([z]), 0.0, 1e-13)[0, 0]
         assert abs(got - 1.0 / (z + 0.5) ** 2) <= 1e-13  # int_0^inf e^{-zs} s e^{-s/2} ds
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="quad's absolute tolerance on G allows an error x quad_tol in "
+                              "x G, and its nodes, formed in absolute s, move the weight's "
+                              "exponent by up to x ulp(t): x G converges 1.4e-4 off at x = 1e10 "
+                              "and 8.3e-3 off at x = 1e14 (ROADMAP items 7 and 15)")
+    def test_quad_rows_at_very_large_abscissas(self):
+        assert np.max(root_row_errors([1e10, 1e14])) <= 1e-9
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="every Gauss-Kronrod node of the first pass lands where the "

@@ -60,10 +60,15 @@ class TestGrowthBound:
     def test_certification_rejects_small_or_decreasing(self):
         with pytest.raises(ValueError):
             GrowthBound("constant", 0.5)  # values below 1
-        with pytest.raises(ValueError):
-            GrowthBound("exp", 1.0, kappa=-0.3)  # decreasing
-        with pytest.raises(ValueError):
-            GrowthBound("power", 1.0, alpha=-1.0)
+        # every parameter after c that a kind reads must be > 0, or M is flat or decreasing
+        checked = []
+        for kind, names in GROWTH_PARAMS.items():
+            for name in names[1:]:
+                for value in (0.0, -0.3, -1.0):
+                    with pytest.raises(ValueError, match=f"^{kind} growth needs {name} > 0$"):
+                        GrowthBound(kind, 1.0, **{name: value})
+                checked.append(name)
+        assert sorted(checked) == ["alpha", "beta", "kappa"]
 
     @pytest.mark.parametrize("kind, params", [("constant", {"c": math.inf}),
                                               ("power", {"c": 1.0, "alpha": math.inf}),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from tauberian_lab.bv import DENSITY_PARAMS
 from tauberian_lab.cli import main
 from tauberian_lab.contour import MAX_ACCELERATION_TERMS
 from tauberian_lab.problems import ProblemFormatError, load_problem
@@ -104,13 +105,23 @@ def test_density_blocks(tmp_path):
 
 
 def test_density_param_mismatch(tmp_path):
-    p = write(tmp_path, {
-        "name": "dens", "certificate": {"C": 1, "x0": 1},
-        "densities": [{"from": 0, "to": 1, "kind": "constant",
-                       "scale": [1.0], "rate": -1.0}],
-    })
-    with pytest.raises(ProblemFormatError, match="rate"):
-        load_problem(p)
+    # each kind loads with exactly the parameter keys DENSITY_PARAMS lists for it, and
+    # exits 2 on any other, at that key's path
+    given = {"rate": -1.0, "exponent": 0.5}
+    for kind, names in DENSITY_PARAMS.items():
+        own = {"from": 0.5, "to": 2, "kind": kind, "scale": [1.0],
+               **{name: given[name] for name in names}}
+        piece = load_problem(write(tmp_path, {"name": "dens", "certificate": {"C": 1, "x0": 1},
+                                              "densities": [own]})).bv.pieces[0]
+        assert [getattr(piece, name) for name in given] == [
+            given[name] if name in names else 0 for name in given]
+        for extra in given.keys() - set(names):
+            p = write(tmp_path, {"name": "dens", "certificate": {"C": 1, "x0": 1},
+                                 "densities": [dict(own, **{extra: given[extra]})]})
+            res = CliRunner().invoke(main, ["verify", "--problem", str(p)])
+            assert res.exit_code == 2
+            assert res.stderr == (f"error: {p}.densities[0].{extra}: "
+                                  f"density kind {kind!r} takes no {extra}\n")
 
 
 def test_growth_kinds(tmp_path):

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import tauberian_lab
 from tauberian_lab import bv as bv_module
 from tauberian_lab import verify as verify_module
-from tauberian_lab.bv import (DENSITY_KINDS, BVFunction, DensityPiece, weighted_partial_grid,
-                              weighted_tail_grid)
+from tauberian_lab.bv import (DENSITY_KINDS, DENSITY_PARAMS, BVFunction, DensityPiece,
+                              weighted_partial_grid, weighted_tail_grid)
 from tauberian_lab.cli import main
 from tauberian_lab.dirichlet import build_instance
 from tauberian_lab.growth import CutoffRule
@@ -435,8 +435,11 @@ def held_sweep_cases(draw, densities: bool, table: bool = False):
                 end = math.inf
             rate = -float(rng.uniform(0.0, 1.5)) if piece_kind in ("exponential",
                                                                   "damped_power") else 0.0
-            pieces.append(DensityPiece(a, end, piece_kind, tuple(rng.standard_normal(d)),
-                                       rate, float(rng.uniform(0.0, 2.0))))
+            exponent = float(rng.uniform(0.0, 2.0))  # drawn for every kind, kept where read
+            if "exponent" not in DENSITY_PARAMS[piece_kind]:
+                exponent = 0.0
+            pieces.append(DensityPiece(a, end, piece_kind, tuple(rng.standard_normal(d)), rate,
+                                       exponent))
     if not table:
         bv = BVFunction(d, taus, sizes, tuple(pieces),
                         draw(st.sampled_from(("euclidean", "sup"))))
@@ -477,7 +480,7 @@ def test_any_held_rows_give_the_full_sweep_rows(data, densities, table):
     quad_tol = 1e-10
     got = weighted_partial_grid(bv, zs, t_grid, quad_tol, held)
     full = weighted_partial_grid(bv, zs, t_grid, quad_tol)[:, held]
-    quad_pieces = sum(p.kind in ("power", "damped_power") for p in bv.pieces)
+    quad_pieces = sum(p.exponent != 0 for p in bv.pieces)
     allowed = (1e-12 * bv.variation_bound(t_grid[-1])
                + quad_pieces * quad_tol * (held + 1 + np.arange(1, held.size + 1)))
     assert np.all(vector_norm(got - full, bv.norm_kind) <= allowed)
