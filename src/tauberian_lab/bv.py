@@ -36,17 +36,16 @@ jumps and density between the previous point and its own.  The jumps go by
 one range plan (``_range_sums``; ``_jump_rows`` lays out the sweep's rows
 for it): for every abscissa and row, the jump ranges it sums one by one, in
 the order of the jumps, and for a Dirichlet table the full periods it sums
-in closed form (see below).  One direct kernel (``_direct_sums``) sums every
-planned range, each abscissa's jumps in chunks of _TILE_JUMPS = 8192, and
-whole (abscissa, chunk) groups in batches of at most 8192 jumps, so no
-temporary grows with the number of jumps or abscissas.  A range is cut at
-the chunk edges, so a row that spans chunks adds its parts in order, and
-where an abscissa's ranges are one run of jumps the chunks are the fixed
-windows of 8192 jumps from its start; the batches do not move a bit of any
-row.  Pieces with
-exponent 0 take their closed form for every abscissa and row at
-once, and every other piece takes one quad call per sweep call, over the
-rows of all its abscissas.  A blocked
+in closed form (see below).  The plan is the one place that cuts a row's
+jumps to those whose weight is at least e^-_NEGLIGIBLE_LOG, for every
+integrator.  One direct kernel (``_direct_sums``) sums every planned range,
+each abscissa's jumps in chunks of _TILE_JUMPS = 8192, and plain runs of
+consecutive parts in batches of at most 8192 jumps, so no temporary grows
+with the number of jumps or abscissas.  A range is cut at the chunk edges,
+so a row that spans chunks adds its parts in order; the batches do not move
+a bit of any row.  Pieces with exponent 0 take their closed form for every
+abscissa and row at once, and every other piece takes one quad call per
+sweep call, over the rows of all its abscissas.  A blocked
 prefix scan (Blelloch 1990) then adds up the steps with the decay
 e^{Re(c) (t_i - t_j)}.  A block spans at most _SCAN_SPAN = 256 in Re(c) t;
 inside it the steps are scaled by e^{Re(c) (t_i - t_block)} <= e^256,
@@ -77,14 +76,13 @@ every row.
 
 An integrator that carries its Dirichlet table (``BVFunction.table``, q
 rows b_r, jump n = b_n / n at log n) answers its jump rows in closed form
-past a head.  The plan gives abscissa c each row's range up to its head of
-q ceil(_HEAD_SLOPE |c| + _HEAD_PERIODS) jumps, whose weights are zeroed
-below e^-_NEGLIGIBLE_LOG as for any integrator.  Past the head, a row
-keeps the jumps whose weight is at least e^-_NEGLIGIBLE_LOG, which starts
-its range where Re(c) > 0 (the partial sweep) and ends it where Re(c) < 0
-(the tail sweep); the plan hands its partial periods at either end to the
-same direct kernel, and its full periods between take one Euler-Maclaurin
-range sum
+past a head.  The plan first cuts each row's range to the jumps whose
+weight is at least e^-_NEGLIGIBLE_LOG, as for any integrator, which starts
+the range where Re(c) > 0 (the partial sweep) and ends it where Re(c) < 0
+(the tail sweep).  It gives abscissa c the part of that range up to its
+head of q ceil(_HEAD_SLOPE |c| + _HEAD_PERIODS) jumps, and past the head it
+hands the partial periods at either end to the same direct kernel, and the
+full periods between take one Euler-Maclaurin range sum
 (``_period_sums``), whose remainder ``_range_sum_bound`` proves below
 _RANGE_SUM_TOL = 2^-60 of the range's jump mass.  A file's table has
 q >= n_max rows, so it has no full period past the head and stays jump by
@@ -713,12 +711,14 @@ def _jump_rows(bv: BVFunction, c: np.ndarray, points: np.ndarray, start: float) 
 
     Row j takes the jumps between t_{j-1} and t_j (t_{-1} = start), as
     [t_{j-1}, t_j) upward or [t_j, t_{j-1}) downward, into the (m, n, d)
-    result.  The rows' jumps together are one run of consecutive jumps, in
+    result.  The rows' ranges together are one run of consecutive jumps, in
     row order upward and in reverse row order downward, which is the order
-    in which _range_sums takes every abscissa's rows.  The abscissas go to
-    _range_sums in groups of at most _TILE_JUMPS / 3 (abscissa, row) pairs,
-    whose plans hold three ranges each, so that no plan grows with the
-    number of abscissas; no abscissa's sums depend on another's.
+    in which _range_sums takes every abscissa's rows; once _range_sums cuts
+    them at e^-_NEGLIGIBLE_LOG, an abscissa's rows need no longer be one
+    run.  The abscissas go to _range_sums in groups of at most
+    _TILE_JUMPS / 3 (abscissa, row) pairs, whose plans hold three ranges
+    each, so that no plan grows with the number of abscissas; no abscissa's
+    sums depend on another's.
     """
     out = np.zeros((c.size, points.size, bv.dimension), dtype=complex)
     bounds = bv.jumps_before(np.concatenate(([start], points)))
@@ -738,18 +738,24 @@ def _range_sums(bv: BVFunction, c: np.ndarray, t: np.ndarray, slot: np.ndarray, 
     the jumps lo[k, i] <= l < hi[k, i] (lo and hi broadcast to (m, n)), by the range plan.
 
     Each abscissa's ranges come row by row in the order of their jumps, and
-    Re(c_k) (tau_l - t_i) <= 0 on them.  The plan gives each abscissa k and
-    row i the ranges it sums, in that order: the row's range before the
-    head, which is q ceil(_HEAD_SLOPE |c_k| + _HEAD_PERIODS) jumps for an
+    Re(c_k) (tau_l - t_i) <= 0 on them.  The plan first cuts each range to
+    the jumps within _NEGLIGIBLE_LOG / |Re c_k| of t_i, whose weights are at
+    least e^-_NEGLIGIBLE_LOG; the cut starts a range where Re(c_k) > 0 and
+    ends it where Re(c_k) < 0, so an abscissa's rows together need no
+    longer be one run of jumps.  It then gives each abscissa k and row i
+    the ranges it sums, in that order: the row's range before the head,
+    which is q ceil(_HEAD_SLOPE |c_k| + _HEAD_PERIODS) jumps for an
     integrator with a table where _range_sum_bound proves it, and past every
-    jump otherwise; then, past the head, the row's jumps within
-    _NEGLIGIBLE_LOG / |Re c_k| of t_i (the weights above e^-_NEGLIGIBLE_LOG),
-    whose partial periods at either end are summed jump by jump and whose
-    full periods take _period_sums.  _direct_sums sums every range that goes
-    jump by jump.
+    jump otherwise; then, past the head, the partial periods at either end,
+    summed jump by jump, and the full periods between, which take
+    _period_sums.  _direct_sums sums every range that goes jump by jump.
     """
     table = bv.table
-    lo, hi = np.broadcast_to(lo, (c.size, t.size)), np.broadcast_to(hi, (c.size, t.size))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # Re(c) = 0, or subnormal, reaches everywhere, from t = inf too
+        reach = _NEGLIGIBLE_LOG / np.abs(c.real[:, None])
+        lo = np.maximum(lo, bv.jumps_before(np.where(reach < np.inf, t - reach, -np.inf)))
+    hi = np.minimum(hi, bv.jumps_before(t + reach, side="right"))
     if table is not None and not np.any(hi > table.shape[0] * _HEAD_PERIODS):
         table = None  # every range ends before the least head, so all of it goes jump by jump
     head = np.full(c.size, bv.jump_count)
@@ -760,17 +766,13 @@ def _range_sums(bv: BVFunction, c: np.ndarray, t: np.ndarray, slot: np.ndarray, 
     starts, stops = [lo], [np.minimum(hi, head[:, None])]
     if table is not None:
         q = table.shape[0]
-        with np.errstate(divide="ignore"):
-            reach = _NEGLIGIBLE_LOG / np.abs(c.real[:, None])  # Re(c) = 0 reaches everywhere
-        # the cut starts a range where Re(c) > 0 and ends it where Re(c) < 0
-        first = np.maximum(np.maximum(lo, head[:, None]), bv.jumps_before(t - reach))
-        stop = np.minimum(hi, bv.jumps_before(t + reach, side="right"))
+        first = np.maximum(lo, head[:, None])
         # the full periods are the jumps [a, b): jump l has n = l + 1, q m < n <= q (m + 1);
-        # the partial periods are [first, a) and [b, stop), or all of [first, stop)
-        a, b = -(-first // q) * q, stop // q * q
+        # the partial periods are [first, a) and [b, hi), or all of [first, hi)
+        a, b = -(-first // q) * q, hi // q * q
         full = b > a
-        starts += [first, np.where(full, b, stop)]
-        stops += [np.where(full, a, stop), stop]
+        starts += [first, np.where(full, b, hi)]
+        stops += [np.where(full, a, hi), hi]
     _direct_sums(bv, c, t, slot, np.stack(starts, axis=2), np.stack(stops, axis=2), out)
     if table is not None and full.any():
         k, i = np.nonzero(full)
@@ -784,21 +786,20 @@ def _direct_sums(bv: BVFunction, c: np.ndarray, t: np.ndarray, slot: np.ndarray,
 
     Each abscissa's ranges, row by row and range by range, come in the
     order of their jumps; a range with hi <= lo is empty.  Each abscissa's
-    jumps are cut into chunks, the windows [f, f + _TILE_JUMPS) of their
-    positions in that order.  A range is split at the chunk edges, so where
-    an abscissa's ranges are one run of consecutive jumps from jump f, as
-    its ranges before the head are, the edges are f + p _TILE_JUMPS.  The
-    (abscissa, chunk) groups are summed in batches of whole groups, at most
-    _TILE_JUMPS jumps each, so no temporary grows with the number of jumps
-    or abscissas; real and complex abscissas take separate batches.  In a
-    batch each jump is weighted once: e^{Re(c) (tau - t)}, a real
-    exponential for a real abscissa, or one complex exponential with the
-    phase Im(c) tau, and zeroed below e^-_NEGLIGIBLE_LOG.  The products with
-    the batch's sizes, a contiguous (d, n) copy, are summed per part by
-    np.add.reduceat along the jumps, and each row adds its parts in order.
-    numpy's pairwise summation groups a part's terms by its length, so the
-    last bits of a row that straddles a chunk edge depend on _TILE_JUMPS;
-    the batches do not move them.
+    jumps are cut into chunks, the windows [0, _TILE_JUMPS), [_TILE_JUMPS,
+    2 _TILE_JUMPS), ... of their positions in that order, and a range is
+    split at the chunk edges into parts.  The parts are summed in batches,
+    plain runs of consecutive parts of at most _TILE_JUMPS jumps, so no
+    temporary grows with the number of jumps or abscissas; a change between
+    a real and a complex abscissa starts a new batch.  In a batch each jump
+    is weighted once: e^{Re(c) (tau - t)}, a real exponential for a real
+    abscissa, or one complex exponential with the phase Im(c) tau.  The
+    products of the (1, n) weights and the batch's sizes, a contiguous
+    (d, n) copy, are summed per part by np.add.reduceat along the jumps, and
+    each row adds its parts in order.  numpy's pairwise summation groups a
+    part's terms by its length, so the last bits of a row that straddles a
+    chunk edge depend on _TILE_JUMPS; the batches do not move a bit of any
+    row.
     """
     sets, width = lo.shape[1:]
     n = np.maximum(hi - lo, 0).reshape(c.size, sets * width)
@@ -818,31 +819,26 @@ def _direct_sums(bv: BVFunction, c: np.ndarray, t: np.ndarray, slot: np.ndarray,
     del n, off, live, first, count, r  # only the parts are read from here on
     if not part_n.size:
         return
-    # the parts that start each (abscissa, chunk) group, and the group's weight in a batch: its
-    # jumps, but a lone jump weighs a whole batch, as numpy's product of one element rounds
-    # unlike the same element among others.  A change between real and complex abscissas
-    # costs a whole batch too, so that no real weight goes through the complex exponential
-    groups = np.flatnonzero(np.diff(k, prepend=-1) | np.diff(chunk, prepend=-1))
-    jumps, kind = np.add.reduceat(part_n, groups), c.imag[k[groups]] != 0
-    weight = np.where(jumps == 1, _TILE_JUMPS, jumps)
-    end = np.cumsum(weight + _TILE_JUMPS * np.diff(kind, prepend=kind[0]))
-    begin, groups = end - weight, np.append(groups, part_n.size)
-    g0 = 0
-    while g0 < kind.size:  # each batch ends with the last group that fits in _TILE_JUMPS
-        g1 = np.searchsorted(end, begin[g0] + _TILE_JUMPS, side="right")
-        p0, p1 = groups[g0], groups[g1]
+    # a change between real and complex abscissas costs a whole batch, so that no real weight
+    # goes through the complex exponential
+    kind = c.imag[k] != 0
+    end = np.cumsum(part_n + _TILE_JUMPS * np.diff(kind, prepend=kind[:1]))
+    begin = end - part_n
+    p0 = 0
+    while p0 < part_n.size:  # each batch ends with the last part that fits in _TILE_JUMPS
+        p1 = np.searchsorted(end, begin[p0] + _TILE_JUMPS, side="right")
         m, kk, rows = part_n[p0:p1], k[p0:p1], i[p0:p1]
         heads = np.cumsum(m) - m
         idx = np.arange(heads[-1] + m[-1]) + np.repeat(part_lo[p0:p1] - heads, m)
         tau, sizes = bv.jumps_at(idx)
-        terms = np.ascontiguousarray(sizes.T)  # the sizes as a contiguous (d, n)
         arg = (tau - np.repeat(t[rows], m)) * np.repeat(c.real[kk], m)
-        w = np.exp(arg + 1j * (tau * np.repeat(c.imag[kk], m))) if kind[g0] else np.exp(arg)
-        w[arg < -_NEGLIGIBLE_LOG] = 0.0
-        np.multiply(w, terms, out=terms)
+        w = np.exp(arg + 1j * (tau * np.repeat(c.imag[kk], m))) if kind[p0] else np.exp(arg)
+        # out of place, both operands (., n): formed in place or by broadcasting, numpy rounds
+        # a one-element complex product unlike the same product among others
+        terms = np.multiply(w[None, :], np.ascontiguousarray(sizes.T))
         np.add.at(out, (kk, slot[rows]), np.add.reduceat(terms, heads, axis=1).T)
-        del idx, terms, tau, arg, w  # before the next batch forms its own
-        g0 = g1
+        del idx, terms, tau, sizes, arg, w  # before the next batch forms its own
+        p0 = p1
 
 
 def _period_sums(table: np.ndarray, c: np.ndarray, periods: np.ndarray, k: np.ndarray,

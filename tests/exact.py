@@ -347,11 +347,14 @@ def scan_one(rows, xr, points, held):
 def chunk_rows(bv, c, points, start, chunk):
     """Reference for bv._jump_rows with _TILE_JUMPS = chunk, as a copy.
 
-    The run of the rows' jumps is cut into chunks of `chunk` jumps.  Each
-    chunk's terms are formed at once as a (d, n) array, with the weights
-    e^{Re(c) (tau - t_j) + i Im(c) tau} (real ones where Im(c) = 0) zeroed
-    below e^-_NEGLIGIBLE_LOG, and one np.add.reduceat sums them per row; each
-    row adds its chunks' sums in run order.
+    Row j takes the jumps between t_{j-1} and t_j, cut for each abscissa to
+    those within _NEGLIGIBLE_LOG / |Re c| of t_j, as the range plan cuts
+    them.  An abscissa's rows, in row order upward and in reverse row order
+    downward, give its run of jumps, which is cut into chunks of `chunk`
+    jumps.  Each chunk's terms are formed at once, out of place, as the
+    (1, n) weights e^{Re(c) (tau - t_j) + i Im(c) tau} (real ones where
+    Im(c) = 0) times the contiguous (d, n) sizes, and one np.add.reduceat
+    sums them per row; each row adds its chunks' sums in run order.
     """
     times, sizes = bv.jumps_at(slice(None))
     out = np.zeros((c.size, points.size, bv.dimension), dtype=complex)
@@ -359,22 +362,22 @@ def chunk_rows(bv, c, points, start, chunk):
     rows = np.arange(points.size)
     if bounds[-1] < bounds[0]:
         rows = rows[::-1]
-    count = np.abs(np.diff(bounds))[rows]
-    first = int(min(bounds[0], bounds[-1]))
-    last = np.cumsum(count)
-    for p0 in range(0, int(last[-1]) if last.size else 0, chunk):
-        p1 = min(p0 + chunk, int(last[-1]))
-        taken = np.minimum(last, p1) - np.maximum(last - count, p0)
-        some = np.flatnonzero(taken > 0)
-        tau = times[first + p0:first + p1]
-        gap = tau - np.repeat(points[rows[some]], taken[some])
-        part = np.ascontiguousarray(sizes[first + p0:first + p1].T)
-        heads = np.cumsum(taken[some]) - taken[some]
-        for k, ck in enumerate(c):
-            arg = gap * ck.real
-            w = np.exp(arg + 1j * (tau * ck.imag)) if ck.imag else np.exp(arg)
-            w[arg < -bv_module._NEGLIGIBLE_LOG] = 0.0
-            out[k, rows[some]] += np.add.reduceat(np.multiply(w, part), heads, axis=1).T
+    lo, hi = np.sort((bounds[rows], bounds[rows + 1]), axis=0)
+    for k, ck in enumerate(c):
+        with np.errstate(divide="ignore", over="ignore"):
+            reach = bv_module._NEGLIGIBLE_LOG / abs(ck.real)
+        first = np.maximum(lo, np.searchsorted(times, points[rows] - reach))
+        stop = np.minimum(hi, np.searchsorted(times, points[rows] + reach, side="right"))
+        count = np.maximum(stop - first, 0)
+        run = np.arange(np.sum(count)) + np.repeat(first - (np.cumsum(count) - count), count)
+        owner = np.repeat(rows, count)
+        for p0 in range(0, run.size, chunk):
+            idx, own = run[p0:p0 + chunk], owner[p0:p0 + chunk]
+            heads = np.flatnonzero(np.diff(own, prepend=-1))
+            arg = (times[idx] - points[own]) * ck.real
+            w = np.exp(arg + 1j * (times[idx] * ck.imag)) if ck.imag else np.exp(arg)
+            terms = np.multiply(w[None, :], np.ascontiguousarray(sizes[idx].T))
+            out[k, own[heads]] += np.add.reduceat(terms, heads, axis=1).T
     return out
 
 

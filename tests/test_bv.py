@@ -496,6 +496,9 @@ def batch_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(batch_cases())
+# a subnormal abscissa: the plan's reach 60 / |Re z| overflows to inf
+@example(case=(BVFunction(2, np.asarray([1.0]), np.asarray([[1.0 + 0j, 0j]])),
+               np.asarray([0.0, 2.0]), 3.0, np.asarray([2.2e-313 + 0j, 1.0])))
 def test_one_call_sweeps_every_abscissa(case):
     # row i of an array call is the one-element call at z[i], bitwise: the weights are
     # formed by the same expressions, and quad gives each interval the same
@@ -537,6 +540,15 @@ class TestSweepRange:
         bv = BVFunction(1, np.asarray([0.0, 0.001]), np.full((2, 1), 1.7e308 + 0j))
         with pytest.raises(NonFiniteIntegrandError, match="weighted sweep"):
             weighted_partial_grid(bv, [1.0], np.asarray([0.0005, 0.5]))
+
+    def test_an_infinite_point_without_decay_raises_instead_of_reading_zero(self):
+        # at Re z = 0 the weights reach every jump, also from t = inf, where each weight is
+        # e^{0 (tau - inf)}, not a number: the e^-60 cut must keep the jumps, not read 0
+        bv = BVFunction(1, np.asarray([0.5, 1.5]), np.ones((2, 1), dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NonFiniteIntegrandError, match="weighted sweep"):
+                weighted_partial_grid(bv, [0.0], np.asarray([0.0, np.inf]))
 
     def test_jumps_are_taken_in_bounded_chunks(self, monkeypatch):
         # tiles of 7 jumps split rows between tiles; the sums must not change
@@ -593,7 +605,8 @@ def tile_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(tile_cases())
-# a tile of the lone jump at 3 takes its complex product in numpy's scalar loop
+# the lone jump at 3 is a one-element complex product, which numpy rounds like the same
+# product in a vector only out of place, with operands of one shape
 @example(case=(BVFunction(1, np.asarray([0.0, 3.0]), np.asarray([[0j], [0.83 + 1j]])),
                np.asarray([1.0, 4.0]), 4.0, np.asarray([2j])))
 def test_tiles_keep_every_row_bitwise(case):
@@ -661,6 +674,9 @@ def table_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(table_cases())
+# a subnormal abscissa: the plan's reach 60 / |Re z| overflows to inf
+@example(case=(build_instance(np.asarray([[1.0 + 0j], [-1.0]]), 50_000)[0],
+               np.linspace(0.0, 10.8, 50), 11.8, np.asarray([1e-310 + 0j])))
 def test_table_rows_match_the_jump_kernel(case):
     # the same integrator without its table sums every jump one at a time.  Each row of
     # either sweep direction agrees within _RANGE_SUM_TOL of its jump mass, plus the rounding
@@ -837,6 +853,32 @@ class TestOneCallForEveryAbscissa:
                 assert_bitwise(got[k:k + 1],
                                bv_module._jump_rows(bv, rates[k:k + 1], points, start))
         assert 900.0 * np.max(np.diff(grid)) > bv_module._NEGLIGIBLE_LOG  # abscissa 3 cuts
+        # d = 1, and each abscissa takes one jump: a batch of many abscissas holds each lone
+        # product in a vector, and it must round as the one-element product of a call alone
+        bv, c = self.lone_jump_case()
+        for points, start, rates in ((np.asarray([1.0]), 0.0, c), (np.asarray([0.0]), 1.0, -c)):
+            got = bv_module._jump_rows(bv, rates, points, start)
+            for k in range(rates.size):
+                assert_bitwise(got[k:k + 1],
+                               bv_module._jump_rows(bv, rates[k:k + 1], points, start))
+
+    @staticmethod
+    def lone_jump_case():
+        """A 1-vector integrator of one jump of a random complex size, and 1200 abscissas
+        with random real and imaginary parts."""
+        rng = np.random.default_rng(41)
+        size = rng.normal(size=(1, 1)) + 1j * rng.normal(size=(1, 1))
+        bv = BVFunction(1, np.asarray([0.4]), size)
+        return bv, rng.uniform(0.0, 3.0, 1200) + 1j * rng.uniform(-50.0, 50.0, 1200)
+
+    def test_lone_jumps_of_many_abscissas_take_one_gather(self, monkeypatch):
+        # 1200 abscissas of one jump each fit one batch of _TILE_JUMPS jumps
+        bv, c = self.lone_jump_case()
+        gathers = []
+        jumps_at = bv.jumps_at
+        monkeypatch.setattr(bv, "jumps_at", lambda idx: gathers.append(idx) or jumps_at(idx))
+        bv_module._jump_rows(bv, c, np.asarray([1.0]), 0.0)
+        assert len(gathers) == 1 and np.size(gathers[0]) == c.size
 
     def test_exponential_piece_with_a_complex_rate(self):
         # DensityPiece.rate is complex: e^{(-0.5 + 3i) s} on [0.5, 4) in closed form

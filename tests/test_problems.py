@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tauberian_lab.bv import DENSITY_PARAMS
+from tauberian_lab.bv import DENSITY_PARAMS, exp_tail_integral
 from tauberian_lab.cli import main
 from tauberian_lab.contour import MAX_ACCELERATION_TERMS
 from tauberian_lab.problems import ProblemFormatError, load_problem
+from tauberian_lab.vectors import vector_norm
 
 SHIPPED = [str(p) for p in sorted(Path("problems").glob("*.json"))]
 
@@ -287,6 +288,17 @@ def test_missing_growth_hint(tmp_path):
         res = CliRunner().invoke(main, [command, "--problem", str(p)])
         assert res.exit_code == 2
         assert res.stderr == f"error: {p}: this command needs {block} block in the problem file\n"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP items 5 and 22: no command checks a typed-in growth block, "
+                          "and density_mix's constant c = 2 is below ||f(0)||")
+def test_density_mix_growth_holds_at_zero():
+    # ||f(z)|| <= M(|Im z|) must hold on the half-plane the theorem reads, so at z = 0
+    # too; f(0) = int_0^inf dA is 4.4151 in the euclidean norm, above M(0) = c = 2
+    prob = load_problem("problems/density_mix.json")
+    f0 = exp_tail_integral(prob.bv, [0j], 0.0)[0]
+    assert vector_norm(f0, prob.bv.norm_kind) <= prob.growth(0.0)
 
 
 def test_n_max_too_large_to_allocate_names_the_option(tmp_path):
