@@ -95,10 +95,10 @@ of jumps before t, np.searchsorted of the jump times) and
 integrator with arrays answers both from them; a table inverts fl(log n)
 and forms each gathered jump as fl(log n) and b_n times fl(1/n), so a
 sweep, a contour sum or a load holds no array that grows with the number
-of jumps.  ``variation_bound`` sums a table's jump norms by the range plan
-at c = 0, ``jump_sum_remainder`` adds them in chunks the way np.sum adds
-one array, and ``dirichlet.partial_sum_decay`` carries its np.cumsum from
-chunk to chunk, so each keeps the value it had from whole arrays.
+of jumps.  ``variation_bound`` and ``jump_sum_remainder`` sum a table's
+jump norms by the range plan at c = 0 (``_jump_norm_sum``), and
+``dirichlet.partial_sum_decay`` carries its np.cumsum from chunk to chunk,
+so it keeps the value it had from whole arrays.
 
 The contour evaluators ``exp_tail_integral`` and ``exp_partial_integral``,
 and the improper transform, sum s_k e^{-z(tau_k - t)} over the jumps of each
@@ -440,21 +440,29 @@ class BVFunction:
         _refuse_nan(t)
         if t <= 0:
             return 0.0
-        count = int(self.jumps_before(t))
-        if self.table is None:
-            tv = float(np.sum(vector_norm(self.jump_sizes[:count], self.norm_kind)))
-        else:  # the norms ||b_r|| make a table of their own, summed at c = 0 by the range plan
-            norms = BVFunction(1, table=vector_norm(self.table, self.norm_kind)[:, None],
-                               jump_count=count)
-            sums = np.zeros((1, 1, 1), dtype=complex)
-            _range_sums(norms, np.zeros(1, complex), np.zeros(1), np.arange(1), 0, count, sums)
-            tv = float(sums[0, 0, 0].real)
+        tv = _jump_norm_sum(self, int(self.jumps_before(t)), self.norm_kind)
         for piece in self.pieces:
             lo, hi = piece.start, min(piece.end, t)
             amp = float(vector_norm(piece.scale_array(), self.norm_kind))
             if hi > lo and amp:
                 tv += amp * _base_modulus_bound(piece, lo, hi)
         return tv * (1.0 + _ROUND_UP)
+
+
+def _jump_norm_sum(bv: BVFunction, count: int, norm_kind: str) -> float:
+    """The sum of the norm_kind norms of bv's first count jumps.
+
+    Jump arrays take np.sum of their vector_norm rows.  A table's norms
+    ||b_r|| make a table of their own, which the range plan sums at c = 0:
+    the head and partial periods jump by jump, the full periods in closed
+    form, within _RANGE_SUM_TOL of the sum.
+    """
+    if bv.table is None:
+        return float(np.sum(vector_norm(bv.jump_sizes[:count], norm_kind)))
+    norms = BVFunction(1, table=vector_norm(bv.table, norm_kind)[:, None], jump_count=count)
+    sums = np.zeros((1, 1, 1), dtype=complex)
+    _range_sums(norms, np.zeros(1, complex), np.zeros(1), np.arange(1), 0, count, sums)
+    return float(sums[0, 0, 0].real)
 
 
 def _base_modulus_bound(piece: DensityPiece, lo: float, hi: float) -> float:
@@ -1097,6 +1105,8 @@ def weighted_partial_grid(bv: BVFunction, z, t_grid: np.ndarray, quad_tol: float
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or (t_grid.size and (np.any(np.diff(t_grid) < 0) or t_grid[0] < 0)):
         raise ValueError("t_grid must be ascending and nonnegative")
+    if np.any(np.isinf(t_grid)):  # a nan point is refused as a time by the sweep
+        raise ValueError("t_grid must hold no infinite point")
     held = np.arange(t_grid.size) if held is None else np.asarray(held)
     if held.ndim != 1 or held.dtype.kind not in "iu" or (held.size and (
             held[0] < 0 or held[-1] >= t_grid.size or np.any(held[1:] <= held[:-1]))):
@@ -1117,6 +1127,8 @@ def weighted_tail_grid(bv: BVFunction, z, t_grid: np.ndarray, v_max: float,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or (t_grid.size and np.any(np.diff(t_grid) < 0)):
         raise ValueError("t_grid must be ascending")
+    if np.any(np.isinf(t_grid)):  # a nan point is refused as a time by the sweep
+        raise ValueError("t_grid must hold no infinite point")
     if t_grid.size and v_max < t_grid[-1]:
         raise ValueError("v_max must dominate the largest grid point")
     return _weighted_sweep(bv, -z, t_grid[::-1], float(v_max), quad_tol,
@@ -1235,27 +1247,14 @@ def jump_sum_remainder(bv: BVFunction) -> float:
     neither vanish nor overflow).  Block-Taylor truncation leaves
     rho^{P+1} e^rho / (P+1)! of it.  The range plan of a repeating table
     leaves each range sum's remainder, below _RANGE_SUM_TOL of the range's
-    jump mass, and the weights it cuts below e^-_NEGLIGIBLE_LOG.
+    jump mass, and the weights it cuts below e^-_NEGLIGIBLE_LOG.  The mass
+    is _jump_norm_sum over every jump, the sum that variation_bound takes:
+    np.sum of the norms of jump arrays, and a table's by the range plan at
+    c = 0, which gathers only its head and partial periods.
     """
     share = (_RANGE_SUM_TOL + math.exp(-_NEGLIGIBLE_LOG) if _repeats(bv)
              else _TAYLOR_REMAINDER)
-    return share * _jump_mass(bv, 0, bv.jump_count)
-
-
-def _jump_mass(bv: BVFunction, lo: int, hi: int) -> float:
-    """np.sum of the euclidean norms of the jumps [lo, hi), bit for bit, gathered at most
-    _TILE_JUMPS at a time.
-
-    numpy sums an array of more than 128 elements pairwise, as the sums of
-    its first n2 and its other elements, n2 = n // 2 rounded down to a
-    multiple of 8; this splits the jumps the same way, so each gathered run
-    is one of numpy's halves, which np.sum adds up as it would within the
-    whole array.
-    """
-    if hi - lo <= _TILE_JUMPS:
-        return float(np.sum(vector_norm(bv.jumps_at(slice(lo, hi))[1], "euclidean")))
-    mid = lo + (hi - lo) // 16 * 8
-    return _jump_mass(bv, lo, mid) + _jump_mass(bv, mid, hi)
+    return share * _jump_norm_sum(bv, bv.jump_count, "euclidean")
 
 
 def _exp_range_integral(bv: BVFunction, z: np.ndarray, t: float, lo: float, hi,

@@ -542,13 +542,18 @@ class TestSweepRange:
             weighted_partial_grid(bv, [1.0], np.asarray([0.0005, 0.5]))
 
     def test_an_infinite_point_without_decay_raises_instead_of_reading_zero(self):
-        # at Re z = 0 the weights reach every jump, also from t = inf, where each weight is
-        # e^{0 (tau - inf)}, not a number: the e^-60 cut must keep the jumps, not read 0
+        # a row at t = inf weights each jump e^{z tau - Re(z) inf}, not a number at Re z = 0
+        # and 0 past it, so the grids refuse the point by name rather than read a row of 0
         bv = BVFunction(1, np.asarray([0.5, 1.5]), np.ones((2, 1), dtype=complex))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(NonFiniteIntegrandError, match="weighted sweep"):
-                weighted_partial_grid(bv, [0.0], np.asarray([0.0, np.inf]))
+        grid = np.asarray([0.0, np.inf])
+        for call in (lambda: weighted_partial_grid(bv, [0.0], grid),
+                     lambda: weighted_partial_grid(bv, [1.0], grid),
+                     lambda: weighted_tail_grid(bv, [1.0], grid, np.inf)):
+            with pytest.raises(ValueError, match="t_grid must hold no infinite point"):
+                call()
+        # the tail to infinity stays a valid range
+        tail = weighted_tail_grid(bv, [1.0], grid[:1], np.inf)[0, :, 0]
+        assert tail == pytest.approx([math.exp(-0.5) + math.exp(-1.5)], rel=1e-15)
 
     def test_jumps_are_taken_in_bounded_chunks(self, monkeypatch):
         # tiles of 7 jumps split rows between tiles; the sums must not change

@@ -231,6 +231,46 @@ def test_dirichlet_alternating_sidecar_bounds_the_range_plan(tmp_path):
                    + 64.0 * np.finfo(float).eps * mass)
 
 
+class TestJumpMass:
+    """jump_sum_remainder's jump mass is variation_bound's sum: the range plan at c = 0 for a
+    table, np.sum of the norms for jump arrays."""
+
+    @staticmethod
+    def tables():
+        rng = np.random.default_rng(42)
+        period3 = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        return [build_instance(named_rule("alternating"), 10**6)[0],
+                build_instance(period3, 10**6)[0]]
+
+    def test_a_table_gathers_only_its_head(self, monkeypatch):
+        # at c = 0 the plan gathers a head of q _HEAD_PERIODS jumps and the partial period at
+        # the end, not every jump of the table.  The mass is summed over a table of the row
+        # norms, so the gathers are counted on the class
+        jumps_at = BVFunction.jumps_at
+        for bv in self.tables():
+            gathers = []
+            monkeypatch.setattr(BVFunction, "jumps_at",
+                                lambda bv, idx: gathers.append(jumps_at(bv, idx)) or gathers[-1])
+            jump_sum_remainder(bv)
+            monkeypatch.undo()
+            q = bv.table.shape[0]
+            assert len(gathers) <= 2
+            assert sum(times.size for times, _ in gathers) <= q * (bv_module._HEAD_PERIODS + 1)
+
+    def test_a_table_takes_the_exact_mass(self):
+        share = bv_module._RANGE_SUM_TOL + math.exp(-bv_module._NEGLIGIBLE_LOG)
+        for bv in self.tables():
+            mass = math.fsum(vector_norm(bv.jumps_at(slice(None))[1], "euclidean"))
+            assert jump_sum_remainder(bv) == pytest.approx(share * mass, rel=1e-15, abs=0.0)
+
+    def test_jump_arrays_keep_np_sum(self):
+        rng = np.random.default_rng(7)
+        tau = np.cumsum(rng.uniform(0.01, 0.1, 20_000))
+        sizes = rng.normal(size=(20_000, 2)) + 1j * rng.normal(size=(20_000, 2))
+        want = bv_module._TAYLOR_REMAINDER * np.sum(vector_norm(sizes, "euclidean"))
+        assert jump_sum_remainder(BVFunction(2, tau, sizes)) == want
+
+
 class TestReferenceValue:
     """The identity's reference A(t) is the reflected arc's partial integral at z = 0."""
 
